@@ -1,373 +1,117 @@
-//! CPU-only dual operator approaches: `impl mkl`, `impl cholmod`, `expl mkl`,
-//! `expl cholmod`.
-//!
-//! The subdomain loops run on the real host thread pool.  Determinism contract: each
-//! parallel region computes purely per-subdomain results which are collected in
-//! subdomain-index order, and every cross-subdomain reduction (the `gather` into the
-//! global dual vector, the scheduler recording, the statistics) happens sequentially
-//! in that order after the region joins — so the numerics and the modelled device
-//! times are bit-for-bit independent of the thread count and of scheduling.
+//! The host side of the dual operator: the two CPU solver facades behind one
+//! symbolic/numeric handle, and the host kernels of `impl mkl`, `impl cholmod`,
+//! `expl mkl`, `expl cholmod` (and of the hybrid approach's assembly).
 
-use super::{DualOperator, DualOperatorStats, SharedStats, SubdomainBlock};
-use crate::params::DualOperatorApproach;
-use crate::schedule::{PhaseScheduler, TimeBreakdown};
+use super::SubdomainBlock;
+use crate::params::SolverFacade;
 use feti_solver::cholmod::{CholmodFactor, CholmodLike};
 use feti_solver::pardiso::{PardisoFactor, PardisoLike};
 use feti_solver::SolverOptions;
-use feti_sparse::{blas, ops, DenseMatrix, MemoryOrder, Transpose, Triangle};
-use rayon::prelude::*;
-use std::time::Instant;
+use feti_sparse::{
+    blas, ops, CscMatrix, CsrMatrix, DenseMatrix, MemoryOrder, Permutation, Transpose, Triangle,
+};
 
 /// Symbolic handle of either CPU solver facade.
-enum CpuSymbolic {
+pub(crate) enum Symbolic {
     Mkl(PardisoLike),
     Cholmod(CholmodLike),
 }
 
 /// Numeric factor of either CPU solver facade.
-enum CpuFactor {
+pub(crate) enum Factor {
     Mkl(PardisoFactor),
     Cholmod(CholmodFactor),
 }
 
-impl CpuFactor {
-    fn solve(&self, b: &[f64]) -> Vec<f64> {
+impl Symbolic {
+    /// Symbolic analysis of `k_reg` through `facade`.
+    pub(crate) fn analyze(facade: SolverFacade, k_reg: &CsrMatrix, opts: SolverOptions) -> Self {
+        match facade {
+            SolverFacade::Mkl => Symbolic::Mkl(PardisoLike::analyze(k_reg, opts)),
+            SolverFacade::Cholmod => Symbolic::Cholmod(CholmodLike::analyze(k_reg, opts)),
+        }
+    }
+
+    /// Stored entries of the factor this analysis predicts.
+    pub(crate) fn factor_nnz(&self) -> usize {
         match self {
-            CpuFactor::Mkl(f) => f.solve(b),
-            CpuFactor::Cholmod(f) => f.solve(b),
+            Symbolic::Mkl(s) => s.factor_nnz(),
+            Symbolic::Cholmod(s) => s.factor_nnz(),
         }
     }
+
+    /// Numeric factorization of `k_reg`.
+    pub(crate) fn factorize(&self, k_reg: &CsrMatrix) -> crate::Result<Factor> {
+        Ok(match self {
+            Symbolic::Mkl(s) => Factor::Mkl(s.factorize(k_reg)?),
+            Symbolic::Cholmod(s) => Factor::Cholmod(s.factorize(k_reg)?),
+        })
+    }
 }
 
-fn make_symbolic(
-    approach: DualOperatorApproach,
-    block: &SubdomainBlock,
-    opts: SolverOptions,
-) -> CpuSymbolic {
-    match approach {
-        DualOperatorApproach::ImplicitMkl | DualOperatorApproach::ExplicitMkl => {
-            CpuSymbolic::Mkl(PardisoLike::analyze(&block.k_reg, opts))
+impl Factor {
+    /// The permuted factor `L` and its fill-reducing permutation, as handed to the
+    /// device by every GPU-assembled approach.
+    pub(crate) fn extract(&self) -> (CscMatrix, Permutation) {
+        match self {
+            Factor::Cholmod(f) => f.extract_factor(),
+            Factor::Mkl(_) => unreachable!("only the CHOLMOD-like facade hands out its factor"),
         }
-        // Every other approach — including the GPU explicit families and the
-        // sparse-RHS family of arXiv 2509.21037, whose CPU-side numeric factorization
-        // runs through the same facade — analyzes with the CHOLMOD-like solver.
-        _ => CpuSymbolic::Cholmod(CholmodLike::analyze(&block.k_reg, opts)),
-    }
-}
-
-/// Implicit CPU application: SpMV, two triangular solves, SpMV, all on the host.
-pub struct ImplicitCpuOperator {
-    approach: DualOperatorApproach,
-    blocks: Vec<SubdomainBlock>,
-    num_lambdas: usize,
-    symbolic: Vec<CpuSymbolic>,
-    factors: Vec<Option<CpuFactor>>,
-    stats: SharedStats,
-}
-
-impl ImplicitCpuOperator {
-    /// Preparation phase: symbolic analysis of every subdomain.
-    #[must_use]
-    pub fn new(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-    ) -> Self {
-        Self::new_with_options(approach, blocks, num_lambdas, SolverOptions::default())
     }
 
-    /// Like [`Self::new`] with explicit solver options (factorization kind, ordering).
-    #[must_use]
-    pub fn new_with_options(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        opts: SolverOptions,
-    ) -> Self {
-        let symbolic: Vec<CpuSymbolic> =
-            blocks.par_iter().with_max_len(1).map(|b| make_symbolic(approach, b, opts)).collect();
-        let factors = blocks.iter().map(|_| None).collect();
-        Self { approach, blocks, num_lambdas, symbolic, factors, stats: SharedStats::default() }
-    }
-}
-
-impl DualOperator for ImplicitCpuOperator {
-    fn approach(&self) -> DualOperatorApproach {
-        self.approach
-    }
-
-    fn num_lambdas(&self) -> usize {
-        self.num_lambdas
-    }
-
-    fn preprocess(&mut self) -> crate::Result<TimeBreakdown> {
-        let _span = feti_trace::span(|| "preprocess");
-        let indices: Vec<usize> = (0..self.blocks.len()).collect();
-        let region = Instant::now();
-        let results: Vec<(CpuFactor, f64)> = self
-            .blocks
-            .par_iter()
-            .zip(self.symbolic.par_iter())
-            .zip(indices.par_iter())
-            .with_max_len(1)
-            .map(|((block, symbolic), &sd)| {
-                let _span = feti_trace::span(|| format!("factorize[sd={sd}]"));
-                let start = Instant::now();
-                let factor = match symbolic {
-                    CpuSymbolic::Mkl(s) => CpuFactor::Mkl(s.factorize(&block.k_reg)?),
-                    CpuSymbolic::Cholmod(s) => CpuFactor::Cholmod(s.factorize(&block.k_reg)?),
-                };
-                Ok((factor, start.elapsed().as_secs_f64()))
-            })
-            .collect::<crate::Result<Vec<_>>>()?;
-        let wall = region.elapsed().as_secs_f64();
-        let mut scheduler = PhaseScheduler::for_host();
-        for (i, (factor, seconds)) in results.into_iter().enumerate() {
-            self.factors[i] = Some(factor);
-            scheduler.record_subdomain(i, seconds, &[]);
-        }
-        let breakdown = scheduler.finish_measured(wall);
-        self.stats.record_preprocessing(breakdown);
-        Ok(breakdown)
-    }
-
-    fn apply(&mut self, p: &[f64], q: &mut [f64]) -> TimeBreakdown {
-        assert_eq!(p.len(), self.num_lambdas);
-        assert_eq!(q.len(), self.num_lambdas);
-        let _span = feti_trace::span(|| "apply");
-        q.iter_mut().for_each(|v| *v = 0.0);
-        let region = Instant::now();
-        let locals: Vec<(Vec<f64>, f64)> = self
-            .blocks
-            .par_iter()
-            .zip(self.factors.par_iter())
-            .with_max_len(1)
-            .map(|(block, factor)| {
-                let factor = factor.as_ref().expect("preprocess must be called before apply");
-                let start = Instant::now();
-                let p_local = block.scatter(p);
-                let mut t = vec![0.0; block.num_dofs()];
-                ops::spmv_csr(1.0, &block.b, Transpose::Yes, &p_local, 0.0, &mut t);
-                let x = factor.solve(&t);
-                let mut q_local = vec![0.0; block.num_local_lambdas()];
-                ops::spmv_csr(1.0, &block.b, Transpose::No, &x, 0.0, &mut q_local);
-                (q_local, start.elapsed().as_secs_f64())
-            })
-            .collect();
-        let wall = region.elapsed().as_secs_f64();
-        let mut scheduler = PhaseScheduler::for_host();
-        for (i, (q_local, seconds)) in locals.iter().enumerate() {
-            self.blocks[i].gather(q_local, q);
-            scheduler.record_subdomain(i, *seconds, &[]);
-        }
-        let breakdown = scheduler.finish_measured(wall);
-        self.stats.record_apply(breakdown, 1);
-        super::trace_apply_metric(self.approach, breakdown, 1);
-        breakdown
-    }
-
-    fn stats(&self) -> DualOperatorStats {
-        self.stats.snapshot()
-    }
-}
-
-/// Explicit CPU assembly and application: `expl mkl` (sparsity-exploiting Schur
-/// complement) and `expl cholmod` (dense triangular solves on the extracted factor).
-pub struct ExplicitCpuOperator {
-    approach: DualOperatorApproach,
-    blocks: Vec<SubdomainBlock>,
-    num_lambdas: usize,
-    symbolic: Vec<CpuSymbolic>,
-    f_local: Vec<Option<DenseMatrix>>,
-    stats: SharedStats,
-}
-
-impl ExplicitCpuOperator {
-    /// Preparation phase: symbolic analysis of every subdomain.
-    #[must_use]
-    pub fn new(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-    ) -> Self {
-        Self::new_with_options(approach, blocks, num_lambdas, SolverOptions::default())
-    }
-
-    /// Like [`Self::new`] with explicit solver options (factorization kind, ordering).
-    #[must_use]
-    pub fn new_with_options(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        opts: SolverOptions,
-    ) -> Self {
-        let symbolic: Vec<CpuSymbolic> =
-            blocks.par_iter().with_max_len(1).map(|b| make_symbolic(approach, b, opts)).collect();
-        let f_local = blocks.iter().map(|_| None).collect();
-        Self { approach, blocks, num_lambdas, symbolic, f_local, stats: SharedStats::default() }
-    }
-
-    /// Assembles `F̃ᵢ` for one subdomain on the CPU (used also by the hybrid approach).
-    fn assemble_local(
-        approach: DualOperatorApproach,
-        symbolic: &CpuSymbolic,
-        block: &SubdomainBlock,
-    ) -> crate::Result<DenseMatrix> {
-        match symbolic {
-            CpuSymbolic::Mkl(s) => {
-                // Augmented-factorization-style Schur complement exploiting B sparsity.
-                let factor = s.factorize(&block.k_reg)?;
-                Ok(factor.schur_complement(&block.b))
-            }
-            CpuSymbolic::Cholmod(s) => {
-                debug_assert!(matches!(
-                    approach,
-                    DualOperatorApproach::ExplicitCholmod | DualOperatorApproach::ExplicitHybrid
-                ));
+    /// Assembles the dense `F̃ᵢ` of one subdomain on the CPU.
+    pub(crate) fn assemble(&self, block: &SubdomainBlock) -> DenseMatrix {
+        match self {
+            // Augmented-factorization-style Schur complement exploiting B sparsity.
+            Factor::Mkl(f) => f.schur_complement(&block.b),
+            Factor::Cholmod(f) => {
                 // Dense path: convert B̃ᵀ to dense, solve K X = B̃ᵀ, then F̃ = B̃ X.
-                let factor = s.factorize(&block.k_reg)?;
                 let bt_dense = block.b.transposed().to_dense(MemoryOrder::ColMajor);
-                let x = factor.solve_matrix(&bt_dense);
+                let x = f.solve_matrix(&bt_dense);
                 let nl = block.num_local_lambdas();
-                let mut f = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
-                ops::spmm_csr_dense(1.0, &block.b, Transpose::No, &x, 0.0, &mut f);
-                Ok(f)
+                let mut f_local = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
+                ops::spmm_csr_dense(1.0, &block.b, Transpose::No, &x, 0.0, &mut f_local);
+                f_local
             }
         }
     }
+
+    /// The implicit local action `q̃ = B̃ (K⁺ (B̃ᵀ p̃))`: SpMV, two triangular solves,
+    /// SpMV, all on the host.
+    pub(crate) fn apply(&self, block: &SubdomainBlock, p_local: &[f64], q_local: &mut [f64]) {
+        let mut t = vec![0.0; block.num_dofs()];
+        ops::spmv_csr(1.0, &block.b, Transpose::Yes, p_local, 0.0, &mut t);
+        let x = match self {
+            Factor::Mkl(f) => f.solve(&t),
+            Factor::Cholmod(f) => f.solve(&t),
+        };
+        ops::spmv_csr(1.0, &block.b, Transpose::No, &x, 0.0, q_local);
+    }
 }
 
-/// Explicit helper used by all explicit approaches: `q̃ᵢ = F̃ᵢ p̃ᵢ` through SYMV.
-fn apply_local_explicit(f: &DenseMatrix, p_local: &[f64], q_local: &mut [f64]) {
+/// The explicit host application `q̃ᵢ = F̃ᵢ p̃ᵢ` through SYMV.  In a batch the dense
+/// `F̃ᵢ` stays hot across the columns — the CPU-side analogue of the SYMM-shaped
+/// amortization on the device.
+pub(crate) fn symv(f: &DenseMatrix, p_local: &[f64], q_local: &mut [f64]) {
     blas::symv(Triangle::Upper, 1.0, f, p_local, 0.0, q_local);
-}
-
-impl DualOperator for ExplicitCpuOperator {
-    fn approach(&self) -> DualOperatorApproach {
-        self.approach
-    }
-
-    fn num_lambdas(&self) -> usize {
-        self.num_lambdas
-    }
-
-    fn preprocess(&mut self) -> crate::Result<TimeBreakdown> {
-        let _span = feti_trace::span(|| "preprocess");
-        let approach = self.approach;
-        let indices: Vec<usize> = (0..self.blocks.len()).collect();
-        let region = Instant::now();
-        let results: Vec<(DenseMatrix, f64)> = self
-            .blocks
-            .par_iter()
-            .zip(self.symbolic.par_iter())
-            .zip(indices.par_iter())
-            .with_max_len(1)
-            .map(|((block, symbolic), &sd)| {
-                let _span = feti_trace::span(|| format!("factorize[sd={sd}]"));
-                let start = Instant::now();
-                let f = Self::assemble_local(approach, symbolic, block)?;
-                Ok((f, start.elapsed().as_secs_f64()))
-            })
-            .collect::<crate::Result<Vec<_>>>()?;
-        let wall = region.elapsed().as_secs_f64();
-        let mut scheduler = PhaseScheduler::for_host();
-        for (i, (f, seconds)) in results.into_iter().enumerate() {
-            self.f_local[i] = Some(f);
-            scheduler.record_subdomain(i, seconds, &[]);
-        }
-        let breakdown = scheduler.finish_measured(wall);
-        self.stats.record_preprocessing(breakdown);
-        Ok(breakdown)
-    }
-
-    fn apply(&mut self, p: &[f64], q: &mut [f64]) -> TimeBreakdown {
-        assert_eq!(p.len(), self.num_lambdas);
-        assert_eq!(q.len(), self.num_lambdas);
-        let _span = feti_trace::span(|| "apply");
-        q.iter_mut().for_each(|v| *v = 0.0);
-        let region = Instant::now();
-        let locals: Vec<(Vec<f64>, f64)> = self
-            .blocks
-            .par_iter()
-            .zip(self.f_local.par_iter())
-            .with_max_len(1)
-            .map(|(block, f)| {
-                let f = f.as_ref().expect("preprocess must be called before apply");
-                let start = Instant::now();
-                let p_local = block.scatter(p);
-                let mut q_local = vec![0.0; block.num_local_lambdas()];
-                apply_local_explicit(f, &p_local, &mut q_local);
-                (q_local, start.elapsed().as_secs_f64())
-            })
-            .collect();
-        let wall = region.elapsed().as_secs_f64();
-        let mut scheduler = PhaseScheduler::for_host();
-        for (i, (q_local, seconds)) in locals.iter().enumerate() {
-            self.blocks[i].gather(q_local, q);
-            scheduler.record_subdomain(i, *seconds, &[]);
-        }
-        let breakdown = scheduler.finish_measured(wall);
-        self.stats.record_apply(breakdown, 1);
-        super::trace_apply_metric(self.approach, breakdown, 1);
-        breakdown
-    }
-
-    fn apply_many(&mut self, p: &DenseMatrix, q: &mut DenseMatrix) -> TimeBreakdown {
-        assert_eq!(p.nrows(), self.num_lambdas, "batch row count must match dual space");
-        assert_eq!(q.nrows(), self.num_lambdas, "batch row count must match dual space");
-        assert_eq!(p.ncols(), q.ncols(), "input and output batches must have equal width");
-        let _span = feti_trace::span(|| "apply");
-        let k = p.ncols();
-        q.fill(0.0);
-        let region = Instant::now();
-        let locals: Vec<(Vec<Vec<f64>>, f64)> = self
-            .blocks
-            .par_iter()
-            .zip(self.f_local.par_iter())
-            .with_max_len(1)
-            .map(|(block, f)| {
-                let f = f.as_ref().expect("preprocess must be called before apply");
-                let nl = block.num_local_lambdas();
-                // The dense F̃ᵢ stays hot across the columns of the batch — the
-                // CPU-side analogue of the SYMM-shaped amortization on the device.
-                let start = Instant::now();
-                let mut block_locals: Vec<Vec<f64>> = Vec::with_capacity(k);
-                for j in 0..k {
-                    let p_local: Vec<f64> = block.lambda_map.iter().map(|&g| p.get(g, j)).collect();
-                    let mut q_local = vec![0.0; nl];
-                    apply_local_explicit(f, &p_local, &mut q_local);
-                    block_locals.push(q_local);
-                }
-                (block_locals, start.elapsed().as_secs_f64())
-            })
-            .collect();
-        let wall = region.elapsed().as_secs_f64();
-        let mut scheduler = PhaseScheduler::for_host();
-        for (i, (block_locals, seconds)) in locals.iter().enumerate() {
-            let block = &self.blocks[i];
-            for (j, q_local) in block_locals.iter().enumerate() {
-                for (l, &g) in block.lambda_map.iter().enumerate() {
-                    q.add_assign_at(g, j, q_local[l]);
-                }
-            }
-            scheduler.record_subdomain(i, *seconds, &[]);
-        }
-        let breakdown = scheduler.finish_measured(wall);
-        self.stats.record_apply(breakdown, k);
-        super::trace_apply_metric(self.approach, breakdown, k);
-        breakdown
-    }
-
-    fn stats(&self) -> DualOperatorStats {
-        self.stats.snapshot()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dualop::SubdomainBlock;
+    use crate::dualop::{ApproachOperator, DualOperator, SubdomainBlock};
+    use crate::params::DualOperatorApproach;
     use feti_decompose::{DecomposedProblem, DecompositionSpec};
+    use feti_sparse::{ops, DenseMatrix, MemoryOrder, Transpose};
+
+    fn operator(
+        approach: DualOperatorApproach,
+        blocks: Vec<SubdomainBlock>,
+        nl: usize,
+    ) -> ApproachOperator {
+        ApproachOperator::new(approach, blocks, nl, Default::default(), SolverOptions::default())
+            .unwrap()
+    }
 
     fn blocks() -> (Vec<SubdomainBlock>, usize) {
         let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
@@ -397,7 +141,7 @@ mod tests {
         let p: Vec<f64> = (0..nl).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
         let reference = reference_apply(&blocks, &p);
         for approach in [DualOperatorApproach::ImplicitMkl, DualOperatorApproach::ImplicitCholmod] {
-            let mut op = ImplicitCpuOperator::new(approach, blocks.clone(), nl);
+            let mut op = operator(approach, blocks.clone(), nl);
             let t = op.preprocess().unwrap();
             assert!(t.total_seconds > 0.0);
             let mut q = vec![0.0; nl];
@@ -416,7 +160,7 @@ mod tests {
         let p: Vec<f64> = (0..nl).map(|i| (i as f64 * 0.31).sin()).collect();
         let reference = reference_apply(&blocks, &p);
         for approach in [DualOperatorApproach::ExplicitMkl, DualOperatorApproach::ExplicitCholmod] {
-            let mut op = ExplicitCpuOperator::new(approach, blocks.clone(), nl);
+            let mut op = operator(approach, blocks.clone(), nl);
             op.preprocess().unwrap();
             let mut q = vec![0.0; nl];
             op.apply(&p, &mut q);
@@ -456,13 +200,13 @@ mod tests {
             assert_eq!(batched.stats().apply_count, k, "{approach:?} counts columns");
         };
         for approach in [DualOperatorApproach::ExplicitMkl, DualOperatorApproach::ExplicitCholmod] {
-            let mut a = ExplicitCpuOperator::new(approach, blocks.clone(), nl);
-            let mut b = ExplicitCpuOperator::new(approach, blocks.clone(), nl);
+            let mut a = operator(approach, blocks.clone(), nl);
+            let mut b = operator(approach, blocks.clone(), nl);
             check(&mut a, &mut b);
         }
         for approach in [DualOperatorApproach::ImplicitMkl, DualOperatorApproach::ImplicitCholmod] {
-            let mut a = ImplicitCpuOperator::new(approach, blocks.clone(), nl);
-            let mut b = ImplicitCpuOperator::new(approach, blocks.clone(), nl);
+            let mut a = operator(approach, blocks.clone(), nl);
+            let mut b = operator(approach, blocks.clone(), nl);
             check(&mut a, &mut b);
         }
     }
@@ -471,7 +215,7 @@ mod tests {
     #[should_panic(expected = "preprocess must be called")]
     fn apply_before_preprocess_panics() {
         let (blocks, nl) = blocks();
-        let mut op = ImplicitCpuOperator::new(DualOperatorApproach::ImplicitMkl, blocks, nl);
+        let mut op = operator(DualOperatorApproach::ImplicitMkl, blocks, nl);
         let p = vec![0.0; nl];
         let mut q = vec![0.0; nl];
         let _ = op.apply(&p, &mut q);

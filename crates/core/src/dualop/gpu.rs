@@ -1,932 +1,180 @@
-//! GPU-accelerated dual operator approaches: `impl legacy/modern`, `expl legacy/modern`
-//! (the paper's contribution), the sparsity-aware `expl sparse legacy/modern` family
-//! (the sequel's boundary-restricted assembly, arXiv 2509.21037) and the hybrid
-//! approach.
+//! The device side of the dual operator: the kernels of `impl legacy/modern`, `expl
+//! legacy/modern` (the paper's contribution), the sparsity-aware `expl sparse
+//! legacy/modern` family (the sequel's boundary-restricted assembly, arXiv 2509.21037)
+//! and the hybrid approach's application.
 //!
 //! All device work executes through `feti-gpu`: the numerics run on the host (exact
 //! results), the reported times come from the device cost model, and per-stream
 //! timelines model the asynchronous submission and CPU/GPU overlap of §IV-B.
 //!
-//! The subdomain loops run on the real host thread pool with the determinism
-//! contract of `dualop::cpu`: parallel regions compute per-subdomain results, every
-//! cross-subdomain reduction happens sequentially in subdomain-index order after the
-//! region joins.  Timing: phases with real host work (the preprocessing
-//! factorizations) report the measured wall of the parallel region as `cpu_seconds`;
-//! phases whose host side only *submits* kernels (the applications — their numerics
-//! execute on the host purely to simulate the device) keep the modelled schedule, so
-//! the simulation's own host cost is not mistaken for execution cost.
+//! What is submitted — and what is allocated persistently — is not written here: the
+//! operator interprets the [`crate::program::ApproachProgram`] of its approach, the
+//! same program the planner folds.
 
-use super::{DualOperator, DualOperatorStats, SharedStats, SubdomainBlock};
-use crate::params::{
-    DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather,
-};
-use crate::schedule::{PhaseScheduler, TimeBreakdown};
+use super::{DeviceSide, SubdomainBlock};
+use crate::params::ExplicitAssemblyParams;
 use feti_gpu::sparse::{self as gsparse, SparseFactor};
-use feti_gpu::{blas as gblas, cost, CudaGeneration, GpuCost, GpuDevice, GpuSpec};
-use feti_solver::cholmod::{CholmodFactor, CholmodLike};
-use feti_solver::pardiso::PardisoLike;
-use feti_solver::SolverOptions;
-use feti_sparse::{DenseMatrix, DiagKind, MemoryOrder, Permutation, Transpose, Triangle};
-use rayon::prelude::*;
-use std::time::Instant;
+use feti_gpu::{blas as gblas, DeviceOp, GpuSpec, PricedOp};
+use feti_sparse::{
+    CscMatrix, DenseMatrix, DiagKind, MemoryOrder, Permutation, Transpose, Triangle,
+};
 
 /// Factors stored "on the device" for the implicit GPU approach.
-struct DeviceFactor {
-    factor: SparseFactor,
-    perm: Permutation,
+pub(crate) struct DeviceFactor {
+    pub(crate) factor: SparseFactor,
+    pub(crate) perm: Permutation,
 }
 
-/// Implicit application on the GPU: the factors extracted from the CHOLMOD-like solver
-/// are copied to the device and each application performs SpMV + two sparse triangular
-/// solves + SpMV with device kernels.
-pub struct ImplicitGpuOperator {
-    approach: DualOperatorApproach,
-    generation: CudaGeneration,
-    blocks: Vec<SubdomainBlock>,
-    num_lambdas: usize,
-    symbolic: Vec<CholmodLike>,
-    device: GpuDevice,
-    factors: Vec<Option<DeviceFactor>>,
-    stats: SharedStats,
-}
-
-impl ImplicitGpuOperator {
-    /// Preparation: symbolic analysis and persistent device allocations.
-    ///
-    /// # Errors
-    /// Returns an error if the device cannot hold the persistent structures.
-    pub fn new(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-    ) -> crate::Result<Self> {
-        Self::new_with_options(approach, blocks, num_lambdas, SolverOptions::default())
-    }
-
-    /// Like [`Self::new`] with explicit solver options (factorization kind, ordering).
-    ///
-    /// # Errors
-    /// Returns an error if the device cannot hold the persistent structures.
-    pub fn new_with_options(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        opts: SolverOptions,
-    ) -> crate::Result<Self> {
-        let generation = approach.generation().unwrap_or(CudaGeneration::Legacy);
-        let symbolic: Vec<CholmodLike> = blocks
-            .par_iter()
-            .with_max_len(1)
-            .map(|b| CholmodLike::analyze(&b.k_reg, opts))
-            .collect();
-        let device = GpuDevice::a100_like();
-        for (b, s) in blocks.iter().zip(&symbolic) {
-            let persistent = s.factor_nnz() * 16 + b.b.bytes() + b.num_dofs() * 16;
-            device.alloc_persistent(persistent)?;
+impl DeviceFactor {
+    /// The implicit local action `q̃ = B̃ (K⁺ (B̃ᵀ p̃))` through the permuted factor,
+    /// executed with the device kernels: SpMV, two sparse triangular solves, SpMV.
+    /// The kernels' own cost reports are dropped — the application program already
+    /// carries the (batched) costs.
+    pub(crate) fn apply(
+        &self,
+        side: &DeviceSide,
+        block: &SubdomainBlock,
+        p_local: &[f64],
+        q_local: &mut [f64],
+    ) {
+        let (spec, generation) = (side.device.spec(), side.program.generation());
+        // t = B̃ᵀ p (device SpMV)
+        let mut t = vec![0.0; block.num_dofs()];
+        let _ = gsparse::spmv(spec, 1.0, &block.b, Transpose::Yes, p_local, 0.0, &mut t);
+        // x = K⁺ t through the permuted factor: L Lᵀ (P x) = P t
+        let mut z = self.perm.apply(&t);
+        for trans in [Transpose::No, Transpose::Yes] {
+            let (uplo, diag) = (Triangle::Lower, DiagKind::NonUnit);
+            gsparse::sparse_trsv(spec, generation, uplo, trans, diag, &self.factor, &mut z)
+                .expect("factor is nonsingular");
         }
-        device.reserve_temporary_pool();
-        let factors = blocks.iter().map(|_| None).collect();
-        Ok(Self {
-            approach,
-            generation,
-            blocks,
-            num_lambdas,
-            symbolic,
-            device,
-            factors,
-            stats: SharedStats::default(),
-        })
+        let x = self.perm.apply_inverse(&z);
+        // q̃ = B̃ x (device SpMV)
+        let _ = gsparse::spmv(spec, 1.0, &block.b, Transpose::No, &x, 0.0, q_local);
     }
 }
 
-impl DualOperator for ImplicitGpuOperator {
-    fn approach(&self) -> DualOperatorApproach {
-        self.approach
-    }
-
-    fn num_lambdas(&self) -> usize {
-        self.num_lambdas
-    }
-
-    fn preprocess(&mut self) -> crate::Result<TimeBreakdown> {
-        let _span = feti_trace::span(|| "preprocess");
-        let spec = *self.device.spec();
-        let indices: Vec<usize> = (0..self.blocks.len()).collect();
-        let region = Instant::now();
-        let results: Vec<(DeviceFactor, f64, Vec<GpuCost>)> = self
-            .blocks
-            .par_iter()
-            .zip(self.symbolic.par_iter())
-            .zip(indices.par_iter())
-            .with_max_len(1)
-            .map(|((block, symbolic), &sd)| {
-                let _span = feti_trace::span(|| format!("factorize[sd={sd}]"));
-                let start = Instant::now();
-                let factor: CholmodFactor = symbolic.factorize(&block.k_reg)?;
-                let (l_csc, perm) = factor.extract_factor();
-                let cpu = start.elapsed().as_secs_f64();
-                let transfer = cost::transfer(&spec, l_csc.nnz() * 12);
-                Ok((DeviceFactor { factor: SparseFactor::Csc(l_csc), perm }, cpu, vec![transfer]))
-            })
-            .collect::<crate::Result<Vec<_>>>()?;
-        let wall = region.elapsed().as_secs_f64();
-        let mut scheduler = PhaseScheduler::for_host();
-        for (i, (factor, cpu, ops_list)) in results.into_iter().enumerate() {
-            self.factors[i] = Some(factor);
-            scheduler.record_subdomain(i, cpu, &ops_list);
-        }
-        let breakdown = scheduler.finish_measured(wall);
-        self.stats.record_preprocessing(breakdown);
-        Ok(breakdown)
-    }
-
-    fn apply(&mut self, p: &[f64], q: &mut [f64]) -> TimeBreakdown {
-        assert_eq!(p.len(), self.num_lambdas);
-        assert_eq!(q.len(), self.num_lambdas);
-        let _span = feti_trace::span(|| "apply");
-        q.iter_mut().for_each(|v| *v = 0.0);
-        let spec = *self.device.spec();
-        let generation = self.generation;
-        let locals: Vec<(Vec<f64>, Vec<GpuCost>)> = self
-            .blocks
-            .par_iter()
-            .zip(self.factors.par_iter())
-            .with_max_len(1)
-            .map(|(block, df)| {
-                let df = df.as_ref().expect("preprocess must be called before apply");
-                let p_local = block.scatter(p);
-                let mut q_local = vec![0.0; block.num_local_lambdas()];
-                let mut gpu_ops = vec![cost::transfer(&spec, p_local.len() * 8)];
-                gpu_ops.extend(apply_implicit_column(
-                    &spec,
-                    generation,
-                    block,
-                    df,
-                    &p_local,
-                    &mut q_local,
-                ));
-                gpu_ops.push(cost::transfer(&spec, q_local.len() * 8));
-                (q_local, gpu_ops)
-            })
-            .collect();
-        let mut scheduler = PhaseScheduler::for_host();
-        for (i, (q_local, gpu_ops)) in locals.iter().enumerate() {
-            self.blocks[i].gather(q_local, q);
-            scheduler.record_subdomain(i, 0.0, gpu_ops);
-        }
-        let breakdown = scheduler.finish();
-        self.stats.record_apply(breakdown, 1);
-        super::trace_apply_metric(self.approach, breakdown, 1);
-        breakdown
-    }
-
-    fn apply_many(&mut self, p: &DenseMatrix, q: &mut DenseMatrix) -> TimeBreakdown {
-        assert_eq!(p.nrows(), self.num_lambdas, "batch row count must match dual space");
-        assert_eq!(q.nrows(), self.num_lambdas, "batch row count must match dual space");
-        assert_eq!(p.ncols(), q.ncols(), "batch column mismatch");
-        let _span = feti_trace::span(|| "apply");
-        let k = p.ncols();
-        q.fill(0.0);
-        let spec = *self.device.spec();
-        let generation = self.generation;
-        let locals: Vec<(Vec<Vec<f64>>, Vec<GpuCost>)> = self
-            .blocks
-            .par_iter()
-            .zip(self.factors.par_iter())
-            .with_max_len(1)
-            .map(|(block, df)| {
-                let df = df.as_ref().expect("preprocess must be called before apply");
-                let nl = block.num_local_lambdas();
-                // Exact per-column numerics through the same device kernels as `apply`
-                // (their per-column costs are discarded in favour of the batched ones).
-                let mut block_locals: Vec<Vec<f64>> = Vec::with_capacity(k);
-                for j in 0..k {
-                    let p_local: Vec<f64> = block.lambda_map.iter().map(|&g| p.get(g, j)).collect();
-                    let mut q_local = vec![0.0; nl];
-                    let _ =
-                        apply_implicit_column(&spec, generation, block, df, &p_local, &mut q_local);
-                    block_locals.push(q_local);
-                }
-                // Batched device submissions: one transfer per direction for the whole
-                // block of columns, SpMM instead of per-column SpMV, and a multi-RHS
-                // sparse TRSM whose level-schedule traffic amortizes over the batch.
-                let gpu_ops = vec![
-                    cost::transfer(&spec, nl * k * 8),
-                    cost::spmm(&spec, block.b.nnz(), block.b.nrows(), k),
-                    cost::sparse_trsm_for(&spec, generation, df.factor.nnz(), df.factor.dim(), k),
-                    cost::sparse_trsm_for(&spec, generation, df.factor.nnz(), df.factor.dim(), k),
-                    cost::spmm(&spec, block.b.nnz(), block.b.nrows(), k),
-                    cost::transfer(&spec, nl * k * 8),
-                ];
-                (block_locals, gpu_ops)
-            })
-            .collect();
-        let mut scheduler = PhaseScheduler::for_host();
-        for (i, (block_locals, gpu_ops)) in locals.iter().enumerate() {
-            let block = &self.blocks[i];
-            for (j, q_local) in block_locals.iter().enumerate() {
-                for (l, &g) in block.lambda_map.iter().enumerate() {
-                    q.add_assign_at(g, j, q_local[l]);
-                }
-            }
-            scheduler.record_subdomain(i, 0.0, gpu_ops);
-        }
-        let breakdown = scheduler.finish();
-        self.stats.record_apply(breakdown, k);
-        super::trace_apply_metric(self.approach, breakdown, k);
-        breakdown
-    }
-
-    fn stats(&self) -> DualOperatorStats {
-        self.stats.snapshot()
-    }
+/// The explicit device application shared by `expl legacy/modern`, the sparse family
+/// and `expl hybrid`: `q̃ᵢ = F̃ᵢ p̃ᵢ` through the device SYMV.  A batch runs the exact
+/// column-by-column SYMV (which is what the SYMM-shaped device kernel computes), so
+/// only the modelled time is batched.
+pub(crate) fn symv(spec: &GpuSpec, f: &DenseMatrix, p_local: &[f64], q_local: &mut [f64]) {
+    let _ = gblas::symv(spec, Triangle::Upper, 1.0, f, p_local, 0.0, q_local);
 }
 
-/// One implicit application on a local dual vector: `q̃ = B̃ (K⁺ (B̃ᵀ p̃))` through the
-/// permuted factor, executed with the device kernels.  Shared by `apply` (which
-/// submits the returned per-column costs) and `apply_many` (which discards them in
-/// favour of the batched SpMM/multi-RHS-TRSM submissions), keeping the two paths
-/// numerically identical by construction.
-fn apply_implicit_column(
-    spec: &GpuSpec,
-    generation: CudaGeneration,
-    block: &SubdomainBlock,
-    df: &DeviceFactor,
-    p_local: &[f64],
-    q_local: &mut [f64],
-) -> Vec<GpuCost> {
-    let mut gpu_ops = Vec::with_capacity(4);
-    // t = B̃ᵀ p (device SpMV)
-    let mut t = vec![0.0; block.num_dofs()];
-    gpu_ops.push(gsparse::spmv(spec, 1.0, &block.b, Transpose::Yes, p_local, 0.0, &mut t));
-    // x = K⁺ t through the permuted factor: L Lᵀ (P x) = P t
-    let mut z = df.perm.apply(&t);
-    gpu_ops.push(
-        gsparse::sparse_trsv(
-            spec,
-            generation,
-            Triangle::Lower,
-            Transpose::No,
-            DiagKind::NonUnit,
-            &df.factor,
-            &mut z,
-        )
-        .expect("factor is nonsingular"),
-    );
-    gpu_ops.push(
-        gsparse::sparse_trsv(
-            spec,
-            generation,
-            Triangle::Lower,
-            Transpose::Yes,
-            DiagKind::NonUnit,
-            &df.factor,
-            &mut z,
-        )
-        .expect("factor is nonsingular"),
-    );
-    let x = df.perm.apply_inverse(&z);
-    // q̃ = B̃ x (device SpMV)
-    gpu_ops.push(gsparse::spmv(spec, 1.0, &block.b, Transpose::No, &x, 0.0, q_local));
-    gpu_ops
-}
-
-/// Assembles one dense local dual operator on the simulated device and returns it
-/// together with the list of device operations that were submitted.
+/// Interprets one subdomain's assembly program on the simulated device and returns
+/// the dense local dual operator `F̃ᵢ`.
 ///
-/// This is the kernel sequence of §IV-B/IV-C, honouring the full parameter set of
-/// Table I.
-fn assemble_local_on_gpu(
-    device: &GpuDevice,
-    generation: CudaGeneration,
+/// The program is the kernel sequence of §IV-B/IV-C (or the sequel's
+/// boundary-restricted variant), so the ops carry their own roles: the first
+/// densification produces the right-hand side `P B̃ᵀ`, any later one the factor of the
+/// solve that follows it; the first triangular solve is the forward one (`L X = …`,
+/// the `forward_*` parameters), a second the backward one (`Lᵀ`, the `backward_*`
+/// parameters).  Every arm runs the `feti-gpu` kernel wrapper of its op, whose
+/// shape-derived cost report must equal what the program charges.
+pub(crate) fn run_assembly(
+    side: &DeviceSide,
     params: &ExplicitAssemblyParams,
+    program: &[PricedOp],
     block: &SubdomainBlock,
-    l_csc: &feti_sparse::CscMatrix,
+    l_csc: &CscMatrix,
     perm: &Permutation,
-) -> crate::Result<(DenseMatrix, Vec<GpuCost>)> {
-    let spec = *device.spec();
-    let mut gpu_ops: Vec<GpuCost> = Vec::new();
-    let n = block.num_dofs();
-    let nl = block.num_local_lambdas();
-
-    // Transfer the factor values and the gluing matrix to the device.
-    gpu_ops.push(cost::transfer(&spec, l_csc.nnz() * 12));
-    gpu_ops.push(cost::transfer(&spec, block.b.bytes()));
-
-    // B̃ Pᵀ, and its transpose as the dense right-hand side (done on the device).
+) -> crate::Result<DenseMatrix> {
+    let (device, generation) = (&side.device, side.program.generation());
+    let spec = device.spec();
+    let (n, nl) = (block.num_dofs(), block.num_local_lambdas());
+    let (lower, upper, nonunit) = (Triangle::Lower, Triangle::Upper, DiagKind::NonUnit);
     let bp = perm.permute_cols(&block.b);
-    let bp_t = bp.transposed();
-    let rhs_bytes = n * nl * 8;
-    let _rhs_alloc = device.alloc_temporary(rhs_bytes)?;
-    let (mut x, conv_cost) = gsparse::sparse_to_dense(&spec, &bp_t, params.rhs_order);
-    gpu_ops.push(conv_cost);
-
-    // Forward solve: L X = P B̃ᵀ.
     let l_csr = l_csc.to_csr();
-    let solve = |storage: FactorStorage,
-                 order: MemoryOrder,
-                 trans: Transpose,
-                 x: &mut DenseMatrix,
-                 gpu_ops: &mut Vec<GpuCost>|
-     -> crate::Result<Vec<feti_gpu::TempAlloc>> {
-        let mut guards = Vec::new();
-        match storage {
-            FactorStorage::Dense => {
-                guards.push(device.alloc_temporary(n * n * 8)?);
-                let (lf, c) = gsparse::sparse_to_dense(&spec, &l_csr, order);
-                gpu_ops.push(c);
-                gpu_ops.push(
-                    gblas::trsm(&spec, Triangle::Lower, trans, DiagKind::NonUnit, 1.0, &lf, x)
-                        .expect("factor is nonsingular"),
-                );
+    // Empty until the program's densifications fill them.
+    let mut x = DenseMatrix::zeros(0, 0, params.rhs_order);
+    let mut l_dense = DenseMatrix::zeros(0, 0, params.forward_factor_order);
+    let mut solves = 0;
+    let mut f = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
+    // Temporary device buffers live until the subdomain's last kernel: workers race
+    // them against the shared pool exactly as §IV-A describes, a request that does
+    // not fit blocking until another worker's guards drop.
+    let mut guards = Vec::new();
+    for step in program {
+        let (trans, factor_order) = match solves {
+            0 => (Transpose::No, params.forward_factor_order),
+            _ => (Transpose::Yes, params.backward_factor_order),
+        };
+        let charged = match step.op {
+            // Uploads move what the host already holds: nothing to compute.
+            DeviceOp::Transfer { .. } => step.cost,
+            DeviceOp::SparseToDense { .. } if x.is_empty() => {
+                guards.push(device.alloc_temporary(n * nl * 8)?);
+                let (dense, cost) =
+                    gsparse::sparse_to_dense(spec, &bp.transposed(), params.rhs_order);
+                x = dense;
+                cost
             }
-            FactorStorage::Sparse => {
-                let sf = match order {
+            DeviceOp::SparseToDense { .. } => {
+                guards.push(device.alloc_temporary(n * n * 8)?);
+                let (dense, cost) = gsparse::sparse_to_dense(spec, &l_csr, factor_order);
+                l_dense = dense;
+                cost
+            }
+            DeviceOp::DenseTrsm { .. } => {
+                solves += 1;
+                gblas::trsm(spec, lower, trans, nonunit, 1.0, &l_dense, &mut x)
+                    .expect("factor is nonsingular")
+            }
+            DeviceOp::SparseTrsm { .. } => {
+                solves += 1;
+                let sf = match factor_order {
                     MemoryOrder::RowMajor => SparseFactor::Csr(l_csr.clone()),
                     MemoryOrder::ColMajor => SparseFactor::Csc(l_csc.clone()),
                 };
                 let ws = gsparse::sparse_trsm_workspace(generation, &sf, n, nl, params.rhs_order);
                 guards.push(device.alloc_temporary(ws.temporary_bytes)?);
-                gpu_ops.push(
-                    gsparse::sparse_trsm(
-                        &spec,
-                        generation,
-                        Triangle::Lower,
-                        trans,
-                        DiagKind::NonUnit,
-                        1.0,
-                        &sf,
-                        x,
-                    )
-                    .expect("factor is nonsingular"),
-                );
+                gsparse::sparse_trsm(spec, generation, lower, trans, nonunit, 1.0, &sf, &mut x)
+                    .expect("factor is nonsingular")
             }
-        }
-        Ok(guards)
-    };
-
-    let _fwd_guards = solve(
-        params.forward_factor_storage,
-        params.forward_factor_order,
-        Transpose::No,
-        &mut x,
-        &mut gpu_ops,
-    )?;
-
-    // Second kernel: SYRK (F = Xᵀ X) or backward TRSM followed by SpMM (F = B̃ Pᵀ Y).
-    let mut f = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
-    match params.path {
-        Path::Syrk => {
-            gpu_ops.push(gblas::syrk(&spec, Triangle::Upper, Transpose::Yes, 1.0, &x, 0.0, &mut f));
-            f.symmetrize_from(Triangle::Upper);
-        }
-        Path::Trsm => {
-            let _bwd_guards = solve(
-                params.backward_factor_storage,
-                params.backward_factor_order,
-                Transpose::Yes,
-                &mut x,
-                &mut gpu_ops,
-            )?;
-            gpu_ops.push(gsparse::spmm(&spec, 1.0, &bp, Transpose::No, &x, 0.0, &mut f));
-        }
-    }
-    Ok((f, gpu_ops))
-}
-
-/// Assembles one dense local dual operator through the sparsity-aware kernels of the
-/// sequel paper (arXiv 2509.21037): the right-hand side `P B̃ᵀ` has only
-/// `b.num_nonzero_cols()` boundary DOFs worth of structure, so the forward solve runs
-/// boundary-restricted (`sparse_rhs_trsm`) and the SYRK skips the leading zero blocks
-/// of the solved panels (`boundary_syrk`).
-///
-/// The sparse family always takes the SYRK path over a dense factor regardless of
-/// `params.path` / `params.*_factor_storage`: the boundary structure lives in the
-/// right-hand side, which only the forward solve can exploit — after a backward solve
-/// the panels are dense, and the sparse-factor TRSM has no dense panels to restrict.
-/// The memory-order parameters (`rhs_order`, `forward_factor_order`) are honoured.
-fn assemble_local_sparse_rhs_on_gpu(
-    device: &GpuDevice,
-    generation: CudaGeneration,
-    params: &ExplicitAssemblyParams,
-    block: &SubdomainBlock,
-    l_csc: &feti_sparse::CscMatrix,
-    perm: &Permutation,
-) -> crate::Result<(DenseMatrix, Vec<GpuCost>)> {
-    let spec = *device.spec();
-    let mut gpu_ops: Vec<GpuCost> = Vec::new();
-    let n = block.num_dofs();
-    let nl = block.num_local_lambdas();
-    let nb = block.b.num_nonzero_cols();
-
-    // Transfer the factor values and the gluing matrix to the device.
-    gpu_ops.push(cost::transfer(&spec, l_csc.nnz() * 12));
-    gpu_ops.push(cost::transfer(&spec, block.b.bytes()));
-
-    // B̃ Pᵀ, and its transpose as the dense right-hand side (done on the device).
-    let bp = perm.permute_cols(&block.b);
-    let bp_t = bp.transposed();
-    let _rhs_alloc = device.alloc_temporary(n * nl * 8)?;
-    let (mut x, conv_cost) = gsparse::sparse_to_dense(&spec, &bp_t, params.rhs_order);
-    gpu_ops.push(conv_cost);
-
-    // Boundary-restricted forward solve: L X = P B̃ᵀ over a dense factor.
-    let l_csr = l_csc.to_csr();
-    let _factor_guard = device.alloc_temporary(n * n * 8)?;
-    let (lf, c) = gsparse::sparse_to_dense(&spec, &l_csr, params.forward_factor_order);
-    gpu_ops.push(c);
-    gpu_ops.push(
-        gblas::sparse_rhs_trsm(
-            &spec,
-            generation,
-            Triangle::Lower,
-            Transpose::No,
-            DiagKind::NonUnit,
-            1.0,
-            &lf,
-            &mut x,
-            nb,
-        )
-        .expect("factor is nonsingular"),
-    );
-
-    // Boundary-restricted SYRK: F = Xᵀ X, skipping the zero prefixes of the panels.
-    let mut f = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
-    gpu_ops.push(gblas::boundary_syrk(
-        &spec,
-        generation,
-        Triangle::Upper,
-        Transpose::Yes,
-        1.0,
-        &x,
-        0.0,
-        &mut f,
-        nb,
-    ));
-    f.symmetrize_from(Triangle::Upper);
-    Ok((f, gpu_ops))
-}
-
-/// Explicit assembly **and** application on the GPU — the approach contributed by the
-/// paper (`expl legacy` / `expl modern`) and its sparsity-aware sequel family
-/// (`expl sparse legacy` / `expl sparse modern`).
-pub struct ExplicitGpuOperator {
-    approach: DualOperatorApproach,
-    generation: CudaGeneration,
-    params: ExplicitAssemblyParams,
-    blocks: Vec<SubdomainBlock>,
-    num_lambdas: usize,
-    symbolic: Vec<CholmodLike>,
-    device: GpuDevice,
-    f_local: Vec<Option<DenseMatrix>>,
-    stats: SharedStats,
-}
-
-impl ExplicitGpuOperator {
-    /// Preparation: symbolic analysis, persistent device allocations (factors, `B̃ᵢ`,
-    /// `F̃ᵢ`, dual vectors, persistent library workspaces) and the temporary pool.
-    ///
-    /// # Errors
-    /// Returns an error if the device cannot hold the persistent structures.
-    pub fn new(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        params: ExplicitAssemblyParams,
-    ) -> crate::Result<Self> {
-        Self::new_with_options(approach, blocks, num_lambdas, params, SolverOptions::default())
-    }
-
-    /// Like [`Self::new`] with explicit solver options (factorization kind, ordering).
-    ///
-    /// # Errors
-    /// Returns an error if the device cannot hold the persistent structures.
-    pub fn new_with_options(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        params: ExplicitAssemblyParams,
-        opts: SolverOptions,
-    ) -> crate::Result<Self> {
-        let generation = approach.generation().unwrap_or(CudaGeneration::Legacy);
-        let symbolic: Vec<CholmodLike> = blocks
-            .par_iter()
-            .with_max_len(1)
-            .map(|b| CholmodLike::analyze(&b.k_reg, opts))
-            .collect();
-        let device = GpuDevice::a100_like();
-        for (b, s) in blocks.iter().zip(&symbolic) {
-            let nl = b.num_local_lambdas();
-            let factor_bytes = s.factor_nnz() * 16;
-            // The paper stores only a triangle of the symmetric F̃ᵢ (two operators share
-            // one allocation); we model the same footprint.
-            let f_bytes = nl * nl * 8 / 2;
-            let persistent_ws = match generation {
-                CudaGeneration::Legacy => b.num_dofs() * 16,
-                CudaGeneration::Modern => 2 * factor_bytes + 2 * b.num_dofs() * nl * 8,
-            };
-            let persistent =
-                factor_bytes + b.b.bytes() + f_bytes + b.num_dofs() * 16 + persistent_ws;
-            device.alloc_persistent(persistent)?;
-        }
-        device.reserve_temporary_pool();
-        let f_local = blocks.iter().map(|_| None).collect();
-        Ok(Self {
-            approach,
-            generation,
-            params,
-            blocks,
-            num_lambdas,
-            symbolic,
-            device,
-            f_local,
-            stats: SharedStats::default(),
-        })
-    }
-
-    /// The explicit-assembly parameters in use.
-    #[must_use]
-    pub fn params(&self) -> &ExplicitAssemblyParams {
-        &self.params
-    }
-
-    /// The assembled dense local dual operator `F̃ᵢ` of subdomain `i`, or `None`
-    /// before `preprocess` has run.  Exposed so the conformance tier can compare the
-    /// sparse-RHS and dense assembly paths entry by entry.
-    #[must_use]
-    pub fn local_operator(&self, i: usize) -> Option<&DenseMatrix> {
-        self.f_local[i].as_ref()
-    }
-}
-
-impl DualOperator for ExplicitGpuOperator {
-    fn approach(&self) -> DualOperatorApproach {
-        self.approach
-    }
-
-    fn num_lambdas(&self) -> usize {
-        self.num_lambdas
-    }
-
-    fn preprocess(&mut self) -> crate::Result<TimeBreakdown> {
-        let _span = feti_trace::span(|| "preprocess");
-        let device = &self.device;
-        let generation = self.generation;
-        let params = self.params;
-        let sparse_rhs = matches!(
-            self.approach,
-            DualOperatorApproach::ExplicitSparseGpuLegacy
-                | DualOperatorApproach::ExplicitSparseGpuModern
-        );
-        let indices: Vec<usize> = (0..self.blocks.len()).collect();
-        // The workers race their temporary allocations against the shared pool here,
-        // exactly as the paper's §IV-A describes: a worker whose request does not fit
-        // blocks until another worker's RAII guard drops.
-        let results: Vec<(DenseMatrix, f64, Vec<GpuCost>)> = self
-            .blocks
-            .par_iter()
-            .zip(self.symbolic.par_iter())
-            .zip(indices.par_iter())
-            .with_max_len(1)
-            .map(|((block, symbolic), &sd)| {
-                let _span = feti_trace::span(|| format!("factorize[sd={sd}]"));
-                // CPU part: numeric factorization and factor extraction.
-                let start = Instant::now();
-                let factor = symbolic.factorize(&block.k_reg)?;
-                let (l_csc, perm) = factor.extract_factor();
-                let cpu = start.elapsed().as_secs_f64();
-                // GPU part: conversions, TRSM/SYRK kernels (asynchronous submissions).
-                let (f, gpu_ops) = if sparse_rhs {
-                    assemble_local_sparse_rhs_on_gpu(
-                        device, generation, &params, block, &l_csc, &perm,
-                    )?
-                } else {
-                    assemble_local_on_gpu(device, generation, &params, block, &l_csc, &perm)?
-                };
-                Ok((f, cpu, gpu_ops))
-            })
-            .collect::<crate::Result<Vec<_>>>()?;
-        let mut scheduler = PhaseScheduler::for_host();
-        for (i, (f, cpu, gpu_ops)) in results.into_iter().enumerate() {
-            self.f_local[i] = Some(f);
-            scheduler.record_subdomain(i, cpu, &gpu_ops);
-        }
-        // This is the one phase whose parallel region *executes* simulated device
-        // kernels on the host (the TRSM/SYRK numerics above), so the raw region wall
-        // would conflate real host work with simulation artifact.  The host wall is
-        // therefore the makespan of the measured factorization segments scheduled
-        // over the workers — `finish()` — rather than the measured region wall.
-        let breakdown = scheduler.finish();
-        self.stats.record_preprocessing(breakdown);
-        Ok(breakdown)
-    }
-
-    fn apply(&mut self, p: &[f64], q: &mut [f64]) -> TimeBreakdown {
-        let _span = feti_trace::span(|| "apply");
-        let breakdown =
-            apply_explicit_on_gpu(&self.device, &self.params, &self.blocks, &self.f_local, p, q);
-        self.stats.record_apply(breakdown, 1);
-        super::trace_apply_metric(self.approach, breakdown, 1);
-        breakdown
-    }
-
-    fn apply_many(&mut self, p: &DenseMatrix, q: &mut DenseMatrix) -> TimeBreakdown {
-        assert_eq!(p.nrows(), self.num_lambdas, "batch row count must match dual space");
-        let _span = feti_trace::span(|| "apply");
-        let breakdown = apply_many_explicit_on_gpu(
-            &self.device,
-            &self.params,
-            &self.blocks,
-            &self.f_local,
-            p,
-            q,
-        );
-        self.stats.record_apply(breakdown, p.ncols());
-        super::trace_apply_metric(self.approach, breakdown, p.ncols());
-        breakdown
-    }
-
-    fn stats(&self) -> DualOperatorStats {
-        self.stats.snapshot()
-    }
-}
-
-/// Shared explicit GPU application (used by `expl legacy/modern` and `expl hybrid`):
-/// scatter, one SYMV per subdomain, gather — on the device.
-fn apply_explicit_on_gpu(
-    device: &GpuDevice,
-    params: &ExplicitAssemblyParams,
-    blocks: &[SubdomainBlock],
-    f_local: &[Option<DenseMatrix>],
-    p: &[f64],
-    q: &mut [f64],
-) -> TimeBreakdown {
-    assert_eq!(p.len(), q.len());
-    q.iter_mut().for_each(|v| *v = 0.0);
-    let spec = *device.spec();
-    let locals: Vec<(Vec<f64>, Vec<GpuCost>)> = blocks
-        .par_iter()
-        .zip(f_local.par_iter())
-        .with_max_len(1)
-        .map(|(block, f)| {
-            let f = f.as_ref().expect("preprocess must be called before apply");
-            let p_local = block.scatter(p);
-            let mut q_local = vec![0.0; block.num_local_lambdas()];
-            let mut gpu_ops = Vec::new();
-            if params.scatter_gather == ScatterGather::Cpu {
-                gpu_ops.push(cost::transfer(&spec, p_local.len() * 8));
+            DeviceOp::SparseRhsTrsm { boundary_rows: nb, .. } => {
+                solves += 1;
+                let (l, x) = (&l_dense, &mut x);
+                gblas::sparse_rhs_trsm(spec, generation, lower, trans, nonunit, 1.0, l, x, nb)
+                    .expect("factor is nonsingular")
             }
-            gpu_ops.push(gblas::symv(&spec, Triangle::Upper, 1.0, f, &p_local, 0.0, &mut q_local));
-            if params.scatter_gather == ScatterGather::Cpu {
-                gpu_ops.push(cost::transfer(&spec, q_local.len() * 8));
+            DeviceOp::Syrk { .. } => {
+                let cost = gblas::syrk(spec, upper, Transpose::Yes, 1.0, &x, 0.0, &mut f);
+                f.symmetrize_from(upper);
+                cost
             }
-            (q_local, gpu_ops)
-        })
-        .collect();
-    let mut scheduler = PhaseScheduler::for_host();
-    if params.scatter_gather == ScatterGather::Gpu {
-        // One transfer of the cluster-wide dual vector plus a scatter kernel.
-        scheduler.record_subdomain(
-            0,
-            0.0,
-            &[cost::transfer(&spec, p.len() * 8), cost::scatter_gather(&spec, p.len())],
-        );
-    }
-    for (i, (q_local, gpu_ops)) in locals.iter().enumerate() {
-        blocks[i].gather(q_local, q);
-        scheduler.record_subdomain(i, 0.0, gpu_ops);
-    }
-    if params.scatter_gather == ScatterGather::Gpu {
-        scheduler.record_subdomain(
-            0,
-            0.0,
-            &[cost::scatter_gather(&spec, q.len()), cost::transfer(&spec, q.len() * 8)],
-        );
-    }
-    scheduler.finish()
-}
-
-/// Batched explicit GPU application shared by `expl legacy/modern` and `expl hybrid`:
-/// one SYMM-shaped kernel per subdomain streams the stored triangle of `F̃ᵢ` once for
-/// the whole batch, and the dual-vector transfers move the entire block of columns in
-/// one submission.
-///
-/// The numerics are the exact column-by-column SYMV (bit-for-bit identical to repeated
-/// [`apply_explicit_on_gpu`] calls); only the modelled device time is batched, and for
-/// `k` columns it never exceeds `k` single applications.
-fn apply_many_explicit_on_gpu(
-    device: &GpuDevice,
-    params: &ExplicitAssemblyParams,
-    blocks: &[SubdomainBlock],
-    f_local: &[Option<DenseMatrix>],
-    p: &DenseMatrix,
-    q: &mut DenseMatrix,
-) -> TimeBreakdown {
-    assert_eq!(p.nrows(), q.nrows(), "batch row mismatch");
-    assert_eq!(p.ncols(), q.ncols(), "batch column mismatch");
-    let k = p.ncols();
-    q.fill(0.0);
-    let spec = *device.spec();
-    let locals: Vec<(DenseMatrix, Vec<GpuCost>)> = blocks
-        .par_iter()
-        .zip(f_local.par_iter())
-        .with_max_len(1)
-        .map(|(block, f)| {
-            let f = f.as_ref().expect("preprocess must be called before apply");
-            let nl = block.num_local_lambdas();
-            let mut p_local = DenseMatrix::zeros(nl, k, MemoryOrder::ColMajor);
-            for j in 0..k {
-                for (l, &g) in block.lambda_map.iter().enumerate() {
-                    p_local.set(l, j, p.get(g, j));
-                }
+            DeviceOp::BoundarySyrk { boundary_rows: nb, .. } => {
+                let t = Transpose::Yes;
+                let cost =
+                    gblas::boundary_syrk(spec, generation, upper, t, 1.0, &x, 0.0, &mut f, nb);
+                f.symmetrize_from(upper);
+                cost
             }
-            let mut q_local = DenseMatrix::zeros(nl, k, MemoryOrder::ColMajor);
-            let mut gpu_ops = Vec::new();
-            if params.scatter_gather == ScatterGather::Cpu {
-                gpu_ops.push(cost::transfer(&spec, nl * k * 8));
-            }
-            gpu_ops.push(gblas::symm_multi(
-                &spec,
-                Triangle::Upper,
-                1.0,
-                f,
-                &p_local,
-                0.0,
-                &mut q_local,
-            ));
-            if params.scatter_gather == ScatterGather::Cpu {
-                gpu_ops.push(cost::transfer(&spec, nl * k * 8));
-            }
-            (q_local, gpu_ops)
-        })
-        .collect();
-    let mut scheduler = PhaseScheduler::for_host();
-    if params.scatter_gather == ScatterGather::Gpu {
-        // One transfer of the cluster-wide dual block plus a scatter kernel.
-        scheduler.record_subdomain(
-            0,
-            0.0,
-            &[cost::transfer(&spec, p.nrows() * k * 8), cost::scatter_gather(&spec, p.nrows() * k)],
-        );
+            DeviceOp::Spmm { .. } => gsparse::spmm(spec, 1.0, &bp, Transpose::No, &x, 0.0, &mut f),
+            op => unreachable!("{} is not an assembly op", op.name()),
+        };
+        debug_assert_eq!(charged, step.cost, "{:?} executed with another shape", step.op);
     }
-    for (i, (q_local, gpu_ops)) in locals.iter().enumerate() {
-        let block = &blocks[i];
-        for j in 0..k {
-            for (l, &g) in block.lambda_map.iter().enumerate() {
-                q.add_assign_at(g, j, q_local.get(l, j));
-            }
-        }
-        scheduler.record_subdomain(i, 0.0, gpu_ops);
-    }
-    if params.scatter_gather == ScatterGather::Gpu {
-        scheduler.record_subdomain(
-            0,
-            0.0,
-            &[cost::scatter_gather(&spec, q.nrows() * k), cost::transfer(&spec, q.nrows() * k * 8)],
-        );
-    }
-    scheduler.finish()
-}
-
-/// The hybrid approach of the earlier acceleration attempts: `F̃ᵢ` is assembled on the
-/// CPU with the MKL-like Schur complement, copied to the device, and applied with GPU
-/// SYMV kernels.
-pub struct HybridOperator {
-    blocks: Vec<SubdomainBlock>,
-    num_lambdas: usize,
-    symbolic: Vec<PardisoLike>,
-    device: GpuDevice,
-    params: ExplicitAssemblyParams,
-    f_local: Vec<Option<DenseMatrix>>,
-    stats: SharedStats,
-}
-
-impl HybridOperator {
-    /// Preparation: symbolic analysis and persistent allocation of the dense `F̃ᵢ`.
-    ///
-    /// # Errors
-    /// Returns an error if the device cannot hold the persistent structures.
-    pub fn new(
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        params: ExplicitAssemblyParams,
-    ) -> crate::Result<Self> {
-        Self::new_with_options(blocks, num_lambdas, params, SolverOptions::default())
-    }
-
-    /// Like [`Self::new`] with explicit solver options.  The PARDISO-like facade
-    /// always factorizes simplicially (it needs sparse-right-hand-side solves over
-    /// the scalar factor), so only the ordering and pivot tolerance take effect.
-    ///
-    /// # Errors
-    /// Returns an error if the device cannot hold the persistent structures.
-    pub fn new_with_options(
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        params: ExplicitAssemblyParams,
-        opts: SolverOptions,
-    ) -> crate::Result<Self> {
-        let symbolic: Vec<PardisoLike> = blocks
-            .par_iter()
-            .with_max_len(1)
-            .map(|b| PardisoLike::analyze(&b.k_reg, opts))
-            .collect();
-        let device = GpuDevice::a100_like();
-        for b in &blocks {
-            let nl = b.num_local_lambdas();
-            device.alloc_persistent(nl * nl * 8 / 2 + nl * 16)?;
-        }
-        device.reserve_temporary_pool();
-        let f_local = blocks.iter().map(|_| None).collect();
-        Ok(Self {
-            blocks,
-            num_lambdas,
-            symbolic,
-            device,
-            params,
-            f_local,
-            stats: SharedStats::default(),
-        })
-    }
-}
-
-impl DualOperator for HybridOperator {
-    fn approach(&self) -> DualOperatorApproach {
-        DualOperatorApproach::ExplicitHybrid
-    }
-
-    fn num_lambdas(&self) -> usize {
-        self.num_lambdas
-    }
-
-    fn preprocess(&mut self) -> crate::Result<TimeBreakdown> {
-        let _span = feti_trace::span(|| "preprocess");
-        let spec = *self.device.spec();
-        let region = Instant::now();
-        let indices: Vec<usize> = (0..self.blocks.len()).collect();
-        let results: Vec<(DenseMatrix, f64, Vec<GpuCost>)> = self
-            .blocks
-            .par_iter()
-            .zip(self.symbolic.par_iter())
-            .zip(indices.par_iter())
-            .with_max_len(1)
-            .map(|((block, symbolic), &sd)| {
-                let _span = feti_trace::span(|| format!("factorize[sd={sd}]"));
-                let start = Instant::now();
-                let factor = symbolic.factorize(&block.k_reg)?;
-                let f = factor.schur_complement(&block.b);
-                let cpu = start.elapsed().as_secs_f64();
-                let nl = block.num_local_lambdas();
-                let transfer = cost::transfer(&spec, nl * nl * 8 / 2);
-                Ok((f, cpu, vec![transfer]))
-            })
-            .collect::<crate::Result<Vec<_>>>()?;
-        let wall = region.elapsed().as_secs_f64();
-        let mut scheduler = PhaseScheduler::for_host();
-        for (i, (f, cpu, gpu_ops)) in results.into_iter().enumerate() {
-            self.f_local[i] = Some(f);
-            scheduler.record_subdomain(i, cpu, &gpu_ops);
-        }
-        let breakdown = scheduler.finish_measured(wall);
-        self.stats.record_preprocessing(breakdown);
-        Ok(breakdown)
-    }
-
-    fn apply(&mut self, p: &[f64], q: &mut [f64]) -> TimeBreakdown {
-        let _span = feti_trace::span(|| "apply");
-        let breakdown =
-            apply_explicit_on_gpu(&self.device, &self.params, &self.blocks, &self.f_local, p, q);
-        self.stats.record_apply(breakdown, 1);
-        super::trace_apply_metric(DualOperatorApproach::ExplicitHybrid, breakdown, 1);
-        breakdown
-    }
-
-    fn apply_many(&mut self, p: &DenseMatrix, q: &mut DenseMatrix) -> TimeBreakdown {
-        assert_eq!(p.nrows(), self.num_lambdas, "batch row count must match dual space");
-        let _span = feti_trace::span(|| "apply");
-        let breakdown = apply_many_explicit_on_gpu(
-            &self.device,
-            &self.params,
-            &self.blocks,
-            &self.f_local,
-            p,
-            q,
-        );
-        self.stats.record_apply(breakdown, p.ncols());
-        super::trace_apply_metric(DualOperatorApproach::ExplicitHybrid, breakdown, p.ncols());
-        breakdown
-    }
-
-    fn stats(&self) -> DualOperatorStats {
-        self.stats.snapshot()
-    }
+    Ok(f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dualop::cpu::ImplicitCpuOperator;
+    use crate::dualop::{ApproachOperator, DualOperator};
+    use crate::params::DualOperatorApproach;
+    use crate::params::{FactorStorage, Path, ScatterGather};
     use feti_decompose::{DecomposedProblem, DecompositionSpec};
+    use feti_solver::SolverOptions;
+
+    fn operator(
+        approach: DualOperatorApproach,
+        blocks: Vec<SubdomainBlock>,
+        nl: usize,
+        params: ExplicitAssemblyParams,
+    ) -> ApproachOperator {
+        ApproachOperator::new(approach, blocks, nl, params, SolverOptions::default()).unwrap()
+    }
 
     fn blocks() -> (Vec<SubdomainBlock>, usize) {
         let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
@@ -934,8 +182,12 @@ mod tests {
     }
 
     fn reference(blocks: &[SubdomainBlock], nl: usize, p: &[f64]) -> Vec<f64> {
-        let mut op =
-            ImplicitCpuOperator::new(DualOperatorApproach::ImplicitCholmod, blocks.to_vec(), nl);
+        let mut op = operator(
+            DualOperatorApproach::ImplicitCholmod,
+            blocks.to_vec(),
+            nl,
+            ExplicitAssemblyParams::default(),
+        );
         op.preprocess().unwrap();
         let mut q = vec![0.0; nl];
         op.apply(p, &mut q);
@@ -950,7 +202,7 @@ mod tests {
         for approach in
             [DualOperatorApproach::ImplicitGpuLegacy, DualOperatorApproach::ImplicitGpuModern]
         {
-            let mut op = ImplicitGpuOperator::new(approach, blocks.clone(), nl).unwrap();
+            let mut op = operator(approach, blocks.clone(), nl, ExplicitAssemblyParams::default());
             let t = op.preprocess().unwrap();
             assert!(t.gpu_seconds > 0.0, "factor transfer must be accounted");
             let mut q = vec![0.0; nl];
@@ -979,13 +231,12 @@ mod tests {
                         rhs_order,
                         scatter_gather: ScatterGather::Gpu,
                     };
-                    let mut op = ExplicitGpuOperator::new(
+                    let mut op = operator(
                         DualOperatorApproach::ExplicitGpuLegacy,
                         blocks.clone(),
                         nl,
                         params,
-                    )
-                    .unwrap();
+                    );
                     op.preprocess().unwrap();
                     let mut q = vec![0.0; nl];
                     op.apply(&p, &mut q);
@@ -1019,10 +270,8 @@ mod tests {
                 DualOperatorApproach::ExplicitGpuModern,
             ),
         ] {
-            let mut dense =
-                ExplicitGpuOperator::new(dense_approach, blocks.clone(), nl, params).unwrap();
-            let mut sparse =
-                ExplicitGpuOperator::new(sparse_approach, blocks.clone(), nl, params).unwrap();
+            let mut dense = operator(dense_approach, blocks.clone(), nl, params);
+            let mut sparse = operator(sparse_approach, blocks.clone(), nl, params);
             let td = dense.preprocess().unwrap();
             let ts = sparse.preprocess().unwrap();
             for i in 0..blocks.len() {
@@ -1062,7 +311,12 @@ mod tests {
         let (blocks, nl) = blocks();
         let p: Vec<f64> = (0..nl).map(|i| (i as f64 * 0.11).sin()).collect();
         let q_ref = reference(&blocks, nl, &p);
-        let mut op = HybridOperator::new(blocks, nl, ExplicitAssemblyParams::default()).unwrap();
+        let mut op = operator(
+            DualOperatorApproach::ExplicitHybrid,
+            blocks,
+            nl,
+            ExplicitAssemblyParams::default(),
+        );
         let t = op.preprocess().unwrap();
         assert!(t.cpu_seconds > 0.0);
         let mut q = vec![0.0; nl];
@@ -1084,52 +338,46 @@ mod tests {
         }
         let mut operators: Vec<(Box<dyn DualOperator>, Box<dyn DualOperator>)> = vec![
             (
-                Box::new(
-                    ImplicitGpuOperator::new(
-                        DualOperatorApproach::ImplicitGpuLegacy,
-                        blocks.clone(),
-                        nl,
-                    )
-                    .unwrap(),
-                ),
-                Box::new(
-                    ImplicitGpuOperator::new(
-                        DualOperatorApproach::ImplicitGpuLegacy,
-                        blocks.clone(),
-                        nl,
-                    )
-                    .unwrap(),
-                ),
+                Box::new(operator(
+                    DualOperatorApproach::ImplicitGpuLegacy,
+                    blocks.clone(),
+                    nl,
+                    ExplicitAssemblyParams::default(),
+                )),
+                Box::new(operator(
+                    DualOperatorApproach::ImplicitGpuLegacy,
+                    blocks.clone(),
+                    nl,
+                    ExplicitAssemblyParams::default(),
+                )),
             ),
             (
-                Box::new(
-                    ExplicitGpuOperator::new(
-                        DualOperatorApproach::ExplicitGpuModern,
-                        blocks.clone(),
-                        nl,
-                        ExplicitAssemblyParams::default(),
-                    )
-                    .unwrap(),
-                ),
-                Box::new(
-                    ExplicitGpuOperator::new(
-                        DualOperatorApproach::ExplicitGpuModern,
-                        blocks.clone(),
-                        nl,
-                        ExplicitAssemblyParams::default(),
-                    )
-                    .unwrap(),
-                ),
+                Box::new(operator(
+                    DualOperatorApproach::ExplicitGpuModern,
+                    blocks.clone(),
+                    nl,
+                    ExplicitAssemblyParams::default(),
+                )),
+                Box::new(operator(
+                    DualOperatorApproach::ExplicitGpuModern,
+                    blocks.clone(),
+                    nl,
+                    ExplicitAssemblyParams::default(),
+                )),
             ),
             (
-                Box::new(
-                    HybridOperator::new(blocks.clone(), nl, ExplicitAssemblyParams::default())
-                        .unwrap(),
-                ),
-                Box::new(
-                    HybridOperator::new(blocks.clone(), nl, ExplicitAssemblyParams::default())
-                        .unwrap(),
-                ),
+                Box::new(operator(
+                    DualOperatorApproach::ExplicitHybrid,
+                    blocks.clone(),
+                    nl,
+                    ExplicitAssemblyParams::default(),
+                )),
+                Box::new(operator(
+                    DualOperatorApproach::ExplicitHybrid,
+                    blocks.clone(),
+                    nl,
+                    ExplicitAssemblyParams::default(),
+                )),
             ),
         ];
         for (single, batched) in &mut operators {
@@ -1168,13 +416,8 @@ mod tests {
         let mut results = Vec::new();
         for sg in [ScatterGather::Cpu, ScatterGather::Gpu] {
             let params = ExplicitAssemblyParams { scatter_gather: sg, ..Default::default() };
-            let mut op = ExplicitGpuOperator::new(
-                DualOperatorApproach::ExplicitGpuModern,
-                blocks.clone(),
-                nl,
-                params,
-            )
-            .unwrap();
+            let mut op =
+                operator(DualOperatorApproach::ExplicitGpuModern, blocks.clone(), nl, params);
             op.preprocess().unwrap();
             let mut q = vec![0.0; nl];
             op.apply(&p, &mut q);

@@ -1,22 +1,37 @@
-//! The dual operator `F = B K⁺ Bᵀ` and its eleven implementations: the nine of
-//! Table III plus the sparsity-aware explicit family of the sequel (arXiv 2509.21037).
+//! The dual operator `F = B K⁺ Bᵀ` and its eleven approaches: the nine of Table III
+//! plus the sparsity-aware explicit family of the sequel (arXiv 2509.21037).
 //!
-//! All implementations expose the same [`DualOperator`] trait: a `preprocess` step
-//! (numeric factorization and, for explicit approaches, assembly of the dense local
-//! operators `F̃ᵢ`) and an `apply` step (`q = F p` on the global dual vector).  Both
-//! report a [`TimeBreakdown`] combining measured CPU time and modelled GPU time under
-//! the paper's overlapped execution schedule.
+//! The [`DualOperator`] trait exposes a `preprocess` step (numeric factorization and,
+//! for explicit approaches, assembly of the dense local operators `F̃ᵢ`) and an
+//! `apply` step (`q = F p` on the global dual vector).  Both report a
+//! [`TimeBreakdown`] combining measured CPU time and modelled GPU time under the
+//! paper's overlapped execution schedule.
+//!
+//! One implementation, [`ApproachOperator`], serves all eleven approaches: they differ
+//! only in what one subdomain does on the host ([`cpu`]) or on the simulated device
+//! ([`gpu`]) and in the device program they submit ([`crate::program`]); the phases
+//! around that are written once.  The subdomain loops run on the real host thread
+//! pool under this determinism contract: each parallel region computes purely
+//! per-subdomain results which are collected in subdomain-index order, and every
+//! cross-subdomain reduction (the gather into the global dual vector, the scheduler
+//! recording, the statistics) happens sequentially in that order after the region
+//! joins — so the numerics and the modelled device times are bit-for-bit independent
+//! of the thread count and of scheduling.
 
 pub mod cpu;
 pub mod gpu;
 
 use crate::params::{DualOperatorApproach, ExplicitAssemblyParams};
-use crate::schedule::TimeBreakdown;
+use crate::program::{auto_params, ApproachProgram, PhaseProgram, SubdomainShape};
+use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
+use feti_gpu::{GpuDevice, GpuSpec};
 use feti_solver::SolverOptions;
 use feti_sparse::{CsrMatrix, DenseMatrix};
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Accumulated statistics of a dual operator over a run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -93,15 +108,21 @@ impl SharedStats {
     }
 }
 
-/// Records the per-column application seconds of one phase into the per-approach
-/// histogram (`apply_seconds.<label>`); no-op while tracing is disabled.
-pub(crate) fn trace_apply_metric(approach: DualOperatorApproach, t: TimeBreakdown, columns: usize) {
-    if feti_trace::enabled() {
-        feti_trace::histogram_record(
-            &format!("apply_seconds.{}", approach.label()),
-            t.total_seconds / columns.max(1) as f64,
-        );
-    }
+/// Runs `work(i)` for every subdomain index on the host pool, one coarse task per
+/// subdomain, collecting in index order.
+fn par_subdomains<R: Send, C: FromParallelIterator<R>>(
+    n: usize,
+    work: impl Fn(usize) -> R + Sync,
+) -> C {
+    let indices: Vec<usize> = (0..n).collect();
+    indices.par_iter().with_max_len(1).map(|&i| work(i)).collect()
+}
+
+/// Runs `f`, returning its value and the wall seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let value = f();
+    (value, start.elapsed().as_secs_f64())
 }
 
 /// The dual operator interface shared by all approaches of Table III.
@@ -126,14 +147,12 @@ pub trait DualOperator: Send {
     fn apply(&mut self, p: &[f64], q: &mut [f64]) -> TimeBreakdown;
 
     /// Applies the dual operator to a batch of right-hand sides: `Q = F P`, one global
-    /// dual vector per column.
+    /// dual vector per column, bit-for-bit identical to repeated single applies.
     ///
-    /// The default implementation loops [`DualOperator::apply`] over the columns and is
-    /// bit-for-bit identical to repeated single applies.  Implementations that can
-    /// amortize memory traffic over the batch (the explicit approaches, whose dense
-    /// `F̃ᵢ` is streamed once per batch instead of once per column — a GEMM/SYMM-shaped
-    /// kernel instead of repeated GEMV/SYMV) override this with a batched path whose
-    /// modelled device time for `k` columns never exceeds `k` single applies.
+    /// The batch amortizes memory traffic: the explicit approaches stream their dense
+    /// `F̃ᵢ` once per batch instead of once per column (a GEMM/SYMM-shaped kernel
+    /// instead of repeated GEMV/SYMV), and the modelled device time for `k` columns
+    /// never exceeds `k` single applies.
     ///
     /// Statistics accounting: every column counts as one apply in
     /// [`DualOperatorStats::apply_count`], so amortization bookkeeping stays comparable
@@ -142,21 +161,7 @@ pub trait DualOperator: Send {
     /// # Panics
     /// Panics if `preprocess` has not been called, the row counts do not match the dual
     /// space, or `p` and `q` have different shapes.
-    fn apply_many(&mut self, p: &DenseMatrix, q: &mut DenseMatrix) -> TimeBreakdown {
-        assert_eq!(p.nrows(), self.num_lambdas(), "batch row count must match dual space");
-        assert_eq!(q.nrows(), self.num_lambdas(), "batch row count must match dual space");
-        assert_eq!(p.ncols(), q.ncols(), "input and output batches must have equal width");
-        let mut total = TimeBreakdown::default();
-        let mut q_col = vec![0.0; q.nrows()];
-        for j in 0..p.ncols() {
-            let p_col = p.col(j);
-            total = total.then(self.apply(&p_col, &mut q_col));
-            for (i, v) in q_col.iter().enumerate() {
-                q.set(i, j, *v);
-            }
-        }
-        total
-    }
+    fn apply_many(&mut self, p: &DenseMatrix, q: &mut DenseMatrix) -> TimeBreakdown;
 
     /// Statistics accumulated so far.
     fn stats(&self) -> DualOperatorStats;
@@ -215,6 +220,289 @@ impl SubdomainBlock {
     }
 }
 
+/// The device half of a GPU approach: the simulated device it allocates from and the
+/// emitter of the programs it submits.
+pub(crate) struct DeviceSide {
+    pub(crate) device: GpuDevice,
+    pub(crate) program: ApproachProgram,
+}
+
+/// What preprocessing leaves behind for one subdomain.
+enum LocalState {
+    /// The numeric factor, kept on the host (implicit CPU approaches).
+    HostFactor(cpu::Factor),
+    /// The extracted factor, uploaded to the device (implicit GPU approaches).
+    DeviceFactor(gpu::DeviceFactor),
+    /// The assembled dense `F̃ᵢ` (every explicit approach).
+    Dense(DenseMatrix),
+}
+
+/// The dual operator of any of the eleven approaches.
+pub struct ApproachOperator {
+    approach: DualOperatorApproach,
+    params: ExplicitAssemblyParams,
+    blocks: Vec<SubdomainBlock>,
+    num_lambdas: usize,
+    symbolic: Vec<cpu::Symbolic>,
+    /// Empty until the first `preprocess`.
+    state: Vec<LocalState>,
+    /// `None` for CPU-only approaches.
+    device: Option<DeviceSide>,
+    /// The device programs of the two phases, emitted once (the application one for
+    /// a single column); for CPU-only approaches they hold no ops.
+    preprocess_program: PhaseProgram,
+    apply_program: PhaseProgram,
+    stats: SharedStats,
+}
+
+impl ApproachOperator {
+    /// Preparation: symbolic analysis of every subdomain under `opts` (factorization
+    /// kind, ordering) through the approach's solver facade and, for GPU approaches,
+    /// the persistent device allocations its program lists (factors, `B̃ᵢ`, `F̃ᵢ`, dual
+    /// vectors, persistent library workspaces) and the temporary pool.  `params`
+    /// configures the explicit GPU assembly and the placement of scatter/gather; the
+    /// other approaches ignore it.
+    ///
+    /// # Errors
+    /// Returns an error if the device cannot hold the persistent structures.
+    pub fn new(
+        approach: DualOperatorApproach,
+        blocks: Vec<SubdomainBlock>,
+        num_lambdas: usize,
+        params: ExplicitAssemblyParams,
+        opts: SolverOptions,
+    ) -> crate::Result<Self> {
+        let symbolic: Vec<cpu::Symbolic> = par_subdomains(blocks.len(), |i| {
+            cpu::Symbolic::analyze(approach.facade(), &blocks[i].k_reg, opts)
+        });
+        let shapes = blocks
+            .iter()
+            .zip(&symbolic)
+            .map(|(block, symbolic)| SubdomainShape::new(&block.b, symbolic.factor_nnz()))
+            .collect();
+        let spec = GpuSpec::a100_40gb();
+        let program = ApproachProgram::new(&spec, approach, params, num_lambdas, shapes);
+        let (preprocess_program, apply_program) = (program.preprocess(), program.apply(1));
+        let device = if approach.uses_gpu() {
+            let device = GpuDevice::new(spec);
+            for s in program.shapes() {
+                device.alloc_persistent(program.persistent(s).total())?;
+            }
+            device.reserve_temporary_pool();
+            Some(DeviceSide { device, program })
+        } else {
+            None
+        };
+        Ok(Self {
+            approach,
+            params,
+            blocks,
+            num_lambdas,
+            symbolic,
+            state: Vec::new(),
+            device,
+            preprocess_program,
+            apply_program,
+            stats: SharedStats::default(),
+        })
+    }
+
+    /// The explicit-assembly parameters in use.
+    #[must_use]
+    pub fn params(&self) -> &ExplicitAssemblyParams {
+        &self.params
+    }
+
+    /// The assembled dense local dual operator `F̃ᵢ` of subdomain `i`; `None` before
+    /// `preprocess` has run and for implicit approaches.  Exposed so the conformance
+    /// tier can compare the sparse-RHS and dense assembly paths entry by entry.
+    #[must_use]
+    pub fn local_operator(&self, i: usize) -> Option<&DenseMatrix> {
+        match self.state.get(i) {
+            Some(LocalState::Dense(f)) => Some(f),
+            _ => None,
+        }
+    }
+
+    /// Whether the approach assembles `F̃ᵢ` with device kernels.  Its preprocessing
+    /// region then also *executes* simulated device kernels on the host, so the raw
+    /// region wall would conflate real host work with simulation artifact.
+    fn assembles_on_device(&self) -> bool {
+        self.approach.is_explicit()
+            && self.approach.uses_gpu()
+            && self.approach != DualOperatorApproach::ExplicitHybrid
+    }
+
+    /// The device half of a GPU approach.
+    pub(crate) fn device_side(&self) -> &DeviceSide {
+        self.device.as_ref().expect("GPU approaches are constructed with a device")
+    }
+
+    /// Preprocesses subdomain `i`, returning its new state and the seconds of real
+    /// host work (factorization, factor extraction, host-side assembly) it measured.
+    fn preprocess_subdomain(&self, i: usize) -> crate::Result<(LocalState, f64)> {
+        use DualOperatorApproach as A;
+        let block = &self.blocks[i];
+        let factorize = || self.symbolic[i].factorize(&block.k_reg);
+        match self.approach {
+            A::ImplicitMkl | A::ImplicitCholmod => {
+                let (factor, seconds) = timed(factorize);
+                Ok((LocalState::HostFactor(factor?), seconds))
+            }
+            A::ExplicitMkl | A::ExplicitCholmod | A::ExplicitHybrid => {
+                let (f, seconds) = timed(|| factorize().map(|factor| factor.assemble(block)));
+                Ok((LocalState::Dense(f?), seconds))
+            }
+            _ => {
+                // CPU part: numeric factorization and factor extraction.
+                let (extracted, seconds) = timed(|| factorize().map(|factor| factor.extract()));
+                let (l_csc, perm) = extracted?;
+                // GPU part: conversions, TRSM/SYRK kernels (asynchronous submissions),
+                // or just keeping the uploaded factor for the implicit application.
+                let state = if self.assembles_on_device() {
+                    let (side, ops) = (self.device_side(), self.preprocess_program.subdomain(i));
+                    let f = gpu::run_assembly(side, &self.params, ops, block, &l_csc, &perm)?;
+                    LocalState::Dense(f)
+                } else {
+                    let factor = feti_gpu::sparse::SparseFactor::Csc(l_csc);
+                    LocalState::DeviceFactor(gpu::DeviceFactor { factor, perm })
+                };
+                Ok((state, seconds))
+            }
+        }
+    }
+
+    /// The local action `q̃ = F̃ᵢ p̃` of subdomain `i` (`q_local` arrives zeroed).
+    fn apply_local(&self, i: usize, p_local: &[f64], q_local: &mut [f64]) {
+        let block = &self.blocks[i];
+        match (&self.state[i], &self.device) {
+            (LocalState::HostFactor(factor), _) => factor.apply(block, p_local, q_local),
+            (LocalState::DeviceFactor(factor), _) => {
+                factor.apply(self.device_side(), block, p_local, q_local);
+            }
+            (LocalState::Dense(f), Some(side)) => {
+                gpu::symv(side.device.spec(), f, p_local, q_local);
+            }
+            (LocalState::Dense(f), None) => cpu::symv(f, p_local, q_local),
+        }
+    }
+
+    /// One application phase over `k` columns.  Per subdomain (parallel region) and
+    /// per column, the local dual vector is scattered from `p(global, column)`, the
+    /// local action is computed, and after the region joins the local results are
+    /// gathered through `q(global, column, value)` in subdomain-index order — so a
+    /// batch is bit-for-bit `k` single applications.
+    ///
+    /// Timing: CPU approaches report their measured region; device-applied ones only
+    /// *submit* from the host (the numerics above merely simulate the device), so
+    /// their host share is zero and the time is the modelled schedule of the
+    /// application program — one batched program for `k` columns, never `k` programs.
+    fn apply_columns(
+        &self,
+        k: usize,
+        p: impl Fn(usize, usize) -> f64 + Sync,
+        mut q: impl FnMut(usize, usize, f64),
+    ) -> TimeBreakdown {
+        assert_eq!(self.state.len(), self.blocks.len(), "preprocess must be called before apply");
+        let _span = feti_trace::span(|| "apply");
+        let (locals, wall) = timed(|| {
+            par_subdomains::<_, Vec<(Vec<Vec<f64>>, f64)>>(self.blocks.len(), |i| {
+                let lambda_map = &self.blocks[i].lambda_map;
+                timed(|| {
+                    (0..k)
+                        .map(|j| {
+                            let p_local: Vec<f64> = lambda_map.iter().map(|&g| p(g, j)).collect();
+                            let mut q_local = vec![0.0; p_local.len()];
+                            self.apply_local(i, &p_local, &mut q_local);
+                            q_local
+                        })
+                        .collect()
+                })
+            })
+        });
+        for (block, (columns, _)) in self.blocks.iter().zip(&locals) {
+            for (j, q_local) in columns.iter().enumerate() {
+                for (&g, &v) in block.lambda_map.iter().zip(q_local) {
+                    q(g, j, v);
+                }
+            }
+        }
+        let batched;
+        let program = match &self.device {
+            Some(side) if k != 1 => {
+                batched = side.program.apply(k);
+                &batched
+            }
+            _ => &self.apply_program,
+        };
+        let on_device = self.device.is_some();
+        let mut scheduler = PhaseScheduler::for_host();
+        program.record(&mut scheduler, |i| if on_device { 0.0 } else { locals[i].1 });
+        let breakdown = scheduler.finish_measured(if on_device { 0.0 } else { wall });
+        self.stats.record_apply(breakdown, k);
+        if feti_trace::enabled() {
+            // Per-column application seconds, one histogram per approach.
+            feti_trace::histogram_record(
+                &format!("apply_seconds.{}", self.approach.label()),
+                breakdown.total_seconds / k.max(1) as f64,
+            );
+        }
+        breakdown
+    }
+}
+
+impl DualOperator for ApproachOperator {
+    fn approach(&self) -> DualOperatorApproach {
+        self.approach
+    }
+
+    fn num_lambdas(&self) -> usize {
+        self.num_lambdas
+    }
+
+    fn preprocess(&mut self) -> crate::Result<TimeBreakdown> {
+        let _span = feti_trace::span(|| "preprocess");
+        let (results, wall) = timed(|| {
+            par_subdomains::<_, crate::Result<Vec<_>>>(self.blocks.len(), |i| {
+                let _span = feti_trace::span(|| format!("factorize[sd={i}]"));
+                self.preprocess_subdomain(i)
+            })
+        });
+        let (state, seconds): (Vec<_>, Vec<f64>) = results?.into_iter().unzip();
+        let mut scheduler = PhaseScheduler::for_host();
+        self.preprocess_program.record(&mut scheduler, |i| seconds[i]);
+        // Device assembly: the host wall is the makespan of the measured host
+        // segments scheduled over the workers, not the measured region wall.
+        let breakdown = if self.assembles_on_device() {
+            scheduler.finish()
+        } else {
+            scheduler.finish_measured(wall)
+        };
+        self.stats.record_preprocessing(breakdown);
+        self.state = state;
+        Ok(breakdown)
+    }
+
+    fn apply(&mut self, p: &[f64], q: &mut [f64]) -> TimeBreakdown {
+        assert_eq!(p.len(), self.num_lambdas, "input length must match dual space");
+        assert_eq!(q.len(), self.num_lambdas, "output length must match dual space");
+        q.fill(0.0);
+        self.apply_columns(1, |g, _| p[g], |g, _, v| q[g] += v)
+    }
+
+    fn apply_many(&mut self, p: &DenseMatrix, q: &mut DenseMatrix) -> TimeBreakdown {
+        assert_eq!(p.nrows(), self.num_lambdas, "batch row count must match dual space");
+        assert_eq!(q.nrows(), self.num_lambdas, "batch row count must match dual space");
+        assert_eq!(p.ncols(), q.ncols(), "input and output batches must have equal width");
+        q.fill(0.0);
+        self.apply_columns(p.ncols(), |g, j| p.get(g, j), |g, j, v| q.add_assign_at(g, j, v))
+    }
+
+    fn stats(&self) -> DualOperatorStats {
+        self.stats.snapshot()
+    }
+}
+
 /// Builds the dual operator implementing `approach` for a decomposed problem.
 ///
 /// `params` configures the explicit GPU assembly; when `None`, the Table-II
@@ -244,61 +532,10 @@ pub fn build_dual_operator_with_options(
     solver_options: SolverOptions,
 ) -> crate::Result<Box<dyn DualOperator>> {
     let blocks = SubdomainBlock::from_problem(problem);
-    let num_lambdas = problem.num_lambdas;
-    let resolved_params = params.unwrap_or_else(|| {
-        let generation = approach.generation().unwrap_or(feti_gpu::CudaGeneration::Legacy);
-        ExplicitAssemblyParams::auto_configure(
-            generation,
-            problem.spec.dim,
-            problem.spec.dofs_per_subdomain(),
-        )
-    });
-    match approach {
-        DualOperatorApproach::ImplicitMkl | DualOperatorApproach::ImplicitCholmod => {
-            Ok(Box::new(cpu::ImplicitCpuOperator::new_with_options(
-                approach,
-                blocks,
-                num_lambdas,
-                solver_options,
-            )))
-        }
-        DualOperatorApproach::ExplicitMkl | DualOperatorApproach::ExplicitCholmod => {
-            Ok(Box::new(cpu::ExplicitCpuOperator::new_with_options(
-                approach,
-                blocks,
-                num_lambdas,
-                solver_options,
-            )))
-        }
-        DualOperatorApproach::ImplicitGpuLegacy | DualOperatorApproach::ImplicitGpuModern => {
-            Ok(Box::new(gpu::ImplicitGpuOperator::new_with_options(
-                approach,
-                blocks,
-                num_lambdas,
-                solver_options,
-            )?))
-        }
-        DualOperatorApproach::ExplicitGpuLegacy
-        | DualOperatorApproach::ExplicitGpuModern
-        | DualOperatorApproach::ExplicitSparseGpuLegacy
-        | DualOperatorApproach::ExplicitSparseGpuModern => {
-            Ok(Box::new(gpu::ExplicitGpuOperator::new_with_options(
-                approach,
-                blocks,
-                num_lambdas,
-                resolved_params,
-                solver_options,
-            )?))
-        }
-        DualOperatorApproach::ExplicitHybrid => {
-            Ok(Box::new(gpu::HybridOperator::new_with_options(
-                blocks,
-                num_lambdas,
-                resolved_params,
-                solver_options,
-            )?))
-        }
-    }
+    let params = params.unwrap_or_else(|| auto_params(approach, problem));
+    let operator =
+        ApproachOperator::new(approach, blocks, problem.num_lambdas, params, solver_options)?;
+    Ok(Box::new(operator))
 }
 
 #[cfg(test)]
@@ -345,6 +582,31 @@ mod tests {
             assert_eq!(op.approach(), approach);
             assert_eq!(op.num_lambdas(), problem.num_lambdas);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "must match dual space")]
+    fn every_approach_rejects_vectors_longer_than_the_dual_space() {
+        // The trait promises a panic on mismatched lengths; the check lives in the
+        // shared scaffolding, so over-long (not just unequal) vectors are refused by
+        // all eleven approaches alike.  Each approach's panic is caught and checked;
+        // the last one is resumed so the test as a whole panics as declared.
+        let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
+        let long = problem.num_lambdas + 1;
+        let mut last = None;
+        for approach in DualOperatorApproach::all() {
+            let mut op = build_dual_operator(approach, &problem, None).unwrap();
+            op.preprocess().unwrap();
+            let (p, mut q) = (vec![0.0; long], vec![0.0; long]);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                op.apply(&p, &mut q);
+            }));
+            let payload = outcome.expect_err("over-long vectors accepted");
+            let message = payload.downcast_ref::<String>().expect("assert message");
+            assert!(message.contains("must match dual space"), "{approach:?}: {message}");
+            last = Some(payload);
+        }
+        std::panic::resume_unwind(last.expect("eleven approaches ran"));
     }
 
     #[test]

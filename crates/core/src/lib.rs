@@ -24,6 +24,7 @@ pub mod dualop;
 pub mod feti;
 pub mod params;
 pub mod planner;
+pub mod program;
 pub mod schedule;
 
 pub use dualop::{
@@ -31,7 +32,7 @@ pub use dualop::{
 };
 pub use feti::{FetiSolution, LoadCase, PcpgOptions, TotalFetiSolver};
 pub use params::{
-    DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather,
+    DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather, SolverFacade,
 };
 pub use planner::{HostSpec, Plan, PlanCacheKey, PlanCandidate, Planner};
 pub use schedule::{PhaseScheduler, TimeBreakdown};

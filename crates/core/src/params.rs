@@ -42,6 +42,17 @@ pub enum DualOperatorApproach {
     ExplicitHybrid,
 }
 
+/// The sparse direct solver facade an approach analyses and factorizes through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SolverFacade {
+    /// The MKL-PARDISO-like facade: simplicial factorization, sparsity-exploiting
+    /// Schur complement.
+    Mkl,
+    /// The CHOLMOD-like facade: selectable simplicial/supernodal numeric kernel,
+    /// extractable factor (every GPU-assembled approach uploads it).
+    Cholmod,
+}
+
 impl DualOperatorApproach {
     /// All approaches: Table III's nine in order, with the sparsity-aware family
     /// inserted after its dense explicit-GPU counterparts.
@@ -108,6 +119,17 @@ impl DualOperatorApproach {
                 | DualOperatorApproach::ExplicitSparseGpuModern
                 | DualOperatorApproach::ExplicitHybrid
         )
+    }
+
+    /// Which solver facade the approach factorizes `Kᵢ,reg` through.
+    #[must_use]
+    pub fn facade(self) -> SolverFacade {
+        match self {
+            DualOperatorApproach::ImplicitMkl
+            | DualOperatorApproach::ExplicitMkl
+            | DualOperatorApproach::ExplicitHybrid => SolverFacade::Mkl,
+            _ => SolverFacade::Cholmod,
+        }
     }
 
     /// CUDA generation used by GPU approaches (`None` for CPU-only approaches).
@@ -307,6 +329,16 @@ mod tests {
             Some(CudaGeneration::Legacy)
         );
         assert_eq!(DualOperatorApproach::ExplicitMkl.generation(), None);
+    }
+
+    #[test]
+    fn only_the_mkl_family_and_the_hybrid_use_the_mkl_facade() {
+        for approach in DualOperatorApproach::all() {
+            let mkl = approach.label().ends_with("mkl")
+                || approach == DualOperatorApproach::ExplicitHybrid;
+            let expected = if mkl { SolverFacade::Mkl } else { SolverFacade::Cholmod };
+            assert_eq!(approach.facade(), expected, "{approach:?}");
+        }
     }
 
     #[test]

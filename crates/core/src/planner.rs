@@ -12,17 +12,17 @@
 //! The estimates are built from structure alone: subdomain sizes, gluing-matrix
 //! sparsity and the *symbolic* factor sizes reported by the solver facades (symbolic
 //! analysis inspects only the sparsity pattern — no numeric factorization runs).  The
-//! GPU side of an estimate therefore reproduces the modelled device time of an actual
-//! run exactly; the CPU side is priced by a calibrated [`HostSpec`] roofline since real
-//! host time can only be measured.
+//! GPU side of an estimate folds the very [`ApproachProgram`] the operator executes
+//! through the same [`PhaseScheduler`], so it equals the modelled device time of an
+//! actual run by construction; the CPU side is priced by a calibrated [`HostSpec`]
+//! roofline since real host time can only be measured.
 
 use crate::dualop::DualOperator;
-use crate::params::{
-    DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather,
-};
+use crate::params::{DualOperatorApproach, ExplicitAssemblyParams, ScatterGather, SolverFacade};
+use crate::program::{auto_params, ApproachProgram, PhaseProgram, SubdomainShape};
 use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
-use feti_gpu::{cost, CudaGeneration, GpuCost, GpuSpec};
+use feti_gpu::{cost, CudaGeneration, GpuSpec};
 use feti_solver::cholmod::CholmodLike;
 use feti_solver::pardiso::PardisoLike;
 use feti_solver::{FactorizationKind, SolverOptions};
@@ -116,26 +116,25 @@ impl Default for HostSpec {
     }
 }
 
-/// Structural facts about one subdomain that the estimates are built from.
+/// What the planner learns about one subdomain from structure alone.
 #[derive(Debug, Clone, Copy)]
-struct SubdomainShape {
-    /// Degrees of freedom.
-    n: usize,
-    /// Local Lagrange multipliers.
-    nl: usize,
-    /// Stored entries of the local gluing matrix `B̃ᵢ`.
-    nnz_b: usize,
-    /// Distinct nonzero columns of `B̃ᵢ` — the subdomain's boundary-DOF count, which
-    /// prices the sparsity-aware assembly kernels (arXiv 2509.21037).
-    nb: usize,
-    /// Device footprint of `B̃ᵢ` in bytes.
-    b_bytes: usize,
-    /// Symbolic factor size of the CHOLMOD-like solver (used by all GPU approaches).
-    fnnz_cholmod: usize,
+struct SubdomainFacts {
+    /// The program shape, carrying the CHOLMOD-like symbolic factor size (used by all
+    /// GPU-assembled approaches).
+    shape: SubdomainShape,
     /// Number of supernodes of the CHOLMOD-like factor (prices the supernodal kernel).
     nsuper_cholmod: usize,
     /// Symbolic factor size of the MKL-PARDISO-like solver.
     fnnz_mkl: usize,
+}
+
+/// The device side of one approach × parameter set as the planner emits it once.
+struct Emitted {
+    approach: DualOperatorApproach,
+    params: ExplicitAssemblyParams,
+    program: ApproachProgram,
+    preprocess: PhaseProgram,
+    apply: PhaseProgram,
 }
 
 /// The estimated cost of running one approach with one parameter set.
@@ -223,7 +222,7 @@ pub struct Planner<'a> {
     problem: &'a DecomposedProblem,
     gpu: GpuSpec,
     host: HostSpec,
-    shapes: Vec<SubdomainShape>,
+    facts: Vec<SubdomainFacts>,
 }
 
 impl<'a> Planner<'a> {
@@ -233,25 +232,20 @@ impl<'a> Planner<'a> {
     /// numeric work) to learn the factor sizes the estimates need.
     #[must_use]
     pub fn new(problem: &'a DecomposedProblem, gpu: GpuSpec) -> Self {
-        let shapes = problem
+        let facts = problem
             .subdomains
             .iter()
             .map(|sd| {
                 let cholmod = CholmodLike::analyze(&sd.k_reg, SolverOptions::default());
-                SubdomainShape {
-                    n: sd.num_dofs(),
-                    nl: sd.num_local_lambdas(),
-                    nnz_b: sd.gluing.nnz(),
-                    nb: sd.gluing.num_nonzero_cols(),
-                    b_bytes: sd.gluing.bytes(),
-                    fnnz_cholmod: cholmod.factor_nnz(),
+                SubdomainFacts {
+                    shape: SubdomainShape::new(&sd.gluing, cholmod.factor_nnz()),
                     nsuper_cholmod: cholmod.num_supernodes(),
                     fnnz_mkl: PardisoLike::analyze(&sd.k_reg, SolverOptions::default())
                         .factor_nnz(),
                 }
             })
             .collect();
-        Self { problem, gpu, host: HostSpec::calibrated(), shapes }
+        Self { problem, gpu, host: HostSpec::calibrated(), facts }
     }
 
     /// Replaces the host calibration.
@@ -289,13 +283,10 @@ impl<'a> Planner<'a> {
                 // Simplicial first, so a tie (the kinds only differ in host
                 // preprocessing price) resolves to the simpler kernel under the
                 // stable sort below.
-                candidates.push(self.estimate(approach, params));
-                if Self::uses_cholmod_factorization(approach) {
-                    candidates.push(self.estimate_with_factorization(
-                        approach,
-                        params,
-                        FactorizationKind::Supernodal,
-                    ));
+                let emitted = self.emit(approach, params);
+                candidates.push(self.price(&emitted, FactorizationKind::Simplicial));
+                if approach.facade() == SolverFacade::Cholmod {
+                    candidates.push(self.price(&emitted, FactorizationKind::Supernodal));
                 }
             }
         }
@@ -361,12 +352,7 @@ impl<'a> Planner<'a> {
         approach: DualOperatorApproach,
         full_sweep: bool,
     ) -> Vec<ExplicitAssemblyParams> {
-        let generation = approach.generation().unwrap_or(CudaGeneration::Legacy);
-        let auto = ExplicitAssemblyParams::auto_configure(
-            generation,
-            self.problem.spec.dim,
-            self.problem.spec.dofs_per_subdomain(),
-        );
+        let auto = auto_params(approach, self.problem);
         match approach {
             DualOperatorApproach::ExplicitGpuLegacy | DualOperatorApproach::ExplicitGpuModern
                 if full_sweep =>
@@ -382,18 +368,6 @@ impl<'a> Planner<'a> {
             }
             _ => vec![auto],
         }
-    }
-
-    /// Whether an approach factorizes through the CHOLMOD-like facade, whose numeric
-    /// kernel (simplicial vs supernodal) is selectable.  The MKL-backed approaches
-    /// always factorize simplicially.
-    fn uses_cholmod_factorization(approach: DualOperatorApproach) -> bool {
-        !matches!(
-            approach,
-            DualOperatorApproach::ImplicitMkl
-                | DualOperatorApproach::ExplicitMkl
-                | DualOperatorApproach::ExplicitHybrid
-        )
     }
 
     /// Estimates one approach with one parameter set — no execution, structure only.
@@ -418,79 +392,78 @@ impl<'a> Planner<'a> {
         params: ExplicitAssemblyParams,
         factorization: FactorizationKind,
     ) -> PlanCandidate {
-        let kind = if Self::uses_cholmod_factorization(approach) {
-            factorization
-        } else {
-            FactorizationKind::Simplicial
-        };
-        let generation = approach.generation().unwrap_or(CudaGeneration::Legacy);
-        // One modelled worker and one stream per host thread, matching what the
-        // executed phases use.
-        let mut pre = PhaseScheduler::new(self.host.threads, self.host.threads);
-        let mut app = PhaseScheduler::new(self.host.threads, self.host.threads);
-        match approach {
-            DualOperatorApproach::ImplicitMkl | DualOperatorApproach::ImplicitCholmod => {
-                for (i, s) in self.shapes.iter().enumerate() {
-                    let fnnz = self.factor_nnz(approach, s);
-                    pre.record_subdomain(i, self.host_factorize(fnnz, s, kind), &[]);
-                    app.record_subdomain(i, self.host_implicit_apply(fnnz, s), &[]);
-                }
-            }
-            DualOperatorApproach::ExplicitMkl | DualOperatorApproach::ExplicitCholmod => {
-                for (i, s) in self.shapes.iter().enumerate() {
-                    let fnnz = self.factor_nnz(approach, s);
-                    let assemble = self.host_factorize(fnnz, s, kind) + self.host_schur(fnnz, s);
-                    pre.record_subdomain(i, assemble, &[]);
-                    app.record_subdomain(i, self.host_symv(s.nl), &[]);
-                }
-            }
-            DualOperatorApproach::ImplicitGpuLegacy | DualOperatorApproach::ImplicitGpuModern => {
-                for (i, s) in self.shapes.iter().enumerate() {
-                    let fnnz = s.fnnz_cholmod;
-                    pre.record_subdomain(
-                        i,
-                        self.host_factorize(fnnz, s, kind),
-                        &[cost::transfer(&self.gpu, fnnz * 12)],
-                    );
-                    app.record_subdomain(i, 0.0, &self.implicit_gpu_apply_ops(generation, s));
-                }
-            }
-            DualOperatorApproach::ExplicitGpuLegacy | DualOperatorApproach::ExplicitGpuModern => {
-                for (i, s) in self.shapes.iter().enumerate() {
-                    let fnnz = s.fnnz_cholmod;
-                    pre.record_subdomain(
-                        i,
-                        self.host_factorize(fnnz, s, kind),
-                        &self.explicit_assembly_ops(generation, &params, s),
-                    );
-                }
-                self.record_explicit_apply(&mut app, &params);
-            }
-            DualOperatorApproach::ExplicitSparseGpuLegacy
-            | DualOperatorApproach::ExplicitSparseGpuModern => {
-                for (i, s) in self.shapes.iter().enumerate() {
-                    let fnnz = s.fnnz_cholmod;
-                    pre.record_subdomain(
-                        i,
-                        self.host_factorize(fnnz, s, kind),
-                        &self.sparse_assembly_ops(generation, s),
-                    );
-                }
-                self.record_explicit_apply(&mut app, &params);
-            }
-            DualOperatorApproach::ExplicitHybrid => {
-                for (i, s) in self.shapes.iter().enumerate() {
-                    let fnnz = s.fnnz_mkl;
-                    let cpu = self.host_factorize(fnnz, s, kind) + self.host_schur(fnnz, s);
-                    pre.record_subdomain(i, cpu, &[cost::transfer(&self.gpu, s.nl * s.nl * 8 / 2)]);
-                }
-                self.record_explicit_apply(&mut app, &params);
-            }
-        }
-        let persistent_device_bytes = self.persistent_device_bytes(approach, generation);
-        PlanCandidate {
+        self.price(&self.emit(approach, params), factorization)
+    }
+
+    /// The program `approach` executes with `params` on this problem, over the
+    /// symbolic factor sizes of the facade the approach factorizes through.
+    fn program(
+        &self,
+        approach: DualOperatorApproach,
+        params: ExplicitAssemblyParams,
+    ) -> ApproachProgram {
+        let shapes = self
+            .facts
+            .iter()
+            .map(|facts| match approach.facade() {
+                SolverFacade::Cholmod => facts.shape,
+                SolverFacade::Mkl => SubdomainShape { fnnz: facts.fnnz_mkl, ..facts.shape },
+            })
+            .collect();
+        ApproachProgram::new(&self.gpu, approach, params, self.problem.num_lambdas, shapes)
+    }
+
+    /// Emits the device side of one approach × parameter set — shared by both host
+    /// factorization kinds, which only reprice the host half.
+    fn emit(&self, approach: DualOperatorApproach, params: ExplicitAssemblyParams) -> Emitted {
+        let program = self.program(approach, params);
+        Emitted {
             approach,
             params,
+            preprocess: program.preprocess(),
+            apply: program.apply(1),
+            program,
+        }
+    }
+
+    /// Prices one emitted approach under one host factorization kind.
+    fn price(&self, emitted: &Emitted, factorization: FactorizationKind) -> PlanCandidate {
+        let Emitted { approach, params, program, preprocess, apply } = emitted;
+        // Only the CHOLMOD-like facade has a selectable numeric kernel; the MKL-backed
+        // approaches always factorize simplicially.
+        let kind = match approach.facade() {
+            SolverFacade::Cholmod => factorization,
+            SolverFacade::Mkl => FactorizationKind::Simplicial,
+        };
+        // The host half: what each subdomain's worker does ahead of its submissions.
+        // Device-assembled and device-applied phases only submit from the host.
+        let (host_pre, host_app): (Vec<f64>, Vec<f64>) = program
+            .shapes()
+            .iter()
+            .zip(&self.facts)
+            .map(|(s, facts)| {
+                use DualOperatorApproach as A;
+                let factorize = self.host_factorize(s, facts.nsuper_cholmod, kind);
+                match approach {
+                    A::ImplicitMkl | A::ImplicitCholmod => (factorize, self.host_implicit_apply(s)),
+                    A::ExplicitMkl | A::ExplicitCholmod => {
+                        (factorize + self.host_schur(s), self.host_symv(s.nl))
+                    }
+                    A::ExplicitHybrid => (factorize + self.host_schur(s), 0.0),
+                    _ => (factorize, 0.0),
+                }
+            })
+            .unzip();
+        // One modelled worker and one stream per host thread, matching what the
+        // executed phases use; the device half is the program the operator executes.
+        let mut pre = PhaseScheduler::new(self.host.threads, self.host.threads);
+        let mut app = PhaseScheduler::new(self.host.threads, self.host.threads);
+        preprocess.record(&mut pre, |i| host_pre[i]);
+        apply.record(&mut app, |i| host_app[i]);
+        let persistent_device_bytes = program.persistent_bytes();
+        PlanCandidate {
+            approach: *approach,
+            params: *params,
             factorization: kind,
             preprocessing: pre.finish(),
             apply: app.finish(),
@@ -499,26 +472,14 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Which solver facade's factor an approach uses.
-    fn factor_nnz(&self, approach: DualOperatorApproach, s: &SubdomainShape) -> usize {
-        match approach {
-            DualOperatorApproach::ImplicitMkl
-            | DualOperatorApproach::ExplicitMkl
-            | DualOperatorApproach::ExplicitHybrid => s.fnnz_mkl,
-            _ => s.fnnz_cholmod,
-        }
-    }
-
     /// Host cost of one numeric Cholesky factorization, priced by `feti-gpu`'s host
     /// work model ([`cost::host_factor_work_simplicial`] /
     /// [`cost::host_factor_work_supernodal`]): identical flops for both kinds, less
     /// index traffic for wide supernodes.
-    fn host_factorize(&self, fnnz: usize, s: &SubdomainShape, kind: FactorizationKind) -> f64 {
+    fn host_factorize(&self, s: &SubdomainShape, nsuper: usize, kind: FactorizationKind) -> f64 {
         let (bytes, flops) = match kind {
-            FactorizationKind::Simplicial => cost::host_factor_work_simplicial(fnnz, s.n),
-            FactorizationKind::Supernodal => {
-                cost::host_factor_work_supernodal(fnnz, s.n, s.nsuper_cholmod)
-            }
+            FactorizationKind::Simplicial => cost::host_factor_work_simplicial(s.fnnz, s.n),
+            FactorizationKind::Supernodal => cost::host_factor_work_supernodal(s.fnnz, s.n, nsuper),
         };
         self.host.seconds(bytes, flops)
     }
@@ -527,17 +488,17 @@ impl<'a> Planner<'a> {
     /// solves through the factor.  The ~19 effective bytes per stored entry are
     /// calibrated against the measured Fig. 5 application sweeps (the solves reuse
     /// index arrays, so they stream less than the raw two-pass estimate).
-    fn host_implicit_apply(&self, fnnz: usize, s: &SubdomainShape) -> f64 {
-        let bytes = 19.0 * (s.nnz_b + fnnz) as f64;
-        let flops = (4 * s.nnz_b + 4 * fnnz) as f64;
+    fn host_implicit_apply(&self, s: &SubdomainShape) -> f64 {
+        let bytes = 19.0 * (s.nnz_b + s.fnnz) as f64;
+        let flops = (4 * s.nnz_b + 4 * s.fnnz) as f64;
         self.host.seconds(bytes, flops)
     }
 
     /// Host cost of assembling one dense `F̃ᵢ` (Schur complement or triangular solves
     /// with `nlᵢ` right-hand sides — the flop counts agree to first order).
-    fn host_schur(&self, fnnz: usize, s: &SubdomainShape) -> f64 {
-        let flops = (2 * fnnz * s.nl + 2 * s.nnz_b * s.nl) as f64;
-        let bytes = (12 * fnnz + 8 * s.n * s.nl) as f64;
+    fn host_schur(&self, s: &SubdomainShape) -> f64 {
+        let flops = (2 * s.fnnz * s.nl + 2 * s.nnz_b * s.nl) as f64;
+        let bytes = (12 * s.fnnz + 8 * s.n * s.nl) as f64;
         self.host.seconds(bytes, flops)
     }
 
@@ -551,144 +512,24 @@ impl<'a> Planner<'a> {
         self.host.dense_seconds(nlf * nlf * 13.0, 2.0 * nlf * nlf)
     }
 
-    /// The device operations one implicit GPU application submits per subdomain —
-    /// mirrors `ImplicitGpuOperator::apply` exactly.
-    fn implicit_gpu_apply_ops(
-        &self,
-        generation: CudaGeneration,
-        s: &SubdomainShape,
-    ) -> Vec<GpuCost> {
-        vec![
-            cost::transfer(&self.gpu, s.nl * 8),
-            cost::spmv(&self.gpu, s.nnz_b, s.nl),
-            cost::sparse_trsm_for(&self.gpu, generation, s.fnnz_cholmod, s.n, 1),
-            cost::sparse_trsm_for(&self.gpu, generation, s.fnnz_cholmod, s.n, 1),
-            cost::spmv(&self.gpu, s.nnz_b, s.nl),
-            cost::transfer(&self.gpu, s.nl * 8),
-        ]
-    }
-
-    /// The device operations one explicit assembly submits per subdomain — mirrors
-    /// `assemble_local_on_gpu` exactly (transfers, conversions, TRSM/SYRK kernels).
-    fn explicit_assembly_ops(
-        &self,
-        generation: CudaGeneration,
-        params: &ExplicitAssemblyParams,
-        s: &SubdomainShape,
-    ) -> Vec<GpuCost> {
-        let fnnz = s.fnnz_cholmod;
-        let mut ops = vec![
-            cost::transfer(&self.gpu, fnnz * 12),
-            cost::transfer(&self.gpu, s.b_bytes),
-            cost::sparse_to_dense(&self.gpu, s.nnz_b, s.n, s.nl),
-        ];
-        let solve = |storage: FactorStorage, ops: &mut Vec<GpuCost>| match storage {
-            FactorStorage::Dense => {
-                ops.push(cost::sparse_to_dense(&self.gpu, fnnz, s.n, s.n));
-                ops.push(cost::dense_trsm(&self.gpu, s.n, s.nl));
-            }
-            FactorStorage::Sparse => {
-                ops.push(cost::sparse_trsm_for(&self.gpu, generation, fnnz, s.n, s.nl));
-            }
-        };
-        solve(params.forward_factor_storage, &mut ops);
-        match params.path {
-            Path::Syrk => ops.push(cost::syrk(&self.gpu, s.nl, s.n)),
-            Path::Trsm => {
-                solve(params.backward_factor_storage, &mut ops);
-                ops.push(cost::spmm(&self.gpu, s.nnz_b, s.nl, s.nl));
-            }
-        }
-        ops
-    }
-
-    /// The device operations one sparsity-aware explicit assembly submits per
-    /// subdomain — mirrors `assemble_local_sparse_rhs_on_gpu` exactly.  The sparse
-    /// family pins the SYRK path over a dense factor (the boundary structure lives in
-    /// the right-hand side, which only the forward solve can exploit), so the op list
-    /// is fixed and independent of the parameter set.
-    fn sparse_assembly_ops(&self, generation: CudaGeneration, s: &SubdomainShape) -> Vec<GpuCost> {
-        let fnnz = s.fnnz_cholmod;
-        vec![
-            cost::transfer(&self.gpu, fnnz * 12),
-            cost::transfer(&self.gpu, s.b_bytes),
-            cost::sparse_to_dense(&self.gpu, s.nnz_b, s.n, s.nl),
-            cost::sparse_to_dense(&self.gpu, fnnz, s.n, s.n),
-            cost::sparse_rhs_trsm(&self.gpu, generation, s.n, s.nl, s.nb),
-            cost::boundary_syrk(&self.gpu, generation, s.nl, s.n, s.nb),
-        ]
-    }
-
-    /// Records one explicit application phase — mirrors `apply_explicit_on_gpu`.
-    fn record_explicit_apply(&self, app: &mut PhaseScheduler, params: &ExplicitAssemblyParams) {
-        let nl_global = self.problem.num_lambdas;
-        if params.scatter_gather == ScatterGather::Gpu {
-            app.record_subdomain(
-                0,
-                0.0,
-                &[
-                    cost::transfer(&self.gpu, nl_global * 8),
-                    cost::scatter_gather(&self.gpu, nl_global),
-                ],
-            );
-        }
-        for (i, s) in self.shapes.iter().enumerate() {
-            let mut ops = Vec::new();
-            if params.scatter_gather == ScatterGather::Cpu {
-                ops.push(cost::transfer(&self.gpu, s.nl * 8));
-            }
-            ops.push(cost::symm(&self.gpu, s.nl, 1));
-            if params.scatter_gather == ScatterGather::Cpu {
-                ops.push(cost::transfer(&self.gpu, s.nl * 8));
-            }
-            app.record_subdomain(i, 0.0, &ops);
-        }
-        if params.scatter_gather == ScatterGather::Gpu {
-            app.record_subdomain(
-                0,
-                0.0,
-                &[
-                    cost::scatter_gather(&self.gpu, nl_global),
-                    cost::transfer(&self.gpu, nl_global * 8),
-                ],
-            );
-        }
-    }
-
-    /// Modelled persistent device allocation of an approach in bytes — mirrors the
-    /// `alloc_persistent` calls of the operator constructors exactly, so a service
-    /// admission controller can reserve this amount against a device budget before
-    /// any operator is constructed.  CPU-only approaches allocate nothing.
+    /// Modelled persistent device allocation of an approach in bytes, under its
+    /// Table-II auto-configured parameters: the allocation list of the program the
+    /// operator executes, so a service admission controller can reserve this amount
+    /// against a device budget before any operator is constructed.  CPU-only
+    /// approaches allocate nothing.  (Parameters enter only through the layout term
+    /// of the legacy sparse-TRSM workspace; a candidate estimated with explicit
+    /// parameters carries its own [`PlanCandidate::persistent_device_bytes`].)
+    ///
+    /// `generation` must be the approach's own generation; programs resolve it
+    /// themselves and the argument remains for source compatibility.
     #[must_use]
     pub fn persistent_device_bytes(
         &self,
         approach: DualOperatorApproach,
         generation: CudaGeneration,
     ) -> usize {
-        if !approach.uses_gpu() {
-            return 0;
-        }
-        let mut persistent = 0usize;
-        for s in &self.shapes {
-            let factor_bytes = s.fnnz_cholmod * 16;
-            persistent += match approach {
-                DualOperatorApproach::ImplicitGpuLegacy
-                | DualOperatorApproach::ImplicitGpuModern => factor_bytes + s.b_bytes + s.n * 16,
-                DualOperatorApproach::ExplicitGpuLegacy
-                | DualOperatorApproach::ExplicitGpuModern
-                | DualOperatorApproach::ExplicitSparseGpuLegacy
-                | DualOperatorApproach::ExplicitSparseGpuModern => {
-                    let ws = match generation {
-                        CudaGeneration::Legacy => s.n * 16,
-                        CudaGeneration::Modern => 2 * factor_bytes + 2 * s.n * s.nl * 8,
-                    };
-                    factor_bytes + s.b_bytes + s.nl * s.nl * 8 / 2 + s.n * 16 + ws
-                }
-                DualOperatorApproach::ExplicitHybrid => s.nl * s.nl * 8 / 2 + s.nl * 16,
-                _ => 0,
-            };
-        }
-        persistent
+        debug_assert!(approach.generation().is_none_or(|own| own == generation));
+        self.program(approach, auto_params(approach, self.problem)).persistent_bytes()
     }
 }
 
@@ -779,15 +620,15 @@ impl PlanCacheKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dualop::{build_dual_operator, SubdomainBlock};
+    use crate::dualop::{build_dual_operator, ApproachOperator, SubdomainBlock};
     use feti_decompose::DecompositionSpec;
 
     fn shapes_match_blocks(planner: &Planner<'_>, blocks: &[SubdomainBlock]) -> bool {
         planner
-            .shapes
+            .facts
             .iter()
             .zip(blocks)
-            .all(|(s, b)| s.n == b.num_dofs() && s.nl == b.num_local_lambdas())
+            .all(|(f, b)| f.shape.n == b.num_dofs() && f.shape.nl == b.num_local_lambdas())
     }
 
     fn planner_for(problem: &DecomposedProblem) -> Planner<'_> {
@@ -822,47 +663,130 @@ mod tests {
         }
     }
 
+    const GPU_APPROACHES: [DualOperatorApproach; 7] = [
+        DualOperatorApproach::ImplicitGpuLegacy,
+        DualOperatorApproach::ImplicitGpuModern,
+        DualOperatorApproach::ExplicitGpuLegacy,
+        DualOperatorApproach::ExplicitGpuModern,
+        DualOperatorApproach::ExplicitSparseGpuLegacy,
+        DualOperatorApproach::ExplicitSparseGpuModern,
+        DualOperatorApproach::ExplicitHybrid,
+    ];
+
+    /// Heat 3D (quadratic) and elasticity 2D next to the default heat 2D problem.
+    fn other_problems() -> [DecompositionSpec; 2] {
+        let heat_3d = DecompositionSpec {
+            dim: feti_mesh::Dim::Three,
+            physics: feti_mesh::Physics::HeatTransfer,
+            order: feti_mesh::ElementOrder::Quadratic,
+            subdomains_per_side: 2,
+            elements_per_subdomain_side: 2,
+            subdomains_per_cluster: 8,
+        };
+        let elasticity_2d = DecompositionSpec {
+            dim: feti_mesh::Dim::Two,
+            physics: feti_mesh::Physics::LinearElasticity,
+            order: feti_mesh::ElementOrder::Linear,
+            subdomains_per_side: 2,
+            elements_per_subdomain_side: 3,
+            subdomains_per_cluster: 4,
+        };
+        [heat_3d, elasticity_2d]
+    }
+
     #[test]
     fn gpu_side_of_the_estimate_matches_the_executed_model_exactly() {
-        // The planner's device-op sequences mirror what the operators submit, and the
-        // symbolic factor size equals the numeric one, so the modelled GPU seconds of
-        // an estimate must coincide with an actual run for GPU-applied approaches.
-        let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
-        let planner = planner_for(&problem);
-        for approach in [
-            DualOperatorApproach::ImplicitGpuLegacy,
-            DualOperatorApproach::ImplicitGpuModern,
-            DualOperatorApproach::ExplicitGpuLegacy,
-            DualOperatorApproach::ExplicitGpuModern,
-            DualOperatorApproach::ExplicitSparseGpuLegacy,
-            DualOperatorApproach::ExplicitSparseGpuModern,
-            DualOperatorApproach::ExplicitHybrid,
-        ] {
-            let params = ExplicitAssemblyParams::auto_configure(
-                approach.generation().unwrap(),
-                problem.spec.dim,
-                problem.spec.dofs_per_subdomain(),
-            );
-            let estimate = planner.estimate(approach, params);
-            let mut op = build_dual_operator(approach, &problem, Some(params)).unwrap();
+        // Planner and operator fold the same program (the same `GpuCost` list in the
+        // same order) and the symbolic factor size equals the numeric one, so the
+        // modelled GPU seconds of an estimate are bit-identical to an actual run:
+        // every Table-I combination on heat 2D, auto parameters on the other problems.
+        let check = |problem: &DecomposedProblem, approach, params: ExplicitAssemblyParams| {
+            let estimate = planner_for(problem).estimate(approach, params);
+            let mut op = build_dual_operator(approach, problem, Some(params)).unwrap();
             let measured_pre = op.preprocess().unwrap();
             let p: Vec<f64> = (0..problem.num_lambdas).map(|i| (i as f64 * 0.3).sin()).collect();
             let mut q = vec![0.0; problem.num_lambdas];
             let measured_apply = op.apply(&p, &mut q);
-            let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
-            assert!(
-                rel(estimate.preprocessing.gpu_seconds, measured_pre.gpu_seconds) < 1e-9,
-                "{approach:?} preprocessing GPU: est {} vs measured {}",
+            assert_eq!(
+                estimate.preprocessing.gpu_seconds.to_bits(),
+                measured_pre.gpu_seconds.to_bits(),
+                "{approach:?} {params:?} preprocessing GPU: est {} vs measured {}",
                 estimate.preprocessing.gpu_seconds,
                 measured_pre.gpu_seconds
             );
-            assert!(
-                rel(estimate.apply.gpu_seconds, measured_apply.gpu_seconds) < 1e-9,
-                "{approach:?} apply GPU: est {} vs measured {}",
+            assert_eq!(
+                estimate.apply.gpu_seconds.to_bits(),
+                measured_apply.gpu_seconds.to_bits(),
+                "{approach:?} {params:?} apply GPU: est {} vs measured {}",
                 estimate.apply.gpu_seconds,
                 measured_apply.gpu_seconds
             );
+        };
+        let heat_2d = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
+        for approach in GPU_APPROACHES {
+            for params in ExplicitAssemblyParams::all_combinations() {
+                check(&heat_2d, approach, params);
+            }
         }
+        for spec in other_problems() {
+            let problem = DecomposedProblem::build(&spec);
+            for approach in GPU_APPROACHES {
+                check(&problem, approach, auto_params(approach, &problem));
+            }
+        }
+    }
+
+    #[test]
+    fn persistent_device_bytes_equal_what_the_built_operator_allocates() {
+        // Service admission reserves `persistent_device_bytes` before anything is
+        // built; the operator allocates the same program's allocation list, so the
+        // device's own ledger must agree to the byte.
+        let mut specs = vec![DecompositionSpec::small_heat_2d()];
+        specs.extend(other_problems());
+        for spec in specs {
+            let problem = DecomposedProblem::build(&spec);
+            let planner = planner_for(&problem);
+            let blocks = SubdomainBlock::from_problem(&problem);
+            let nl = problem.num_lambdas;
+            let opts = SolverOptions::default();
+            for approach in GPU_APPROACHES {
+                let params = auto_params(approach, &problem);
+                let op = ApproachOperator::new(approach, blocks.clone(), nl, params, opts).unwrap();
+                let built = op.device_side().device.memory_stats().persistent_bytes;
+                let planned =
+                    planner.persistent_device_bytes(approach, approach.generation().unwrap());
+                assert_eq!(planned, built, "{spec:?} {approach:?}");
+                assert_eq!(planned, planner.estimate(approach, params).persistent_device_bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn legacy_sparse_column_major_factors_pay_the_transposed_copy_persistently() {
+        // Pin of the one footprint the program-derived definition changed: the
+        // legacy sparse-TRSM handle keeps a transposed copy of a *sparse*
+        // column-major forward factor (`sparse_trsm_workspace_from_shape`), which
+        // the former hand-written formulas ignored.  Densified factors never reach
+        // the handle and modern footprints are layout independent: both unchanged.
+        use crate::params::FactorStorage::{Dense, Sparse};
+        use feti_sparse::MemoryOrder::{ColMajor, RowMajor};
+        let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
+        let planner = planner_for(&problem);
+        let bytes = |approach, forward_factor_storage, forward_factor_order| {
+            let params = ExplicitAssemblyParams {
+                forward_factor_storage,
+                forward_factor_order,
+                ..Default::default()
+            };
+            planner.estimate(approach, params).persistent_device_bytes
+        };
+        let factor_bytes: usize = planner.facts.iter().map(|f| f.shape.fnnz * 16).sum();
+        let legacy = DualOperatorApproach::ExplicitGpuLegacy;
+        let modern = DualOperatorApproach::ExplicitGpuModern;
+        let baseline = bytes(legacy, Sparse, RowMajor);
+        assert_eq!(bytes(legacy, Sparse, ColMajor), baseline + factor_bytes);
+        assert_eq!(bytes(legacy, Dense, ColMajor), baseline);
+        assert_eq!(bytes(modern, Sparse, ColMajor), bytes(modern, Sparse, RowMajor));
     }
 
     #[test]
@@ -949,11 +873,7 @@ mod tests {
             DualOperatorApproach::ExplicitCholmod,
             DualOperatorApproach::ExplicitGpuModern,
         ] {
-            let params = ExplicitAssemblyParams::auto_configure(
-                approach.generation().unwrap_or(CudaGeneration::Legacy),
-                problem.spec.dim,
-                problem.spec.dofs_per_subdomain(),
-            );
+            let params = auto_params(approach, &problem);
             let simp = planner.estimate(approach, params);
             let sup = planner.estimate_with_factorization(
                 approach,

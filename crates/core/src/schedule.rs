@@ -10,7 +10,7 @@
 //! independent of which OS thread actually executed which subdomain or in what order
 //! they completed.
 
-use feti_gpu::{DeviceTimeline, GpuCost};
+use feti_gpu::{DeviceTimeline, PricedOp};
 
 /// Wall-clock budget of one phase split into its CPU and GPU parts.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -119,7 +119,7 @@ impl PhaseScheduler {
     ///
     /// Callers under the parallel runtime must invoke this in subdomain-index order
     /// (after the parallel region joins) so the modelled timeline stays deterministic.
-    pub fn record_subdomain(&mut self, subdomain: usize, cpu_seconds: f64, gpu_ops: &[GpuCost]) {
+    pub fn record_subdomain(&mut self, subdomain: usize, cpu_seconds: f64, gpu_ops: &[PricedOp]) {
         let worker = subdomain % self.thread_cpu.len();
         self.thread_cpu[worker] += cpu_seconds;
         self.total_cpu += cpu_seconds;
@@ -128,9 +128,9 @@ impl PhaseScheduler {
         for op in gpu_ops {
             match self.trace_epoch_us {
                 Some(epoch_us) => self.timeline.submit_traced(stream, ready, op, epoch_us),
-                None => self.timeline.submit(stream, ready, op),
+                None => self.timeline.submit(stream, ready, &op.cost),
             };
-            self.total_gpu_busy += op.seconds;
+            self.total_gpu_busy += op.cost.seconds;
         }
     }
 
@@ -182,8 +182,11 @@ impl PhaseScheduler {
 mod tests {
     use super::*;
 
-    fn gpu(seconds: f64) -> GpuCost {
-        GpuCost { seconds, bytes_moved: 0.0, flops: 0.0 }
+    fn gpu(seconds: f64) -> PricedOp {
+        PricedOp {
+            op: feti_gpu::DeviceOp::ScatterGather { n: 0 },
+            cost: feti_gpu::GpuCost { seconds, bytes_moved: 0.0, flops: 0.0 },
+        }
     }
 
     #[test]

@@ -29,12 +29,14 @@ pub mod blas;
 pub mod budget;
 pub mod cost;
 pub mod memory;
+pub mod op;
 pub mod sparse;
 pub mod timeline;
 
 pub use budget::{BudgetError, BudgetReservation, DeviceBudget};
 pub use cost::{GpuCost, GpuSpec};
 pub use memory::{MemoryError, MemoryManager, TempAlloc};
+pub use op::{DeviceOp, PricedOp};
 pub use timeline::{DeviceTimeline, StreamTimeline};
 
 use parking_lot::Mutex;

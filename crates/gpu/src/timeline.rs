@@ -16,6 +16,7 @@
 //! cannot funnel submissions through one recorder.
 
 use crate::cost::GpuCost;
+use crate::op::PricedOp;
 
 /// The virtual timeline of one stream.
 #[derive(Debug, Clone, Default)]
@@ -96,25 +97,22 @@ impl DeviceTimeline {
     /// export hook: the per-op start is recovered from the returned completion
     /// time (`start = completion − cost.seconds`), shifted by `epoch_us` (the
     /// wall-clock microsecond timestamp of the phase that owns this timeline) so
-    /// the modelled lanes line up under the measured host spans.  Operations that
-    /// move bytes without floating-point work are labelled `transfer`, everything
-    /// else `kernel`.
+    /// the modelled lanes line up under the measured host spans.  The record is
+    /// labelled with the operation's own kernel name ([`crate::DeviceOp::name`]).
     pub fn submit_traced(
         &mut self,
         stream: usize,
         ready_at: f64,
-        cost: &GpuCost,
+        op: &PricedOp,
         epoch_us: f64,
     ) -> f64 {
-        let completion = self.submit(stream, ready_at, cost);
+        let completion = self.submit(stream, ready_at, &op.cost);
         if feti_trace::enabled() {
-            let label =
-                if cost.flops == 0.0 && cost.bytes_moved > 0.0 { "transfer" } else { "kernel" };
             feti_trace::device_op(
                 stream % self.streams.len(),
-                label,
-                epoch_us + (completion - cost.seconds) * 1e6,
-                cost.seconds * 1e6,
+                op.op.name(),
+                epoch_us + (completion - op.cost.seconds) * 1e6,
+                op.cost.seconds * 1e6,
             );
         }
         completion
@@ -223,23 +221,28 @@ mod tests {
 
     #[test]
     fn submit_traced_exports_per_op_records_only_when_enabled() {
+        use crate::DeviceOp;
+        let priced = |op: DeviceOp, seconds: f64| PricedOp { op, cost: cost(seconds) };
         let mut d = DeviceTimeline::new(2);
         feti_trace::clear();
         // Disabled: identical completion times, no exported records.
-        assert_eq!(d.submit_traced(0, 0.0, &cost(1.0), 0.0), 1.0);
+        let transfer = priced(DeviceOp::Transfer { bytes: 8 }, 1.0);
+        assert_eq!(d.submit_traced(0, 0.0, &transfer, 0.0), 1.0);
         feti_trace::set_enabled(true);
-        let transfer = GpuCost { seconds: 0.5, bytes_moved: 8.0, flops: 0.0 };
-        let end = d.submit_traced(0, 0.0, &transfer, 100.0);
+        let end = d.submit_traced(0, 0.0, &priced(DeviceOp::Transfer { bytes: 8 }, 0.5), 100.0);
+        // A zero-flop kernel is labelled by its own name, never guessed from its cost.
+        d.submit_traced(1, 0.0, &priced(DeviceOp::ScatterGather { n: 4 }, 0.25), 0.0);
         feti_trace::set_enabled(false);
         assert_eq!(end, 1.5);
         let report = feti_trace::take_report();
-        assert_eq!(report.device_ops.len(), 1);
+        assert_eq!(report.device_ops.len(), 2);
         let op = &report.device_ops[0];
         assert_eq!(op.name, "transfer");
         assert_eq!(op.stream, 0);
         // start = completion − duration, shifted by the phase epoch.
         assert!((op.start_us - (100.0 + 1.0e6)).abs() < 1e-6);
         assert!((op.dur_us - 0.5e6).abs() < 1e-6);
+        assert_eq!(report.device_ops[1].name, "scatter_gather");
     }
 
     #[test]

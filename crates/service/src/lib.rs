@@ -598,13 +598,9 @@ impl FetiService {
                 ResolvedPlan { approach: best.approach, params, factorization, persistent_bytes }
             }
             Some(approach) => {
-                let params = spec.params.unwrap_or_else(|| {
-                    ExplicitAssemblyParams::auto_configure(
-                        approach.generation().unwrap_or(feti_gpu::CudaGeneration::Legacy),
-                        spec.problem.spec.dim,
-                        spec.problem.spec.dofs_per_subdomain(),
-                    )
-                });
+                let params = spec
+                    .params
+                    .unwrap_or_else(|| feti_core::program::auto_params(approach, &spec.problem));
                 let factorization = spec.factorization.unwrap_or_default();
                 let candidate =
                     planner.estimate_with_factorization(approach, params, factorization);

@@ -13,13 +13,13 @@
 mod common;
 
 use common::problems;
-use feti_core::dualop::gpu::ExplicitGpuOperator;
-use feti_core::dualop::SubdomainBlock;
+use feti_core::dualop::{ApproachOperator, SubdomainBlock};
 use feti_core::{
     DualOperator, DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, PcpgOptions,
     TotalFetiSolver,
 };
 use feti_decompose::DecomposedProblem;
+use feti_solver::SolverOptions;
 
 /// The assembly configuration the sparse family always executes (its boundary
 /// structure lives in the right-hand side, so only the forward solve changes);
@@ -55,15 +55,13 @@ fn assert_bits_eq(
     }
 }
 
-fn built_operator(
-    approach: DualOperatorApproach,
-    problem: &DecomposedProblem,
-) -> ExplicitGpuOperator {
-    let mut op = ExplicitGpuOperator::new(
+fn built_operator(approach: DualOperatorApproach, problem: &DecomposedProblem) -> ApproachOperator {
+    let mut op = ApproachOperator::new(
         approach,
         SubdomainBlock::from_problem(problem),
         problem.num_lambdas,
         pinned_params(),
+        SolverOptions::default(),
     )
     .unwrap();
     op.preprocess().unwrap();
@@ -166,11 +164,12 @@ fn sparse_assembly_never_costs_more_gpu_seconds() {
         let problem = DecomposedProblem::build(&spec);
         for pair in PAIRS {
             let gpu_seconds = |approach| {
-                let mut op = ExplicitGpuOperator::new(
+                let mut op = ApproachOperator::new(
                     approach,
                     SubdomainBlock::from_problem(&problem),
                     problem.num_lambdas,
                     pinned_params(),
+                    SolverOptions::default(),
                 )
                 .unwrap();
                 op.preprocess().unwrap().gpu_seconds

@@ -24,7 +24,10 @@ mod common;
 
 use common::problems;
 use feti_bench::json::{parse, Value};
-use feti_core::{build_dual_operator, DualOperatorApproach, PcpgOptions, TotalFetiSolver};
+use feti_core::{
+    build_dual_operator, DualOperatorApproach, ExplicitAssemblyParams, PcpgOptions, ScatterGather,
+    TotalFetiSolver,
+};
 use feti_decompose::DecomposedProblem;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -160,6 +163,33 @@ fn chrome_export_of_a_real_solve_round_trips() {
         matches!(first.get("candidates"), Some(Value::Arr(c)) if !c.is_empty()),
         "exported plan must carry its ranked candidates"
     );
+}
+
+/// Device-op records carry the kernel names of the program the operator executes:
+/// one traced `expl modern` application with device-side scatter/gather is exactly
+/// the cluster-wide copy-in + scatter, one SYMV per subdomain, gather + copy-out.
+/// (A zero-flop scatter/gather kernel used to be exported as a `transfer`.)
+#[test]
+fn device_ops_of_an_explicit_gpu_apply_carry_their_kernel_names() {
+    let _gate = trace_gate();
+    let problem = DecomposedProblem::build(&common::heat_2d());
+    let params =
+        ExplicitAssemblyParams { scatter_gather: ScatterGather::Gpu, ..Default::default() };
+    let mut op =
+        build_dual_operator(DualOperatorApproach::ExplicitGpuModern, &problem, Some(params))
+            .unwrap();
+    op.preprocess().unwrap();
+    let p = vec![1.0; problem.num_lambdas];
+    let mut q = vec![0.0; problem.num_lambdas];
+    feti_trace::set_enabled(true);
+    op.apply(&p, &mut q);
+    let report = feti_trace::take_report();
+    feti_trace::set_enabled(false);
+    let count = |name: &str| report.device_ops.iter().filter(|op| op.name == name).count();
+    assert_eq!(count("transfer"), 2);
+    assert_eq!(count("scatter_gather"), 2);
+    assert_eq!(count("symv"), problem.subdomains.len());
+    assert_eq!(report.device_ops.len(), 4 + problem.subdomains.len());
 }
 
 /// Contract 3: concurrent nested spans from the persistent pool (4 workers,
