@@ -1,11 +1,9 @@
-//! Minimal JSON writer, parser and schema validator for the benchmark artifacts.
+//! Minimal JSON writer and parser for the machine-readable artifacts.
 //!
-//! The repository has no serde (offline build), so the bench binaries that persist
-//! machine-readable results (`perf_trajectory` writing `BENCH_<n>.json`) construct a
-//! [`Value`] tree, serialize it with [`Value::to_json`], and — before exiting
-//! successfully — re-read and re-validate their own output with [`parse`] plus a
-//! schema check.  A malformed artifact is a bug, and the binary exits nonzero so CI
-//! catches it.
+//! The repository has no serde (offline build), so the code that persists or reads
+//! machine-readable results — the Chrome trace export in [`crate::chrome`] and the
+//! `feti_benchmark` package's result lines — constructs a [`Value`] tree, serializes
+//! it with [`Value::to_json`] and re-reads it with [`parse`].
 //!
 //! The dialect is full JSON on the parse side (objects, arrays, strings with escapes,
 //! numbers, booleans, null) with two deliberate restrictions on the write side: all
@@ -315,197 +313,6 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-/// Validates a `BENCH_<n>.json` document produced by `perf_trajectory` against the
-/// schema documented in `DESIGN.md` (§ "Performance trajectory").
-///
-/// # Errors
-/// Returns a description of the first violated constraint.
-pub fn validate_perf_trajectory(doc: &Value) -> Result<(), String> {
-    let require_num = |parent: &Value, section: &str, key: &str| -> Result<f64, String> {
-        parent
-            .get(key)
-            .ok_or_else(|| format!("{section}: missing key '{key}'"))?
-            .as_num()
-            .ok_or_else(|| format!("{section}.{key}: not a finite number"))
-    };
-    let require_nonneg = |parent: &Value, section: &str, key: &str| -> Result<f64, String> {
-        let x = require_num(parent, section, key)?;
-        if x < 0.0 {
-            return Err(format!("{section}.{key}: negative ({x})"));
-        }
-        Ok(x)
-    };
-
-    if doc.get("bench").and_then(Value::as_str) != Some("perf_trajectory") {
-        return Err("top level: 'bench' must be \"perf_trajectory\"".to_string());
-    }
-    require_nonneg(doc, "top level", "issue")?;
-    let threads = require_num(doc, "top level", "threads")?;
-    if threads < 1.0 {
-        return Err(format!("top level: 'threads' must be >= 1, got {threads}"));
-    }
-    let scale = doc
-        .get("scale")
-        .and_then(Value::as_str)
-        .ok_or_else(|| "top level: missing string 'scale'".to_string())?;
-    if !matches!(scale, "quick" | "default" | "full") {
-        return Err(format!("top level: unknown scale '{scale}'"));
-    }
-
-    let problem = doc.get("problem").ok_or_else(|| "missing 'problem'".to_string())?;
-    for key in ["dofs_per_subdomain", "num_subdomains", "num_lambdas"] {
-        let x = require_num(problem, "problem", key)?;
-        if x < 1.0 || x.fract() != 0.0 {
-            return Err(format!("problem.{key}: must be a positive integer, got {x}"));
-        }
-    }
-
-    let phases = doc.get("phases").ok_or_else(|| "missing 'phases'".to_string())?;
-    for key in ["preprocess_s", "factor_s", "assemble_s", "apply_s", "solve_s"] {
-        require_nonneg(phases, "phases", key)?;
-    }
-
-    let kernels = doc.get("kernels").ok_or_else(|| "missing 'kernels'".to_string())?;
-    for name in ["syrk", "trsm", "symm", "symv"] {
-        let k = kernels.get(name).ok_or_else(|| format!("kernels: missing kernel '{name}'"))?;
-        let section = format!("kernels.{name}");
-        let scalar = require_nonneg(k, &section, "scalar_baseline_s")?;
-        let blocked = require_nonneg(k, &section, "blocked_s")?;
-        let speedup = require_nonneg(k, &section, "speedup")?;
-        if blocked > 0.0 && (speedup - scalar / blocked).abs() > 1e-9 * speedup.max(1.0) {
-            return Err(format!(
-                "{section}: speedup {speedup} inconsistent with {scalar}/{blocked}"
-            ));
-        }
-    }
-
-    let sparse =
-        doc.get("sparse_assembly").ok_or_else(|| "missing 'sparse_assembly'".to_string())?;
-    let dense_s = require_nonneg(sparse, "sparse_assembly", "dense_assemble_s")?;
-    let sparse_s = require_nonneg(sparse, "sparse_assembly", "sparse_assemble_s")?;
-    let speedup = require_nonneg(sparse, "sparse_assembly", "speedup")?;
-    if sparse_s > 0.0 && (speedup - dense_s / sparse_s).abs() > 1e-9 * speedup.max(1.0) {
-        return Err(format!(
-            "sparse_assembly: speedup {speedup} inconsistent with {dense_s}/{sparse_s}"
-        ));
-    }
-    let frac = require_nonneg(sparse, "sparse_assembly", "boundary_fraction")?;
-    if frac > 1.0 {
-        return Err(format!("sparse_assembly.boundary_fraction: above 1 ({frac})"));
-    }
-
-    let fact = doc.get("factorization").ok_or_else(|| "missing 'factorization'".to_string())?;
-    require_nonneg(fact, "factorization", "simplicial_s")?;
-    require_nonneg(fact, "factorization", "supernodal_s")?;
-    let nsuper = require_num(fact, "factorization", "num_supernodes")?;
-    if nsuper < 1.0 || nsuper.fract() != 0.0 {
-        return Err(format!(
-            "factorization.num_supernodes: must be a positive integer, got {nsuper}"
-        ));
-    }
-
-    let service = doc.get("service").ok_or_else(|| "missing 'service'".to_string())?;
-    let jobs = require_num(service, "service", "jobs")?;
-    let hits = require_num(service, "service", "cache_hits")?;
-    let misses = require_num(service, "service", "cache_misses")?;
-    for (key, x) in [("jobs", jobs), ("cache_hits", hits), ("cache_misses", misses)] {
-        if x < 0.0 || x.fract() != 0.0 {
-            return Err(format!("service.{key}: must be a non-negative integer, got {x}"));
-        }
-    }
-    if hits + misses != jobs {
-        return Err(format!(
-            "service: cache_hits {hits} + cache_misses {misses} must equal jobs {jobs}"
-        ));
-    }
-    // Cached times can measure as zero at the clock's resolution; the emitter floors
-    // the denominator at 1 ns before forming the ratio, and the consistency check
-    // applies the same floor.
-    for (cold_key, cached_key, speedup_key) in [
-        ("cold_preprocess_s", "cached_preprocess_s", "preprocess_speedup"),
-        ("cold_latency_s", "cached_latency_s", "latency_speedup"),
-    ] {
-        let cold = require_nonneg(service, "service", cold_key)?;
-        let cached = require_nonneg(service, "service", cached_key)?;
-        let speedup = require_nonneg(service, "service", speedup_key)?;
-        let expected = cold / cached.max(1e-9);
-        if (speedup - expected).abs() > 1e-9 * speedup.max(1.0) {
-            return Err(format!(
-                "service: {speedup_key} {speedup} inconsistent with {cold}/{cached}"
-            ));
-        }
-    }
-
-    let pool = doc.get("pool").ok_or_else(|| "missing 'pool'".to_string())?;
-    let pool_threads = require_num(pool, "pool", "threads")?;
-    if pool_threads < 2.0 || pool_threads.fract() != 0.0 {
-        return Err(format!("pool.threads: must be an integer >= 2, got {pool_threads}"));
-    }
-    let cutoff = require_num(pool, "pool", "inline_cutoff")?;
-    if cutoff < 0.0 || cutoff.fract() != 0.0 {
-        return Err(format!("pool.inline_cutoff: must be a non-negative integer, got {cutoff}"));
-    }
-    let entry =
-        pool.get("region_entry").ok_or_else(|| "pool: missing 'region_entry'".to_string())?;
-    for key in ["items", "regions"] {
-        let x = require_num(entry, "pool.region_entry", key)?;
-        if x < 1.0 || x.fract() != 0.0 {
-            return Err(format!("pool.region_entry.{key}: must be a positive integer, got {x}"));
-        }
-    }
-    // Each comparison pairs the retained spawn-per-region baseline driver with the
-    // persistent parked pool; the speedup is spawn / persistent with the same 1 ns
-    // denominator floor as the service section.
-    for name in ["region_entry", "apply", "preprocess"] {
-        let section = pool.get(name).ok_or_else(|| format!("pool: missing '{name}'"))?;
-        let label = format!("pool.{name}");
-        let spawn = require_nonneg(section, &label, "spawn_per_region_s")?;
-        let persistent = require_nonneg(section, &label, "persistent_s")?;
-        let speedup = require_nonneg(section, &label, "speedup")?;
-        let expected = spawn / persistent.max(1e-9);
-        if (speedup - expected).abs() > 1e-9 * speedup.max(1.0) {
-            return Err(format!(
-                "{label}: speedup {speedup} inconsistent with {spawn}/{persistent}"
-            ));
-        }
-    }
-
-    // Observability: the tracing layer's cost on the apply microbench.  The enabled
-    // overhead is the measured enabled/disabled ratio minus one (clamped at zero:
-    // both times carry noise and the difference can measure slightly negative); the
-    // disabled overhead is analytic — events per apply times the measured per-call
-    // cost of a disabled span, over the disabled apply time — so it stays
-    // noise-immune even at quick scale.
-    let obs = doc.get("observability").ok_or_else(|| "missing 'observability'".to_string())?;
-    let applies = require_num(obs, "observability", "applies_per_call")?;
-    if applies < 1.0 || applies.fract() != 0.0 {
-        return Err(format!(
-            "observability.applies_per_call: must be a positive integer, got {applies}"
-        ));
-    }
-    let disabled = require_nonneg(obs, "observability", "apply_disabled_s")?;
-    let enabled = require_nonneg(obs, "observability", "apply_enabled_s")?;
-    let events = require_nonneg(obs, "observability", "events_per_apply")?;
-    let probe = require_nonneg(obs, "observability", "disabled_probe_s")?;
-    let enabled_overhead = require_nonneg(obs, "observability", "enabled_overhead")?;
-    let expected = (enabled / disabled.max(1e-9) - 1.0).max(0.0);
-    if (enabled_overhead - expected).abs() > 1e-9 * enabled_overhead.max(1.0) {
-        return Err(format!(
-            "observability: enabled_overhead {enabled_overhead} inconsistent with \
-             {enabled}/{disabled} - 1"
-        ));
-    }
-    let disabled_overhead = require_nonneg(obs, "observability", "disabled_overhead")?;
-    let expected = events * probe / disabled.max(1e-9);
-    if (disabled_overhead - expected).abs() > 1e-9 * disabled_overhead.max(1.0) {
-        return Err(format!(
-            "observability: disabled_overhead {disabled_overhead} inconsistent with \
-             {events} * {probe} / {disabled}"
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,296 +345,5 @@ mod tests {
         {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
-    }
-
-    fn minimal_valid() -> Value {
-        let kernel = |s: f64, b: f64| {
-            Value::obj(vec![
-                ("scalar_baseline_s", Value::Num(s)),
-                ("blocked_s", Value::Num(b)),
-                ("speedup", Value::Num(s / b)),
-            ])
-        };
-        Value::obj(vec![
-            ("bench", Value::Str("perf_trajectory".to_string())),
-            ("issue", Value::Num(6.0)),
-            ("scale", Value::Str("quick".to_string())),
-            ("threads", Value::Num(4.0)),
-            (
-                "problem",
-                Value::obj(vec![
-                    ("dofs_per_subdomain", Value::Num(100.0)),
-                    ("num_subdomains", Value::Num(4.0)),
-                    ("num_lambdas", Value::Num(20.0)),
-                ]),
-            ),
-            (
-                "phases",
-                Value::obj(vec![
-                    ("preprocess_s", Value::Num(0.1)),
-                    ("factor_s", Value::Num(0.2)),
-                    ("assemble_s", Value::Num(0.3)),
-                    ("apply_s", Value::Num(0.01)),
-                    ("solve_s", Value::Num(0.5)),
-                ]),
-            ),
-            (
-                "kernels",
-                Value::obj(vec![
-                    ("syrk", kernel(1.0, 0.25)),
-                    ("trsm", kernel(1.0, 0.4)),
-                    ("symm", kernel(1.0, 0.8)),
-                    ("symv", kernel(1.0, 0.9)),
-                ]),
-            ),
-            (
-                "sparse_assembly",
-                Value::obj(vec![
-                    ("dense_assemble_s", Value::Num(0.3)),
-                    ("sparse_assemble_s", Value::Num(0.1)),
-                    ("speedup", Value::Num(3.0)),
-                    ("boundary_fraction", Value::Num(0.35)),
-                ]),
-            ),
-            (
-                "factorization",
-                Value::obj(vec![
-                    ("simplicial_s", Value::Num(0.2)),
-                    ("supernodal_s", Value::Num(0.15)),
-                    ("num_supernodes", Value::Num(42.0)),
-                ]),
-            ),
-            (
-                "service",
-                Value::obj(vec![
-                    ("jobs", Value::Num(4.0)),
-                    ("cache_hits", Value::Num(3.0)),
-                    ("cache_misses", Value::Num(1.0)),
-                    ("cold_preprocess_s", Value::Num(0.2)),
-                    ("cached_preprocess_s", Value::Num(0.0)),
-                    ("preprocess_speedup", Value::Num(0.2 / 1e-9)),
-                    ("cold_latency_s", Value::Num(0.25)),
-                    ("cached_latency_s", Value::Num(0.01)),
-                    ("latency_speedup", Value::Num(0.25 / 0.01)),
-                ]),
-            ),
-            (
-                "pool",
-                Value::obj(vec![
-                    ("threads", Value::Num(4.0)),
-                    ("inline_cutoff", Value::Num(256.0)),
-                    (
-                        "region_entry",
-                        Value::obj(vec![
-                            ("items", Value::Num(64.0)),
-                            ("regions", Value::Num(200.0)),
-                            ("spawn_per_region_s", Value::Num(2e-4)),
-                            ("persistent_s", Value::Num(5e-6)),
-                            ("speedup", Value::Num(2e-4 / 5e-6)),
-                        ]),
-                    ),
-                    (
-                        "apply",
-                        Value::obj(vec![
-                            ("spawn_per_region_s", Value::Num(4e-4)),
-                            ("persistent_s", Value::Num(1e-4)),
-                            ("speedup", Value::Num(4.0)),
-                        ]),
-                    ),
-                    (
-                        "preprocess",
-                        Value::obj(vec![
-                            ("spawn_per_region_s", Value::Num(6e-3)),
-                            ("persistent_s", Value::Num(5e-3)),
-                            ("speedup", Value::Num(1.2)),
-                        ]),
-                    ),
-                ]),
-            ),
-            (
-                "observability",
-                Value::obj(vec![
-                    ("applies_per_call", Value::Num(32.0)),
-                    ("apply_disabled_s", Value::Num(1e-4)),
-                    ("apply_enabled_s", Value::Num(1.02e-4)),
-                    ("enabled_overhead", Value::Num(1.02e-4 / 1e-4 - 1.0)),
-                    ("events_per_apply", Value::Num(2.0)),
-                    ("disabled_probe_s", Value::Num(5e-9)),
-                    ("disabled_overhead", Value::Num(2.0 * 5e-9 / 1e-4)),
-                ]),
-            ),
-        ])
-    }
-
-    #[test]
-    fn schema_accepts_a_valid_document_and_survives_a_round_trip() {
-        let doc = minimal_valid();
-        validate_perf_trajectory(&doc).unwrap();
-        validate_perf_trajectory(&parse(&doc.to_json()).unwrap()).unwrap();
-    }
-
-    #[test]
-    fn schema_rejects_missing_and_inconsistent_fields() {
-        // Missing kernel.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            if let Some((_, Value::Obj(kernels))) = pairs.iter_mut().find(|(k, _)| k == "kernels") {
-                kernels.retain(|(k, _)| k != "trsm");
-            }
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // Inconsistent speedup.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            if let Some((_, Value::Obj(ks))) = pairs.iter_mut().find(|(k, _)| k == "kernels") {
-                if let Some((_, Value::Obj(syrk))) = ks.iter_mut().find(|(k, _)| k == "syrk") {
-                    syrk.iter_mut().for_each(|(k, v)| {
-                        if k == "speedup" {
-                            *v = Value::Num(100.0);
-                        }
-                    });
-                }
-            }
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // Missing sparse-assembly entry.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "sparse_assembly");
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // Inconsistent sparse-assembly speedup.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            if let Some((_, Value::Obj(sa))) =
-                pairs.iter_mut().find(|(k, _)| k == "sparse_assembly")
-            {
-                sa.iter_mut().for_each(|(k, v)| {
-                    if k == "speedup" {
-                        *v = Value::Num(42.0);
-                    }
-                });
-            }
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // Missing service section.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "service");
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // Service job counters that do not add up.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            if let Some((_, Value::Obj(svc))) = pairs.iter_mut().find(|(k, _)| k == "service") {
-                svc.iter_mut().for_each(|(k, v)| {
-                    if k == "cache_hits" {
-                        *v = Value::Num(2.0);
-                    }
-                });
-            }
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // Inconsistent service speedup (must honor the 1 ns denominator floor).
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            if let Some((_, Value::Obj(svc))) = pairs.iter_mut().find(|(k, _)| k == "service") {
-                svc.iter_mut().for_each(|(k, v)| {
-                    if k == "preprocess_speedup" {
-                        *v = Value::Num(7.0);
-                    }
-                });
-            }
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // Wrong bench name.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            pairs.iter_mut().for_each(|(k, v)| {
-                if k == "bench" {
-                    *v = Value::Str("other".to_string());
-                }
-            });
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // Missing pool section.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "pool");
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // Inconsistent pool region-entry speedup.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            if let Some((_, Value::Obj(pool))) = pairs.iter_mut().find(|(k, _)| k == "pool") {
-                if let Some((_, Value::Obj(entry))) =
-                    pool.iter_mut().find(|(k, _)| k == "region_entry")
-                {
-                    entry.iter_mut().for_each(|(k, v)| {
-                        if k == "speedup" {
-                            *v = Value::Num(1.0);
-                        }
-                    });
-                }
-            }
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // A single-threaded pool comparison is meaningless.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            if let Some((_, Value::Obj(pool))) = pairs.iter_mut().find(|(k, _)| k == "pool") {
-                pool.iter_mut().for_each(|(k, v)| {
-                    if k == "threads" {
-                        *v = Value::Num(1.0);
-                    }
-                });
-            }
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // Missing observability section.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "observability");
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // Inconsistent analytic disabled overhead.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            if let Some((_, Value::Obj(obs))) = pairs.iter_mut().find(|(k, _)| k == "observability")
-            {
-                obs.iter_mut().for_each(|(k, v)| {
-                    if k == "disabled_overhead" {
-                        *v = Value::Num(0.5);
-                    }
-                });
-            }
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // Inconsistent enabled overhead.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            if let Some((_, Value::Obj(obs))) = pairs.iter_mut().find(|(k, _)| k == "observability")
-            {
-                obs.iter_mut().for_each(|(k, v)| {
-                    if k == "enabled_overhead" {
-                        *v = Value::Num(3.0);
-                    }
-                });
-            }
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
     }
 }

@@ -32,13 +32,25 @@ pub enum BenchScale {
 }
 
 impl BenchScale {
-    /// Reads the scale from the environment.
+    /// Reads the scale from the environment; unset means [`BenchScale::Default`].
+    ///
+    /// # Panics
+    /// Panics if `FETI_BENCH_SCALE` is set to anything but `quick`, `default` or
+    /// `full` — a typo must not silently start the minutes-long default sweep.
     #[must_use]
     pub fn from_env() -> Self {
-        match std::env::var("FETI_BENCH_SCALE").unwrap_or_default().as_str() {
-            "quick" => BenchScale::Quick,
-            "full" => BenchScale::Full,
-            _ => BenchScale::Default,
+        let raw = std::env::var_os("FETI_BENCH_SCALE").map(|s| s.to_string_lossy().into_owned());
+        Self::parse(raw.as_deref()).unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
+    fn parse(raw: Option<&str>) -> Result<Self, String> {
+        match raw {
+            None | Some("default") => Ok(BenchScale::Default),
+            Some("quick") => Ok(BenchScale::Quick),
+            Some("full") => Ok(BenchScale::Full),
+            Some(other) => Err(format!(
+                "FETI_BENCH_SCALE must be one of quick, default, full (or unset), got {other:?}"
+            )),
         }
     }
 
@@ -191,6 +203,18 @@ mod tests {
             let s3 = scale.sweep_3d();
             assert!(s2.windows(2).all(|w| w[0] < w[1]));
             assert!(s3.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    #[test]
+    fn bench_scale_values_parse_or_fail_loudly() {
+        assert_eq!(BenchScale::parse(None), Ok(BenchScale::Default));
+        assert_eq!(BenchScale::parse(Some("default")), Ok(BenchScale::Default));
+        assert_eq!(BenchScale::parse(Some("quick")), Ok(BenchScale::Quick));
+        assert_eq!(BenchScale::parse(Some("full")), Ok(BenchScale::Full));
+        for bad in ["ful", "", "Quick", "0"] {
+            let err = BenchScale::parse(Some(bad)).unwrap_err();
+            assert!(err.contains("FETI_BENCH_SCALE") && err.contains("quick, default, full"));
         }
     }
 

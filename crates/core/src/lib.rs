@@ -38,7 +38,7 @@ pub use planner::{HostSpec, Plan, PlanCacheKey, PlanCandidate, Planner};
 pub use schedule::{PhaseScheduler, TimeBreakdown};
 
 /// Installs the [`feti_trace`] hooks into the rayon shim: every parallel region
-/// dispatch bumps a counter named after its kind (inline / persistent / spawned)
+/// dispatch bumps a counter named after its kind (inline / persistent)
 /// and records the region's item count in the `rayon.region_items` histogram.
 /// Idempotent; the hook is a branch on a relaxed atomic while tracing is disabled.
 pub fn install_trace_hooks() {
@@ -49,7 +49,6 @@ pub fn install_trace_hooks() {
         let kind = match dispatch {
             rayon::RegionDispatch::Inline => "rayon.region.inline",
             rayon::RegionDispatch::Persistent => "rayon.region.persistent",
-            rayon::RegionDispatch::Spawned => "rayon.region.spawned",
         };
         feti_trace::counter_add(kind, 1);
         feti_trace::histogram_record("rayon.region_items", items as f64);

@@ -33,7 +33,6 @@ pub use pardiso::PardisoLike;
 pub use supernodal::SupernodalFactor;
 
 use feti_order::OrderingKind;
-use std::sync::OnceLock;
 
 /// Numeric factorization algorithm of the CHOLMOD-like facade.
 ///
@@ -52,15 +51,11 @@ pub enum FactorizationKind {
 }
 
 impl FactorizationKind {
-    /// The process-wide default kind: the `FETI_FACTORIZATION` environment variable
-    /// (`"simplicial"` or `"supernodal"`, read once) or [`Self::Simplicial`].
+    /// The kind used where no [`SolverOptions::factorization`] is given:
+    /// [`Self::Simplicial`], i.e. [`Self::default`].
     #[must_use]
     pub fn default_kind() -> Self {
-        static KIND: OnceLock<FactorizationKind> = OnceLock::new();
-        *KIND.get_or_init(|| match std::env::var("FETI_FACTORIZATION").as_deref() {
-            Ok("supernodal") => FactorizationKind::Supernodal,
-            _ => FactorizationKind::Simplicial,
-        })
+        Self::default()
     }
 }
 

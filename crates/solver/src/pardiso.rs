@@ -134,6 +134,9 @@ impl PardisoFactor {
         }
         let mut s = DenseMatrix::zeros(m, m, MemoryOrder::RowMajor);
         for row in &rows {
+            // Filled in ascending `r` above, so the scatter only ever writes `r <= c`:
+            // the upper triangle, which the mirror below completes.
+            debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "rows of Y must be sorted");
             for a_idx in 0..row.len() {
                 let (r, vr) = row[a_idx];
                 for &(c, vc) in row.iter().skip(a_idx) {
@@ -142,15 +145,6 @@ impl PardisoFactor {
             }
         }
         s.symmetrize_from(Triangle::Upper);
-        // The scatter above only fills the upper triangle when r <= c; entries with
-        // r > c were accumulated into (r, c) positions of the upper pass as (c, r),
-        // so mirror once more to be safe for unsorted rows.
-        for i in 0..m {
-            for j in 0..i {
-                let v = s.get(j, i);
-                s.set(i, j, v);
-            }
-        }
         s
     }
 }

@@ -59,28 +59,15 @@ static BLOCK_SIZE: OnceLock<usize> = OnceLock::new();
 /// Candidate cache-block sizes probed by the autotuner.
 const BLOCK_CANDIDATES: [usize; 4] = [16, 32, 64, 128];
 
-fn block_size_from_env(raw: &str) -> Option<usize> {
-    let v = raw.trim().parse::<usize>().ok()?;
-    (v >= 4).then_some(v)
-}
-
 /// The cache-block size used by the blocked kernels (currently the SYRK panel width).
 ///
-/// Resolved once per process: the `FETI_BLOCK_SIZE` environment variable wins if it
-/// parses to an integer ≥ 4; otherwise a small autotune probe times a blocked SYRK on
-/// a synthetic operand for each candidate in `{16, 32, 64, 128}` and picks the
-/// fastest.  The blocked kernels produce bit-identical results for every block size,
-/// so the (timing-dependent, nondeterministic) autotune choice never affects any
-/// numerical output.
+/// Resolved once per process by a small autotune probe that times a blocked SYRK on a
+/// synthetic operand for each candidate in `{16, 32, 64, 128}` and picks the fastest.
+/// The blocked kernels produce bit-identical results for every block size, so the
+/// (timing-dependent, nondeterministic) autotune choice never affects any numerical
+/// output.
 pub fn kernel_block_size() -> usize {
-    *BLOCK_SIZE.get_or_init(|| {
-        if let Ok(raw) = std::env::var("FETI_BLOCK_SIZE") {
-            if let Some(v) = block_size_from_env(&raw) {
-                return v;
-            }
-        }
-        autotune_block_size()
-    })
+    *BLOCK_SIZE.get_or_init(autotune_block_size)
 }
 
 /// Times a small blocked SYRK per candidate block size and returns the fastest.
@@ -93,15 +80,17 @@ fn autotune_block_size() -> usize {
             a.set(i, j, ((i * 31 + j * 17) % 13) as f64 * 0.25 - 1.5);
         }
     }
+    // `a` is row-major and untransposed, so its storage already is the packed op(A).
+    let (r, starts) = (a.as_slice(), vec![0; n]);
     let mut best = (f64::INFINITY, BLOCK_CANDIDATES[0]);
     for &nb in &BLOCK_CANDIDATES {
         let mut c = DenseMatrix::zeros(n, n, MemoryOrder::RowMajor);
         // One warmup run, then best-of-three to smooth scheduler noise.
-        syrk_with_block(Triangle::Upper, Transpose::No, 1.0, &a, 0.0, &mut c, nb);
+        syrk_blocked(Triangle::Upper, 1.0, r, k, &starts, 0.0, &mut c, nb);
         let mut t_best = f64::INFINITY;
         for _ in 0..3 {
             let t0 = std::time::Instant::now();
-            syrk_with_block(Triangle::Upper, Transpose::No, 1.0, &a, 0.0, &mut c, nb);
+            syrk_blocked(Triangle::Upper, 1.0, r, k, &starts, 0.0, &mut c, nb);
             t_best = t_best.min(t0.elapsed().as_secs_f64());
         }
         if t_best < best.0 {
@@ -410,23 +399,33 @@ pub fn syrk(
     beta: f64,
     c: &mut DenseMatrix,
 ) {
-    syrk_with_block(uplo, trans, alpha, a, beta, c, kernel_block_size());
-}
-
-fn syrk_with_block(
-    uplo: Triangle,
-    trans: Transpose,
-    alpha: f64,
-    a: &DenseMatrix,
-    beta: f64,
-    c: &mut DenseMatrix,
-    nb: usize,
-) {
     let (n, kdim) = op_dims(a, trans);
     assert_eq!(c.nrows(), n, "syrk: C has wrong row count");
     assert_eq!(c.ncols(), n, "syrk: C has wrong column count");
     let r = materialize_op_rowmajor(a, trans);
+    syrk_blocked(uplo, alpha, &r, kdim, &vec![0; n], beta, c, kernel_block_size());
+}
 
+/// The blocked SYRK loop nest behind [`syrk`] and [`boundary_syrk`].
+///
+/// `r` is `op(A)` packed row-major (`starts.len() x kdim`) and `starts[i]` is the
+/// contraction index before which row `i` is exactly zero: all zeros for the dense
+/// kernel (which therefore never scans `A`), the first nonzero of each row for the
+/// boundary kernel.  The inner product for `C(i, j)` starts at the later of the two
+/// rows' starts; every skipped product multiplies a stored zero and each accumulator
+/// starts at a literal `+0.0`, so the starts never change a bit of the result.
+#[allow(clippy::too_many_arguments)]
+fn syrk_blocked(
+    uplo: Triangle,
+    alpha: f64,
+    r: &[f64],
+    kdim: usize,
+    starts: &[usize],
+    beta: f64,
+    c: &mut DenseMatrix,
+    nb: usize,
+) {
+    let n = starts.len();
     let mut i0 = 0;
     while i0 < n {
         let i1 = (i0 + nb).min(n);
@@ -443,14 +442,20 @@ fn syrk_with_block(
                     continue;
                 }
                 let ri = &r[i * kdim..(i + 1) * kdim];
+                let si = starts[i];
                 let mut j = jlo;
                 while j + 4 <= jhi {
                     let rj0 = &r[j * kdim..(j + 1) * kdim];
                     let rj1 = &r[(j + 1) * kdim..(j + 2) * kdim];
                     let rj2 = &r[(j + 2) * kdim..(j + 3) * kdim];
                     let rj3 = &r[(j + 3) * kdim..(j + 4) * kdim];
+                    // The shared start must cover all four columns of the tile; lanes
+                    // whose own start is later just add exact zeros to a +0.0
+                    // accumulator, which is still bit-identical.
+                    let p0 =
+                        si.max(starts[j].min(starts[j + 1]).min(starts[j + 2]).min(starts[j + 3]));
                     let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-                    for p in 0..kdim {
+                    for p in p0..kdim {
                         let av = ri[p];
                         a0 += av * rj0[p];
                         a1 += av * rj1[p];
@@ -466,7 +471,7 @@ fn syrk_with_block(
                 while j < jhi {
                     let rj = &r[j * kdim..(j + 1) * kdim];
                     let mut acc = 0.0;
-                    for p in 0..kdim {
+                    for p in si.max(starts[j])..kdim {
                         acc += ri[p] * rj[p];
                     }
                     let old = c.get(i, j);
@@ -546,19 +551,15 @@ pub fn trsv(
     Ok(())
 }
 
-/// Forward substitution over a register panel of `W` right-hand sides stored as
-/// contiguous length-`n` columns in `x`.  Per column the operation sequence is exactly
-/// that of [`trsv`] on an effectively-lower `op(A)` (ascending subtraction order, one
-/// division per element); the panel only shares the loads of the factor.
-fn trsm_panel_forward<const W: usize>(e: &[f64], n: usize, diag: DiagKind, x: &mut [f64]) {
-    trsm_panel_forward_from::<W>(e, n, 0, diag, x);
-}
-
-/// [`trsm_panel_forward`] restricted to rows `start..n`: rows before `start` are
-/// neither read nor written.  With `start == 0` this is the dense panel; a positive
-/// `start` is valid whenever every panel column is exactly zero above `start`, in
-/// which case the skipped subtraction terms multiply stored zeros and the result
-/// matches the dense solve (bit-for-bit when those zeros are `+0.0`).
+/// Forward substitution over a register panel of `W` right-hand sides interleaved in
+/// `x` (`x[i * W + c]`).  Per column the operation sequence is exactly that of [`trsv`]
+/// on an effectively-lower `op(A)` (ascending subtraction order, one division per
+/// element); the panel only shares the loads of the factor.
+///
+/// Only rows `start..n` are read or written.  With `start == 0` this is the dense
+/// panel; a positive `start` is valid whenever every panel column is exactly zero
+/// above `start`, in which case the skipped subtraction terms multiply stored zeros
+/// and the result matches the dense solve (bit-for-bit when those zeros are `+0.0`).
 fn trsm_panel_forward_from<const W: usize>(
     e: &[f64],
     n: usize,
@@ -593,14 +594,10 @@ fn trsm_panel_forward_from<const W: usize>(
     }
 }
 
-/// Backward-substitution counterpart of [`trsm_panel_forward`].
-fn trsm_panel_backward<const W: usize>(e: &[f64], n: usize, diag: DiagKind, x: &mut [f64]) {
-    trsm_panel_backward_to::<W>(e, n, n, diag, x);
-}
-
-/// [`trsm_panel_backward`] restricted to rows `0..end`: rows at or below `end` are
-/// neither read nor written (valid whenever every panel column is exactly zero from
-/// `end` downward — the mirror of [`trsm_panel_forward_from`]).
+/// Backward-substitution mirror of [`trsm_panel_forward_from`], restricted to rows
+/// `0..end`: rows at or below `end` are neither read nor written (`end == n` is the
+/// dense panel; a smaller `end` is valid whenever every panel column is exactly zero
+/// from `end` downward).
 fn trsm_panel_backward_to<const W: usize>(
     e: &[f64],
     n: usize,
@@ -652,9 +649,31 @@ pub fn trsm(
     a: &DenseMatrix,
     b: &mut DenseMatrix,
 ) -> Result<()> {
+    trsm_panels("trsm", uplo, trans, diag, alpha, a, b, |b| vec![(0, b.nrows()); b.ncols()])
+}
+
+/// The TRSM driver behind [`trsm`] and [`sparse_rhs_trsm`]: scale by `alpha`, pack
+/// `op(A)`, scan the diagonal, then gather / solve / scatter four-column panels.
+///
+/// `active_ranges` maps the scaled `B` to one `(first, end)` row range per column
+/// outside which that column is exactly zero.  Columns are grouped into panels in
+/// order of their active bound and each panel is solved only over the rows its widest
+/// member needs.  The dense kernel passes full ranges without looking at `B`: the
+/// stable sort then leaves the columns in place and every panel spans all rows.
+#[allow(clippy::too_many_arguments)]
+fn trsm_panels(
+    kernel: &str,
+    uplo: Triangle,
+    trans: Transpose,
+    diag: DiagKind,
+    alpha: f64,
+    a: &DenseMatrix,
+    b: &mut DenseMatrix,
+    active_ranges: fn(&DenseMatrix) -> Vec<(usize, usize)>,
+) -> Result<()> {
     let n = a.nrows();
-    assert_eq!(a.ncols(), n, "trsm: A must be square");
-    assert_eq!(b.nrows(), n, "trsm: B has wrong row count");
+    assert_eq!(a.ncols(), n, "{kernel}: A must be square");
+    assert_eq!(b.nrows(), n, "{kernel}: B has wrong row count");
     let ncols = b.ncols();
 
     if alpha != 1.0 {
@@ -673,7 +692,8 @@ pub fn trsm(
     let e = materialize_op_rowmajor(a, trans);
     // The singularity check is value-only, so it can run up front, in the same scan
     // order as the reference column-by-column solve (which fails at the first zero
-    // diagonal element it meets).
+    // diagonal element it meets) and over the full diagonal: a singular pivot is
+    // reported even when it sits in rows every panel skips.
     if diag == DiagKind::NonUnit {
         let scan: Box<dyn Iterator<Item = usize>> =
             if effective_lower { Box::new(0..n) } else { Box::new((0..n).rev()) };
@@ -684,34 +704,54 @@ pub fn trsm(
         }
     }
 
+    // Gather step: order the columns by their active bound so panels stay tight.
+    let ranges = active_ranges(b);
+    let mut order: Vec<usize> = (0..ncols).collect();
+    if effective_lower {
+        order.sort_by_key(|&j| ranges[j].0);
+    } else {
+        order.sort_by_key(|&j| std::cmp::Reverse(ranges[j].1));
+    }
+
     let mut xbuf = vec![0.0; n * 4];
-    let mut j0 = 0;
-    while j0 < ncols {
-        let w = (ncols - j0).min(4);
-        // Interleaved panel layout: xbuf[i*w + c] holds B(i, j0 + c), so the panel
+    let mut q0 = 0;
+    while q0 < ncols {
+        let w = (ncols - q0).min(4);
+        let cols = &order[q0..q0 + w];
+        // The panel's row range must cover every member column; the sort makes the
+        // widest member come first.
+        let (lo, hi) =
+            if effective_lower { (ranges[cols[0]].0, n) } else { (0, ranges[cols[0]].1) };
+        if lo >= hi {
+            // Entirely zero columns: the solution is the (scaled) zero input.
+            q0 += w;
+            continue;
+        }
+        // Interleaved panel layout: xbuf[i*w + c] holds B(i, cols[c]), so the panel
         // kernels stream one contiguous buffer.
-        for c in 0..w {
-            for i in 0..n {
-                xbuf[i * w + c] = b.get(i, j0 + c);
+        for (c, &j) in cols.iter().enumerate() {
+            for i in lo..hi {
+                xbuf[i * w + c] = b.get(i, j);
             }
         }
         let seg = &mut xbuf[..w * n];
         match (effective_lower, w) {
-            (true, 4) => trsm_panel_forward::<4>(&e, n, diag, seg),
-            (true, 3) => trsm_panel_forward::<3>(&e, n, diag, seg),
-            (true, 2) => trsm_panel_forward::<2>(&e, n, diag, seg),
-            (true, _) => trsm_panel_forward::<1>(&e, n, diag, seg),
-            (false, 4) => trsm_panel_backward::<4>(&e, n, diag, seg),
-            (false, 3) => trsm_panel_backward::<3>(&e, n, diag, seg),
-            (false, 2) => trsm_panel_backward::<2>(&e, n, diag, seg),
-            (false, _) => trsm_panel_backward::<1>(&e, n, diag, seg),
+            (true, 4) => trsm_panel_forward_from::<4>(&e, n, lo, diag, seg),
+            (true, 3) => trsm_panel_forward_from::<3>(&e, n, lo, diag, seg),
+            (true, 2) => trsm_panel_forward_from::<2>(&e, n, lo, diag, seg),
+            (true, _) => trsm_panel_forward_from::<1>(&e, n, lo, diag, seg),
+            (false, 4) => trsm_panel_backward_to::<4>(&e, n, hi, diag, seg),
+            (false, 3) => trsm_panel_backward_to::<3>(&e, n, hi, diag, seg),
+            (false, 2) => trsm_panel_backward_to::<2>(&e, n, hi, diag, seg),
+            (false, _) => trsm_panel_backward_to::<1>(&e, n, hi, diag, seg),
         }
-        for c in 0..w {
-            for i in 0..n {
-                b.set(i, j0 + c, xbuf[i * w + c]);
+        // Scatter step: only the solved rows go back.
+        for (c, &j) in cols.iter().enumerate() {
+            for i in lo..hi {
+                b.set(i, j, xbuf[i * w + c]);
             }
         }
-        j0 += w;
+        q0 += w;
     }
     Ok(())
 }
@@ -768,85 +808,7 @@ pub fn sparse_rhs_trsm(
     a: &DenseMatrix,
     b: &mut DenseMatrix,
 ) -> Result<()> {
-    let n = a.nrows();
-    assert_eq!(a.ncols(), n, "sparse_rhs_trsm: A must be square");
-    assert_eq!(b.nrows(), n, "sparse_rhs_trsm: B has wrong row count");
-    let ncols = b.ncols();
-
-    if alpha != 1.0 {
-        for v in b.as_mut_slice() {
-            *v *= alpha;
-        }
-    }
-    if n == 0 || ncols == 0 {
-        return Ok(());
-    }
-
-    let effective_lower = match (uplo, trans) {
-        (Triangle::Lower, Transpose::No) | (Triangle::Upper, Transpose::Yes) => true,
-        (Triangle::Upper, Transpose::No) | (Triangle::Lower, Transpose::Yes) => false,
-    };
-    let e = materialize_op_rowmajor(a, trans);
-    // Same value-only pre-scan as the dense kernel, in the same order, over the full
-    // diagonal: a singular pivot is reported even when it sits in a skipped region.
-    if diag == DiagKind::NonUnit {
-        let scan: Box<dyn Iterator<Item = usize>> =
-            if effective_lower { Box::new(0..n) } else { Box::new((0..n).rev()) };
-        for i in scan {
-            if e[i * n + i] == 0.0 {
-                return Err(SparseError::SingularDiagonal { index: i });
-            }
-        }
-    }
-
-    // Gather step: order the columns by their active bound so panels stay tight.
-    let ranges = column_active_ranges(b);
-    let mut order: Vec<usize> = (0..ncols).collect();
-    if effective_lower {
-        order.sort_by_key(|&j| ranges[j].0);
-    } else {
-        order.sort_by_key(|&j| std::cmp::Reverse(ranges[j].1));
-    }
-
-    let mut xbuf = vec![0.0; n * 4];
-    let mut q0 = 0;
-    while q0 < ncols {
-        let w = (ncols - q0).min(4);
-        let cols = &order[q0..q0 + w];
-        // The panel's row range must cover every member column; the sort makes the
-        // widest member come first.
-        let (lo, hi) =
-            if effective_lower { (ranges[cols[0]].0, n) } else { (0, ranges[cols[0]].1) };
-        if lo >= hi {
-            // Entirely zero columns: the solution is the (scaled) zero input.
-            q0 += w;
-            continue;
-        }
-        for (c, &j) in cols.iter().enumerate() {
-            for i in lo..hi {
-                xbuf[i * w + c] = b.get(i, j);
-            }
-        }
-        let seg = &mut xbuf[..w * n];
-        match (effective_lower, w) {
-            (true, 4) => trsm_panel_forward_from::<4>(&e, n, lo, diag, seg),
-            (true, 3) => trsm_panel_forward_from::<3>(&e, n, lo, diag, seg),
-            (true, 2) => trsm_panel_forward_from::<2>(&e, n, lo, diag, seg),
-            (true, _) => trsm_panel_forward_from::<1>(&e, n, lo, diag, seg),
-            (false, 4) => trsm_panel_backward_to::<4>(&e, n, hi, diag, seg),
-            (false, 3) => trsm_panel_backward_to::<3>(&e, n, hi, diag, seg),
-            (false, 2) => trsm_panel_backward_to::<2>(&e, n, hi, diag, seg),
-            (false, _) => trsm_panel_backward_to::<1>(&e, n, hi, diag, seg),
-        }
-        // Scatter step: only the solved boundary rows go back.
-        for (c, &j) in cols.iter().enumerate() {
-            for i in lo..hi {
-                b.set(i, j, xbuf[i * w + c]);
-            }
-        }
-        q0 += w;
-    }
-    Ok(())
+    trsm_panels("sparse_rhs_trsm", uplo, trans, diag, alpha, a, b, column_active_ranges)
 }
 
 /// Boundary-restricted variant of [`syrk`]: `C = alpha * op(A) * op(A)^T + beta * C`
@@ -869,88 +831,20 @@ pub fn boundary_syrk(
     beta: f64,
     c: &mut DenseMatrix,
 ) {
-    boundary_syrk_with_block(uplo, trans, alpha, a, beta, c, kernel_block_size());
-}
-
-fn boundary_syrk_with_block(
-    uplo: Triangle,
-    trans: Transpose,
-    alpha: f64,
-    a: &DenseMatrix,
-    beta: f64,
-    c: &mut DenseMatrix,
-    nb: usize,
-) {
     let (n, kdim) = op_dims(a, trans);
     assert_eq!(c.nrows(), n, "boundary_syrk: C has wrong row count");
     assert_eq!(c.ncols(), n, "boundary_syrk: C has wrong column count");
     let r = materialize_op_rowmajor(a, trans);
+    let starts = zero_prefix_lengths(&r, n, kdim);
+    syrk_blocked(uplo, alpha, &r, kdim, &starts, beta, c, kernel_block_size());
+}
 
-    // First nonzero of every row of op(A) along the contraction dimension.
-    let starts: Vec<usize> = (0..n)
-        .map(|i| {
-            let ri = &r[i * kdim..(i + 1) * kdim];
-            ri.iter().position(|&v| v != 0.0).unwrap_or(kdim)
-        })
-        .collect();
-
-    let mut i0 = 0;
-    while i0 < n {
-        let i1 = (i0 + nb).min(n);
-        let mut j0 = 0;
-        while j0 < n {
-            let j1 = (j0 + nb).min(n);
-            for i in i0..i1 {
-                // Clip the block's column range to the stored triangle of C.
-                let (jlo, jhi) = match uplo {
-                    Triangle::Upper => (j0.max(i), j1),
-                    Triangle::Lower => (j0, j1.min(i + 1)),
-                };
-                if jlo >= jhi {
-                    continue;
-                }
-                let ri = &r[i * kdim..(i + 1) * kdim];
-                let si = starts[i];
-                let mut j = jlo;
-                while j + 4 <= jhi {
-                    let rj0 = &r[j * kdim..(j + 1) * kdim];
-                    let rj1 = &r[(j + 1) * kdim..(j + 2) * kdim];
-                    let rj2 = &r[(j + 2) * kdim..(j + 3) * kdim];
-                    let rj3 = &r[(j + 3) * kdim..(j + 4) * kdim];
-                    // The shared start must cover all four columns of the tile; lanes
-                    // whose own start is later just add exact zeros to a +0.0
-                    // accumulator, which is still bit-identical.
-                    let p0 =
-                        si.max(starts[j].min(starts[j + 1]).min(starts[j + 2]).min(starts[j + 3]));
-                    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-                    for p in p0..kdim {
-                        let av = ri[p];
-                        a0 += av * rj0[p];
-                        a1 += av * rj1[p];
-                        a2 += av * rj2[p];
-                        a3 += av * rj3[p];
-                    }
-                    for (q, acc) in [a0, a1, a2, a3].into_iter().enumerate() {
-                        let old = c.get(i, j + q);
-                        c.set(i, j + q, alpha * acc + beta * old);
-                    }
-                    j += 4;
-                }
-                while j < jhi {
-                    let rj = &r[j * kdim..(j + 1) * kdim];
-                    let mut acc = 0.0;
-                    for p in si.max(starts[j])..kdim {
-                        acc += ri[p] * rj[p];
-                    }
-                    let old = c.get(i, j);
-                    c.set(i, j, alpha * acc + beta * old);
-                    j += 1;
-                }
-            }
-            j0 = j1;
-        }
-        i0 = i1;
-    }
+/// First nonzero of every row of the packed `n x kdim` operand (`kdim` for an all-zero
+/// row): the contraction starts [`boundary_syrk`] hands to the shared SYRK loop nest.
+fn zero_prefix_lengths(r: &[f64], n: usize, kdim: usize) -> Vec<usize> {
+    (0..n)
+        .map(|i| r[i * kdim..(i + 1) * kdim].iter().position(|&v| v != 0.0).unwrap_or(kdim))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------------
@@ -1000,8 +894,8 @@ pub fn norm2(x: &[f64]) -> f64 {
 /// These are the original row-walking loops, retained verbatim: the kernel-equivalence
 /// test layer (`crates/sparse/tests/`) asserts that the blocked [`symv`], [`symm`],
 /// [`syrk`] and [`trsm`] match them —
-/// bit-for-bit by construction, and within 4 ulps as the stated public contract.  The
-/// benches also time them as the `scalar_baseline` of the recorded perf trajectory.
+/// bit-for-bit by construction, and within 4 ulps as the stated public contract.  They
+/// are a test oracle: no production path calls them.
 pub mod reference {
     use super::{op_dims, op_get, trsv, DenseMatrix, Result, Side, Transpose, Triangle};
     use crate::DiagKind;
@@ -1382,23 +1276,13 @@ mod tests {
         reference::syrk(Triangle::Lower, Transpose::No, 1.0, &a, 0.5, &mut expect);
         for nb in [4usize, 16, 36, 37, 38, 128] {
             let mut c = filled(37, 37, MemoryOrder::RowMajor, 13);
-            syrk_with_block(Triangle::Lower, Transpose::No, 1.0, &a, 0.5, &mut c, nb);
+            syrk_blocked(Triangle::Lower, 1.0, a.as_slice(), 23, &[0; 37], 0.5, &mut c, nb);
             for i in 0..37 {
                 for j in 0..37 {
                     assert_eq!(c.get(i, j).to_bits(), expect.get(i, j).to_bits(), "nb={nb}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn block_size_env_parser() {
-        assert_eq!(block_size_from_env("32"), Some(32));
-        assert_eq!(block_size_from_env(" 64 "), Some(64));
-        assert_eq!(block_size_from_env("3"), None);
-        assert_eq!(block_size_from_env("nope"), None);
-        assert!(BLOCK_CANDIDATES.contains(&32));
-        assert!(kernel_block_size() >= 4);
     }
 
     #[test]
@@ -1602,9 +1486,12 @@ mod tests {
         let a = boundary_rhs(23, 37, MemoryOrder::RowMajor, 3);
         let mut expect = filled(37, 37, MemoryOrder::RowMajor, 13);
         reference::syrk(Triangle::Lower, Transpose::Yes, 1.0, &a, 0.5, &mut expect);
+        let r = materialize_op_rowmajor(&a, Transpose::Yes);
+        let starts = zero_prefix_lengths(&r, 37, 23);
+        assert!(starts.iter().any(|&s| s > 0), "the operand must exercise the skipping");
         for nb in [4usize, 16, 36, 37, 38, 128] {
             let mut c = filled(37, 37, MemoryOrder::RowMajor, 13);
-            boundary_syrk_with_block(Triangle::Lower, Transpose::Yes, 1.0, &a, 0.5, &mut c, nb);
+            syrk_blocked(Triangle::Lower, 1.0, &r, 23, &starts, 0.5, &mut c, nb);
             for i in 0..37 {
                 for j in 0..37 {
                     assert_eq!(c.get(i, j).to_bits(), expect.get(i, j).to_bits(), "nb={nb}");

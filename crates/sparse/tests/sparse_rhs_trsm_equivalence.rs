@@ -12,7 +12,7 @@
 //! degenerate to the dense ones, checked bit-for-bit); shapes sweep the blocking
 //! edges — empty, single element, one-below/at/one-above the configured block size.
 
-use feti_sparse::{blas, DenseMatrix, DiagKind, MemoryOrder, Transpose, Triangle};
+use feti_sparse::{blas, DenseMatrix, DiagKind, MemoryOrder, SparseError, Transpose, Triangle};
 use proptest::prelude::*;
 
 /// Distance in units-in-the-last-place, treating equal bit patterns as 0 and any
@@ -96,6 +96,7 @@ fn edge_sizes() -> Vec<usize> {
 const ORDERS: [MemoryOrder; 2] = [MemoryOrder::RowMajor, MemoryOrder::ColMajor];
 const UPLOS: [Triangle; 2] = [Triangle::Upper, Triangle::Lower];
 const TRANS: [Transpose; 2] = [Transpose::No, Transpose::Yes];
+const DIAGS: [DiagKind; 2] = [DiagKind::NonUnit, DiagKind::Unit];
 
 #[test]
 fn sparse_rhs_trsm_matches_dense_blocked_on_boundary_patterns() {
@@ -105,7 +106,7 @@ fn sparse_rhs_trsm_matches_dense_blocked_on_boundary_patterns() {
                 for order in ORDERS {
                     for uplo in UPLOS {
                         for trans in TRANS {
-                            for diag in [DiagKind::NonUnit, DiagKind::Unit] {
+                            for diag in DIAGS {
                                 let a = filled(n, n, order, 19, 4.0 + n as f64);
                                 let mut b0 = filled(n, nrhs, order, 23, 0.0);
                                 keep_rows(&mut b0, &active);
@@ -181,28 +182,32 @@ fn boundary_syrk_matches_dense_blocked_on_boundary_patterns() {
 
 /// With every column of the gluing matrix nonzero the sparse-RHS kernels have no
 /// zero structure to exploit and must reproduce the dense blocked kernels
-/// bit-for-bit, not merely within the ulp bound.
+/// bit-for-bit, not merely within the ulp bound.  Both entry points of each shape run
+/// one shared loop nest, told apart only by the starts / active ranges they pass in;
+/// this is the case where those must coincide.
 #[test]
 fn fully_dense_operands_degenerate_to_dense_kernels_bit_for_bit() {
-    let nb = blas::kernel_block_size();
-    for n in [1usize, 2, nb - 1, nb, nb + 1] {
+    for n in edge_sizes() {
         for order in ORDERS {
             for uplo in UPLOS {
                 for trans in TRANS {
                     let a = filled(n, n, order, 41, 4.0 + n as f64);
-                    let b0 = filled(n, 5, order, 43, 0.0);
-                    let mut b_dense = b0.clone();
-                    let mut b_sparse = b0;
-                    blas::trsm(uplo, trans, DiagKind::NonUnit, 1.0, &a, &mut b_dense).unwrap();
-                    blas::sparse_rhs_trsm(uplo, trans, DiagKind::NonUnit, 1.0, &a, &mut b_sparse)
-                        .unwrap();
-                    for i in 0..n {
-                        for j in 0..5 {
-                            assert_eq!(
-                                b_sparse.get(i, j).to_bits(),
-                                b_dense.get(i, j).to_bits(),
-                                "trsm degenerate n={n} {order:?} {uplo:?} {trans:?} ({i},{j})"
-                            );
+                    for diag in DIAGS {
+                        let b0 = filled(n, 5, order, 43, 0.0);
+                        assert!(b0.as_slice().iter().all(|&v| v != 0.0));
+                        let mut b_dense = b0.clone();
+                        let mut b_sparse = b0;
+                        blas::trsm(uplo, trans, diag, 1.0, &a, &mut b_dense).unwrap();
+                        blas::sparse_rhs_trsm(uplo, trans, diag, 1.0, &a, &mut b_sparse).unwrap();
+                        for i in 0..n {
+                            for j in 0..5 {
+                                assert_eq!(
+                                    b_sparse.get(i, j).to_bits(),
+                                    b_dense.get(i, j).to_bits(),
+                                    "trsm degenerate n={n} {order:?} {uplo:?} {trans:?} {diag:?} \
+                                     ({i},{j})"
+                                );
+                            }
                         }
                     }
 
@@ -225,6 +230,38 @@ fn fully_dense_operands_degenerate_to_dense_kernels_bit_for_bit() {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The singular-diagonal scan covers the rows the sparse-RHS kernel skips: with zero
+/// pivots at both ends and a right-hand side active only in the middle, either sweep
+/// direction skips one of them, and both entry points still report the pivot the
+/// dense column-by-column solve meets first.
+#[test]
+fn singular_diagonal_in_a_skipped_region_reports_the_dense_index() {
+    let n = 6;
+    for order in ORDERS {
+        for uplo in UPLOS {
+            for trans in TRANS {
+                let mut a = filled(n, n, order, 61, 4.0 + n as f64);
+                a.set(0, 0, 0.0);
+                a.set(n - 1, n - 1, 0.0);
+                let mut b0 = filled(n, 3, order, 67, 0.0);
+                keep_rows(&mut b0, &[2, 3]);
+                let dense = blas::trsm(uplo, trans, DiagKind::NonUnit, 1.0, &a, &mut b0.clone())
+                    .unwrap_err();
+                let sparse =
+                    blas::sparse_rhs_trsm(uplo, trans, DiagKind::NonUnit, 1.0, &a, &mut b0)
+                        .unwrap_err();
+                let forward = matches!(
+                    (uplo, trans),
+                    (Triangle::Lower, Transpose::No) | (Triangle::Upper, Transpose::Yes)
+                );
+                let first_met = if forward { 0 } else { n - 1 };
+                assert_eq!(dense, SparseError::SingularDiagonal { index: first_met });
+                assert_eq!(sparse, dense, "{order:?} {uplo:?} {trans:?}");
             }
         }
     }

@@ -20,9 +20,9 @@
 //! * [`ThreadPool::install`] mirrors rayon's API for running a closure under an
 //!   explicit pool; dropping a `ThreadPool` wakes and joins its parked workers;
 //! * regions whose item count is below an **inline cutoff** (default
-//!   [`INLINE_CUTOFF_DEFAULT`], overridable per process via `FETI_INLINE_CUTOFF`,
-//!   `0` disables inlining, or per pool via [`ThreadPoolBuilder::inline_cutoff`])
-//!   run entirely on the calling thread — fine-grained element loops are cheaper
+//!   [`INLINE_CUTOFF_DEFAULT`], overridable per pool via
+//!   [`ThreadPoolBuilder::inline_cutoff`], `0` disables inlining) run entirely on
+//!   the calling thread — fine-grained element loops are cheaper
 //!   serial than woken.  [`ParallelIterator::with_max_len`] marks a region as
 //!   *coarse* (few items, heavy per-item work, e.g. one subdomain factorization per
 //!   index) which both caps the chunk size and exempts the region from the cutoff;
@@ -38,10 +38,7 @@
 //! * a panicking task poisons nothing: each chunk runs under `catch_unwind`, the
 //!   first payload is re-raised on the submitting thread once the region has
 //!   quiesced, remaining chunks are discarded, and the pool's parked workers stay
-//!   usable for the next region;
-//! * [`ThreadPoolBuilder::spawn_per_region`] retains the previous scoped
-//!   spawn-per-region driver as a benchmarking baseline, so `perf_trajectory` can
-//!   measure the persistent pool's region-entry latency against it in one process.
+//!   usable for the next region.
 //!
 //! `DESIGN.md` (§ "Host parallelism") records this substitution; swapping the real
 //! rayon back in requires only deleting this shim from the workspace.
@@ -73,39 +70,40 @@ pub mod prelude {
 
 /// Default inline cutoff: parallel regions with fewer work items than this run on the
 /// calling thread unless marked coarse with [`ParallelIterator::with_max_len`].
-/// Overridable per process with `FETI_INLINE_CUTOFF` (`0` disables inlining) or per
-/// pool with [`ThreadPoolBuilder::inline_cutoff`].
+/// Overridable per pool with [`ThreadPoolBuilder::inline_cutoff`] (`0` disables
+/// inlining).
 pub const INLINE_CUTOFF_DEFAULT: usize = 256;
 
-/// The process-wide default worker count: `FETI_THREADS` if set to a positive
-/// integer, otherwise the available hardware parallelism.
+/// Parses a `FETI_THREADS` value: `None` (unset) keeps the hardware default, a
+/// positive integer pins the worker count, anything else is an error rather than a
+/// silent fallback — a run that claims "4 threads" must not quietly use the core count.
+fn threads_from_env(raw: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!("FETI_THREADS must be a positive integer (e.g. 4) or unset, got {raw:?}")),
+    }
+}
+
+/// The process-wide default worker count: `FETI_THREADS` if set, otherwise the
+/// available hardware parallelism.
+///
+/// # Panics
+/// Panics if `FETI_THREADS` is set to anything but a positive integer.
 fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        std::env::var("FETI_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
-            })
-    })
-}
-
-/// The process-wide inline cutoff: `FETI_INLINE_CUTOFF` if set to an integer
-/// (`0` disables inlining), otherwise [`INLINE_CUTOFF_DEFAULT`].
-fn default_inline_cutoff() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("FETI_INLINE_CUTOFF")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(INLINE_CUTOFF_DEFAULT)
+        let raw = std::env::var_os("FETI_THREADS").map(|s| s.to_string_lossy().into_owned());
+        match threads_from_env(raw.as_deref()) {
+            Ok(Some(n)) => n,
+            Ok(None) => std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1),
+            Err(msg) => panic!("{msg}"),
+        }
     })
 }
 
 /// The effective per-thread configuration of a parallel region: which pool runs it,
-/// with how many participants, under which inline cutoff and driver.
+/// with how many participants, under which inline cutoff.
 ///
 /// Installed by [`ThreadPool::install`] and inherited by pool workers while they
 /// execute a region's tasks (mirroring real rayon, where `install` closures run
@@ -115,7 +113,6 @@ fn default_inline_cutoff() -> usize {
 struct Cfg {
     threads: usize,
     core: Arc<PoolCore>,
-    spawn_per_region: bool,
     inline_cutoff: usize,
 }
 
@@ -133,17 +130,6 @@ pub fn current_num_threads() -> usize {
     CFG.with(|c| c.borrow().as_ref().map(|cfg| cfg.threads)).unwrap_or_else(default_threads)
 }
 
-/// The inline cutoff governing parallel regions started from this thread: the
-/// innermost installed pool's cutoff, otherwise the process default
-/// (`FETI_INLINE_CUTOFF` or [`INLINE_CUTOFF_DEFAULT`]).  Shim extension (real rayon
-/// has no inline cutoff); used by the perf-trajectory benchmark to record the
-/// effective value.
-#[must_use]
-pub fn current_inline_cutoff() -> usize {
-    CFG.with(|c| c.borrow().as_ref().map(|cfg| cfg.inline_cutoff))
-        .unwrap_or_else(default_inline_cutoff)
-}
-
 // ---------------------------------------------------------------------------
 // Observability hooks (shim extension)
 // ---------------------------------------------------------------------------
@@ -157,8 +143,6 @@ pub enum RegionDispatch {
     Inline,
     /// The region ran on the persistent parked worker pool.
     Persistent,
-    /// The region ran on the scoped spawn-per-region baseline driver.
-    Spawned,
 }
 
 /// Observability hook invoked once per parallel region, on the submitting thread,
@@ -220,7 +204,6 @@ impl std::error::Error for ThreadPoolBuildError {}
 pub struct ThreadPoolBuilder {
     num_threads: usize,
     inline_cutoff: Option<usize>,
-    spawn_per_region: bool,
 }
 
 impl ThreadPoolBuilder {
@@ -240,22 +223,11 @@ impl ThreadPoolBuilder {
     /// Overrides the inline small-region cutoff for regions run under this pool
     /// (`0` disables inlining entirely).  Shim extension: real rayon always enters
     /// the pool; this shim keeps fine-grained regions on the calling thread when
-    /// waking workers would cost more than the work itself.  Defaults to the process
-    /// value (`FETI_INLINE_CUTOFF` or [`INLINE_CUTOFF_DEFAULT`]).
+    /// waking workers would cost more than the work itself.  Defaults to
+    /// [`INLINE_CUTOFF_DEFAULT`].
     #[must_use]
     pub fn inline_cutoff(mut self, cutoff: usize) -> Self {
         self.inline_cutoff = Some(cutoff);
-        self
-    }
-
-    /// Uses the legacy scoped spawn-per-region driver instead of the persistent
-    /// parked pool.  Shim extension kept solely as a benchmarking baseline (like
-    /// `blas::reference`): `perf_trajectory` measures region-entry latency of the
-    /// persistent pool against this mode in the same process.  Results are
-    /// bit-for-bit identical between the two drivers.
-    #[must_use]
-    pub fn spawn_per_region(mut self, enabled: bool) -> Self {
-        self.spawn_per_region = enabled;
         self
     }
 
@@ -270,7 +242,6 @@ impl ThreadPoolBuilder {
         Ok(ThreadPool {
             num_threads: n,
             inline_cutoff: self.inline_cutoff,
-            spawn_per_region: self.spawn_per_region,
             core: Arc::new(PoolCore::new(n)),
         })
     }
@@ -285,7 +256,6 @@ impl ThreadPoolBuilder {
 pub struct ThreadPool {
     num_threads: usize,
     inline_cutoff: Option<usize>,
-    spawn_per_region: bool,
     core: Arc<PoolCore>,
 }
 
@@ -294,7 +264,6 @@ impl std::fmt::Debug for ThreadPool {
         f.debug_struct("ThreadPool")
             .field("num_threads", &self.num_threads)
             .field("inline_cutoff", &self.inline_cutoff)
-            .field("spawn_per_region", &self.spawn_per_region)
             .finish()
     }
 }
@@ -338,8 +307,7 @@ impl ThreadPool {
         Cfg {
             threads: self.num_threads,
             core: Arc::clone(&self.core),
-            spawn_per_region: self.spawn_per_region,
-            inline_cutoff: self.inline_cutoff.unwrap_or_else(default_inline_cutoff),
+            inline_cutoff: self.inline_cutoff.unwrap_or(INLINE_CUTOFF_DEFAULT),
         }
     }
 }
@@ -677,65 +645,13 @@ fn run_region_persistent(
     }
 }
 
-/// The legacy scoped spawn-per-region driver, kept as the benchmarking baseline
-/// behind [`ThreadPoolBuilder::spawn_per_region`].  Semantics match the persistent
-/// driver bit for bit; only the thread lifecycle differs.
-fn run_region_spawn(
-    cfg: &Cfg,
-    n: usize,
-    workers: usize,
-    max_len: Option<usize>,
-    task: &(dyn Fn(usize) + Sync),
-) {
-    let (queues, _) = build_queues(n, workers, max_len);
-    let queues = &queues;
-    std::thread::scope(|s| {
-        for w in 1..workers {
-            let cfg = cfg.clone();
-            s.spawn(move || {
-                let previous = CFG.with(|c| c.replace(Some(cfg)));
-                spawn_worker_loop(w, queues, task);
-                CFG.with(|c| *c.borrow_mut() = previous);
-            });
-        }
-        spawn_worker_loop(0, queues, task);
-    });
-}
-
-/// One scoped worker of the spawn-per-region baseline: drain the own deque
-/// front-to-back, then steal whole chunks from the back of the other workers'
-/// deques until everything is empty.
-fn spawn_worker_loop(
-    w: usize,
-    queues: &[Mutex<VecDeque<Range<usize>>>],
-    task: &(dyn Fn(usize) + Sync),
-) {
-    let nq = queues.len();
-    loop {
-        let own = lock(&queues[w]).pop_front();
-        let chunk = match own {
-            Some(range) => Some(range),
-            None => (1..nq).find_map(|k| lock(&queues[(w + k) % nq]).pop_back()),
-        };
-        match chunk {
-            Some(range) => {
-                for i in range {
-                    task(i);
-                }
-            }
-            None => break,
-        }
-    }
-}
-
 /// Runs `task(i)` for every `i` in `0..n`.  Each index is executed exactly once; no
 /// ordering is guaranteed between indices (callers that need ordering must write
 /// into indexed slots).
 ///
 /// Dispatch: single-participant regions and fine-grained regions below the inline
 /// cutoff (unless marked coarse via `max_len`) run inline on the calling thread;
-/// everything else goes to the installed pool's persistent workers (or the scoped
-/// spawn-per-region baseline if the pool was built that way).
+/// everything else goes to the installed pool's persistent workers.
 fn run_region(n: usize, max_len: Option<usize>, task: impl Fn(usize) + Sync) {
     if n == 0 {
         return;
@@ -743,7 +659,7 @@ fn run_region(n: usize, max_len: Option<usize>, task: impl Fn(usize) + Sync) {
     let installed = CFG.with(|c| c.borrow().clone());
     let threads = installed.as_ref().map_or_else(default_threads, |cfg| cfg.threads);
     let workers = threads.min(n);
-    let cutoff = installed.as_ref().map_or_else(default_inline_cutoff, |cfg| cfg.inline_cutoff);
+    let cutoff = installed.as_ref().map_or(INLINE_CUTOFF_DEFAULT, |cfg| cfg.inline_cutoff);
     if workers <= 1 || (max_len.is_none() && n < cutoff) {
         notify_region_hook(n, RegionDispatch::Inline);
         for i in 0..n {
@@ -752,13 +668,8 @@ fn run_region(n: usize, max_len: Option<usize>, task: impl Fn(usize) + Sync) {
         return;
     }
     let cfg = installed.unwrap_or_else(|| global_pool().cfg());
-    if cfg.spawn_per_region {
-        notify_region_hook(n, RegionDispatch::Spawned);
-        run_region_spawn(&cfg, n, workers, max_len, &task);
-    } else {
-        notify_region_hook(n, RegionDispatch::Persistent);
-        run_region_persistent(&cfg, n, workers, max_len, &task);
-    }
+    notify_region_hook(n, RegionDispatch::Persistent);
+    run_region_persistent(&cfg, n, workers, max_len, &task);
 }
 
 /// Shared write-once output buffer for `collect`: slot `i` is written by whichever
@@ -1505,25 +1416,14 @@ mod tests {
     }
 
     #[test]
-    fn spawn_per_region_baseline_matches_the_persistent_pool() {
-        let v: Vec<f64> = (0..10_000).map(|i| i as f64 * 0.3).collect();
-        let spawn = ThreadPoolBuilder::new()
-            .num_threads(4)
-            .inline_cutoff(0)
-            .spawn_per_region(true)
-            .build()
-            .unwrap();
-        let persistent = pool(4);
-        let run = |p: &ThreadPool| -> Vec<u64> {
-            p.install(|| {
-                v.par_iter().map(|&x| ((x * 2.1).cos() + x / 7.0).to_bits()).collect::<Vec<u64>>()
-            })
-        };
-        assert_eq!(run(&spawn), run(&persistent), "the two drivers must agree bit for bit");
-        assert!(
-            spawn.worker_thread_ids().is_empty(),
-            "spawn-per-region mode must not start persistent workers"
-        );
+    fn feti_threads_values_parse_or_fail_loudly() {
+        assert_eq!(threads_from_env(None), Ok(None));
+        assert_eq!(threads_from_env(Some("4")), Ok(Some(4)));
+        assert_eq!(threads_from_env(Some(" 12 ")), Ok(Some(12)));
+        for bad in ["four", "0", "", "-1", "4.0"] {
+            let err = threads_from_env(Some(bad)).unwrap_err();
+            assert!(err.contains("FETI_THREADS") && err.contains("positive integer"), "{err}");
+        }
     }
 
     #[test]
