@@ -40,8 +40,8 @@ impl Symbolic {
         }
     }
 
-    /// Numeric factorization of `k_reg`.
-    pub(crate) fn factorize(&self, k_reg: &CsrMatrix) -> crate::Result<Factor> {
+    /// Numeric factorization of `k_reg` — the one place a subdomain's `K⁺` is made.
+    pub(crate) fn factorize(&self, k_reg: &CsrMatrix) -> feti_solver::Result<Factor> {
         Ok(match self {
             Symbolic::Mkl(s) => Factor::Mkl(s.factorize(k_reg)?),
             Symbolic::Cholmod(s) => Factor::Cholmod(s.factorize(k_reg)?),
@@ -50,6 +50,15 @@ impl Symbolic {
 }
 
 impl Factor {
+    /// `K⁺ rhs` in the original ordering: the solve behind the implicit application,
+    /// the dual right-hand side and the primal recovery alike.
+    pub(crate) fn solve(&self, rhs: &[f64]) -> Vec<f64> {
+        match self {
+            Factor::Mkl(f) => f.solve(rhs),
+            Factor::Cholmod(f) => f.solve(rhs),
+        }
+    }
+
     /// The permuted factor `L` and its fill-reducing permutation, as handed to the
     /// device by every GPU-assembled approach.
     pub(crate) fn extract(&self) -> (CscMatrix, Permutation) {
@@ -81,11 +90,7 @@ impl Factor {
     pub(crate) fn apply(&self, block: &SubdomainBlock, p_local: &[f64], q_local: &mut [f64]) {
         let mut t = vec![0.0; block.num_dofs()];
         ops::spmv_csr(1.0, &block.b, Transpose::Yes, p_local, 0.0, &mut t);
-        let x = match self {
-            Factor::Mkl(f) => f.solve(&t),
-            Factor::Cholmod(f) => f.solve(&t),
-        };
-        ops::spmv_csr(1.0, &block.b, Transpose::No, &x, 0.0, q_local);
+        ops::spmv_csr(1.0, &block.b, Transpose::No, &self.solve(&t), 0.0, q_local);
     }
 }
 
@@ -215,7 +220,16 @@ mod tests {
     #[should_panic(expected = "preprocess must be called")]
     fn apply_before_preprocess_panics() {
         let (blocks, nl) = blocks();
+        let rhs = vec![0.0; blocks[0].num_dofs()];
         let mut op = operator(DualOperatorApproach::ImplicitMkl, blocks, nl);
+        // `solve_local` refuses a cold operator with the same message; its panic is
+        // caught and checked, the one of `apply` is what the test as a whole declares.
+        let early = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = op.solve_local(0, &rhs);
+        }));
+        let payload = early.expect_err("solve_local accepted a cold operator");
+        let message = payload.downcast_ref::<String>().expect("expect message");
+        assert!(message.contains("preprocess must be called"), "{message}");
         let p = vec![0.0; nl];
         let mut q = vec![0.0; nl];
         let _ = op.apply(&p, &mut q);

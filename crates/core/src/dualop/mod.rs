@@ -227,14 +227,25 @@ pub(crate) struct DeviceSide {
     pub(crate) program: ApproachProgram,
 }
 
-/// What preprocessing leaves behind for one subdomain.
+/// What preprocessing leaves behind for one subdomain: what the approach applies
+/// through and the host factor — the one `K⁺` every local solve goes through — it
+/// was built from, kept where [`ApproachOperator::preprocess_keeping`] says.
 enum LocalState {
     /// The numeric factor, kept on the host (implicit CPU approaches).
     HostFactor(cpu::Factor),
     /// The extracted factor, uploaded to the device (implicit GPU approaches).
-    DeviceFactor(gpu::DeviceFactor),
+    DeviceFactor(gpu::DeviceFactor, Option<cpu::Factor>),
     /// The assembled dense `F̃ᵢ` (every explicit approach).
-    Dense(DenseMatrix),
+    Dense(DenseMatrix, Option<cpu::Factor>),
+}
+
+impl LocalState {
+    fn factor(&self) -> Option<&cpu::Factor> {
+        match self {
+            LocalState::HostFactor(factor) => Some(factor),
+            LocalState::DeviceFactor(_, kept) | LocalState::Dense(_, kept) => kept.as_ref(),
+        }
+    }
 }
 
 /// The dual operator of any of the eleven approaches.
@@ -307,6 +318,19 @@ impl ApproachOperator {
         })
     }
 
+    /// The operator of `approach` for a decomposed problem; `params: None` selects the
+    /// Table-II auto-configuration.
+    pub(crate) fn for_problem(
+        approach: DualOperatorApproach,
+        problem: &DecomposedProblem,
+        params: Option<ExplicitAssemblyParams>,
+        opts: SolverOptions,
+    ) -> crate::Result<Self> {
+        let blocks = SubdomainBlock::from_problem(problem);
+        let params = params.unwrap_or_else(|| auto_params(approach, problem));
+        Self::new(approach, blocks, problem.num_lambdas, params, opts)
+    }
+
     /// The explicit-assembly parameters in use.
     #[must_use]
     pub fn params(&self) -> &ExplicitAssemblyParams {
@@ -319,7 +343,7 @@ impl ApproachOperator {
     #[must_use]
     pub fn local_operator(&self, i: usize) -> Option<&DenseMatrix> {
         match self.state.get(i) {
-            Some(LocalState::Dense(f)) => Some(f),
+            Some(LocalState::Dense(f, _)) => Some(f),
             _ => None,
         }
     }
@@ -340,36 +364,74 @@ impl ApproachOperator {
 
     /// Preprocesses subdomain `i`, returning its new state and the seconds of real
     /// host work (factorization, factor extraction, host-side assembly) it measured.
-    fn preprocess_subdomain(&self, i: usize) -> crate::Result<(LocalState, f64)> {
+    fn preprocess_subdomain(&self, i: usize, keep: bool) -> crate::Result<(LocalState, f64)> {
         use DualOperatorApproach as A;
         let block = &self.blocks[i];
-        let factorize = || self.symbolic[i].factorize(&block.k_reg);
-        match self.approach {
-            A::ImplicitMkl | A::ImplicitCholmod => {
-                let (factor, seconds) = timed(factorize);
-                Ok((LocalState::HostFactor(factor?), seconds))
-            }
+        let (factor, factorize_seconds) = timed(|| self.symbolic[i].factorize(&block.k_reg));
+        let factor =
+            factor.map_err(|e| crate::FetiError::Factorization(format!("subdomain {i}: {e}")))?;
+        let (state, host_seconds) = match self.approach {
+            A::ImplicitMkl | A::ImplicitCholmod => (LocalState::HostFactor(factor), 0.0),
             A::ExplicitMkl | A::ExplicitCholmod | A::ExplicitHybrid => {
-                let (f, seconds) = timed(|| factorize().map(|factor| factor.assemble(block)));
-                Ok((LocalState::Dense(f?), seconds))
+                let (f, seconds) = timed(|| factor.assemble(block));
+                (LocalState::Dense(f, keep.then_some(factor)), seconds)
             }
             _ => {
-                // CPU part: numeric factorization and factor extraction.
-                let (extracted, seconds) = timed(|| factorize().map(|factor| factor.extract()));
-                let (l_csc, perm) = extracted?;
+                // CPU part: factor extraction.
+                let ((l_csc, perm), seconds) = timed(|| factor.extract());
                 // GPU part: conversions, TRSM/SYRK kernels (asynchronous submissions),
                 // or just keeping the uploaded factor for the implicit application.
                 let state = if self.assembles_on_device() {
                     let (side, ops) = (self.device_side(), self.preprocess_program.subdomain(i));
                     let f = gpu::run_assembly(side, &self.params, ops, block, &l_csc, &perm)?;
-                    LocalState::Dense(f)
+                    LocalState::Dense(f, keep.then_some(factor))
                 } else {
-                    let factor = feti_gpu::sparse::SparseFactor::Csc(l_csc);
-                    LocalState::DeviceFactor(gpu::DeviceFactor { factor, perm })
+                    let device = feti_gpu::sparse::SparseFactor::Csc(l_csc);
+                    let device = gpu::DeviceFactor { factor: device, perm };
+                    LocalState::DeviceFactor(device, keep.then_some(factor))
                 };
-                Ok((state, seconds))
+                (state, seconds)
             }
-        }
+        };
+        Ok((state, factorize_seconds + host_seconds))
+    }
+
+    /// The phase behind [`DualOperator::preprocess`].  With `keep_factors` every
+    /// approach keeps its host factors for [`Self::solve_local`] — the Total FETI
+    /// solver asks for that, and factorizes nothing itself; without, only the
+    /// approaches that apply through the host factor do, so an operator used on its
+    /// own holds no more than its application needs.
+    pub(crate) fn preprocess_keeping(
+        &mut self,
+        keep_factors: bool,
+    ) -> crate::Result<TimeBreakdown> {
+        let _span = feti_trace::span(|| "preprocess");
+        let (results, wall) = timed(|| {
+            par_subdomains::<_, crate::Result<Vec<_>>>(self.blocks.len(), |i| {
+                let _span = feti_trace::span(|| format!("factorize[sd={i}]"));
+                self.preprocess_subdomain(i, keep_factors)
+            })
+        });
+        let (state, seconds): (Vec<_>, Vec<f64>) = results?.into_iter().unzip();
+        let mut scheduler = PhaseScheduler::for_host();
+        self.preprocess_program.record(&mut scheduler, |i| seconds[i]);
+        // Device assembly: the host wall is the makespan of the measured host
+        // segments scheduled over the workers, not the measured region wall.
+        let breakdown = if self.assembles_on_device() {
+            scheduler.finish()
+        } else {
+            scheduler.finish_measured(wall)
+        };
+        self.stats.record_preprocessing(breakdown);
+        self.state = state;
+        Ok(breakdown)
+    }
+
+    /// `K⁺ rhs` through the kept factor of subdomain `i` — the very `K⁺` the operator
+    /// applies or was assembled from.  Panics on an operator not preprocessed so.
+    pub(crate) fn solve_local(&self, i: usize, rhs: &[f64]) -> Vec<f64> {
+        let factor = self.state.get(i).and_then(LocalState::factor);
+        factor.expect("preprocess must be called first, keeping the factors").solve(rhs)
     }
 
     /// The local action `q̃ = F̃ᵢ p̃` of subdomain `i` (`q_local` arrives zeroed).
@@ -377,13 +439,13 @@ impl ApproachOperator {
         let block = &self.blocks[i];
         match (&self.state[i], &self.device) {
             (LocalState::HostFactor(factor), _) => factor.apply(block, p_local, q_local),
-            (LocalState::DeviceFactor(factor), _) => {
+            (LocalState::DeviceFactor(factor, _), _) => {
                 factor.apply(self.device_side(), block, p_local, q_local);
             }
-            (LocalState::Dense(f), Some(side)) => {
+            (LocalState::Dense(f, _), Some(side)) => {
                 gpu::symv(side.device.spec(), f, p_local, q_local);
             }
-            (LocalState::Dense(f), None) => cpu::symv(f, p_local, q_local),
+            (LocalState::Dense(f, _), None) => cpu::symv(f, p_local, q_local),
         }
     }
 
@@ -461,26 +523,7 @@ impl DualOperator for ApproachOperator {
     }
 
     fn preprocess(&mut self) -> crate::Result<TimeBreakdown> {
-        let _span = feti_trace::span(|| "preprocess");
-        let (results, wall) = timed(|| {
-            par_subdomains::<_, crate::Result<Vec<_>>>(self.blocks.len(), |i| {
-                let _span = feti_trace::span(|| format!("factorize[sd={i}]"));
-                self.preprocess_subdomain(i)
-            })
-        });
-        let (state, seconds): (Vec<_>, Vec<f64>) = results?.into_iter().unzip();
-        let mut scheduler = PhaseScheduler::for_host();
-        self.preprocess_program.record(&mut scheduler, |i| seconds[i]);
-        // Device assembly: the host wall is the makespan of the measured host
-        // segments scheduled over the workers, not the measured region wall.
-        let breakdown = if self.assembles_on_device() {
-            scheduler.finish()
-        } else {
-            scheduler.finish_measured(wall)
-        };
-        self.stats.record_preprocessing(breakdown);
-        self.state = state;
-        Ok(breakdown)
+        self.preprocess_keeping(false)
     }
 
     fn apply(&mut self, p: &[f64], q: &mut [f64]) -> TimeBreakdown {
@@ -531,11 +574,7 @@ pub fn build_dual_operator_with_options(
     params: Option<ExplicitAssemblyParams>,
     solver_options: SolverOptions,
 ) -> crate::Result<Box<dyn DualOperator>> {
-    let blocks = SubdomainBlock::from_problem(problem);
-    let params = params.unwrap_or_else(|| auto_params(approach, problem));
-    let operator =
-        ApproachOperator::new(approach, blocks, problem.num_lambdas, params, solver_options)?;
-    Ok(Box::new(operator))
+    Ok(Box::new(ApproachOperator::for_problem(approach, problem, params, solver_options)?))
 }
 
 #[cfg(test)]
@@ -581,6 +620,57 @@ mod tests {
             let op = build_dual_operator(approach, &problem, None).unwrap();
             assert_eq!(op.approach(), approach);
             assert_eq!(op.num_lambdas(), problem.num_lambdas);
+        }
+    }
+
+    #[test]
+    fn kept_factors_solve_bitwise_like_a_stand_alone_factorization() {
+        // `solve_local` is the solve of the one factor preprocessing made: for all
+        // eleven approaches and both numeric kernels it equals, to the bit, a
+        // stand-alone default factorization.  Preprocessed on its own, an operator
+        // keeps the factor only where it applies through it.
+        use feti_mesh::{Dim, ElementOrder, Physics};
+        use feti_solver::{CholeskyFactor, FactorizationKind};
+        let spec = |dim, physics, order, elements_per_subdomain_side| DecompositionSpec {
+            dim,
+            physics,
+            order,
+            subdomains_per_side: 2,
+            elements_per_subdomain_side,
+            subdomains_per_cluster: if dim == Dim::Two { 4 } else { 8 },
+        };
+        for spec in [
+            DecompositionSpec::small_heat_2d(),
+            spec(Dim::Three, Physics::HeatTransfer, ElementOrder::Quadratic, 2),
+            spec(Dim::Two, Physics::LinearElasticity, ElementOrder::Linear, 3),
+        ] {
+            let problem = DecomposedProblem::build(&spec);
+            let loads = problem.subdomains.iter().map(|sd| &sd.assembled.load);
+            let expected: Vec<Vec<f64>> = problem
+                .subdomains
+                .iter()
+                .map(|sd| {
+                    let factor = CholeskyFactor::new(&sd.k_reg, &SolverOptions::default());
+                    factor.unwrap().solve(&sd.assembled.load)
+                })
+                .collect();
+            for approach in DualOperatorApproach::all() {
+                for factorization in [FactorizationKind::Simplicial, FactorizationKind::Supernodal]
+                {
+                    let opts = SolverOptions { factorization, ..SolverOptions::default() };
+                    let mut op =
+                        ApproachOperator::for_problem(approach, &problem, None, opts).unwrap();
+                    op.preprocess_keeping(true).unwrap();
+                    for (i, (load, want)) in loads.clone().zip(&expected).enumerate() {
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let got = op.solve_local(i, load);
+                        assert_eq!(bits(&got), bits(want), "{spec:?} {approach:?} {opts:?} {i}");
+                    }
+                    op.preprocess().unwrap();
+                    let applies_through_it = !approach.is_explicit() && !approach.uses_gpu();
+                    assert!(op.state.iter().all(|s| s.factor().is_some() == applies_through_it));
+                }
+            }
         }
     }
 

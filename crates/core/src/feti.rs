@@ -2,13 +2,11 @@
 //! preconditioned conjugate projected gradient method (Algorithm 1 of the paper),
 //! plus solution recovery.
 
-use crate::dualop::DualOperator;
+use crate::dualop::{ApproachOperator, DualOperator};
 use crate::params::{DualOperatorApproach, ExplicitAssemblyParams};
-use crate::planner::Planner;
 use crate::schedule::TimeBreakdown;
 use crate::{FetiError, Result};
 use feti_decompose::DecomposedProblem;
-use feti_gpu::GpuSpec;
 use feti_solver::{CholeskyFactor, SolverOptions};
 use feti_sparse::{blas, ops, CooMatrix, CsrMatrix, DenseMatrix, MemoryOrder, Transpose};
 use rayon::prelude::*;
@@ -58,20 +56,21 @@ pub struct FetiSolution {
     pub dual_apply_time: TimeBreakdown,
 }
 
-/// The Total FETI solver driving a pluggable dual operator.
+/// The Total FETI solver driving the dual operator of any approach.
 ///
 /// The solver *owns* its problem (shared through an [`Arc`]), so a fully constructed
 /// — and, after the first solve, fully preprocessed — solver is `'static + Send` and
-/// can be cached and handed between worker threads by a solve service.  FETI
-/// preprocessing (recovery factorizations, the coarse problem and the dual
-/// operator's own factorization/assembly) runs once per solver instance; subsequent
-/// solves on the same instance reuse it and report a zero preprocessing time.
+/// can be cached and handed between worker threads by a solve service.
+/// Construction builds the coarse problem and the operator's symbolic analyses; FETI
+/// preprocessing (the dual operator's factorization/assembly) runs once per solver
+/// instance, and subsequent solves on the same instance reuse it and report a zero
+/// preprocessing time.  The solver holds no factor of `Kᵢ` of its own: `d = B K⁺ f − c`
+/// and the primal recovery solve through the one factor per subdomain its operator
+/// made under the caller's [`SolverOptions`], which the solver asks the operator to
+/// keep.
 pub struct TotalFetiSolver {
     problem: Arc<DecomposedProblem>,
-    dual_op: Box<dyn DualOperator>,
-    /// Factors of the regularized subdomain matrices used for `d` and solution
-    /// recovery (independent of the dual operator's own internal factorizations).
-    recovery_factors: Vec<CholeskyFactor>,
+    dual_op: ApproachOperator,
     g: CsrMatrix,
     gtg_factor: CholeskyFactor,
     kernel_dim: usize,
@@ -89,17 +88,17 @@ impl TotalFetiSolver {
     /// Creates a solver for `problem` using the given dual-operator approach.
     ///
     /// # Errors
-    /// Returns an error if a subdomain factorization fails or the coarse problem is
-    /// singular.
+    /// Returns an error if the simulated device cannot hold the operator's persistent
+    /// structures or the coarse problem `GᵀG` is singular.  No `Kᵢ` is factorized
+    /// here: a subdomain factorization failure surfaces from
+    /// [`TotalFetiSolver::ensure_preprocessed`] / [`TotalFetiSolver::solve`].
     pub fn new(
         problem: impl Into<Arc<DecomposedProblem>>,
         approach: DualOperatorApproach,
         params: Option<ExplicitAssemblyParams>,
         options: PcpgOptions,
     ) -> Result<Self> {
-        let problem = problem.into();
-        let dual_op = crate::dualop::build_dual_operator(approach, &problem, params)?;
-        Self::from_parts(problem, dual_op, options)
+        Self::new_with_solver_options(problem, approach, params, SolverOptions::default(), options)
     }
 
     /// Like [`TotalFetiSolver::new`] with explicit [`SolverOptions`] — in particular
@@ -107,8 +106,8 @@ impl TotalFetiSolver {
     /// job.
     ///
     /// # Errors
-    /// Returns an error if a subdomain factorization fails or the coarse problem is
-    /// singular.
+    /// As for [`TotalFetiSolver::new`]: device capacity or a singular coarse problem;
+    /// subdomain factorization failures surface at preprocessing.
     pub fn new_with_solver_options(
         problem: impl Into<Arc<DecomposedProblem>>,
         approach: DualOperatorApproach,
@@ -117,33 +116,8 @@ impl TotalFetiSolver {
         options: PcpgOptions,
     ) -> Result<Self> {
         let problem = problem.into();
-        let dual_op = crate::dualop::build_dual_operator_with_options(
-            approach,
-            &problem,
-            params,
-            solver_options,
-        )?;
+        let dual_op = ApproachOperator::for_problem(approach, &problem, params, solver_options)?;
         Self::from_parts(problem, dual_op, options)
-    }
-
-    /// Creates a solver whose dual-operator approach and explicit-assembly parameters
-    /// are chosen by the cost-model [`Planner`]: every approach × parameter
-    /// combination is estimated a priori on a device described by `gpu`, amortized
-    /// over `expected_iterations` PCPG iterations, and the cheapest feasible one is
-    /// constructed.
-    ///
-    /// # Errors
-    /// Returns an error if the planned operator cannot be constructed or a subdomain
-    /// factorization fails.
-    pub fn new_planned(
-        problem: impl Into<Arc<DecomposedProblem>>,
-        gpu: GpuSpec,
-        expected_iterations: usize,
-        options: PcpgOptions,
-    ) -> Result<Self> {
-        let problem = problem.into();
-        let plan = Planner::new(&problem, gpu).plan(expected_iterations);
-        Self::from_plan(problem, &plan, options)
     }
 
     /// Creates a solver from an already-computed [`Plan`](crate::planner::Plan)
@@ -154,38 +128,27 @@ impl TotalFetiSolver {
     /// per-application seconds onto that same plan trace record.
     ///
     /// # Errors
-    /// Returns an error if the planned operator cannot be constructed or a subdomain
-    /// factorization fails.
+    /// As for [`TotalFetiSolver::new`]: the planned operator cannot be constructed
+    /// on the device or the coarse problem is singular; subdomain factorization
+    /// failures surface at preprocessing.
     pub fn from_plan(
         problem: impl Into<Arc<DecomposedProblem>>,
         plan: &crate::planner::Plan,
         options: PcpgOptions,
     ) -> Result<Self> {
         let problem = problem.into();
-        let dual_op = plan.build(&problem)?;
+        let dual_op = plan.operator(&problem)?;
         let mut solver = Self::from_parts(problem, dual_op, options)?;
         solver.plan_trace = plan.trace_id.map(|id| (id, plan.chosen_rank()));
         Ok(solver)
     }
 
-    /// Shared constructor body: recovery factorizations and the coarse problem.
+    /// Shared constructor body: the coarse problem.
     fn from_parts(
         problem: Arc<DecomposedProblem>,
-        dual_op: Box<dyn DualOperator>,
+        dual_op: ApproachOperator,
         options: PcpgOptions,
     ) -> Result<Self> {
-        let solver_opts = SolverOptions::default();
-        // Independent factorizations on the host pool; the indexed collect keeps
-        // subdomain order and reports the lowest-index error, as a sequential loop
-        // would.  `with_max_len(1)` marks the region coarse: one heavy subdomain per
-        // chunk, never inlined by the shim's small-region cutoff.
-        let recovery_factors: Vec<CholeskyFactor> = problem
-            .subdomains
-            .par_iter()
-            .with_max_len(1)
-            .map(|sd| CholeskyFactor::new(&sd.k_reg, &solver_opts).map_err(FetiError::from))
-            .collect::<Result<Vec<_>>>()?;
-
         // Coarse space: G = B R (per subdomain columns).
         let kernel_dim = problem.spec.physics.kernel_dim(problem.spec.dim);
         let num_lambdas = problem.num_lambdas;
@@ -206,13 +169,12 @@ impl TotalFetiSolver {
         }
         let g = g_coo.to_csr();
         let gtg = ops::spgemm_csr(&g.transposed(), &g);
-        let gtg_factor = CholeskyFactor::new(&gtg, &solver_opts)
+        let gtg_factor = CholeskyFactor::new(&gtg, &SolverOptions::default())
             .map_err(|e| FetiError::Factorization(format!("coarse problem GᵀG: {e}")))?;
 
         Ok(Self {
             problem,
             dual_op,
-            recovery_factors,
             g,
             gtg_factor,
             kernel_dim,
@@ -248,8 +210,8 @@ impl TotalFetiSolver {
     }
 
     /// Replaces the PCPG options used by subsequent solves.  Preprocessing state
-    /// (recovery factors, the coarse problem, the dual operator's factorization and
-    /// assembly) is independent of these options and stays intact, so a cached warm
+    /// (the coarse problem, the dual operator's factorization and assembly) is
+    /// independent of these options and stays intact, so a cached warm
     /// solver can be retargeted to each job's tolerance, iteration cap and
     /// preconditioner choice before solving.
     pub fn set_options(&mut self, options: PcpgOptions) {
@@ -262,12 +224,14 @@ impl TotalFetiSolver {
     /// preprocessing across a stream of repeated-geometry jobs.
     ///
     /// # Errors
-    /// Returns an error if factorization or assembly fails.
+    /// Returns [`FetiError::Factorization`] naming the lowest-index subdomain whose
+    /// `Kᵢ,reg` is not positive definite, or a device-memory error from the assembly;
+    /// the solver stays cold, so a later call fails the same way.
     pub fn ensure_preprocessed(&mut self) -> Result<TimeBreakdown> {
         match self.preprocessed {
             Some(t) => Ok(t),
             None => {
-                let t = self.dual_op.preprocess()?;
+                let t = self.dual_op.preprocess_keeping(true)?;
                 self.preprocessed = Some(t);
                 if let Some((id, rank)) = self.plan_trace {
                     feti_trace::stamp_plan(id, rank, Some(t.total_seconds), None);
@@ -280,7 +244,7 @@ impl TotalFetiSolver {
     /// Access to the underlying dual operator (e.g. for statistics).
     #[must_use]
     pub fn dual_operator(&self) -> &dyn DualOperator {
-        self.dual_op.as_ref()
+        &self.dual_op
     }
 
     /// Applies the projector `P x = x - G (GᵀG)⁻¹ Gᵀ x`.
@@ -328,14 +292,13 @@ impl TotalFetiSolver {
         out
     }
 
-    /// Computes the dual right-hand side `d = B K⁺ f - c` for one load case.
+    /// Computes the dual right-hand side `d = B K⁺ f - c` for one load case, through
+    /// the preprocessed operator's factors.
     #[must_use]
     fn dual_rhs_for(&self, loads: &[Vec<f64>]) -> Vec<f64> {
         let mut d = vec![0.0; self.problem.num_lambdas];
-        for ((sd, factor), f) in
-            self.problem.subdomains.iter().zip(&self.recovery_factors).zip(loads)
-        {
-            let x = factor.solve(f);
+        for (s, (sd, f)) in self.problem.subdomains.iter().zip(loads).enumerate() {
+            let x = self.dual_op.solve_local(s, f);
             let mut q_local = vec![0.0; sd.gluing.nrows()];
             ops::spmv_csr(1.0, &sd.gluing, Transpose::No, &x, 0.0, &mut q_local);
             for (local, &g) in sd.lambda_map.iter().enumerate() {
@@ -379,9 +342,9 @@ impl TotalFetiSolver {
 
     /// Recovers the per-subdomain primal solutions `uᵢ = K⁺(fᵢ - B̃ᵢᵀ λ̃ᵢ) + Rᵢ αᵢ`.
     ///
-    /// Each subdomain's recovery is independent, so the zip of subdomains, factors
-    /// and loads is bridged onto the host pool; the sort restores subdomain order for
-    /// real rayon, whose `par_bridge` loses it.
+    /// Each subdomain's recovery is independent (one local solve each), so the zip of
+    /// subdomains and loads is bridged onto the host pool; the sort restores
+    /// subdomain order for real rayon, whose `par_bridge` loses it.
     fn recover_subdomains(
         &self,
         lambda: &[f64],
@@ -393,16 +356,15 @@ impl TotalFetiSolver {
             .problem
             .subdomains
             .iter()
-            .zip(&self.recovery_factors)
             .zip(loads)
             .enumerate()
             .par_bridge()
             .with_max_len(1)
-            .map(|(s, ((sd, factor), f))| {
+            .map(|(s, (sd, f))| {
                 let lambda_local: Vec<f64> = sd.lambda_map.iter().map(|&g| lambda[g]).collect();
                 let mut rhs = f.clone();
                 ops::spmv_csr(-1.0, &sd.gluing, Transpose::Yes, &lambda_local, 1.0, &mut rhs);
-                let mut u = factor.solve(&rhs);
+                let mut u = self.dual_op.solve_local(s, &rhs);
                 for c in 0..kernel_dim {
                     let a = alpha[s * kernel_dim + c];
                     let r_col = sd.kernel.col(c);
@@ -419,7 +381,8 @@ impl TotalFetiSolver {
     /// primal solution.
     ///
     /// # Errors
-    /// Returns [`FetiError::NoConvergence`] if PCPG does not reach the tolerance.
+    /// Returns [`FetiError::NoConvergence`] if PCPG does not reach the tolerance, or
+    /// the preprocessing error of [`TotalFetiSolver::ensure_preprocessed`].
     pub fn solve(&mut self) -> Result<FetiSolution> {
         let baseline: LoadCase =
             self.problem.subdomains.iter().map(|sd| sd.assembled.load.clone()).collect();
@@ -439,7 +402,8 @@ impl TotalFetiSolver {
     ///
     /// # Errors
     /// Returns [`FetiError::NoConvergence`] if any load case fails to reach the
-    /// tolerance within the iteration limit.
+    /// tolerance within the iteration limit, or the preprocessing error of
+    /// [`TotalFetiSolver::ensure_preprocessed`].
     ///
     /// # Panics
     /// Panics if a load case does not provide one load vector of the right length per
@@ -618,7 +582,9 @@ impl TotalFetiSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::Planner;
     use feti_decompose::DecompositionSpec;
+    use feti_gpu::GpuSpec;
     use feti_mesh::{Dim, ElementOrder, Physics};
 
     fn solve_with(
@@ -766,13 +732,9 @@ mod tests {
     fn planned_solver_converges_to_the_reference_solution() {
         let spec = DecompositionSpec::small_heat_2d();
         let problem = DecomposedProblem::build(&spec);
-        let mut solver = TotalFetiSolver::new_planned(
-            Arc::new(problem),
-            GpuSpec::a100_40gb(),
-            100,
-            PcpgOptions::default(),
-        )
-        .unwrap();
+        let plan = Planner::new(&problem, GpuSpec::a100_40gb()).plan(100);
+        let mut solver =
+            TotalFetiSolver::from_plan(Arc::new(problem), &plan, PcpgOptions::default()).unwrap();
         let sol = solver.solve().unwrap();
         assert!(sol.final_residual < 1e-8);
         let (reference, _) = solve_with(&spec, DualOperatorApproach::ImplicitMkl);

@@ -17,14 +17,13 @@
 //! actual run by construction; the CPU side is priced by a calibrated [`HostSpec`]
 //! roofline since real host time can only be measured.
 
-use crate::dualop::DualOperator;
+use crate::dualop::{ApproachOperator, DualOperator};
 use crate::params::{DualOperatorApproach, ExplicitAssemblyParams, ScatterGather, SolverFacade};
 use crate::program::{auto_params, ApproachProgram, PhaseProgram, SubdomainShape};
 use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
 use feti_gpu::{cost, CudaGeneration, GpuSpec};
 use feti_solver::cholmod::CholmodLike;
-use feti_solver::pardiso::PardisoLike;
 use feti_solver::{FactorizationKind, SolverOptions};
 
 /// Roofline description of the host: effective per-thread FP64 throughput and memory
@@ -119,13 +118,11 @@ impl Default for HostSpec {
 /// What the planner learns about one subdomain from structure alone.
 #[derive(Debug, Clone, Copy)]
 struct SubdomainFacts {
-    /// The program shape, carrying the CHOLMOD-like symbolic factor size (used by all
-    /// GPU-assembled approaches).
+    /// The program shape, carrying the symbolic factor size — one number for both
+    /// solver facades, which share the ordering and the symbolic analysis.
     shape: SubdomainShape,
     /// Number of supernodes of the CHOLMOD-like factor (prices the supernodal kernel).
     nsuper_cholmod: usize,
-    /// Symbolic factor size of the MKL-PARDISO-like solver.
-    fnnz_mkl: usize,
 }
 
 /// The device side of one approach × parameter set as the planner emits it once.
@@ -205,13 +202,14 @@ impl Plan {
     /// Returns an error if the operator cannot be constructed (e.g. the simulated
     /// device rejects the persistent allocations).
     pub fn build(&self, problem: &DecomposedProblem) -> crate::Result<Box<dyn DualOperator>> {
+        Ok(Box::new(self.operator(problem)?))
+    }
+
+    /// The operator [`Plan::build`] boxes.
+    pub(crate) fn operator(&self, problem: &DecomposedProblem) -> crate::Result<ApproachOperator> {
         let best = self.best();
-        crate::dualop::build_dual_operator_with_options(
-            best.approach,
-            problem,
-            Some(best.params),
-            SolverOptions { factorization: best.factorization, ..SolverOptions::default() },
-        )
+        let opts = SolverOptions { factorization: best.factorization, ..SolverOptions::default() };
+        ApproachOperator::for_problem(best.approach, problem, Some(best.params), opts)
     }
 }
 
@@ -228,8 +226,8 @@ pub struct Planner<'a> {
 impl<'a> Planner<'a> {
     /// Creates a planner for `problem` on a device described by `gpu`.
     ///
-    /// Runs one symbolic analysis per subdomain and solver facade (sparsity only — no
-    /// numeric work) to learn the factor sizes the estimates need.
+    /// Runs one symbolic analysis per subdomain (sparsity only — no numeric work) to
+    /// learn the factor sizes the estimates need.
     #[must_use]
     pub fn new(problem: &'a DecomposedProblem, gpu: GpuSpec) -> Self {
         let facts = problem
@@ -240,8 +238,6 @@ impl<'a> Planner<'a> {
                 SubdomainFacts {
                     shape: SubdomainShape::new(&sd.gluing, cholmod.factor_nnz()),
                     nsuper_cholmod: cholmod.num_supernodes(),
-                    fnnz_mkl: PardisoLike::analyze(&sd.k_reg, SolverOptions::default())
-                        .factor_nnz(),
                 }
             })
             .collect();
@@ -396,20 +392,13 @@ impl<'a> Planner<'a> {
     }
 
     /// The program `approach` executes with `params` on this problem, over the
-    /// symbolic factor sizes of the facade the approach factorizes through.
+    /// symbolic factor sizes.
     fn program(
         &self,
         approach: DualOperatorApproach,
         params: ExplicitAssemblyParams,
     ) -> ApproachProgram {
-        let shapes = self
-            .facts
-            .iter()
-            .map(|facts| match approach.facade() {
-                SolverFacade::Cholmod => facts.shape,
-                SolverFacade::Mkl => SubdomainShape { fnnz: facts.fnnz_mkl, ..facts.shape },
-            })
-            .collect();
+        let shapes = self.facts.iter().map(|facts| facts.shape).collect();
         ApproachProgram::new(&self.gpu, approach, params, self.problem.num_lambdas, shapes)
     }
 
@@ -641,6 +630,23 @@ mod tests {
         let planner = planner_for(&problem);
         let blocks = SubdomainBlock::from_problem(&problem);
         assert!(shapes_match_blocks(&planner, &blocks));
+    }
+
+    #[test]
+    fn one_analysis_gives_the_factor_size_of_both_facades() {
+        // What licenses a single symbolic analysis per subdomain: on the seed
+        // problems the PARDISO-like facade predicts the factor size the planner
+        // took from the CHOLMOD-like one.
+        let mut specs = vec![DecompositionSpec::small_heat_2d()];
+        specs.extend(other_problems());
+        for spec in specs {
+            let problem = DecomposedProblem::build(&spec);
+            let planner = planner_for(&problem);
+            for (sd, facts) in problem.subdomains.iter().zip(&planner.facts) {
+                let mkl = feti_solver::PardisoLike::analyze(&sd.k_reg, SolverOptions::default());
+                assert_eq!(mkl.factor_nnz(), facts.shape.fnnz, "{spec:?} subdomain {}", sd.index);
+            }
+        }
     }
 
     #[test]

@@ -60,6 +60,23 @@ proptest! {
         prop_assert_eq!(symbolic.factor_nnz(), numeric.nnz());
     }
 
+    // Both facades run the same ordering and symbolic analysis, so one analysis per
+    // subdomain tells a planner the factor size of either.
+    #[test]
+    fn cholmod_and_pardiso_facades_predict_the_same_factor_nnz(a in spd_matrix()) {
+        for ordering in [
+            OrderingKind::Natural,
+            OrderingKind::ReverseCuthillMcKee,
+            OrderingKind::MinimumDegree,
+            OrderingKind::NestedDissection,
+        ] {
+            let opts = SolverOptions { ordering, ..Default::default() };
+            let cholmod = CholmodLike::analyze(&a, opts);
+            prop_assert_eq!(cholmod.factor_nnz(), PardisoLike::analyze(&a, opts).factor_nnz());
+            prop_assert_eq!(cholmod.factor_nnz(), cholmod.factorize(&a).unwrap().nnz());
+        }
+    }
+
     #[test]
     fn cholmod_and_pardiso_facades_agree(a in spd_matrix(), seed in 0u64..100) {
         let n = a.nrows();

@@ -79,9 +79,9 @@ fn main() {
         })
         .collect();
 
-    // The solver is built from the plan above (rather than re-planning via
-    // `new_planned`), so its measured preprocessing and apply times are stamped
-    // onto the same trace record the ranking came from.
+    // The solver is built from the plan printed above, so its measured
+    // preprocessing and apply times are stamped onto the same trace record the
+    // ranking came from.
     let mut solver = TotalFetiSolver::from_plan(&problem, &plan, PcpgOptions::default())
         .expect("solver construction");
     let solutions = solver.solve_many(&[baseline, doubled, tilted]).expect("batched solve");

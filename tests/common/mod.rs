@@ -4,7 +4,7 @@
 //! elasticity in 2D.  Keeping the specs in one place guarantees both suites always
 //! test the same problems.
 
-use feti_decompose::DecompositionSpec;
+use feti_decompose::{DecomposedProblem, DecompositionSpec};
 use feti_mesh::{Dim, ElementOrder, Physics};
 
 /// The small 2D heat-transfer conformance problem.
@@ -34,6 +34,19 @@ pub fn elasticity_2d() -> DecompositionSpec {
         elements_per_subdomain_side: 3,
         subdomains_per_cluster: 4,
     }
+}
+
+/// A copy of `problem` in which `K_reg` of every subdomain in `broken` is no longer
+/// positive definite: its first diagonal entry is negated.
+#[allow(dead_code)]
+pub fn with_non_spd_subdomains(problem: &DecomposedProblem, broken: &[usize]) -> DecomposedProblem {
+    let mut problem = problem.clone();
+    for &s in broken {
+        let k = &mut problem.subdomains[s].k_reg;
+        let diagonal = k.row_cols(0).iter().position(|&c| c == 0).expect("stored diagonal");
+        k.values_mut()[diagonal] *= -1.0;
+    }
+    problem
 }
 
 /// All three conformance problems with their display names.  Not every suite uses

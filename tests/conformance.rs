@@ -15,7 +15,9 @@ use feti_core::{
 use feti_decompose::{DecomposedProblem, DecompositionSpec};
 use feti_gpu::GpuSpec;
 use feti_mesh::{Dim, ElementOrder, Physics};
-use feti_sparse::blas;
+use feti_order::OrderingKind;
+use feti_solver::{CholeskyFactor, SolverOptions};
+use feti_sparse::{blas, ops, Transpose};
 
 /// `F·p` of every approach must match the implicit CPU reference within 1e-9 relative
 /// error.
@@ -47,6 +49,7 @@ fn every_approach_applies_the_same_operator() {
 /// PCPG must converge to the same primal solution through every approach.
 #[test]
 fn every_approach_converges_to_the_same_solution() {
+    let mut reordered_factors_differ = false;
     for (name, spec) in problems() {
         // One shared handle for the whole approach sweep: solver construction clones
         // the Arc, not the decomposed problem.
@@ -83,7 +86,40 @@ fn every_approach_converges_to_the_same_solution() {
                 "{name} {approach:?}: interface continuity"
             );
         }
+        // The caller's solver options reach the factor behind `d` and the recovery,
+        // not just the operator: another ordering gives the same solve, and the
+        // recovered `uᵢ = K⁺(fᵢ − B̃ᵢᵀλ̃ᵢ) + Rᵢαᵢ` is, to the bit, the solve of a
+        // factor made under that ordering.
+        let ordering = OrderingKind::MinimumDegree;
+        let opts = SolverOptions { ordering, ..SolverOptions::default() };
+        let mut solver = TotalFetiSolver::new_with_solver_options(
+            std::sync::Arc::clone(&problem),
+            DualOperatorApproach::ImplicitCholmod,
+            None,
+            opts,
+            PcpgOptions::default(),
+        )
+        .unwrap();
+        let sol = solver.solve().unwrap();
+        assert!(sol.iterations.abs_diff(reference.iterations) <= 1, "{name} {ordering:?}");
+        for (a, b) in sol.global_solution.iter().zip(&reference.global_solution) {
+            assert!((a - b).abs() < 1e-8, "{name} {ordering:?}: {a} vs {b}");
+        }
+        let kernel_dim = sol.alpha.len() / problem.subdomains.len();
+        for (s, sd) in problem.subdomains.iter().enumerate() {
+            let lambda_local: Vec<f64> = sd.lambda_map.iter().map(|&g| sol.lambda[g]).collect();
+            let mut rhs = sd.assembled.load.clone();
+            ops::spmv_csr(-1.0, &sd.gluing, Transpose::Yes, &lambda_local, 1.0, &mut rhs);
+            let mut u = CholeskyFactor::new(&sd.k_reg, &opts).unwrap().solve(&rhs);
+            let by_default = CholeskyFactor::new(&sd.k_reg, &SolverOptions::default()).unwrap();
+            reordered_factors_differ |= by_default.solve(&rhs) != u;
+            for c in 0..kernel_dim {
+                blas::axpy(sol.alpha[s * kernel_dim + c], &sd.kernel.col(c), &mut u);
+            }
+            assert_eq!(u, sol.subdomain_solutions[s], "{name} {ordering:?}: recovery of {s}");
+        }
     }
+    assert!(reordered_factors_differ, "the reordered case must not be the default in disguise");
 }
 
 /// Acceptance criterion of the planner: for the Fig. 6 problem sizes, the planned

@@ -20,8 +20,8 @@ mod common;
 
 use common::problems;
 use feti_core::{
-    build_dual_operator, build_dual_operator_with_options, DualOperatorApproach, PcpgOptions,
-    TimeBreakdown, TotalFetiSolver,
+    build_dual_operator, build_dual_operator_with_options, DualOperatorApproach, FetiError,
+    PcpgOptions, TimeBreakdown, TotalFetiSolver,
 };
 use feti_decompose::{DecomposedProblem, DecompositionSpec};
 use feti_mesh::{Dim, ElementOrder, Physics};
@@ -111,6 +111,41 @@ fn solutions_and_iteration_counts_are_bit_identical_across_thread_counts() {
                 "{name} {approach:?}: final residual"
             );
         }
+    }
+}
+
+/// Construction factorizes no `Kᵢ`, so a subdomain that is not positive definite
+/// fails at preprocessing: a typed error naming the lowest failing subdomain whatever
+/// the thread count, from `ensure_preprocessed` and `solve` alike, after which the
+/// same pool runs a healthy solve.
+#[test]
+fn a_non_spd_subdomain_fails_preprocessing_with_a_typed_error_naming_it() {
+    let healthy = std::sync::Arc::new(DecomposedProblem::build(&common::heat_3d()));
+    let broken = std::sync::Arc::new(common::with_non_spd_subdomains(&healthy, &[5, 2]));
+    let options = PcpgOptions::default();
+    for threads in [1, 4] {
+        with_threads(threads, || {
+            for approach in
+                [DualOperatorApproach::ImplicitCholmod, DualOperatorApproach::ExplicitGpuModern]
+            {
+                let mut solver = TotalFetiSolver::new(broken.clone(), approach, None, options)
+                    .expect("construction succeeds");
+                let outcomes = [solver.ensure_preprocessed().map(drop), solver.solve().map(drop)];
+                for outcome in outcomes {
+                    match outcome {
+                        Err(FetiError::Factorization(m)) => {
+                            assert!(m.starts_with("subdomain 2:"), "{threads} threads: {m}");
+                        }
+                        other => panic!("{approach:?}, {threads} threads: {other:?}"),
+                    }
+                }
+                assert!(!solver.is_preprocessed());
+            }
+            let approach = DualOperatorApproach::ImplicitCholmod;
+            let mut solver =
+                TotalFetiSolver::new(healthy.clone(), approach, None, options).unwrap();
+            assert!(solver.solve().unwrap().final_residual < 1e-8);
+        });
     }
 }
 

@@ -8,6 +8,7 @@ mod common;
 
 use std::sync::Arc;
 
+use feti_core::FetiError;
 use feti_decompose::DecomposedProblem;
 use feti_service::{FetiService, JobSpec, ServiceConfig, ServiceError};
 
@@ -101,6 +102,24 @@ fn queue_overflow_is_a_typed_rejection_not_a_panic() {
         t.wait().expect("accepted jobs still complete");
     }
     service.shutdown().unwrap();
+}
+
+#[test]
+fn a_non_spd_job_reports_the_typed_error_and_the_next_job_completes() {
+    let service = FetiService::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+    let healthy = Arc::new(DecomposedProblem::build(&common::heat_2d()));
+    let broken = Arc::new(common::with_non_spd_subdomains(&healthy, &[1]));
+    // Waited for before the healthy job is submitted: both share one cache key (the
+    // structure is equal), and a failed job must leave nothing warm behind.
+    match service.submit(JobSpec::new("tenant", broken)).unwrap().wait() {
+        Err(ServiceError::Solve(FetiError::Factorization(m))) => {
+            assert!(m.starts_with("subdomain 1:"), "{m}");
+        }
+        other => panic!("expected the typed factorization error, got {:?}", other.map(drop)),
+    }
+    service.submit(JobSpec::new("tenant", healthy)).unwrap().wait().expect("healthy job");
+    let stats = service.shutdown().unwrap();
+    assert_eq!((stats.jobs_failed, stats.jobs_completed, stats.cache_hits), (1, 1, 0));
 }
 
 #[test]
