@@ -68,18 +68,20 @@ impl Factor {
         }
     }
 
-    /// Assembles the dense `F̃ᵢ` of one subdomain on the CPU.
+    /// Assembles the dense `F̃ᵢ` of one subdomain on the CPU, both triangles filled.
     pub(crate) fn assemble(&self, block: &SubdomainBlock) -> DenseMatrix {
         match self {
             // Augmented-factorization-style Schur complement exploiting B sparsity.
             Factor::Mkl(f) => f.schur_complement(&block.b),
+            // The paper's SYRK path (Fig. 2): one forward solve `Y = L⁻¹PB̃ᵀ` against the
+            // factor's own storage, pruned to the reach of B̃'s entries, then `F̃ = YᵀY`
+            // skipping the zero prefix of every column of `Y`.
             Factor::Cholmod(f) => {
-                // Dense path: convert B̃ᵀ to dense, solve K X = B̃ᵀ, then F̃ = B̃ X.
-                let bt_dense = block.b.transposed().to_dense(MemoryOrder::ColMajor);
-                let x = f.solve_matrix(&bt_dense);
+                let y = f.forward_solve_sparse_rhs(&block.b);
                 let nl = block.num_local_lambdas();
                 let mut f_local = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
-                ops::spmm_csr_dense(1.0, &block.b, Transpose::No, &x, 0.0, &mut f_local);
+                blas::boundary_syrk(Triangle::Upper, Transpose::Yes, 1.0, &y, 0.0, &mut f_local);
+                f_local.symmetrize_from(Triangle::Upper);
                 f_local
             }
         }

@@ -373,6 +373,7 @@ impl ApproachOperator {
         let (state, host_seconds) = match self.approach {
             A::ImplicitMkl | A::ImplicitCholmod => (LocalState::HostFactor(factor), 0.0),
             A::ExplicitMkl | A::ExplicitCholmod | A::ExplicitHybrid => {
+                let _span = feti_trace::span(|| format!("assemble[sd={i}]"));
                 let (f, seconds) = timed(|| factor.assemble(block));
                 (LocalState::Dense(f, keep.then_some(factor)), seconds)
             }

@@ -228,6 +228,12 @@ impl CholeskyFactor {
         self.factor_csc().to_csr()
     }
 
+    /// Row indices and values of column `j` of `L`, diagonal first, rows ascending.
+    pub(crate) fn column(&self, j: usize) -> (&[usize], &[f64]) {
+        let range = self.col_ptr[j]..self.col_ptr[j + 1];
+        (&self.row_idx[range.clone()], &self.values[range])
+    }
+
     /// Forward substitution: solves `L y = x` in place (in permuted ordering).
     pub fn forward_solve_in_place(&self, x: &mut [f64]) {
         assert_eq!(x.len(), self.n);

@@ -3,7 +3,9 @@
 //! In the paper, CHOLMOD is the only CPU solver that can hand its factors (and the
 //! fill-reducing permutation) to the GPU, which makes it the entry point of every
 //! GPU-accelerated dual-operator approach.  This facade exposes exactly that: the
-//! symbolic/numeric split of §III plus [`CholmodFactor::extract_factor`].
+//! symbolic/numeric split of §III plus [`CholmodFactor::extract_factor`] — and, for
+//! the explicit assembly on the host, [`CholmodFactor::forward_solve_sparse_rhs`],
+//! which works on the factor where it lies instead of extracting it.
 //!
 //! The numeric kernel is selectable via [`SolverOptions::factorization`]: the
 //! simplicial column-at-a-time kernel ([`CholeskyFactor`]) or the supernodal panel
@@ -13,7 +15,7 @@
 
 use crate::chol::{CholeskyFactor, SymbolicCholesky};
 use crate::supernodal::SupernodalFactor;
-use crate::{FactorizationKind, Result, SolverOptions};
+use crate::{panel, FactorizationKind, Result, SolverOptions};
 use feti_sparse::{CscMatrix, CsrMatrix, DenseMatrix, Permutation};
 
 /// Symbolic handle of the CHOLMOD-like solver (one per subdomain, created in the
@@ -122,6 +124,36 @@ impl CholmodFactor {
         match &self.inner {
             FactorInner::Simplicial(f) => f.solve_matrix(b),
             FactorInner::Supernodal(f) => f.solve_matrix(b),
+        }
+    }
+
+    /// `Y = L⁻¹ P Bᵀ` for a sparse `m x n` matrix `B` (a gluing block): the `n x m`
+    /// column-major result of forward-substituting every row of `B`, permuted, through
+    /// the factor — the operand whose Gram matrix `YᵀY = B A⁻¹ Bᵀ` is the paper's
+    /// SYRK assembly path (Fig. 2).  Rows are in the permuted ordering.
+    ///
+    /// The rows of `B` are solved 32 at a time against the factor's own storage
+    /// (nothing is extracted or densified) and only the columns of `L` in the
+    /// elimination-tree reach of each panel are visited.  Both factorization kinds
+    /// give the same bits.
+    ///
+    /// # Panics
+    /// Panics if `b.ncols() != self.dim()`.
+    #[must_use]
+    pub fn forward_solve_sparse_rhs(&self, b: &CsrMatrix) -> DenseMatrix {
+        match &self.inner {
+            FactorInner::Simplicial(f) => panel::forward_solve_sparse_rhs(
+                f.dim(),
+                |j| f.column(j),
+                f.permutation().old_to_new(),
+                b,
+            ),
+            FactorInner::Supernodal(f) => panel::forward_solve_sparse_rhs(
+                f.dim(),
+                |j| f.column(j),
+                f.permutation().old_to_new(),
+                b,
+            ),
         }
     }
 

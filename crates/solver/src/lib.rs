@@ -24,6 +24,7 @@
 pub mod chol;
 pub mod cholmod;
 pub mod etree;
+mod panel;
 pub mod pardiso;
 pub mod supernodal;
 

@@ -236,6 +236,20 @@ impl SupernodalFactor {
         &self.perm
     }
 
+    /// Row indices and values of column `j` of `L`, diagonal first, rows ascending:
+    /// the tail of the column's panel column, the same values in the same order as
+    /// the simplicial factor's column.
+    pub(crate) fn column(&self, j: usize) -> (&[usize], &[f64]) {
+        let s = self.sn_start.partition_point(|&first| first <= j) - 1;
+        let c = j - self.sn_start[s];
+        let h = self.rows_ptr[s + 1] - self.rows_ptr[s];
+        let column = self.panel_ptr[s] + c * h;
+        (
+            &self.rows[self.rows_ptr[s] + c..self.rows_ptr[s + 1]],
+            &self.panels[column + c..column + h],
+        )
+    }
+
     /// Forward substitution: solves `L y = x` in place (in permuted ordering),
     /// bit-identical to the simplicial solve.
     pub fn forward_solve_in_place(&self, x: &mut [f64]) {

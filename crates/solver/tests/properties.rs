@@ -3,8 +3,11 @@
 //! the solves must have small residuals, for every fill-reducing ordering.
 
 use feti_order::OrderingKind;
-use feti_solver::{CholeskyFactor, CholmodLike, PardisoLike, SolverOptions, SymbolicCholesky};
-use feti_sparse::{blas, ops, CooMatrix, CsrMatrix, Transpose};
+use feti_solver::{
+    CholeskyFactor, CholmodFactor, CholmodLike, FactorizationKind, PardisoLike, SolverOptions,
+    SymbolicCholesky,
+};
+use feti_sparse::{blas, ops, CooMatrix, CsrMatrix, DenseMatrix, MemoryOrder, Transpose, Triangle};
 use proptest::prelude::*;
 
 /// Random sparse symmetric diagonally dominant (hence SPD) matrix.
@@ -28,6 +31,15 @@ fn spd_matrix() -> impl Strategy<Value = CsrMatrix> {
             coo.to_csr()
         },
     )
+}
+
+/// The explicit host assembly of `F̃ = B A⁻¹ Bᵀ`: forward solve, SYRK, mirror.
+fn assemble(factor: &CholmodFactor, b: &CsrMatrix) -> DenseMatrix {
+    let y = factor.forward_solve_sparse_rhs(b);
+    let mut f = DenseMatrix::zeros(b.nrows(), b.nrows(), MemoryOrder::RowMajor);
+    blas::boundary_syrk(Triangle::Upper, Transpose::Yes, 1.0, &y, 0.0, &mut f);
+    f.symmetrize_from(Triangle::Upper);
+    f
 }
 
 proptest! {
@@ -111,6 +123,73 @@ proptest! {
             for j in 0..rows {
                 prop_assert!((s.get(i, j) - s.get(j, i)).abs() < 1e-10);
             }
+        }
+    }
+
+    // The panel kernel behind the explicit host assembly, on gluing-like matrices
+    // with 0 to 79 rows (none, fewer than one 32-wide panel, full panels plus a
+    // remainder), one all-zero row and one row touching only the last permuted row.
+    #[test]
+    fn panel_assembly_matches_the_two_solve_reference(
+        a in spd_matrix(),
+        nl in 0usize..80,
+        entries in proptest::collection::vec((0usize..20, -2.0f64..2.0), 0..240),
+        shuffle in proptest::collection::vec(0usize..80, 80..81),
+    ) {
+        let n = a.nrows();
+        let options = |factorization| SolverOptions { factorization, ..SolverOptions::default() };
+        let simplicial = CholmodLike::analyze(&a, options(FactorizationKind::Simplicial));
+        let last_permuted = simplicial.permutation().new_to_old()[n - 1];
+        let (zero_row, last_row) = (nl / 2, nl / 3);
+        let mut coo = CooMatrix::new(nl, n);
+        if last_row != zero_row {
+            coo.push(last_row, last_permuted, 1.0);
+        }
+        for (k, &(col, value)) in entries.iter().enumerate() {
+            let row = k % nl.max(1);
+            if nl > 0 && row != zero_row && row != last_row {
+                coo.push(row, col % n, value);
+            }
+        }
+        let b = coo.to_csr();
+        let factor = simplicial.factorize(&a).unwrap();
+        let f = assemble(&factor, &b);
+
+        // Agreement with B (A⁻¹ Bᵀ) through the forward and backward solves.
+        let x = factor.solve_matrix(&b.transposed().to_dense(MemoryOrder::ColMajor));
+        let mut reference = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
+        ops::spmm_csr_dense(1.0, &b, Transpose::No, &x, 0.0, &mut reference);
+        prop_assert!(f.max_abs_diff(&reference) <= 1e-12 * f.frobenius_norm());
+        for i in 0..nl {
+            prop_assert!(f.get(zero_row, i) == 0.0);
+            for j in 0..nl {
+                prop_assert_eq!(f.get(i, j).to_bits(), f.get(j, i).to_bits());
+            }
+        }
+
+        // Any order of the multipliers gives the same values, permuted.
+        let mut order: Vec<usize> = (0..nl).collect();
+        for k in (1..nl).rev() {
+            order.swap(k, shuffle[k] % (k + 1));
+        }
+        let mut coo = CooMatrix::new(nl, n);
+        for (k, &r) in order.iter().enumerate() {
+            for (&j, &v) in b.row_cols(r).iter().zip(b.row_values(r)) {
+                coo.push(k, j, v);
+            }
+        }
+        let permuted = assemble(&factor, &coo.to_csr());
+        for (k, &r) in order.iter().enumerate() {
+            for (l, &c) in order.iter().enumerate() {
+                prop_assert!(permuted.get(k, l) == f.get(r, c));
+            }
+        }
+
+        // The supernodal storage feeds the kernel the same values.
+        let supernodal = CholmodLike::analyze(&a, options(FactorizationKind::Supernodal));
+        let g = assemble(&supernodal.factorize(&a).unwrap(), &b);
+        for (u, v) in f.as_slice().iter().zip(g.as_slice()) {
+            prop_assert_eq!(u.to_bits(), v.to_bits());
         }
     }
 }

@@ -106,6 +106,46 @@ fn tracing_is_bit_identical_across_all_approaches() {
     }
 }
 
+/// Host assembly is visible on its own: the three host-assembled approaches record
+/// one `assemble[sd=i]` span per subdomain, each inside the `factorize[sd=i]` span of
+/// the same subdomain (whose name and extent stay what they were), and no other
+/// approach records any.
+#[test]
+fn host_assembly_spans_nest_inside_their_factorize_spans() {
+    let _gate = trace_gate();
+    let problem = DecomposedProblem::build(&common::heat_3d());
+    for approach in DualOperatorApproach::all() {
+        let mut op = build_dual_operator(approach, &problem, None).unwrap();
+        feti_trace::set_enabled(true);
+        op.preprocess().unwrap();
+        let report = feti_trace::take_report();
+        feti_trace::set_enabled(false);
+        let named = |name: String| report.spans.iter().filter(move |s| s.name == name);
+        let host_assembled = matches!(
+            approach,
+            DualOperatorApproach::ExplicitMkl
+                | DualOperatorApproach::ExplicitCholmod
+                | DualOperatorApproach::ExplicitHybrid
+        );
+        for i in 0..problem.subdomains.len() {
+            let factorize: Vec<_> = named(format!("factorize[sd={i}]")).collect();
+            let assemble: Vec<_> = named(format!("assemble[sd={i}]")).collect();
+            assert_eq!(factorize.len(), 1, "{approach:?}: factorize[sd={i}] spans");
+            assert_eq!(assemble.len(), usize::from(host_assembled), "{approach:?}: sd {i}");
+            for inner in assemble {
+                let outer = factorize[0];
+                assert_eq!(inner.thread, outer.thread, "{approach:?}: sd {i} changed thread");
+                assert_eq!(inner.depth, outer.depth + 1, "{approach:?}: sd {i} nesting depth");
+                assert!(
+                    inner.start_us >= outer.start_us
+                        && inner.start_us + inner.dur_us <= outer.start_us + outer.dur_us,
+                    "{approach:?}: assemble[sd={i}] leaves factorize[sd={i}]"
+                );
+            }
+        }
+    }
+}
+
 /// Contract 2: a Chrome trace exported from a real traced solve round-trips
 /// through the JSON parser with both process lanes and the plan records intact.
 #[test]
