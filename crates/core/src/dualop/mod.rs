@@ -110,7 +110,7 @@ impl SharedStats {
 
 /// Runs `work(i)` for every subdomain index on the host pool, one coarse task per
 /// subdomain, collecting in index order.
-fn par_subdomains<R: Send, C: FromParallelIterator<R>>(
+pub(crate) fn par_subdomains<R: Send, C: FromParallelIterator<R>>(
     n: usize,
     work: impl Fn(usize) -> R + Sync,
 ) -> C {

@@ -2,7 +2,7 @@
 //! preconditioned conjugate projected gradient method (Algorithm 1 of the paper),
 //! plus solution recovery.
 
-use crate::dualop::{ApproachOperator, DualOperator};
+use crate::dualop::{par_subdomains, ApproachOperator, DualOperator};
 use crate::params::{DualOperatorApproach, ExplicitAssemblyParams};
 use crate::schedule::TimeBreakdown;
 use crate::{FetiError, Result};
@@ -23,7 +23,8 @@ pub struct PcpgOptions {
     pub max_iterations: usize,
     /// Relative tolerance on the projected residual.
     pub tolerance: f64,
-    /// Whether to use the lumped preconditioner `M = B K Bᵀ`.
+    /// Whether to use the lumped preconditioner `M = B K Bᵀ`
+    /// ([`TotalFetiSolver::precondition`]).
     pub use_preconditioner: bool,
 }
 
@@ -71,6 +72,8 @@ pub struct FetiSolution {
 pub struct TotalFetiSolver {
     problem: Arc<DecomposedProblem>,
     dual_op: ApproachOperator,
+    /// Per subdomain, what the lumped preconditioner multiplies by.
+    lumped: Vec<BoundaryBlock>,
     g: CsrMatrix,
     gtg_factor: CholeskyFactor,
     kernel_dim: usize,
@@ -82,6 +85,61 @@ pub struct TotalFetiSolver {
     /// preprocessing and per-application seconds onto that record so the trace
     /// report shows predicted-vs-measured accuracy.
     plan_trace: Option<(u64, usize)>,
+}
+
+/// What the lumped preconditioner multiplies by on one subdomain: `B̃ᵢ` and `Kᵢ`
+/// restricted to the boundary DOFs, the columns of `B̃ᵢ` that hold a stored entry.
+struct BoundaryBlock {
+    /// `B̃_b`: `B̃ᵢ` with its columns renumbered to boundary index (`local_lambdas x nb`).
+    gluing: CsrMatrix,
+    /// `K_bb`: the boundary rows and columns of `Kᵢ` (`nb x nb`), every row keeping
+    /// its surviving entries in their stored order.
+    stiffness: CsrMatrix,
+}
+
+impl BoundaryBlock {
+    fn extract(gluing: &CsrMatrix, stiffness: &CsrMatrix) -> Self {
+        let mut boundary = gluing.col_idx().to_vec();
+        boundary.sort_unstable();
+        boundary.dedup();
+        let nb = boundary.len();
+        // Boundary index of every DOF, ascending with the DOF so that renumbered rows
+        // stay sorted; `None` for an interior DOF.
+        let mut boundary_index = vec![None; gluing.ncols()];
+        for (b, &j) in boundary.iter().enumerate() {
+            boundary_index[j] = Some(b);
+        }
+        let gluing_b = CsrMatrix::from_raw_parts(
+            gluing.nrows(),
+            nb,
+            gluing.row_ptr().to_vec(),
+            gluing.col_idx().iter().filter_map(|&j| boundary_index[j]).collect(),
+            gluing.values().to_vec(),
+        );
+        // Count, then fill at exact capacity.
+        let is_boundary = |j: &&usize| boundary_index[**j].is_some();
+        let nnz = boundary
+            .iter()
+            .map(|&i| stiffness.row_cols(i).iter().filter(is_boundary).count())
+            .sum();
+        let mut row_ptr = Vec::with_capacity(nb + 1);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        row_ptr.push(0);
+        for &i in &boundary {
+            for (&j, &v) in stiffness.row_cols(i).iter().zip(stiffness.row_values(i)) {
+                if let Some(b) = boundary_index[j] {
+                    col_idx.push(b);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Self {
+            gluing: gluing_b,
+            stiffness: CsrMatrix::from_raw_parts(nb, nb, row_ptr, col_idx, values),
+        }
+    }
 }
 
 impl TotalFetiSolver {
@@ -143,7 +201,7 @@ impl TotalFetiSolver {
         Ok(solver)
     }
 
-    /// Shared constructor body: the coarse problem.
+    /// Shared constructor body: the coarse problem and the preconditioner's blocks.
     fn from_parts(
         problem: Arc<DecomposedProblem>,
         dual_op: ApproachOperator,
@@ -172,9 +230,16 @@ impl TotalFetiSolver {
         let gtg_factor = CholeskyFactor::new(&gtg, &SolverOptions::default())
             .map_err(|e| FetiError::Factorization(format!("coarse problem GᵀG: {e}")))?;
 
+        let lumped = problem
+            .subdomains
+            .iter()
+            .map(|sd| BoundaryBlock::extract(&sd.gluing, &sd.assembled.stiffness))
+            .collect();
+
         Ok(Self {
             problem,
             dual_op,
+            lumped,
             g,
             gtg_factor,
             kernel_dim,
@@ -250,6 +315,7 @@ impl TotalFetiSolver {
     /// Applies the projector `P x = x - G (GᵀG)⁻¹ Gᵀ x`.
     #[must_use]
     pub fn project(&self, x: &[f64]) -> Vec<f64> {
+        let _span = feti_trace::span(|| "project");
         let mut gtx = vec![0.0; self.g.ncols()];
         ops::spmv_csr(1.0, &self.g, Transpose::Yes, x, 0.0, &mut gtx);
         let y = self.gtg_factor.solve(&gtx);
@@ -258,12 +324,24 @@ impl TotalFetiSolver {
         out
     }
 
-    /// Applies the lumped preconditioner `M w = Σᵢ B̃ᵢ Kᵢ B̃ᵢᵀ w̃ᵢ`.
+    /// Applies the lumped preconditioner `M w = Σᵢ B̃ᵢ Kᵢ B̃ᵢᵀ w̃ᵢ`, evaluated on the
+    /// boundary DOFs alone: `M = Σᵢ B̃_b K_bb B̃_bᵀ`, with `B̃_b` the columns of `B̃ᵢ` that
+    /// hold a stored entry and `K_bb` the rows and columns of `Kᵢ` at those DOFs
+    /// (extracted once at construction).
+    ///
+    /// The result equals the product through the full `Kᵢ` to the bit.  `B̃ᵢᵀ w̃ᵢ` is
+    /// `+0.0` at every interior DOF, so each term the restriction drops from a row sum
+    /// of `Kᵢ` is `v · (+0.0) = ±0.0`, added to an accumulator that starts at `+0.0`
+    /// and can never hold `−0.0` (a sum is `−0.0` only if both operands are): dropping
+    /// it changes nothing.  The interior rows of that product are never read back,
+    /// because `B̃ᵢ` has no entry in their columns, and the renumbering keeps the
+    /// stored order of every surviving entry.
     #[must_use]
     pub fn precondition(&self, w: &[f64]) -> Vec<f64> {
         if !self.options.use_preconditioner {
             return w.to_vec();
         }
+        let _span = feti_trace::span(|| "precondition");
         // Per-subdomain halves run in parallel; the gather into the shared dual
         // vector stays sequential in subdomain order so the floating-point sums are
         // independent of the thread count.
@@ -271,15 +349,17 @@ impl TotalFetiSolver {
             .problem
             .subdomains
             .par_iter()
+            .zip(self.lumped.par_iter())
             .with_max_len(1)
-            .map(|sd| {
+            .map(|(sd, block)| {
                 let w_local: Vec<f64> = sd.lambda_map.iter().map(|&g| w[g]).collect();
-                let mut t = vec![0.0; sd.num_dofs()];
-                ops::spmv_csr(1.0, &sd.gluing, Transpose::Yes, &w_local, 0.0, &mut t);
-                let mut kt = vec![0.0; sd.num_dofs()];
-                ops::spmv_csr(1.0, &sd.assembled.stiffness, Transpose::No, &t, 0.0, &mut kt);
-                let mut q_local = vec![0.0; sd.gluing.nrows()];
-                ops::spmv_csr(1.0, &sd.gluing, Transpose::No, &kt, 0.0, &mut q_local);
+                let nb = block.stiffness.nrows();
+                let mut t = vec![0.0; nb];
+                ops::spmv_csr(1.0, &block.gluing, Transpose::Yes, &w_local, 0.0, &mut t);
+                let mut kt = vec![0.0; nb];
+                ops::spmv_csr(1.0, &block.stiffness, Transpose::No, &t, 0.0, &mut kt);
+                let mut q_local = vec![0.0; w_local.len()];
+                ops::spmv_csr(1.0, &block.gluing, Transpose::No, &kt, 0.0, &mut q_local);
                 q_local
             })
             .collect();
@@ -325,26 +405,29 @@ impl TotalFetiSolver {
     }
 
     /// Applies the dual operator to a batch of dual vectors through
-    /// [`DualOperator::apply_many`] and returns the result columns.
-    fn apply_batch(&mut self, cols: &[&Vec<f64>]) -> (Vec<Vec<f64>>, TimeBreakdown) {
-        let nl = self.problem.num_lambdas;
-        let m = cols.len();
-        let mut p = DenseMatrix::zeros(nl, m, MemoryOrder::ColMajor);
-        for (j, col) in cols.iter().enumerate() {
-            for (i, v) in col.iter().enumerate() {
-                p.set(i, j, *v);
-            }
+    /// [`DualOperator::apply_many`] and returns the result columns.  `io` is the
+    /// column-major input/output pair, which the caller keeps across iterations; it
+    /// is reallocated only when the batch width changes.
+    fn apply_batch(
+        &mut self,
+        cols: &[&Vec<f64>],
+        io: &mut (DenseMatrix, DenseMatrix),
+    ) -> (Vec<Vec<f64>>, TimeBreakdown) {
+        let (nl, m) = (self.problem.num_lambdas, cols.len());
+        if io.0.ncols() != m {
+            let zeros = || DenseMatrix::zeros(nl, m, MemoryOrder::ColMajor);
+            *io = (zeros(), zeros());
         }
-        let mut q = DenseMatrix::zeros(nl, m, MemoryOrder::ColMajor);
-        let t = self.dual_op.apply_many(&p, &mut q);
-        ((0..m).map(|j| q.col(j)).collect(), t)
+        let (p, q) = io;
+        for (j, col) in cols.iter().enumerate() {
+            p.as_mut_slice()[j * nl..(j + 1) * nl].copy_from_slice(col);
+        }
+        let t = self.dual_op.apply_many(p, q);
+        ((0..m).map(|j| q.as_slice()[j * nl..(j + 1) * nl].to_vec()).collect(), t)
     }
 
-    /// Recovers the per-subdomain primal solutions `uᵢ = K⁺(fᵢ - B̃ᵢᵀ λ̃ᵢ) + Rᵢ αᵢ`.
-    ///
-    /// Each subdomain's recovery is independent (one local solve each), so the zip of
-    /// subdomains and loads is bridged onto the host pool; the sort restores
-    /// subdomain order for real rayon, whose `par_bridge` loses it.
+    /// Recovers the per-subdomain primal solutions `uᵢ = K⁺(fᵢ - B̃ᵢᵀ λ̃ᵢ) + Rᵢ αᵢ`,
+    /// one independent local solve per subdomain on the host pool.
     fn recover_subdomains(
         &self,
         lambda: &[f64],
@@ -352,37 +435,28 @@ impl TotalFetiSolver {
         loads: &[Vec<f64>],
     ) -> Vec<Vec<f64>> {
         let kernel_dim = self.kernel_dim;
-        let mut indexed: Vec<(usize, Vec<f64>)> = self
-            .problem
-            .subdomains
-            .iter()
-            .zip(loads)
-            .enumerate()
-            .par_bridge()
-            .with_max_len(1)
-            .map(|(s, (sd, f))| {
-                let lambda_local: Vec<f64> = sd.lambda_map.iter().map(|&g| lambda[g]).collect();
-                let mut rhs = f.clone();
-                ops::spmv_csr(-1.0, &sd.gluing, Transpose::Yes, &lambda_local, 1.0, &mut rhs);
-                let mut u = self.dual_op.solve_local(s, &rhs);
-                for c in 0..kernel_dim {
-                    let a = alpha[s * kernel_dim + c];
-                    let r_col = sd.kernel.col(c);
-                    blas::axpy(a, &r_col, &mut u);
-                }
-                (s, u)
-            })
-            .collect();
-        indexed.sort_by_key(|(s, _)| *s);
-        indexed.into_iter().map(|(_, u)| u).collect()
+        par_subdomains(loads.len(), |s| {
+            let sd = &self.problem.subdomains[s];
+            let lambda_local: Vec<f64> = sd.lambda_map.iter().map(|&g| lambda[g]).collect();
+            let mut rhs = loads[s].clone();
+            ops::spmv_csr(-1.0, &sd.gluing, Transpose::Yes, &lambda_local, 1.0, &mut rhs);
+            let mut u = self.dual_op.solve_local(s, &rhs);
+            for c in 0..kernel_dim {
+                let a = alpha[s * kernel_dim + c];
+                let r_col = sd.kernel.col(c);
+                blas::axpy(a, &r_col, &mut u);
+            }
+            u
+        })
     }
 
     /// Runs FETI preprocessing and the PCPG iteration (Algorithm 1), then recovers the
     /// primal solution.
     ///
     /// # Errors
-    /// Returns [`FetiError::NoConvergence`] if PCPG does not reach the tolerance, or
-    /// the preprocessing error of [`TotalFetiSolver::ensure_preprocessed`].
+    /// Returns [`FetiError::NoConvergence`] if PCPG does not reach the tolerance (see
+    /// [`TotalFetiSolver::solve_many`]), or the preprocessing error of
+    /// [`TotalFetiSolver::ensure_preprocessed`].
     pub fn solve(&mut self) -> Result<FetiSolution> {
         let baseline: LoadCase =
             self.problem.subdomains.iter().map(|sd| sd.assembled.load.clone()).collect();
@@ -401,9 +475,11 @@ impl TotalFetiSolver {
     /// batch individually as they converge.
     ///
     /// # Errors
-    /// Returns [`FetiError::NoConvergence`] if any load case fails to reach the
-    /// tolerance within the iteration limit, or the preprocessing error of
-    /// [`TotalFetiSolver::ensure_preprocessed`].
+    /// Returns [`FetiError::NoConvergence`] if any load case ends with a residual that
+    /// is not below the tolerance — the iteration limit was reached, the search
+    /// direction broke down, or the residual stopped being finite (a `NaN` or `±∞` in
+    /// a load vector), in which case the case halts at once instead of iterating on
+    /// garbage — or the preprocessing error of [`TotalFetiSolver::ensure_preprocessed`].
     ///
     /// # Panics
     /// Panics if a load case does not provide one load vector of the right length per
@@ -433,7 +509,6 @@ impl TotalFetiSolver {
             lambda: Vec<f64>,
             r: Vec<f64>,
             w: Vec<f64>,
-            y: Vec<f64>,
             p: Vec<f64>,
             wy: f64,
             w0_norm: f64,
@@ -454,7 +529,9 @@ impl TotalFetiSolver {
                 lambda
             })
             .collect();
-        let (f_lambda0, t0) = self.apply_batch(&lambdas0.iter().collect::<Vec<_>>());
+        let zeros = || DenseMatrix::zeros(nl, ncases, MemoryOrder::ColMajor);
+        let mut batch_io = (zeros(), zeros());
+        let (f_lambda0, t0) = self.apply_batch(&lambdas0.iter().collect::<Vec<_>>(), &mut batch_io);
         apply_time = apply_time.then(t0);
 
         let mut states: Vec<CaseState> = Vec::with_capacity(ncases);
@@ -463,15 +540,13 @@ impl TotalFetiSolver {
             let r: Vec<f64> = d.iter().zip(f_lambda).map(|(a, b)| a - b).collect();
             let w = self.project(&r);
             let w0_norm = blas::norm2(&w).max(f64::MIN_POSITIVE);
-            let y = self.project(&self.precondition(&w));
-            let p = y.clone();
-            let wy = blas::dot(&w, &y);
+            let p = self.project(&self.precondition(&w));
+            let wy = blas::dot(&w, &p);
             states.push(CaseState {
                 d,
                 lambda,
                 r,
                 w,
-                y,
                 p,
                 wy,
                 w0_norm,
@@ -489,7 +564,7 @@ impl TotalFetiSolver {
                     continue;
                 }
                 s.residual = blas::norm2(&s.w) / s.w0_norm;
-                if s.residual < self.options.tolerance {
+                if s.residual < self.options.tolerance || !s.residual.is_finite() {
                     s.halted = true;
                 } else {
                     active.push(j);
@@ -499,13 +574,13 @@ impl TotalFetiSolver {
                 break;
             }
             let p_cols: Vec<&Vec<f64>> = active.iter().map(|&j| &states[j].p).collect();
-            let (q_cols, t) = self.apply_batch(&p_cols);
+            let (q_cols, t) = self.apply_batch(&p_cols, &mut batch_io);
             apply_time = apply_time.then(t);
             for (q, &j) in q_cols.iter().zip(&active) {
                 let s = &mut states[j];
                 s.iterations = k + 1;
                 let pq = blas::dot(&s.p, q);
-                if pq.abs() < f64::MIN_POSITIVE {
+                if !pq.is_finite() || pq.abs() < f64::MIN_POSITIVE {
                     s.halted = true;
                     continue;
                 }
@@ -513,11 +588,11 @@ impl TotalFetiSolver {
                 blas::axpy(delta, &s.p, &mut s.lambda);
                 blas::axpy(-delta, q, &mut s.r);
                 s.w = self.project(&s.r);
-                s.y = self.project(&self.precondition(&s.w));
-                let wy_new = blas::dot(&s.w, &s.y);
+                let y = self.project(&self.precondition(&s.w));
+                let wy_new = blas::dot(&s.w, &y);
                 let beta = wy_new / s.wy;
                 s.wy = wy_new;
-                for (pi, yi) in s.p.iter_mut().zip(&s.y) {
+                for (pi, yi) in s.p.iter_mut().zip(&y) {
                     *pi = yi + beta * *pi;
                 }
                 s.residual = blas::norm2(&s.w) / s.w0_norm;
@@ -525,7 +600,8 @@ impl TotalFetiSolver {
         }
 
         for s in &states {
-            if s.residual >= self.options.tolerance && s.iterations >= self.options.max_iterations {
+            let converged = s.residual < self.options.tolerance;
+            if !converged {
                 return Err(FetiError::NoConvergence {
                     iterations: s.iterations,
                     residual: s.residual,
@@ -535,7 +611,7 @@ impl TotalFetiSolver {
 
         // α = (GᵀG)⁻¹ Gᵀ (F λ - d) per case, through one final batched application.
         let lambda_cols: Vec<&Vec<f64>> = states.iter().map(|s| &s.lambda).collect();
-        let (f_lambda_final, tf) = self.apply_batch(&lambda_cols);
+        let (f_lambda_final, tf) = self.apply_batch(&lambda_cols, &mut batch_io);
         apply_time = apply_time.then(tf);
         let share = apply_time.scaled(1.0 / ncases as f64);
 
@@ -694,6 +770,79 @@ mod tests {
         let mut gtpx = vec![0.0; solver.g.ncols()];
         ops::spmv_csr(1.0, &solver.g, Transpose::Yes, &px, 0.0, &mut gtpx);
         assert!(blas::norm2(&gtpx) < 1e-9);
+    }
+
+    #[test]
+    fn boundary_block_keeps_boundary_rows_and_columns_in_stored_order() {
+        // B̃ with an empty row and DOF 4 glued twice; DOFs 1 and 4 are the boundary.
+        let gluing =
+            CsrMatrix::from_raw_parts(3, 5, vec![0, 1, 1, 3], vec![4, 1, 4], vec![1.0, -1.0, 1.0]);
+        let mut k = CooMatrix::new(5, 5);
+        for (i, j, v) in [
+            (0, 0, 9.0),
+            (0, 1, -1.0),
+            (1, 0, -1.0),
+            (1, 1, 7.0),
+            (1, 3, -2.0),
+            (1, 4, -3.0),
+            (3, 1, -2.0),
+            (4, 1, -3.0),
+            (4, 2, -4.0),
+            (4, 4, 5.0),
+        ] {
+            k.push(i, j, v);
+        }
+        let block = BoundaryBlock::extract(&gluing, &k.to_csr());
+        let expected_gluing =
+            CsrMatrix::from_raw_parts(3, 2, vec![0, 1, 1, 3], vec![1, 0, 1], vec![1.0, -1.0, 1.0]);
+        assert_eq!(block.gluing, expected_gluing);
+        let expected_stiffness = CsrMatrix::from_raw_parts(
+            2,
+            2,
+            vec![0, 2, 4],
+            vec![0, 1, 0, 1],
+            vec![7.0, -3.0, -3.0, 5.0],
+        );
+        assert_eq!(block.stiffness, expected_stiffness);
+
+        // No stored entry, no boundary.
+        let empty = BoundaryBlock::extract(&CsrMatrix::zeros(2, 5), &k.to_csr());
+        assert_eq!(empty.gluing, CsrMatrix::zeros(2, 0));
+        assert_eq!(empty.stiffness, CsrMatrix::zeros(0, 0));
+    }
+
+    #[test]
+    fn a_non_finite_load_is_a_typed_failure_not_500_iterations() {
+        let problem = Arc::new(DecomposedProblem::build(&DecompositionSpec::small_heat_2d()));
+        let baseline: LoadCase =
+            problem.subdomains.iter().map(|sd| sd.assembled.load.clone()).collect();
+        let mut solver = TotalFetiSolver::new(
+            Arc::clone(&problem),
+            DualOperatorApproach::ExplicitCholmod,
+            None,
+            PcpgOptions::default(),
+        )
+        .unwrap();
+        let healthy = solver.solve_many(std::slice::from_ref(&baseline)).unwrap().remove(0);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut poisoned = baseline.clone();
+            poisoned[1][3] = bad;
+            // Alone and beside a healthy case, which must not hide it.
+            for loads in [vec![poisoned.clone()], vec![baseline.clone(), poisoned]] {
+                match solver.solve_many(&loads) {
+                    Err(FetiError::NoConvergence { iterations, residual }) => {
+                        assert!(iterations <= 1, "{bad}: halted after {iterations} iterations");
+                        assert!(!residual.is_finite(), "{bad}: residual {residual}");
+                    }
+                    other => panic!("{bad}: expected NoConvergence, got {:?}", other.map(drop)),
+                }
+            }
+        }
+        // The solver is as good as before.
+        let again = solver.solve_many(&[baseline]).unwrap().remove(0);
+        assert_eq!(again.iterations, healthy.iterations);
+        assert_eq!(again.lambda, healthy.lambda);
+        assert_eq!(again.global_solution, healthy.global_solution);
     }
 
     #[test]

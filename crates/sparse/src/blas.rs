@@ -186,40 +186,50 @@ pub fn gemv(alpha: f64, a: &DenseMatrix, trans: Transpose, x: &[f64], beta: f64,
 /// every output element the contributions arrive in ascending contraction-index order
 /// (`j = 0..n`), i.e. in exactly the order of the scalar reference loop, so each
 /// output's floating-point sequence is identical to [`reference::symv`] regardless of
-/// the panel width.  The streaming direction follows the storage order (rows for
-/// row-major, columns for column-major) so the triangle is read contiguously.
+/// the panel width.  The streaming direction follows the storage order, so the
+/// triangle is read contiguously; that leaves two walks, because line `i` of a
+/// row-major `Upper` and of a column-major `Lower` triangle is the same slice (from
+/// the diagonal to the end of the line), and likewise row-major `Lower` and
+/// column-major `Upper` (from the start of the line to the diagonal).
+///
+/// With `W > 1` the `W` accumulators of a line are independent dependency chains.
+/// With `W == 1` — every application of an explicit `F̃ᵢ`, which is stored row-major
+/// `Upper` — a line is one chain `acc += v * x[j]`, bound by the latency of the
+/// addition, so that walk takes four lines per sweep ([`symv_four_lines`]).  The
+/// other walk has no caller at one right-hand side outside the tests and stays scalar.
 fn symv_panel<const W: usize>(uplo: Triangle, a: &DenseMatrix, x: [&[f64]; W], tmp: &mut [f64]) {
     let n = a.nrows();
     let data = a.as_slice();
     debug_assert_eq!(tmp.len(), W * n);
     match (a.order(), uplo) {
-        (MemoryOrder::RowMajor, Triangle::Lower) => {
+        (MemoryOrder::RowMajor, Triangle::Lower) | (MemoryOrder::ColMajor, Triangle::Upper) => {
             for i in 0..n {
-                let row = &data[i * n..i * n + i + 1];
+                let line = &data[i * n..i * n + i + 1];
                 let mut acc = [0.0f64; W];
                 for j in 0..i {
-                    let v = row[j];
+                    let v = line[j];
                     for c in 0..W {
                         acc[c] += v * x[c][j];
                         tmp[c * n + j] += v * x[c][i];
                     }
                 }
-                let d = row[i];
+                let d = line[i];
                 for c in 0..W {
                     tmp[c * n + i] = acc[c] + d * x[c][i];
                 }
             }
         }
-        (MemoryOrder::RowMajor, Triangle::Upper) => {
-            for i in 0..n {
-                let row = &data[i * n + i..(i + 1) * n];
-                let d = row[0];
+        (MemoryOrder::RowMajor, Triangle::Upper) | (MemoryOrder::ColMajor, Triangle::Lower) => {
+            let first = if W == 1 { symv_four_lines(data, x[0], tmp) } else { 0 };
+            for i in first..n {
+                let line = &data[i * n + i..(i + 1) * n];
+                let d = line[0];
                 let mut acc = [0.0f64; W];
                 for c in 0..W {
                     acc[c] = tmp[c * n + i] + d * x[c][i];
                 }
                 for j in (i + 1)..n {
-                    let v = row[j - i];
+                    let v = line[j - i];
                     for c in 0..W {
                         acc[c] += v * x[c][j];
                         tmp[c * n + j] += v * x[c][i];
@@ -230,44 +240,54 @@ fn symv_panel<const W: usize>(uplo: Triangle, a: &DenseMatrix, x: [&[f64]; W], t
                 }
             }
         }
-        (MemoryOrder::ColMajor, Triangle::Upper) => {
-            for j in 0..n {
-                let colv = &data[j * n..j * n + j + 1];
-                let mut acc = [0.0f64; W];
-                for i in 0..j {
-                    let v = colv[i];
-                    for c in 0..W {
-                        acc[c] += v * x[c][i];
-                        tmp[c * n + i] += v * x[c][j];
-                    }
-                }
-                let d = colv[j];
-                for c in 0..W {
-                    tmp[c * n + j] = acc[c] + d * x[c][j];
-                }
-            }
-        }
-        (MemoryOrder::ColMajor, Triangle::Lower) => {
-            for j in 0..n {
-                let colv = &data[j * n + j..(j + 1) * n];
-                let d = colv[0];
-                let mut acc = [0.0f64; W];
-                for c in 0..W {
-                    acc[c] = tmp[c * n + j] + d * x[c][j];
-                }
-                for i in (j + 1)..n {
-                    let v = colv[i - j];
-                    for c in 0..W {
-                        acc[c] += v * x[c][i];
-                        tmp[c * n + i] += v * x[c][j];
-                    }
-                }
-                for c in 0..W {
-                    tmp[c * n + j] = acc[c];
-                }
-            }
-        }
     }
+}
+
+/// The diagonal-to-end walk of [`symv_panel`] at one right-hand side, four lines
+/// `i..i + 4` per sweep; returns the first line it left for the scalar walk
+/// (`n - n % 4`).
+///
+/// Output `i + r` first takes what the 4×4 diagonal block contributes, scalar and in
+/// reference order: the entries lines `i..i + r` hold in column `i + r`, then its own
+/// diagonal and the rest of the block.  Beyond the block the four outputs are four
+/// independent chains over `j`, and `tmp[j]` takes its four contributions in one
+/// expression in ascending line order — so every output still receives its terms in
+/// ascending contraction index, one rounding each, and equals the scalar walk to the
+/// bit.
+fn symv_four_lines(data: &[f64], x: &[f64], tmp: &mut [f64]) -> usize {
+    let n = x.len();
+    let mut i = 0;
+    while i + 4 <= n {
+        // lines[r][k] = A(i + r, i + r + k).
+        let lines: [&[f64]; 4] =
+            std::array::from_fn(|r| &data[(i + r) * n + i + r..(i + r + 1) * n]);
+        let xi = [x[i], x[i + 1], x[i + 2], x[i + 3]];
+        let mut acc = [0.0f64; 4];
+        for r in 0..4 {
+            acc[r] = tmp[i + r];
+            for above in 0..r {
+                acc[r] += lines[above][r - above] * xi[above];
+            }
+            for c in r..4 {
+                acc[r] += lines[r][c - r] * xi[c];
+            }
+        }
+        let [mut a0, mut a1, mut a2, mut a3] = acc;
+        let tails =
+            lines[0][4..].iter().zip(&lines[1][3..]).zip(&lines[2][2..]).zip(&lines[3][1..]);
+        for ((((&v0, &v1), &v2), &v3), (&xj, tj)) in
+            tails.zip(x[i + 4..].iter().zip(&mut tmp[i + 4..]))
+        {
+            a0 += v0 * xj;
+            a1 += v1 * xj;
+            a2 += v2 * xj;
+            a3 += v3 * xj;
+            *tj = (((*tj + v0 * xi[0]) + v1 * xi[1]) + v2 * xi[2]) + v3 * xi[3];
+        }
+        tmp[i..i + 4].copy_from_slice(&[a0, a1, a2, a3]);
+        i += 4;
+    }
+    i
 }
 
 /// Symmetric matrix-vector multiplication: `y = alpha * A * x + beta * y`, where only
@@ -1135,7 +1155,9 @@ mod tests {
     fn blocked_symv_is_bit_identical_to_reference() {
         for order in [MemoryOrder::RowMajor, MemoryOrder::ColMajor] {
             for uplo in [Triangle::Lower, Triangle::Upper] {
-                for n in [0usize, 1, 2, 3, 7, 17] {
+                // Below one four-line sweep, every remainder of `n` by four after one
+                // sweep and after several.
+                for n in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 17, 18, 19, 20] {
                     let a = filled(n, n, order, 3);
                     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.71).sin() + 0.4).collect();
                     let mut y1: Vec<f64> = (0..n).map(|i| i as f64 * 0.1 - 0.7).collect();

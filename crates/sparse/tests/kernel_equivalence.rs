@@ -65,7 +65,9 @@ const TRANS: [Transpose; 2] = [Transpose::No, Transpose::Yes];
 
 #[test]
 fn symv_matches_reference_on_edge_sizes_and_variants() {
-    for n in edge_sizes() {
+    // The one-right-hand-side walk takes four lines per sweep: besides the block
+    // edges, every remainder of `n` by four on either side of one sweep.
+    for n in edge_sizes().into_iter().chain(3..=8) {
         for order in ORDERS {
             for uplo in UPLOS {
                 let a = filled(n, n, order, 11, 0.0);

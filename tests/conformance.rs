@@ -122,6 +122,56 @@ fn every_approach_converges_to_the_same_solution() {
     assert!(reordered_factors_differ, "the reordered case must not be the default in disguise");
 }
 
+/// FNV-1a over the bit patterns of `values`.
+fn bits_hash(values: &[f64]) -> u64 {
+    values.iter().flat_map(|v| v.to_bits().to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The PCPG trajectory to the bit: iteration count, final residual and the converged
+/// multipliers of three approaches on the three families, recorded before the
+/// boundary-restricted preconditioner and the four-row SYMV went in.  A kernel that
+/// reorders one floating-point sum moves these.
+#[test]
+fn pcpg_trajectories_are_pinned_to_the_bit() {
+    use DualOperatorApproach::{ExplicitCholmod, ExplicitGpuModern, ImplicitCholmod};
+    let pins: [(&str, DualOperatorApproach, usize, u64, u64); 9] = [
+        ("heat/2D", ImplicitCholmod, 20, 0x3dfa40c00116d4ea, 0xdf2a289571c87022),
+        ("heat/2D", ExplicitCholmod, 20, 0x3dfa3f247dc17ea6, 0xc081c6e4a69f7035),
+        ("heat/2D", ExplicitGpuModern, 20, 0x3dfa3f247dc17ea6, 0xc081c6e4a69f7035),
+        ("heat/3D", ImplicitCholmod, 83, 0x3e05cbf3f5717ef4, 0x35e62f862e63e759),
+        ("heat/3D", ExplicitCholmod, 83, 0x3e058cb964830448, 0x66e698adad4eb10b),
+        ("heat/3D", ExplicitGpuModern, 83, 0x3e058cb964830448, 0x66e698adad4eb10b),
+        ("elasticity/2D", ImplicitCholmod, 28, 0x3dfab89337e0dfaf, 0xf4c7f7a1369c4164),
+        ("elasticity/2D", ExplicitCholmod, 28, 0x3df27cea8d7c8c09, 0xc04274686a832271),
+        ("elasticity/2D", ExplicitGpuModern, 28, 0x3df27cea8d7c8c09, 0xc04274686a832271),
+    ];
+    for (name, spec) in problems() {
+        let problem = std::sync::Arc::new(DecomposedProblem::build(&spec));
+        for approach in [ImplicitCholmod, ExplicitCholmod, ExplicitGpuModern] {
+            let mut solver = TotalFetiSolver::new(
+                std::sync::Arc::clone(&problem),
+                approach,
+                None,
+                PcpgOptions::default(),
+            )
+            .unwrap();
+            let sol = solver.solve().unwrap();
+            let got = (sol.iterations, sol.final_residual.to_bits(), bits_hash(&sol.lambda));
+            let pin = pins.iter().find(|p| p.0 == name && p.1 == approach).expect("a pin");
+            assert_eq!(
+                got,
+                (pin.2, pin.3, pin.4),
+                "{name} {approach:?}: got (\"{name}\", {approach:?}, {}, {:#018x}, {:#018x})",
+                got.0,
+                got.1,
+                got.2
+            );
+        }
+    }
+}
+
 /// Acceptance criterion of the planner: for the Fig. 6 problem sizes, the planned
 /// pick's modelled amortized total stays within 2x of the exhaustive modelled optimum
 /// over every approach × Table-I parameter combination — both for the full-sweep plan

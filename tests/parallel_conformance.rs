@@ -115,6 +115,44 @@ fn solutions_and_iteration_counts_are_bit_identical_across_thread_counts() {
     }
 }
 
+/// The lumped preconditioner multiplies by `K_bb`, the boundary block of `Kᵢ`; its
+/// result must equal, to the bit and at 1 and 4 worker threads, the three products
+/// through the full `Kᵢ` written out here.  The 2×2(×2) decompositions have a cross
+/// point — a DOF several multipliers touch — and Dirichlet rows.
+#[test]
+fn lumped_preconditioner_is_bit_identical_to_the_full_stiffness_product() {
+    use feti_sparse::ops::spmv_csr;
+    for (name, spec) in problems() {
+        let problem = std::sync::Arc::new(DecomposedProblem::build(&spec));
+        let approach = DualOperatorApproach::ImplicitCholmod;
+        let w: Vec<f64> =
+            (0..problem.num_lambdas).map(|i| (i as f64 * 0.53).cos() * (i % 5) as f64).collect();
+        let mut reference = vec![0.0; w.len()];
+        for sd in &problem.subdomains {
+            let w_local: Vec<f64> = sd.lambda_map.iter().map(|&g| w[g]).collect();
+            let mut t = vec![0.0; sd.num_dofs()];
+            spmv_csr(1.0, &sd.gluing, Transpose::Yes, &w_local, 0.0, &mut t);
+            let mut kt = vec![0.0; sd.num_dofs()];
+            spmv_csr(1.0, &sd.assembled.stiffness, Transpose::No, &t, 0.0, &mut kt);
+            let mut q_local = vec![0.0; w_local.len()];
+            spmv_csr(1.0, &sd.gluing, Transpose::No, &kt, 0.0, &mut q_local);
+            for (q, &g) in q_local.iter().zip(&sd.lambda_map) {
+                reference[g] += q;
+            }
+        }
+        assert!(blas::norm2(&reference) > 0.0, "{name}: the reference must be nontrivial");
+        for threads in [1, 4] {
+            let got = with_threads(threads, || {
+                let problem = std::sync::Arc::clone(&problem);
+                TotalFetiSolver::new(problem, approach, None, PcpgOptions::default())
+                    .unwrap()
+                    .precondition(&w)
+            });
+            assert_bits_eq(name, approach, "M·w", &reference, &got);
+        }
+    }
+}
+
 /// Construction factorizes no `Kᵢ`, so a subdomain that is not positive definite
 /// fails at preprocessing: a typed error naming the lowest failing subdomain whatever
 /// the thread count, from `ensure_preprocessed` and `solve` alike, after which the

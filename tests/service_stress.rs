@@ -123,6 +123,37 @@ fn a_non_spd_job_reports_the_typed_error_and_the_next_job_completes() {
 }
 
 #[test]
+fn a_non_finite_load_fails_typed_and_the_jobs_after_it_solve_bit_identically() {
+    let service = FetiService::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+    let problem = Arc::new(DecomposedProblem::build(&common::heat_2d()));
+    let job = || JobSpec::new("tenant", Arc::clone(&problem));
+    let solve = |spec: JobSpec| service.submit(spec).unwrap().wait();
+    let first = solve(job()).expect("healthy job");
+
+    // Claims the warm solver the first job left in the cache.
+    let mut poisoned: Vec<Vec<f64>> =
+        problem.subdomains.iter().map(|sd| sd.assembled.load.clone()).collect();
+    poisoned[2][0] = f64::NAN;
+    match solve(job().with_loads(vec![poisoned])) {
+        Err(ServiceError::Solve(FetiError::NoConvergence { iterations, residual })) => {
+            assert!(iterations <= 1 && residual.is_nan(), "{iterations} iterations, {residual}");
+        }
+        other => panic!("expected the typed non-convergence, got {:?}", other.map(drop)),
+    }
+
+    // The same worker, pool and cache: a rebuilt solver, then that solver warm.
+    for _ in 0..2 {
+        let next = solve(job()).expect("healthy job after the failed one");
+        assert_eq!(next.solutions[0].iterations, first.solutions[0].iterations);
+        assert_eq!(next.solutions[0].lambda, first.solutions[0].lambda);
+        assert_eq!(next.solutions[0].global_solution, first.solutions[0].global_solution);
+    }
+    let stats = service.shutdown().unwrap();
+    assert_eq!((stats.jobs_failed, stats.jobs_completed), (1, 3));
+    assert_eq!((stats.cache_hits, stats.cache_misses), (2, 2));
+}
+
+#[test]
 fn shutdown_drains_queued_jobs_before_exiting() {
     let service = FetiService::start(ServiceConfig {
         workers: 2,

@@ -146,6 +146,45 @@ fn host_assembly_spans_nest_inside_their_factorize_spans() {
     }
 }
 
+/// What an iteration spends outside the dual operator has a name: every `pcpg_iter[k]`
+/// that iterates holds exactly one `precondition` and two `project` spans, the last
+/// one — which only finds the case converged — holds none, and the only others are
+/// the one `precondition` and two `project` before the loop.
+#[test]
+fn precondition_and_project_spans_lie_inside_their_iteration() {
+    let _gate = trace_gate();
+    let problem = Arc::new(DecomposedProblem::build(&common::elasticity_2d()));
+    let approach = DualOperatorApproach::ExplicitCholmod;
+    let mut solver = TotalFetiSolver::new(problem, approach, None, PcpgOptions::default()).unwrap();
+    solver.ensure_preprocessed().unwrap();
+    feti_trace::set_enabled(true);
+    let sol = solver.solve().unwrap();
+    let report = feti_trace::take_report();
+    feti_trace::set_enabled(false);
+
+    let end = |s: &feti_trace::SpanRecord| s.start_us + s.dur_us;
+    let iterations: Vec<_> =
+        report.spans.iter().filter(|s| s.name.starts_with("pcpg_iter[")).collect();
+    assert_eq!(iterations.len(), sol.iterations + 1);
+    let loop_start = iterations.iter().map(|s| s.start_us).fold(f64::INFINITY, f64::min);
+    for (name, per_iteration) in [("precondition", 1), ("project", 2)] {
+        let spans: Vec<_> = report.spans.iter().filter(|s| s.name == name).collect();
+        assert_eq!(spans.len(), per_iteration * (sol.iterations + 1), "{name} spans");
+        for iteration in &iterations {
+            let inside = spans
+                .iter()
+                .filter(|s| s.start_us >= iteration.start_us && end(s) <= end(iteration))
+                .inspect(|s| assert_eq!(s.depth, iteration.depth + 1, "{name} nesting depth"))
+                .count();
+            let last = iteration.name == format!("pcpg_iter[{}]", sol.iterations);
+            let expected = if last { 0 } else { per_iteration };
+            assert_eq!(inside, expected, "{name} spans inside {}", iteration.name);
+        }
+        let before_the_loop = spans.iter().filter(|s| end(s) <= loop_start).count();
+        assert_eq!(before_the_loop, per_iteration, "{name} spans before the loop");
+    }
+}
+
 /// Contract 2: a Chrome trace exported from a real traced solve round-trips
 /// through the JSON parser with both process lanes and the plan records intact.
 #[test]
