@@ -68,22 +68,23 @@ impl Factor {
         }
     }
 
+    /// `Y = L⁻¹PB̃ᵀ` (column-major, rows in the permuted ordering): one forward solve
+    /// against the factor's own storage, pruned to the reach of `B̃`'s entries — the
+    /// forward solve of every explicit assembly that goes through `L`.
+    pub(crate) fn forward_solve(&self, block: &SubdomainBlock) -> DenseMatrix {
+        match self {
+            Factor::Cholmod(f) => f.forward_solve_sparse_rhs(&block.b),
+            Factor::Mkl(_) => unreachable!("only the CHOLMOD-like facade solves through `L`"),
+        }
+    }
+
     /// Assembles the dense `F̃ᵢ` of one subdomain on the CPU, both triangles filled.
     pub(crate) fn assemble(&self, block: &SubdomainBlock) -> DenseMatrix {
         match self {
             // Augmented-factorization-style Schur complement exploiting B sparsity.
             Factor::Mkl(f) => f.schur_complement(&block.b),
-            // The paper's SYRK path (Fig. 2): one forward solve `Y = L⁻¹PB̃ᵀ` against the
-            // factor's own storage, pruned to the reach of B̃'s entries, then `F̃ = YᵀY`
-            // skipping the zero prefix of every column of `Y`.
-            Factor::Cholmod(f) => {
-                let y = f.forward_solve_sparse_rhs(&block.b);
-                let nl = block.num_local_lambdas();
-                let mut f_local = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
-                blas::boundary_syrk(Triangle::Upper, Transpose::Yes, 1.0, &y, 0.0, &mut f_local);
-                f_local.symmetrize_from(Triangle::Upper);
-                f_local
-            }
+            // The paper's SYRK path (Fig. 2).
+            Factor::Cholmod(_) => gram(&self.forward_solve(block)),
         }
     }
 
@@ -94,6 +95,15 @@ impl Factor {
         ops::spmv_csr(1.0, &block.b, Transpose::Yes, p_local, 0.0, &mut t);
         ops::spmv_csr(1.0, &block.b, Transpose::No, &self.solve(&t), 0.0, q_local);
     }
+}
+
+/// `F̃ = YᵀY` of the forward-solve result `Y`, skipping the zero prefix of every
+/// column of `Y`; both triangles filled.
+pub(crate) fn gram(y: &DenseMatrix) -> DenseMatrix {
+    let mut f = DenseMatrix::zeros(y.ncols(), y.ncols(), MemoryOrder::RowMajor);
+    blas::boundary_syrk(Triangle::Upper, Transpose::Yes, 1.0, y, 0.0, &mut f);
+    f.symmetrize_from(Triangle::Upper);
+    f
 }
 
 /// The explicit host application `q̃ᵢ = F̃ᵢ p̃ᵢ` through SYMV.  In a batch the dense

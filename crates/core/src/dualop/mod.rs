@@ -349,7 +349,7 @@ impl ApproachOperator {
     }
 
     /// Whether the approach assembles `F̃ᵢ` with device kernels.  Its preprocessing
-    /// region then also *executes* simulated device kernels on the host, so the raw
+    /// region then also computes on the host what those kernels produce, so the raw
     /// region wall would conflate real host work with simulation artifact.
     fn assembles_on_device(&self) -> bool {
         self.approach.is_explicit()
@@ -378,18 +378,19 @@ impl ApproachOperator {
                 (LocalState::Dense(f, keep.then_some(factor)), seconds)
             }
             _ => {
-                // CPU part: factor extraction.
+                // CPU part: extraction of the factor every GPU approach uploads.
                 let ((l_csc, perm), seconds) = timed(|| factor.extract());
+                let factor_on_device = feti_gpu::sparse::SparseFactor::Csc(l_csc);
+                let uploaded = gpu::DeviceFactor { factor: factor_on_device, perm };
                 // GPU part: conversions, TRSM/SYRK kernels (asynchronous submissions),
                 // or just keeping the uploaded factor for the implicit application.
                 let state = if self.assembles_on_device() {
+                    let _span = feti_trace::span(|| format!("assemble[sd={i}]"));
                     let (side, ops) = (self.device_side(), self.preprocess_program.subdomain(i));
-                    let f = gpu::run_assembly(side, &self.params, ops, block, &l_csc, &perm)?;
+                    let f = gpu::run_assembly(side, &self.params, ops, block, &factor, &uploaded)?;
                     LocalState::Dense(f, keep.then_some(factor))
                 } else {
-                    let device = feti_gpu::sparse::SparseFactor::Csc(l_csc);
-                    let device = gpu::DeviceFactor { factor: device, perm };
-                    LocalState::DeviceFactor(device, keep.then_some(factor))
+                    LocalState::DeviceFactor(uploaded, keep.then_some(factor))
                 };
                 (state, seconds)
             }

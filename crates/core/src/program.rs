@@ -5,10 +5,11 @@
 //! `B̃ᵀ` → TRSM → SYRK | TRSM + SpMM) steered by the Table-I parameters, and the sequel
 //! (arXiv 2509.21037) swaps two kernels of it.  [`ApproachProgram`] emits that sequence
 //! — and the implicit/explicit application sequences — as lists of typed
-//! [`DeviceOp`]s from structure alone.  The GPU operators interpret the lists (run the
-//! kernels, allocate [`ApproachProgram::persistent`]) and the planner folds the very
-//! same lists through [`PhaseScheduler`], so an estimate equals the executed model by
-//! construction.  A real CUDA backend would interpret the same programs.
+//! [`DeviceOp`]s from structure alone.  The GPU operators walk the lists (request each
+//! op's device memory, charge its cost, allocate [`ApproachProgram::persistent`]) and
+//! the planner folds the very same lists through [`PhaseScheduler`], so an estimate
+//! equals the executed model by construction.  A real CUDA backend would interpret the
+//! same programs.
 
 use crate::params::{
     DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather,

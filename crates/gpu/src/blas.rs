@@ -5,6 +5,12 @@
 //! model.  The memory order of the operands is honoured by the host kernels; following
 //! the paper's observation, it has no first-order effect on the modelled time (it
 //! mostly changes workspace sizes, which are handled in [`crate::sparse`]).
+//!
+//! Only the kernels some executor runs are wrapped: the dense TRSM (the backward
+//! solve of the explicit assembly's TRSM path) and SYMV/SYMM (the explicit
+//! application).  SYRK, its boundary-restricted variant and the sparse-RHS TRSM are
+//! priced from shape alone ([`crate::DeviceOp::cost`]); the host produces their
+//! results through the explicit host assembly body of `feti-core`.
 
 use crate::cost::{self, GpuCost, GpuSpec};
 use feti_sparse::blas as hostblas;
@@ -25,51 +31,6 @@ pub fn trsm(
 ) -> feti_sparse::Result<GpuCost> {
     hostblas::trsm(uplo, trans, diag, alpha, a, b)?;
     Ok(cost::dense_trsm(spec, a.nrows(), b.ncols()))
-}
-
-/// Symmetric rank-k update (SYRK): `C = alpha op(A) op(A)ᵀ + beta C` on one triangle.
-pub fn syrk(
-    spec: &GpuSpec,
-    uplo: Triangle,
-    trans: Transpose,
-    alpha: f64,
-    a: &DenseMatrix,
-    beta: f64,
-    c: &mut DenseMatrix,
-) -> GpuCost {
-    hostblas::syrk(uplo, trans, alpha, a, beta, c);
-    let k = if trans.is_transposed() { a.nrows() } else { a.ncols() };
-    cost::syrk(spec, c.nrows(), k)
-}
-
-/// General matrix-matrix multiplication (GEMM).
-pub fn gemm(
-    spec: &GpuSpec,
-    alpha: f64,
-    a: &DenseMatrix,
-    transa: Transpose,
-    b: &DenseMatrix,
-    transb: Transpose,
-    beta: f64,
-    c: &mut DenseMatrix,
-) -> GpuCost {
-    hostblas::gemm(alpha, a, transa, b, transb, beta, c);
-    let k = if transa.is_transposed() { a.nrows() } else { a.ncols() };
-    cost::gemm(spec, c.nrows(), k, c.ncols())
-}
-
-/// General matrix-vector multiplication (GEMV).
-pub fn gemv(
-    spec: &GpuSpec,
-    alpha: f64,
-    a: &DenseMatrix,
-    trans: Transpose,
-    x: &[f64],
-    beta: f64,
-    y: &mut [f64],
-) -> GpuCost {
-    hostblas::gemv(alpha, a, trans, x, beta, y);
-    cost::gemv(spec, a.nrows(), a.ncols())
 }
 
 /// Symmetric matrix-vector multiplication (SYMV) referencing one triangle only.
@@ -123,56 +84,6 @@ pub fn symm_multi(
     cost::symm(spec, a.nrows(), x.ncols())
 }
 
-/// Boundary-restricted triangular solve: the sparse-RHS variant of [`trsm`].
-///
-/// The host kernel ([`hostblas::sparse_rhs_trsm`]) skips the exact-zero prefixes of
-/// the right-hand-side columns and stays within 4 ulps of the dense solve (bit-for-bit
-/// in the explicit-assembly case); the modelled time is the generation-dependent
-/// boundary-restricted cost, which degenerates to [`cost::dense_trsm`] when every row
-/// of the factor is boundary.  `boundary_rows` is the number of distinct boundary DOFs
-/// the right-hand side touches (the nonzero columns of `B̃ᵢ`).
-///
-/// # Errors
-/// Propagates singular-diagonal errors from the host kernel.
-#[allow(clippy::too_many_arguments)]
-pub fn sparse_rhs_trsm(
-    spec: &GpuSpec,
-    generation: crate::CudaGeneration,
-    uplo: Triangle,
-    trans: Transpose,
-    diag: DiagKind,
-    alpha: f64,
-    a: &DenseMatrix,
-    b: &mut DenseMatrix,
-    boundary_rows: usize,
-) -> feti_sparse::Result<GpuCost> {
-    hostblas::sparse_rhs_trsm(uplo, trans, diag, alpha, a, b)?;
-    Ok(cost::sparse_rhs_trsm(spec, generation, a.nrows(), b.ncols(), boundary_rows))
-}
-
-/// Boundary-restricted symmetric rank-k update: the sparse-operand variant of
-/// [`syrk`].
-///
-/// The host kernel ([`hostblas::boundary_syrk`]) starts every inner product at the
-/// operand rows' first nonzeros and is bit-for-bit identical to the dense SYRK; the
-/// modelled time scales the dense cost by the generation's boundary work fraction.
-#[allow(clippy::too_many_arguments)]
-pub fn boundary_syrk(
-    spec: &GpuSpec,
-    generation: crate::CudaGeneration,
-    uplo: Triangle,
-    trans: Transpose,
-    alpha: f64,
-    a: &DenseMatrix,
-    beta: f64,
-    c: &mut DenseMatrix,
-    boundary_rows: usize,
-) -> GpuCost {
-    hostblas::boundary_syrk(uplo, trans, alpha, a, beta, c);
-    let k = if trans.is_transposed() { a.nrows() } else { a.ncols() };
-    cost::boundary_syrk(spec, generation, c.nrows(), k, boundary_rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,25 +102,6 @@ mod tests {
         assert!((b.get(0, 0) - 1.0).abs() < 1e-14);
         assert!((b.get(1, 0) - 1.25).abs() < 1e-14);
         assert!(c.seconds > 0.0);
-    }
-
-    #[test]
-    fn syrk_and_gemm_agree_on_symmetric_product() {
-        let a = DenseMatrix::from_row_slice(
-            3,
-            2,
-            &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-            MemoryOrder::RowMajor,
-        );
-        let s = spec();
-        let mut c1 = DenseMatrix::zeros(2, 2, MemoryOrder::RowMajor);
-        let cost1 = syrk(&s, Triangle::Upper, Transpose::Yes, 1.0, &a, 0.0, &mut c1);
-        c1.symmetrize_from(Triangle::Upper);
-        let mut c2 = DenseMatrix::zeros(2, 2, MemoryOrder::RowMajor);
-        let cost2 = gemm(&s, 1.0, &a, Transpose::Yes, &a, Transpose::No, 0.0, &mut c2);
-        assert!(c1.max_abs_diff(&c2) < 1e-12);
-        // SYRK touches half the output of the GEMM, so it must not be slower.
-        assert!(cost1.seconds <= cost2.seconds);
     }
 
     #[test]
@@ -244,69 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_rhs_kernels_match_dense_and_cost_less() {
-        let s = spec();
-        let n = 24;
-        let nrhs = 7;
-        let generation = crate::CudaGeneration::Legacy;
-        let mut a = DenseMatrix::zeros(n, n, MemoryOrder::RowMajor);
-        for i in 0..n {
-            for j in 0..=i {
-                a.set(i, j, ((i * 5 + j * 3) % 9) as f64 * 0.2 - 0.7);
-            }
-            a.set(i, i, 2.0 + i as f64 * 0.1);
-        }
-        // Columns nonzero only on a trailing window (6 boundary rows).
-        let boundary = 6;
-        let mut b0 = DenseMatrix::zeros(n, nrhs, MemoryOrder::ColMajor);
-        for j in 0..nrhs {
-            for i in (n - boundary)..n {
-                b0.set(i, j, ((i + 3 * j) % 5) as f64 * 0.4 - 0.9);
-            }
-        }
-        let mut b_sparse = b0.clone();
-        let mut b_dense = b0.clone();
-        let c_sparse = sparse_rhs_trsm(
-            &s,
-            generation,
-            Triangle::Lower,
-            Transpose::No,
-            DiagKind::NonUnit,
-            1.0,
-            &a,
-            &mut b_sparse,
-            boundary,
-        )
-        .unwrap();
-        let c_dense =
-            trsm(&s, Triangle::Lower, Transpose::No, DiagKind::NonUnit, 1.0, &a, &mut b_dense)
-                .unwrap();
-        for i in 0..n {
-            for j in 0..nrhs {
-                assert_eq!(b_sparse.get(i, j).to_bits(), b_dense.get(i, j).to_bits());
-            }
-        }
-        assert!(c_sparse.seconds < c_dense.seconds);
-
-        let mut f_sparse = DenseMatrix::zeros(nrhs, nrhs, MemoryOrder::RowMajor);
-        let mut f_dense = DenseMatrix::zeros(nrhs, nrhs, MemoryOrder::RowMajor);
-        let y_sparse = boundary_syrk(
-            &s,
-            generation,
-            Triangle::Upper,
-            Transpose::Yes,
-            1.0,
-            &b_sparse,
-            0.0,
-            &mut f_sparse,
-            boundary,
-        );
-        let y_dense = syrk(&s, Triangle::Upper, Transpose::Yes, 1.0, &b_dense, 0.0, &mut f_dense);
-        assert!(f_sparse.max_abs_diff(&f_dense) == 0.0);
-        assert!(y_sparse.seconds < y_dense.seconds);
-    }
-
-    #[test]
     fn gemv_and_symv_match() {
         let s = spec();
         let mut full = DenseMatrix::zeros(3, 3, MemoryOrder::ColMajor);
@@ -317,7 +146,7 @@ mod tests {
         }
         let x = [1.0, -2.0, 0.5];
         let mut y1 = vec![0.0; 3];
-        gemv(&s, 1.0, &full, Transpose::No, &x, 0.0, &mut y1);
+        hostblas::gemv(1.0, &full, Transpose::No, &x, 0.0, &mut y1);
         // keep only the upper triangle and use symv
         let mut upper = DenseMatrix::zeros(3, 3, MemoryOrder::ColMajor);
         for i in 0..3 {

@@ -4,6 +4,9 @@
 //! elasticity in 2D.  Keeping the specs in one place guarantees both suites always
 //! test the same problems.
 
+#[allow(dead_code)]
+pub mod device_reference;
+
 use feti_decompose::{DecomposedProblem, DecompositionSpec};
 use feti_mesh::{Dim, ElementOrder, Physics};
 
@@ -34,6 +37,31 @@ pub fn elasticity_2d() -> DecompositionSpec {
         elements_per_subdomain_side: 3,
         subdomains_per_cluster: 4,
     }
+}
+
+/// The three families the device-assembled `F̃ᵢ` are pinned on, larger than the
+/// conformance problems where a debug build can afford it, so that every factor has
+/// fill, several supernodes and multipliers in more than one forward-solve panel:
+/// elasticity 2D (3×3 subdomains of 10×10 elements), heat 2D (3×3 of 12×12) and heat
+/// 3D quadratic (2×2×2 of 2×2×2).
+#[allow(dead_code)]
+pub fn pinned_families() -> [(&'static str, DecompositionSpec); 3] {
+    let spec = |dim, physics, order, subdomains_per_side: usize, elements_per_subdomain_side| {
+        let subdomains_per_cluster = subdomains_per_side.pow(if dim == Dim::Two { 2 } else { 3 });
+        DecompositionSpec {
+            dim,
+            physics,
+            order,
+            subdomains_per_side,
+            elements_per_subdomain_side,
+            subdomains_per_cluster,
+        }
+    };
+    [
+        ("elasticity/2D", spec(Dim::Two, Physics::LinearElasticity, ElementOrder::Linear, 3, 10)),
+        ("heat/2D", spec(Dim::Two, Physics::HeatTransfer, ElementOrder::Linear, 3, 12)),
+        ("heat/3D", spec(Dim::Three, Physics::HeatTransfer, ElementOrder::Quadratic, 2, 2)),
+    ]
 }
 
 /// A copy of `problem` in which `K_reg` of every subdomain in `broken` is no longer
