@@ -1,20 +1,36 @@
-//! The host side of the dual operator: the two CPU solver facades behind one
-//! symbolic/numeric handle, and the host kernels of `impl mkl`, `impl cholmod`,
+//! The host side of the dual operator: the symbolic analyses shared between
+//! subdomains of one sparsity pattern, the two CPU solver facades behind one numeric
+//! handle, and the host kernels of `impl mkl`, `impl cholmod`,
 //! `expl mkl`, `expl cholmod` (and of the hybrid approach's assembly).
 
-use super::SubdomainBlock;
+use super::{par_subdomains, SubdomainBlock};
 use crate::params::SolverFacade;
 use feti_solver::cholmod::{CholmodFactor, CholmodLike};
 use feti_solver::pardiso::{PardisoFactor, PardisoLike};
-use feti_solver::SolverOptions;
+use feti_solver::{SolverOptions, SymbolicCholesky};
 use feti_sparse::{
     blas, ops, CscMatrix, CsrMatrix, DenseMatrix, MemoryOrder, Permutation, Transpose, Triangle,
 };
+use std::sync::Arc;
 
-/// Symbolic handle of either CPU solver facade.
-pub(crate) enum Symbolic {
-    Mkl(PardisoLike),
-    Cholmod(CholmodLike),
+/// The symbolic analysis of every matrix of `k_regs`, made once per distinct sparsity
+/// pattern ([`feti_solver::group_by_pattern`]) and shared by the matrices that have
+/// it: the one place a dual operator or a planner analyses anything.  Both solver
+/// facades wrap this object, so it serves whichever [`Factor::new`] is asked for; and
+/// an analysis reads index arrays only, so which matrix of a group stood for it
+/// cannot be told from the result.
+pub(crate) fn analyze_by_pattern<'a>(
+    k_regs: impl IntoIterator<Item = &'a CsrMatrix>,
+    opts: &SolverOptions,
+) -> Vec<Arc<SymbolicCholesky>> {
+    let k_regs: Vec<&CsrMatrix> = k_regs.into_iter().collect();
+    let groups = feti_solver::group_by_pattern(&k_regs);
+    let analyses: Vec<Arc<SymbolicCholesky>> = par_subdomains(groups.representatives.len(), |g| {
+        Arc::new(SymbolicCholesky::analyze(k_regs[groups.representatives[g]], opts))
+    });
+    feti_trace::counter_add("symbolic.analyses", analyses.len() as u64);
+    feti_trace::counter_add("symbolic.subdomains", k_regs.len() as u64);
+    groups.group_of.iter().map(|&g| Arc::clone(&analyses[g])).collect()
 }
 
 /// Numeric factor of either CPU solver facade.
@@ -23,33 +39,26 @@ pub(crate) enum Factor {
     Cholmod(CholmodFactor),
 }
 
-impl Symbolic {
-    /// Symbolic analysis of `k_reg` through `facade`.
-    pub(crate) fn analyze(facade: SolverFacade, k_reg: &CsrMatrix, opts: SolverOptions) -> Self {
-        match facade {
-            SolverFacade::Mkl => Symbolic::Mkl(PardisoLike::analyze(k_reg, opts)),
-            SolverFacade::Cholmod => Symbolic::Cholmod(CholmodLike::analyze(k_reg, opts)),
-        }
-    }
-
-    /// Stored entries of the factor this analysis predicts.
-    pub(crate) fn factor_nnz(&self) -> usize {
-        match self {
-            Symbolic::Mkl(s) => s.factor_nnz(),
-            Symbolic::Cholmod(s) => s.factor_nnz(),
-        }
-    }
-
-    /// Numeric factorization of `k_reg` — the one place a subdomain's `K⁺` is made.
-    pub(crate) fn factorize(&self, k_reg: &CsrMatrix) -> feti_solver::Result<Factor> {
-        Ok(match self {
-            Symbolic::Mkl(s) => Factor::Mkl(s.factorize(k_reg)?),
-            Symbolic::Cholmod(s) => Factor::Cholmod(s.factorize(k_reg)?),
+impl Factor {
+    /// Numeric factorization of `k_reg` by `facade` over a shared analysis — the one
+    /// place a subdomain's `K⁺` is made.
+    pub(crate) fn new(
+        facade: SolverFacade,
+        symbolic: &Arc<SymbolicCholesky>,
+        opts: SolverOptions,
+        k_reg: &CsrMatrix,
+    ) -> feti_solver::Result<Factor> {
+        let symbolic = Arc::clone(symbolic);
+        Ok(match facade {
+            SolverFacade::Mkl => {
+                Factor::Mkl(PardisoLike::from_symbolic(symbolic, opts).factorize(k_reg)?)
+            }
+            SolverFacade::Cholmod => {
+                Factor::Cholmod(CholmodLike::from_symbolic(symbolic, opts).factorize(k_reg)?)
+            }
         })
     }
-}
 
-impl Factor {
     /// `K⁺ rhs` in the original ordering: the solve behind the implicit application,
     /// the dual right-hand side and the primal recovery alike.
     pub(crate) fn solve(&self, rhs: &[f64]) -> Vec<f64> {
@@ -150,6 +159,53 @@ mod tests {
             block.gather(&q_local, &mut q);
         }
         q
+    }
+
+    #[test]
+    fn shared_analyses_are_the_per_subdomain_ones_and_one_object_per_pattern() {
+        // Elasticity 2D 3×3 × 10 and heat 2D 3×3 × 12 have one `k_reg` pattern each;
+        // heat 3D quadratic 2×2×2 × 3 is the mixed case, four patterns among eight
+        // subdomains (`assemble_subdomain` drops the entries that round to exactly 0).
+        use feti_mesh::{Dim, ElementOrder, Physics};
+        let spec = |dim, physics, order, subdomains_per_side: usize, elements| DecompositionSpec {
+            dim,
+            physics,
+            order,
+            subdomains_per_side,
+            elements_per_subdomain_side: elements,
+            subdomains_per_cluster: subdomains_per_side.pow(dim.as_usize() as u32),
+        };
+        let opts = SolverOptions::default();
+        for (spec, patterns) in [
+            (spec(Dim::Two, Physics::LinearElasticity, ElementOrder::Linear, 3, 10), 1),
+            (spec(Dim::Two, Physics::HeatTransfer, ElementOrder::Linear, 3, 12), 1),
+            (spec(Dim::Three, Physics::HeatTransfer, ElementOrder::Quadratic, 2, 3), 4),
+        ] {
+            let problem = DecomposedProblem::build(&spec);
+            let k_regs: Vec<&CsrMatrix> = problem.subdomains.iter().map(|sd| &sd.k_reg).collect();
+            let shared = analyze_by_pattern(k_regs.iter().copied(), &opts);
+            assert_eq!(shared.len(), k_regs.len());
+            for (i, (k_reg, shared)) in k_regs.iter().zip(&shared).enumerate() {
+                let own = SymbolicCholesky::analyze(k_reg, &opts);
+                let (got, want) = (shared.permutation(), own.permutation());
+                assert_eq!(got.new_to_old(), want.new_to_old(), "{spec:?} subdomain {i}");
+                assert_eq!(shared.parents(), own.parents(), "{spec:?} subdomain {i}");
+                assert_eq!(shared.supernodes(), own.supernodes(), "{spec:?} subdomain {i}");
+                assert_eq!(shared.factor_nnz(), own.factor_nnz(), "{spec:?} subdomain {i}");
+            }
+            let mut distinct = 0;
+            for i in 0..shared.len() {
+                let first = (0..i).all(|j| !Arc::ptr_eq(&shared[i], &shared[j]));
+                distinct += usize::from(first);
+                for j in 0..i {
+                    let (a, b) = (k_regs[i], k_regs[j]);
+                    let same_pattern = (a.nrows(), a.row_ptr(), a.col_idx())
+                        == (b.nrows(), b.row_ptr(), b.col_idx());
+                    assert_eq!(Arc::ptr_eq(&shared[i], &shared[j]), same_pattern, "{i} and {j}");
+                }
+            }
+            assert_eq!(distinct, patterns, "{spec:?}");
+        }
     }
 
     #[test]

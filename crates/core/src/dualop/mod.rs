@@ -26,11 +26,11 @@ use crate::program::{auto_params, ApproachProgram, PhaseProgram, SubdomainShape}
 use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
 use feti_gpu::{GpuDevice, GpuSpec};
-use feti_solver::SolverOptions;
+use feti_solver::{SolverOptions, SymbolicCholesky};
 use feti_sparse::{CsrMatrix, DenseMatrix};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Accumulated statistics of a dual operator over a run.
@@ -254,7 +254,9 @@ pub struct ApproachOperator {
     params: ExplicitAssemblyParams,
     blocks: Vec<SubdomainBlock>,
     num_lambdas: usize,
-    symbolic: Vec<cpu::Symbolic>,
+    opts: SolverOptions,
+    /// One analysis per subdomain, one object per distinct `k_reg` pattern.
+    symbolic: Vec<Arc<SymbolicCholesky>>,
     /// Empty until the first `preprocess`.
     state: Vec<LocalState>,
     /// `None` for CPU-only approaches.
@@ -267,12 +269,12 @@ pub struct ApproachOperator {
 }
 
 impl ApproachOperator {
-    /// Preparation: symbolic analysis of every subdomain under `opts` (factorization
-    /// kind, ordering) through the approach's solver facade and, for GPU approaches,
-    /// the persistent device allocations its program lists (factors, `B̃ᵢ`, `F̃ᵢ`, dual
-    /// vectors, persistent library workspaces) and the temporary pool.  `params`
-    /// configures the explicit GPU assembly and the placement of scatter/gather; the
-    /// other approaches ignore it.
+    /// Preparation: one symbolic analysis per distinct `k_reg` sparsity pattern under
+    /// `opts` (ordering), shared by the subdomains that have it, and, for GPU
+    /// approaches, the persistent device allocations its program lists (factors, `B̃ᵢ`,
+    /// `F̃ᵢ`, dual vectors, persistent library workspaces) and the temporary pool.
+    /// `params` configures the explicit GPU assembly and the placement of
+    /// scatter/gather; the other approaches ignore it.
     ///
     /// # Errors
     /// Returns an error if the device cannot hold the persistent structures.
@@ -283,9 +285,31 @@ impl ApproachOperator {
         params: ExplicitAssemblyParams,
         opts: SolverOptions,
     ) -> crate::Result<Self> {
-        let symbolic: Vec<cpu::Symbolic> = par_subdomains(blocks.len(), |i| {
-            cpu::Symbolic::analyze(approach.facade(), &blocks[i].k_reg, opts)
-        });
+        let symbolic = cpu::analyze_by_pattern(blocks.iter().map(|block| &block.k_reg), &opts);
+        Self::with_analyses(approach, blocks, num_lambdas, params, opts, symbolic)
+    }
+
+    /// [`Self::new`] over analyses made before (a [`Plan`](crate::planner::Plan) keeps
+    /// the ones it priced): nothing is analysed here.
+    ///
+    /// # Errors
+    /// Returns an error if `symbolic` is not one analysis of the right size per block,
+    /// or if the device cannot hold the persistent structures.
+    pub(crate) fn with_analyses(
+        approach: DualOperatorApproach,
+        blocks: Vec<SubdomainBlock>,
+        num_lambdas: usize,
+        params: ExplicitAssemblyParams,
+        opts: SolverOptions,
+        symbolic: Vec<Arc<SymbolicCholesky>>,
+    ) -> crate::Result<Self> {
+        let fit = symbolic.len() == blocks.len()
+            && symbolic.iter().zip(&blocks).all(|(s, block)| s.dim() == block.num_dofs());
+        if !fit {
+            return Err(crate::FetiError::Factorization(
+                "the symbolic analyses were made for another problem".into(),
+            ));
+        }
         let shapes = blocks
             .iter()
             .zip(&symbolic)
@@ -309,6 +333,7 @@ impl ApproachOperator {
             params,
             blocks,
             num_lambdas,
+            opts,
             symbolic,
             state: Vec::new(),
             device,
@@ -367,7 +392,9 @@ impl ApproachOperator {
     fn preprocess_subdomain(&self, i: usize, keep: bool) -> crate::Result<(LocalState, f64)> {
         use DualOperatorApproach as A;
         let block = &self.blocks[i];
-        let (factor, factorize_seconds) = timed(|| self.symbolic[i].factorize(&block.k_reg));
+        let (factor, factorize_seconds) = timed(|| {
+            cpu::Factor::new(self.approach.facade(), &self.symbolic[i], self.opts, &block.k_reg)
+        });
         let factor =
             factor.map_err(|e| crate::FetiError::Factorization(format!("subdomain {i}: {e}")))?;
         let (state, host_seconds) = match self.approach {
@@ -672,6 +699,53 @@ mod tests {
                     let applies_through_it = !approach.is_explicit() && !approach.uses_gpu();
                     assert!(op.state.iter().all(|s| s.factor().is_some() == applies_through_it));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_matrix_off_the_shared_pattern_is_a_typed_error_and_the_operator_survives_it() {
+        // With one analysis serving several subdomains, a `k_reg` of the right size and
+        // another pattern must fail its own factorization by name — through either
+        // facade and either numeric kernel — and leave the operator fit for the next
+        // preprocessing, whose bits are those of an operator that never saw it.
+        use feti_solver::FactorizationKind;
+        use feti_sparse::CooMatrix;
+        let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
+        let with_an_extra_pair = |k: &CsrMatrix| {
+            let far = k.nrows() - 1;
+            assert!(!k.row_cols(0).contains(&far), "the pair must be new to the pattern");
+            let mut coo = CooMatrix::new(k.nrows(), k.ncols());
+            k.iter().for_each(|(i, j, v)| coo.push(i, j, v));
+            coo.push(0, far, -1e-3);
+            coo.push(far, 0, -1e-3);
+            coo.to_csr()
+        };
+        let p: Vec<f64> = (0..problem.num_lambdas).map(|i| (i as f64 * 0.41).cos()).collect();
+        let applied = |op: &mut ApproachOperator| {
+            let mut q = vec![0.0; p.len()];
+            op.apply(&p, &mut q);
+            q.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        for approach in DualOperatorApproach::all() {
+            for factorization in [FactorizationKind::Simplicial, FactorizationKind::Supernodal] {
+                let opts = SolverOptions { factorization, ..SolverOptions::default() };
+                let build = || ApproachOperator::for_problem(approach, &problem, None, opts);
+                let mut op = build().unwrap();
+                let analysed = op.blocks[1].k_reg.clone();
+                op.blocks[1].k_reg = with_an_extra_pair(&analysed);
+                match op.preprocess() {
+                    Err(crate::FetiError::Factorization(message)) => assert!(
+                        message.starts_with("subdomain 1: pattern mismatch"),
+                        "{approach:?} {factorization:?}: {message}"
+                    ),
+                    other => panic!("{approach:?} {factorization:?}: {other:?}"),
+                }
+                op.blocks[1].k_reg = analysed;
+                op.preprocess().unwrap();
+                let mut fresh = build().unwrap();
+                fresh.preprocess().unwrap();
+                assert_eq!(applied(&mut op), applied(&mut fresh), "{approach:?} {factorization:?}");
             }
         }
     }

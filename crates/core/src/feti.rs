@@ -62,13 +62,14 @@ pub struct FetiSolution {
 /// The solver *owns* its problem (shared through an [`Arc`]), so a fully constructed
 /// — and, after the first solve, fully preprocessed — solver is `'static + Send` and
 /// can be cached and handed between worker threads by a solve service.
-/// Construction builds the coarse problem and the operator's symbolic analyses; FETI
-/// preprocessing (the dual operator's factorization/assembly) runs once per solver
-/// instance, and subsequent solves on the same instance reuse it and report a zero
-/// preprocessing time.  The solver holds no factor of `Kᵢ` of its own: `d = B K⁺ f − c`
-/// and the primal recovery solve through the one factor per subdomain its operator
-/// made under the caller's [`SolverOptions`], which the solver asks the operator to
-/// keep.
+/// Construction builds the coarse problem and analyses each distinct `Kᵢ` sparsity
+/// pattern once — or nothing, [from a plan](Self::from_plan), which hands over the
+/// analyses it priced; FETI preprocessing (the dual operator's factorization/assembly)
+/// runs once per solver instance, and subsequent solves on the same instance reuse it
+/// and report a zero preprocessing time.  The solver holds no factor of `Kᵢ` of its
+/// own: `d = B K⁺ f − c` and the primal recovery solve through the one factor per
+/// subdomain its operator made under the caller's [`SolverOptions`], which the solver
+/// asks the operator to keep.
 pub struct TotalFetiSolver {
     problem: Arc<DecomposedProblem>,
     dual_op: ApproachOperator,
@@ -180,7 +181,8 @@ impl TotalFetiSolver {
 
     /// Creates a solver from an already-computed [`Plan`](crate::planner::Plan)
     /// (see [`Planner::plan`](crate::planner::Planner::plan)): the plan's winning
-    /// candidate supplies the operator.  Callers that want to inspect or report the
+    /// candidate supplies the operator and the plan its symbolic analyses, so nothing
+    /// is analysed here.  Callers that want to inspect or report the
     /// ranking build the plan themselves and hand it over here; when tracing was
     /// enabled during planning, this solver stamps its measured preprocessing and
     /// per-application seconds onto that same plan trace record.
@@ -188,7 +190,9 @@ impl TotalFetiSolver {
     /// # Errors
     /// As for [`TotalFetiSolver::new`]: the planned operator cannot be constructed
     /// on the device or the coarse problem is singular; subdomain factorization
-    /// failures surface at preprocessing.
+    /// failures surface at preprocessing.  A plan made for a problem with other
+    /// subdomain sizes is refused here, one whose `Kᵢ` patterns differ at preprocessing
+    /// (both [`FetiError::Factorization`]).
     pub fn from_plan(
         problem: impl Into<Arc<DecomposedProblem>>,
         plan: &crate::planner::Plan,

@@ -10,21 +10,22 @@
 //! preprocessing over an expected PCPG iteration count, and constructs the winner.
 //!
 //! The estimates are built from structure alone: subdomain sizes, gluing-matrix
-//! sparsity and the *symbolic* factor sizes reported by the solver facades (symbolic
-//! analysis inspects only the sparsity pattern — no numeric factorization runs).  The
+//! sparsity and the *symbolic* factor sizes (one analysis per distinct sparsity pattern,
+//! which inspects index arrays only — no numeric factorization runs — and which a
+//! [`Plan`] hands on to the operator it builds).  The
 //! GPU side of an estimate folds the very [`ApproachProgram`] the operator executes
 //! through the same [`PhaseScheduler`], so it equals the modelled device time of an
 //! actual run by construction; the CPU side is priced by a calibrated [`HostSpec`]
 //! roofline since real host time can only be measured.
 
-use crate::dualop::{ApproachOperator, DualOperator};
+use crate::dualop::{cpu, ApproachOperator, DualOperator, SubdomainBlock};
 use crate::params::{DualOperatorApproach, ExplicitAssemblyParams, ScatterGather, SolverFacade};
 use crate::program::{auto_params, ApproachProgram, PhaseProgram, SubdomainShape};
 use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
 use feti_gpu::{cost, CudaGeneration, GpuSpec};
-use feti_solver::cholmod::CholmodLike;
-use feti_solver::{FactorizationKind, SolverOptions};
+use feti_solver::{FactorizationKind, SolverOptions, SymbolicCholesky};
+use std::sync::Arc;
 
 /// Roofline description of the host: effective per-thread FP64 throughput and memory
 /// bandwidth, plus a per-subdomain-task overhead (dispatch, allocation).
@@ -177,6 +178,9 @@ pub struct Plan {
     /// preprocessing and per-application seconds onto the chosen candidate under
     /// this id, producing the predicted-vs-measured accuracy report.
     pub trace_id: Option<u64>,
+    /// The symbolic analyses the candidates were priced from, one per subdomain: the
+    /// operator built from this plan factorizes over them and analyses nothing.
+    pub(crate) symbolic: Vec<Arc<SymbolicCholesky>>,
 }
 
 impl Plan {
@@ -196,20 +200,30 @@ impl Plan {
         self.candidates.iter().position(|c| c.fits_device_memory).unwrap_or(0)
     }
 
-    /// Builds the dual operator the plan selected.
+    /// Builds the dual operator the plan selected, for the problem it was planned for
+    /// (or one of the same structure): the operator factorizes over the plan's
+    /// symbolic analyses.
     ///
     /// # Errors
     /// Returns an error if the operator cannot be constructed (e.g. the simulated
-    /// device rejects the persistent allocations).
+    /// device rejects the persistent allocations, or `problem` has other subdomain
+    /// sizes than the planned one).
     pub fn build(&self, problem: &DecomposedProblem) -> crate::Result<Box<dyn DualOperator>> {
         Ok(Box::new(self.operator(problem)?))
     }
 
-    /// The operator [`Plan::build`] boxes.
+    /// The operator [`Plan::build`] boxes, over the plan's own analyses.
     pub(crate) fn operator(&self, problem: &DecomposedProblem) -> crate::Result<ApproachOperator> {
         let best = self.best();
         let opts = SolverOptions { factorization: best.factorization, ..SolverOptions::default() };
-        ApproachOperator::for_problem(best.approach, problem, Some(best.params), opts)
+        ApproachOperator::with_analyses(
+            best.approach,
+            SubdomainBlock::from_problem(problem),
+            problem.num_lambdas,
+            best.params,
+            opts,
+            self.symbolic.clone(),
+        )
     }
 }
 
@@ -221,27 +235,29 @@ pub struct Planner<'a> {
     gpu: GpuSpec,
     host: HostSpec,
     facts: Vec<SubdomainFacts>,
+    symbolic: Vec<Arc<SymbolicCholesky>>,
 }
 
 impl<'a> Planner<'a> {
     /// Creates a planner for `problem` on a device described by `gpu`.
     ///
-    /// Runs one symbolic analysis per subdomain (sparsity only — no numeric work) to
-    /// learn the factor sizes the estimates need.
+    /// Runs one symbolic analysis per distinct `k_reg` sparsity pattern (sparsity only
+    /// — no numeric work) to learn the factor sizes the estimates need; the plans made
+    /// here carry the analyses to the operator they build.
     #[must_use]
     pub fn new(problem: &'a DecomposedProblem, gpu: GpuSpec) -> Self {
+        let k_regs = problem.subdomains.iter().map(|sd| &sd.k_reg);
+        let symbolic = cpu::analyze_by_pattern(k_regs, &SolverOptions::default());
         let facts = problem
             .subdomains
             .iter()
-            .map(|sd| {
-                let cholmod = CholmodLike::analyze(&sd.k_reg, SolverOptions::default());
-                SubdomainFacts {
-                    shape: SubdomainShape::new(&sd.gluing, cholmod.factor_nnz()),
-                    nsuper_cholmod: cholmod.num_supernodes(),
-                }
+            .zip(&symbolic)
+            .map(|(sd, symbolic)| SubdomainFacts {
+                shape: SubdomainShape::new(&sd.gluing, symbolic.factor_nnz()),
+                nsuper_cholmod: symbolic.num_supernodes(),
             })
             .collect();
-        Self { problem, gpu, host: HostSpec::calibrated(), facts }
+        Self { problem, gpu, host: HostSpec::calibrated(), facts, symbolic }
     }
 
     /// Replaces the host calibration.
@@ -291,7 +307,8 @@ impl<'a> Planner<'a> {
                 .partial_cmp(&(!b.fits_device_memory, b.total_seconds(expected_iterations)))
                 .expect("estimated costs are finite")
         });
-        let mut plan = Plan { expected_iterations, candidates, trace_id: None };
+        let symbolic = self.symbolic.clone();
+        let mut plan = Plan { expected_iterations, candidates, trace_id: None, symbolic };
         if feti_trace::enabled() {
             // One record per approach, not per parameter variant: a full-sweep plan
             // enumerates hundreds of parameter combinations whose estimates differ
@@ -587,12 +604,8 @@ impl PlanCacheKey {
         problem.num_global_dofs.hash(&mut h);
         problem.num_lambdas.hash(&mut h);
         for sd in &problem.subdomains {
-            sd.num_dofs().hash(&mut h);
-            sd.num_local_lambdas().hash(&mut h);
-            sd.k_reg.row_ptr().hash(&mut h);
-            sd.k_reg.col_idx().hash(&mut h);
-            sd.gluing.row_ptr().hash(&mut h);
-            sd.gluing.col_idx().hash(&mut h);
+            feti_solver::pattern_hash(&sd.k_reg).hash(&mut h);
+            feti_solver::pattern_hash(&sd.gluing).hash(&mut h);
             sd.lambda_map.hash(&mut h);
         }
         h.finish()
@@ -639,9 +652,9 @@ mod tests {
 
     #[test]
     fn one_analysis_gives_the_factor_size_of_both_facades() {
-        // What licenses a single symbolic analysis per subdomain: on the seed
-        // problems the PARDISO-like facade predicts the factor size the planner
-        // took from the CHOLMOD-like one.
+        // What licenses one shared analysis object behind both facades: on the seed
+        // problems the PARDISO-like facade, analysing for itself, predicts the factor
+        // size the planner took from its shared analyses.
         let mut specs = vec![DecompositionSpec::small_heat_2d()];
         specs.extend(other_problems());
         for spec in specs {
@@ -652,6 +665,17 @@ mod tests {
                 assert_eq!(mkl.factor_nnz(), facts.shape.fnnz, "{spec:?} subdomain {}", sd.index);
             }
         }
+    }
+
+    #[test]
+    fn a_plan_refuses_a_problem_it_was_not_made_for() {
+        let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
+        let plan = planner_for(&problem).plan_auto(100);
+        assert!(plan.build(&problem).is_ok());
+        let [_, elasticity_2d] = other_problems();
+        let other = DecomposedProblem::build(&elasticity_2d);
+        let refused = plan.build(&other).err().expect("subdomain sizes differ");
+        assert!(matches!(refused, crate::FetiError::Factorization(_)), "{refused:?}");
     }
 
     #[test]

@@ -335,6 +335,40 @@ mod tests {
     }
 
     #[test]
+    fn heat_3d_quadratic_pattern_depends_on_the_values_that_round_to_zero() {
+        // A characterization, not a contract: an element entry is stored only
+        // `if v != 0.0`, and on quadratic tetrahedra thousands of structural zeros come
+        // out as rounding residue (|v| ~ 1e-19) — or as exactly 0.0, depending on the
+        // coordinates the subdomain's origin feeds the quadrature.  So two subdomains
+        // of one decomposition (2×2×2 × 6 elements, the first and the last) with one
+        // mesh topology get two sparsity patterns, and everything that one of them
+        // stores and the other does not is such residue.  The pattern must become
+        // structural (every element entry pushed) before "values change, the structure
+        // stays" can be promised; that changes the heat 3D graphs and with them every
+        // pinned heat 3D bit (ROADMAP item 3a).
+        let subdomain = |origin: usize| {
+            let mesh = generate(&SubdomainSpec {
+                dim: Dim::Three,
+                order: ElementOrder::Quadratic,
+                elements_per_side: 6,
+                origin_elements: [origin; 3],
+                cell_size: 1.0 / 12.0,
+            });
+            assemble_subdomain(&mesh, Physics::HeatTransfer).stiffness
+        };
+        let (first, last) = (subdomain(0), subdomain(6));
+        assert_eq!(first.nrows(), last.nrows());
+        assert_ne!(first.col_idx(), last.col_idx(), "the patterns coincide: re-pin and share");
+        let surplus = |a: &CsrMatrix, b: &CsrMatrix| {
+            let only_in_a = a.iter().filter(|&(i, j, _)| !b.row_cols(i).contains(&j));
+            let values: Vec<f64> = only_in_a.map(|(_, _, v)| v).collect();
+            assert!(values.iter().all(|v| v.abs() < 1e-14), "a surplus entry carries weight");
+            values.len()
+        };
+        assert!(surplus(&first, &last) + surplus(&last, &first) > 0);
+    }
+
+    #[test]
     fn stiffness_dimensions_match_physics() {
         let m = mesh(Dim::Two, ElementOrder::Linear, 3);
         let heat = assemble_subdomain(&m, Physics::HeatTransfer);

@@ -19,70 +19,60 @@ pub fn nested_dissection(g: &AdjGraph) -> Permutation {
     let n = g.num_vertices();
     let vertices: Vec<usize> = (0..n).collect();
     let mut order = Vec::with_capacity(n);
-    dissect(g, &vertices, &mut order);
+    dissect(g, &vertices, &mut vec![NOT_INDUCED; n], &mut order);
     Permutation::from_vec(order)
+}
+
+/// `local_of[v]` of a vertex outside the subgraph being induced.
+const NOT_INDUCED: usize = usize::MAX;
+
+/// The subgraph of `g` induced by `vertices`, vertex `vertices[l]` becoming `l` and
+/// every adjacency list keeping the order it has in `g`.  `local_of` is scratch of
+/// `g`'s size, all [`NOT_INDUCED`] on entry and again on return.
+fn induced_subgraph(g: &AdjGraph, vertices: &[usize], local_of: &mut [usize]) -> AdjGraph {
+    for (local, &v) in vertices.iter().enumerate() {
+        local_of[v] = local;
+    }
+    let adj = vertices
+        .iter()
+        .map(|&v| {
+            let induced = g.neighbors(v).iter().map(|&w| local_of[w]);
+            induced.filter(|&l| l != NOT_INDUCED).collect()
+        })
+        .collect();
+    for &v in vertices {
+        local_of[v] = NOT_INDUCED;
+    }
+    AdjGraph::from_adjacency(adj)
 }
 
 /// Recursively orders the subgraph of `g` induced by `vertices`, appending old indices
 /// to `order`.
-fn dissect(g: &AdjGraph, vertices: &[usize], order: &mut Vec<usize>) {
-    if vertices.len() <= LEAF_SIZE {
-        order_leaf(g, vertices, order);
-        return;
-    }
-    let Some((left, right, sep)) = bisect(g, vertices) else {
-        order_leaf(g, vertices, order);
-        return;
-    };
-    if left.is_empty() || right.is_empty() {
-        // Degenerate separator (e.g. a clique-ish graph): fall back to a leaf ordering.
-        order_leaf(g, vertices, order);
-        return;
-    }
-    dissect(g, &left, order);
-    dissect(g, &right, order);
-    order.extend_from_slice(&sep);
-}
-
-/// Orders a small set of vertices with minimum degree on the induced subgraph.
-fn order_leaf(g: &AdjGraph, vertices: &[usize], order: &mut Vec<usize>) {
+fn dissect(g: &AdjGraph, vertices: &[usize], local_of: &mut [usize], order: &mut Vec<usize>) {
     if vertices.is_empty() {
         return;
     }
-    // Build the induced subgraph with local indices.
-    let mut local_of = std::collections::HashMap::with_capacity(vertices.len());
-    for (local, &v) in vertices.iter().enumerate() {
-        local_of.insert(v, local);
-    }
-    let adj: Vec<Vec<usize>> = vertices
-        .iter()
-        .map(|&v| {
-            g.neighbors(v).iter().filter_map(|w| local_of.get(w).copied()).collect::<Vec<usize>>()
-        })
-        .collect();
-    let sub = AdjGraph::from_adjacency(adj);
-    let p = mindeg::minimum_degree(&sub);
-    for &local in p.new_to_old() {
-        order.push(vertices[local]);
+    let sub = induced_subgraph(g, vertices, local_of);
+    let split = if vertices.len() <= LEAF_SIZE { None } else { bisect(&sub, vertices) };
+    match split {
+        // A degenerate separator (e.g. a clique-ish graph) is ordered as a leaf too.
+        Some((left, right, sep)) if !left.is_empty() && !right.is_empty() => {
+            dissect(g, &left, local_of, order);
+            dissect(g, &right, local_of, order);
+            order.extend_from_slice(&sep);
+        }
+        // A leaf: minimum degree on the induced subgraph.
+        _ => {
+            let p = mindeg::minimum_degree(&sub);
+            order.extend(p.new_to_old().iter().map(|&local| vertices[local]));
+        }
     }
 }
 
-/// Splits the induced subgraph into (left, right, separator) using a BFS level-set
-/// bisection from a pseudo-peripheral vertex.  Returns `None` if no split is possible.
-fn bisect(g: &AdjGraph, vertices: &[usize]) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
-    // Induced subgraph with local indices.
-    let mut local_of = std::collections::HashMap::with_capacity(vertices.len());
-    for (local, &v) in vertices.iter().enumerate() {
-        local_of.insert(v, local);
-    }
-    let adj: Vec<Vec<usize>> = vertices
-        .iter()
-        .map(|&v| {
-            g.neighbors(v).iter().filter_map(|w| local_of.get(w).copied()).collect::<Vec<usize>>()
-        })
-        .collect();
-    let sub = AdjGraph::from_adjacency(adj);
-
+/// Splits `sub`, the subgraph induced by `vertices`, into (left, right, separator) using
+/// a BFS level-set bisection from a pseudo-peripheral vertex.  Returns `None` if no split
+/// is possible.
+fn bisect(sub: &AdjGraph, vertices: &[usize]) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
     // Work on the largest connected component; other components go entirely to "left".
     let comps = sub.connected_components();
     let (largest_idx, _) = comps.iter().enumerate().max_by_key(|(_, c)| c.len())?;

@@ -21,6 +21,8 @@ pub struct SymbolicCholesky {
     /// [`etree::fundamental_supernodes`]).
     sn_start: Vec<usize>,
     n: usize,
+    /// Stored entries of the analysed matrix.
+    pattern_nnz: usize,
 }
 
 impl SymbolicCholesky {
@@ -41,7 +43,7 @@ impl SymbolicCholesky {
         for (k, &c) in counts.iter().enumerate() {
             col_ptr[k + 1] = col_ptr[k] + c;
         }
-        Self { perm, parent, col_ptr, sn_start, n }
+        Self { perm, parent, col_ptr, sn_start, n, pattern_nnz: a.nnz() }
     }
 
     /// Matrix dimension.
@@ -86,6 +88,33 @@ impl SymbolicCholesky {
     pub(crate) fn col_ptr(&self) -> &[usize] {
         &self.col_ptr
     }
+
+    /// Refuses a matrix whose size or number of stored entries differs from the
+    /// analysed one: the up-front half of the pattern check of both numeric kernels,
+    /// which also refuse an entry that does not fit the column the analysis sized.
+    pub(crate) fn check_shape(&self, a: &CsrMatrix) -> Result<()> {
+        if a.nrows() != self.n || a.ncols() != self.n {
+            return Err(SolverError::PatternMismatch(format!(
+                "matrix is {}x{}, symbolic analysis was for {}",
+                a.nrows(),
+                a.ncols(),
+                self.n
+            )));
+        }
+        if a.nnz() != self.pattern_nnz {
+            return Err(SolverError::PatternMismatch(format!(
+                "matrix stores {} entries, the analysed pattern {}",
+                a.nnz(),
+                self.pattern_nnz
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// The error of an entry of row `k` of `L` that has no slot in the analysed factor.
+pub(crate) fn outside_analysed_pattern(k: usize, j: usize) -> SolverError {
+    SolverError::PatternMismatch(format!("L({k}, {j}) is outside the analysed factor pattern"))
 }
 
 /// A numeric Cholesky factorization `P A Pᵀ = L Lᵀ` with `L` stored column-wise.
@@ -105,20 +134,14 @@ impl CholeskyFactor {
     /// # Errors
     /// Returns [`SolverError::NotPositiveDefinite`] if a pivot is not strictly positive
     /// (beyond the configured tolerance) and [`SolverError::PatternMismatch`] if the
-    /// matrix size differs from the analysed one.
+    /// matrix differs from the analysed one in size or number of stored entries, or
+    /// produces an entry of `L` the analysed pattern has no slot for.
     pub fn factorize(
         symbolic: &SymbolicCholesky,
         a: &CsrMatrix,
         options: &SolverOptions,
     ) -> Result<Self> {
-        if a.nrows() != symbolic.n || a.ncols() != symbolic.n {
-            return Err(SolverError::PatternMismatch(format!(
-                "matrix is {}x{}, symbolic analysis was for {}",
-                a.nrows(),
-                a.ncols(),
-                symbolic.n
-            )));
-        }
+        symbolic.check_shape(a)?;
         let n = symbolic.n;
         let permuted = symbolic.perm.permute_symmetric(a);
         let col_ptr = symbolic.col_ptr.clone();
@@ -156,6 +179,9 @@ impl CholeskyFactor {
                 }
                 d -= lkj * lkj;
                 let p = next[j];
+                if p == col_ptr[j + 1] {
+                    return Err(outside_analysed_pattern(k, j));
+                }
                 row_idx[p] = k;
                 values[p] = lkj;
                 next[j] += 1;
@@ -163,8 +189,12 @@ impl CholeskyFactor {
             if d <= options.pivot_tolerance {
                 return Err(SolverError::NotPositiveDefinite { index: k, pivot: d });
             }
+            // The diagonal is the first entry of its column: an earlier one was stored
+            // from a row above `k`, which only a foreign pattern's `ereach` delivers.
             let p = next[k];
-            debug_assert_eq!(p, col_ptr[k], "diagonal must be the first entry of its column");
+            if p != col_ptr[k] {
+                return Err(outside_analysed_pattern(row_idx[col_ptr[k]], k));
+            }
             row_idx[p] = k;
             values[p] = d.sqrt();
             next[k] += 1;
@@ -515,7 +545,7 @@ mod tests {
         let symbolic = SymbolicCholesky::analyze(&a, &SolverOptions::default());
         let b = laplacian2d(4, 4);
         let err = CholeskyFactor::factorize(&symbolic, &b, &SolverOptions::default()).unwrap_err();
-        matches!(err, SolverError::PatternMismatch(_));
+        assert!(matches!(err, SolverError::PatternMismatch(_)));
     }
 
     #[test]

@@ -17,12 +17,14 @@ use crate::chol::{CholeskyFactor, SymbolicCholesky};
 use crate::supernodal::SupernodalFactor;
 use crate::{panel, FactorizationKind, Result, SolverOptions};
 use feti_sparse::{CscMatrix, CsrMatrix, DenseMatrix, Permutation};
+use std::sync::Arc;
 
-/// Symbolic handle of the CHOLMOD-like solver (one per subdomain, created in the
-/// preparation phase).
+/// Symbolic handle of the CHOLMOD-like solver, created in the preparation phase: one
+/// analysis per sparsity pattern, shared by every handle made
+/// [from it](Self::from_symbolic).
 #[derive(Debug, Clone)]
 pub struct CholmodLike {
-    symbolic: SymbolicCholesky,
+    symbolic: Arc<SymbolicCholesky>,
     options: SolverOptions,
 }
 
@@ -43,7 +45,14 @@ impl CholmodLike {
     /// Runs the symbolic analysis (ordering, elimination tree, factor pattern).
     #[must_use]
     pub fn analyze(a: &CsrMatrix, options: SolverOptions) -> Self {
-        Self { symbolic: SymbolicCholesky::analyze(a, &options), options }
+        Self::from_symbolic(Arc::new(SymbolicCholesky::analyze(a, &options)), options)
+    }
+
+    /// A handle over an analysis made before — of this matrix or of any other with the
+    /// same sparsity pattern; `options.ordering` was spent making it.
+    #[must_use]
+    pub fn from_symbolic(symbolic: Arc<SymbolicCholesky>, options: SolverOptions) -> Self {
+        Self { symbolic, options }
     }
 
     /// Matrix dimension this handle was analysed for.

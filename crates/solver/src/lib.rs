@@ -26,11 +26,13 @@ pub mod cholmod;
 pub mod etree;
 mod panel;
 pub mod pardiso;
+pub mod pattern;
 pub mod supernodal;
 
 pub use chol::{CholeskyFactor, SymbolicCholesky};
 pub use cholmod::{CholmodFactor, CholmodLike};
 pub use pardiso::PardisoLike;
+pub use pattern::{group_by_pattern, pattern_hash, PatternGroups};
 pub use supernodal::SupernodalFactor;
 
 use feti_order::OrderingKind;

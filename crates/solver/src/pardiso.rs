@@ -11,11 +11,12 @@
 use crate::chol::{CholeskyFactor, SymbolicCholesky};
 use crate::{Result, SolverOptions};
 use feti_sparse::{CsrMatrix, DenseMatrix, MemoryOrder, Triangle};
+use std::sync::Arc;
 
 /// Symbolic handle of the PARDISO-like solver.
 #[derive(Debug, Clone)]
 pub struct PardisoLike {
-    symbolic: SymbolicCholesky,
+    symbolic: Arc<SymbolicCholesky>,
     options: SolverOptions,
 }
 
@@ -32,7 +33,14 @@ impl PardisoLike {
     /// Runs the symbolic analysis (ordering, elimination tree, factor pattern).
     #[must_use]
     pub fn analyze(a: &CsrMatrix, options: SolverOptions) -> Self {
-        Self { symbolic: SymbolicCholesky::analyze(a, &options), options }
+        Self::from_symbolic(Arc::new(SymbolicCholesky::analyze(a, &options)), options)
+    }
+
+    /// A handle over an analysis made before — the very object a
+    /// [`CholmodLike`](crate::CholmodLike) of the same sparsity pattern wraps.
+    #[must_use]
+    pub fn from_symbolic(symbolic: Arc<SymbolicCholesky>, options: SolverOptions) -> Self {
+        Self { symbolic, options }
     }
 
     /// Matrix dimension this handle was analysed for.

@@ -18,7 +18,7 @@
 //! column.  The conformance suite pins this contract bit-for-bit on the seed
 //! problems.
 
-use crate::chol::SymbolicCholesky;
+use crate::chol::{outside_analysed_pattern, SymbolicCholesky};
 use crate::etree;
 use crate::{Result, SolverError, SolverOptions};
 use feti_sparse::{CscMatrix, CsrMatrix, DenseMatrix, Permutation};
@@ -54,22 +54,16 @@ impl SupernodalFactor {
     /// Returns [`SolverError::NotPositiveDefinite`] if a pivot is not strictly
     /// positive (beyond the configured tolerance) — at the same pivot index, with the
     /// bit-identical pivot value, as the simplicial kernel — and
-    /// [`SolverError::PatternMismatch`] if the matrix size differs from the analysed
-    /// one.
+    /// [`SolverError::PatternMismatch`] if the matrix differs from the analysed one in
+    /// size or number of stored entries, or produces an entry of `L` the analysed
+    /// pattern has no slot for.
     pub fn factorize(
         symbolic: &SymbolicCholesky,
         a: &CsrMatrix,
         options: &SolverOptions,
     ) -> Result<Self> {
+        symbolic.check_shape(a)?;
         let n = symbolic.dim();
-        if a.nrows() != n || a.ncols() != n {
-            return Err(SolverError::PatternMismatch(format!(
-                "matrix is {}x{}, symbolic analysis was for {}",
-                a.nrows(),
-                a.ncols(),
-                n
-            )));
-        }
         let permuted = symbolic.permutation().permute_symmetric(a);
         let parent = symbolic.parents();
         let col_ptr = symbolic.col_ptr().to_vec();
@@ -141,6 +135,10 @@ impl SupernodalFactor {
                     jb += 1;
                     idx_end += 1;
                 }
+                if jb > k {
+                    // Only the `ereach` of a foreign pattern climbs past row `k`.
+                    return Err(outside_analysed_pattern(k, jb));
+                }
                 let j0 = sn_start[s];
                 let h = rows_ptr[s + 1] - rows_ptr[s];
                 let panel = &mut panels[panel_ptr[s]..panel_ptr[s + 1]];
@@ -154,6 +152,9 @@ impl SupernodalFactor {
                     last_pos[s]
                 } else {
                     let p = fill[s];
+                    if p == h {
+                        return Err(outside_analysed_pattern(k, ja));
+                    }
                     fill[s] += 1;
                     srows[p] = k;
                     last_row[s] = k;
@@ -485,5 +486,54 @@ mod tests {
         let err =
             SupernodalFactor::factorize(&symbolic, &b, &SolverOptions::default()).unwrap_err();
         assert!(matches!(err, SolverError::PatternMismatch(_)));
+    }
+
+    /// Diagonally dominant symmetric matrix with the given off-diagonal pairs.
+    fn with_pairs(n: usize, pairs: &[(usize, usize)]) -> CsrMatrix {
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 8.0);
+        }
+        for &(i, j) in pairs {
+            coo.push(i, j, -1.0);
+            coo.push(j, i, -1.0);
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn a_same_size_matrix_with_a_foreign_pattern_is_refused_by_both_kernels() {
+        // Once an analysis is shared between subdomains, a matrix of the right size
+        // and the wrong pattern must be a typed error, not an entry written into the
+        // neighbouring column.
+        let opts = SolverOptions { ordering: OrderingKind::Natural, ..Default::default() };
+        let refused = |analysed: &[(usize, usize)], foreign: &[(usize, usize)], what: &str| {
+            let analysed = with_pairs(6, analysed);
+            let symbolic = SymbolicCholesky::analyze(&analysed, &opts);
+            let foreign = with_pairs(6, foreign);
+            let simplicial = CholeskyFactor::factorize(&symbolic, &foreign, &opts).unwrap_err();
+            let supernodal = SupernodalFactor::factorize(&symbolic, &foreign, &opts).unwrap_err();
+            for err in [simplicial, supernodal] {
+                let SolverError::PatternMismatch(message) = err else {
+                    panic!("expected PatternMismatch, got {err:?}");
+                };
+                assert!(message.contains(what), "{message}");
+            }
+            // The analysis is not spent: its own matrix factorizes, with either kernel.
+            let f = CholeskyFactor::factorize(&symbolic, &analysed, &opts).unwrap();
+            let g = SupernodalFactor::factorize(&symbolic, &analysed, &opts).unwrap();
+            assert_eq!(f.nnz(), g.nnz());
+        };
+        let chain = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)];
+        // One extra off-diagonal pair: caught by the entry count, up front.
+        refused(&chain, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)], "stores 18 entries");
+        // As many entries, one pair moved: row 2 now reaches column 0, whose two slots
+        // (the diagonal and row 1) are taken.
+        refused(&chain, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)], "L(2, 0) is outside");
+        // As many entries again, and an `ereach` that climbs past its row: in the
+        // elimination tree of the arrow every column's parent is 5, so the walk from
+        // column 0 in row 2 passes 2 and delivers column 5.
+        let arrow = [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)];
+        refused(&arrow, &[(0, 5), (1, 5), (0, 2), (3, 5), (4, 5)], "outside the analysed factor");
     }
 }

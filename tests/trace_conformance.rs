@@ -141,6 +141,72 @@ fn host_assembly_spans_nest_inside_their_factorize_spans() {
     }
 }
 
+/// One symbolic analysis per distinct `k_reg` pattern, read off the trace: the nine
+/// subdomains of the elasticity 3×3 problem share one, the eight of heat 3D quadratic
+/// 2×2×2 × 3 need four — for an operator and for a planner alike — and a solver built
+/// from a plan analyses nothing: it factorizes over the analyses the plan priced.
+#[test]
+fn symbolic_analyses_are_counted_per_pattern_and_a_plan_hands_its_own_over() {
+    let _gate = trace_gate();
+    let counted = |run: &mut dyn FnMut()| {
+        feti_trace::set_enabled(true);
+        run();
+        let report = feti_trace::take_report();
+        feti_trace::set_enabled(false);
+        let counter = |name: &str| {
+            report.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, value)| *value)
+        };
+        (counter("symbolic.analyses"), counter("symbolic.subdomains"))
+    };
+    let (_, elasticity) = common::pinned_families()[0];
+    let heat_3d =
+        feti_decompose::DecompositionSpec { elements_per_subdomain_side: 3, ..common::heat_3d() };
+    for (spec, analyses, subdomains) in [(elasticity, 1, 9), (heat_3d, 4, 8)] {
+        let problem = Arc::new(DecomposedProblem::build(&spec));
+        for approach in [DualOperatorApproach::ImplicitMkl, DualOperatorApproach::ExplicitGpuModern]
+        {
+            let built =
+                counted(&mut || drop(build_dual_operator(approach, &problem, None).unwrap()));
+            assert_eq!(built, (analyses, subdomains), "{spec:?} {approach:?}");
+        }
+        let gpu = feti_gpu::GpuSpec::a100_40gb();
+        let mut plan = None;
+        let planned = counted(&mut || {
+            plan = Some(feti_core::planner::Planner::new(&problem, gpu).plan_auto(100));
+        });
+        assert_eq!(planned, (analyses, subdomains), "{spec:?} planner");
+        let plan = plan.expect("the closure ran");
+        let mut solver = None;
+        let from_plan = counted(&mut || {
+            let options = PcpgOptions::default();
+            solver =
+                Some(TotalFetiSolver::from_plan(Arc::clone(&problem), &plan, options).unwrap());
+            drop(plan.build(&problem).unwrap());
+        });
+        assert_eq!(from_plan, (0, 0), "{spec:?}: a planned construction analysed again");
+        // And the handed-over analyses are the right ones: the planned solver's bits
+        // are those of a solver that analysed for itself.
+        let best = plan.best();
+        let opts = feti_solver::SolverOptions {
+            factorization: best.factorization,
+            ..feti_solver::SolverOptions::default()
+        };
+        let mut own = TotalFetiSolver::new_with_solver_options(
+            Arc::clone(&problem),
+            best.approach,
+            Some(best.params),
+            opts,
+            PcpgOptions::default(),
+        )
+        .unwrap();
+        let bits = |solver: &mut TotalFetiSolver| {
+            let solution = solver.solve().unwrap();
+            solution.global_solution.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&mut solver.expect("the closure ran")), bits(&mut own), "{spec:?}");
+    }
+}
+
 /// What an iteration spends outside the dual operator has a name: every `pcpg_iter[k]`
 /// that iterates holds exactly one `precondition` and two `project` spans, the last
 /// one — which only finds the case converged — holds none, and the only others are
