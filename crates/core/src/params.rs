@@ -45,11 +45,11 @@ pub enum DualOperatorApproach {
 /// The sparse direct solver facade an approach analyses and factorizes through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverFacade {
-    /// The MKL-PARDISO-like facade: simplicial factorization, sparsity-exploiting
-    /// Schur complement.
+    /// The MKL-PARDISO-like facade: hidden factor, sparsity-exploiting Schur
+    /// complement.
     Mkl,
-    /// The CHOLMOD-like facade: selectable simplicial/supernodal numeric kernel,
-    /// extractable factor (every GPU-assembled approach uploads it).
+    /// The CHOLMOD-like facade: extractable factor (every GPU-assembled approach
+    /// uploads it).  Both run the numeric kernel the solver options name.
     Cholmod,
 }
 

@@ -122,8 +122,8 @@ struct SubdomainFacts {
     /// The program shape, carrying the symbolic factor size — one number for both
     /// solver facades, which share the ordering and the symbolic analysis.
     shape: SubdomainShape,
-    /// Number of supernodes of the CHOLMOD-like factor (prices the supernodal kernel).
-    nsuper_cholmod: usize,
+    /// Number of supernodes of the factor (prices the run-blocked kernel).
+    nsuper: usize,
 }
 
 /// The device side of one approach × parameter set as the planner emits it once.
@@ -254,7 +254,7 @@ impl<'a> Planner<'a> {
             .zip(&symbolic)
             .map(|(sd, symbolic)| SubdomainFacts {
                 shape: SubdomainShape::new(&sd.gluing, symbolic.factor_nnz()),
-                nsuper_cholmod: symbolic.num_supernodes(),
+                nsuper: symbolic.num_supernodes(),
             })
             .collect();
         Self { problem, gpu, host: HostSpec::calibrated(), facts, symbolic }
@@ -294,7 +294,9 @@ impl<'a> Planner<'a> {
             for params in self.params_candidates(approach, full_sweep) {
                 // Simplicial first, so a tie (the kinds only differ in host
                 // preprocessing price) resolves to the simpler kernel under the
-                // stable sort below.
+                // stable sort below.  The MKL-backed approaches are still offered
+                // under it alone, as when their facade had no other: widening the
+                // candidate list belongs to the re-pricing of the host model.
                 let emitted = self.emit(approach, params);
                 candidates.push(self.price(&emitted, FactorizationKind::Simplicial));
                 if approach.facade() == SolverFacade::Cholmod {
@@ -384,20 +386,20 @@ impl<'a> Planner<'a> {
     }
 
     /// Estimates one approach with one parameter set — no execution, structure only.
-    /// Prices the default (simplicial) host factorization.
+    /// Prices the default host factorization kind, the one an operator built without
+    /// options runs.
     #[must_use]
     pub fn estimate(
         &self,
         approach: DualOperatorApproach,
         params: ExplicitAssemblyParams,
     ) -> PlanCandidate {
-        self.estimate_with_factorization(approach, params, FactorizationKind::Simplicial)
+        self.estimate_with_factorization(approach, params, FactorizationKind::default_kind())
     }
 
     /// Estimates one approach with one parameter set and an explicit host
     /// factorization kind.  The kind only reprices the host factorization phase (the
-    /// kinds are bit-identical in their output); approaches that do not factorize
-    /// through the CHOLMOD-like facade ignore it.
+    /// kinds are bit-identical in their output), of either solver facade.
     #[must_use]
     pub fn estimate_with_factorization(
         &self,
@@ -435,12 +437,6 @@ impl<'a> Planner<'a> {
     /// Prices one emitted approach under one host factorization kind.
     fn price(&self, emitted: &Emitted, factorization: FactorizationKind) -> PlanCandidate {
         let Emitted { approach, params, program, preprocess, apply } = emitted;
-        // Only the CHOLMOD-like facade has a selectable numeric kernel; the MKL-backed
-        // approaches always factorize simplicially.
-        let kind = match approach.facade() {
-            SolverFacade::Cholmod => factorization,
-            SolverFacade::Mkl => FactorizationKind::Simplicial,
-        };
         // The host half: what each subdomain's worker does ahead of its submissions.
         // Device-assembled and device-applied phases only submit from the host.
         let (host_pre, host_app): (Vec<f64>, Vec<f64>) = program
@@ -449,7 +445,7 @@ impl<'a> Planner<'a> {
             .zip(&self.facts)
             .map(|(s, facts)| {
                 use DualOperatorApproach as A;
-                let factorize = self.host_factorize(s, facts.nsuper_cholmod, kind);
+                let factorize = self.host_factorize(s, facts.nsuper, factorization);
                 match approach {
                     A::ImplicitMkl | A::ImplicitCholmod => (factorize, self.host_implicit_apply(s)),
                     A::ExplicitMkl | A::ExplicitCholmod => {
@@ -470,7 +466,7 @@ impl<'a> Planner<'a> {
         PlanCandidate {
             approach: *approach,
             params: *params,
-            factorization: kind,
+            factorization,
             preprocessing: pre.finish(),
             apply: app.finish(),
             fits_device_memory: persistent_device_bytes <= self.gpu.memory_capacity_bytes,
@@ -895,27 +891,26 @@ mod tests {
                             | DualOperatorApproach::ExplicitMkl
                             | DualOperatorApproach::ExplicitHybrid
                     ),
-                    "MKL-backed approaches factorize simplicially only, got {:?}",
+                    "MKL-backed approaches are planned simplicially only, got {:?}",
                     c.approach
                 );
             }
         }
         // Every cholmod-backed approach is priced under both kinds, and the
         // supernodal estimate is never more expensive: same flops and same modelled
-        // GPU work, strictly less host index traffic, same apply cost.
+        // GPU work, strictly less host index traffic, same apply cost.  An estimate
+        // names the kernel it was asked for, whichever facade runs it.
         for approach in [
             DualOperatorApproach::ImplicitCholmod,
             DualOperatorApproach::ExplicitCholmod,
             DualOperatorApproach::ExplicitGpuModern,
+            DualOperatorApproach::ExplicitMkl,
         ] {
             let params = auto_params(approach, &problem);
-            let simp = planner.estimate(approach, params);
-            let sup = planner.estimate_with_factorization(
-                approach,
-                params,
-                FactorizationKind::Supernodal,
-            );
+            let [simp, sup] = [FactorizationKind::Simplicial, FactorizationKind::Supernodal]
+                .map(|kind| planner.estimate_with_factorization(approach, params, kind));
             assert_eq!(sup.factorization, FactorizationKind::Supernodal);
+            assert_eq!(planner.estimate(approach, params).factorization, sup.factorization);
             assert!(
                 sup.preprocessing.total_seconds <= simp.preprocessing.total_seconds,
                 "{approach:?}: supernodal {} vs simplicial {}",

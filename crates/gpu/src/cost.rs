@@ -318,14 +318,16 @@ pub fn host_factor_work_simplicial(nnz_factor: usize, n: usize) -> (f64, f64) {
     (fnnz * 16.0, flops)
 }
 
-/// Work of one *host* supernodal (panel) Cholesky factorization, as `(bytes, flops)`.
+/// Work of one *host* run-blocked (supernodal) Cholesky factorization, as
+/// `(bytes, flops)`.
 ///
 /// The flop count is identical to the simplicial kernel (same factor, same
 /// eliminations — it is bit-for-bit the same arithmetic), but the memory traffic
-/// shrinks with supernode width: inside a panel the column lists collapse into one
-/// shared row index list and dense strided columns, so the per-entry index overhead
-/// is paid once per supernode column instead of once per entry.  With `nsuper == n`
-/// (every column its own supernode) this degenerates to the simplicial traffic.
+/// shrinks with supernode width: the columns of a supernode read one shared row index
+/// list — the factor's only index storage, held by the symbolic analysis — beside
+/// their contiguous value streams, so the per-entry index overhead is paid once per
+/// sweep of up to four columns instead of once per entry.  With `nsuper == n` (every
+/// column its own supernode) this degenerates to the simplicial traffic.
 #[must_use]
 pub fn host_factor_work_supernodal(nnz_factor: usize, n: usize, nsuper: usize) -> (f64, f64) {
     let fnnz = nnz_factor as f64;

@@ -7,21 +7,20 @@
 //! the explicit assembly on the host, [`CholmodFactor::forward_solve_sparse_rhs`],
 //! which works on the factor where it lies instead of extracting it.
 //!
-//! The numeric kernel is selectable via [`SolverOptions::factorization`]: the
-//! simplicial column-at-a-time kernel ([`CholeskyFactor`]) or the supernodal panel
-//! kernel ([`SupernodalFactor`]).  Both produce bit-for-bit identical factors and
-//! solves, so everything downstream (including the extracted CSC factor the GPU
-//! paths consume) is unaffected by the choice — only the wall time changes.
+//! The structure of the factor lives in the shared [`SymbolicCholesky`]; a
+//! [`CholmodFactor`] is that analysis plus values, whichever kernel
+//! [`SolverOptions::factorization`] names made them — run-blocked by default,
+//! column at a time as the oracle — and both give the same bits, so nothing
+//! downstream (including the extracted CSC factor the GPU paths consume) can tell.
 
 use crate::chol::{CholeskyFactor, SymbolicCholesky};
-use crate::supernodal::SupernodalFactor;
-use crate::{panel, FactorizationKind, Result, SolverOptions};
+use crate::{panel, Result, SolverOptions};
 use feti_sparse::{CscMatrix, CsrMatrix, DenseMatrix, Permutation};
 use std::sync::Arc;
 
 /// Symbolic handle of the CHOLMOD-like solver, created in the preparation phase: one
 /// analysis per sparsity pattern, shared by every handle made
-/// [from it](Self::from_symbolic).
+/// [from it](Self::from_symbolic) and by every factor they make.
 #[derive(Debug, Clone)]
 pub struct CholmodLike {
     symbolic: Arc<SymbolicCholesky>,
@@ -31,14 +30,7 @@ pub struct CholmodLike {
 /// Numeric factorization produced by [`CholmodLike::factorize`].
 #[derive(Debug, Clone)]
 pub struct CholmodFactor {
-    inner: FactorInner,
-}
-
-/// The numeric kernel actually used, per [`SolverOptions::factorization`].
-#[derive(Debug, Clone)]
-enum FactorInner {
-    Simplicial(CholeskyFactor),
-    Supernodal(SupernodalFactor),
+    factor: CholeskyFactor,
 }
 
 impl CholmodLike {
@@ -73,8 +65,8 @@ impl CholmodLike {
         self.symbolic.permutation()
     }
 
-    /// Number of supernodes the supernodal kernel would use (dense panels of columns
-    /// with identical structure); feeds the planner's cost model.
+    /// Number of supernodes of the factor (runs of columns sharing one row list);
+    /// feeds the planner's cost model.
     #[must_use]
     pub fn num_supernodes(&self) -> usize {
         self.symbolic.num_supernodes()
@@ -86,16 +78,7 @@ impl CholmodLike {
     /// # Errors
     /// Propagates [`crate::SolverError`] from the numeric kernel.
     pub fn factorize(&self, a: &CsrMatrix) -> Result<CholmodFactor> {
-        let inner =
-            match self.options.factorization {
-                FactorizationKind::Simplicial => FactorInner::Simplicial(
-                    CholeskyFactor::factorize(&self.symbolic, a, &self.options)?,
-                ),
-                FactorizationKind::Supernodal => FactorInner::Supernodal(
-                    SupernodalFactor::factorize(&self.symbolic, a, &self.options)?,
-                ),
-            };
-        Ok(CholmodFactor { inner })
+        Ok(CholmodFactor { factor: CholeskyFactor::factorize(&self.symbolic, a, &self.options)? })
     }
 }
 
@@ -103,37 +86,25 @@ impl CholmodFactor {
     /// Matrix dimension.
     #[must_use]
     pub fn dim(&self) -> usize {
-        match &self.inner {
-            FactorInner::Simplicial(f) => f.dim(),
-            FactorInner::Supernodal(f) => f.dim(),
-        }
+        self.factor.dim()
     }
 
     /// Number of nonzeros of `L`.
     #[must_use]
     pub fn nnz(&self) -> usize {
-        match &self.inner {
-            FactorInner::Simplicial(f) => f.nnz(),
-            FactorInner::Supernodal(f) => f.nnz(),
-        }
+        self.factor.nnz()
     }
 
     /// Solves `A x = b` in the original ordering.
     #[must_use]
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        match &self.inner {
-            FactorInner::Simplicial(f) => f.solve(b),
-            FactorInner::Supernodal(f) => f.solve(b),
-        }
+        self.factor.solve(b)
     }
 
     /// Solves `A X = B` for a dense right-hand-side matrix.
     #[must_use]
     pub fn solve_matrix(&self, b: &DenseMatrix) -> DenseMatrix {
-        match &self.inner {
-            FactorInner::Simplicial(f) => f.solve_matrix(b),
-            FactorInner::Supernodal(f) => f.solve_matrix(b),
-        }
+        self.factor.solve_matrix(b)
     }
 
     /// `Y = L⁻¹ P Bᵀ` for a sparse `m x n` matrix `B` (a gluing block): the `n x m`
@@ -143,41 +114,23 @@ impl CholmodFactor {
     ///
     /// The rows of `B` are solved 32 at a time against the factor's own storage
     /// (nothing is extracted or densified) and only the columns of `L` in the
-    /// elimination-tree reach of each panel are visited.  Both factorization kinds
-    /// give the same bits.
+    /// elimination-tree reach of each panel are visited.
     ///
     /// # Panics
     /// Panics if `b.ncols() != self.dim()`.
     #[must_use]
     pub fn forward_solve_sparse_rhs(&self, b: &CsrMatrix) -> DenseMatrix {
-        match &self.inner {
-            FactorInner::Simplicial(f) => panel::forward_solve_sparse_rhs(
-                f.dim(),
-                |j| f.column(j),
-                f.permutation().old_to_new(),
-                b,
-            ),
-            FactorInner::Supernodal(f) => panel::forward_solve_sparse_rhs(
-                f.dim(),
-                |j| f.column(j),
-                f.permutation().old_to_new(),
-                b,
-            ),
-        }
+        panel::forward_solve_sparse_rhs(&self.factor, b)
     }
 
     /// Extracts the Cholesky factor `L` (CSC, lower triangular) and the fill-reducing
     /// permutation such that `P A Pᵀ = L Lᵀ`.
     ///
     /// This mirrors CHOLMOD's ability to expose its factor, which the paper relies on
-    /// to feed the GPU assembly; the PARDISO-like facade deliberately lacks it.  The
-    /// extracted CSC matrix is bitwise identical for both factorization kinds.
+    /// to feed the GPU assembly; the PARDISO-like facade deliberately lacks it.
     #[must_use]
     pub fn extract_factor(&self) -> (CscMatrix, Permutation) {
-        match &self.inner {
-            FactorInner::Simplicial(f) => (f.factor_csc(), f.permutation().clone()),
-            FactorInner::Supernodal(f) => (f.factor_csc(), f.permutation().clone()),
-        }
+        (self.factor.factor_csc(), self.factor.permutation().clone())
     }
 }
 

@@ -134,6 +134,70 @@ pub fn fundamental_supernodes(parent: &[usize], counts: &[usize]) -> Vec<usize> 
     starts
 }
 
+/// The row structure of the factor, one list per supernode: `(ptr, rows)` with the
+/// rows of supernode `s` in `rows[ptr[s]..ptr[s + 1]]`, its own columns first and the
+/// rows below them after, all ascending.
+///
+/// The columns of a fundamental supernode have nested structures, so one list serves
+/// them all: column `starts[s] + c` holds exactly the tail `rows[ptr[s] + c..ptr[s + 1]]`,
+/// diagonal first.  Only the structure of a supernode's first column is ever formed —
+/// its entries of `a` and, each without its own diagonal, the structures of its
+/// children in the elimination tree, which are the lists of the supernodes those
+/// children close — so the pass costs what the lists hold, not what the factor does.
+///
+/// # Panics
+/// Panics if `a` is not square or has more than `u32::MAX` rows.
+#[must_use]
+pub fn supernode_rows(
+    a: &CsrMatrix,
+    parent: &[usize],
+    counts: &[usize],
+    starts: &[usize],
+) -> (Vec<usize>, Vec<u32>) {
+    let n = a.nrows();
+    assert_eq!(a.ncols(), n);
+    assert!(u32::try_from(n).is_ok(), "row indices of the factor are stored as u32");
+    let nsuper = starts.len() - 1;
+    let mut ptr = vec![0usize; nsuper + 1];
+    for s in 0..nsuper {
+        ptr[s + 1] = ptr[s] + counts[starts[s]];
+    }
+    let mut rows = vec![0u32; ptr[nsuper]];
+    // The supernodes whose last column is a child of column `j`, chained: the children
+    // whose structure `j` inherits (one inside `j`'s own supernode adds nothing).
+    let mut first_child = vec![NO_PARENT; n];
+    let mut next_sibling = vec![NO_PARENT; nsuper];
+    let mut marker = vec![usize::MAX; n];
+    for s in 0..nsuper {
+        let (j0, j1) = (starts[s], starts[s + 1]);
+        let (done, rest) = rows.split_at_mut(ptr[s]);
+        let list = &mut rest[..ptr[s + 1] - ptr[s]];
+        let mut len = 0;
+        let mut push = |i: usize| {
+            if marker[i] != s {
+                marker[i] = s;
+                list[len] = i as u32;
+                len += 1;
+            }
+        };
+        (j0..j1).for_each(&mut push);
+        a.row_cols(j0).iter().filter(|&&i| i > j0).for_each(|&i| push(i));
+        let mut child = first_child[j0];
+        while child != NO_PARENT {
+            let below = ptr[child] + (starts[child + 1] - starts[child]);
+            done[below..ptr[child + 1]].iter().for_each(|&i| push(i as usize));
+            child = next_sibling[child];
+        }
+        assert_eq!(len, list.len(), "column counts and elimination tree disagree");
+        list[j1 - j0..].sort_unstable();
+        if parent[j1 - 1] != NO_PARENT {
+            next_sibling[s] = first_child[parent[j1 - 1]];
+            first_child[parent[j1 - 1]] = s;
+        }
+    }
+    (ptr, rows)
+}
+
 /// Returns a post-ordering of the elimination forest (children before parents).
 #[must_use]
 pub fn postorder(parent: &[usize]) -> Vec<usize> {

@@ -9,7 +9,8 @@
 //!   CPU (the `expl mkl` approach).
 //!
 //! This crate provides both roles from scratch on top of a shared symbolic analysis
-//! ([`etree`]) and a shared up-looking simplicial Cholesky kernel ([`chol`]):
+//! ([`etree`]), which owns the structure of the factor, and a shared up-looking
+//! Cholesky kernel ([`chol`]), which fills in its values:
 //! [`CholmodLike`] exposes factor extraction, [`PardisoLike`] hides its factor but
 //! exposes a sparsity-exploiting Schur complement.  Both split work into symbolic and
 //! numeric phases exactly as described in §III of the paper, so a multi-step simulation
@@ -17,7 +18,7 @@
 
 #![warn(missing_docs)]
 // As in `feti-sparse`: the factorization inner loops keep explicit index arithmetic
-// (elimination-tree walks, supernode panels), where clippy's iterator rewrite would
+// (elimination-tree walks, runs of supernode columns), where clippy's iterator rewrite would
 // obscure the indexing the comments reference.
 #![allow(clippy::needless_range_loop)]
 
@@ -27,35 +28,40 @@ pub mod etree;
 mod panel;
 pub mod pardiso;
 pub mod pattern;
-pub mod supernodal;
+#[cfg(test)]
+mod supernodal;
 
 pub use chol::{CholeskyFactor, SymbolicCholesky};
 pub use cholmod::{CholmodFactor, CholmodLike};
 pub use pardiso::PardisoLike;
 pub use pattern::{group_by_pattern, pattern_hash, PatternGroups};
-pub use supernodal::SupernodalFactor;
 
 use feti_order::OrderingKind;
 
-/// Numeric factorization algorithm of the CHOLMOD-like facade.
+/// Numeric factorization kernel of [`CholeskyFactor::factorize`], hence of both
+/// facades.
 ///
-/// Both kinds produce **bit-for-bit identical** factors and solves (same elimination
-/// tree, same pivot order, same floating-point operation order per output); they
-/// differ only in data layout and speed.  The supernodal path merges columns with
-/// identical structure into dense panels (see [`supernodal`]) and is priced
-/// separately by the planner's cost model.
+/// Both kinds fill the same storage — values in column order over the structure the
+/// [`SymbolicCholesky`] holds — with **bit-for-bit identical** numbers (same
+/// elimination tree, same pivot order, same floating-point operation order per
+/// output), report the same failing pivot and refuse the same foreign pattern; they
+/// differ only in how many columns one sweep of the up-looking loop eliminates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FactorizationKind {
-    /// Column-at-a-time up-looking factorization ([`CholeskyFactor`]).
-    #[default]
+    /// Column-at-a-time up-looking factorization: the loop the run-blocked kernel must
+    /// equal to the bit, kept as the oracle of the conformance suites (and priced
+    /// separately by the planner's cost model).  Nothing else should ask for it.
     Simplicial,
-    /// Supernodal panel factorization ([`SupernodalFactor`]).
+    /// Run-blocked up-looking factorization, the default: consecutive columns of one
+    /// supernode in a row's pattern are eliminated up to four per sweep over their
+    /// shared row list.
+    #[default]
     Supernodal,
 }
 
 impl FactorizationKind {
     /// The kind used where no [`SolverOptions::factorization`] is given:
-    /// [`Self::Simplicial`], i.e. [`Self::default`].
+    /// [`Self::Supernodal`], i.e. [`Self::default`].
     #[must_use]
     pub fn default_kind() -> Self {
         Self::default()
@@ -70,9 +76,7 @@ pub struct SolverOptions {
     /// Pivot tolerance: a pivot `<= tolerance` aborts the factorization as
     /// not positive definite.
     pub pivot_tolerance: f64,
-    /// Numeric factorization kind used by the CHOLMOD-like facade (the PARDISO-like
-    /// facade always factorizes simplicially, as it needs sparse-right-hand-side
-    /// solves over the scalar factor).
+    /// Numeric factorization kernel, of either facade.
     pub factorization: FactorizationKind,
 }
 

@@ -14,10 +14,9 @@
 //!
 //! Every column of `Y` receives the operations of a one-column forward substitution
 //! in the same order whatever panel it shares, so the result does not depend on the
-//! order of the multipliers (up to the sign of exact zeros), and the kernel reads the
-//! factor only through a column accessor, so the simplicial and the supernodal
-//! storage — which hold the same values — give the same bits.
+//! order of the multipliers (up to the sign of exact zeros).
 
+use crate::CholeskyFactor;
 use feti_sparse::{CsrMatrix, DenseMatrix, MemoryOrder};
 
 /// Right-hand sides solved together.  A constant, not an option: the forward solves
@@ -29,31 +28,22 @@ use feti_sparse::{CsrMatrix, DenseMatrix, MemoryOrder};
 const PANEL_WIDTH: usize = 32;
 
 /// `Y = L⁻¹ P Bᵀ` (`n x b.nrows()`, column-major, rows in the permuted ordering) for
-/// the lower-triangular factor whose column `j` is `column(j)`: row indices and
-/// values, diagonal first, rows ascending.
-pub(crate) fn forward_solve_sparse_rhs<'a>(
-    n: usize,
-    column: impl Fn(usize) -> (&'a [usize], &'a [f64]),
-    old_to_new: &[usize],
-    b: &CsrMatrix,
-) -> DenseMatrix {
-    assert_eq!(b.ncols(), n, "B must have as many columns as the factor has rows");
+/// the factor `L` and its permutation `P`.
+pub(crate) fn forward_solve_sparse_rhs(factor: &CholeskyFactor, b: &CsrMatrix) -> DenseMatrix {
+    assert_eq!(b.ncols(), factor.dim(), "B must have as many columns as the factor has rows");
+    let old_to_new = factor.permutation().old_to_new();
     let mut order: Vec<usize> = (0..b.nrows()).collect();
     order.sort_by_cached_key(|&r| b.row_cols(r).iter().map(|&j| old_to_new[j]).min());
-    forward_solve_panels(n, column, old_to_new, b, &order)
+    forward_solve_panels(factor, b, &order)
 }
 
 /// The panel loop of [`forward_solve_sparse_rhs`], gathering the rows of `b` into
 /// panels in the given `order` (a permutation of `0..b.nrows()`; any order is
 /// correct, a sorted one prunes best).
-fn forward_solve_panels<'a>(
-    n: usize,
-    column: impl Fn(usize) -> (&'a [usize], &'a [f64]),
-    old_to_new: &[usize],
-    b: &CsrMatrix,
-    order: &[usize],
-) -> DenseMatrix {
+fn forward_solve_panels(factor: &CholeskyFactor, b: &CsrMatrix, order: &[usize]) -> DenseMatrix {
     const W: usize = PANEL_WIDTH;
+    let n = factor.dim();
+    let old_to_new = factor.permutation().old_to_new();
     let mut y = DenseMatrix::zeros(n, b.nrows(), MemoryOrder::ColMajor);
     let y_values = y.as_mut_slice();
     // Between panels every panel row is zero and no row is active.
@@ -73,7 +63,7 @@ fn forward_solve_panels<'a>(
             if !active[j] {
                 continue;
             }
-            let (rows, values) = column(j);
+            let (rows, values) = factor.column(j);
             let (head, below) = panel.split_at_mut(j + 1);
             let xj = &mut head[j];
             for x in xj.iter_mut() {
@@ -81,6 +71,7 @@ fn forward_solve_panels<'a>(
             }
             let xj = *xj;
             for (&i, &l) in rows[1..].iter().zip(&values[1..]) {
+                let i = i as usize;
                 active[i] = true;
                 for (t, x) in below[i - j - 1].iter_mut().zip(&xj) {
                     *t -= l * x;
@@ -140,12 +131,12 @@ mod tests {
             coo.push(r, (r * 13 + 3) % n, -0.5 - r as f64);
         }
         let b = coo.to_csr();
-        let sorted = forward_solve_sparse_rhs(n, |j| f.column(j), old_to_new, &b);
+        let sorted = forward_solve_sparse_rhs(&f, &b);
         let natural: Vec<usize> = (0..nl).collect();
         let reversed: Vec<usize> = (0..nl).rev().collect();
         let strided: Vec<usize> = (0..nl).map(|r| (r * 31) % nl).collect();
         for order in [natural, reversed, strided] {
-            let y = forward_solve_panels(n, |j| f.column(j), old_to_new, &b, &order);
+            let y = forward_solve_panels(&f, &b, &order);
             assert!(y == sorted, "the panel order must not change a value");
         }
         for r in 0..nl {

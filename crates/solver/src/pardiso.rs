@@ -55,7 +55,8 @@ impl PardisoLike {
         self.symbolic.factor_nnz()
     }
 
-    /// Numeric factorization of a matrix with the analysed pattern.
+    /// Numeric factorization of a matrix with the analysed pattern, using the kernel
+    /// selected by [`SolverOptions::factorization`].
     ///
     /// # Errors
     /// Propagates [`crate::SolverError`] from the numeric kernel.
@@ -106,7 +107,7 @@ impl PardisoFactor {
         let n = self.dim();
         assert_eq!(b.ncols(), n, "B must have as many columns as A has rows");
         let m = b.nrows();
-        let old_to_new = self.factor.permutation().old_to_new().to_vec();
+        let old_to_new = self.factor.permutation().old_to_new();
 
         // Solve L Y = P Bᵀ column by column with sparse right-hand sides, storing each
         // solution column sparsely (index, value) restricted to its reach.

@@ -4,11 +4,19 @@
 
 use feti_order::OrderingKind;
 use feti_solver::{
-    CholeskyFactor, CholmodFactor, CholmodLike, FactorizationKind, PardisoLike, SolverOptions,
-    SymbolicCholesky,
+    CholeskyFactor, CholmodFactor, CholmodLike, FactorizationKind, PardisoLike, SolverError,
+    SolverOptions, SymbolicCholesky,
 };
 use feti_sparse::{blas, ops, CooMatrix, CsrMatrix, DenseMatrix, MemoryOrder, Transpose, Triangle};
 use proptest::prelude::*;
+use std::sync::Arc;
+
+const ORDERINGS: [OrderingKind; 4] = [
+    OrderingKind::Natural,
+    OrderingKind::ReverseCuthillMcKee,
+    OrderingKind::MinimumDegree,
+    OrderingKind::NestedDissection,
+];
 
 /// Random sparse symmetric diagonally dominant (hence SPD) matrix.
 fn spd_matrix() -> impl Strategy<Value = CsrMatrix> {
@@ -31,6 +39,24 @@ fn spd_matrix() -> impl Strategy<Value = CsrMatrix> {
             coo.to_csr()
         },
     )
+}
+
+/// What each kernel makes of `a` over one analysis, reduced to what must agree: the
+/// bits of the factor, or the error with the bits of its pivot.
+fn outcomes(
+    symbolic: &Arc<SymbolicCholesky>,
+    a: &CsrMatrix,
+    opts: &SolverOptions,
+) -> [Result<Vec<u64>, (SolverError, u64)>; 2] {
+    [FactorizationKind::Simplicial, FactorizationKind::Supernodal].map(|factorization| {
+        match CholeskyFactor::factorize(symbolic, a, &SolverOptions { factorization, ..*opts }) {
+            Ok(f) => Ok(f.factor_csc().values().iter().map(|v| v.to_bits()).collect()),
+            Err(SolverError::NotPositiveDefinite { index, pivot }) => {
+                Err((SolverError::NotPositiveDefinite { index, pivot: 0.0 }, pivot.to_bits()))
+            }
+            Err(other) => Err((other, 0)),
+        }
+    })
 }
 
 /// The explicit host assembly of `F̃ = B A⁻¹ Bᵀ`: forward solve, SYRK, mirror.
@@ -67,9 +93,109 @@ proptest! {
     #[test]
     fn symbolic_nnz_prediction_matches_numeric(a in spd_matrix()) {
         let opts = SolverOptions::default();
-        let symbolic = SymbolicCholesky::analyze(&a, &opts);
+        let symbolic = Arc::new(SymbolicCholesky::analyze(&a, &opts));
         let numeric = CholeskyFactor::factorize(&symbolic, &a, &opts).unwrap();
         prop_assert_eq!(symbolic.factor_nnz(), numeric.nnz());
+    }
+
+    // The structure a factor reads from its analysis is the one a symbolic elimination
+    // of the permuted pattern fills — dense and boolean here, sharing nothing with
+    // the elimination-tree passes.
+    #[test]
+    fn analysis_lists_the_rows_of_every_factor_column(a in spd_matrix()) {
+        let n = a.nrows();
+        for ordering in ORDERINGS {
+            let opts = SolverOptions { ordering, ..Default::default() };
+            let symbolic = SymbolicCholesky::analyze(&a, &opts);
+            let permuted = symbolic.permutation().permute_symmetric(&a);
+            let mut filled = vec![vec![false; n]; n];
+            for (i, row) in filled.iter_mut().enumerate() {
+                for &j in permuted.row_cols(i) {
+                    row[j] = true;
+                }
+            }
+            let mut nnz = 0;
+            for j in 0..n {
+                let below: Vec<usize> = (j + 1..n).filter(|&i| filled[i][j]).collect();
+                for (p, &i) in below.iter().enumerate() {
+                    for &k in &below[p..] {
+                        filled[k][i] = true;
+                    }
+                }
+                let expected: Vec<u32> =
+                    std::iter::once(j).chain(below).map(|i| i as u32).collect();
+                prop_assert_eq!(symbolic.column_rows(j), &expected[..]);
+                nnz += expected.len();
+            }
+            prop_assert_eq!(symbolic.factor_nnz(), nnz);
+            // The extracted factor spells the same lists out.
+            let l = CholeskyFactor::factorize(&Arc::new(symbolic.clone()), &a, &opts)
+                .unwrap()
+                .factor_csc();
+            for j in 0..n {
+                let rows: Vec<u32> = l.col_rows(j).iter().map(|&r| r as u32).collect();
+                prop_assert_eq!(symbolic.column_rows(j), &rows[..]);
+            }
+        }
+    }
+
+    // The run-blocked kernel and the blocked solves against the column-at-a-time
+    // loops: the factor, a lost pivot (the diagonal of one row is shrunk until its
+    // pivot goes) and a matrix of another pattern must come out the same to the bit.
+    #[test]
+    fn run_blocked_kernel_equals_the_column_loop_to_the_bit(
+        a in spd_matrix(),
+        other in spd_matrix(),
+        weak_row in 0usize..20,
+        seed in 0u64..1000,
+    ) {
+        let n = a.nrows();
+        let b: Vec<f64> = (0..n).map(|i| (((i as u64 * 37 + seed) % 23) as f64) * 0.1 - 1.0).collect();
+        for ordering in ORDERINGS {
+            let opts = SolverOptions { ordering, ..Default::default() };
+            let symbolic = Arc::new(SymbolicCholesky::analyze(&a, &opts));
+            let [column_loop, run_blocked] = outcomes(&symbolic, &a, &opts);
+            prop_assert!(column_loop.is_ok());
+            prop_assert_eq!(&column_loop, &run_blocked);
+
+            // Forward and backward substitution, one column at a time over the
+            // extracted factor, against the solves that walk supernodes.
+            let f = CholeskyFactor::factorize(&symbolic, &a, &opts).unwrap();
+            let l = f.factor_csc();
+            let mut x = f.permutation().apply(&b);
+            let mut y = x.clone();
+            for j in 0..n {
+                x[j] /= l.col_values(j)[0];
+                for (&r, &v) in l.col_rows(j)[1..].iter().zip(&l.col_values(j)[1..]) {
+                    x[r] -= v * x[j];
+                }
+            }
+            f.forward_solve_in_place(&mut y);
+            prop_assert!(x.iter().zip(&y).all(|(u, v)| u.to_bits() == v.to_bits()));
+            for j in (0..n).rev() {
+                let mut acc = x[j];
+                for (&r, &v) in l.col_rows(j)[1..].iter().zip(&l.col_values(j)[1..]) {
+                    acc -= v * x[r];
+                }
+                x[j] = acc / l.col_values(j)[0];
+            }
+            f.backward_solve_in_place(&mut y);
+            prop_assert!(x.iter().zip(&y).all(|(u, v)| u.to_bits() == v.to_bits()));
+
+            let mut weak = CooMatrix::new(n, n);
+            for i in 0..n {
+                for (&j, &v) in a.row_cols(i).iter().zip(a.row_values(i)) {
+                    weak.push(i, j, if i == j && i == weak_row % n { 1e-3 * v } else { v });
+                }
+            }
+            let [column_loop, run_blocked] = outcomes(&symbolic, &weak.to_csr(), &opts);
+            prop_assert_eq!(&column_loop, &run_blocked);
+
+            if other.nrows() == n {
+                let [column_loop, run_blocked] = outcomes(&symbolic, &other, &opts);
+                prop_assert_eq!(&column_loop, &run_blocked);
+            }
+        }
     }
 
     // Both facades run the same ordering and symbolic analysis, so one analysis per

@@ -26,7 +26,7 @@ use feti_core::{
 };
 use feti_decompose::{DecomposedProblem, DecompositionSpec};
 use feti_mesh::{Dim, ElementOrder, Physics};
-use feti_solver::{FactorizationKind, SolverOptions, SupernodalFactor, SymbolicCholesky};
+use feti_solver::{CholeskyFactor, FactorizationKind, SolverOptions, SymbolicCholesky};
 use feti_sparse::{blas, DenseMatrix, DiagKind, MemoryOrder, Transpose, Triangle};
 use proptest::prelude::*;
 
@@ -188,19 +188,19 @@ fn a_non_spd_subdomain_fails_preprocessing_with_a_typed_error_naming_it() {
     }
 }
 
-/// With the supernodal factorization forced on, the operator action of every approach
-/// must still be bit-for-bit identical between 1 and 4 worker threads — the blocked
-/// panel kernels inside the factorization are thread-count-invariant by construction.
+/// With either factorization kernel forced on, the operator action of every approach
+/// must be bit-for-bit identical between 1 and 4 worker threads — the kernels are
+/// sequential per subdomain, hence thread-count-invariant by construction — and
+/// between the two kernels.
 #[test]
 fn supernodal_operator_action_is_bit_identical_across_thread_counts() {
-    let options =
-        SolverOptions { factorization: FactorizationKind::Supernodal, ..SolverOptions::default() };
     for (name, spec) in problems() {
         let problem = DecomposedProblem::build(&spec);
         let nl = problem.num_lambdas;
         let p: Vec<f64> = (0..nl).map(|i| (i as f64 * 0.53).cos() - 0.4).collect();
         for approach in DualOperatorApproach::all() {
-            let run = |threads: usize| -> Vec<f64> {
+            let run = |factorization, threads: usize| -> Vec<f64> {
+                let options = SolverOptions { factorization, ..SolverOptions::default() };
                 with_threads(threads, || {
                     let mut op =
                         build_dual_operator_with_options(approach, &problem, None, options)
@@ -211,9 +211,13 @@ fn supernodal_operator_action_is_bit_identical_across_thread_counts() {
                     q
                 })
             };
-            let q1 = run(1);
-            let q4 = run(4);
+            let q1 = run(FactorizationKind::Supernodal, 1);
+            let q4 = run(FactorizationKind::Supernodal, 4);
             assert_bits_eq(name, approach, "supernodal F·p", &q1, &q4);
+            for threads in [1, 4] {
+                let q = run(FactorizationKind::Simplicial, threads);
+                assert_bits_eq(name, approach, "simplicial vs supernodal F·p", &q, &q1);
+            }
         }
     }
 }
@@ -290,7 +294,7 @@ fn host_assembled_local_operators_agree_across_thread_counts_and_facades() {
     }
 }
 
-/// The blocked BLAS kernels and the supernodal factorization are sequential building
+/// The blocked BLAS kernels and the run-blocked factorization are sequential building
 /// blocks: their results must not depend on the ambient worker pool at all.  This
 /// pins SYRK, TRSM, SYMM, SYMV and a supernodal factor to identical bits under 1 and
 /// 4 installed threads.
@@ -324,10 +328,13 @@ fn blocked_kernels_and_supernodal_factor_are_thread_count_invariant() {
 
             let spec = common::heat_2d();
             let problem = DecomposedProblem::build(&spec);
-            let opts = SolverOptions::default();
+            let opts = SolverOptions {
+                factorization: FactorizationKind::Supernodal,
+                ..SolverOptions::default()
+            };
             let k = &problem.subdomains[0].k_reg;
-            let symbolic = SymbolicCholesky::analyze(k, &opts);
-            let factor = SupernodalFactor::factorize(&symbolic, k, &opts).unwrap();
+            let symbolic = std::sync::Arc::new(SymbolicCholesky::analyze(k, &opts));
+            let factor = CholeskyFactor::factorize(&symbolic, k, &opts).unwrap();
             let l = factor.factor_csc();
 
             let bits = |m: &DenseMatrix| -> Vec<u64> {
