@@ -7,10 +7,8 @@ use super::{par_subdomains, SubdomainBlock};
 use crate::params::SolverFacade;
 use feti_solver::cholmod::{CholmodFactor, CholmodLike};
 use feti_solver::pardiso::{PardisoFactor, PardisoLike};
-use feti_solver::{SolverOptions, SymbolicCholesky};
-use feti_sparse::{
-    blas, ops, CscMatrix, CsrMatrix, DenseMatrix, MemoryOrder, Permutation, Transpose, Triangle,
-};
+use feti_solver::{ForwardPanels, SolverOptions, SymbolicCholesky};
+use feti_sparse::{blas, ops, CscMatrix, CsrMatrix, DenseMatrix, Permutation, Transpose, Triangle};
 use std::sync::Arc;
 
 /// The symbolic analysis of every matrix of `k_regs`, made once per distinct sparsity
@@ -77,23 +75,29 @@ impl Factor {
         }
     }
 
-    /// `Y = L⁻¹PB̃ᵀ` (column-major, rows in the permuted ordering): one forward solve
-    /// against the factor's own storage, pruned to the reach of `B̃`'s entries — the
-    /// forward solve of every explicit assembly that goes through `L`.
-    pub(crate) fn forward_solve(&self, block: &SubdomainBlock) -> DenseMatrix {
+    /// `Y = L⁻¹PB̃ᵀ` of subdomain `i` as the panels of one forward solve against the
+    /// factor's own storage, pruned to the reach of `B̃`'s entries — the forward solve
+    /// of every explicit assembly that goes through `L` — under a `forward[sd=i]` span.
+    pub(crate) fn forward_solve(&self, i: usize, block: &SubdomainBlock) -> ForwardPanels {
+        let _span = feti_trace::span(|| format!("forward[sd={i}]"));
         match self {
             Factor::Cholmod(f) => f.forward_solve_sparse_rhs(&block.b),
             Factor::Mkl(_) => unreachable!("only the CHOLMOD-like facade solves through `L`"),
         }
     }
 
-    /// Assembles the dense `F̃ᵢ` of one subdomain on the CPU, both triangles filled.
-    pub(crate) fn assemble(&self, block: &SubdomainBlock) -> DenseMatrix {
+    /// Assembles the dense `F̃ᵢ` of subdomain `i` on the CPU, both triangles filled.
+    /// Both facades run the same body — the panel forward solve and the panel-pair
+    /// Gram; through the CHOLMOD-like one its halves are the `forward[sd=i]` and
+    /// `gram[sd=i]` spans, the PARDISO-like one makes it one Schur-complement call.
+    pub(crate) fn assemble(&self, i: usize, block: &SubdomainBlock) -> DenseMatrix {
         match self {
-            // Augmented-factorization-style Schur complement exploiting B sparsity.
             Factor::Mkl(f) => f.schur_complement(&block.b),
-            // The paper's SYRK path (Fig. 2).
-            Factor::Cholmod(_) => gram(&self.forward_solve(block)),
+            Factor::Cholmod(_) => {
+                let y = self.forward_solve(i, block);
+                let _span = feti_trace::span(|| format!("gram[sd={i}]"));
+                y.gram()
+            }
         }
     }
 
@@ -104,15 +108,6 @@ impl Factor {
         ops::spmv_csr(1.0, &block.b, Transpose::Yes, p_local, 0.0, &mut t);
         ops::spmv_csr(1.0, &block.b, Transpose::No, &self.solve(&t), 0.0, q_local);
     }
-}
-
-/// `F̃ = YᵀY` of the forward-solve result `Y`, skipping the zero prefix of every
-/// column of `Y`; both triangles filled.
-pub(crate) fn gram(y: &DenseMatrix) -> DenseMatrix {
-    let mut f = DenseMatrix::zeros(y.ncols(), y.ncols(), MemoryOrder::RowMajor);
-    blas::boundary_syrk(Triangle::Upper, Transpose::Yes, 1.0, y, 0.0, &mut f);
-    f.symmetrize_from(Triangle::Upper);
-    f
 }
 
 /// The explicit host application `q̃ᵢ = F̃ᵢ p̃ᵢ` through SYMV.  In a batch the dense

@@ -88,14 +88,17 @@ pub(crate) fn symv(spec: &GpuSpec, f: &DenseMatrix, p_local: &[f64], q_local: &m
 /// — dense, sparse CSR/CSC, sparse-RHS, any memory order — applies each column's
 /// subtractions in ascending row order and skips only terms that are `v·(+0.0)`, so
 /// all of them give the bits of [`cpu::Factor::forward_solve`] on `factor`, where it
-/// lies, and the SYRK path is [`cpu::Factor::assemble`]; nothing is densified,
-/// converted or permuted for them.  The backward solve's order of operations does
-/// depend on the storage of its factor, so the TRSM path's backward solve and SpMM
-/// run the kernels the program names, on the `uploaded` factor in that storage.
+/// lies, and every SYRK gives the bits of its panel-pair Gram — together
+/// [`cpu::Factor::assemble`], under the same `forward[sd=i]` and `gram[sd=i]` spans;
+/// nothing is densified, converted or permuted for them.  The backward solve's order
+/// of operations does depend on the storage of its factor, so the TRSM path spells
+/// `Y` out and runs the backward solve and SpMM the program names, on the `uploaded`
+/// factor in that storage.
 pub(crate) fn run_assembly(
     side: &DeviceSide,
     params: &ExplicitAssemblyParams,
     program: &[PricedOp],
+    i: usize,
     block: &SubdomainBlock,
     factor: &cpu::Factor,
     uploaded: &DeviceFactor,
@@ -106,7 +109,9 @@ pub(crate) fn run_assembly(
     let (lower, nonunit) = (Triangle::Lower, DiagKind::NonUnit);
     // Which densification and which solve the walk has reached.
     let (mut rhs_is_dense, mut forward) = (false, true);
-    // Empty until the op that produces them.
+    // Empty until the op that produces them: the forward solve's panels, `Y` spelt
+    // out for the backward solve, its densified factor.
+    let mut panels = None;
     let mut x = DenseMatrix::zeros(0, 0, MemoryOrder::ColMajor);
     let mut l_dense = DenseMatrix::zeros(0, 0, params.backward_factor_order);
     let mut f = DenseMatrix::zeros(0, 0, MemoryOrder::RowMajor);
@@ -138,8 +143,10 @@ pub(crate) fn run_assembly(
             DeviceOp::DenseTrsm { n: dim, nrhs } | DeviceOp::SparseRhsTrsm { n: dim, nrhs, .. } => {
                 expect(&[dim, nrhs], &[n, nl]);
                 if forward {
-                    x = factor.forward_solve(block);
+                    panels = Some(factor.forward_solve(i, block));
                 } else {
+                    let y = panels.take().expect("the forward solve precedes the backward one");
+                    x = y.to_dense();
                     let t = Transpose::Yes;
                     let _ = gblas::trsm(spec, lower, t, nonunit, 1.0, &l_dense, &mut x)
                         .expect("factor is nonsingular");
@@ -159,8 +166,10 @@ pub(crate) fn run_assembly(
                 );
                 guards.push(device.alloc_temporary(ws.temporary_bytes)?);
                 if forward {
-                    x = factor.forward_solve(block);
+                    panels = Some(factor.forward_solve(i, block));
                 } else {
+                    let y = panels.take().expect("the forward solve precedes the backward one");
+                    x = y.to_dense();
                     let by_rows;
                     let l = match factor_order {
                         MemoryOrder::ColMajor => &uploaded.factor,
@@ -177,7 +186,9 @@ pub(crate) fn run_assembly(
             }
             DeviceOp::Syrk { n: dim, k } | DeviceOp::BoundarySyrk { n: dim, k, .. } => {
                 expect(&[dim, k], &[nl, n]);
-                f = cpu::gram(&x);
+                let y = panels.as_ref().expect("the forward solve precedes the SYRK");
+                let _span = feti_trace::span(|| format!("gram[sd={i}]"));
+                f = y.gram();
             }
             DeviceOp::Spmm { nnz, nrows, nrhs } => {
                 expect(&[nnz, nrows, nrhs], &[block.b.nnz(), nl, nl]);

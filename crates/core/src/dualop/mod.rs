@@ -401,7 +401,7 @@ impl ApproachOperator {
             A::ImplicitMkl | A::ImplicitCholmod => (LocalState::HostFactor(factor), 0.0),
             A::ExplicitMkl | A::ExplicitCholmod | A::ExplicitHybrid => {
                 let _span = feti_trace::span(|| format!("assemble[sd={i}]"));
-                let (f, seconds) = timed(|| factor.assemble(block));
+                let (f, seconds) = timed(|| factor.assemble(i, block));
                 (LocalState::Dense(f, keep.then_some(factor)), seconds)
             }
             _ => {
@@ -414,7 +414,8 @@ impl ApproachOperator {
                 let state = if self.assembles_on_device() {
                     let _span = feti_trace::span(|| format!("assemble[sd={i}]"));
                     let (side, ops) = (self.device_side(), self.preprocess_program.subdomain(i));
-                    let f = gpu::run_assembly(side, &self.params, ops, block, &factor, &uploaded)?;
+                    let f =
+                        gpu::run_assembly(side, &self.params, ops, i, block, &factor, &uploaded)?;
                     LocalState::Dense(f, keep.then_some(factor))
                 } else {
                     LocalState::DeviceFactor(uploaded, keep.then_some(factor))

@@ -497,11 +497,10 @@ impl<'a> Planner<'a> {
     }
 
     /// Host cost of assembling one dense `F̃ᵢ`, priced as **one** pass over `L` per
-    /// local multiplier plus the gluing entries: what runs is one reach-pruned forward
-    /// solve with `nlᵢ` right-hand sides followed by `boundary_syrk` for the
-    /// CHOLMOD-like facade, and per-multiplier reach solves followed by a sparse
-    /// outer-product scatter for the PARDISO-like one.  One formula prices both (the
-    /// two explicit CPU approaches tie); neither the pruning nor the SYRK has a term
+    /// local multiplier plus the gluing entries: what runs, through either facade, is
+    /// one reach-pruned forward solve with `nlᵢ` right-hand sides followed by the
+    /// panel-pair Gram over the rows two panels share.  One formula prices both (the
+    /// two explicit CPU approaches tie); neither the pruning nor the Gram has a term
     /// of its own yet.
     fn host_schur(&self, s: &SubdomainShape) -> f64 {
         let flops = (2 * s.fnnz * s.nl + 2 * s.nnz_b * s.nl) as f64;

@@ -463,80 +463,6 @@ impl CholeskyFactor {
         out
     }
 
-    /// Computes the topological reach of a set of right-hand-side indices over the
-    /// pattern of `L` (in permuted ordering): the set of rows that can become nonzero
-    /// during a forward solve with that sparse right-hand side, in an order suitable
-    /// for the solve.
-    #[must_use]
-    pub fn reach(&self, rhs_indices: &[usize]) -> Vec<usize> {
-        let s = &*self.symbolic;
-        let mut visited = vec![false; s.n];
-        let mut order: Vec<usize> = Vec::new();
-        // Iterative DFS over the directed graph j -> rows below the diagonal in col j;
-        // a frame is a column and how many of its rows were looked at.
-        let mut dfs_stack: Vec<(usize, usize)> = Vec::new();
-        for &start in rhs_indices {
-            if visited[start] {
-                continue;
-            }
-            dfs_stack.push((start, 1));
-            visited[start] = true;
-            while let Some((j, mut p)) = dfs_stack.pop() {
-                let rows = s.column_rows(j);
-                let mut descended = false;
-                while p < rows.len() {
-                    let child = rows[p] as usize;
-                    p += 1;
-                    if !visited[child] {
-                        visited[child] = true;
-                        dfs_stack.push((j, p));
-                        dfs_stack.push((child, 1));
-                        descended = true;
-                        break;
-                    }
-                }
-                if !descended {
-                    order.push(j);
-                }
-            }
-        }
-        // Post-order of the DFS gives reverse topological order; reverse it.
-        order.reverse();
-        order
-    }
-
-    /// Sparse-right-hand-side forward solve: solves `L y = b` where `b` is given as
-    /// sparse `(index, value)` pairs in the permuted ordering.  The solution is written
-    /// into `workspace` (dense, length `n`, assumed zero on entry for the reach
-    /// entries) and the visited (possibly nonzero) indices are returned in topological
-    /// order.
-    ///
-    /// This is the sparsity-exploiting kernel behind the PARDISO-like Schur complement
-    /// (the `expl mkl` approach of the paper).
-    pub fn forward_solve_sparse_rhs(
-        &self,
-        rhs: &[(usize, f64)],
-        workspace: &mut [f64],
-    ) -> Vec<usize> {
-        assert_eq!(workspace.len(), self.dim());
-        let indices: Vec<usize> = rhs.iter().map(|&(i, _)| i).collect();
-        let order = self.reach(&indices);
-        for &(i, v) in rhs {
-            workspace[i] += v;
-        }
-        for &j in &order {
-            let (rows, values) = self.column(j);
-            let xj = workspace[j] / values[0];
-            workspace[j] = xj;
-            if xj != 0.0 {
-                for (&r, &v) in rows[1..].iter().zip(&values[1..]) {
-                    workspace[r as usize] -= v * xj;
-                }
-            }
-        }
-        order
-    }
-
     /// Number of floating point operations of the factorization (sum over columns of
     /// `nnz(col)^2`), a useful cost metric for the benches.
     #[must_use]
@@ -675,23 +601,17 @@ mod tests {
         let a = laplacian2d(6, 5);
         let n = a.nrows();
         let f = CholeskyFactor::new(&a, &SolverOptions::default()).unwrap();
-        // Sparse RHS with two entries (already in permuted ordering for this test).
-        let rhs = vec![(3usize, 1.5f64), (17usize, -2.0f64)];
+        // One sparse right-hand side with two entries, given in the original ordering.
+        let mut b = feti_sparse::CooMatrix::new(1, n);
+        b.push(0, 3, 1.5);
+        b.push(0, 17, -2.0);
         let mut dense_rhs = vec![0.0; n];
-        for &(i, v) in &rhs {
-            dense_rhs[i] = v;
-        }
-        let mut ws = vec![0.0; n];
-        let reach = f.forward_solve_sparse_rhs(&rhs, &mut ws);
+        dense_rhs[f.permutation().old_to_new()[3]] = 1.5;
+        dense_rhs[f.permutation().old_to_new()[17]] = -2.0;
+        let y = crate::panel::forward_solve_sparse_rhs(&f, &b.to_csr()).to_dense();
         f.forward_solve_in_place(&mut dense_rhs);
         for i in 0..n {
-            assert!((ws[i] - dense_rhs[i]).abs() < 1e-12, "row {i}");
-        }
-        // Every nonzero of the solution must be inside the reach.
-        for i in 0..n {
-            if dense_rhs[i].abs() > 0.0 {
-                assert!(reach.contains(&i), "nonzero row {i} missing from reach");
-            }
+            assert_eq!(y.get(i, 0), dense_rhs[i], "row {i}");
         }
     }
 

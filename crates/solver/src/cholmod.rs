@@ -14,7 +14,7 @@
 //! downstream (including the extracted CSC factor the GPU paths consume) can tell.
 
 use crate::chol::{CholeskyFactor, SymbolicCholesky};
-use crate::{panel, Result, SolverOptions};
+use crate::{panel, ForwardPanels, Result, SolverOptions};
 use feti_sparse::{CscMatrix, CsrMatrix, DenseMatrix, Permutation};
 use std::sync::Arc;
 
@@ -107,19 +107,21 @@ impl CholmodFactor {
         self.factor.solve_matrix(b)
     }
 
-    /// `Y = L⁻¹ P Bᵀ` for a sparse `m x n` matrix `B` (a gluing block): the `n x m`
-    /// column-major result of forward-substituting every row of `B`, permuted, through
-    /// the factor — the operand whose Gram matrix `YᵀY = B A⁻¹ Bᵀ` is the paper's
-    /// SYRK assembly path (Fig. 2).  Rows are in the permuted ordering.
+    /// `Y = L⁻¹ P Bᵀ` for a sparse `m x n` matrix `B` (a gluing block): every row of
+    /// `B`, permuted, forward-substituted through the factor — the operand whose Gram
+    /// matrix [`ForwardPanels::gram`] `= YᵀY = B A⁻¹ Bᵀ` is the paper's SYRK assembly
+    /// path (Fig. 2); [`ForwardPanels::to_dense`] spells `Y` out (`n x m`, rows in the
+    /// permuted ordering).
     ///
     /// The rows of `B` are solved 32 at a time against the factor's own storage
-    /// (nothing is extracted or densified) and only the columns of `L` in the
-    /// elimination-tree reach of each panel are visited.
+    /// (nothing is extracted or densified), only the columns of `L` in the
+    /// elimination-tree reach of each panel are visited, and only the rows they reach
+    /// are kept.
     ///
     /// # Panics
     /// Panics if `b.ncols() != self.dim()`.
     #[must_use]
-    pub fn forward_solve_sparse_rhs(&self, b: &CsrMatrix) -> DenseMatrix {
+    pub fn forward_solve_sparse_rhs(&self, b: &CsrMatrix) -> ForwardPanels {
         panel::forward_solve_sparse_rhs(&self.factor, b)
     }
 

@@ -33,6 +33,7 @@ mod supernodal;
 
 pub use chol::{CholeskyFactor, SymbolicCholesky};
 pub use cholmod::{CholmodFactor, CholmodLike};
+pub use panel::ForwardPanels;
 pub use pardiso::PardisoLike;
 pub use pattern::{group_by_pattern, pattern_hash, PatternGroups};
 

@@ -9,8 +9,8 @@
 //! of `B̃`) and the limitation (no `extract_factor`).
 
 use crate::chol::{CholeskyFactor, SymbolicCholesky};
-use crate::{Result, SolverOptions};
-use feti_sparse::{CsrMatrix, DenseMatrix, MemoryOrder, Triangle};
+use crate::{panel, Result, SolverOptions};
+use feti_sparse::{CsrMatrix, DenseMatrix};
 use std::sync::Arc;
 
 /// Symbolic handle of the PARDISO-like solver.
@@ -94,9 +94,13 @@ impl PardisoFactor {
     /// a (typically very sparse) `m x n` gluing matrix.
     ///
     /// This is the equivalent of MKL PARDISO's augmented incomplete factorization used
-    /// by the paper's `expl mkl` approach: every column of `Bᵀ` is forward-substituted
-    /// with a *sparse* right-hand side (only the elimination-tree reach is touched), and
-    /// the final rank-revealing product accumulates only over rows that are reachable.
+    /// by the paper's `expl mkl` approach, computed by the body of the CHOLMOD-like
+    /// facade's explicit assembly on the hidden factor: the rows of `B` are
+    /// forward-substituted 32 at a time, each panel visiting only the
+    /// elimination-tree reach of its right-hand sides, and `S = YᵀY` contracts, for
+    /// every pair of panels, only the rows both reached
+    /// ([`CholmodFactor::forward_solve_sparse_rhs`](crate::CholmodFactor::forward_solve_sparse_rhs),
+    /// [`ForwardPanels::gram`](crate::ForwardPanels::gram)) — the same bits.
     ///
     /// The result is symmetric; both triangles are filled.
     ///
@@ -104,64 +108,14 @@ impl PardisoFactor {
     /// Panics if `b.ncols() != self.dim()`.
     #[must_use]
     pub fn schur_complement(&self, b: &CsrMatrix) -> DenseMatrix {
-        let n = self.dim();
-        assert_eq!(b.ncols(), n, "B must have as many columns as A has rows");
-        let m = b.nrows();
-        let old_to_new = self.factor.permutation().old_to_new();
-
-        // Solve L Y = P Bᵀ column by column with sparse right-hand sides, storing each
-        // solution column sparsely (index, value) restricted to its reach.
-        let mut columns: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut workspace = vec![0.0f64; n];
-        for r in 0..m {
-            let rhs: Vec<(usize, f64)> = b
-                .row_cols(r)
-                .iter()
-                .zip(b.row_values(r))
-                .map(|(&j, &v)| (old_to_new[j], v))
-                .collect();
-            let reach = self.factor.forward_solve_sparse_rhs(&rhs, &mut workspace);
-            let mut col: Vec<(usize, f64)> = Vec::with_capacity(reach.len());
-            for &i in &reach {
-                let v = workspace[i];
-                if v != 0.0 {
-                    col.push((i, v));
-                }
-                workspace[i] = 0.0;
-            }
-            columns.push(col);
-        }
-
-        // Accumulate S = Yᵀ Y by scattering rows of Y: for every row i of Y, add the
-        // outer product of its (sparse) row to S.  This only touches pairs of Lagrange
-        // multipliers whose reaches overlap, which is where the sparsity of B pays off.
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for (r, col) in columns.iter().enumerate() {
-            for &(i, v) in col {
-                rows[i].push((r, v));
-            }
-        }
-        let mut s = DenseMatrix::zeros(m, m, MemoryOrder::RowMajor);
-        for row in &rows {
-            // Filled in ascending `r` above, so the scatter only ever writes `r <= c`:
-            // the upper triangle, which the mirror below completes.
-            debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "rows of Y must be sorted");
-            for a_idx in 0..row.len() {
-                let (r, vr) = row[a_idx];
-                for &(c, vc) in row.iter().skip(a_idx) {
-                    s.add_assign_at(r, c, vr * vc);
-                }
-            }
-        }
-        s.symmetrize_from(Triangle::Upper);
-        s
+        panel::forward_solve_sparse_rhs(&self.factor, b).gram()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feti_sparse::{CooMatrix, Transpose};
+    use feti_sparse::{CooMatrix, MemoryOrder, Transpose};
 
     fn spd_matrix(n: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);

@@ -59,11 +59,15 @@ fn outcomes(
     })
 }
 
-/// The explicit host assembly of `F̃ = B A⁻¹ Bᵀ`: forward solve, SYRK, mirror.
+/// The explicit host assembly of `F̃ = B A⁻¹ Bᵀ`: the panel forward solve and its Gram.
 fn assemble(factor: &CholmodFactor, b: &CsrMatrix) -> DenseMatrix {
-    let y = factor.forward_solve_sparse_rhs(b);
-    let mut f = DenseMatrix::zeros(b.nrows(), b.nrows(), MemoryOrder::RowMajor);
-    blas::boundary_syrk(Triangle::Upper, Transpose::Yes, 1.0, &y, 0.0, &mut f);
+    factor.forward_solve_sparse_rhs(b).gram()
+}
+
+/// The oracle of the panel Gram: `boundary_syrk` over the spelt-out `Y`, mirrored.
+fn syrk_of_dense(y: &DenseMatrix) -> DenseMatrix {
+    let mut f = DenseMatrix::zeros(y.ncols(), y.ncols(), MemoryOrder::RowMajor);
+    blas::boundary_syrk(Triangle::Upper, Transpose::Yes, 1.0, y, 0.0, &mut f);
     f.symmetrize_from(Triangle::Upper);
     f
 }
@@ -316,6 +320,35 @@ proptest! {
         let g = assemble(&supernodal.factorize(&a).unwrap(), &b);
         for (u, v) in f.as_slice().iter().zip(g.as_slice()) {
             prop_assert_eq!(u.to_bits(), v.to_bits());
+        }
+    }
+
+    // The panel-pair Gram against `boundary_syrk` over the spelt-out forward solve, to
+    // the bit: every ordering, multiplier counts around the panel width, one empty row
+    // and rows of one to several entries (240 entries dealt out round-robin).
+    #[test]
+    fn panel_gram_is_the_boundary_syrk_of_the_dense_solve_to_the_bit(
+        a in spd_matrix(),
+        width in 0usize..7,
+        entries in proptest::collection::vec((0usize..20, -2.0f64..2.0), 0..240),
+    ) {
+        let n = a.nrows();
+        let nl: usize = [0, 1, 3, 31, 32, 33, 75][width];
+        let empty = nl.div_ceil(2);
+        let mut coo = CooMatrix::new(nl, n);
+        for (k, &(col, value)) in entries.iter().enumerate() {
+            let row = k % nl.max(1);
+            if nl > 0 && row != empty {
+                coo.push(row, col % n, value);
+            }
+        }
+        let b = coo.to_csr();
+        for ordering in ORDERINGS {
+            let solver = CholmodLike::analyze(&a, SolverOptions { ordering, ..Default::default() });
+            let panels = solver.factorize(&a).unwrap().forward_solve_sparse_rhs(&b);
+            let (got, want) = (panels.gram(), syrk_of_dense(&panels.to_dense()));
+            let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want), "{:?}, {} multipliers", ordering, nl);
         }
     }
 }

@@ -15,8 +15,8 @@
 //! from streaming the stored triangle once, replacing per-element layout branches with
 //! direct strided slice access, and amortizing loads over small register tiles — not
 //! from changing the arithmetic.  As a consequence the results are also invariant
-//! under the configured block size, which makes the nondeterministic autotune probe
-//! (see [`kernel_block_size`]) safe under the repo's bit-identical conformance suite.
+//! under the block size ([`kernel_block_size`]), which the tests check by iterating
+//! explicit sizes.
 //!
 //! # Sparsity-aware variants
 //!
@@ -27,10 +27,15 @@
 //! provably multiplies by stored zeros and agree with the dense kernels to ≤ 4 ulps in
 //! general (bit-for-bit when the inactive entries are `+0.0`, the case produced by
 //! sparse-to-dense conversion).
+//!
+//! No assembly runs [`syrk`] or [`boundary_syrk`]: the explicit host assembly
+//! contracts the panels its forward solve leaves (`feti_solver::ForwardPanels::gram`),
+//! skipping every row two panels do not share.  They stay as its oracle — the panel
+//! Gram must equal `boundary_syrk` over the spelt-out solve to the bit — and as the
+//! kernels the benchmark's `sparse.syrk_s` / `sparse.boundary_syrk_s` rows probe.
 
 use crate::dense::DenseMatrix;
 use crate::{DiagKind, MemoryOrder, Result, Side, SparseError, Transpose, Triangle};
-use std::sync::OnceLock;
 
 #[inline]
 fn op_dims(a: &DenseMatrix, trans: Transpose) -> (usize, usize) {
@@ -54,50 +59,17 @@ fn op_get(a: &DenseMatrix, trans: Transpose, i: usize, j: usize) -> f64 {
 // Block-size configuration.
 // ---------------------------------------------------------------------------------
 
-static BLOCK_SIZE: OnceLock<usize> = OnceLock::new();
-
-/// Candidate cache-block sizes probed by the autotuner.
-const BLOCK_CANDIDATES: [usize; 4] = [16, 32, 64, 128];
-
-/// The cache-block size used by the blocked kernels (currently the SYRK panel width).
+/// The cache-block size of the blocked SYRK loop nest behind [`syrk`] and
+/// [`boundary_syrk`]: 32.
 ///
-/// Resolved once per process by a small autotune probe that times a blocked SYRK on a
-/// synthetic operand for each candidate in `{16, 32, 64, 128}` and picks the fastest.
-/// The blocked kernels produce bit-identical results for every block size, so the
-/// (timing-dependent, nondeterministic) autotune choice never affects any numerical
-/// output.
+/// A constant, not a probe: the results are bit-identical for every block size, and
+/// no production path runs these kernels any more (the explicit assembly contracts its
+/// forward-solve panels itself, `feti_solver::ForwardPanels::gram`).  The per-process
+/// timing race over `{16, 32, 64, 128}` that used to choose it picked 32 in one
+/// benchmark run on an 8 × 2197-DOF heat 3D problem and 128 in two others on the same
+/// machine.
 pub fn kernel_block_size() -> usize {
-    *BLOCK_SIZE.get_or_init(autotune_block_size)
-}
-
-/// Times a small blocked SYRK per candidate block size and returns the fastest.
-fn autotune_block_size() -> usize {
-    let n = 160;
-    let k = 160;
-    let mut a = DenseMatrix::zeros(n, k, MemoryOrder::RowMajor);
-    for i in 0..n {
-        for j in 0..k {
-            a.set(i, j, ((i * 31 + j * 17) % 13) as f64 * 0.25 - 1.5);
-        }
-    }
-    // `a` is row-major and untransposed, so its storage already is the packed op(A).
-    let (r, starts) = (a.as_slice(), vec![0; n]);
-    let mut best = (f64::INFINITY, BLOCK_CANDIDATES[0]);
-    for &nb in &BLOCK_CANDIDATES {
-        let mut c = DenseMatrix::zeros(n, n, MemoryOrder::RowMajor);
-        // One warmup run, then best-of-three to smooth scheduler noise.
-        syrk_blocked(Triangle::Upper, 1.0, r, k, &starts, 0.0, &mut c, nb);
-        let mut t_best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = std::time::Instant::now();
-            syrk_blocked(Triangle::Upper, 1.0, r, k, &starts, 0.0, &mut c, nb);
-            t_best = t_best.min(t0.elapsed().as_secs_f64());
-        }
-        if t_best < best.0 {
-            best = (t_best, nb);
-        }
-    }
-    best.1
+    32
 }
 
 /// Copies `op(A)` into a contiguous row-major buffer (`m x k`, `r[i * k + p]`).

@@ -25,8 +25,8 @@ mod common;
 use common::problems;
 use feti_bench::json::{parse, Value};
 use feti_core::{
-    build_dual_operator, DualOperatorApproach, ExplicitAssemblyParams, PcpgOptions, ScatterGather,
-    TotalFetiSolver,
+    build_dual_operator, DualOperatorApproach, ExplicitAssemblyParams, Path, PcpgOptions,
+    ScatterGather, TotalFetiSolver,
 };
 use feti_decompose::DecomposedProblem;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -136,6 +136,58 @@ fn host_assembly_spans_nest_inside_their_factorize_spans() {
                         && inner.start_us + inner.dur_us <= outer.start_us + outer.dur_us,
                     "{approach:?}: assemble[sd={i}] leaves factorize[sd={i}]"
                 );
+            }
+        }
+    }
+}
+
+/// The assembly says where it went: inside every `assemble[sd=i]` span that walks `L`
+/// through the CHOLMOD-like facade — the host body of `expl cholmod` and the walk of
+/// the device program of the four device-assembled approaches, on either path — lie
+/// one `forward[sd=i]` span and, unless the TRSM path contracts through its backward
+/// solve and SpMM, one `gram[sd=i]` span, one level deeper on the same thread.  The
+/// PARDISO-like facade (`expl mkl`, `expl hybrid`) runs the same body as one
+/// Schur-complement call and records neither.
+#[test]
+fn forward_and_gram_spans_nest_inside_their_assemble_spans() {
+    use DualOperatorApproach as A;
+    let _gate = trace_gate();
+    let problem = DecomposedProblem::build(&common::heat_3d());
+    let on = |path| Some(ExplicitAssemblyParams { path, ..Default::default() });
+    // (approach, parameters, forward spans, gram spans) per subdomain.
+    let cases = [
+        (A::ExplicitMkl, None, 0, 0),
+        (A::ExplicitHybrid, None, 0, 0),
+        (A::ExplicitCholmod, None, 1, 1),
+        (A::ExplicitGpuLegacy, on(Path::Syrk), 1, 1),
+        (A::ExplicitGpuModern, on(Path::Trsm), 1, 0),
+        // The sparse family runs the SYRK path whatever the parameters say.
+        (A::ExplicitSparseGpuLegacy, on(Path::Syrk), 1, 1),
+        (A::ExplicitSparseGpuModern, on(Path::Trsm), 1, 1),
+    ];
+    for (approach, params, forwards, grams) in cases {
+        let mut op = build_dual_operator(approach, &problem, params).unwrap();
+        feti_trace::set_enabled(true);
+        op.preprocess().unwrap();
+        let report = feti_trace::take_report();
+        feti_trace::set_enabled(false);
+        let named = |name: String| report.spans.iter().filter(move |s| s.name == name);
+        for i in 0..problem.subdomains.len() {
+            let assemble: Vec<_> = named(format!("assemble[sd={i}]")).collect();
+            assert_eq!(assemble.len(), 1, "{approach:?}: assemble[sd={i}] spans");
+            let outer = assemble[0];
+            for (child, expected) in [("forward", forwards), ("gram", grams)] {
+                let spans: Vec<_> = named(format!("{child}[sd={i}]")).collect();
+                assert_eq!(spans.len(), expected, "{approach:?}: {child}[sd={i}] spans");
+                for inner in spans {
+                    assert_eq!(inner.thread, outer.thread, "{approach:?}: {child}[sd={i}]");
+                    assert_eq!(inner.depth, outer.depth + 1, "{approach:?}: {child}[sd={i}]");
+                    assert!(
+                        inner.start_us >= outer.start_us
+                            && inner.start_us + inner.dur_us <= outer.start_us + outer.dur_us,
+                        "{approach:?}: {child}[sd={i}] leaves assemble[sd={i}]"
+                    );
+                }
             }
         }
     }
