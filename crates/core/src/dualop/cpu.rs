@@ -7,24 +7,27 @@ use super::{par_subdomains, SubdomainBlock};
 use crate::params::SolverFacade;
 use feti_solver::cholmod::{CholmodFactor, CholmodLike};
 use feti_solver::pardiso::{PardisoFactor, PardisoLike};
-use feti_solver::{ForwardPanels, SolverOptions, SymbolicCholesky};
+use feti_solver::{ForwardPanels, OrderingKind, SolverOptions, SymbolicCholesky};
 use feti_sparse::{blas, ops, CscMatrix, CsrMatrix, DenseMatrix, Permutation, Transpose, Triangle};
 use std::sync::Arc;
 
-/// The symbolic analysis of every matrix of `k_regs`, made once per distinct sparsity
-/// pattern ([`feti_solver::group_by_pattern`]) and shared by the matrices that have
-/// it: the one place a dual operator or a planner analyses anything.  Both solver
-/// facades wrap this object, so it serves whichever [`Factor::new`] is asked for; and
-/// an analysis reads index arrays only, so which matrix of a group stood for it
-/// cannot be told from the result.
+/// The symbolic analysis under `ordering` of every matrix of `k_regs`, made once per
+/// distinct sparsity pattern ([`feti_solver::group_by_pattern`]) under an
+/// `analyze[<ordering>]` span and shared by the matrices that have it: the one place a
+/// dual operator or a planner analyses anything.  Both solver facades wrap this
+/// object, so it serves whichever [`Factor::new`] is asked for; and an analysis reads
+/// index arrays only, so which matrix of a group stood for it cannot be told from the
+/// result.
 pub(crate) fn analyze_by_pattern<'a>(
     k_regs: impl IntoIterator<Item = &'a CsrMatrix>,
-    opts: &SolverOptions,
+    ordering: OrderingKind,
 ) -> Vec<Arc<SymbolicCholesky>> {
     let k_regs: Vec<&CsrMatrix> = k_regs.into_iter().collect();
     let groups = feti_solver::group_by_pattern(&k_regs);
+    let opts = SolverOptions { ordering, ..SolverOptions::default() };
     let analyses: Vec<Arc<SymbolicCholesky>> = par_subdomains(groups.representatives.len(), |g| {
-        Arc::new(SymbolicCholesky::analyze(k_regs[groups.representatives[g]], opts))
+        let _span = feti_trace::span(|| format!("analyze[{ordering:?}]"));
+        Arc::new(SymbolicCholesky::analyze(k_regs[groups.representatives[g]], &opts))
     });
     feti_trace::counter_add("symbolic.analyses", analyses.len() as u64);
     feti_trace::counter_add("symbolic.subdomains", k_regs.len() as u64);
@@ -170,23 +173,28 @@ mod tests {
             elements_per_subdomain_side: elements,
             subdomains_per_cluster: subdomains_per_side.pow(dim.as_usize() as u32),
         };
-        let opts = SolverOptions::default();
-        for (spec, patterns) in [
+        let cases = [
             (spec(Dim::Two, Physics::LinearElasticity, ElementOrder::Linear, 3, 10), 1),
             (spec(Dim::Two, Physics::HeatTransfer, ElementOrder::Linear, 3, 12), 1),
             (spec(Dim::Three, Physics::HeatTransfer, ElementOrder::Quadratic, 2, 3), 4),
-        ] {
+        ];
+        let orderings = [OrderingKind::MinimumDegree, OrderingKind::NestedDissection];
+        for ((spec, patterns), ordering) in
+            cases.into_iter().flat_map(|c| orderings.map(|o| (c, o)))
+        {
+            let opts = SolverOptions { ordering, ..SolverOptions::default() };
             let problem = DecomposedProblem::build(&spec);
             let k_regs: Vec<&CsrMatrix> = problem.subdomains.iter().map(|sd| &sd.k_reg).collect();
-            let shared = analyze_by_pattern(k_regs.iter().copied(), &opts);
+            let shared = analyze_by_pattern(k_regs.iter().copied(), ordering);
             assert_eq!(shared.len(), k_regs.len());
             for (i, (k_reg, shared)) in k_regs.iter().zip(&shared).enumerate() {
                 let own = SymbolicCholesky::analyze(k_reg, &opts);
                 let (got, want) = (shared.permutation(), own.permutation());
-                assert_eq!(got.new_to_old(), want.new_to_old(), "{spec:?} subdomain {i}");
-                assert_eq!(shared.parents(), own.parents(), "{spec:?} subdomain {i}");
-                assert_eq!(shared.supernodes(), own.supernodes(), "{spec:?} subdomain {i}");
-                assert_eq!(shared.factor_nnz(), own.factor_nnz(), "{spec:?} subdomain {i}");
+                let at = format!("{spec:?} {ordering:?} subdomain {i}");
+                assert_eq!(got.new_to_old(), want.new_to_old(), "{at}");
+                assert_eq!(shared.parents(), own.parents(), "{at}");
+                assert_eq!(shared.supernodes(), own.supernodes(), "{at}");
+                assert_eq!(shared.factor_nnz(), own.factor_nnz(), "{at}");
             }
             let mut distinct = 0;
             for i in 0..shared.len() {

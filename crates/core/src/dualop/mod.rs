@@ -270,11 +270,13 @@ pub struct ApproachOperator {
 
 impl ApproachOperator {
     /// Preparation: one symbolic analysis per distinct `k_reg` sparsity pattern under
-    /// `opts` (ordering), shared by the subdomains that have it, and, for GPU
-    /// approaches, the persistent device allocations its program lists (factors, `B̃ᵢ`,
-    /// `F̃ᵢ`, dual vectors, persistent library workspaces) and the temporary pool.
-    /// `params` configures the explicit GPU assembly and the placement of
-    /// scatter/gather; the other approaches ignore it.
+    /// the approach's own [ordering](DualOperatorApproach::ordering), shared by the
+    /// subdomains that have it, and, for GPU approaches, the persistent device
+    /// allocations its program lists (factors, `B̃ᵢ`, `F̃ᵢ`, dual vectors, persistent
+    /// library workspaces) and the temporary pool.  Of `opts` the factorization reads
+    /// the kernel and the pivot tolerance, never the ordering.  `params` configures the
+    /// explicit GPU assembly and the placement of scatter/gather; the other approaches
+    /// ignore it.
     ///
     /// # Errors
     /// Returns an error if the device cannot hold the persistent structures.
@@ -285,12 +287,14 @@ impl ApproachOperator {
         params: ExplicitAssemblyParams,
         opts: SolverOptions,
     ) -> crate::Result<Self> {
-        let symbolic = cpu::analyze_by_pattern(blocks.iter().map(|block| &block.k_reg), &opts);
+        let k_regs = blocks.iter().map(|block| &block.k_reg);
+        let symbolic = cpu::analyze_by_pattern(k_regs, approach.ordering());
         Self::with_analyses(approach, blocks, num_lambdas, params, opts, symbolic)
     }
 
-    /// [`Self::new`] over analyses made before (a [`Plan`](crate::planner::Plan) keeps
-    /// the ones it priced): nothing is analysed here.
+    /// [`Self::new`] over analyses made before under the approach's ordering (a
+    /// [`Plan`](crate::planner::Plan) keeps the ones it priced): nothing is analysed
+    /// here.
     ///
     /// # Errors
     /// Returns an error if `symbolic` is not one analysis of the right size per block,
@@ -592,9 +596,11 @@ pub fn build_dual_operator(
     build_dual_operator_with_options(approach, problem, params, SolverOptions::default())
 }
 
-/// Like [`build_dual_operator`] with explicit solver options — in particular the
-/// numeric factorization kind ([`feti_solver::FactorizationKind`]) the planner prices
-/// and selects.  Both kinds yield bit-identical operators; only wall time differs.
+/// Like [`build_dual_operator`] with explicit solver options: the numeric
+/// factorization kind ([`feti_solver::FactorizationKind`]) the planner prices and
+/// selects — both kinds yield bit-identical operators, only wall time differs — and
+/// the pivot tolerance.  [`SolverOptions::ordering`] is not read: the approach orders
+/// its own factors ([`DualOperatorApproach::ordering`]).
 ///
 /// # Errors
 /// Returns an error if the simulated device cannot hold the persistent structures.
@@ -657,8 +663,8 @@ mod tests {
     fn kept_factors_solve_bitwise_like_a_stand_alone_factorization() {
         // `solve_local` is the solve of the one factor preprocessing made: for all
         // eleven approaches and both numeric kernels it equals, to the bit, a
-        // stand-alone default factorization.  Preprocessed on its own, an operator
-        // keeps the factor only where it applies through it.
+        // stand-alone factorization under the approach's ordering.  Preprocessed on its
+        // own, an operator keeps the factor only where it applies through it.
         use feti_mesh::{Dim, ElementOrder, Physics};
         use feti_solver::{CholeskyFactor, FactorizationKind};
         let spec = |dim, physics, order, elements_per_subdomain_side| DecompositionSpec {
@@ -676,15 +682,17 @@ mod tests {
         ] {
             let problem = DecomposedProblem::build(&spec);
             let loads = problem.subdomains.iter().map(|sd| &sd.assembled.load);
-            let expected: Vec<Vec<f64>> = problem
-                .subdomains
-                .iter()
-                .map(|sd| {
-                    let factor = CholeskyFactor::new(&sd.k_reg, &SolverOptions::default());
-                    factor.unwrap().solve(&sd.assembled.load)
-                })
-                .collect();
             for approach in DualOperatorApproach::all() {
+                let ordering = approach.ordering();
+                let expected: Vec<Vec<f64>> = problem
+                    .subdomains
+                    .iter()
+                    .map(|sd| {
+                        let opts = SolverOptions { ordering, ..SolverOptions::default() };
+                        let factor = CholeskyFactor::new(&sd.k_reg, &opts);
+                        factor.unwrap().solve(&sd.assembled.load)
+                    })
+                    .collect();
                 for factorization in [FactorizationKind::Simplicial, FactorizationKind::Supernodal]
                 {
                     let opts = SolverOptions { factorization, ..SolverOptions::default() };
@@ -701,6 +709,46 @@ mod tests {
                     assert!(op.state.iter().all(|s| s.factor().is_some() == applies_through_it));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn each_approach_factorizes_over_analyses_under_its_own_ordering() {
+        // Every implicit approach's analyses carry the approximate-minimum-degree
+        // permutation and every explicit one's the nested-dissection one — whether the
+        // operator analysed for itself or a plan ranking the approach first handed its
+        // analyses over — each that of a stand-alone analysis under that ordering.
+        use crate::planner::{PlanCandidate, Planner};
+        use feti_solver::OrderingKind;
+        let problem = DecomposedProblem::build(&DecompositionSpec {
+            elements_per_subdomain_side: 6,
+            ..DecompositionSpec::small_heat_2d()
+        });
+        let permutations = |ordering| -> Vec<Vec<usize>> {
+            let opts = SolverOptions { ordering, ..SolverOptions::default() };
+            let analyses =
+                problem.subdomains.iter().map(|sd| SymbolicCholesky::analyze(&sd.k_reg, &opts));
+            analyses.map(|s| s.permutation().new_to_old().to_vec()).collect()
+        };
+        let amd = permutations(OrderingKind::MinimumDegree);
+        let nd = permutations(OrderingKind::NestedDissection);
+        assert_ne!(amd, nd, "the two orderings must be told apart on this problem");
+        let carried = |op: &ApproachOperator| -> Vec<Vec<usize>> {
+            op.symbolic.iter().map(|s| s.permutation().new_to_old().to_vec()).collect()
+        };
+        let plan = Planner::new(&problem, GpuSpec::a100_40gb()).plan_auto(100);
+        for approach in DualOperatorApproach::all() {
+            let expected = if approach.is_explicit() { &nd } else { &amd };
+            let opts = SolverOptions::default();
+            let built = ApproachOperator::for_problem(approach, &problem, None, opts).unwrap();
+            assert_eq!(&carried(&built), expected, "{approach:?} built");
+            let mut ranked = plan.clone();
+            let at = ranked.candidates.iter().position(|c| c.approach == approach).unwrap();
+            let first = PlanCandidate { fits_device_memory: true, ..ranked.candidates.remove(at) };
+            ranked.candidates.insert(0, first);
+            let planned = ranked.operator(&problem).unwrap();
+            assert_eq!(planned.approach, approach);
+            assert_eq!(&carried(&planned), expected, "{approach:?} planned");
         }
     }
 

@@ -68,8 +68,9 @@ pub struct FetiSolution {
 /// runs once per solver instance, and subsequent solves on the same instance reuse it
 /// and report a zero preprocessing time.  The solver holds no factor of `Kᵢ` of its
 /// own: `d = B K⁺ f − c` and the primal recovery solve through the one factor per
-/// subdomain its operator made under the caller's [`SolverOptions`], which the solver
-/// asks the operator to keep.
+/// subdomain its operator made — under the approach's
+/// [ordering](DualOperatorApproach::ordering) and the caller's factorization kind and
+/// pivot tolerance — which the solver asks the operator to keep.
 pub struct TotalFetiSolver {
     problem: Arc<DecomposedProblem>,
     dual_op: ApproachOperator,
@@ -160,9 +161,11 @@ impl TotalFetiSolver {
         Self::new_with_solver_options(problem, approach, params, SolverOptions::default(), options)
     }
 
-    /// Like [`TotalFetiSolver::new`] with explicit [`SolverOptions`] — in particular
-    /// the host numeric factorization kind, which a planner or service resolves per
-    /// job.
+    /// Like [`TotalFetiSolver::new`] with explicit [`SolverOptions`]: the host numeric
+    /// factorization kind, which a planner or service resolves per job, and the pivot
+    /// tolerance.  [`SolverOptions::ordering`] is for stand-alone factors and is not
+    /// read here: every `Kᵢ` is ordered by the approach
+    /// ([`DualOperatorApproach::ordering`]).
     ///
     /// # Errors
     /// As for [`TotalFetiSolver::new`]: device capacity or a singular coarse problem;

@@ -3,6 +3,7 @@
 
 use feti_gpu::CudaGeneration;
 use feti_mesh::Dim;
+use feti_solver::OrderingKind;
 use feti_sparse::MemoryOrder;
 
 /// The eleven dual-operator approaches: the nine compared in Table III of the paper
@@ -129,6 +130,22 @@ impl DualOperatorApproach {
             | DualOperatorApproach::ExplicitMkl
             | DualOperatorApproach::ExplicitHybrid => SolverFacade::Mkl,
             _ => SolverFacade::Cholmod,
+        }
+    }
+
+    /// The fill-reducing ordering of the approach's factors, chosen for the sweep that
+    /// reads them.  The implicit approaches run two triangular sweeps over all of `L`
+    /// per application, so they take approximate minimum degree, the smallest `L`
+    /// (≈ 35 % fewer entries than nested dissection on heat 3D).  The explicit ones
+    /// keep nested dissection: their forward solve is pruned to the reach of `B̃ᵢ`'s
+    /// entries and their Gram to the rows two panels share, which pays off because
+    /// dissection orders the boundary late (×1.5–2 slower under minimum degree).
+    #[must_use]
+    pub fn ordering(self) -> OrderingKind {
+        if self.is_explicit() {
+            OrderingKind::NestedDissection
+        } else {
+            OrderingKind::MinimumDegree
         }
     }
 
@@ -329,6 +346,15 @@ mod tests {
             Some(CudaGeneration::Legacy)
         );
         assert_eq!(DualOperatorApproach::ExplicitMkl.generation(), None);
+    }
+
+    #[test]
+    fn implicit_approaches_order_by_minimum_degree_and_explicit_ones_by_dissection() {
+        let (implicit, explicit): (Vec<_>, Vec<_>) =
+            DualOperatorApproach::all().into_iter().partition(|a| !a.is_explicit());
+        assert_eq!((implicit.len(), explicit.len()), (4, 7));
+        assert!(implicit.iter().all(|a| a.ordering() == OrderingKind::MinimumDegree));
+        assert!(explicit.iter().all(|a| a.ordering() == OrderingKind::NestedDissection));
     }
 
     #[test]

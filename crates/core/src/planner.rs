@@ -10,9 +10,9 @@
 //! preprocessing over an expected PCPG iteration count, and constructs the winner.
 //!
 //! The estimates are built from structure alone: subdomain sizes, gluing-matrix
-//! sparsity and the *symbolic* factor sizes (one analysis per distinct sparsity pattern,
-//! which inspects index arrays only — no numeric factorization runs — and which a
-//! [`Plan`] hands on to the operator it builds).  The
+//! sparsity and the *symbolic* factor sizes (one analysis per distinct sparsity pattern
+//! and per ordering an approach uses, which inspects index arrays only — no numeric
+//! factorization runs — and which a [`Plan`] hands on to the operator it builds).  The
 //! GPU side of an estimate folds the very [`ApproachProgram`] the operator executes
 //! through the same [`PhaseScheduler`], so it equals the modelled device time of an
 //! actual run by construction; the CPU side is priced by a calibrated [`HostSpec`]
@@ -24,7 +24,7 @@ use crate::program::{auto_params, ApproachProgram, PhaseProgram, SubdomainShape}
 use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
 use feti_gpu::{cost, CudaGeneration, GpuSpec};
-use feti_solver::{FactorizationKind, SolverOptions, SymbolicCholesky};
+use feti_solver::{FactorizationKind, OrderingKind, SolverOptions, SymbolicCholesky};
 use std::sync::Arc;
 
 /// Roofline description of the host: effective per-thread FP64 throughput and memory
@@ -120,10 +120,28 @@ impl Default for HostSpec {
 #[derive(Debug, Clone, Copy)]
 struct SubdomainFacts {
     /// The program shape, carrying the symbolic factor size — one number for both
-    /// solver facades, which share the ordering and the symbolic analysis.
+    /// solver facades, which share the symbolic analysis of an ordering.
     shape: SubdomainShape,
     /// Number of supernodes of the factor (prices the run-blocked kernel).
     nsuper: usize,
+}
+
+/// The symbolic analyses of a problem under one ordering, one per subdomain (one object
+/// per distinct pattern), and the facts the estimates read off them.
+#[derive(Debug, Clone)]
+struct OrderedAnalyses {
+    ordering: OrderingKind,
+    symbolic: Vec<Arc<SymbolicCholesky>>,
+    facts: Vec<SubdomainFacts>,
+}
+
+impl OrderedAnalyses {
+    /// The entry of `analyses` made under `approach`'s ordering.
+    fn of(analyses: &[Self], approach: DualOperatorApproach) -> &Self {
+        let ordering = approach.ordering();
+        let found = analyses.iter().find(|a| a.ordering == ordering);
+        found.expect("every approach's ordering is analysed")
+    }
 }
 
 /// The device side of one approach × parameter set as the planner emits it once.
@@ -178,9 +196,10 @@ pub struct Plan {
     /// preprocessing and per-application seconds onto the chosen candidate under
     /// this id, producing the predicted-vs-measured accuracy report.
     pub trace_id: Option<u64>,
-    /// The symbolic analyses the candidates were priced from, one per subdomain: the
-    /// operator built from this plan factorizes over them and analyses nothing.
-    pub(crate) symbolic: Vec<Arc<SymbolicCholesky>>,
+    /// The symbolic analyses the candidates were priced from, one set per ordering an
+    /// approach uses, one analysis per subdomain in each: the operator built from this
+    /// plan factorizes over the set of its approach's ordering and analyses nothing.
+    analyses: Vec<OrderedAnalyses>,
 }
 
 impl Plan {
@@ -212,7 +231,8 @@ impl Plan {
         Ok(Box::new(self.operator(problem)?))
     }
 
-    /// The operator [`Plan::build`] boxes, over the plan's own analyses.
+    /// The operator [`Plan::build`] boxes, over the plan's own analyses under the
+    /// winning approach's ordering.
     pub(crate) fn operator(&self, problem: &DecomposedProblem) -> crate::Result<ApproachOperator> {
         let best = self.best();
         let opts = SolverOptions { factorization: best.factorization, ..SolverOptions::default() };
@@ -222,7 +242,7 @@ impl Plan {
             problem.num_lambdas,
             best.params,
             opts,
-            self.symbolic.clone(),
+            OrderedAnalyses::of(&self.analyses, best.approach).symbolic.clone(),
         )
     }
 }
@@ -234,30 +254,49 @@ pub struct Planner<'a> {
     problem: &'a DecomposedProblem,
     gpu: GpuSpec,
     host: HostSpec,
-    facts: Vec<SubdomainFacts>,
-    symbolic: Vec<Arc<SymbolicCholesky>>,
+    /// One entry per ordering some approach uses.
+    analyses: Vec<OrderedAnalyses>,
 }
 
 impl<'a> Planner<'a> {
     /// Creates a planner for `problem` on a device described by `gpu`.
     ///
-    /// Runs one symbolic analysis per distinct `k_reg` sparsity pattern (sparsity only
-    /// — no numeric work) to learn the factor sizes the estimates need; the plans made
-    /// here carry the analyses to the operator they build.
+    /// Runs one symbolic analysis per distinct `k_reg` sparsity pattern and per
+    /// ordering some approach uses ([`DualOperatorApproach::ordering`]; sparsity only —
+    /// no numeric work) to learn the factor sizes the estimates need; each approach is
+    /// priced on its own ordering's analyses, and the plans made here carry them to the
+    /// operator they build.
     #[must_use]
     pub fn new(problem: &'a DecomposedProblem, gpu: GpuSpec) -> Self {
-        let k_regs = problem.subdomains.iter().map(|sd| &sd.k_reg);
-        let symbolic = cpu::analyze_by_pattern(k_regs, &SolverOptions::default());
-        let facts = problem
-            .subdomains
-            .iter()
-            .zip(&symbolic)
-            .map(|(sd, symbolic)| SubdomainFacts {
-                shape: SubdomainShape::new(&sd.gluing, symbolic.factor_nnz()),
-                nsuper: symbolic.num_supernodes(),
+        let mut orderings = Vec::new();
+        for ordering in DualOperatorApproach::all().map(DualOperatorApproach::ordering) {
+            if !orderings.contains(&ordering) {
+                orderings.push(ordering);
+            }
+        }
+        let analyses = orderings
+            .into_iter()
+            .map(|ordering| {
+                let k_regs = problem.subdomains.iter().map(|sd| &sd.k_reg);
+                let symbolic = cpu::analyze_by_pattern(k_regs, ordering);
+                let facts = problem
+                    .subdomains
+                    .iter()
+                    .zip(&symbolic)
+                    .map(|(sd, symbolic)| SubdomainFacts {
+                        shape: SubdomainShape::new(&sd.gluing, symbolic.factor_nnz()),
+                        nsuper: symbolic.num_supernodes(),
+                    })
+                    .collect();
+                OrderedAnalyses { ordering, symbolic, facts }
             })
             .collect();
-        Self { problem, gpu, host: HostSpec::calibrated(), facts, symbolic }
+        Self { problem, gpu, host: HostSpec::calibrated(), analyses }
+    }
+
+    /// What the planner learnt about each subdomain under `approach`'s ordering.
+    fn facts(&self, approach: DualOperatorApproach) -> &[SubdomainFacts] {
+        &OrderedAnalyses::of(&self.analyses, approach).facts
     }
 
     /// Replaces the host calibration.
@@ -309,8 +348,8 @@ impl<'a> Planner<'a> {
                 .partial_cmp(&(!b.fits_device_memory, b.total_seconds(expected_iterations)))
                 .expect("estimated costs are finite")
         });
-        let symbolic = self.symbolic.clone();
-        let mut plan = Plan { expected_iterations, candidates, trace_id: None, symbolic };
+        let analyses = self.analyses.clone();
+        let mut plan = Plan { expected_iterations, candidates, trace_id: None, analyses };
         if feti_trace::enabled() {
             // One record per approach, not per parameter variant: a full-sweep plan
             // enumerates hundreds of parameter combinations whose estimates differ
@@ -411,13 +450,13 @@ impl<'a> Planner<'a> {
     }
 
     /// The program `approach` executes with `params` on this problem, over the
-    /// symbolic factor sizes.
+    /// symbolic factor sizes under its ordering.
     fn program(
         &self,
         approach: DualOperatorApproach,
         params: ExplicitAssemblyParams,
     ) -> ApproachProgram {
-        let shapes = self.facts.iter().map(|facts| facts.shape).collect();
+        let shapes = self.facts(approach).iter().map(|facts| facts.shape).collect();
         ApproachProgram::new(&self.gpu, approach, params, self.problem.num_lambdas, shapes)
     }
 
@@ -442,7 +481,7 @@ impl<'a> Planner<'a> {
         let (host_pre, host_app): (Vec<f64>, Vec<f64>) = program
             .shapes()
             .iter()
-            .zip(&self.facts)
+            .zip(self.facts(*approach))
             .map(|(s, facts)| {
                 use DualOperatorApproach as A;
                 let factorize = self.host_factorize(s, facts.nsuper, factorization);
@@ -626,11 +665,10 @@ mod tests {
     use feti_decompose::DecompositionSpec;
 
     fn shapes_match_blocks(planner: &Planner<'_>, blocks: &[SubdomainBlock]) -> bool {
-        planner
-            .facts
-            .iter()
-            .zip(blocks)
-            .all(|(f, b)| f.shape.n == b.num_dofs() && f.shape.nl == b.num_local_lambdas())
+        planner.analyses.iter().all(|analyses| {
+            let mut facts = analyses.facts.iter().zip(blocks);
+            facts.all(|(f, b)| f.shape.n == b.num_dofs() && f.shape.nl == b.num_local_lambdas())
+        })
     }
 
     fn planner_for(problem: &DecomposedProblem) -> Planner<'_> {
@@ -648,16 +686,22 @@ mod tests {
     #[test]
     fn one_analysis_gives_the_factor_size_of_both_facades() {
         // What licenses one shared analysis object behind both facades: on the seed
-        // problems the PARDISO-like facade, analysing for itself, predicts the factor
-        // size the planner took from its shared analyses.
+        // problems the PARDISO-like facade, analysing for itself under each ordering,
+        // predicts the factor size the planner took from its shared analyses.
         let mut specs = vec![DecompositionSpec::small_heat_2d()];
         specs.extend(other_problems());
         for spec in specs {
             let problem = DecomposedProblem::build(&spec);
             let planner = planner_for(&problem);
-            for (sd, facts) in problem.subdomains.iter().zip(&planner.facts) {
-                let mkl = feti_solver::PardisoLike::analyze(&sd.k_reg, SolverOptions::default());
-                assert_eq!(mkl.factor_nnz(), facts.shape.fnnz, "{spec:?} subdomain {}", sd.index);
+            let orderings: Vec<_> = planner.analyses.iter().map(|a| a.ordering).collect();
+            assert_eq!(orderings, [OrderingKind::MinimumDegree, OrderingKind::NestedDissection]);
+            for OrderedAnalyses { ordering, facts, .. } in &planner.analyses {
+                let opts = SolverOptions { ordering: *ordering, ..SolverOptions::default() };
+                for (sd, facts) in problem.subdomains.iter().zip(facts) {
+                    let mkl = feti_solver::PardisoLike::analyze(&sd.k_reg, opts);
+                    let at = format!("{spec:?} {ordering:?} subdomain {}", sd.index);
+                    assert_eq!(mkl.factor_nnz(), facts.shape.fnnz, "{at}");
+                }
             }
         }
     }
@@ -810,8 +854,8 @@ mod tests {
             };
             planner.estimate(approach, params).persistent_device_bytes
         };
-        let factor_bytes: usize = planner.facts.iter().map(|f| f.shape.fnnz * 16).sum();
         let legacy = DualOperatorApproach::ExplicitGpuLegacy;
+        let factor_bytes: usize = planner.facts(legacy).iter().map(|f| f.shape.fnnz * 16).sum();
         let modern = DualOperatorApproach::ExplicitGpuModern;
         let baseline = bytes(legacy, Sparse, RowMajor);
         assert_eq!(bytes(legacy, Sparse, ColMajor), baseline + factor_bytes);

@@ -1,9 +1,12 @@
-//! Greedy minimum-degree ordering on the elimination graph.
+//! Greedy minimum-degree ordering on the explicit elimination graph.
 //!
 //! This is the classical (exact-degree) variant: eliminate a vertex of minimum degree,
-//! turn its neighbourhood into a clique, repeat.  It is what CHOLMOD/PARDISO fall back
-//! to for small matrices; for large meshes the solvers prefer nested dissection (see
-//! [`crate::nd`]), matching how METIS is used in the paper's stack.
+//! turn its neighbourhood into a clique, repeat — in hash sets, at a cost that grows
+//! with the fill (≈ 0.5 s per 2197-vertex heat 3D subdomain graph).
+//! [`OrderingKind::MinimumDegree`](crate::OrderingKind::MinimumDegree) is computed by
+//! [`crate::amd`] instead; this variant orders only the leaves of nested dissection
+//! (at most 64 vertices, where moving to AMD would change every dissection
+//! permutation) and is the fill oracle AMD is tested against.
 
 use crate::graph::AdjGraph;
 use feti_sparse::Permutation;

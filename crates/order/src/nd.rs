@@ -8,7 +8,8 @@ use crate::graph::AdjGraph;
 use crate::mindeg;
 use feti_sparse::Permutation;
 
-/// Below this size subgraphs are ordered with minimum degree instead of recursing.
+/// Below this size subgraphs are ordered with the exact minimum degree of [`mindeg`]
+/// instead of recursing.
 const LEAF_SIZE: usize = 64;
 
 /// Computes a nested-dissection ordering of `g`.
@@ -61,7 +62,7 @@ fn dissect(g: &AdjGraph, vertices: &[usize], local_of: &mut [usize], order: &mut
             dissect(g, &right, local_of, order);
             order.extend_from_slice(&sep);
         }
-        // A leaf: minimum degree on the induced subgraph.
+        // A leaf: exact minimum degree on the induced subgraph.
         _ => {
             let p = mindeg::minimum_degree(&sub);
             order.extend(p.new_to_old().iter().map(|&local| vertices[local]));

@@ -37,7 +37,9 @@ pub use panel::ForwardPanels;
 pub use pardiso::PardisoLike;
 pub use pattern::{group_by_pattern, pattern_hash, PatternGroups};
 
-use feti_order::OrderingKind;
+/// The fill-reducing orderings of [`SolverOptions::ordering`], re-exported so that a
+/// caller choosing one needs no dependency on `feti-order` of its own.
+pub use feti_order::OrderingKind;
 
 /// Numeric factorization kernel of [`CholeskyFactor::factorize`], hence of both
 /// facades.
@@ -72,7 +74,11 @@ impl FactorizationKind {
 /// Options shared by both solver facades.
 #[derive(Debug, Clone, Copy)]
 pub struct SolverOptions {
-    /// Fill-reducing ordering to use during symbolic analysis.
+    /// Fill-reducing ordering of the symbolic analysis of a stand-alone factor
+    /// ([`CholeskyFactor::new`], [`CholmodLike::analyze`], [`PardisoLike::analyze`],
+    /// [`SymbolicCholesky::analyze`]); nested dissection by default.  A FETI dual
+    /// operator does not read it: each approach orders its subdomains for the sweep
+    /// that reads the factor.
     pub ordering: OrderingKind,
     /// Pivot tolerance: a pivot `<= tolerance` aborts the factorization as
     /// not positive definite.

@@ -193,13 +193,18 @@ fn forward_and_gram_spans_nest_inside_their_assemble_spans() {
     }
 }
 
-/// One symbolic analysis per distinct `k_reg` pattern, read off the trace: the nine
-/// subdomains of the elasticity 3×3 problem share one, the eight of heat 3D quadratic
-/// 2×2×2 × 3 need four — for an operator and for a planner alike — and a solver built
-/// from a plan analyses nothing: it factorizes over the analyses the plan priced.
+/// One symbolic analysis per distinct `k_reg` pattern and ordering, read off the trace:
+/// the nine subdomains of the elasticity 3×3 problem share one pattern, the eight of
+/// heat 3D quadratic 2×2×2 × 3 have four.  An operator analyses them under its own
+/// ordering (one `analyze[<ordering>]` span each), a planner under both orderings the
+/// approaches use, and a solver built from a plan analyses nothing: it factorizes over
+/// the analyses the plan priced.
 #[test]
 fn symbolic_analyses_are_counted_per_pattern_and_a_plan_hands_its_own_over() {
+    use feti_solver::OrderingKind::{MinimumDegree, NestedDissection};
     let _gate = trace_gate();
+    // (analyses, subdomains, `analyze[MinimumDegree]` spans, `analyze[NestedDissection]`
+    // spans) of one run.
     let counted = |run: &mut dyn FnMut()| {
         feti_trace::set_enabled(true);
         run();
@@ -208,7 +213,16 @@ fn symbolic_analyses_are_counted_per_pattern_and_a_plan_hands_its_own_over() {
         let counter = |name: &str| {
             report.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, value)| *value)
         };
-        (counter("symbolic.analyses"), counter("symbolic.subdomains"))
+        let spans = |ordering| {
+            let name = format!("analyze[{ordering:?}]");
+            report.spans.iter().filter(|s| s.name == name).count() as u64
+        };
+        (
+            counter("symbolic.analyses"),
+            counter("symbolic.subdomains"),
+            spans(MinimumDegree),
+            spans(NestedDissection),
+        )
     };
     let (_, elasticity) = common::pinned_families()[0];
     let heat_3d =
@@ -219,14 +233,16 @@ fn symbolic_analyses_are_counted_per_pattern_and_a_plan_hands_its_own_over() {
         {
             let built =
                 counted(&mut || drop(build_dual_operator(approach, &problem, None).unwrap()));
-            assert_eq!(built, (analyses, subdomains), "{spec:?} {approach:?}");
+            let (amd, nd) = if approach.is_explicit() { (0, analyses) } else { (analyses, 0) };
+            assert_eq!(built, (analyses, subdomains, amd, nd), "{spec:?} {approach:?}");
         }
         let gpu = feti_gpu::GpuSpec::a100_40gb();
         let mut plan = None;
         let planned = counted(&mut || {
             plan = Some(feti_core::planner::Planner::new(&problem, gpu).plan_auto(100));
         });
-        assert_eq!(planned, (analyses, subdomains), "{spec:?} planner");
+        let both = (2 * analyses, 2 * subdomains, analyses, analyses);
+        assert_eq!(planned, both, "{spec:?} planner");
         let plan = plan.expect("the closure ran");
         let mut solver = None;
         let from_plan = counted(&mut || {
@@ -235,7 +251,7 @@ fn symbolic_analyses_are_counted_per_pattern_and_a_plan_hands_its_own_over() {
                 Some(TotalFetiSolver::from_plan(Arc::clone(&problem), &plan, options).unwrap());
             drop(plan.build(&problem).unwrap());
         });
-        assert_eq!(from_plan, (0, 0), "{spec:?}: a planned construction analysed again");
+        assert_eq!(from_plan, (0, 0, 0, 0), "{spec:?}: a planned construction analysed again");
         // And the handed-over analyses are the right ones: the planned solver's bits
         // are those of a solver that analysed for itself.
         let best = plan.best();
