@@ -145,27 +145,37 @@ fn bits_hash(values: &[f64]) -> u64 {
 }
 
 /// The PCPG trajectory to the bit: iteration count, final residual and the converged
-/// multipliers of three approaches on the three families, recorded before the
+/// multipliers of five approaches on the three families, recorded before the
 /// boundary-restricted preconditioner and the four-row SYMV went in — the implicit rows
 /// re-recorded once, when the implicit approaches moved to approximate minimum degree
-/// (same iteration counts).  A kernel that reorders one floating-point sum moves these.
+/// (same iteration counts).  The two implicit device approaches carry the pins of
+/// `impl cholmod`: their application solves through the same factor.  A kernel that
+/// reorders one floating-point sum moves these.
 #[test]
 fn pcpg_trajectories_are_pinned_to_the_bit() {
-    use DualOperatorApproach::{ExplicitCholmod, ExplicitGpuModern, ImplicitCholmod};
-    let pins: [(&str, DualOperatorApproach, usize, u64, u64); 9] = [
+    use DualOperatorApproach::{
+        ExplicitCholmod, ExplicitGpuModern, ImplicitCholmod, ImplicitGpuLegacy, ImplicitGpuModern,
+    };
+    let pins: [(&str, DualOperatorApproach, usize, u64, u64); 15] = [
         ("heat/2D", ImplicitCholmod, 20, 0x3dfa3ff68720e67e, 0xc65d1d6bf4578fd6),
+        ("heat/2D", ImplicitGpuLegacy, 20, 0x3dfa3ff68720e67e, 0xc65d1d6bf4578fd6),
+        ("heat/2D", ImplicitGpuModern, 20, 0x3dfa3ff68720e67e, 0xc65d1d6bf4578fd6),
         ("heat/2D", ExplicitCholmod, 20, 0x3dfa3f247dc17ea6, 0xc081c6e4a69f7035),
         ("heat/2D", ExplicitGpuModern, 20, 0x3dfa3f247dc17ea6, 0xc081c6e4a69f7035),
         ("heat/3D", ImplicitCholmod, 83, 0x3e05e2affde684b5, 0x9e4e1ba723a6eb9a),
+        ("heat/3D", ImplicitGpuLegacy, 83, 0x3e05e2affde684b5, 0x9e4e1ba723a6eb9a),
+        ("heat/3D", ImplicitGpuModern, 83, 0x3e05e2affde684b5, 0x9e4e1ba723a6eb9a),
         ("heat/3D", ExplicitCholmod, 83, 0x3e058cb964830448, 0x66e698adad4eb10b),
         ("heat/3D", ExplicitGpuModern, 83, 0x3e058cb964830448, 0x66e698adad4eb10b),
         ("elasticity/2D", ImplicitCholmod, 28, 0x3df87841cbfd8564, 0x0f4bd8ede802ca15),
+        ("elasticity/2D", ImplicitGpuLegacy, 28, 0x3df87841cbfd8564, 0x0f4bd8ede802ca15),
+        ("elasticity/2D", ImplicitGpuModern, 28, 0x3df87841cbfd8564, 0x0f4bd8ede802ca15),
         ("elasticity/2D", ExplicitCholmod, 28, 0x3df27cea8d7c8c09, 0xc04274686a832271),
         ("elasticity/2D", ExplicitGpuModern, 28, 0x3df27cea8d7c8c09, 0xc04274686a832271),
     ];
     for (name, spec) in problems() {
         let problem = std::sync::Arc::new(DecomposedProblem::build(&spec));
-        for approach in [ImplicitCholmod, ExplicitCholmod, ExplicitGpuModern] {
+        for approach in pins.iter().filter(|p| p.0 == name).map(|p| p.1) {
             let mut solver = TotalFetiSolver::new(
                 std::sync::Arc::clone(&problem),
                 approach,
