@@ -1,7 +1,9 @@
 //! The host side of the dual operator: the symbolic analyses shared between
 //! subdomains of one sparsity pattern, the two CPU solver facades behind one numeric
-//! handle, and the host kernels of `impl mkl`, `impl cholmod`,
-//! `expl mkl`, `expl cholmod` (and of the hybrid approach's assembly).
+//! handle — the one factor every subdomain of every approach keeps — and the host
+//! kernels every approach computes through: the implicit application (of the device
+//! approaches too), the assembly of `expl mkl`, `expl cholmod` and `expl hybrid`, and
+//! the explicit SYMV.
 
 use super::{par_subdomains, SubdomainBlock};
 use crate::params::SolverFacade;
@@ -69,8 +71,17 @@ impl Factor {
         }
     }
 
-    /// The permuted factor `L` and its fill-reducing permutation, as handed to the
-    /// device by every GPU-assembled approach.
+    /// Stored entries of `L`.
+    pub(crate) fn nnz(&self) -> usize {
+        match self {
+            Factor::Mkl(f) => f.nnz(),
+            Factor::Cholmod(f) => f.nnz(),
+        }
+    }
+
+    /// A copy of the permuted factor `L` and its fill-reducing permutation: what the
+    /// backward solve and the SpMM of the device assembly's TRSM path read, in the
+    /// storage the program names.
     pub(crate) fn extract(&self) -> (CscMatrix, Permutation) {
         match self {
             Factor::Cholmod(f) => f.extract_factor(),
@@ -105,7 +116,8 @@ impl Factor {
     }
 
     /// The implicit local action `q̃ = B̃ (K⁺ (B̃ᵀ p̃))`: SpMV, two triangular solves,
-    /// SpMV, all on the host.
+    /// SpMV, all on the host — for the implicit device approaches too, whose program
+    /// prices the same four kernels.
     pub(crate) fn apply(&self, block: &SubdomainBlock, p_local: &[f64], q_local: &mut [f64]) {
         let mut t = vec![0.0; block.num_dofs()];
         ops::spmv_csr(1.0, &block.b, Transpose::Yes, p_local, 0.0, &mut t);
@@ -113,9 +125,10 @@ impl Factor {
     }
 }
 
-/// The explicit host application `q̃ᵢ = F̃ᵢ p̃ᵢ` through SYMV.  In a batch the dense
-/// `F̃ᵢ` stays hot across the columns — the CPU-side analogue of the SYMM-shaped
-/// amortization on the device.
+/// The explicit application `q̃ᵢ = F̃ᵢ p̃ᵢ` through SYMV, of every explicit approach,
+/// on the host or the device.  In a batch the dense `F̃ᵢ` stays hot across the
+/// columns, the exact column-by-column product the device's SYMM-shaped kernel
+/// computes; only its modelled time is batched.
 pub(crate) fn symv(f: &DenseMatrix, p_local: &[f64], q_local: &mut [f64]) {
     blas::symv(Triangle::Upper, 1.0, f, p_local, 0.0, q_local);
 }

@@ -1,76 +1,22 @@
-//! The device side of the dual operator: the kernels of `impl legacy/modern`, `expl
-//! legacy/modern` (the paper's contribution), the sparsity-aware `expl sparse
-//! legacy/modern` family (the sequel's boundary-restricted assembly, arXiv 2509.21037)
-//! and the hybrid approach's application.
+//! The device side of the dual operator: the assembly walk of `expl legacy/modern`
+//! (the paper's contribution) and of the sparsity-aware `expl sparse legacy/modern`
+//! family (the sequel's boundary-restricted assembly, arXiv 2509.21037).
 //!
-//! All device work goes through `feti-gpu`: the reported times come from the device
-//! cost model, per-stream timelines model the asynchronous submission and CPU/GPU
-//! overlap of §IV-B, and the numerics run on the host — producing the bits the
-//! program's kernels produce, through the cheapest host kernel that does.
-//!
-//! What is submitted — and what is allocated persistently — is not written here: the
-//! operator interprets the [`crate::program::ApproachProgram`] of its approach, the
-//! same program the planner folds.
+//! The device is a cost model.  What a GPU approach submits — and what it allocates
+//! persistently — is the [`crate::program::ApproachProgram`] of its approach, the same
+//! program the planner folds; `feti-gpu` prices each op and books its memory, and
+//! per-stream timelines model the asynchronous submission and CPU/GPU overlap of §IV-B.
+//! The numbers are the host's, computed through the one factor each subdomain keeps:
+//! `impl legacy/modern` apply through it exactly as `impl cholmod` does, every explicit
+//! device approach applies its `F̃ᵢ` through the host SYMV, and the assembly walk
+//! produces the bits the program's kernels produce, through the cheapest host kernel
+//! that does.
 
 use super::{cpu, DeviceSide, SubdomainBlock};
 use crate::params::ExplicitAssemblyParams;
-use feti_gpu::sparse::{self as gsparse, SparseFactor};
-use feti_gpu::{blas as gblas, DeviceOp, GpuSpec, PricedOp};
-use feti_sparse::{
-    CsrMatrix, DenseMatrix, DiagKind, MemoryOrder, Permutation, Transpose, Triangle,
-};
-
-/// The extracted factor as every GPU approach uploads it: the implicit ones apply
-/// through it, the explicit ones assemble from it.
-pub(crate) struct DeviceFactor {
-    pub(crate) factor: SparseFactor,
-    pub(crate) perm: Permutation,
-}
-
-impl DeviceFactor {
-    /// The implicit local action `q̃ = B̃ (K⁺ (B̃ᵀ p̃))` through the permuted factor,
-    /// executed with the device kernels: SpMV, two sparse triangular solves, SpMV.
-    /// The kernels' own cost reports are dropped — the application program already
-    /// carries the (batched) costs.
-    pub(crate) fn apply(
-        &self,
-        side: &DeviceSide,
-        block: &SubdomainBlock,
-        p_local: &[f64],
-        q_local: &mut [f64],
-    ) {
-        let (spec, generation) = (side.device.spec(), side.program.generation());
-        // t = B̃ᵀ p (device SpMV)
-        let mut t = vec![0.0; block.num_dofs()];
-        let _ = gsparse::spmv(spec, 1.0, &block.b, Transpose::Yes, p_local, 0.0, &mut t);
-        // x = K⁺ t through the permuted factor: L Lᵀ (P x) = P t
-        let mut z = self.perm.apply(&t);
-        for trans in [Transpose::No, Transpose::Yes] {
-            let (uplo, diag) = (Triangle::Lower, DiagKind::NonUnit);
-            gsparse::sparse_trsv(spec, generation, uplo, trans, diag, &self.factor, &mut z)
-                .expect("factor is nonsingular");
-        }
-        let x = self.perm.apply_inverse(&z);
-        // q̃ = B̃ x (device SpMV)
-        let _ = gsparse::spmv(spec, 1.0, &block.b, Transpose::No, &x, 0.0, q_local);
-    }
-
-    /// The factor row-major, for the kernels that read it by rows.
-    fn to_csr(&self) -> CsrMatrix {
-        match &self.factor {
-            SparseFactor::Csr(l) => l.clone(),
-            SparseFactor::Csc(l) => l.to_csr(),
-        }
-    }
-}
-
-/// The explicit device application shared by `expl legacy/modern`, the sparse family
-/// and `expl hybrid`: `q̃ᵢ = F̃ᵢ p̃ᵢ` through the device SYMV.  A batch runs the exact
-/// column-by-column SYMV (which is what the SYMM-shaped device kernel computes), so
-/// only the modelled time is batched.
-pub(crate) fn symv(spec: &GpuSpec, f: &DenseMatrix, p_local: &[f64], q_local: &mut [f64]) {
-    let _ = gblas::symv(spec, Triangle::Upper, 1.0, f, p_local, 0.0, q_local);
-}
+use feti_gpu::sparse::sparse_trsm_workspace_from_shape;
+use feti_gpu::{DeviceOp, PricedOp};
+use feti_sparse::{blas, ops, DenseMatrix, DiagKind, MemoryOrder, Transpose, Triangle};
 
 /// Walks one subdomain's assembly program on the simulated device and returns the
 /// dense local dual operator `F̃ᵢ`.
@@ -92,8 +38,9 @@ pub(crate) fn symv(spec: &GpuSpec, f: &DenseMatrix, p_local: &[f64], q_local: &m
 /// [`cpu::Factor::assemble`], under the same `forward[sd=i]` and `gram[sd=i]` spans;
 /// nothing is densified, converted or permuted for them.  The backward solve's order
 /// of operations does depend on the storage of its factor, so the TRSM path spells
-/// `Y` out and runs the backward solve and SpMM the program names, on the `uploaded`
-/// factor in that storage.
+/// `Y` out and runs the backward solve and SpMM the program names on `L` in that
+/// storage: the first op of the backward solve copies `L` and its permutation out of
+/// `factor` ([`cpu::Factor::extract`]), the one place anything is extracted.
 pub(crate) fn run_assembly(
     side: &DeviceSide,
     params: &ExplicitAssemblyParams,
@@ -101,17 +48,16 @@ pub(crate) fn run_assembly(
     i: usize,
     block: &SubdomainBlock,
     factor: &cpu::Factor,
-    uploaded: &DeviceFactor,
 ) -> crate::Result<DenseMatrix> {
     let (device, generation) = (&side.device, side.program.generation());
-    let spec = device.spec();
-    let (n, nl) = (block.num_dofs(), block.num_local_lambdas());
-    let (lower, nonunit) = (Triangle::Lower, DiagKind::NonUnit);
+    let (n, nl, fnnz) = (block.num_dofs(), block.num_local_lambdas(), factor.nnz());
+    let (lower, trans, nonunit) = (Triangle::Lower, Transpose::Yes, DiagKind::NonUnit);
     // Which densification and which solve the walk has reached.
     let (mut rhs_is_dense, mut forward) = (false, true);
     // Empty until the op that produces them: the forward solve's panels, `Y` spelt
-    // out for the backward solve, its densified factor.
+    // out for the backward solve, `L` and its permutation, its densified factor.
     let mut panels = None;
+    let mut extracted = None;
     let mut x = DenseMatrix::zeros(0, 0, MemoryOrder::ColMajor);
     let mut l_dense = DenseMatrix::zeros(0, 0, params.backward_factor_order);
     let mut f = DenseMatrix::zeros(0, 0, MemoryOrder::RowMajor);
@@ -134,10 +80,11 @@ pub(crate) fn run_assembly(
                 rhs_is_dense = true;
             }
             DeviceOp::SparseToDense { nnz, rows, cols } => {
-                expect(&[nnz, rows, cols], &[uploaded.factor.nnz(), n, n]);
+                expect(&[nnz, rows, cols], &[fnnz, n, n]);
                 guards.push(device.alloc_temporary(n * n * 8)?);
                 if !forward {
-                    l_dense = gsparse::sparse_to_dense(spec, &uploaded.to_csr(), factor_order).0;
+                    let (l, _) = extracted.get_or_insert_with(|| factor.extract());
+                    l_dense = l.to_dense(factor_order);
                 }
             }
             DeviceOp::DenseTrsm { n: dim, nrhs } | DeviceOp::SparseRhsTrsm { n: dim, nrhs, .. } => {
@@ -147,17 +94,18 @@ pub(crate) fn run_assembly(
                 } else {
                     let y = panels.take().expect("the forward solve precedes the backward one");
                     x = y.to_dense();
-                    let t = Transpose::Yes;
-                    let _ = gblas::trsm(spec, lower, t, nonunit, 1.0, &l_dense, &mut x)
+                    blas::trsm(lower, trans, nonunit, 1.0, &l_dense, &mut x)
                         .expect("factor is nonsingular");
                 }
                 forward = false;
             }
             DeviceOp::SparseTrsm { nnz, n: dim, nrhs, .. } => {
-                expect(&[nnz, dim, nrhs], &[uploaded.factor.nnz(), n, nl]);
-                let ws = gsparse::sparse_trsm_workspace_from_shape(
+                expect(&[nnz, dim, nrhs], &[fnnz, n, nl]);
+                // The library is handed `L` in CSC or CSR: `16·nnz + 8·(n + 1)` bytes.
+                let factor_bytes = 16 * fnnz + 8 * (n + 1);
+                let ws = sparse_trsm_workspace_from_shape(
                     generation,
-                    uploaded.factor.bytes(),
+                    factor_bytes,
                     n,
                     factor_order,
                     n,
@@ -170,17 +118,16 @@ pub(crate) fn run_assembly(
                 } else {
                     let y = panels.take().expect("the forward solve precedes the backward one");
                     x = y.to_dense();
-                    let by_rows;
-                    let l = match factor_order {
-                        MemoryOrder::ColMajor => &uploaded.factor,
-                        MemoryOrder::RowMajor => {
-                            by_rows = SparseFactor::Csr(uploaded.to_csr());
-                            &by_rows
+                    let (l, _) = extracted.get_or_insert_with(|| factor.extract());
+                    match factor_order {
+                        MemoryOrder::ColMajor => {
+                            ops::sptrsm_csc(lower, trans, nonunit, 1.0, l, &mut x)
                         }
-                    };
-                    let (g, t) = (generation, Transpose::Yes);
-                    let _ = gsparse::sparse_trsm(spec, g, lower, t, nonunit, 1.0, l, &mut x)
-                        .expect("factor is nonsingular");
+                        MemoryOrder::RowMajor => {
+                            ops::sptrsm_csr(lower, trans, nonunit, 1.0, &l.to_csr(), &mut x)
+                        }
+                    }
+                    .expect("factor is nonsingular");
                 }
                 forward = false;
             }
@@ -192,9 +139,10 @@ pub(crate) fn run_assembly(
             }
             DeviceOp::Spmm { nnz, nrows, nrhs } => {
                 expect(&[nnz, nrows, nrhs], &[block.b.nnz(), nl, nl]);
-                let bp = uploaded.perm.permute_cols(&block.b);
+                let (_, perm) = extracted.get_or_insert_with(|| factor.extract());
+                let bp = perm.permute_cols(&block.b);
                 f = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
-                let _ = gsparse::spmm(spec, 1.0, &bp, Transpose::No, &x, 0.0, &mut f);
+                ops::spmm_csr_dense(1.0, &bp, Transpose::No, &x, 0.0, &mut f);
             }
             op => unreachable!("{} is not an assembly op", op.name()),
         }

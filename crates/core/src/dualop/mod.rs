@@ -7,11 +7,13 @@
 //! [`TimeBreakdown`] combining measured CPU time and modelled GPU time under the
 //! paper's overlapped execution schedule.
 //!
-//! One implementation, [`ApproachOperator`], serves all eleven approaches: they differ
-//! only in what one subdomain does on the host ([`cpu`]) or on the simulated device
-//! ([`gpu`]) and in the device program they submit ([`crate::program`]); the phases
-//! around that are written once.  The subdomain loops run on the real host thread
-//! pool under this determinism contract: each parallel region computes purely
+//! One implementation, [`ApproachOperator`], serves all eleven approaches: each
+//! subdomain keeps one host factor and computes through it ([`cpu`]; a device assembly
+//! walks its program in [`gpu`]), and the approaches differ in what they keep — the
+//! factor or the assembled `F̃ᵢ` — and in the device program that prices them
+//! ([`crate::program`]); the phases around that are written once.  The subdomain
+//! loops run on the real host thread pool under this determinism contract: each
+//! parallel region computes purely
 //! per-subdomain results which are collected in subdomain-index order, and every
 //! cross-subdomain reduction (the gather into the global dual vector, the scheduler
 //! recording, the statistics) happens sequentially in that order after the region
@@ -231,10 +233,8 @@ pub(crate) struct DeviceSide {
 /// through and the host factor — the one `K⁺` every local solve goes through — it
 /// was built from, kept where [`ApproachOperator::preprocess_keeping`] says.
 enum LocalState {
-    /// The numeric factor, kept on the host (implicit CPU approaches).
+    /// The numeric factor (every implicit approach, on the host or the device).
     HostFactor(cpu::Factor),
-    /// The extracted factor, uploaded to the device (implicit GPU approaches).
-    DeviceFactor(gpu::DeviceFactor, Option<cpu::Factor>),
     /// The assembled dense `F̃ᵢ` (every explicit approach).
     Dense(DenseMatrix, Option<cpu::Factor>),
 }
@@ -243,7 +243,7 @@ impl LocalState {
     fn factor(&self) -> Option<&cpu::Factor> {
         match self {
             LocalState::HostFactor(factor) => Some(factor),
-            LocalState::DeviceFactor(_, kept) | LocalState::Dense(_, kept) => kept.as_ref(),
+            LocalState::Dense(_, kept) => kept.as_ref(),
         }
     }
 }
@@ -271,9 +271,10 @@ pub struct ApproachOperator {
 impl ApproachOperator {
     /// Preparation: one symbolic analysis per distinct `k_reg` sparsity pattern under
     /// the approach's own [ordering](DualOperatorApproach::ordering), shared by the
-    /// subdomains that have it, and, for GPU approaches, the persistent device
-    /// allocations its program lists (factors, `B̃ᵢ`, `F̃ᵢ`, dual vectors, persistent
-    /// library workspaces) and the temporary pool.  Of `opts` the factorization reads
+    /// subdomains that have it, and, for GPU approaches, the persistent allocations
+    /// its program lists (factors, `B̃ᵢ`, `F̃ᵢ`, dual vectors, persistent library
+    /// workspaces) and the temporary pool, on an A100-like device
+    /// ([`GpuSpec::a100_40gb`]).  Of `opts` the factorization reads
     /// the kernel and the pivot tolerance, never the ordering.  `params` configures the
     /// explicit GPU assembly and the placement of scatter/gather; the other approaches
     /// ignore it.
@@ -289,12 +290,13 @@ impl ApproachOperator {
     ) -> crate::Result<Self> {
         let k_regs = blocks.iter().map(|block| &block.k_reg);
         let symbolic = cpu::analyze_by_pattern(k_regs, approach.ordering());
-        Self::with_analyses(approach, blocks, num_lambdas, params, opts, symbolic)
+        let spec = GpuSpec::a100_40gb();
+        Self::with_analyses(approach, blocks, num_lambdas, params, opts, symbolic, &spec)
     }
 
-    /// [`Self::new`] over analyses made before under the approach's ordering (a
-    /// [`Plan`](crate::planner::Plan) keeps the ones it priced): nothing is analysed
-    /// here.
+    /// [`Self::new`] over analyses made before under the approach's ordering, on a
+    /// device described by `spec` (a [`Plan`](crate::planner::Plan) keeps the analyses
+    /// and the device it priced): nothing is analysed here.
     ///
     /// # Errors
     /// Returns an error if `symbolic` is not one analysis of the right size per block,
@@ -306,6 +308,7 @@ impl ApproachOperator {
         params: ExplicitAssemblyParams,
         opts: SolverOptions,
         symbolic: Vec<Arc<SymbolicCholesky>>,
+        spec: &GpuSpec,
     ) -> crate::Result<Self> {
         let fit = symbolic.len() == blocks.len()
             && symbolic.iter().zip(&blocks).all(|(s, block)| s.dim() == block.num_dofs());
@@ -319,11 +322,10 @@ impl ApproachOperator {
             .zip(&symbolic)
             .map(|(block, symbolic)| SubdomainShape::new(&block.b, symbolic.factor_nnz()))
             .collect();
-        let spec = GpuSpec::a100_40gb();
-        let program = ApproachProgram::new(&spec, approach, params, num_lambdas, shapes);
+        let program = ApproachProgram::new(spec, approach, params, num_lambdas, shapes);
         let (preprocess_program, apply_program) = (program.preprocess(), program.apply(1));
         let device = if approach.uses_gpu() {
-            let device = GpuDevice::new(spec);
+            let device = GpuDevice::new(*spec);
             for s in program.shapes() {
                 device.alloc_persistent(program.persistent(s).total())?;
             }
@@ -392,42 +394,27 @@ impl ApproachOperator {
     }
 
     /// Preprocesses subdomain `i`, returning its new state and the seconds of real
-    /// host work (factorization, factor extraction, host-side assembly) it measured.
+    /// host work (factorization, host assembly) it measured.  A device assembly's
+    /// host computation only stands in for the device kernels its program prices, so
+    /// it is not host work.
     fn preprocess_subdomain(&self, i: usize, keep: bool) -> crate::Result<(LocalState, f64)> {
-        use DualOperatorApproach as A;
         let block = &self.blocks[i];
         let (factor, factorize_seconds) = timed(|| {
             cpu::Factor::new(self.approach.facade(), &self.symbolic[i], self.opts, &block.k_reg)
         });
         let factor =
             factor.map_err(|e| crate::FetiError::Factorization(format!("subdomain {i}: {e}")))?;
-        let (state, host_seconds) = match self.approach {
-            A::ImplicitMkl | A::ImplicitCholmod => (LocalState::HostFactor(factor), 0.0),
-            A::ExplicitMkl | A::ExplicitCholmod | A::ExplicitHybrid => {
-                let _span = feti_trace::span(|| format!("assemble[sd={i}]"));
-                let (f, seconds) = timed(|| factor.assemble(i, block));
-                (LocalState::Dense(f, keep.then_some(factor)), seconds)
-            }
-            _ => {
-                // CPU part: extraction of the factor every GPU approach uploads.
-                let ((l_csc, perm), seconds) = timed(|| factor.extract());
-                let factor_on_device = feti_gpu::sparse::SparseFactor::Csc(l_csc);
-                let uploaded = gpu::DeviceFactor { factor: factor_on_device, perm };
-                // GPU part: conversions, TRSM/SYRK kernels (asynchronous submissions),
-                // or just keeping the uploaded factor for the implicit application.
-                let state = if self.assembles_on_device() {
-                    let _span = feti_trace::span(|| format!("assemble[sd={i}]"));
-                    let (side, ops) = (self.device_side(), self.preprocess_program.subdomain(i));
-                    let f =
-                        gpu::run_assembly(side, &self.params, ops, i, block, &factor, &uploaded)?;
-                    LocalState::Dense(f, keep.then_some(factor))
-                } else {
-                    LocalState::DeviceFactor(uploaded, keep.then_some(factor))
-                };
-                (state, seconds)
-            }
+        if !self.approach.is_explicit() {
+            return Ok((LocalState::HostFactor(factor), factorize_seconds));
+        }
+        let _span = feti_trace::span(|| format!("assemble[sd={i}]"));
+        let (f, host_seconds) = if self.assembles_on_device() {
+            let (side, ops) = (self.device_side(), self.preprocess_program.subdomain(i));
+            (gpu::run_assembly(side, &self.params, ops, i, block, &factor)?, 0.0)
+        } else {
+            timed(|| factor.assemble(i, block))
         };
-        Ok((state, factorize_seconds + host_seconds))
+        Ok((LocalState::Dense(f, keep.then_some(factor)), factorize_seconds + host_seconds))
     }
 
     /// The phase behind [`DualOperator::preprocess`].  With `keep_factors` every
@@ -470,16 +457,9 @@ impl ApproachOperator {
 
     /// The local action `q̃ = F̃ᵢ p̃` of subdomain `i` (`q_local` arrives zeroed).
     fn apply_local(&self, i: usize, p_local: &[f64], q_local: &mut [f64]) {
-        let block = &self.blocks[i];
-        match (&self.state[i], &self.device) {
-            (LocalState::HostFactor(factor), _) => factor.apply(block, p_local, q_local),
-            (LocalState::DeviceFactor(factor, _), _) => {
-                factor.apply(self.device_side(), block, p_local, q_local);
-            }
-            (LocalState::Dense(f, _), Some(side)) => {
-                gpu::symv(side.device.spec(), f, p_local, q_local);
-            }
-            (LocalState::Dense(f, _), None) => cpu::symv(f, p_local, q_local),
+        match &self.state[i] {
+            LocalState::HostFactor(factor) => factor.apply(&self.blocks[i], p_local, q_local),
+            LocalState::Dense(f, _) => cpu::symv(f, p_local, q_local),
         }
     }
 
@@ -705,7 +685,7 @@ mod tests {
                         assert_eq!(bits(&got), bits(want), "{spec:?} {approach:?} {opts:?} {i}");
                     }
                     op.preprocess().unwrap();
-                    let applies_through_it = !approach.is_explicit() && !approach.uses_gpu();
+                    let applies_through_it = !approach.is_explicit();
                     assert!(op.state.iter().all(|s| s.factor().is_some() == applies_through_it));
                 }
             }

@@ -200,6 +200,8 @@ pub struct Plan {
     /// approach uses, one analysis per subdomain in each: the operator built from this
     /// plan factorizes over the set of its approach's ordering and analyses nothing.
     analyses: Vec<OrderedAnalyses>,
+    /// The device the candidates were priced on, the one the operator is built on.
+    gpu: GpuSpec,
 }
 
 impl Plan {
@@ -221,7 +223,7 @@ impl Plan {
 
     /// Builds the dual operator the plan selected, for the problem it was planned for
     /// (or one of the same structure): the operator factorizes over the plan's
-    /// symbolic analyses.
+    /// symbolic analyses, and a GPU approach runs on the device the plan priced.
     ///
     /// # Errors
     /// Returns an error if the operator cannot be constructed (e.g. the simulated
@@ -232,7 +234,7 @@ impl Plan {
     }
 
     /// The operator [`Plan::build`] boxes, over the plan's own analyses under the
-    /// winning approach's ordering.
+    /// winning approach's ordering, on the plan's device.
     pub(crate) fn operator(&self, problem: &DecomposedProblem) -> crate::Result<ApproachOperator> {
         let best = self.best();
         let opts = SolverOptions { factorization: best.factorization, ..SolverOptions::default() };
@@ -243,6 +245,7 @@ impl Plan {
             best.params,
             opts,
             OrderedAnalyses::of(&self.analyses, best.approach).symbolic.clone(),
+            &self.gpu,
         )
     }
 }
@@ -348,8 +351,8 @@ impl<'a> Planner<'a> {
                 .partial_cmp(&(!b.fits_device_memory, b.total_seconds(expected_iterations)))
                 .expect("estimated costs are finite")
         });
-        let analyses = self.analyses.clone();
-        let mut plan = Plan { expected_iterations, candidates, trace_id: None, analyses };
+        let (analyses, gpu) = (self.analyses.clone(), self.gpu);
+        let mut plan = Plan { expected_iterations, candidates, trace_id: None, analyses, gpu };
         if feti_trace::enabled() {
             // One record per approach, not per parameter variant: a full-sweep plan
             // enumerates hundreds of parameter combinations whose estimates differ
@@ -773,10 +776,12 @@ mod tests {
         // Planner and operator fold the same program (the same `GpuCost` list in the
         // same order) and the symbolic factor size equals the numeric one, so the
         // modelled GPU seconds of an estimate are bit-identical to an actual run:
-        // every Table-I combination on heat 2D, auto parameters on the other problems.
-        let check = |problem: &DecomposedProblem, approach, params: ExplicitAssemblyParams| {
-            let estimate = planner_for(problem).estimate(approach, params);
-            let mut op = build_dual_operator(approach, problem, Some(params)).unwrap();
+        // every Table-I combination on heat 2D, auto parameters on the other problems,
+        // and, on a device with half the bandwidths, every approach a plan builds.
+        let agree = |problem: &DecomposedProblem,
+                     estimate: PlanCandidate,
+                     mut op: Box<dyn DualOperator>| {
+            let (approach, params) = (estimate.approach, estimate.params);
             let measured_pre = op.preprocess().unwrap();
             let p: Vec<f64> = (0..problem.num_lambdas).map(|i| (i as f64 * 0.3).sin()).collect();
             let mut q = vec![0.0; problem.num_lambdas];
@@ -796,6 +801,10 @@ mod tests {
                 measured_apply.gpu_seconds
             );
         };
+        let check = |problem: &DecomposedProblem, approach, params| {
+            let estimate = planner_for(problem).estimate(approach, params);
+            agree(problem, estimate, build_dual_operator(approach, problem, Some(params)).unwrap());
+        };
         let heat_2d = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
         for approach in GPU_APPROACHES {
             for params in ExplicitAssemblyParams::all_combinations() {
@@ -807,6 +816,23 @@ mod tests {
             for approach in GPU_APPROACHES {
                 check(&problem, approach, auto_params(approach, &problem));
             }
+        }
+        let a100 = GpuSpec::a100_40gb();
+        let slower = GpuSpec {
+            memory_bandwidth: a100.memory_bandwidth / 2.0,
+            pcie_bandwidth: a100.pcie_bandwidth / 2.0,
+            ..a100
+        };
+        let plan = Planner::new(&heat_2d, slower).plan_auto(100);
+        let on_a100 = planner_for(&heat_2d);
+        for approach in GPU_APPROACHES {
+            let mut ranked = plan.clone();
+            let at = ranked.candidates.iter().position(|c| c.approach == approach).unwrap();
+            let first = PlanCandidate { fits_device_memory: true, ..ranked.candidates.remove(at) };
+            ranked.candidates.insert(0, first);
+            let a100_apply = on_a100.estimate(approach, first.params).apply.gpu_seconds;
+            assert_ne!(first.apply.gpu_seconds, a100_apply, "{approach:?}");
+            agree(&heat_2d, first, ranked.build(&heat_2d).unwrap());
         }
     }
 

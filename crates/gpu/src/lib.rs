@@ -1,31 +1,28 @@
-//! A software-simulated CUDA-like device for the FETI dual-operator reproduction.
+//! A software-simulated CUDA-like device for the FETI dual-operator reproduction: it
+//! prices and books device work, and computes none.
 //!
 //! The paper's contribution is executed on NVIDIA A100 GPUs through cuBLAS and
 //! cuSPARSE.  This environment has no GPU, so — per the substitution rule recorded in
 //! `DESIGN.md` — this crate provides the closest synthetic equivalent:
 //!
-//! * every kernel **really executes** (on the host, via the kernels in `feti-sparse`),
-//!   so all numerical results downstream are exact;
-//! * every kernel also reports a [`GpuCost`] derived from an A100-calibrated
-//!   [`GpuSpec`] (kernel-launch latency, HBM bandwidth, FP64 throughput, PCIe
-//!   transfers), which the benchmark harness uses as the device time;
+//! * a [`DeviceOp`] names one kernel submission by its shape, and its [`GpuCost`] comes
+//!   from an A100-calibrated [`GpuSpec`] (kernel-launch latency, HBM bandwidth, FP64
+//!   throughput, PCIe transfers), which the benchmark harness uses as the device time.
+//!   The results those kernels would produce are computed on the host by the callers,
+//!   through the kernels of `feti-sparse`;
 //! * the two cuSPARSE API generations the paper compares ("legacy" CUDA 11.7 vs
-//!   "modern" CUDA 12.4) are modelled as two parameterizations of the sparse kernels
-//!   with different efficiency and workspace-size behaviour, reproducing the
+//!   "modern" CUDA 12.4) are modelled as two parameterizations of the sparse
+//!   triangular solve's cost and of its workspace query ([`sparse`]), reproducing the
 //!   qualitative findings of §V-A;
 //! * device memory is managed exactly as described in §IV-A: persistent allocations
 //!   that live for the whole solver lifetime plus a temporary pool allocator that
-//!   blocks the submitting thread when the pool is exhausted;
+//!   blocks the submitting thread when the pool is exhausted, and a [`DeviceBudget`]
+//!   shared by the jobs of one device;
 //! * [`StreamTimeline`]s model the per-stream asynchronous execution and the
 //!   copy/compute overlap the paper relies on.
 
 #![warn(missing_docs)]
-// The kernel entry points deliberately mirror the cuBLAS/cuSPARSE signatures
-// (handle-like spec, uplo/trans/diag descriptors, alpha/beta scalars, operands),
-// which puts several of them past clippy's argument-count threshold.
-#![allow(clippy::too_many_arguments)]
 
-pub mod blas;
 pub mod budget;
 pub mod cost;
 pub mod memory;

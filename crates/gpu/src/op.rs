@@ -3,11 +3,10 @@
 //! A [`DeviceOp`] names one submission to the device together with the shape that
 //! prices it.  The dual-operator approaches describe what they submit as ordered lists
 //! of these ops; the executor walks a list (requests each op's device memory, charges
-//! its cost and produces its result on the host — through the kernel wrappers of
-//! [`crate::blas`] / [`crate::sparse`] where the bits depend on the kernel), the
-//! planner folds the same list through the phase scheduler, and the trace layer labels
-//! every modelled lane with [`DeviceOp::name`].  A real CUDA backend would interpret
-//! the same lists.
+//! its cost, and produces its result on the host through the `feti-sparse` kernels
+//! that give the same bits), the planner folds the same list through the phase
+//! scheduler, and the trace layer labels every modelled lane with [`DeviceOp::name`].
+//! A real CUDA backend would interpret the same lists.
 
 use crate::cost::{self, GpuCost, GpuSpec};
 use crate::CudaGeneration;

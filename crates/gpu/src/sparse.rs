@@ -1,55 +1,15 @@
-//! cuSPARSE-like sparse kernels on the simulated device, in two API generations.
+//! The buffer-size query of the cuSPARSE-like sparse TRSM, in two API generations.
 //!
 //! The paper compares the *legacy* cuSPARSE API (CUDA 11.7, block triangular solves,
 //! modest workspaces whose size depends on the factor/RHS memory order) with the
 //! *modern* generic API (CUDA 12.4, much slower sparse TRSM and very large persistent
-//! workspaces independent of the layout parameters).  Both behaviours are reproduced
-//! here: the numerics are identical (and exact), the cost and the workspace-size
-//! queries differ.
+//! workspaces independent of the layout parameters).  The speed difference lives in
+//! [`crate::cost`]; the workspace difference is this query, asked from shape alone by
+//! the programs that book the persistent workspace and the walks that request the
+//! temporary one.
 
-use crate::cost::{self, GpuCost, GpuSpec};
 use crate::CudaGeneration;
-use feti_sparse::ops as hostops;
-use feti_sparse::{CscMatrix, CsrMatrix, DenseMatrix, DiagKind, MemoryOrder, Transpose, Triangle};
-
-/// Sparse storage handed to the triangular solve: CSR corresponds to a row-major
-/// factor, CSC to a column-major factor (the paper's "factor order" parameter).
-#[derive(Debug, Clone)]
-pub enum SparseFactor {
-    /// Compressed sparse row factor.
-    Csr(CsrMatrix),
-    /// Compressed sparse column factor.
-    Csc(CscMatrix),
-}
-
-impl SparseFactor {
-    /// Number of stored nonzeros.
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        match self {
-            SparseFactor::Csr(m) => m.nnz(),
-            SparseFactor::Csc(m) => m.nnz(),
-        }
-    }
-
-    /// Matrix dimension (factors are square).
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        match self {
-            SparseFactor::Csr(m) => m.nrows(),
-            SparseFactor::Csc(m) => m.nrows(),
-        }
-    }
-
-    /// Approximate device memory footprint in bytes.
-    #[must_use]
-    pub fn bytes(&self) -> usize {
-        match self {
-            SparseFactor::Csr(m) => m.bytes(),
-            SparseFactor::Csc(m) => m.bytes(),
-        }
-    }
-}
+use feti_sparse::MemoryOrder;
 
 /// Workspace requirements of a sparse TRSM call as reported by the API's buffer-size
 /// query (§IV-C of the paper: factor order and RHS order change the legacy workspace;
@@ -62,34 +22,10 @@ pub struct TrsmWorkspace {
     pub temporary_bytes: usize,
 }
 
-/// Buffer-size query for the sparse TRSM.
-#[must_use]
-pub fn sparse_trsm_workspace(
-    generation: CudaGeneration,
-    factor: &SparseFactor,
-    rhs_rows: usize,
-    rhs_cols: usize,
-    rhs_order: MemoryOrder,
-) -> TrsmWorkspace {
-    let factor_order = match factor {
-        SparseFactor::Csr(_) => MemoryOrder::RowMajor,
-        SparseFactor::Csc(_) => MemoryOrder::ColMajor,
-    };
-    sparse_trsm_workspace_from_shape(
-        generation,
-        factor.bytes(),
-        factor.dim(),
-        factor_order,
-        rhs_rows,
-        rhs_cols,
-        rhs_order,
-    )
-}
-
 /// Buffer-size query for the sparse TRSM from shape information alone (no factor in
-/// hand) — the entry point a-priori cost estimators use to size workspaces before any
-/// factorization has happened.  A row-major factor corresponds to CSR storage, a
-/// column-major one to CSC.
+/// hand) — what a-priori cost estimators and the device walks both ask, before or
+/// without any factor on the device.  A row-major factor corresponds to CSR storage,
+/// a column-major one to CSC.
 #[must_use]
 pub fn sparse_trsm_workspace_from_shape(
     generation: CudaGeneration,
@@ -123,277 +59,52 @@ pub fn sparse_trsm_workspace_from_shape(
     }
 }
 
-/// Sparse triangular solve with a dense multi-column right-hand side
-/// (`op(L) X = alpha B`, `B` overwritten).
-///
-/// # Errors
-/// Propagates singular-diagonal errors from the host kernel.
-pub fn sparse_trsm(
-    spec: &GpuSpec,
-    generation: CudaGeneration,
-    uplo: Triangle,
-    trans: Transpose,
-    diag: DiagKind,
-    alpha: f64,
-    factor: &SparseFactor,
-    b: &mut DenseMatrix,
-) -> feti_sparse::Result<GpuCost> {
-    match factor {
-        SparseFactor::Csr(l) => hostops::sptrsm_csr(uplo, trans, diag, alpha, l, b)?,
-        SparseFactor::Csc(l) => hostops::sptrsm_csc(uplo, trans, diag, alpha, l, b)?,
-    }
-    Ok(cost::sparse_trsm_for(spec, generation, factor.nnz(), factor.dim(), b.ncols()))
-}
-
-/// Sparse-times-dense multiplication (SpMM): `C = alpha op(A) B + beta C`.
-pub fn spmm(
-    spec: &GpuSpec,
-    alpha: f64,
-    a: &CsrMatrix,
-    trans: Transpose,
-    b: &DenseMatrix,
-    beta: f64,
-    c: &mut DenseMatrix,
-) -> GpuCost {
-    hostops::spmm_csr_dense(alpha, a, trans, b, beta, c);
-    cost::spmm(spec, a.nnz(), c.nrows(), c.ncols())
-}
-
-/// Sparse matrix-vector multiplication (SpMV): `y = alpha op(A) x + beta y`.
-pub fn spmv(
-    spec: &GpuSpec,
-    alpha: f64,
-    a: &CsrMatrix,
-    trans: Transpose,
-    x: &[f64],
-    beta: f64,
-    y: &mut [f64],
-) -> GpuCost {
-    hostops::spmv_csr(alpha, a, trans, x, beta, y);
-    cost::spmv(spec, a.nnz(), a.nrows())
-}
-
-/// Sparse triangular solve with a single right-hand side (used by the implicit GPU
-/// dual operator).
-///
-/// # Errors
-/// Propagates singular-diagonal errors from the host kernel.
-pub fn sparse_trsv(
-    spec: &GpuSpec,
-    generation: CudaGeneration,
-    uplo: Triangle,
-    trans: Transpose,
-    diag: DiagKind,
-    factor: &SparseFactor,
-    b: &mut [f64],
-) -> feti_sparse::Result<GpuCost> {
-    match factor {
-        SparseFactor::Csr(l) => hostops::sptrsv_csr(uplo, trans, diag, l, b)?,
-        SparseFactor::Csc(l) => hostops::sptrsv_csc(uplo, trans, diag, l, b)?,
-    }
-    Ok(cost::sparse_trsm_for(spec, generation, factor.nnz(), factor.dim(), 1))
-}
-
-/// Converts a sparse matrix to dense on the device (the paper converts `B̃ᵢ` and,
-/// optionally, the factors on the GPU to minimize transferred data).
-pub fn sparse_to_dense(
-    spec: &GpuSpec,
-    a: &CsrMatrix,
-    order: MemoryOrder,
-) -> (DenseMatrix, GpuCost) {
-    let d = a.to_dense(order);
-    let c = cost::sparse_to_dense(spec, a.nnz(), a.nrows(), a.ncols());
-    (d, c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feti_sparse::CooMatrix;
+    use crate::{DeviceOp, GpuSpec};
+    use MemoryOrder::{ColMajor, RowMajor};
 
-    fn spec() -> GpuSpec {
-        GpuSpec::a100_40gb()
-    }
-
-    fn lower_factor(n: usize) -> CsrMatrix {
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 2.0 + i as f64 * 0.1);
-            if i > 0 {
-                coo.push(i, i - 1, -0.5);
-            }
-            if i > 3 {
-                coo.push(i, i - 4, 0.25);
-            }
-        }
-        coo.to_csr()
-    }
-
-    #[test]
-    fn csr_and_csc_factors_give_identical_solutions() {
-        let l = lower_factor(12);
-        let rhs_vals: Vec<f64> = (0..12 * 3).map(|i| (i as f64 * 0.17).sin()).collect();
-        let mut b1 = DenseMatrix::from_row_slice(12, 3, &rhs_vals, MemoryOrder::RowMajor);
-        let mut b2 = DenseMatrix::from_row_slice(12, 3, &rhs_vals, MemoryOrder::ColMajor);
-        let s = spec();
-        sparse_trsm(
-            &s,
-            CudaGeneration::Legacy,
-            Triangle::Lower,
-            Transpose::No,
-            DiagKind::NonUnit,
-            1.0,
-            &SparseFactor::Csr(l.clone()),
-            &mut b1,
-        )
-        .unwrap();
-        sparse_trsm(
-            &s,
-            CudaGeneration::Modern,
-            Triangle::Lower,
-            Transpose::No,
-            DiagKind::NonUnit,
-            1.0,
-            &SparseFactor::Csc(l.to_csc()),
-            &mut b2,
-        )
-        .unwrap();
-        assert!(b1.max_abs_diff(&b2) < 1e-12);
+    /// Stored entries and CSR/CSC footprint of an `n x n` banded lower factor with a
+    /// diagonal, a first and a fourth subdiagonal.
+    fn banded_factor(n: usize) -> (usize, usize) {
+        let nnz = 3 * n - 5;
+        (nnz, 16 * nnz + 8 * (n + 1))
     }
 
     #[test]
     fn modern_generation_is_slower_and_hungrier() {
-        let l = lower_factor(500);
-        let factor = SparseFactor::Csr(l);
-        let s = spec();
-        let mut b_leg = DenseMatrix::zeros(500, 100, MemoryOrder::RowMajor);
-        let mut b_mod = b_leg.clone();
-        let c_leg = sparse_trsm(
-            &s,
-            CudaGeneration::Legacy,
-            Triangle::Lower,
-            Transpose::No,
-            DiagKind::NonUnit,
-            1.0,
-            &factor,
-            &mut b_leg,
-        )
-        .unwrap();
-        let c_mod = sparse_trsm(
-            &s,
-            CudaGeneration::Modern,
-            Triangle::Lower,
-            Transpose::No,
-            DiagKind::NonUnit,
-            1.0,
-            &factor,
-            &mut b_mod,
-        )
-        .unwrap();
-        assert!(c_mod.seconds > c_leg.seconds);
-        let w_leg =
-            sparse_trsm_workspace(CudaGeneration::Legacy, &factor, 500, 100, MemoryOrder::RowMajor);
-        let w_mod =
-            sparse_trsm_workspace(CudaGeneration::Modern, &factor, 500, 100, MemoryOrder::RowMajor);
-        assert!(w_mod.persistent_bytes > w_leg.persistent_bytes);
+        let (n, nrhs) = (500, 100);
+        let (nnz, bytes) = banded_factor(n);
+        let solve = |generation| DeviceOp::SparseTrsm { generation, nnz, n, nrhs };
+        let s = GpuSpec::a100_40gb();
+        let (legacy, modern) = (CudaGeneration::Legacy, CudaGeneration::Modern);
+        assert!(solve(modern).cost(&s).seconds > solve(legacy).cost(&s).seconds);
+        let workspace = |generation| {
+            sparse_trsm_workspace_from_shape(generation, bytes, n, RowMajor, n, nrhs, RowMajor)
+        };
+        assert!(workspace(modern).persistent_bytes > workspace(legacy).persistent_bytes);
     }
 
     #[test]
     fn legacy_workspace_depends_on_layouts_as_in_the_paper() {
-        let l = lower_factor(200);
-        let csr = SparseFactor::Csr(l.clone());
-        let csc = SparseFactor::Csc(l.to_csc());
-        // CSC factor needs roughly an extra factor-sized buffer.
-        let w_csr =
-            sparse_trsm_workspace(CudaGeneration::Legacy, &csr, 200, 50, MemoryOrder::RowMajor);
-        let w_csc =
-            sparse_trsm_workspace(CudaGeneration::Legacy, &csc, 200, 50, MemoryOrder::RowMajor);
-        assert!(w_csc.temporary_bytes >= w_csr.temporary_bytes + csr.bytes() / 2);
-        // Column-major RHS needs roughly an extra RHS-sized buffer.
-        let w_rm =
-            sparse_trsm_workspace(CudaGeneration::Legacy, &csr, 200, 50, MemoryOrder::RowMajor);
-        let w_cm =
-            sparse_trsm_workspace(CudaGeneration::Legacy, &csr, 200, 50, MemoryOrder::ColMajor);
-        assert_eq!(w_cm.temporary_bytes - w_rm.temporary_bytes, 200 * 50 * 8);
-        // Modern workspace is layout independent.
-        let m1 =
-            sparse_trsm_workspace(CudaGeneration::Modern, &csr, 200, 50, MemoryOrder::RowMajor);
-        let m2 =
-            sparse_trsm_workspace(CudaGeneration::Modern, &csr, 200, 50, MemoryOrder::ColMajor);
-        assert_eq!(m1.persistent_bytes, m2.persistent_bytes);
-    }
-
-    #[test]
-    fn shape_based_workspace_matches_factor_based_query() {
-        let l = lower_factor(300);
-        for (factor, order) in [
-            (SparseFactor::Csr(l.clone()), MemoryOrder::RowMajor),
-            (SparseFactor::Csc(l.to_csc()), MemoryOrder::ColMajor),
-        ] {
-            for generation in [CudaGeneration::Legacy, CudaGeneration::Modern] {
-                for rhs_order in [MemoryOrder::RowMajor, MemoryOrder::ColMajor] {
-                    let direct = sparse_trsm_workspace(generation, &factor, 300, 40, rhs_order);
-                    let shaped = sparse_trsm_workspace_from_shape(
-                        generation,
-                        factor.bytes(),
-                        factor.dim(),
-                        order,
-                        300,
-                        40,
-                        rhs_order,
-                    );
-                    assert_eq!(direct, shaped);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn spmm_and_spmv_execute_host_kernels() {
-        let a = lower_factor(10);
-        let s = spec();
-        let b = DenseMatrix::identity(10, MemoryOrder::ColMajor);
-        let mut c = DenseMatrix::zeros(10, 10, MemoryOrder::RowMajor);
-        let cost_mm = spmm(&s, 1.0, &a, Transpose::No, &b, 0.0, &mut c);
-        assert!(cost_mm.seconds > 0.0);
-        assert!(c.max_abs_diff(&a.to_dense(MemoryOrder::RowMajor)) < 1e-14);
-        let x = vec![1.0; 10];
-        let mut y = vec![0.0; 10];
-        let cost_mv = spmv(&s, 1.0, &a, Transpose::No, &x, 0.0, &mut y);
-        assert!(cost_mv.seconds > 0.0);
-    }
-
-    #[test]
-    fn sparse_to_dense_conversion() {
-        let a = lower_factor(6);
-        let (d, c) = sparse_to_dense(&spec(), &a, MemoryOrder::ColMajor);
-        assert!(c.seconds > 0.0);
-        assert!(
-            d.max_abs_diff(&a.to_dense(MemoryOrder::RowMajor).into_order(MemoryOrder::ColMajor))
-                < 1e-14
-        );
-    }
-
-    #[test]
-    fn sparse_trsv_single_rhs() {
-        let l = lower_factor(8);
-        let mut b = vec![1.0; 8];
-        let c = sparse_trsv(
-            &spec(),
-            CudaGeneration::Legacy,
-            Triangle::Lower,
-            Transpose::No,
-            DiagKind::NonUnit,
-            &SparseFactor::Csr(l.clone()),
-            &mut b,
-        )
-        .unwrap();
-        assert!(c.seconds > 0.0);
-        // verify L * b == ones
-        let mut check = vec![0.0; 8];
-        hostops::spmv_csr(1.0, &l, Transpose::No, &b, 0.0, &mut check);
-        for v in check {
-            assert!((v - 1.0).abs() < 1e-12);
-        }
+        let (n, nrhs) = (200, 50);
+        let (_, bytes) = banded_factor(n);
+        let workspace = |generation, factor_order, rhs_order| {
+            sparse_trsm_workspace_from_shape(generation, bytes, n, factor_order, n, nrhs, rhs_order)
+        };
+        let legacy = CudaGeneration::Legacy;
+        // A CSC factor needs an extra factor-sized buffer.
+        let w_csr = workspace(legacy, RowMajor, RowMajor);
+        let w_csc = workspace(legacy, ColMajor, RowMajor);
+        assert_eq!(w_csc.temporary_bytes, w_csr.temporary_bytes + bytes);
+        // A column-major RHS needs an extra RHS-sized buffer.
+        let w_cm = workspace(legacy, RowMajor, ColMajor);
+        assert_eq!(w_cm.temporary_bytes - w_csr.temporary_bytes, n * nrhs * 8);
+        // The modern workspace is layout independent.
+        let modern = CudaGeneration::Modern;
+        let m1 = workspace(modern, RowMajor, RowMajor);
+        let m2 = workspace(modern, ColMajor, ColMajor);
+        assert_eq!(m1, m2);
     }
 }
