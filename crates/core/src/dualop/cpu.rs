@@ -1,14 +1,11 @@
 //! The host side of the dual operator: the symbolic analyses shared between
-//! subdomains of one sparsity pattern, the two CPU solver facades behind one numeric
-//! handle — the one factor every subdomain of every approach keeps — and the host
-//! kernels every approach computes through: the implicit application (of the device
-//! approaches too), the assembly of `expl mkl`, `expl cholmod` and `expl hybrid`, and
-//! the explicit SYMV.
+//! subdomains of one sparsity pattern, the CHOLMOD-like numeric factor — the one factor
+//! every subdomain of every approach keeps — and the host kernels every approach
+//! computes through: the implicit application (of the device approaches too), the
+//! assembly of `expl mkl`, `expl cholmod` and `expl hybrid`, and the explicit SYMV.
 
 use super::{par_subdomains, SubdomainBlock};
-use crate::params::SolverFacade;
 use feti_solver::cholmod::{CholmodFactor, CholmodLike};
-use feti_solver::pardiso::{PardisoFactor, PardisoLike};
 use feti_solver::{ForwardPanels, OrderingKind, SolverOptions, SymbolicCholesky};
 use feti_sparse::{blas, ops, CscMatrix, CsrMatrix, DenseMatrix, Permutation, Transpose, Triangle};
 use std::sync::Arc;
@@ -16,10 +13,8 @@ use std::sync::Arc;
 /// The symbolic analysis under `ordering` of every matrix of `k_regs`, made once per
 /// distinct sparsity pattern ([`feti_solver::group_by_pattern`]) under an
 /// `analyze[<ordering>]` span and shared by the matrices that have it: the one place a
-/// dual operator or a planner analyses anything.  Both solver facades wrap this
-/// object, so it serves whichever [`Factor::new`] is asked for; and an analysis reads
-/// index arrays only, so which matrix of a group stood for it cannot be told from the
-/// result.
+/// dual operator or a planner analyses anything.  An analysis reads index arrays only,
+/// so which matrix of a group stood for it cannot be told from the result.
 pub(crate) fn analyze_by_pattern<'a>(
     k_regs: impl IntoIterator<Item = &'a CsrMatrix>,
     ordering: OrderingKind,
@@ -36,83 +31,53 @@ pub(crate) fn analyze_by_pattern<'a>(
     groups.group_of.iter().map(|&g| Arc::clone(&analyses[g])).collect()
 }
 
-/// Numeric factor of either CPU solver facade.
-pub(crate) enum Factor {
-    Mkl(PardisoFactor),
-    Cholmod(CholmodFactor),
-}
+/// The numeric factor of one subdomain.
+pub(crate) struct Factor(CholmodFactor);
 
 impl Factor {
-    /// Numeric factorization of `k_reg` by `facade` over a shared analysis — the one
-    /// place a subdomain's `K⁺` is made.
+    /// Numeric factorization of `k_reg` over a shared analysis — the one place a
+    /// subdomain's `K⁺` is made.
     pub(crate) fn new(
-        facade: SolverFacade,
         symbolic: &Arc<SymbolicCholesky>,
         opts: SolverOptions,
         k_reg: &CsrMatrix,
     ) -> feti_solver::Result<Factor> {
-        let symbolic = Arc::clone(symbolic);
-        Ok(match facade {
-            SolverFacade::Mkl => {
-                Factor::Mkl(PardisoLike::from_symbolic(symbolic, opts).factorize(k_reg)?)
-            }
-            SolverFacade::Cholmod => {
-                Factor::Cholmod(CholmodLike::from_symbolic(symbolic, opts).factorize(k_reg)?)
-            }
-        })
+        Ok(Factor(CholmodLike::from_symbolic(Arc::clone(symbolic), opts).factorize(k_reg)?))
     }
 
     /// `K⁺ rhs` in the original ordering: the solve behind the implicit application,
     /// the dual right-hand side and the primal recovery alike.
     pub(crate) fn solve(&self, rhs: &[f64]) -> Vec<f64> {
-        match self {
-            Factor::Mkl(f) => f.solve(rhs),
-            Factor::Cholmod(f) => f.solve(rhs),
-        }
+        self.0.solve(rhs)
     }
 
     /// Stored entries of `L`.
     pub(crate) fn nnz(&self) -> usize {
-        match self {
-            Factor::Mkl(f) => f.nnz(),
-            Factor::Cholmod(f) => f.nnz(),
-        }
+        self.0.nnz()
     }
 
     /// A copy of the permuted factor `L` and its fill-reducing permutation: what the
     /// backward solve and the SpMM of the device assembly's TRSM path read, in the
     /// storage the program names.
     pub(crate) fn extract(&self) -> (CscMatrix, Permutation) {
-        match self {
-            Factor::Cholmod(f) => f.extract_factor(),
-            Factor::Mkl(_) => unreachable!("only the CHOLMOD-like facade hands out its factor"),
-        }
+        self.0.extract_factor()
     }
 
     /// `Y = L⁻¹PB̃ᵀ` of subdomain `i` as the panels of one forward solve against the
     /// factor's own storage, pruned to the reach of `B̃`'s entries — the forward solve
-    /// of every explicit assembly that goes through `L` — under a `forward[sd=i]` span.
+    /// of every explicit assembly — under a `forward[sd=i]` span.
     pub(crate) fn forward_solve(&self, i: usize, block: &SubdomainBlock) -> ForwardPanels {
         let _span = feti_trace::span(|| format!("forward[sd={i}]"));
-        match self {
-            Factor::Cholmod(f) => f.forward_solve_sparse_rhs(&block.b),
-            Factor::Mkl(_) => unreachable!("only the CHOLMOD-like facade solves through `L`"),
-        }
+        self.0.forward_solve_sparse_rhs(&block.b)
     }
 
-    /// Assembles the dense `F̃ᵢ` of subdomain `i` on the CPU, both triangles filled.
-    /// Both facades run the same body — the panel forward solve and the panel-pair
-    /// Gram; through the CHOLMOD-like one its halves are the `forward[sd=i]` and
-    /// `gram[sd=i]` spans, the PARDISO-like one makes it one Schur-complement call.
+    /// Assembles the dense `F̃ᵢ` of subdomain `i` on the CPU, both triangles filled:
+    /// the panel forward solve and the panel-pair Gram, the `forward[sd=i]` and
+    /// `gram[sd=i]` spans.
     pub(crate) fn assemble(&self, i: usize, block: &SubdomainBlock) -> DenseMatrix {
-        match self {
-            Factor::Mkl(f) => f.schur_complement(&block.b),
-            Factor::Cholmod(_) => {
-                let y = self.forward_solve(i, block);
-                let _span = feti_trace::span(|| format!("gram[sd={i}]"));
-                y.gram()
-            }
-        }
+        let y = self.forward_solve(i, block);
+        let _span = feti_trace::span(|| format!("gram[sd={i}]"));
+        y.gram()
     }
 
     /// The implicit local action `q̃ = B̃ (K⁺ (B̃ᵀ p̃))`: SpMV, two triangular solves,

@@ -399,9 +399,8 @@ impl ApproachOperator {
     /// it is not host work.
     fn preprocess_subdomain(&self, i: usize, keep: bool) -> crate::Result<(LocalState, f64)> {
         let block = &self.blocks[i];
-        let (factor, factorize_seconds) = timed(|| {
-            cpu::Factor::new(self.approach.facade(), &self.symbolic[i], self.opts, &block.k_reg)
-        });
+        let (factor, factorize_seconds) =
+            timed(|| cpu::Factor::new(&self.symbolic[i], self.opts, &block.k_reg));
         let factor =
             factor.map_err(|e| crate::FetiError::Factorization(format!("subdomain {i}: {e}")))?;
         if !self.approach.is_explicit() {
@@ -577,10 +576,10 @@ pub fn build_dual_operator(
 }
 
 /// Like [`build_dual_operator`] with explicit solver options: the numeric
-/// factorization kind ([`feti_solver::FactorizationKind`]) the planner prices and
-/// selects — both kinds yield bit-identical operators, only wall time differs — and
-/// the pivot tolerance.  [`SolverOptions::ordering`] is not read: the approach orders
-/// its own factors ([`DualOperatorApproach::ordering`]).
+/// factorization kind ([`feti_solver::FactorizationKind`]) — both kinds yield
+/// bit-identical operators, only wall time differs — and the pivot tolerance.
+/// [`SolverOptions::ordering`] is not read: the approach orders its own factors
+/// ([`DualOperatorApproach::ordering`]).
 ///
 /// # Errors
 /// Returns an error if the simulated device cannot hold the persistent structures.
@@ -735,9 +734,9 @@ mod tests {
     #[test]
     fn a_matrix_off_the_shared_pattern_is_a_typed_error_and_the_operator_survives_it() {
         // With one analysis serving several subdomains, a `k_reg` of the right size and
-        // another pattern must fail its own factorization by name — through either
-        // facade and either numeric kernel — and leave the operator fit for the next
-        // preprocessing, whose bits are those of an operator that never saw it.
+        // another pattern must fail its own factorization by name — under either
+        // numeric kernel — and leave the operator fit for the next preprocessing,
+        // whose bits are those of an operator that never saw it.
         use feti_solver::FactorizationKind;
         use feti_sparse::CooMatrix;
         let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());

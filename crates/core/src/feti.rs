@@ -162,10 +162,9 @@ impl TotalFetiSolver {
     }
 
     /// Like [`TotalFetiSolver::new`] with explicit [`SolverOptions`]: the host numeric
-    /// factorization kind, which a planner or service resolves per job, and the pivot
-    /// tolerance.  [`SolverOptions::ordering`] is for stand-alone factors and is not
-    /// read here: every `Kᵢ` is ordered by the approach
-    /// ([`DualOperatorApproach::ordering`]).
+    /// factorization kind (bit-identical either way) and the pivot tolerance.
+    /// [`SolverOptions::ordering`] is for stand-alone factors and is not read here:
+    /// every `Kᵢ` is ordered by the approach ([`DualOperatorApproach::ordering`]).
     ///
     /// # Errors
     /// As for [`TotalFetiSolver::new`]: device capacity or a singular coarse problem;

@@ -32,7 +32,7 @@ pub use dualop::{
 };
 pub use feti::{FetiSolution, LoadCase, PcpgOptions, TotalFetiSolver};
 pub use params::{
-    DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather, SolverFacade,
+    DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather,
 };
 pub use planner::{HostSpec, Plan, PlanCacheKey, PlanCandidate, Planner};
 pub use schedule::{PhaseScheduler, TimeBreakdown};

@@ -10,7 +10,8 @@ use feti_sparse::MemoryOrder;
 /// plus the sparsity-aware explicit family of the sequel (arXiv 2509.21037).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DualOperatorApproach {
-    /// Implicit application with the MKL-PARDISO-like CPU solver.
+    /// Implicit application on the CPU: the paper's MKL PARDISO baseline, run through
+    /// the same host factor as [`Self::ImplicitCholmod`].
     ImplicitMkl,
     /// Implicit application with the CHOLMOD-like CPU solver.
     ImplicitCholmod,
@@ -19,8 +20,9 @@ pub enum DualOperatorApproach {
     ImplicitGpuLegacy,
     /// Implicit application on the GPU, modern CUDA libraries.
     ImplicitGpuModern,
-    /// Explicit assembly with the augmented-factorization Schur complement of the
-    /// MKL-PARDISO-like solver, application on the CPU.
+    /// Explicit assembly on the CPU, the paper's MKL PARDISO Schur-complement
+    /// baseline, run through the same host factor and assembly as
+    /// [`Self::ExplicitCholmod`]; application on the CPU.
     ExplicitMkl,
     /// Explicit assembly with dense triangular solves through the CHOLMOD-like solver,
     /// application on the CPU.
@@ -38,20 +40,10 @@ pub enum DualOperatorApproach {
     /// Explicit assembly on the GPU with boundary-restricted (sparse-RHS) TRSM/SYRK,
     /// modern CUDA libraries.
     ExplicitSparseGpuModern,
-    /// Hybrid: explicit assembly on the CPU (MKL-like Schur complement), application on
-    /// the GPU — the approach of the earlier acceleration attempts the paper cites.
+    /// Hybrid: explicit assembly on the CPU (the host assembly of
+    /// [`Self::ExplicitCholmod`]), application on the GPU — the approach of the earlier
+    /// acceleration attempts the paper cites.
     ExplicitHybrid,
-}
-
-/// The sparse direct solver facade an approach analyses and factorizes through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SolverFacade {
-    /// The MKL-PARDISO-like facade: hidden factor, sparsity-exploiting Schur
-    /// complement.
-    Mkl,
-    /// The CHOLMOD-like facade: extractable factor (every GPU-assembled approach
-    /// uploads it).  Both run the numeric kernel the solver options name.
-    Cholmod,
 }
 
 impl DualOperatorApproach {
@@ -120,17 +112,6 @@ impl DualOperatorApproach {
                 | DualOperatorApproach::ExplicitSparseGpuModern
                 | DualOperatorApproach::ExplicitHybrid
         )
-    }
-
-    /// Which solver facade the approach factorizes `Kᵢ,reg` through.
-    #[must_use]
-    pub fn facade(self) -> SolverFacade {
-        match self {
-            DualOperatorApproach::ImplicitMkl
-            | DualOperatorApproach::ExplicitMkl
-            | DualOperatorApproach::ExplicitHybrid => SolverFacade::Mkl,
-            _ => SolverFacade::Cholmod,
-        }
     }
 
     /// The fill-reducing ordering of the approach's factors, chosen for the sweep that
@@ -355,16 +336,6 @@ mod tests {
         assert_eq!((implicit.len(), explicit.len()), (4, 7));
         assert!(implicit.iter().all(|a| a.ordering() == OrderingKind::MinimumDegree));
         assert!(explicit.iter().all(|a| a.ordering() == OrderingKind::NestedDissection));
-    }
-
-    #[test]
-    fn only_the_mkl_family_and_the_hybrid_use_the_mkl_facade() {
-        for approach in DualOperatorApproach::all() {
-            let mkl = approach.label().ends_with("mkl")
-                || approach == DualOperatorApproach::ExplicitHybrid;
-            let expected = if mkl { SolverFacade::Mkl } else { SolverFacade::Cholmod };
-            assert_eq!(approach.facade(), expected, "{approach:?}");
-        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! roofline since real host time can only be measured.
 
 use crate::dualop::{cpu, ApproachOperator, DualOperator, SubdomainBlock};
-use crate::params::{DualOperatorApproach, ExplicitAssemblyParams, ScatterGather, SolverFacade};
-use crate::program::{auto_params, ApproachProgram, PhaseProgram, SubdomainShape};
+use crate::params::{DualOperatorApproach, ExplicitAssemblyParams, ScatterGather};
+use crate::program::{auto_params, ApproachProgram, SubdomainShape};
 use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
 use feti_gpu::{cost, CudaGeneration, GpuSpec};
@@ -119,8 +119,7 @@ impl Default for HostSpec {
 /// What the planner learns about one subdomain from structure alone.
 #[derive(Debug, Clone, Copy)]
 struct SubdomainFacts {
-    /// The program shape, carrying the symbolic factor size — one number for both
-    /// solver facades, which share the symbolic analysis of an ordering.
+    /// The program shape, carrying the symbolic factor size under one ordering.
     shape: SubdomainShape,
     /// Number of supernodes of the factor (prices the run-blocked kernel).
     nsuper: usize,
@@ -144,15 +143,6 @@ impl OrderedAnalyses {
     }
 }
 
-/// The device side of one approach × parameter set as the planner emits it once.
-struct Emitted {
-    approach: DualOperatorApproach,
-    params: ExplicitAssemblyParams,
-    program: ApproachProgram,
-    preprocess: PhaseProgram,
-    apply: PhaseProgram,
-}
-
 /// The estimated cost of running one approach with one parameter set.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanCandidate {
@@ -161,8 +151,11 @@ pub struct PlanCandidate {
     /// The explicit-assembly parameters the estimate assumed (CPU-only approaches
     /// ignore them).
     pub params: ExplicitAssemblyParams,
-    /// The host numeric factorization kind the estimate assumed.  Both kinds produce
-    /// bit-identical factors, so this only shifts the priced host preprocessing time.
+    /// The host numeric factorization kind the estimate assumed: in a plan always
+    /// [`FactorizationKind::default_kind`], the kernel every built operator runs.  Both
+    /// kinds produce bit-identical factors, so a kind asked of
+    /// [`Planner::estimate_with_factorization`] only shifts the priced host
+    /// preprocessing time.
     pub factorization: FactorizationKind,
     /// Estimated FETI preprocessing cost under the overlapped phase schedule.
     pub preprocessing: TimeBreakdown,
@@ -237,13 +230,12 @@ impl Plan {
     /// winning approach's ordering, on the plan's device.
     pub(crate) fn operator(&self, problem: &DecomposedProblem) -> crate::Result<ApproachOperator> {
         let best = self.best();
-        let opts = SolverOptions { factorization: best.factorization, ..SolverOptions::default() };
         ApproachOperator::with_analyses(
             best.approach,
             SubdomainBlock::from_problem(problem),
             problem.num_lambdas,
             best.params,
-            opts,
+            SolverOptions::default(),
             OrderedAnalyses::of(&self.analyses, best.approach).symbolic.clone(),
             &self.gpu,
         )
@@ -330,20 +322,13 @@ impl<'a> Planner<'a> {
         self.plan_impl(expected_iterations, false)
     }
 
+    /// Prices every (approach, parameters) pair once, under the factorization kind
+    /// every built operator runs ([`FactorizationKind::default_kind`]).
     fn plan_impl(&self, expected_iterations: usize, full_sweep: bool) -> Plan {
         let mut candidates = Vec::new();
         for approach in DualOperatorApproach::all() {
             for params in self.params_candidates(approach, full_sweep) {
-                // Simplicial first, so a tie (the kinds only differ in host
-                // preprocessing price) resolves to the simpler kernel under the
-                // stable sort below.  The MKL-backed approaches are still offered
-                // under it alone, as when their facade had no other: widening the
-                // candidate list belongs to the re-pricing of the host model.
-                let emitted = self.emit(approach, params);
-                candidates.push(self.price(&emitted, FactorizationKind::Simplicial));
-                if approach.facade() == SolverFacade::Cholmod {
-                    candidates.push(self.price(&emitted, FactorizationKind::Supernodal));
-                }
+                candidates.push(self.estimate(approach, params));
             }
         }
         candidates.sort_by(|a, b| {
@@ -441,7 +426,7 @@ impl<'a> Planner<'a> {
 
     /// Estimates one approach with one parameter set and an explicit host
     /// factorization kind.  The kind only reprices the host factorization phase (the
-    /// kinds are bit-identical in their output), of either solver facade.
+    /// kinds are bit-identical in their output).
     #[must_use]
     pub fn estimate_with_factorization(
         &self,
@@ -449,42 +434,13 @@ impl<'a> Planner<'a> {
         params: ExplicitAssemblyParams,
         factorization: FactorizationKind,
     ) -> PlanCandidate {
-        self.price(&self.emit(approach, params), factorization)
-    }
-
-    /// The program `approach` executes with `params` on this problem, over the
-    /// symbolic factor sizes under its ordering.
-    fn program(
-        &self,
-        approach: DualOperatorApproach,
-        params: ExplicitAssemblyParams,
-    ) -> ApproachProgram {
-        let shapes = self.facts(approach).iter().map(|facts| facts.shape).collect();
-        ApproachProgram::new(&self.gpu, approach, params, self.problem.num_lambdas, shapes)
-    }
-
-    /// Emits the device side of one approach × parameter set — shared by both host
-    /// factorization kinds, which only reprice the host half.
-    fn emit(&self, approach: DualOperatorApproach, params: ExplicitAssemblyParams) -> Emitted {
         let program = self.program(approach, params);
-        Emitted {
-            approach,
-            params,
-            preprocess: program.preprocess(),
-            apply: program.apply(1),
-            program,
-        }
-    }
-
-    /// Prices one emitted approach under one host factorization kind.
-    fn price(&self, emitted: &Emitted, factorization: FactorizationKind) -> PlanCandidate {
-        let Emitted { approach, params, program, preprocess, apply } = emitted;
         // The host half: what each subdomain's worker does ahead of its submissions.
         // Device-assembled and device-applied phases only submit from the host.
         let (host_pre, host_app): (Vec<f64>, Vec<f64>) = program
             .shapes()
             .iter()
-            .zip(self.facts(*approach))
+            .zip(self.facts(approach))
             .map(|(s, facts)| {
                 use DualOperatorApproach as A;
                 let factorize = self.host_factorize(s, facts.nsuper, factorization);
@@ -502,18 +458,29 @@ impl<'a> Planner<'a> {
         // executed phases use; the device half is the program the operator executes.
         let mut pre = PhaseScheduler::new(self.host.threads, self.host.threads);
         let mut app = PhaseScheduler::new(self.host.threads, self.host.threads);
-        preprocess.record(&mut pre, |i| host_pre[i]);
-        apply.record(&mut app, |i| host_app[i]);
+        program.preprocess().record(&mut pre, |i| host_pre[i]);
+        program.apply(1).record(&mut app, |i| host_app[i]);
         let persistent_device_bytes = program.persistent_bytes();
         PlanCandidate {
-            approach: *approach,
-            params: *params,
+            approach,
+            params,
             factorization,
             preprocessing: pre.finish(),
             apply: app.finish(),
             fits_device_memory: persistent_device_bytes <= self.gpu.memory_capacity_bytes,
             persistent_device_bytes,
         }
+    }
+
+    /// The program `approach` executes with `params` on this problem, over the
+    /// symbolic factor sizes under its ordering.
+    fn program(
+        &self,
+        approach: DualOperatorApproach,
+        params: ExplicitAssemblyParams,
+    ) -> ApproachProgram {
+        let shapes = self.facts(approach).iter().map(|facts| facts.shape).collect();
+        ApproachProgram::new(&self.gpu, approach, params, self.problem.num_lambdas, shapes)
     }
 
     /// Host cost of one numeric Cholesky factorization, priced by `feti-gpu`'s host
@@ -539,11 +506,10 @@ impl<'a> Planner<'a> {
     }
 
     /// Host cost of assembling one dense `F̃ᵢ`, priced as **one** pass over `L` per
-    /// local multiplier plus the gluing entries: what runs, through either facade, is
-    /// one reach-pruned forward solve with `nlᵢ` right-hand sides followed by the
-    /// panel-pair Gram over the rows two panels share.  One formula prices both (the
-    /// two explicit CPU approaches tie); neither the pruning nor the Gram has a term
-    /// of its own yet.
+    /// local multiplier plus the gluing entries: what runs is one reach-pruned forward
+    /// solve with `nlᵢ` right-hand sides followed by the panel-pair Gram over the rows
+    /// two panels share, the same for both explicit CPU approaches (they tie); neither
+    /// the pruning nor the Gram has a term of its own yet.
     fn host_schur(&self, s: &SubdomainShape) -> f64 {
         let flops = (2 * s.fnnz * s.nl + 2 * s.nnz_b * s.nl) as f64;
         let bytes = (12 * s.fnnz + 8 * s.n * s.nl) as f64;
@@ -583,10 +549,10 @@ impl<'a> Planner<'a> {
 
 /// A key identifying the symbolic structure of a solve configuration: two jobs with
 /// equal keys share the decomposition shape, every subdomain's sparsity structure,
-/// the dual-operator approach, its parameters and the host factorization kind — so
-/// symbolic analysis, numeric factors and assembled explicit operators computed for
-/// one are bit-for-bit valid for the other (only the numeric values of loads differ
-/// between such jobs, and those enter PCPG, not preprocessing).
+/// the dual-operator approach and its parameters — so symbolic analysis, numeric
+/// factors and assembled explicit operators computed for one are bit-for-bit valid
+/// for the other (only the numeric values of loads differ between such jobs, and
+/// those enter PCPG, not preprocessing).
 ///
 /// This is what a solve service uses to cache warm solvers across a stream of
 /// repeated-geometry jobs.
@@ -603,8 +569,6 @@ pub struct PlanCacheKey {
     approach: DualOperatorApproach,
     /// The explicit-assembly parameters (identity for CPU-only approaches).
     params: ExplicitAssemblyParams,
-    /// The host numeric factorization kind.
-    factorization: FactorizationKind,
 }
 
 impl PlanCacheKey {
@@ -619,7 +583,6 @@ impl PlanCacheKey {
         problem: &DecomposedProblem,
         approach: DualOperatorApproach,
         params: ExplicitAssemblyParams,
-        factorization: FactorizationKind,
     ) -> Self {
         Self {
             structure: Self::structure_fingerprint(problem),
@@ -627,7 +590,6 @@ impl PlanCacheKey {
             num_lambdas: problem.num_lambdas,
             approach,
             params,
-            factorization,
         }
     }
 
@@ -652,12 +614,6 @@ impl PlanCacheKey {
     #[must_use]
     pub fn approach(&self) -> DualOperatorApproach {
         self.approach
-    }
-
-    /// The factorization kind this key was resolved to.
-    #[must_use]
-    pub fn factorization(&self) -> FactorizationKind {
-        self.factorization
     }
 }
 
@@ -688,8 +644,8 @@ mod tests {
 
     #[test]
     fn one_analysis_gives_the_factor_size_of_both_facades() {
-        // What licenses one shared analysis object behind both facades: on the seed
-        // problems the PARDISO-like facade, analysing for itself under each ordering,
+        // What licenses one shared analysis object per pattern: on the seed problems a
+        // stand-alone CHOLMOD-like analysis of each subdomain under each ordering
         // predicts the factor size the planner took from its shared analyses.
         let mut specs = vec![DecompositionSpec::small_heat_2d()];
         specs.extend(other_problems());
@@ -701,9 +657,9 @@ mod tests {
             for OrderedAnalyses { ordering, facts, .. } in &planner.analyses {
                 let opts = SolverOptions { ordering: *ordering, ..SolverOptions::default() };
                 for (sd, facts) in problem.subdomains.iter().zip(facts) {
-                    let mkl = feti_solver::PardisoLike::analyze(&sd.k_reg, opts);
+                    let own = feti_solver::CholmodLike::analyze(&sd.k_reg, opts);
                     let at = format!("{spec:?} {ordering:?} subdomain {}", sd.index);
-                    assert_eq!(mkl.factor_nnz(), facts.shape.fnnz, "{at}");
+                    assert_eq!(own.factor_nnz(), facts.shape.fnnz, "{at}");
                 }
             }
         }
@@ -947,34 +903,25 @@ mod tests {
     }
 
     #[test]
-    fn supernodal_candidates_are_priced_for_cholmod_backed_approaches() {
+    fn a_plan_prices_each_pair_once_under_the_production_kernel() {
+        // A plan names the kernel every built operator runs, once per (approach,
+        // parameters) pair: 11 approaches, the hybrid under both scatter/gather
+        // placements, for `plan_auto`.
         let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
         let planner = planner_for(&problem);
-        let plan = planner.plan_auto(100);
-        for c in &plan.candidates {
-            if c.factorization == FactorizationKind::Supernodal {
-                assert!(
-                    !matches!(
-                        c.approach,
-                        DualOperatorApproach::ImplicitMkl
-                            | DualOperatorApproach::ExplicitMkl
-                            | DualOperatorApproach::ExplicitHybrid
-                    ),
-                    "MKL-backed approaches are planned simplicially only, got {:?}",
-                    c.approach
-                );
+        let [auto, full] = [planner.plan_auto(100), planner.plan(100)];
+        assert_eq!(auto.candidates.len(), 12);
+        for plan in [&auto, &full] {
+            let pairs: std::collections::HashSet<_> =
+                plan.candidates.iter().map(|c| (c.approach, c.params)).collect();
+            assert_eq!(pairs.len(), plan.candidates.len());
+            for c in &plan.candidates {
+                assert_eq!(c.factorization, FactorizationKind::default_kind(), "{c:?}");
             }
         }
-        // Every cholmod-backed approach is priced under both kinds, and the
-        // supernodal estimate is never more expensive: same flops and same modelled
-        // GPU work, strictly less host index traffic, same apply cost.  An estimate
-        // names the kernel it was asked for, whichever facade runs it.
-        for approach in [
-            DualOperatorApproach::ImplicitCholmod,
-            DualOperatorApproach::ExplicitCholmod,
-            DualOperatorApproach::ExplicitGpuModern,
-            DualOperatorApproach::ExplicitMkl,
-        ] {
+        // The column-at-a-time oracle is never priced below the run-blocked kernel:
+        // same flops and same modelled GPU work, less host index traffic, same apply.
+        for approach in DualOperatorApproach::all() {
             let params = auto_params(approach, &problem);
             let [simp, sup] = [FactorizationKind::Simplicial, FactorizationKind::Supernodal]
                 .map(|kind| planner.estimate_with_factorization(approach, params, kind));

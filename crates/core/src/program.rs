@@ -54,7 +54,7 @@ pub struct SubdomainShape {
     pub nb: usize,
     /// Device footprint of `B̃ᵢ` in bytes.
     pub b_bytes: usize,
-    /// Symbolic factor size of the solver facade the approach factorizes through.
+    /// Symbolic factor size under the approach's ordering.
     pub fnnz: usize,
 }
 

@@ -129,7 +129,7 @@ impl CholmodFactor {
     /// permutation such that `P A Pᵀ = L Lᵀ`.
     ///
     /// This mirrors CHOLMOD's ability to expose its factor, which the paper relies on
-    /// to feed the GPU assembly; the PARDISO-like facade deliberately lacks it.
+    /// to feed the GPU assembly.
     #[must_use]
     pub fn extract_factor(&self) -> (CscMatrix, Permutation) {
         (self.factor.factor_csc(), self.factor.permutation().clone())
@@ -140,7 +140,7 @@ impl CholmodFactor {
 mod tests {
     use super::*;
     use crate::FactorizationKind;
-    use feti_sparse::CooMatrix;
+    use feti_sparse::{CooMatrix, MemoryOrder, Transpose};
 
     fn spd_matrix(n: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
@@ -153,6 +153,22 @@ mod tests {
             if i + 4 < n {
                 coo.push(i, i + 4, -0.5);
                 coo.push(i + 4, i, -0.5);
+            }
+        }
+        coo.to_csr()
+    }
+
+    fn gluing(m: usize, n: usize) -> CsrMatrix {
+        // +1/-1 rows touching a couple of columns each, like a FETI gluing matrix.
+        let mut coo = CooMatrix::new(m, n);
+        for r in 0..m {
+            let a = (r * 3) % n;
+            let b = (r * 3 + 7) % n;
+            if a == b {
+                coo.push(r, a, 1.0);
+            } else {
+                coo.push(r, a.min(b), 1.0);
+                coo.push(r, a.max(b), -1.0);
             }
         }
         coo.to_csr()
@@ -227,5 +243,37 @@ mod tests {
         }
         let f2 = solver.factorize(&a2).unwrap();
         assert_eq!(f1.nnz(), f2.nnz());
+    }
+
+    #[test]
+    fn schur_complement_matches_dense_computation() {
+        let (n, m) = (30, 8);
+        let a = spd_matrix(n);
+        let b = gluing(m, n);
+        let f = CholmodLike::analyze(&a, SolverOptions::default()).factorize(&a).unwrap();
+        let s = f.forward_solve_sparse_rhs(&b).gram();
+
+        // Reference: S = B * A^{-1} * B^T computed densely via solve_matrix.
+        let bt_dense = b.transposed().to_dense(MemoryOrder::ColMajor);
+        let ainv_bt = f.solve_matrix(&bt_dense);
+        let mut s_ref = DenseMatrix::zeros(m, m, MemoryOrder::RowMajor);
+        feti_sparse::ops::spmm_csr_dense(1.0, &b, Transpose::No, &ainv_bt, 0.0, &mut s_ref);
+
+        assert!(s.max_abs_diff(&s_ref) < 1e-9, "diff = {}", s.max_abs_diff(&s_ref));
+    }
+
+    #[test]
+    fn schur_complement_is_symmetric_positive_semidefinite() {
+        let (n, m) = (25, 6);
+        let a = spd_matrix(n);
+        let b = gluing(m, n);
+        let f = CholmodLike::analyze(&a, SolverOptions::default()).factorize(&a).unwrap();
+        let s = f.forward_solve_sparse_rhs(&b).gram();
+        for i in 0..m {
+            for j in 0..m {
+                assert!((s.get(i, j) - s.get(j, i)).abs() < 1e-12);
+            }
+            assert!(s.get(i, i) >= -1e-12, "diagonal must be nonnegative");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Elimination-tree utilities shared by the symbolic analysis of both solver facades.
+//! Elimination-tree utilities of the symbolic analysis.
 //!
 //! The elimination tree of a symmetric matrix drives both the symbolic factorization
 //! (nonzero pattern / column counts of the Cholesky factor) and the sparse

@@ -1,20 +1,17 @@
-//! Sparse direct Cholesky solvers for the FETI reproduction.
+//! Sparse direct Cholesky solver for the FETI reproduction.
 //!
-//! The paper uses two CPU sparse direct solvers:
-//!
-//! * **CHOLMOD** (SuiteSparse) — can *extract* its factors, so it is the solver that
-//!   feeds the GPU explicit-assembly paths;
-//! * **Intel MKL PARDISO** — cannot extract factors, but provides the augmented
-//!   incomplete factorization used to compute the Schur complement `B̃ K⁻¹ B̃ᵀ` on the
-//!   CPU (the `expl mkl` approach).
-//!
-//! This crate provides both roles from scratch on top of a shared symbolic analysis
-//! ([`etree`]), which owns the structure of the factor, and a shared up-looking
-//! Cholesky kernel ([`chol`]), which fills in its values:
-//! [`CholmodLike`] exposes factor extraction, [`PardisoLike`] hides its factor but
-//! exposes a sparsity-exploiting Schur complement.  Both split work into symbolic and
-//! numeric phases exactly as described in §III of the paper, so a multi-step simulation
-//! can run the symbolic phase once and refactorize per step.
+//! The paper uses two CPU sparse direct solvers, CHOLMOD (SuiteSparse) and Intel MKL
+//! PARDISO; the `* mkl` approaches take PARDISO's augmented incomplete factorization
+//! for the Schur complement `B̃ K⁻¹ B̃ᵀ` (`expl mkl`).  Both compute the same
+//! factorization, so this crate reproduces them with one: [`CholmodLike`], built
+//! from scratch on a symbolic analysis ([`etree`]), which owns the structure of the
+//! factor, and an up-looking Cholesky kernel ([`chol`]), which fills in its values.
+//! Its factor can be extracted (what CHOLMOD hands the GPU assembly) and forward
+//! solved against a sparse right-hand side, whose Gram matrix is that Schur
+//! complement ([`CholmodFactor::forward_solve_sparse_rhs`], [`ForwardPanels::gram`]).
+//! The work splits into symbolic and numeric phases exactly as described in §III of
+//! the paper, so a multi-step simulation can run the symbolic phase once and
+//! refactorize per step.
 
 #![warn(missing_docs)]
 // As in `feti-sparse`: the factorization inner loops keep explicit index arithmetic
@@ -26,7 +23,6 @@ pub mod chol;
 pub mod cholmod;
 pub mod etree;
 mod panel;
-pub mod pardiso;
 pub mod pattern;
 #[cfg(test)]
 mod supernodal;
@@ -34,15 +30,14 @@ mod supernodal;
 pub use chol::{CholeskyFactor, SymbolicCholesky};
 pub use cholmod::{CholmodFactor, CholmodLike};
 pub use panel::ForwardPanels;
-pub use pardiso::PardisoLike;
 pub use pattern::{group_by_pattern, pattern_hash, PatternGroups};
 
 /// The fill-reducing orderings of [`SolverOptions::ordering`], re-exported so that a
 /// caller choosing one needs no dependency on `feti-order` of its own.
 pub use feti_order::OrderingKind;
 
-/// Numeric factorization kernel of [`CholeskyFactor::factorize`], hence of both
-/// facades.
+/// Numeric factorization kernel of [`CholeskyFactor::factorize`], hence of
+/// [`CholmodLike::factorize`].
 ///
 /// Both kinds fill the same storage — values in column order over the structure the
 /// [`SymbolicCholesky`] holds — with **bit-for-bit identical** numbers (same
@@ -52,8 +47,8 @@ pub use feti_order::OrderingKind;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FactorizationKind {
     /// Column-at-a-time up-looking factorization: the loop the run-blocked kernel must
-    /// equal to the bit, kept as the oracle of the conformance suites (and priced
-    /// separately by the planner's cost model).  Nothing else should ask for it.
+    /// equal to the bit, kept as the oracle of the conformance suites.  Nothing else
+    /// should ask for it.
     Simplicial,
     /// Run-blocked up-looking factorization, the default: consecutive columns of one
     /// supernode in a row's pattern are eliminated up to four per sweep over their
@@ -71,19 +66,18 @@ impl FactorizationKind {
     }
 }
 
-/// Options shared by both solver facades.
+/// Options of the symbolic analysis and the numeric factorization.
 #[derive(Debug, Clone, Copy)]
 pub struct SolverOptions {
     /// Fill-reducing ordering of the symbolic analysis of a stand-alone factor
-    /// ([`CholeskyFactor::new`], [`CholmodLike::analyze`], [`PardisoLike::analyze`],
-    /// [`SymbolicCholesky::analyze`]); nested dissection by default.  A FETI dual
-    /// operator does not read it: each approach orders its subdomains for the sweep
-    /// that reads the factor.
+    /// ([`CholeskyFactor::new`], [`CholmodLike::analyze`], [`SymbolicCholesky::analyze`]);
+    /// nested dissection by default.  A FETI dual operator does not read it: each
+    /// approach orders its subdomains for the sweep that reads the factor.
     pub ordering: OrderingKind,
     /// Pivot tolerance: a pivot `<= tolerance` aborts the factorization as
     /// not positive definite.
     pub pivot_tolerance: f64,
-    /// Numeric factorization kernel, of either facade.
+    /// Numeric factorization kernel.
     pub factorization: FactorizationKind,
 }
 

@@ -14,6 +14,7 @@ use feti_core::planner::{HostSpec, Planner};
 use feti_core::{DualOperatorApproach, ExplicitAssemblyParams};
 use feti_gpu::GpuSpec;
 use feti_mesh::{Dim, ElementOrder, Physics};
+use feti_solver::FactorizationKind;
 
 const ITERATIONS: usize = 1000;
 
@@ -112,8 +113,9 @@ fn heat_3d_125dof_1000iter_pick_is_within_2x_of_the_measured_optimum() {
 /// Pin of the `plan_auto(200)` winners on the six `service_mixed` geometries of the
 /// benchmark under the one-thread host model its two-core box runs at.  `host_schur`
 /// prices both explicit CPU assemblies with one formula, which the reach-pruned
-/// forward solve + SYRK of the CHOLMOD-like facade no longer matches; the
-/// term-by-term recalibration of `HostSpec` has to move these picks on purpose.
+/// forward solve + panel Gram of the host assembly no longer matches; the
+/// term-by-term recalibration of `HostSpec` has to move these picks on purpose.  Every
+/// pick names the run-blocked kernel, the one its operator runs.
 #[test]
 fn service_mixed_geometries_keep_their_plan_auto_winners() {
     use DualOperatorApproach::{ExplicitMkl, ExplicitSparseGpuLegacy};
@@ -130,7 +132,9 @@ fn service_mixed_geometries_keep_their_plan_auto_winners() {
         let problem = build_problem(dim, physics, order, eps);
         let planner = Planner::new(&problem, GpuSpec::a100_40gb())
             .with_host_spec(HostSpec::calibrated_for_threads(1));
-        let pick = planner.plan_auto(200).best().approach;
-        assert_eq!(pick, winner, "{dim:?} {physics:?} {order:?} {eps} elements per side");
+        let plan = planner.plan_auto(200);
+        let at = format!("{dim:?} {physics:?} {order:?} {eps} elements per side");
+        assert_eq!(plan.best().approach, winner, "{at}");
+        assert_eq!(plan.best().factorization, FactorizationKind::Supernodal, "{at}");
     }
 }

@@ -141,13 +141,11 @@ fn host_assembly_spans_nest_inside_their_factorize_spans() {
     }
 }
 
-/// The assembly says where it went: inside every `assemble[sd=i]` span that walks `L`
-/// through the CHOLMOD-like facade — the host body of `expl cholmod` and the walk of
-/// the device program of the four device-assembled approaches, on either path — lie
-/// one `forward[sd=i]` span and, unless the TRSM path contracts through its backward
-/// solve and SpMM, one `gram[sd=i]` span, one level deeper on the same thread.  The
-/// PARDISO-like facade (`expl mkl`, `expl hybrid`) runs the same body as one
-/// Schur-complement call and records neither.
+/// The assembly says where it went: inside every `assemble[sd=i]` span — the host body
+/// of `expl mkl`, `expl cholmod` and `expl hybrid` and the walk of the device program
+/// of the four device-assembled approaches, on either path — lie one `forward[sd=i]`
+/// span and, unless the TRSM path contracts through its backward solve and SpMM, one
+/// `gram[sd=i]` span, one level deeper on the same thread.
 #[test]
 fn forward_and_gram_spans_nest_inside_their_assemble_spans() {
     use DualOperatorApproach as A;
@@ -156,8 +154,8 @@ fn forward_and_gram_spans_nest_inside_their_assemble_spans() {
     let on = |path| Some(ExplicitAssemblyParams { path, ..Default::default() });
     // (approach, parameters, forward spans, gram spans) per subdomain.
     let cases = [
-        (A::ExplicitMkl, None, 0, 0),
-        (A::ExplicitHybrid, None, 0, 0),
+        (A::ExplicitMkl, None, 1, 1),
+        (A::ExplicitHybrid, None, 1, 1),
         (A::ExplicitCholmod, None, 1, 1),
         (A::ExplicitGpuLegacy, on(Path::Syrk), 1, 1),
         (A::ExplicitGpuModern, on(Path::Trsm), 1, 0),
