@@ -301,12 +301,6 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// The device description the estimates use.
-    #[must_use]
-    pub fn gpu_spec(&self) -> &GpuSpec {
-        &self.gpu
-    }
-
     /// Plans with the full Table-I parameter sweep for the explicit GPU approaches:
     /// every approach × parameter combination is estimated and the cheapest amortized
     /// candidate wins.

@@ -107,13 +107,6 @@ impl PhaseScheduler {
         scheduler
     }
 
-    /// Default configuration matching the paper's node share: 16 OpenMP threads and 16
-    /// CUDA streams per cluster.
-    #[must_use]
-    pub fn paper_default() -> Self {
-        Self::new(16, 16)
-    }
-
     /// Records the work of one subdomain: `cpu_seconds` of host work followed by the
     /// asynchronous submission of `gpu_ops` to the worker's stream.
     ///

@@ -170,14 +170,6 @@ fn notify_region_hook(items: usize, dispatch: RegionDispatch) {
     }
 }
 
-/// The label observability layers use for the current thread's lane: the thread's
-/// OS-level name — pool workers are named `feti-pool-{w}` by this shim — or
-/// `"unnamed"` for anonymous threads.  Shim extension.
-#[must_use]
-pub fn current_thread_label() -> String {
-    std::thread::current().name().map_or_else(|| "unnamed".to_string(), str::to_string)
-}
-
 /// The shared global pool used by regions entered without an explicit `install`.
 /// Like real rayon's global pool it is created on first use and never torn down.
 fn global_pool() -> &'static ThreadPool {

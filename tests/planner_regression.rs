@@ -1,8 +1,8 @@
-//! Regression pin for the heat-3D 125-dof mispick (PR 5's recorded `plan_vs_exhaustive`
-//! violation): the planner used to price the host SYMV of the explicit CPU approaches
-//! at streaming bandwidth even when the dense `F̃ᵢ` is cache resident, overpricing the
-//! host apply ~6× for tiny subdomains and picking the device-apply `expl legacy`
-//! instead — whose measured total at 1000 iterations was >3× the measured optimum.
+//! Regression pin for the heat-3D 125-dof mispick (a recorded violation of the measured
+//! planned-vs-exhaustive gate): the planner used to price the host SYMV of the explicit
+//! CPU approaches at streaming bandwidth even when the dense `F̃ᵢ` is cache resident,
+//! overpricing the host apply ~6× for tiny subdomains and picking the device-apply
+//! `expl legacy` instead — whose measured total at 1000 iterations was >3× the measured optimum.
 //!
 //! The fix is the two-level cache-aware dense roofline in `HostSpec::dense_seconds`.
 //! This test pins the exact failing configuration: heat transfer, 3D, quadratic
@@ -83,7 +83,7 @@ fn heat_3d_125dof_1000iter_pick_is_within_2x_of_the_measured_optimum() {
     // with FETI_THREADS above the machine's parallelism every host-parallel apply
     // pays scheduler churn the cost model cannot (and should not) predict.  CI runs
     // this suite at FETI_THREADS=4 on small runners; the measured gate also runs at
-    // the calibrated default via `plan_vs_exhaustive` (always built --release).
+    // the calibrated default in CI's release bit-identity step.
     if cfg!(debug_assertions) {
         eprintln!("skipping measured gate: unoptimized build");
         return;
