@@ -47,16 +47,15 @@ pub enum DualOperatorApproach {
 }
 
 impl DualOperatorApproach {
-    /// All approaches: Table III's nine in order, with the sparsity-aware family
-    /// inserted after its dense explicit-GPU counterparts.
+    /// All approaches: Table III's in order, with the sparsity-aware family inserted
+    /// after its dense explicit-GPU counterparts.  The two MKL PARDISO baselines are
+    /// left out: they compute exactly as their CHOLMOD-like counterparts.
     #[must_use]
-    pub fn all() -> [DualOperatorApproach; 11] {
+    pub fn all() -> [DualOperatorApproach; 9] {
         [
-            DualOperatorApproach::ImplicitMkl,
             DualOperatorApproach::ImplicitCholmod,
             DualOperatorApproach::ImplicitGpuLegacy,
             DualOperatorApproach::ImplicitGpuModern,
-            DualOperatorApproach::ExplicitMkl,
             DualOperatorApproach::ExplicitCholmod,
             DualOperatorApproach::ExplicitGpuLegacy,
             DualOperatorApproach::ExplicitGpuModern,
@@ -301,7 +300,7 @@ mod tests {
     fn all_approaches_have_unique_labels() {
         let labels: std::collections::HashSet<_> =
             DualOperatorApproach::all().iter().map(|a| a.label()).collect();
-        assert_eq!(labels.len(), 11);
+        assert_eq!(labels.len(), 9);
     }
 
     #[test]
@@ -333,7 +332,7 @@ mod tests {
     fn implicit_approaches_order_by_minimum_degree_and_explicit_ones_by_dissection() {
         let (implicit, explicit): (Vec<_>, Vec<_>) =
             DualOperatorApproach::all().into_iter().partition(|a| !a.is_explicit());
-        assert_eq!((implicit.len(), explicit.len()), (4, 7));
+        assert_eq!((implicit.len(), explicit.len()), (3, 6));
         assert!(implicit.iter().all(|a| a.ordering() == OrderingKind::MinimumDegree));
         assert!(explicit.iter().all(|a| a.ordering() == OrderingKind::NestedDissection));
     }

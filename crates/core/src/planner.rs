@@ -899,12 +899,12 @@ mod tests {
     #[test]
     fn a_plan_prices_each_pair_once_under_the_production_kernel() {
         // A plan names the kernel every built operator runs, once per (approach,
-        // parameters) pair: 11 approaches, the hybrid under both scatter/gather
+        // parameters) pair: 9 approaches, the hybrid under both scatter/gather
         // placements, for `plan_auto`.
         let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
         let planner = planner_for(&problem);
         let [auto, full] = [planner.plan_auto(100), planner.plan(100)];
-        assert_eq!(auto.candidates.len(), 12);
+        assert_eq!(auto.candidates.len(), 10);
         for plan in [&auto, &full] {
             let pairs: std::collections::HashSet<_> =
                 plan.candidates.iter().map(|c| (c.approach, c.params)).collect();

@@ -567,7 +567,7 @@ proptest! {
     fn apply_many_equals_columnwise_apply_for_random_widths_and_threads(
         width in 1usize..6,
         threads in 1usize..5,
-        approach_index in 0usize..11,
+        approach_index in 0usize..DualOperatorApproach::all().len(),
     ) {
         let approach = DualOperatorApproach::all()[approach_index];
         let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());

@@ -118,16 +118,16 @@ fn heat_3d_125dof_1000iter_pick_is_within_2x_of_the_measured_optimum() {
 /// pick names the run-blocked kernel, the one its operator runs.
 #[test]
 fn service_mixed_geometries_keep_their_plan_auto_winners() {
-    use DualOperatorApproach::{ExplicitMkl, ExplicitSparseGpuLegacy};
+    use DualOperatorApproach::{ExplicitCholmod, ExplicitSparseGpuLegacy};
     let heat2d = |eps| (Dim::Two, Physics::HeatTransfer, ElementOrder::Linear, eps);
     let heat3d = |eps| (Dim::Three, Physics::HeatTransfer, ElementOrder::Quadratic, eps);
     for ((dim, physics, order, eps), winner) in [
-        (heat2d(8), ExplicitMkl),
-        (heat2d(12), ExplicitMkl),
-        (heat2d(16), ExplicitMkl),
-        (heat3d(2), ExplicitMkl),
+        (heat2d(8), ExplicitCholmod),
+        (heat2d(12), ExplicitCholmod),
+        (heat2d(16), ExplicitCholmod),
+        (heat3d(2), ExplicitCholmod),
         (heat3d(3), ExplicitSparseGpuLegacy),
-        ((Dim::Two, Physics::LinearElasticity, ElementOrder::Linear, 8), ExplicitMkl),
+        ((Dim::Two, Physics::LinearElasticity, ElementOrder::Linear, 8), ExplicitCholmod),
     ] {
         let problem = build_problem(dim, physics, order, eps);
         let planner = Planner::new(&problem, GpuSpec::a100_40gb())
