@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn measurement_totals_accumulate_iterations() {
         let problem = build_problem(Dim::Two, Physics::HeatTransfer, ElementOrder::Linear, 3);
-        let m = measure_approach(&problem, DualOperatorApproach::ImplicitMkl, None);
+        let m = measure_approach(&problem, DualOperatorApproach::ImplicitCholmod, None);
         let t1 = m.total_ms_per_subdomain(1);
         let t100 = m.total_ms_per_subdomain(100);
         assert!(t100 > t1);

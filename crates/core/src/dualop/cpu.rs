@@ -2,7 +2,7 @@
 //! subdomains of one sparsity pattern, the CHOLMOD-like numeric factor — the one factor
 //! every subdomain of every approach keeps — and the host kernels every approach
 //! computes through: the implicit application (of the device approaches too), the
-//! assembly of `expl mkl`, `expl cholmod` and `expl hybrid`, and the explicit SYMV.
+//! assembly of `expl cholmod` and `expl hybrid`, and the explicit SYMV.
 
 use super::{par_subdomains, SubdomainBlock};
 use feti_solver::cholmod::{CholmodFactor, CholmodLike};
@@ -194,18 +194,16 @@ mod tests {
         let (blocks, nl) = blocks();
         let p: Vec<f64> = (0..nl).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
         let reference = reference_apply(&blocks, &p);
-        for approach in [DualOperatorApproach::ImplicitMkl, DualOperatorApproach::ImplicitCholmod] {
-            let mut op = operator(approach, blocks.clone(), nl);
-            let t = op.preprocess().unwrap();
-            assert!(t.total_seconds > 0.0);
-            let mut q = vec![0.0; nl];
-            let ta = op.apply(&p, &mut q);
-            assert!(ta.total_seconds > 0.0);
-            for (a, b) in q.iter().zip(&reference) {
-                assert!((a - b).abs() < 1e-8, "{approach:?}: {a} vs {b}");
-            }
-            assert_eq!(op.stats().apply_count, 1);
+        let mut op = operator(DualOperatorApproach::ImplicitCholmod, blocks, nl);
+        let t = op.preprocess().unwrap();
+        assert!(t.total_seconds > 0.0);
+        let mut q = vec![0.0; nl];
+        let ta = op.apply(&p, &mut q);
+        assert!(ta.total_seconds > 0.0);
+        for (a, b) in q.iter().zip(&reference) {
+            assert!((a - b).abs() < 1e-8, "{a} vs {b}");
         }
+        assert_eq!(op.stats().apply_count, 1);
     }
 
     #[test]
@@ -213,14 +211,12 @@ mod tests {
         let (blocks, nl) = blocks();
         let p: Vec<f64> = (0..nl).map(|i| (i as f64 * 0.31).sin()).collect();
         let reference = reference_apply(&blocks, &p);
-        for approach in [DualOperatorApproach::ExplicitMkl, DualOperatorApproach::ExplicitCholmod] {
-            let mut op = operator(approach, blocks.clone(), nl);
-            op.preprocess().unwrap();
-            let mut q = vec![0.0; nl];
-            op.apply(&p, &mut q);
-            for (a, b) in q.iter().zip(&reference) {
-                assert!((a - b).abs() < 1e-8, "{approach:?}: {a} vs {b}");
-            }
+        let mut op = operator(DualOperatorApproach::ExplicitCholmod, blocks, nl);
+        op.preprocess().unwrap();
+        let mut q = vec![0.0; nl];
+        op.apply(&p, &mut q);
+        for (a, b) in q.iter().zip(&reference) {
+            assert!((a - b).abs() < 1e-8, "{a} vs {b}");
         }
     }
 
@@ -253,12 +249,9 @@ mod tests {
             }
             assert_eq!(batched.stats().apply_count, k, "{approach:?} counts columns");
         };
-        for approach in [DualOperatorApproach::ExplicitMkl, DualOperatorApproach::ExplicitCholmod] {
-            let mut a = operator(approach, blocks.clone(), nl);
-            let mut b = operator(approach, blocks.clone(), nl);
-            check(&mut a, &mut b);
-        }
-        for approach in [DualOperatorApproach::ImplicitMkl, DualOperatorApproach::ImplicitCholmod] {
+        for approach in
+            [DualOperatorApproach::ExplicitCholmod, DualOperatorApproach::ImplicitCholmod]
+        {
             let mut a = operator(approach, blocks.clone(), nl);
             let mut b = operator(approach, blocks.clone(), nl);
             check(&mut a, &mut b);
@@ -270,7 +263,7 @@ mod tests {
     fn apply_before_preprocess_panics() {
         let (blocks, nl) = blocks();
         let rhs = vec![0.0; blocks[0].num_dofs()];
-        let mut op = operator(DualOperatorApproach::ImplicitMkl, blocks, nl);
+        let mut op = operator(DualOperatorApproach::ImplicitCholmod, blocks, nl);
         // `solve_local` refuses a cold operator with the same message; its panic is
         // caught and checked, the one of `apply` is what the test as a whole declares.
         let early = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -1,4 +1,5 @@
-//! The dual operator `F = B K⁺ Bᵀ` and its eleven approaches: the nine of Table III
+//! The dual operator `F = B K⁺ Bᵀ` and its nine approaches: those of Table III, less
+//! the two MKL PARDISO baselines that would compute as `impl cholmod` / `expl cholmod`,
 //! plus the sparsity-aware explicit family of the sequel (arXiv 2509.21037).
 //!
 //! The [`DualOperator`] trait exposes a `preprocess` step (numeric factorization and,
@@ -7,7 +8,7 @@
 //! [`TimeBreakdown`] combining measured CPU time and modelled GPU time under the
 //! paper's overlapped execution schedule.
 //!
-//! One implementation, [`ApproachOperator`], serves all eleven approaches: each
+//! One implementation, [`ApproachOperator`], serves all nine approaches: each
 //! subdomain keeps one host factor and computes through it ([`cpu`]; a device assembly
 //! walks its program in [`gpu`]), and the approaches differ in what they keep — the
 //! factor or the assembled `F̃ᵢ` — and in the device program that prices them
@@ -248,7 +249,7 @@ impl LocalState {
     }
 }
 
-/// The dual operator of any of the eleven approaches.
+/// The dual operator of any of the nine approaches.
 pub struct ApproachOperator {
     approach: DualOperatorApproach,
     params: ExplicitAssemblyParams,
@@ -379,15 +380,6 @@ impl ApproachOperator {
         }
     }
 
-    /// Whether the approach assembles `F̃ᵢ` with device kernels.  Its preprocessing
-    /// region then also computes on the host what those kernels produce, so the raw
-    /// region wall would conflate real host work with simulation artifact.
-    fn assembles_on_device(&self) -> bool {
-        self.approach.is_explicit()
-            && self.approach.uses_gpu()
-            && self.approach != DualOperatorApproach::ExplicitHybrid
-    }
-
     /// The device half of a GPU approach.
     pub(crate) fn device_side(&self) -> &DeviceSide {
         self.device.as_ref().expect("GPU approaches are constructed with a device")
@@ -407,7 +399,7 @@ impl ApproachOperator {
             return Ok((LocalState::HostFactor(factor), factorize_seconds));
         }
         let _span = feti_trace::span(|| format!("assemble[sd={i}]"));
-        let (f, host_seconds) = if self.assembles_on_device() {
+        let (f, host_seconds) = if self.approach.assembles_on_device() {
             let (side, ops) = (self.device_side(), self.preprocess_program.subdomain(i));
             (gpu::run_assembly(side, &self.params, ops, i, block, &factor)?, 0.0)
         } else {
@@ -436,8 +428,10 @@ impl ApproachOperator {
         let mut scheduler = PhaseScheduler::for_host();
         self.preprocess_program.record(&mut scheduler, |i| seconds[i]);
         // Device assembly: the host wall is the makespan of the measured host
-        // segments scheduled over the workers, not the measured region wall.
-        let breakdown = if self.assembles_on_device() {
+        // segments scheduled over the workers, not the measured region wall — the
+        // region also computes on the host what the device kernels produce, which
+        // is simulation, not host work.
+        let breakdown = if self.approach.assembles_on_device() {
             scheduler.finish()
         } else {
             scheduler.finish_measured(wall)
@@ -510,7 +504,7 @@ impl ApproachOperator {
             }
             _ => &self.apply_program,
         };
-        let on_device = self.device.is_some();
+        let on_device = self.approach.uses_gpu();
         let mut scheduler = PhaseScheduler::for_host();
         program.record(&mut scheduler, |i| if on_device { 0.0 } else { locals[i].1 });
         let breakdown = scheduler.finish_measured(if on_device { 0.0 } else { wall });
@@ -641,7 +635,7 @@ mod tests {
     #[test]
     fn kept_factors_solve_bitwise_like_a_stand_alone_factorization() {
         // `solve_local` is the solve of the one factor preprocessing made: for all
-        // eleven approaches and both numeric kernels it equals, to the bit, a
+        // nine approaches and both numeric kernels it equals, to the bit, a
         // stand-alone factorization under the approach's ordering.  Preprocessed on its
         // own, an operator keeps the factor only where it applies through it.
         use feti_mesh::{Dim, ElementOrder, Physics};
@@ -783,7 +777,7 @@ mod tests {
     fn every_approach_rejects_vectors_longer_than_the_dual_space() {
         // The trait promises a panic on mismatched lengths; the check lives in the
         // shared scaffolding, so over-long (not just unequal) vectors are refused by
-        // all eleven approaches alike.  Each approach's panic is caught and checked;
+        // all nine approaches alike.  Each approach's panic is caught and checked;
         // the last one is resumed so the test as a whole panics as declared.
         let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
         let long = problem.num_lambdas + 1;
@@ -800,7 +794,7 @@ mod tests {
             assert!(message.contains("must match dual space"), "{approach:?}: {message}");
             last = Some(payload);
         }
-        std::panic::resume_unwind(last.expect("eleven approaches ran"));
+        std::panic::resume_unwind(last.expect("nine approaches ran"));
     }
 
     #[test]

@@ -708,9 +708,9 @@ mod tests {
     #[test]
     fn all_approaches_give_the_same_solution() {
         let spec = DecompositionSpec::small_heat_2d();
-        let (reference, _) = solve_with(&spec, DualOperatorApproach::ImplicitMkl);
+        let (reference, _) = solve_with(&spec, DualOperatorApproach::ImplicitCholmod);
         for approach in [
-            DualOperatorApproach::ExplicitMkl,
+            DualOperatorApproach::ExplicitCholmod,
             DualOperatorApproach::ExplicitGpuLegacy,
             DualOperatorApproach::ExplicitHybrid,
         ] {
@@ -892,7 +892,7 @@ mod tests {
             TotalFetiSolver::from_plan(Arc::new(problem), &plan, PcpgOptions::default()).unwrap();
         let sol = solver.solve().unwrap();
         assert!(sol.final_residual < 1e-8);
-        let (reference, _) = solve_with(&spec, DualOperatorApproach::ImplicitMkl);
+        let (reference, _) = solve_with(&spec, DualOperatorApproach::ImplicitCholmod);
         for (a, b) in sol.global_solution.iter().zip(&reference.global_solution) {
             assert!((a - b).abs() < 1e-6, "planned solver must reproduce the solution");
         }

@@ -3,10 +3,11 @@
 //!
 //! The crate provides:
 //!
-//! * the eleven dual-operator approaches: the nine of Table III (implicit/explicit ×
-//!   CPU-MKL-like/CPU-CHOLMOD-like/GPU-legacy/GPU-modern, plus the hybrid approach)
-//!   and the sparsity-aware explicit GPU family of the sequel (arXiv 2509.21037), all
-//!   behind the [`DualOperator`] trait;
+//! * the nine dual-operator approaches: those of Table III (implicit/explicit ×
+//!   CPU-CHOLMOD-like/GPU-legacy/GPU-modern, plus the hybrid approach; its MKL PARDISO
+//!   baselines would compute exactly as the CHOLMOD-like ones) and the sparsity-aware
+//!   explicit GPU family of the sequel (arXiv 2509.21037), all behind the
+//!   [`DualOperator`] trait;
 //! * the explicit-assembly parameter space of Table I ([`ExplicitAssemblyParams`]) and
 //!   the Table-II auto-configuration ([`ExplicitAssemblyParams::auto_configure`]);
 //! * the preconditioned conjugate projected gradient solver (Algorithm 1), the natural

@@ -6,13 +6,12 @@ use feti_mesh::Dim;
 use feti_solver::OrderingKind;
 use feti_sparse::MemoryOrder;
 
-/// The eleven dual-operator approaches: the nine compared in Table III of the paper
-/// plus the sparsity-aware explicit family of the sequel (arXiv 2509.21037).
+/// The nine dual-operator approaches: Table III of the paper less its two MKL PARDISO
+/// baselines (`impl mkl` / `expl mkl`, which would run exactly the host factor and
+/// assembly of [`Self::ImplicitCholmod`] / [`Self::ExplicitCholmod`]), plus the
+/// sparsity-aware explicit family of the sequel (arXiv 2509.21037).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DualOperatorApproach {
-    /// Implicit application on the CPU: the paper's MKL PARDISO baseline, run through
-    /// the same host factor as [`Self::ImplicitCholmod`].
-    ImplicitMkl,
     /// Implicit application with the CHOLMOD-like CPU solver.
     ImplicitCholmod,
     /// Implicit application on the GPU (factors from the CHOLMOD-like solver), legacy
@@ -20,10 +19,6 @@ pub enum DualOperatorApproach {
     ImplicitGpuLegacy,
     /// Implicit application on the GPU, modern CUDA libraries.
     ImplicitGpuModern,
-    /// Explicit assembly on the CPU, the paper's MKL PARDISO Schur-complement
-    /// baseline, run through the same host factor and assembly as
-    /// [`Self::ExplicitCholmod`]; application on the CPU.
-    ExplicitMkl,
     /// Explicit assembly with dense triangular solves through the CHOLMOD-like solver,
     /// application on the CPU.
     ExplicitCholmod,
@@ -48,8 +43,7 @@ pub enum DualOperatorApproach {
 
 impl DualOperatorApproach {
     /// All approaches: Table III's in order, with the sparsity-aware family inserted
-    /// after its dense explicit-GPU counterparts.  The two MKL PARDISO baselines are
-    /// left out: they compute exactly as their CHOLMOD-like counterparts.
+    /// after its dense explicit-GPU counterparts.
     #[must_use]
     pub fn all() -> [DualOperatorApproach; 9] {
         [
@@ -65,15 +59,13 @@ impl DualOperatorApproach {
         ]
     }
 
-    /// The short name used in the paper's figures ("expl legacy", "impl mkl", ...).
+    /// The short name used in the paper's figures ("expl legacy", "impl cholmod", ...).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            DualOperatorApproach::ImplicitMkl => "impl mkl",
             DualOperatorApproach::ImplicitCholmod => "impl cholmod",
             DualOperatorApproach::ImplicitGpuLegacy => "impl legacy",
             DualOperatorApproach::ImplicitGpuModern => "impl modern",
-            DualOperatorApproach::ExplicitMkl => "expl mkl",
             DualOperatorApproach::ExplicitCholmod => "expl cholmod",
             DualOperatorApproach::ExplicitGpuLegacy => "expl legacy",
             DualOperatorApproach::ExplicitGpuModern => "expl modern",
@@ -88,14 +80,22 @@ impl DualOperatorApproach {
     pub fn is_explicit(self) -> bool {
         matches!(
             self,
-            DualOperatorApproach::ExplicitMkl
-                | DualOperatorApproach::ExplicitCholmod
+            DualOperatorApproach::ExplicitCholmod
                 | DualOperatorApproach::ExplicitGpuLegacy
                 | DualOperatorApproach::ExplicitGpuModern
                 | DualOperatorApproach::ExplicitSparseGpuLegacy
                 | DualOperatorApproach::ExplicitSparseGpuModern
                 | DualOperatorApproach::ExplicitHybrid
         )
+    }
+
+    /// `true` if the approach assembles `F̃ᵢ` with device kernels: every explicit GPU
+    /// approach but the hybrid, which assembles on the host.  With
+    /// [`Self::is_explicit`] and [`Self::uses_gpu`] it says where each phase runs, for
+    /// the operator that executes it and the planner that prices it alike.
+    #[must_use]
+    pub fn assembles_on_device(self) -> bool {
+        self.is_explicit() && self.uses_gpu() && self != DualOperatorApproach::ExplicitHybrid
     }
 
     /// `true` if the approach uses the simulated GPU for the application.
@@ -307,12 +307,16 @@ mod tests {
     fn explicit_and_gpu_flags() {
         assert!(DualOperatorApproach::ExplicitGpuLegacy.is_explicit());
         assert!(DualOperatorApproach::ExplicitGpuLegacy.uses_gpu());
-        assert!(!DualOperatorApproach::ImplicitMkl.is_explicit());
-        assert!(!DualOperatorApproach::ImplicitMkl.uses_gpu());
+        assert!(!DualOperatorApproach::ImplicitCholmod.is_explicit());
+        assert!(!DualOperatorApproach::ImplicitCholmod.uses_gpu());
         assert!(DualOperatorApproach::ExplicitHybrid.is_explicit());
         assert!(DualOperatorApproach::ExplicitHybrid.uses_gpu());
         assert!(DualOperatorApproach::ExplicitSparseGpuLegacy.is_explicit());
         assert!(DualOperatorApproach::ExplicitSparseGpuLegacy.uses_gpu());
+        assert!(DualOperatorApproach::ExplicitSparseGpuLegacy.assembles_on_device());
+        assert!(!DualOperatorApproach::ExplicitHybrid.assembles_on_device());
+        assert!(!DualOperatorApproach::ImplicitGpuModern.assembles_on_device());
+        assert!(!DualOperatorApproach::ExplicitCholmod.assembles_on_device());
         assert_eq!(
             DualOperatorApproach::ExplicitSparseGpuLegacy.generation(),
             Some(CudaGeneration::Legacy)
@@ -325,7 +329,7 @@ mod tests {
             DualOperatorApproach::ImplicitGpuLegacy.generation(),
             Some(CudaGeneration::Legacy)
         );
-        assert_eq!(DualOperatorApproach::ExplicitMkl.generation(), None);
+        assert_eq!(DualOperatorApproach::ExplicitCholmod.generation(), None);
     }
 
     #[test]

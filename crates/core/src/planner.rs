@@ -1,6 +1,6 @@
 //! Cost-model-driven selection of the dual-operator approach.
 //!
-//! §V of the paper answers "which of the eleven approaches should I run?" empirically,
+//! §V of the paper answers "which of the nine approaches should I run?" empirically,
 //! and [`ExplicitAssemblyParams::auto_configure`] hard-codes the resulting Table-II
 //! recommendations.  The [`Planner`] answers the same question *a priori*: given a
 //! decomposed problem and a device description it estimates, without executing
@@ -429,23 +429,26 @@ impl<'a> Planner<'a> {
         factorization: FactorizationKind,
     ) -> PlanCandidate {
         let program = self.program(approach, params);
-        // The host half: what each subdomain's worker does ahead of its submissions.
-        // Device-assembled and device-applied phases only submit from the host.
+        // The host half: what each subdomain's worker does ahead of its submissions,
+        // read off where the operator runs each phase.  Every approach factorizes on
+        // the host; a host assembly follows, and a host application is the SYMV of
+        // `F̃ᵢ` or the implicit solve pair.  Device phases only submit from the host.
+        let host_assembly = approach.is_explicit() && !approach.assembles_on_device();
         let (host_pre, host_app): (Vec<f64>, Vec<f64>) = program
             .shapes()
             .iter()
             .zip(self.facts(approach))
             .map(|(s, facts)| {
-                use DualOperatorApproach as A;
                 let factorize = self.host_factorize(s, facts.nsuper, factorization);
-                match approach {
-                    A::ImplicitMkl | A::ImplicitCholmod => (factorize, self.host_implicit_apply(s)),
-                    A::ExplicitMkl | A::ExplicitCholmod => {
-                        (factorize + self.host_schur(s), self.host_symv(s.nl))
-                    }
-                    A::ExplicitHybrid => (factorize + self.host_schur(s), 0.0),
-                    _ => (factorize, 0.0),
-                }
+                let pre = if host_assembly { factorize + self.host_schur(s) } else { factorize };
+                let app = if approach.uses_gpu() {
+                    0.0
+                } else if approach.is_explicit() {
+                    self.host_symv(s.nl)
+                } else {
+                    self.host_implicit_apply(s)
+                };
+                (pre, app)
             })
             .unzip();
         // One modelled worker and one stream per host thread, matching what the
@@ -637,7 +640,7 @@ mod tests {
     }
 
     #[test]
-    fn one_analysis_gives_the_factor_size_of_both_facades() {
+    fn a_shared_analysis_gives_the_factor_size_of_a_stand_alone_one() {
         // What licenses one shared analysis object per pattern: on the seed problems a
         // stand-alone CHOLMOD-like analysis of each subdomain under each ordering
         // predicts the factor size the planner took from its shared analyses.
@@ -928,6 +931,33 @@ mod tests {
                 simp.preprocessing.total_seconds
             );
             assert_eq!(sup.apply.total_seconds, simp.apply.total_seconds, "{approach:?}");
+        }
+    }
+
+    #[test]
+    fn every_pair_of_approaches_is_priced_apart_somewhere_in_table_i() {
+        // One approach per distinct computation: two approaches that the cost model
+        // prices identically under every Table-I parameter set run the same program
+        // on the same host half, and one of them is a twin to delete.
+        let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
+        let planner = planner_for(&problem);
+        let (all, combinations) =
+            (DualOperatorApproach::all(), ExplicitAssemblyParams::all_combinations());
+        let prices: Vec<Vec<_>> = all
+            .iter()
+            .map(|&approach| {
+                let estimates = combinations.iter().map(|&params| {
+                    let c = planner.estimate(approach, params);
+                    (c.preprocessing, c.apply, c.persistent_device_bytes)
+                });
+                estimates.collect()
+            })
+            .collect();
+        for (i, a) in all.iter().enumerate() {
+            for (j, b) in all.iter().enumerate().skip(i + 1) {
+                let apart = prices[i].iter().zip(&prices[j]).any(|(x, y)| x != y);
+                assert!(apart, "{a:?} and {b:?} are priced alike under every parameter set");
+            }
         }
     }
 

@@ -196,9 +196,7 @@ impl ApproachProgram {
         };
         let f = s.nl * s.nl * 8 / 2;
         match self.approach {
-            A::ImplicitMkl | A::ImplicitCholmod | A::ExplicitMkl | A::ExplicitCholmod => {
-                PersistentAllocations::default()
-            }
+            A::ImplicitCholmod | A::ExplicitCholmod => PersistentAllocations::default(),
             A::ImplicitGpuLegacy | A::ImplicitGpuModern => resident_factor,
             A::ExplicitHybrid => {
                 PersistentAllocations { f, vectors: s.nl * 16, ..Default::default() }
@@ -253,7 +251,7 @@ impl ApproachProgram {
         let densify_rhs = DeviceOp::SparseToDense { nnz: s.nnz_b, rows: s.n, cols: s.nl };
         let densify_factor = DeviceOp::SparseToDense { nnz: s.fnnz, rows: s.n, cols: s.n };
         match self.approach {
-            A::ImplicitMkl | A::ImplicitCholmod | A::ExplicitMkl | A::ExplicitCholmod => {}
+            A::ImplicitCholmod | A::ExplicitCholmod => {}
             A::ImplicitGpuLegacy | A::ImplicitGpuModern => ops.push(price(upload_factor)),
             A::ExplicitHybrid => {
                 ops.push(price(DeviceOp::Transfer { bytes: self.persistent(s).f }));
@@ -321,7 +319,7 @@ impl ApproachProgram {
             let copy = DeviceOp::Transfer { bytes: s.nl * k * 8 };
             let multiply = DeviceOp::Symm { n: s.nl, nrhs: k };
             match self.approach {
-                A::ImplicitMkl | A::ImplicitCholmod | A::ExplicitMkl | A::ExplicitCholmod => {}
+                A::ImplicitCholmod | A::ExplicitCholmod => {}
                 A::ImplicitGpuLegacy | A::ImplicitGpuModern => {
                     let gluing = DeviceOp::Spmm { nnz: s.nnz_b, nrows: s.nl, nrhs: k };
                     let solve = DeviceOp::SparseTrsm { generation, nnz: s.fnnz, n: s.n, nrhs: k };

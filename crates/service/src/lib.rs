@@ -824,16 +824,16 @@ mod tests {
         let mut cache = SolverCache::new(2);
         let (ka, kb, kc) = (
             key(DualOperatorApproach::ImplicitCholmod),
-            key(DualOperatorApproach::ImplicitMkl),
-            key(DualOperatorApproach::ExplicitMkl),
+            key(DualOperatorApproach::ExplicitCholmod),
+            key(DualOperatorApproach::ExplicitHybrid),
         );
         assert!(cache.claim(&ka).is_none(), "empty cache misses");
         assert_eq!(cache.release(ka, mk(DualOperatorApproach::ImplicitCholmod)), 0);
-        assert_eq!(cache.release(kb, mk(DualOperatorApproach::ImplicitMkl)), 0);
+        assert_eq!(cache.release(kb, mk(DualOperatorApproach::ExplicitCholmod)), 0);
         // Touch `ka` so `kb` is the least recently used.
         let a = cache.claim(&ka).expect("ka cached");
         assert_eq!(cache.release(ka, a), 0);
-        assert_eq!(cache.release(kc, mk(DualOperatorApproach::ExplicitMkl)), 1);
+        assert_eq!(cache.release(kc, mk(DualOperatorApproach::ExplicitHybrid)), 1);
         assert!(cache.claim(&kb).is_none(), "kb was evicted as LRU");
         assert!(cache.claim(&ka).is_some());
         assert!(cache.claim(&kc).is_some());
@@ -1047,7 +1047,9 @@ mod tests {
         assert!(matches!(err, ServiceError::Admission(BudgetError::ExceedsBudget { .. })));
         // CPU-only jobs reserve nothing and sail through even a 1-byte budget.
         let ticket = service
-            .submit(JobSpec::new("t", problem()).with_approach(DualOperatorApproach::ExplicitMkl))
+            .submit(
+                JobSpec::new("t", problem()).with_approach(DualOperatorApproach::ExplicitCholmod),
+            )
             .unwrap();
         let report = ticket.wait().unwrap();
         assert_eq!(report.reserved_device_bytes, 0);

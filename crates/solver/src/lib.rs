@@ -1,9 +1,9 @@
 //! Sparse direct Cholesky solver for the FETI reproduction.
 //!
 //! The paper uses two CPU sparse direct solvers, CHOLMOD (SuiteSparse) and Intel MKL
-//! PARDISO; the `* mkl` approaches take PARDISO's augmented incomplete factorization
-//! for the Schur complement `B̃ K⁻¹ B̃ᵀ` (`expl mkl`).  Both compute the same
-//! factorization, so this crate reproduces them with one: [`CholmodLike`], built
+//! PARDISO, whose baselines (`impl mkl`, `expl mkl`) take PARDISO's augmented
+//! incomplete factorization for the Schur complement `B̃ K⁻¹ B̃ᵀ`.  Both compute the
+//! same factorization, so this crate reproduces them with one: [`CholmodLike`], built
 //! from scratch on a symbolic analysis ([`etree`]), which owns the structure of the
 //! factor, and an up-looking Cholesky kernel ([`chol`]), which fills in its values.
 //! Its factor can be extracted (what CHOLMOD hands the GPU assembly) and forward

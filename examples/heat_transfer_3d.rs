@@ -27,7 +27,9 @@ fn main() {
 
     // Measure preprocessing + one application for both approaches.
     let mut report = Vec::new();
-    for approach in [DualOperatorApproach::ImplicitMkl, DualOperatorApproach::ExplicitGpuLegacy] {
+    let approaches =
+        [DualOperatorApproach::ImplicitCholmod, DualOperatorApproach::ExplicitGpuLegacy];
+    for approach in approaches {
         let mut op = build_dual_operator(approach, &problem, None).unwrap();
         let prep = op.preprocess().unwrap();
         let p = vec![1.0; problem.num_lambdas];

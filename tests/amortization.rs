@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 #[test]
 fn explicit_gpu_application_is_faster_than_implicit_cpu_application() {
     let problem = build_problem(Dim::Three, Physics::HeatTransfer, ElementOrder::Quadratic, 3);
-    let implicit = measure_approach(&problem, DualOperatorApproach::ImplicitMkl, None);
+    let implicit = measure_approach(&problem, DualOperatorApproach::ImplicitCholmod, None);
     let explicit = measure_approach(&problem, DualOperatorApproach::ExplicitGpuLegacy, None);
     assert!(
         explicit.apply.total_seconds < implicit.apply.total_seconds,
@@ -40,7 +40,7 @@ fn explicit_gpu_application_is_faster_than_implicit_cpu_application() {
 #[test]
 fn amortization_point_is_finite_for_3d_problems() {
     let problem = build_problem(Dim::Three, Physics::HeatTransfer, ElementOrder::Quadratic, 3);
-    let implicit = measure_approach(&problem, DualOperatorApproach::ImplicitMkl, None);
+    let implicit = measure_approach(&problem, DualOperatorApproach::ImplicitCholmod, None);
     let explicit = measure_approach(&problem, DualOperatorApproach::ExplicitGpuLegacy, None);
     let amortization = (1..100_000)
         .find(|&it| explicit.total_ms_per_subdomain(it) < implicit.total_ms_per_subdomain(it));
@@ -54,10 +54,10 @@ fn amortization_point_is_finite_for_3d_problems() {
 fn hybrid_matches_the_paper_role_of_fast_apply_but_cpu_assembly() {
     let problem = build_problem(Dim::Three, Physics::HeatTransfer, ElementOrder::Quadratic, 3);
     let hybrid = measure_approach(&problem, DualOperatorApproach::ExplicitHybrid, None);
-    let expl_mkl = measure_approach(&problem, DualOperatorApproach::ExplicitMkl, None);
+    let expl_cholmod = measure_approach(&problem, DualOperatorApproach::ExplicitCholmod, None);
     // The hybrid approach applies on the GPU, so its application must not be slower
     // than the CPU explicit application; its assembly tracks the CPU Schur complement.
-    assert!(hybrid.apply.total_seconds <= expl_mkl.apply.total_seconds * 1.5);
+    assert!(hybrid.apply.total_seconds <= expl_cholmod.apply.total_seconds * 1.5);
     assert!(hybrid.preprocessing.cpu_seconds > 0.0);
 }
 

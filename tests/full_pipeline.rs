@@ -162,7 +162,7 @@ fn constraint_residual_vanishes_at_the_solution() {
     let problem = DecomposedProblem::build(&spec);
     let mut solver = TotalFetiSolver::new(
         &problem,
-        DualOperatorApproach::ExplicitMkl,
+        DualOperatorApproach::ExplicitCholmod,
         None,
         PcpgOptions { max_iterations: 3000, tolerance: 1e-11, use_preconditioner: true },
     )

@@ -4,12 +4,12 @@
 //! (`shims/rayon` is a genuine work-stealing pool), and the backends promise that
 //! every cross-subdomain reduction happens in deterministic subdomain-index order.
 //! This suite pins that promise at the strongest possible level: for heat transfer in
-//! 2D and 3D, linear elasticity in 2D, and **all eleven** dual-operator approaches
-//! (the nine of Table III plus the sparsity-aware explicit family), the
-//! operator action `F·p`, the PCPG solution, and the iteration counts produced with 4
-//! worker threads must be **bit-for-bit** identical to a 1-thread run — not merely
-//! close in norm.  It also asserts the performance side of the tentpole: on a machine
-//! with enough cores, the measured wall-clock `cpu_seconds` of a Fig. 5-size
+//! 2D and 3D, linear elasticity in 2D, and **all nine** dual-operator approaches
+//! (those of Table III that compute differently, plus the sparsity-aware explicit
+//! family), the operator action `F·p`, the PCPG solution, and the iteration counts
+//! produced with 4 worker threads must be **bit-for-bit** identical to a 1-thread run —
+//! not merely close in norm.  It also asserts the performance side of the tentpole: on
+//! a machine with enough cores, the measured wall-clock `cpu_seconds` of a Fig. 5-size
 //! preprocessing phase must actually shrink when threads are added.
 //!
 //! Thread counts are pinned with `rayon::ThreadPoolBuilder::install`, the same
@@ -256,13 +256,12 @@ fn sparse_rhs_assembly_is_bit_identical_across_thread_counts() {
 }
 
 /// The assembled `F̃ᵢ` themselves, on floating subdomains with a regularized `K`:
-/// those of every explicit approach (Table-II parameters) are bit-for-bit identical
-/// between 1 and 4 worker threads, and `expl mkl` — the PARDISO-like facade's Schur
-/// complement — assembles `expl cholmod`'s to the bit, one host body behind both.  The
-/// facades also agree on a `B̃` whose rows glue two DOFs each, where a per-multiplier
-/// reach solve could order its subtractions otherwise.
+/// those of every explicit approach (default parameters) are bit-for-bit identical
+/// between 1 and 4 worker threads.  So are those of the host assembly (`expl cholmod`)
+/// and of a device-assembled approach on a `B̃` whose rows glue two DOFs each, where a
+/// per-multiplier reach solve could order its subtractions otherwise.
 #[test]
-fn host_assembled_local_operators_agree_across_thread_counts_and_facades() {
+fn host_assembled_local_operators_agree_across_thread_counts() {
     use DualOperatorApproach as A;
     let assembled = |approach, blocks: &[SubdomainBlock], nl, threads| -> Vec<DenseMatrix> {
         with_threads(threads, || {
@@ -275,8 +274,9 @@ fn host_assembled_local_operators_agree_across_thread_counts_and_facades() {
             (0..blocks.len()).map(|i| local(i).clone()).collect()
         })
     };
-    let assert_same = |name: &str, approach, what: &str, a: &[DenseMatrix], b: &[DenseMatrix]| {
-        for (i, (fa, fb)) in a.iter().zip(b).enumerate() {
+    let across_threads = |name: &str, approach, what: &str, blocks: &[SubdomainBlock], nl| {
+        let [one, four] = [1, 4].map(|threads| assembled(approach, blocks, nl, threads));
+        for (i, (fa, fb)) in one.iter().zip(&four).enumerate() {
             assert_bits_eq(name, approach, &format!("{what} F̃_{i}"), fa.as_slice(), fb.as_slice());
         }
     };
@@ -284,23 +284,8 @@ fn host_assembled_local_operators_agree_across_thread_counts_and_facades() {
         let problem = DecomposedProblem::build(&spec);
         let (blocks, nl) = (SubdomainBlock::from_problem(&problem), problem.num_lambdas);
         for approach in A::all().into_iter().filter(|a| a.is_explicit()) {
-            let one = assembled(approach, &blocks, nl, 1);
-            assert_same(
-                name,
-                approach,
-                "1 vs 4 threads",
-                &one,
-                &assembled(approach, &blocks, nl, 4),
-            );
+            across_threads(name, approach, "1 vs 4 threads", &blocks, nl);
         }
-        let cholmod = assembled(A::ExplicitCholmod, &blocks, nl, 1);
-        assert_same(
-            name,
-            A::ExplicitMkl,
-            "mkl vs cholmod",
-            &assembled(A::ExplicitMkl, &blocks, nl, 1),
-            &cholmod,
-        );
 
         // Every row of `B̃` gains a second DOF, the next one, with half the weight.
         let glued_twice: Vec<SubdomainBlock> = blocks
@@ -315,9 +300,9 @@ fn host_assembled_local_operators_agree_across_thread_counts_and_facades() {
                 SubdomainBlock { b: coo.to_csr(), ..block.clone() }
             })
             .collect();
-        let cholmod = assembled(A::ExplicitCholmod, &glued_twice, nl, 1);
-        let mkl = assembled(A::ExplicitMkl, &glued_twice, nl, 1);
-        assert_same(name, A::ExplicitMkl, "two-entry rows: mkl vs cholmod", &mkl, &cholmod);
+        for approach in [A::ExplicitCholmod, A::ExplicitGpuLegacy] {
+            across_threads(name, approach, "two-entry rows: 1 vs 4 threads", &glued_twice, nl);
+        }
     }
 }
 
@@ -476,7 +461,7 @@ fn nested_install_on_persistent_pools_is_bit_identical() {
 }
 
 /// The small-region inline cutoff is a scheduling decision, never a numerical one:
-/// for **all eleven** approaches, solving with the cutoff disabled (every region goes
+/// for **all nine** approaches, solving with the cutoff disabled (every region goes
 /// through the persistent pool) and with the cutoff forced to swallow every
 /// unannotated region must produce bit-identical solutions and iteration counts.
 /// The subdomain loops themselves are `with_max_len(1)`-annotated and therefore

@@ -49,10 +49,7 @@ fn heat_3d_125dof_1000iter_plans_a_host_apply_explicit_approach() {
     let plan = planner.plan(ITERATIONS);
     let pick = plan.best();
     assert!(
-        matches!(
-            pick.approach,
-            DualOperatorApproach::ExplicitMkl | DualOperatorApproach::ExplicitCholmod
-        ),
+        pick.approach == DualOperatorApproach::ExplicitCholmod,
         "the 125-dof/1000-iter pick regressed to {:?} — the cache-aware dense roofline \
          must keep the host apply cheaper than shuttling 371-λ vectors through the device",
         pick.approach
@@ -74,7 +71,7 @@ fn heat_3d_125dof_1000iter_plans_a_host_apply_explicit_approach() {
 
 /// End-to-end pin of the acceptance gate on the exact failing row: the planned
 /// pick's measured total at 1000 iterations stays within 2× of the measured optimum
-/// over all eleven approaches.
+/// over all nine approaches.
 #[test]
 fn heat_3d_125dof_1000iter_pick_is_within_2x_of_the_measured_optimum() {
     // Wall-clock gates only mean something in an optimized build (host kernels are
@@ -112,8 +109,8 @@ fn heat_3d_125dof_1000iter_pick_is_within_2x_of_the_measured_optimum() {
 
 /// Pin of the `plan_auto(200)` winners on the six `service_mixed` geometries of the
 /// benchmark under the one-thread host model its two-core box runs at.  `host_schur`
-/// prices both explicit CPU assemblies with one formula, which the reach-pruned
-/// forward solve + panel Gram of the host assembly no longer matches; the
+/// prices the host assembly with one pass over `L` per multiplier, which its
+/// reach-pruned forward solve + panel Gram no longer matches; the
 /// term-by-term recalibration of `HostSpec` has to move these picks on purpose.  Every
 /// pick names the run-blocked kernel, the one its operator runs.
 #[test]

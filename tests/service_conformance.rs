@@ -1,5 +1,5 @@
 //! Service cache conformance: a cached (warm) solver must produce **bit-for-bit**
-//! the same solution as a cold one, for every one of the eleven dual-operator
+//! the same solution as a cold one, for every one of the nine dual-operator
 //! approaches.  The cache only skips preprocessing — factors and assembled
 //! operators are reused, not recomputed — so every float of the PCPG trajectory
 //! must be identical between the cold first job and the warm repeat.

@@ -143,8 +143,8 @@ fn the_analysis_holds_the_structure_of_every_factor_of_its_pattern() {
 }
 
 /// Every dual-operator approach built with the column-at-a-time kernel forced on must
-/// produce a bitwise-identical operator action `F·p` to its run-blocked build — the
-/// MKL-facade approaches included, which run whichever kernel the options name.
+/// produce a bitwise-identical operator action `F·p` to its run-blocked build: every
+/// approach runs whichever kernel the options name.
 #[test]
 fn every_approach_is_bitwise_unchanged_with_supernodal_forced() {
     for (name, spec) in problems() {

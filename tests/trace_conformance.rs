@@ -142,7 +142,7 @@ fn host_assembly_spans_nest_inside_their_factorize_spans() {
 }
 
 /// The assembly says where it went: inside every `assemble[sd=i]` span — the host body
-/// of `expl mkl`, `expl cholmod` and `expl hybrid` and the walk of the device program
+/// of `expl cholmod` and `expl hybrid` and the walk of the device program
 /// of the four device-assembled approaches, on either path — lie one `forward[sd=i]`
 /// span and, unless the TRSM path contracts through its backward solve and SpMM, one
 /// `gram[sd=i]` span, one level deeper on the same thread.
@@ -154,7 +154,6 @@ fn forward_and_gram_spans_nest_inside_their_assemble_spans() {
     let on = |path| Some(ExplicitAssemblyParams { path, ..Default::default() });
     // (approach, parameters, forward spans, gram spans) per subdomain.
     let cases = [
-        (A::ExplicitMkl, None, 1, 1),
         (A::ExplicitHybrid, None, 1, 1),
         (A::ExplicitCholmod, None, 1, 1),
         (A::ExplicitGpuLegacy, on(Path::Syrk), 1, 1),
@@ -227,7 +226,8 @@ fn symbolic_analyses_are_counted_per_pattern_and_a_plan_hands_its_own_over() {
         feti_decompose::DecompositionSpec { elements_per_subdomain_side: 3, ..common::heat_3d() };
     for (spec, analyses, subdomains) in [(elasticity, 1, 9), (heat_3d, 4, 8)] {
         let problem = Arc::new(DecomposedProblem::build(&spec));
-        for approach in [DualOperatorApproach::ImplicitMkl, DualOperatorApproach::ExplicitGpuModern]
+        for approach in
+            [DualOperatorApproach::ImplicitCholmod, DualOperatorApproach::ExplicitGpuModern]
         {
             let built =
                 counted(&mut || drop(build_dual_operator(approach, &problem, None).unwrap()));
