@@ -27,12 +27,6 @@ pub struct TimeBreakdown {
 }
 
 impl TimeBreakdown {
-    /// A purely CPU-side breakdown.
-    #[must_use]
-    pub fn cpu_only(seconds: f64) -> Self {
-        Self { cpu_seconds: seconds, gpu_seconds: 0.0, total_seconds: seconds }
-    }
-
     /// Adds another breakdown assuming sequential phases (no overlap between them).
     #[must_use]
     pub fn then(self, other: TimeBreakdown) -> Self {
@@ -67,7 +61,6 @@ impl TimeBreakdown {
 pub struct PhaseScheduler {
     thread_cpu: Vec<f64>,
     timeline: DeviceTimeline,
-    total_cpu: f64,
     total_gpu_busy: f64,
     /// When set, every submitted device op is exported to the trace layer as a
     /// virtual-device-lane record anchored at this wall-clock microsecond
@@ -85,7 +78,6 @@ impl PhaseScheduler {
         Self {
             thread_cpu: vec![0.0; num_threads],
             timeline: DeviceTimeline::new(num_streams.max(1)),
-            total_cpu: 0.0,
             total_gpu_busy: 0.0,
             trace_epoch_us: None,
         }
@@ -115,7 +107,6 @@ impl PhaseScheduler {
     pub fn record_subdomain(&mut self, subdomain: usize, cpu_seconds: f64, gpu_ops: &[PricedOp]) {
         let worker = subdomain % self.thread_cpu.len();
         self.thread_cpu[worker] += cpu_seconds;
-        self.total_cpu += cpu_seconds;
         let ready = self.thread_cpu[worker];
         let stream = worker % self.timeline.num_streams();
         for op in gpu_ops {
@@ -146,9 +137,9 @@ impl PhaseScheduler {
     /// and the host reaches the synchronization point at that measured wall.  GPU
     /// ready times keep using the deterministic per-worker model so the device part
     /// of the breakdown is schedule-independent; the measured wall is **not** maxed
-    /// with the modelled `i % threads` packing, which the real work-stealing pool can
-    /// legitimately beat — a CPU-only phase must never report a total above what was
-    /// actually measured.
+    /// with the modelled `i % threads` packing, which the real pool (each idle thread
+    /// claims the next subdomain) can legitimately beat — a CPU-only phase must never
+    /// report a total above what was actually measured.
     #[must_use]
     pub fn finish_measured(&self, measured_wall: f64) -> TimeBreakdown {
         self.finish_with_host_wall(measured_wall)
@@ -161,13 +152,6 @@ impl PhaseScheduler {
             gpu_seconds: self.total_gpu_busy,
             total_seconds: total,
         }
-    }
-
-    /// Sum of the recorded per-subdomain CPU seconds (per-subdomain accounting for
-    /// benchmarks; the phase's `cpu_seconds` is a wall time, not this sum).
-    #[must_use]
-    pub fn cpu_work_seconds(&self) -> f64 {
-        self.total_cpu
     }
 }
 
@@ -190,7 +174,6 @@ mod tests {
         let t = s.finish();
         assert!((t.total_seconds - 2.0).abs() < 1e-12, "threads run in parallel");
         assert!((t.cpu_seconds - 2.0).abs() < 1e-12, "cpu_seconds is the makespan, not the sum");
-        assert!((s.cpu_work_seconds() - 3.0).abs() < 1e-12, "per-subdomain work still summed");
     }
 
     #[test]
@@ -207,8 +190,8 @@ mod tests {
     #[test]
     fn measured_wall_below_the_modelled_packing_is_trusted() {
         // The modelled `i % threads` packing puts 1.0 + 2.0 on one worker (makespan
-        // 3.0), but the real work-stealing pool balanced the region into 1.8 s of
-        // wall time.  A CPU-only phase must report what was measured, never more.
+        // 3.0), but the real pool balanced the region into 1.8 s of wall time.  A
+        // CPU-only phase must report what was measured, never more.
         let mut s = PhaseScheduler::new(1, 1);
         s.record_subdomain(0, 1.0, &[]);
         s.record_subdomain(1, 2.0, &[]);
@@ -285,7 +268,7 @@ mod tests {
 
     #[test]
     fn breakdown_composition() {
-        let a = TimeBreakdown::cpu_only(1.0);
+        let a = TimeBreakdown { cpu_seconds: 1.0, gpu_seconds: 0.0, total_seconds: 1.0 };
         let b = TimeBreakdown { cpu_seconds: 0.5, gpu_seconds: 2.0, total_seconds: 2.0 };
         let c = a.then(b);
         assert!((c.total_seconds - 3.0).abs() < 1e-12);

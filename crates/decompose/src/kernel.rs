@@ -128,27 +128,9 @@ pub fn regularize(k: &CsrMatrix, fixing: &[usize]) -> CsrMatrix {
     let rho = k.diagonal().iter().sum::<f64>() / n.max(1) as f64;
     let mut reg = k.clone();
     for &d in fixing {
-        // shift only this diagonal entry
-        let mut coo = feti_sparse::CooMatrix::new(n, n);
-        coo.push(d, d, rho);
-        let shift = coo.to_csr();
-        reg = add_sparse(&reg, &shift);
+        reg.shift_diagonal(d, rho);
     }
     reg
-}
-
-/// Adds two CSR matrices with identical dimensions.
-fn add_sparse(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-    assert_eq!(a.nrows(), b.nrows());
-    assert_eq!(a.ncols(), b.ncols());
-    let mut coo = feti_sparse::CooMatrix::with_capacity(a.nrows(), a.ncols(), a.nnz() + b.nnz());
-    for (i, j, v) in a.iter() {
-        coo.push(i, j, v);
-    }
-    for (i, j, v) in b.iter() {
-        coo.push(i, j, v);
-    }
-    coo.to_csr()
 }
 
 #[cfg(test)]
@@ -245,6 +227,11 @@ mod tests {
             let asm = assemble_subdomain(&m, physics);
             let fixing = fixing_dofs(&m, physics);
             let k_reg = regularize(&asm.stiffness, &fixing);
+            assert!(
+                k_reg.row_ptr() == asm.stiffness.row_ptr()
+                    && k_reg.col_idx() == asm.stiffness.col_idx(),
+                "{dim:?} {physics:?}: K_reg must keep K's sparsity pattern"
+            );
             let factor = CholeskyFactor::new(&k_reg, &SolverOptions::default())
                 .expect("regularized matrix must be SPD");
 

@@ -23,7 +23,6 @@ use crate::op::PricedOp;
 pub struct StreamTimeline {
     end: f64,
     busy: f64,
-    ops: usize,
 }
 
 impl StreamTimeline {
@@ -39,7 +38,6 @@ impl StreamTimeline {
         let start = self.end.max(ready_at);
         self.end = start + cost.seconds;
         self.busy += cost.seconds;
-        self.ops += 1;
         self.end
     }
 
@@ -53,12 +51,6 @@ impl StreamTimeline {
     #[must_use]
     pub fn busy_time(&self) -> f64 {
         self.busy
-    }
-
-    /// Number of operations submitted.
-    #[must_use]
-    pub fn num_ops(&self) -> usize {
-        self.ops
     }
 }
 
@@ -132,7 +124,7 @@ impl DeviceTimeline {
     }
 
     /// Reduces another device view into this one, stream by stream: each stream's end
-    /// time becomes the max of the two, busy times and operation counts add.
+    /// time becomes the max of the two and its busy times add.
     ///
     /// The reduction is commutative and associative, so folding any number of
     /// independently built timelines yields the same makespan regardless of the
@@ -152,7 +144,6 @@ impl DeviceTimeline {
         for (s, o) in self.streams.iter_mut().zip(&other.streams) {
             s.end = s.end.max(o.end);
             s.busy += o.busy;
-            s.ops += o.ops;
         }
     }
 }
@@ -173,7 +164,6 @@ mod tests {
         assert_eq!(s.submit(0.5, &cost(1.0)), 2.0);
         // Submitted after an idle gap: starts at the ready time.
         assert_eq!(s.submit(5.0, &cost(0.5)), 5.5);
-        assert_eq!(s.num_ops(), 3);
         assert!((s.busy_time() - 2.5).abs() < 1e-12);
     }
 

@@ -399,12 +399,6 @@ impl CholeskyFactor {
         CscMatrix::from_raw_parts(s.n, s.n, s.col_ptr.clone(), row_idx, self.values.clone())
     }
 
-    /// Returns `L` as a CSR matrix (lower triangular).
-    #[must_use]
-    pub fn factor_csr(&self) -> CsrMatrix {
-        self.factor_csc().to_csr()
-    }
-
     /// Row indices and values of column `j` of `L`, diagonal first, rows ascending.
     pub(crate) fn column(&self, j: usize) -> (&[u32], &[f64]) {
         let s = &*self.symbolic;
@@ -522,7 +516,7 @@ mod tests {
             let opts = SolverOptions { ordering, ..Default::default() };
             let f = CholeskyFactor::new(&a, &opts).unwrap();
             // P A P^T = L L^T  =>  reconstruct and compare.
-            let l = f.factor_csr();
+            let l = f.factor_csc().to_csr();
             let llt = feti_sparse::ops::spgemm_csr(&l, &l.transposed());
             let pap = f.permutation().permute_symmetric(&a);
             let d1 = llt.to_dense(feti_sparse::MemoryOrder::RowMajor);

@@ -843,13 +843,6 @@ fn zero_prefix_lengths(r: &[f64], n: usize, kdim: usize) -> Vec<usize> {
 // Vector helpers.
 // ---------------------------------------------------------------------------------
 
-/// Scales a vector in place: `x *= alpha`.
-pub fn scal(alpha: f64, x: &mut [f64]) {
-    for v in x {
-        *v *= alpha;
-    }
-}
-
 /// `y += alpha * x`.
 ///
 /// # Panics
@@ -1344,9 +1337,6 @@ mod tests {
         assert_eq!(y, vec![7.0, 10.0]);
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-14);
-        let mut x = vec![1.0, -2.0];
-        scal(-2.0, &mut x);
-        assert_eq!(x, vec![-2.0, 4.0]);
     }
 
     #[test]

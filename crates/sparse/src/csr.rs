@@ -224,37 +224,22 @@ impl CsrMatrix {
         Self { nrows: self.nrows, ncols: self.ncols, row_ptr, col_idx, values }
     }
 
-    /// Builds the full symmetric matrix from a triangle-only storage: entries of the
-    /// stored triangle are mirrored (the diagonal is not duplicated).
-    #[must_use]
-    pub fn symmetrize_from_triangle(&self) -> Self {
-        let mut coo = crate::CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz() * 2);
-        for (i, j, v) in self.iter() {
-            coo.push(i, j, v);
-            if i != j {
-                coo.push(j, i, v);
-            }
-        }
-        coo.to_csr()
-    }
-
     /// Returns the diagonal entries as a vector (missing entries are zero).
     #[must_use]
     pub fn diagonal(&self) -> Vec<f64> {
         (0..self.nrows.min(self.ncols)).map(|i| self.get(i, i)).collect()
     }
 
-    /// Adds `shift` to every diagonal entry that is explicitly stored.
+    /// Adds `shift` to the stored diagonal entry `(i, i)`, in place: the sparsity
+    /// pattern does not change.
     ///
     /// # Panics
-    /// Panics if some diagonal entry in `0..min(nrows, ncols)` is not stored.
-    pub fn shift_diagonal(&mut self, shift: f64) {
-        for i in 0..self.nrows.min(self.ncols) {
-            let cols = &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]];
-            match cols.binary_search(&i) {
-                Ok(k) => self.values[self.row_ptr[i] + k] += shift,
-                Err(_) => panic!("diagonal entry ({i},{i}) is not stored"),
-            }
+    /// Panics if `i` is out of range or the entry `(i, i)` is not stored.
+    pub fn shift_diagonal(&mut self, i: usize, shift: f64) {
+        let cols = &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]];
+        match cols.binary_search(&i) {
+            Ok(k) => self.values[self.row_ptr[i] + k] += shift,
+            Err(_) => panic!("diagonal entry ({i},{i}) is not stored"),
         }
     }
 
@@ -390,17 +375,19 @@ mod tests {
         let lower = a.triangle(Triangle::Lower);
         assert_eq!(lower.nnz(), 3);
         assert_eq!(lower.get(0, 1), 0.0);
-        let full = lower.symmetrize_from_triangle();
-        assert_eq!(full, a);
+        // Symmetric: the upper triangle is the transposed lower one.
+        assert_eq!(a.triangle(Triangle::Upper), lower.transposed());
     }
 
     #[test]
     fn shift_diagonal_adds() {
         let mut a = sample();
-        a.shift_diagonal(10.0);
-        assert_eq!(a.get(0, 0), 11.0);
+        a.shift_diagonal(1, 10.0);
+        a.shift_diagonal(2, 0.5);
+        assert_eq!(a.get(0, 0), 1.0);
         assert_eq!(a.get(1, 1), 13.0);
-        assert_eq!(a.get(2, 2), 15.0);
+        assert_eq!(a.get(2, 2), 5.5);
+        assert_eq!(a.nnz(), sample().nnz());
     }
 
     #[test]

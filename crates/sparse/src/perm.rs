@@ -118,18 +118,6 @@ impl Permutation {
         }
         coo.to_csr()
     }
-
-    /// Composes two permutations: the result first applies `self`, then `other`
-    /// (both in the new-to-old sense).
-    ///
-    /// # Panics
-    /// Panics if lengths differ.
-    #[must_use]
-    pub fn compose(&self, other: &Permutation) -> Permutation {
-        assert_eq!(self.len(), other.len());
-        let perm = other.perm.iter().map(|&mid| self.perm[mid]).collect();
-        Permutation::from_vec(perm)
-    }
 }
 
 #[cfg(test)]
@@ -195,15 +183,6 @@ mod tests {
                 assert_eq!(ap.get(i, nj), ad.get(i, p.new_to_old()[nj]));
             }
         }
-    }
-
-    #[test]
-    fn compose_applies_in_sequence() {
-        let p1 = Permutation::from_vec(vec![1, 2, 0]);
-        let p2 = Permutation::from_vec(vec![2, 1, 0]);
-        let c = p1.compose(&p2);
-        let x = vec![1.0, 2.0, 3.0];
-        assert_eq!(c.apply(&x), p2.apply(&p1.apply(&x)));
     }
 
     #[test]

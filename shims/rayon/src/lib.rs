@@ -1,15 +1,14 @@
 //! Offline stand-in for the `rayon` crate with **real** host parallelism on a
-//! persistent, parked work-stealing worker pool.
+//! persistent pool of parked worker threads.
 //!
 //! The build environment has no access to crates.io, so this workspace shim provides
-//! the slice of rayon's API the repo uses — `par_iter` / `par_iter_mut` on slices and
-//! vectors, `par_bridge` on serial iterators, and the `map` / `zip` / `for_each` /
-//! `collect` / `with_max_len` adapters.  Parallel regions genuinely run on several
-//! host threads:
+//! the slice of rayon's API the repo uses — `par_iter` on slices and vectors and the
+//! `map` / `zip` / `for_each` / `collect` / `with_max_len` adapters.  Parallel regions
+//! genuinely run on several host threads:
 //!
 //! * workers are **persistent OS threads**: each [`ThreadPool`] lazily spawns
 //!   `num_threads - 1` workers on its first parallel region and parks them on a
-//!   condvar between regions, so region entry costs a queue push plus wakeups
+//!   condvar between regions, so region entry costs a list push plus wakeups
 //!   (single-digit µs) instead of a spawn/join round trip (tens to hundreds of µs) —
 //!   this matters because the repo's hot phases are many *small* per-subdomain
 //!   regions;
@@ -19,25 +18,19 @@
 //!   global pool of that size, which (like real rayon's) is never torn down;
 //! * [`ThreadPool::install`] mirrors rayon's API for running a closure under an
 //!   explicit pool; dropping a `ThreadPool` wakes and joins its parked workers;
-//! * regions whose item count is below an **inline cutoff** (default
-//!   [`INLINE_CUTOFF_DEFAULT`], overridable per pool via
-//!   [`ThreadPoolBuilder::inline_cutoff`], `0` disables inlining) run entirely on
-//!   the calling thread — fine-grained element loops are cheaper
-//!   serial than woken.  [`ParallelIterator::with_max_len`] marks a region as
-//!   *coarse* (few items, heavy per-item work, e.g. one subdomain factorization per
-//!   index) which both caps the chunk size and exempts the region from the cutoff;
-//! * work is chunked and distributed over per-worker deques; idle workers steal whole
-//!   chunks from the back of other workers' deques (the own-queue guard is dropped
-//!   before stealing, so two idle workers can never hold each other's locks);
+//! * a region with one participant (one thread, or one item) runs inline on the
+//!   calling thread; every other region hands its indices out **one at a time** from
+//!   a shared atomic cursor, which the submitting thread and the woken workers claim
+//!   from alike — the shape of the repo's regions, one heavy subdomain per index;
 //! * every combinator is *indexed*: item `i` of the result is always produced from
 //!   item `i` of the input, and `collect` writes each result into slot `i` of the
 //!   output buffer, so results are **bit-for-bit identical** to a sequential run
-//!   regardless of the thread count, the pool, the cutoff, or the stealing order.
+//!   regardless of the thread count, the pool, or which thread claimed which index.
 //!   `collect::<Result<…>>` reports the lowest-index error, matching what a
 //!   sequential run would return;
-//! * a panicking task poisons nothing: each chunk runs under `catch_unwind`, the
+//! * a panicking task poisons nothing: each index runs under `catch_unwind`, the
 //!   first payload is re-raised on the submitting thread once the region has
-//!   quiesced, remaining chunks are discarded, and the pool's parked workers stay
+//!   quiesced, remaining indices are discarded, and the pool's parked workers stay
 //!   usable for the next region.
 //!
 //! `DESIGN.md` (§ "Host parallelism") records this substitution; swapping the real
@@ -46,33 +39,20 @@
 #![warn(missing_docs)]
 
 use std::any::Any;
-use std::cell::{RefCell, UnsafeCell};
-use std::collections::VecDeque;
-use std::marker::PhantomData;
+use std::cell::RefCell;
 use std::mem::MaybeUninit;
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// The rayon prelude: traits that put `par_iter`, `par_iter_mut` and `par_bridge` in
-/// scope.
+/// The rayon prelude: traits that put `par_iter` and the adapters in scope.
 pub mod prelude {
-    pub use crate::{
-        FromParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelBridge,
-        ParallelIterator,
-    };
+    pub use crate::{FromParallelIterator, IntoParallelRefIterator, ParallelIterator};
 }
 
 // ---------------------------------------------------------------------------
 // Process-wide configuration
 // ---------------------------------------------------------------------------
-
-/// Default inline cutoff: parallel regions with fewer work items than this run on the
-/// calling thread unless marked coarse with [`ParallelIterator::with_max_len`].
-/// Overridable per pool with [`ThreadPoolBuilder::inline_cutoff`] (`0` disables
-/// inlining).
-pub const INLINE_CUTOFF_DEFAULT: usize = 256;
 
 /// Parses a `FETI_THREADS` value: `None` (unset) keeps the hardware default, a
 /// positive integer pins the worker count, anything else is an error rather than a
@@ -103,7 +83,7 @@ fn default_threads() -> usize {
 }
 
 /// The effective per-thread configuration of a parallel region: which pool runs it,
-/// with how many participants, under which inline cutoff.
+/// with how many participants.
 ///
 /// Installed by [`ThreadPool::install`] and inherited by pool workers while they
 /// execute a region's tasks (mirroring real rayon, where `install` closures run
@@ -113,7 +93,6 @@ fn default_threads() -> usize {
 struct Cfg {
     threads: usize,
     core: Arc<PoolCore>,
-    inline_cutoff: usize,
 }
 
 thread_local! {
@@ -138,8 +117,7 @@ pub fn current_num_threads() -> usize {
 /// installed [`RegionHook`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionDispatch {
-    /// The region ran inline on the calling thread (single participant or below
-    /// the inline cutoff).
+    /// The region ran inline on the calling thread (one thread or one item).
     Inline,
     /// The region ran on the persistent parked worker pool.
     Persistent,
@@ -195,7 +173,6 @@ impl std::error::Error for ThreadPoolBuildError {}
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
-    inline_cutoff: Option<usize>,
 }
 
 impl ThreadPoolBuilder {
@@ -212,30 +189,15 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Overrides the inline small-region cutoff for regions run under this pool
-    /// (`0` disables inlining entirely).  Shim extension: real rayon always enters
-    /// the pool; this shim keeps fine-grained regions on the calling thread when
-    /// waking workers would cost more than the work itself.  Defaults to
-    /// [`INLINE_CUTOFF_DEFAULT`].
-    #[must_use]
-    pub fn inline_cutoff(mut self, cutoff: usize) -> Self {
-        self.inline_cutoff = Some(cutoff);
-        self
-    }
-
     /// Builds the pool.  Workers are spawned lazily on the pool's first parallel
-    /// region, so building is cheap and a pool that only ever runs inline or
-    /// single-threaded regions never starts a thread.
+    /// region, so building is cheap and a pool that only ever runs inline regions
+    /// never starts a thread.
     ///
     /// # Errors
     /// Never fails in this shim; the `Result` mirrors rayon's signature.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         let n = if self.num_threads == 0 { default_threads() } else { self.num_threads };
-        Ok(ThreadPool {
-            num_threads: n,
-            inline_cutoff: self.inline_cutoff,
-            core: Arc::new(PoolCore::new(n)),
-        })
+        Ok(ThreadPool { num_threads: n, core: Arc::new(PoolCore::new(n)) })
     }
 }
 
@@ -247,16 +209,12 @@ impl ThreadPoolBuilder {
 /// global default pool is never dropped.
 pub struct ThreadPool {
     num_threads: usize,
-    inline_cutoff: Option<usize>,
     core: Arc<PoolCore>,
 }
 
 impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("num_threads", &self.num_threads)
-            .field("inline_cutoff", &self.inline_cutoff)
-            .finish()
+        f.debug_struct("ThreadPool").field("num_threads", &self.num_threads).finish()
     }
 }
 
@@ -296,11 +254,7 @@ impl ThreadPool {
 
     /// The effective configuration regions installed from this pool will run under.
     fn cfg(&self) -> Cfg {
-        Cfg {
-            threads: self.num_threads,
-            core: Arc::clone(&self.core),
-            inline_cutoff: self.inline_cutoff.unwrap_or(INLINE_CUTOFF_DEFAULT),
-        }
+        Cfg { threads: self.num_threads, core: Arc::clone(&self.core) }
     }
 }
 
@@ -317,15 +271,10 @@ impl Drop for ThreadPool {
 // The persistent parked pool core
 // ---------------------------------------------------------------------------
 
-/// How many chunks each participant's deque starts with: small enough to keep
-/// per-chunk overhead negligible, large enough that stealing can rebalance uneven
-/// item costs.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// Locks a mutex, tolerating poison.  A task panic is caught per chunk and never
-/// unwinds through pool state, but the tolerance is kept everywhere (queues, pool
-/// state, region bookkeeping) so even an unforeseen panic path cannot cascade a
-/// poison error through every region sharing the pool.
+/// Locks a mutex, tolerating poison.  A task panic is caught per index and never
+/// unwinds through pool state, but the tolerance is kept everywhere (pool state,
+/// region bookkeeping) so even an unforeseen panic path cannot cascade a poison
+/// error through every region sharing the pool.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -380,7 +329,7 @@ impl PoolCore {
 
     /// Wakes all parked workers and joins them.  Regions cannot be active at this
     /// point for the owning thread (dropping the pool requires no outstanding
-    /// `install` borrow); workers finish whatever chunk they are on, observe the
+    /// `install` borrow); workers finish whatever index they are on, observe the
     /// shutdown flag, and exit.
     fn shutdown(&self) {
         let handles = {
@@ -395,25 +344,26 @@ impl PoolCore {
     }
 }
 
-/// One parallel region: chunk deques plus the bookkeeping that lets pool workers
-/// help out and the submitter wait for full quiescence.
+/// One parallel region: the shared index cursor plus the bookkeeping that lets pool
+/// workers help out and the submitter wait for full quiescence.
 ///
 /// The region lives on the submitting thread's stack; `task` is a lifetime-erased
 /// borrow of the caller's closure, valid because the submitter does not return until
 /// [`Region::wait_done`] proves no worker can still touch the region.
 struct Region {
-    queues: Vec<Mutex<VecDeque<Range<usize>>>>,
+    /// The next unclaimed index; every participant claims with `fetch_add(1)`, and a
+    /// region whose cursor has passed `len` is pruned from the pool's active list
+    /// (nothing left to help with).
+    next: AtomicUsize,
+    len: usize,
     task: &'static (dyn Fn(usize) + Sync),
-    /// Chunks not yet popped from any deque; a region with zero unclaimed chunks is
-    /// pruned from the pool's active list (nothing left to help with).
-    unclaimed: AtomicUsize,
-    /// Chunks not yet finished (executed or discarded after a panic).
+    /// Indices not yet finished (executed or discarded after a panic).
     pending: AtomicUsize,
     /// Pool workers currently engaged with this region.
     helpers: AtomicUsize,
-    /// Cap on engaged pool workers: the submitter occupies one deque itself.
+    /// Cap on engaged pool workers: the submitter is a participant itself.
     max_helpers: usize,
-    /// Set on the first task panic; later chunks are claimed and discarded so the
+    /// Set on the first task panic; later indices are claimed and discarded so the
     /// region quiesces quickly instead of running doomed work.
     panicked: AtomicBool,
     /// The first panic payload, re-raised by the submitter after quiescence.
@@ -428,7 +378,12 @@ struct Region {
 }
 
 impl Region {
-    /// Blocks until every chunk is finished and every engaged worker has exited.
+    /// Whether every index has been claimed.
+    fn exhausted(&self) -> bool {
+        self.next.load(Ordering::SeqCst) >= self.len
+    }
+
+    /// Blocks until every index is finished and every engaged worker has exited.
     ///
     /// Must be called *after* the region is retired from the active list: no new
     /// worker can engage, so once the counts hit zero the region is unreachable and
@@ -443,60 +398,19 @@ impl Region {
     }
 }
 
-/// Splits `0..n` into contiguous chunks and deals them round-robin onto one deque
-/// per participant; returns the deques and the total chunk count.  `max_len` (from
-/// [`ParallelIterator::with_max_len`]) caps the chunk size so coarse regions hand
-/// out single heavy items.
-fn build_queues(
-    n: usize,
-    workers: usize,
-    max_len: Option<usize>,
-) -> (Vec<Mutex<VecDeque<Range<usize>>>>, usize) {
-    let mut chunk = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-    if let Some(m) = max_len {
-        chunk = chunk.min(m.max(1));
-    }
-    let queues: Vec<Mutex<VecDeque<Range<usize>>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    let mut chunks = 0;
-    let mut start = 0;
-    let mut q = 0;
-    while start < n {
-        let end = (start + chunk).min(n);
-        lock(&queues[q % workers]).push_back(start..end);
-        start = end;
-        q += 1;
-        chunks += 1;
-    }
-    (queues, chunks)
-}
-
-/// Drains a region's deques from participant slot `start`: pop the own deque
-/// front-to-back, then steal whole chunks from the back of the other deques until
-/// everything is claimed.  Each chunk runs under `catch_unwind`; after a panic the
-/// remaining chunks are claimed and discarded so the region quiesces.
-fn drain(region: &Region, start: usize) {
-    let nq = region.queues.len();
-    let w = start % nq;
+/// Claims a region's indices one at a time from its shared cursor until the cursor
+/// passes the end.  Each index runs under `catch_unwind`; after a panic the remaining
+/// indices are claimed and discarded so the region quiesces.
+fn drain(region: &Region) {
     loop {
-        // The own-queue guard must drop before stealing: holding it while trying to
-        // lock another participant's queue (which may simultaneously be stealing
-        // from this one) would be a circular wait.
-        let own = lock(&region.queues[w]).pop_front();
-        let chunk = match own {
-            Some(range) => Some(range),
-            None => (1..nq).find_map(|k| lock(&region.queues[(w + k) % nq]).pop_back()),
-        };
-        let Some(range) = chunk else { break };
-        region.unclaimed.fetch_sub(1, Ordering::SeqCst);
+        let i = region.next.fetch_add(1, Ordering::SeqCst);
+        if i >= region.len {
+            break;
+        }
         if !region.panicked.load(Ordering::SeqCst) {
             let task = region.task;
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for i in range {
-                    task(i);
-                }
-            }));
-            if let Err(payload) = result {
+            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(i)))
+            {
                 region.panicked.store(true, Ordering::SeqCst);
                 let mut slot = lock(&region.panic);
                 if slot.is_none() {
@@ -531,7 +445,7 @@ fn ensure_spawned(core: &Arc<PoolCore>, st: &mut PoolState) {
         let core = Arc::clone(core);
         let handle = std::thread::Builder::new()
             .name(format!("feti-pool-{w}"))
-            .spawn(move || pool_worker(&core, w))
+            .spawn(move || pool_worker(&core))
             .expect("spawning a pool worker thread");
         st.worker_ids.push(handle.thread().id());
         st.handles.push(handle);
@@ -540,14 +454,14 @@ fn ensure_spawned(core: &Arc<PoolCore>, st: &mut PoolState) {
 
 /// Body of a persistent pool worker: park until a region needs help, engage it,
 /// drain it under the region's installed configuration, deregister, repeat.
-fn pool_worker(core: &Arc<PoolCore>, index: usize) {
+fn pool_worker(core: &Arc<PoolCore>) {
     loop {
         let ptr = {
             let mut st = lock(&core.state);
             'find: loop {
                 // Prune fully claimed regions: their submitters retire and free
                 // them; holding stale pointers beyond this scan would be unsound.
-                st.active.retain(|r| unsafe { &*r.0 }.unclaimed.load(Ordering::SeqCst) > 0);
+                st.active.retain(|r| !unsafe { &*r.0 }.exhausted());
                 for r in &st.active {
                     // SAFETY: the pointer is in the active list and we hold the
                     // state lock, so the submitter cannot have freed the region
@@ -571,7 +485,7 @@ fn pool_worker(core: &Arc<PoolCore>, index: usize) {
         // helper_exit() deregisters this worker.
         let region = unsafe { &*ptr.0 };
         let previous = CFG.with(|c| c.replace(Some(region.cfg.clone())));
-        drain(region, 1 + index);
+        drain(region);
         CFG.with(|c| *c.borrow_mut() = previous);
         helper_exit(region);
     }
@@ -596,29 +510,22 @@ fn retire_region(core: &PoolCore, region: &Region) {
     lock(&core.state).active.retain(|r| !std::ptr::eq(r.0, target));
 }
 
-/// Runs a region on the persistent pool: the calling thread submits, helps drain its
-/// own deques (so a worker submitting a nested region to its own pool always makes
-/// progress — no circular wait), retires the region, waits for quiescence, and
-/// re-raises the first task panic if there was one.
-fn run_region_persistent(
-    cfg: &Cfg,
-    n: usize,
-    workers: usize,
-    max_len: Option<usize>,
-    task: &(dyn Fn(usize) + Sync),
-) {
+/// Runs a region on the persistent pool: the calling thread submits, claims indices
+/// from the cursor like any worker (so a worker submitting a nested region to its own
+/// pool always makes progress — no circular wait), retires the region, waits for
+/// quiescence, and re-raises the first task panic if there was one.
+fn run_region_persistent(cfg: &Cfg, n: usize, workers: usize, task: &(dyn Fn(usize) + Sync)) {
     // SAFETY: only the lifetime is erased; the region (and with it this borrow) is
     // provably unreachable from any pool worker once wait_done() returns below, and
     // this function does not return before that.
     let task_static: &'static (dyn Fn(usize) + Sync) = unsafe {
         std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(task)
     };
-    let (queues, chunks) = build_queues(n, workers, max_len);
     let region = Region {
-        queues,
+        next: AtomicUsize::new(0),
+        len: n,
         task: task_static,
-        unclaimed: AtomicUsize::new(chunks),
-        pending: AtomicUsize::new(chunks),
+        pending: AtomicUsize::new(n),
         helpers: AtomicUsize::new(0),
         max_helpers: workers - 1,
         panicked: AtomicBool::new(false),
@@ -628,7 +535,7 @@ fn run_region_persistent(
         done_cv: Condvar::new(),
     };
     submit_region(&cfg.core, &region);
-    drain(&region, 0);
+    drain(&region);
     retire_region(&cfg.core, &region);
     region.wait_done();
     let payload = lock(&region.panic).take();
@@ -641,18 +548,17 @@ fn run_region_persistent(
 /// ordering is guaranteed between indices (callers that need ordering must write
 /// into indexed slots).
 ///
-/// Dispatch: single-participant regions and fine-grained regions below the inline
-/// cutoff (unless marked coarse via `max_len`) run inline on the calling thread;
-/// everything else goes to the installed pool's persistent workers.
-fn run_region(n: usize, max_len: Option<usize>, task: impl Fn(usize) + Sync) {
+/// Dispatch: a region with one participant (one thread or one item) runs inline on
+/// the calling thread; every other region goes to the installed pool's persistent
+/// workers.
+fn run_region(n: usize, task: impl Fn(usize) + Sync) {
     if n == 0 {
         return;
     }
     let installed = CFG.with(|c| c.borrow().clone());
     let threads = installed.as_ref().map_or_else(default_threads, |cfg| cfg.threads);
     let workers = threads.min(n);
-    let cutoff = installed.as_ref().map_or(INLINE_CUTOFF_DEFAULT, |cfg| cfg.inline_cutoff);
-    if workers <= 1 || (max_len.is_none() && n < cutoff) {
+    if workers <= 1 {
         notify_region_hook(n, RegionDispatch::Inline);
         for i in 0..n {
             task(i);
@@ -661,7 +567,7 @@ fn run_region(n: usize, max_len: Option<usize>, task: impl Fn(usize) + Sync) {
     }
     let cfg = installed.unwrap_or_else(|| global_pool().cfg());
     notify_region_hook(n, RegionDispatch::Persistent);
-    run_region_persistent(&cfg, n, workers, max_len, &task);
+    run_region_persistent(&cfg, n, workers, &task);
 }
 
 /// Shared write-once output buffer for `collect`: slot `i` is written by whichever
@@ -670,8 +576,8 @@ struct SharedOut<T> {
     ptr: *mut MaybeUninit<T>,
 }
 
-// SAFETY: every index is claimed exactly once by the chunk queues, so no two threads
-// ever write the same slot, and the buffer outlives the region that writes it.
+// SAFETY: every index is claimed exactly once from the region's cursor, so no two
+// threads ever write the same slot, and the buffer outlives the region that writes it.
 unsafe impl<T: Send> Sync for SharedOut<T> {}
 
 impl<T> SharedOut<T> {
@@ -688,13 +594,10 @@ fn drive_collect_vec<P: Producer>(p: P) -> Vec<P::Item> {
     let mut storage: Vec<MaybeUninit<P::Item>> = (0..n).map(|_| MaybeUninit::uninit()).collect();
     let out = SharedOut { ptr: storage.as_mut_ptr() };
     let out = &out;
-    run_region(n, p.max_len_hint(), |i| {
-        // SAFETY: the driver claims every index in 0..n exactly once, which is both
-        // the produce contract and the write-once contract of SharedOut.
-        unsafe {
-            let item = p.produce(i);
-            out.write(i, item);
-        }
+    run_region(n, |i| {
+        // SAFETY: the driver claims every index in 0..n exactly once, which is the
+        // write-once contract of SharedOut.
+        unsafe { out.write(i, p.produce(i)) }
     });
     // SAFETY: all n slots were initialized above (run_region covers every index; a
     // task panic propagates out of run_region before reaching this point, dropping
@@ -725,22 +628,8 @@ pub trait Producer: Sync + Sized {
     /// Number of items.
     fn len(&self) -> usize;
 
-    /// Chunk-size cap requested via [`ParallelIterator::with_max_len`], if any.
-    /// A `Some` hint also marks the region as *coarse*, exempting it from the
-    /// inline small-region cutoff.
-    fn max_len_hint(&self) -> Option<usize> {
-        None
-    }
-
-    /// Produces the item at index `i`.
-    ///
-    /// # Safety
-    /// `i` must be in `0..len()` and each index must be produced **at most once** per
-    /// producer: implementations hand out disjoint `&mut` references
-    /// ([`SliceIterMut`]) or move items out of take-once slots ([`IterBridge`]), so a
-    /// second call with the same index would alias a `&mut` or race the take.  Only
-    /// the chunk-queue driver (which claims every index exactly once) may call this.
-    unsafe fn produce(&self, i: usize) -> Self::Item;
+    /// Produces the item at index `i` (`i` in `0..len()`).
+    fn produce(&self, i: usize) -> Self::Item;
 }
 
 /// Parallel iterator over `&[T]`, returned by [`IntoParallelRefIterator::par_iter`].
@@ -756,36 +645,8 @@ impl<'a, T: Sync> Producer for SliceIter<'a, T> {
         self.slice.len()
     }
 
-    unsafe fn produce(&self, i: usize) -> &'a T {
+    fn produce(&self, i: usize) -> &'a T {
         &self.slice[i]
-    }
-}
-
-/// Parallel iterator over `&mut [T]`, returned by
-/// [`IntoParallelRefMutIterator::par_iter_mut`].
-#[derive(Debug)]
-pub struct SliceIterMut<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: the driver hands out each index exactly once, so the `&'a mut T` references
-// produced are mutually disjoint; `T: Send` lets them cross threads.
-unsafe impl<T: Send> Sync for SliceIterMut<'_, T> {}
-
-impl<'a, T: Send> Producer for SliceIterMut<'a, T> {
-    type Item = &'a mut T;
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    unsafe fn produce(&self, i: usize) -> &'a mut T {
-        assert!(i < self.len);
-        // SAFETY: i is in bounds, and the caller contract guarantees each index is
-        // produced at most once, so the &mut references are disjoint.
-        unsafe { &mut *self.ptr.add(i) }
     }
 }
 
@@ -808,13 +669,8 @@ where
         self.base.len()
     }
 
-    fn max_len_hint(&self) -> Option<usize> {
-        self.base.max_len_hint()
-    }
-
-    unsafe fn produce(&self, i: usize) -> R {
-        // SAFETY: forwarded under the same once-per-index caller contract.
-        (self.f)(unsafe { self.base.produce(i) })
+    fn produce(&self, i: usize) -> R {
+        (self.f)(self.base.produce(i))
     }
 }
 
@@ -832,71 +688,8 @@ impl<A: Producer, B: Producer> Producer for Zip<A, B> {
         self.a.len().min(self.b.len())
     }
 
-    fn max_len_hint(&self) -> Option<usize> {
-        match (self.a.max_len_hint(), self.b.max_len_hint()) {
-            (None, None) => None,
-            (a, b) => Some(a.unwrap_or(usize::MAX).min(b.unwrap_or(usize::MAX))),
-        }
-    }
-
-    unsafe fn produce(&self, i: usize) -> Self::Item {
-        // SAFETY: forwarded under the same once-per-index caller contract.
-        unsafe { (self.a.produce(i), self.b.produce(i)) }
-    }
-}
-
-/// Parallel iterator produced by [`ParallelIterator::with_max_len`]: caps the chunk
-/// size and marks the region as coarse (exempt from the inline cutoff).
-#[derive(Debug)]
-pub struct MaxLen<I> {
-    base: I,
-    max: usize,
-}
-
-impl<I: Producer> Producer for MaxLen<I> {
-    type Item = I::Item;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn max_len_hint(&self) -> Option<usize> {
-        Some(self.max.min(self.base.max_len_hint().unwrap_or(usize::MAX)))
-    }
-
-    unsafe fn produce(&self, i: usize) -> Self::Item {
-        // SAFETY: forwarded under the same once-per-index caller contract.
-        unsafe { self.base.produce(i) }
-    }
-}
-
-/// Take-once storage for [`IterBridge`]: items are moved out by index.
-struct TakeVec<T>(Vec<UnsafeCell<Option<T>>>);
-
-// SAFETY: each slot is taken exactly once (the driver claims each index once).
-unsafe impl<T: Send> Sync for TakeVec<T> {}
-
-/// Parallel iterator produced by [`ParallelBridge::par_bridge`].
-///
-/// The serial iterator is drained eagerly on the calling thread; the drained items
-/// are then processed in parallel.  Unlike real rayon (which interleaves pulling and
-/// processing and loses ordering), this shim preserves the serial iterator's order in
-/// `collect`, which only strengthens the determinism guarantees callers rely on.
-pub struct IterBridge<T> {
-    items: TakeVec<T>,
-}
-
-impl<T: Send> Producer for IterBridge<T> {
-    type Item = T;
-
-    fn len(&self) -> usize {
-        self.items.0.len()
-    }
-
-    unsafe fn produce(&self, i: usize) -> T {
-        // SAFETY: the caller contract guarantees each index is claimed exactly once,
-        // so the take cannot race another thread or observe an emptied slot.
-        unsafe { (*self.items.0[i].get()).take().expect("item taken once") }
+    fn produce(&self, i: usize) -> Self::Item {
+        (self.a.produce(i), self.b.produce(i))
     }
 }
 
@@ -921,14 +714,11 @@ pub trait ParallelIterator: Producer {
         Zip { a: self, b: other }
     }
 
-    /// Caps the number of items a worker processes per chunk (mirrors rayon's
-    /// `IndexedParallelIterator::with_max_len`).  In this shim a capped region is
-    /// also treated as *coarse* — few items with heavy per-item work, like one
-    /// subdomain factorization per index — and therefore exempt from the inline
-    /// small-region cutoff: an 8-item region of millisecond-scale items should run
-    /// on the pool even though 8 is far below the cutoff.
-    fn with_max_len(self, max: usize) -> MaxLen<Self> {
-        MaxLen { base: self, max: max.max(1) }
+    /// Caps the number of items a worker processes per claim (mirrors rayon's
+    /// `IndexedParallelIterator::with_max_len`).  Every claim in this shim is one
+    /// index, which satisfies any cap, so this returns the iterator unchanged.
+    fn with_max_len(self, _max: usize) -> Self {
+        self
     }
 
     /// Runs `f` on every item (no ordering guarantee between items).
@@ -936,9 +726,7 @@ pub trait ParallelIterator: Producer {
     where
         F: Fn(Self::Item) + Sync,
     {
-        // SAFETY: the driver claims every index in 0..len exactly once — the produce
-        // contract.
-        run_region(self.len(), self.max_len_hint(), |i| f(unsafe { self.produce(i) }));
+        run_region(self.len(), |i| f(self.produce(i)));
     }
 
     /// Collects the items, preserving index order.
@@ -1012,51 +800,6 @@ impl<'a, T: 'a + Sync> IntoParallelRefIterator<'a> for Vec<T> {
     }
 }
 
-/// Types that can produce a parallel iterator over exclusive references.
-///
-/// Mirrors `rayon::iter::IntoParallelRefMutIterator`.
-pub trait IntoParallelRefMutIterator<'a> {
-    /// The parallel iterator type returned by [`par_iter_mut`](Self::par_iter_mut).
-    type Iter: ParallelIterator<Item = Self::Item>;
-    /// The item type yielded by the iterator.
-    type Item: 'a;
-
-    /// Returns a parallel iterator over `&mut self`.
-    fn par_iter_mut(&'a mut self) -> Self::Iter;
-}
-
-impl<'a, T: 'a + Send> IntoParallelRefMutIterator<'a> for [T] {
-    type Iter = SliceIterMut<'a, T>;
-    type Item = &'a mut T;
-
-    fn par_iter_mut(&'a mut self) -> Self::Iter {
-        SliceIterMut { ptr: self.as_mut_ptr(), len: self.len(), _marker: PhantomData }
-    }
-}
-
-impl<'a, T: 'a + Send> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Iter = SliceIterMut<'a, T>;
-    type Item = &'a mut T;
-
-    fn par_iter_mut(&'a mut self) -> Self::Iter {
-        self.as_mut_slice().par_iter_mut()
-    }
-}
-
-/// Bridges a serial [`Iterator`] into a parallel one, mirroring
-/// `rayon::iter::ParallelBridge`.
-pub trait ParallelBridge: Iterator + Sized
-where
-    Self::Item: Send,
-{
-    /// Turns the remaining items of this serial iterator into a parallel iterator.
-    fn par_bridge(self) -> IterBridge<Self::Item> {
-        IterBridge { items: TakeVec(self.map(|v| UnsafeCell::new(Some(v))).collect()) }
-    }
-}
-
-impl<I: Iterator + Sized> ParallelBridge for I where I::Item: Send {}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -1066,10 +809,10 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    /// A persistent pool with the inline cutoff disabled, so even tiny test regions
-    /// genuinely run parallel regardless of the host's core count.
+    /// A persistent pool of `n` threads: every region of two or more items genuinely
+    /// runs on it, regardless of the host's core count.
     fn pool(n: usize) -> ThreadPool {
-        ThreadPoolBuilder::new().num_threads(n).inline_cutoff(0).build().unwrap()
+        ThreadPoolBuilder::new().num_threads(n).build().unwrap()
     }
 
     /// Runs `f` on a helper thread and fails the test instead of hanging the suite
@@ -1129,7 +872,7 @@ mod tests {
 
     #[test]
     fn work_really_runs_on_multiple_threads() {
-        // Items are slow enough that a lone participant cannot drain the queues
+        // Items are slow enough that a lone participant cannot claim every index
         // before the parked workers wake, even on a single hardware core.
         let v: Vec<usize> = (0..64).collect();
         let ids = Mutex::new(HashSet::new());
@@ -1155,20 +898,6 @@ mod tests {
             });
         });
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn par_iter_mut_mutates_in_place() {
-        let mut v: Vec<u64> = (0..2048).collect();
-        pool(4).install(|| v.par_iter_mut().for_each(|x| *x *= 3));
-        assert!(v.iter().enumerate().all(|(i, &x)| x == 3 * i as u64));
-    }
-
-    #[test]
-    fn par_bridge_preserves_order_in_collect() {
-        let squares: Vec<usize> =
-            pool(4).install(|| (0..1000).map(|i| i * i).par_bridge().map(|x| x + 1).collect());
-        assert!(squares.iter().enumerate().all(|(i, &x)| x == i * i + 1));
     }
 
     #[test]
@@ -1229,13 +958,12 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_stealing_from_each_other_do_not_deadlock() {
-        // Regression test: stealing while still holding the own-queue lock put two
-        // idle participants into a circular wait.  Many short regions with more
-        // participants than chunks make mutual stealing near-certain; building and
-        // dropping a fresh pool per round additionally churns lazy spawn + join.
-        // The watchdog turns a deadlock into a test failure instead of a hung suite.
-        watchdog(60, "work-stealing deadlocked: idle workers must not hold their own lock", || {
+    fn short_regions_on_fresh_pools_do_not_deadlock() {
+        // Many short regions with as many participants as indices, so most claims
+        // race for the last few indices; building and dropping a fresh pool per
+        // round additionally churns lazy spawn + join.  The watchdog turns a
+        // deadlock into a test failure instead of a hung suite.
+        watchdog(60, "short regions on fresh pools deadlocked", || {
             for round in 0..200 {
                 let v: Vec<usize> = (0..8).collect();
                 let out: Vec<usize> = pool(8).install(|| {
@@ -1253,8 +981,8 @@ mod tests {
 
     #[test]
     fn uneven_item_costs_are_stolen() {
-        // One pathological chunk (index 0 is very slow) must not serialize the rest:
-        // with stealing, the other workers drain the remaining chunks meanwhile.
+        // One pathological index (0 is very slow) must not serialize the rest: the
+        // other participants claim the remaining indices meanwhile.
         let v: Vec<usize> = (0..64).collect();
         let out: Vec<usize> = pool(4).install(|| {
             v.par_iter()
@@ -1367,44 +1095,43 @@ mod tests {
     }
 
     #[test]
-    fn inline_cutoff_runs_small_regions_on_the_calling_thread() {
-        let p = ThreadPoolBuilder::new().num_threads(4).inline_cutoff(128).build().unwrap();
-        let caller = std::thread::current().id();
-        let v: Vec<usize> = (0..64).collect();
-        let ids = Mutex::new(HashSet::new());
-        p.install(|| {
-            v.par_iter().for_each(|_| {
-                ids.lock().unwrap().insert(std::thread::current().id());
-            });
-        });
-        assert_eq!(*ids.lock().unwrap(), HashSet::from([caller]), "64 < 128 must run inline");
-        assert!(p.worker_thread_ids().is_empty(), "an inline region must not spawn workers");
-        // A coarse-marked region of the same size is exempt from the cutoff.
-        let ids = Mutex::new(HashSet::new());
-        p.install(|| {
-            v.par_iter().with_max_len(1).for_each(|_| {
-                ids.lock().unwrap().insert(std::thread::current().id());
-                std::thread::sleep(Duration::from_millis(2));
-            });
-        });
-        assert!(
-            ids.lock().unwrap().len() > 1,
-            "with_max_len marks the region coarse: it must use the pool despite the cutoff"
+    fn two_items_run_concurrently_on_a_multi_thread_pool() {
+        // Each item waits for the other at a two-party barrier, so the region only
+        // finishes if its two indices run on two threads at once.
+        watchdog(
+            30,
+            "a 2-item region on a 4-thread pool ran its items one after the other",
+            || {
+                let barrier = std::sync::Barrier::new(2);
+                let v = [0usize, 1];
+                ThreadPoolBuilder::new().num_threads(4).build().unwrap().install(|| {
+                    v.par_iter().for_each(|_| {
+                        barrier.wait();
+                    });
+                });
+            },
         );
     }
 
     #[test]
-    fn inline_cutoff_on_and_off_are_bit_identical() {
-        let v: Vec<f64> = (0..200).map(|i| i as f64 * 0.7).collect();
-        let always_inline =
-            ThreadPoolBuilder::new().num_threads(4).inline_cutoff(usize::MAX).build().unwrap();
-        let never_inline = pool(4);
-        let run = |p: &ThreadPool| -> Vec<u64> {
-            p.install(|| {
-                v.par_iter().map(|&x| ((x * 1.9).sin() / (x + 1.0)).to_bits()).collect::<Vec<u64>>()
-            })
-        };
-        assert_eq!(run(&always_inline), run(&never_inline), "cutoff must not change any bit");
+    fn a_blocked_index_holds_back_no_other_index() {
+        // Index 0 spins until the other 63 have run: it may only hold back itself,
+        // never indices handed out together with it.
+        watchdog(30, "indices 1..64 waited behind a blocked index 0", || {
+            let done = AtomicUsize::new(0);
+            let v: Vec<usize> = (0..64).collect();
+            ThreadPoolBuilder::new().num_threads(4).build().unwrap().install(|| {
+                v.par_iter().for_each(|&i| {
+                    if i == 0 {
+                        while done.load(Ordering::SeqCst) < 63 {
+                            std::thread::yield_now();
+                        }
+                    } else {
+                        done.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            });
+        });
     }
 
     #[test]
@@ -1420,8 +1147,9 @@ mod tests {
 
     #[test]
     fn nested_regions_on_the_same_pool_do_not_deadlock() {
-        // A pool worker submitting a nested region to its own pool self-drains its
-        // deques, so progress never depends on another worker being free.
+        // A pool worker submitting a nested region to its own pool claims that
+        // region's indices itself, so progress never depends on another worker
+        // being free.
         watchdog(60, "nested region on the same pool deadlocked", || {
             let p = pool(4);
             let outer: Vec<usize> = (0..8).collect();

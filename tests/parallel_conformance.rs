@@ -1,7 +1,7 @@
 //! Parallel-vs-sequential conformance suite.
 //!
 //! The host runtime now really executes the subdomain loops on several threads
-//! (`shims/rayon` is a genuine work-stealing pool), and the backends promise that
+//! (`shims/rayon` is a genuine persistent thread pool), and the backends promise that
 //! every cross-subdomain reduction happens in deterministic subdomain-index order.
 //! This suite pins that promise at the strongest possible level: for heat transfer in
 //! 2D and 3D, linear elasticity in 2D, and **all nine** dual-operator approaches
@@ -458,89 +458,6 @@ fn nested_install_on_persistent_pools_is_bit_identical() {
         &plain.global_solution,
         &nested.global_solution,
     );
-}
-
-/// The small-region inline cutoff is a scheduling decision, never a numerical one:
-/// for **all nine** approaches, solving with the cutoff disabled (every region goes
-/// through the persistent pool) and with the cutoff forced to swallow every
-/// unannotated region must produce bit-identical solutions and iteration counts.
-/// The subdomain loops themselves are `with_max_len(1)`-annotated and therefore
-/// exempt either way — this pins that the annotation sweep missed nothing that
-/// matters numerically.
-#[test]
-fn inline_cutoff_on_and_off_solve_bit_identically() {
-    let problem =
-        std::sync::Arc::new(DecomposedProblem::build(&DecompositionSpec::small_heat_2d()));
-    for approach in DualOperatorApproach::all() {
-        let run = |cutoff: usize| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(4)
-                .inline_cutoff(cutoff)
-                .build()
-                .unwrap()
-                .install(|| {
-                    let mut solver = TotalFetiSolver::new(
-                        std::sync::Arc::clone(&problem),
-                        approach,
-                        None,
-                        PcpgOptions::default(),
-                    )
-                    .unwrap();
-                    solver.solve().unwrap()
-                })
-        };
-        let off = run(0);
-        let on = run(usize::MAX);
-        assert_eq!(off.iterations, on.iterations, "{approach:?}: cutoff iteration counts");
-        assert_bits_eq("small heat 2D", approach, "cutoff lambda", &off.lambda, &on.lambda);
-        assert_bits_eq(
-            "small heat 2D",
-            approach,
-            "cutoff global solution",
-            &off.global_solution,
-            &on.global_solution,
-        );
-        assert_eq!(
-            off.final_residual.to_bits(),
-            on.final_residual.to_bits(),
-            "{approach:?}: cutoff final residual"
-        );
-    }
-}
-
-/// An unannotated fine-grained region below the cutoff runs inline on the calling
-/// thread (no pool round-trip), yet produces exactly the bits of the pooled
-/// execution of the same region.
-#[test]
-fn fine_grained_regions_below_the_cutoff_stay_on_the_calling_thread() {
-    use rayon::prelude::*;
-    let v: Vec<f64> = (0..100).map(|i| (i as f64 * 0.29).sin() - 0.3).collect();
-    let run = |cutoff: usize| -> (Vec<u64>, Vec<std::thread::ThreadId>) {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .inline_cutoff(cutoff)
-            .build()
-            .unwrap()
-            .install(|| {
-                let pairs: Vec<(f64, std::thread::ThreadId)> = v
-                    .par_iter()
-                    .map(|&x| (x.mul_add(3.0, 1.0).sqrt().abs(), std::thread::current().id()))
-                    .collect();
-                let bits = pairs.iter().map(|(y, _)| y.to_bits()).collect();
-                let mut threads: Vec<_> = pairs.into_iter().map(|(_, id)| id).collect();
-                threads.dedup();
-                (bits, threads)
-            })
-    };
-    let caller = std::thread::current().id();
-    let (inline_bits, inline_threads) = run(usize::MAX);
-    let (pooled_bits, _) = run(0);
-    assert_eq!(
-        inline_threads,
-        vec![caller],
-        "a region below the cutoff must run entirely on the calling thread"
-    );
-    assert_eq!(inline_bits, pooled_bits, "inlined and pooled regions must agree bit-for-bit");
 }
 
 proptest! {

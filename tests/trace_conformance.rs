@@ -409,11 +409,7 @@ fn concurrent_nested_spans_under_the_persistent_pool_are_complete() {
 
     let _gate = trace_gate();
     feti_trace::set_enabled(true);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .inline_cutoff(0) // tiny regions must still hit the pool machinery
-        .build()
-        .expect("pool construction");
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool construction");
     pool.install(|| {
         use rayon::prelude::*;
         let outer_ids: Vec<usize> = (0..OUTER).collect();
@@ -453,11 +449,11 @@ fn concurrent_nested_spans_under_the_persistent_pool_are_complete() {
         assert!(!span.thread.is_empty(), "span {:?} lost its thread label", span.name);
         assert!(span.dur_us >= 0.0, "span {:?} has negative duration", span.name);
     }
-    // Nesting must be observed: a worker that submits a nested region self-drains
-    // its own deque, so at least some inner items run while their outer span is
-    // live on the same thread and record a deeper stack level.  (An inner item
-    // stolen by an idle worker legitimately starts a fresh stack at depth 0, so
-    // only the existence of nested depths is pinned, not their count.)
+    // Nesting must be observed: a worker that submits a nested region claims that
+    // region's indices itself, so at least some inner items run while their outer
+    // span is live on the same thread and record a deeper stack level.  (An inner
+    // item claimed by another worker legitimately starts a fresh stack at depth 0,
+    // so only the existence of nested depths is pinned, not their count.)
     assert!(
         report.spans.iter().any(|s| s.name.starts_with("inner[") && s.depth >= 1),
         "no inner span ever recorded a nested depth"
