@@ -6,8 +6,8 @@
 
 use super::{par_subdomains, SubdomainBlock};
 use feti_solver::cholmod::{CholmodFactor, CholmodLike};
-use feti_solver::{ForwardPanels, OrderingKind, SolverOptions, SymbolicCholesky};
-use feti_sparse::{blas, ops, CscMatrix, CsrMatrix, DenseMatrix, Permutation, Transpose, Triangle};
+use feti_solver::{OrderingKind, SolverOptions, SymbolicCholesky};
+use feti_sparse::{blas, ops, CsrMatrix, DenseMatrix, Transpose, Triangle};
 use std::sync::Arc;
 
 /// The symbolic analysis under `ordering` of every matrix of `k_regs`, made once per
@@ -51,31 +51,16 @@ impl Factor {
         self.0.solve(rhs)
     }
 
-    /// Stored entries of `L`.
-    pub(crate) fn nnz(&self) -> usize {
-        self.0.nnz()
-    }
-
-    /// A copy of the permuted factor `L` and its fill-reducing permutation: what the
-    /// backward solve and the SpMM of the device assembly's TRSM path read, in the
-    /// storage the program names.
-    pub(crate) fn extract(&self) -> (CscMatrix, Permutation) {
-        self.0.extract_factor()
-    }
-
-    /// `Y = L⁻¹PB̃ᵀ` of subdomain `i` as the panels of one forward solve against the
-    /// factor's own storage, pruned to the reach of `B̃`'s entries — the forward solve
-    /// of every explicit assembly — under a `forward[sd=i]` span.
-    pub(crate) fn forward_solve(&self, i: usize, block: &SubdomainBlock) -> ForwardPanels {
-        let _span = feti_trace::span(|| format!("forward[sd={i}]"));
-        self.0.forward_solve_sparse_rhs(&block.b)
-    }
-
-    /// Assembles the dense `F̃ᵢ` of subdomain `i` on the CPU, both triangles filled:
-    /// the panel forward solve and the panel-pair Gram, the `forward[sd=i]` and
-    /// `gram[sd=i]` spans.
+    /// Assembles the dense `F̃ᵢ` of subdomain `i` on the CPU, both triangles filled —
+    /// the body of every explicit assembly, on the host or the device.  `Y = L⁻¹PB̃ᵀ`
+    /// is one forward solve against the factor's own storage, kept as panels pruned to
+    /// the reach of `B̃`'s entries (`forward[sd=i]` span), and `F̃ᵢ = YᵀY` their
+    /// panel-pair Gram (`gram[sd=i]` span).
     pub(crate) fn assemble(&self, i: usize, block: &SubdomainBlock) -> DenseMatrix {
-        let y = self.forward_solve(i, block);
+        let y = {
+            let _span = feti_trace::span(|| format!("forward[sd={i}]"));
+            self.0.forward_solve_sparse_rhs(&block.b)
+        };
         let _span = feti_trace::span(|| format!("gram[sd={i}]"));
         y.gram()
     }

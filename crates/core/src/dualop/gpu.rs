@@ -2,162 +2,56 @@
 //! (the paper's contribution) and of the sparsity-aware `expl sparse legacy/modern`
 //! family (the sequel's boundary-restricted assembly, arXiv 2509.21037).
 //!
-//! The device is a cost model.  What a GPU approach submits — and what it allocates
-//! persistently — is the [`crate::program::ApproachProgram`] of its approach, the same
-//! program the planner folds; `feti-gpu` prices each op and books its memory, and
-//! per-stream timelines model the asynchronous submission and CPU/GPU overlap of §IV-B.
-//! The numbers are the host's, computed through the one factor each subdomain keeps:
-//! `impl legacy/modern` apply through it exactly as `impl cholmod` does, every explicit
-//! device approach applies its `F̃ᵢ` through the host SYMV, and the assembly walk
-//! produces the bits the program's kernels produce, through the cheapest host kernel
-//! that does.
+//! The device is a cost model.  What a GPU approach submits — and what it allocates,
+//! persistently and per kernel — is the [`crate::program::ApproachProgram`] of its
+//! approach, the same program the planner folds; `feti-gpu` prices each op and books
+//! its memory, and per-stream timelines model the asynchronous submission and CPU/GPU
+//! overlap of §IV-B.  The numbers are the host's, computed through the one factor each
+//! subdomain keeps: `impl legacy/modern` apply through it exactly as `impl cholmod`
+//! does, every explicit device approach assembles its `F̃ᵢ` through the host body of
+//! `expl cholmod` ([`cpu`]) and applies it through the host SYMV.
 
-use super::{cpu, DeviceSide, SubdomainBlock};
-use crate::params::ExplicitAssemblyParams;
-use feti_gpu::sparse::sparse_trsm_workspace_from_shape;
-use feti_gpu::{DeviceOp, PricedOp};
-use feti_sparse::{blas, ops, DenseMatrix, DiagKind, MemoryOrder, Transpose, Triangle};
+use super::{cpu, SubdomainBlock};
+use feti_gpu::{GpuDevice, PricedOp};
+use feti_sparse::DenseMatrix;
 
-/// Walks one subdomain's assembly program on the simulated device and returns the
+/// Books one subdomain's assembly program on the simulated device and returns the
 /// dense local dual operator `F̃ᵢ`.
 ///
-/// The program is the kernel sequence of §IV-B/IV-C (or the sequel's
-/// boundary-restricted variant), so the ops carry their own roles: the first
-/// densification produces the right-hand side `P B̃ᵀ`, any later one the factor of the
-/// solve that follows it; the first triangular solve is the forward one (`L X = …`,
-/// the `forward_*` parameters), a second the backward one (`Lᵀ`, the `backward_*`
-/// parameters).  Every op is checked against the shape of the data it runs on and
-/// requests the temporary device memory its kernel needs; its modelled cost is the
-/// one the program carries.
-///
-/// The host computes what the kernels compute, not how.  Every forward-solve kernel
-/// — dense, sparse CSR/CSC, sparse-RHS, any memory order — applies each column's
-/// subtractions in ascending row order and skips only terms that are `v·(+0.0)`, so
-/// all of them give the bits of [`cpu::Factor::forward_solve`] on `factor`, where it
-/// lies, and every SYRK gives the bits of its panel-pair Gram — together
-/// [`cpu::Factor::assemble`], under the same `forward[sd=i]` and `gram[sd=i]` spans;
-/// nothing is densified, converted or permuted for them.  The backward solve's order
-/// of operations does depend on the storage of its factor, so the TRSM path spells
-/// `Y` out and runs the backward solve and SpMM the program names on `L` in that
-/// storage: the first op of the backward solve copies `L` and its permutation out of
-/// `factor` ([`cpu::Factor::extract`]), the one place anything is extracted.
+/// The program lists the temporary device memory each kernel of §IV-B/IV-C (or of the
+/// sequel's boundary-restricted variant) holds; the walk requests every nonzero one in
+/// program order and holds the guards until `F̃ᵢ` exists, so workers race them against
+/// the shared pool exactly as §IV-A describes — a request that does not fit blocks
+/// until another worker's guards drop, one larger than the pool is an error.  The
+/// ops' prices are charged by the phase scheduler.  Under the guards the host computes
+/// `F̃ᵢ` through [`cpu::Factor::assemble`], the body of `expl cholmod`, whatever
+/// kernels the program names: a real device would round them its own way, and their
+/// host twins would only reproduce rounding no GPU matches bit for bit.
 pub(crate) fn run_assembly(
-    side: &DeviceSide,
-    params: &ExplicitAssemblyParams,
+    device: &GpuDevice,
     program: &[PricedOp],
     i: usize,
     block: &SubdomainBlock,
     factor: &cpu::Factor,
 ) -> crate::Result<DenseMatrix> {
-    let (device, generation) = (&side.device, side.program.generation());
-    let (n, nl, fnnz) = (block.num_dofs(), block.num_local_lambdas(), factor.nnz());
-    let (lower, trans, nonunit) = (Triangle::Lower, Transpose::Yes, DiagKind::NonUnit);
-    // Which densification and which solve the walk has reached.
-    let (mut rhs_is_dense, mut forward) = (false, true);
-    // Empty until the op that produces them: the forward solve's panels, `Y` spelt
-    // out for the backward solve, `L` and its permutation, its densified factor.
-    let mut panels = None;
-    let mut extracted = None;
-    let mut x = DenseMatrix::zeros(0, 0, MemoryOrder::ColMajor);
-    let mut l_dense = DenseMatrix::zeros(0, 0, params.backward_factor_order);
-    let mut f = DenseMatrix::zeros(0, 0, MemoryOrder::RowMajor);
-    // Temporary device buffers live until the subdomain's last kernel: workers race
-    // them against the shared pool exactly as §IV-A describes, a request that does
-    // not fit blocking until another worker's guards drop.
-    let mut guards = Vec::new();
-    for step in program {
-        let expect = |shape: &[usize], data: &[usize]| {
-            assert_eq!(shape, data, "{:?} was emitted for another shape", step.op);
-        };
-        let factor_order =
-            if forward { params.forward_factor_order } else { params.backward_factor_order };
-        match step.op {
-            // Uploads move what the host already holds: nothing to compute.
-            DeviceOp::Transfer { .. } => {}
-            DeviceOp::SparseToDense { nnz, rows, cols } if !rhs_is_dense => {
-                expect(&[nnz, rows, cols], &[block.b.nnz(), n, nl]);
-                guards.push(device.alloc_temporary(n * nl * 8)?);
-                rhs_is_dense = true;
-            }
-            DeviceOp::SparseToDense { nnz, rows, cols } => {
-                expect(&[nnz, rows, cols], &[fnnz, n, n]);
-                guards.push(device.alloc_temporary(n * n * 8)?);
-                if !forward {
-                    let (l, _) = extracted.get_or_insert_with(|| factor.extract());
-                    l_dense = l.to_dense(factor_order);
-                }
-            }
-            DeviceOp::DenseTrsm { n: dim, nrhs } | DeviceOp::SparseRhsTrsm { n: dim, nrhs, .. } => {
-                expect(&[dim, nrhs], &[n, nl]);
-                if forward {
-                    panels = Some(factor.forward_solve(i, block));
-                } else {
-                    let y = panels.take().expect("the forward solve precedes the backward one");
-                    x = y.to_dense();
-                    blas::trsm(lower, trans, nonunit, 1.0, &l_dense, &mut x)
-                        .expect("factor is nonsingular");
-                }
-                forward = false;
-            }
-            DeviceOp::SparseTrsm { nnz, n: dim, nrhs, .. } => {
-                expect(&[nnz, dim, nrhs], &[fnnz, n, nl]);
-                // The library is handed `L` in CSC or CSR: `16·nnz + 8·(n + 1)` bytes.
-                let factor_bytes = 16 * fnnz + 8 * (n + 1);
-                let ws = sparse_trsm_workspace_from_shape(
-                    generation,
-                    factor_bytes,
-                    n,
-                    factor_order,
-                    n,
-                    nl,
-                    params.rhs_order,
-                );
-                guards.push(device.alloc_temporary(ws.temporary_bytes)?);
-                if forward {
-                    panels = Some(factor.forward_solve(i, block));
-                } else {
-                    let y = panels.take().expect("the forward solve precedes the backward one");
-                    x = y.to_dense();
-                    let (l, _) = extracted.get_or_insert_with(|| factor.extract());
-                    match factor_order {
-                        MemoryOrder::ColMajor => {
-                            ops::sptrsm_csc(lower, trans, nonunit, 1.0, l, &mut x)
-                        }
-                        MemoryOrder::RowMajor => {
-                            ops::sptrsm_csr(lower, trans, nonunit, 1.0, &l.to_csr(), &mut x)
-                        }
-                    }
-                    .expect("factor is nonsingular");
-                }
-                forward = false;
-            }
-            DeviceOp::Syrk { n: dim, k } | DeviceOp::BoundarySyrk { n: dim, k, .. } => {
-                expect(&[dim, k], &[nl, n]);
-                let y = panels.as_ref().expect("the forward solve precedes the SYRK");
-                let _span = feti_trace::span(|| format!("gram[sd={i}]"));
-                f = y.gram();
-            }
-            DeviceOp::Spmm { nnz, nrows, nrhs } => {
-                expect(&[nnz, nrows, nrhs], &[block.b.nnz(), nl, nl]);
-                let (_, perm) = extracted.get_or_insert_with(|| factor.extract());
-                let bp = perm.permute_cols(&block.b);
-                f = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
-                ops::spmm_csr_dense(1.0, &bp, Transpose::No, &x, 0.0, &mut f);
-            }
-            op => unreachable!("{} is not an assembly op", op.name()),
-        }
-    }
-    Ok(f)
+    let _guards = program
+        .iter()
+        .filter(|step| step.temporary_bytes > 0)
+        .map(|step| device.alloc_temporary(step.temporary_bytes))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(factor.assemble(i, block))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dualop::{ApproachOperator, DualOperator};
-    use crate::params::DualOperatorApproach;
-    use crate::params::{FactorStorage, Path, ScatterGather};
+    use crate::params::{
+        DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather,
+    };
     use feti_decompose::{DecomposedProblem, DecompositionSpec};
     use feti_solver::SolverOptions;
+    use feti_sparse::MemoryOrder;
 
     fn operator(
         approach: DualOperatorApproach,
@@ -391,6 +285,45 @@ mod tests {
                     "{spec:?} {approach:?} {params:?}"
                 );
             }
+        }
+    }
+
+    /// A temporary request larger than the whole pool is a typed error, never a hang:
+    /// on a device with room for the persistent allocations and one byte less than the
+    /// largest densified factor, every preprocessing of `expl legacy` over a dense
+    /// forward factor fails with `FetiError::DeviceMemory` and leaves no temporary
+    /// memory booked, so a second attempt fails the same way.
+    #[test]
+    fn temporary_pool_exhaustion_is_a_typed_error() {
+        use crate::program::{ApproachProgram, SubdomainShape};
+        let (blocks, nl) = blocks();
+        let approach = DualOperatorApproach::ExplicitGpuLegacy;
+        let params = ExplicitAssemblyParams {
+            forward_factor_storage: FactorStorage::Dense,
+            ..Default::default()
+        };
+        let symbolic =
+            cpu::analyze_by_pattern(blocks.iter().map(|b| &b.k_reg), approach.ordering());
+        let shapes = blocks
+            .iter()
+            .zip(&symbolic)
+            .map(|(block, symbolic)| SubdomainShape::new(&block.b, symbolic.factor_nnz()))
+            .collect();
+        let a100 = feti_gpu::GpuSpec::a100_40gb();
+        let persistent =
+            ApproachProgram::new(&a100, approach, params, nl, shapes).persistent_bytes();
+        let n_max = blocks.iter().map(SubdomainBlock::num_dofs).max().unwrap();
+        let spec =
+            feti_gpu::GpuSpec { memory_capacity_bytes: persistent + n_max * n_max * 8 - 1, ..a100 };
+        let opts = SolverOptions::default();
+        let mut op =
+            ApproachOperator::with_analyses(approach, blocks, nl, params, opts, symbolic, &spec)
+                .unwrap();
+        for attempt in 0..2 {
+            let err = op.preprocess().unwrap_err();
+            assert!(matches!(err, crate::FetiError::DeviceMemory(_)), "attempt {attempt}: {err}");
+            let stats = op.device_side().device.memory_stats();
+            assert_eq!(stats.temporary_in_use_bytes, 0, "attempt {attempt}");
         }
     }
 

@@ -10,7 +10,7 @@
 //!
 //! One implementation, [`ApproachOperator`], serves all nine approaches: each
 //! subdomain keeps one host factor and computes through it ([`cpu`]; a device assembly
-//! walks its program in [`gpu`]), and the approaches differ in what they keep — the
+//! books its program in [`gpu`]), and the approaches differ in what they keep — the
 //! factor or the assembled `F̃ᵢ` — and in the device program that prices them
 //! ([`crate::program`]); the phases around that are written once.  The subdomain
 //! loops run on the real host thread pool under this determinism contract: each
@@ -400,8 +400,8 @@ impl ApproachOperator {
         }
         let _span = feti_trace::span(|| format!("assemble[sd={i}]"));
         let (f, host_seconds) = if self.approach.assembles_on_device() {
-            let (side, ops) = (self.device_side(), self.preprocess_program.subdomain(i));
-            (gpu::run_assembly(side, &self.params, ops, i, block, &factor)?, 0.0)
+            let (device, ops) = (&self.device_side().device, self.preprocess_program.subdomain(i));
+            (gpu::run_assembly(device, ops, i, block, &factor)?, 0.0)
         } else {
             timed(|| factor.assemble(i, block))
         };

@@ -4,12 +4,13 @@
 //! The paper's explicit assembly is one fixed kernel sequence (§IV-B: upload → densify
 //! `B̃ᵀ` → TRSM → SYRK | TRSM + SpMM) steered by the Table-I parameters, and the sequel
 //! (arXiv 2509.21037) swaps two kernels of it.  [`ApproachProgram`] emits that sequence
-//! — and the implicit/explicit application sequences — as lists of typed
-//! [`DeviceOp`]s from structure alone.  The GPU operators walk the lists (request each
-//! op's device memory, charge its cost, allocate [`ApproachProgram::persistent`]) and
-//! the planner folds the very same lists through [`PhaseScheduler`], so an estimate
-//! equals the executed model by construction.  A real CUDA backend would interpret the
-//! same programs.
+//! — and the implicit/explicit application sequences — as lists of [`PricedOp`]s from
+//! structure alone: each op its price and the temporary device memory its kernel
+//! holds, next to the persistent allocations of [`ApproachProgram::persistent`].  The
+//! GPU operators allocate the persistent list, request each op's temporaries and
+//! charge its price, and the planner folds the very same lists through
+//! [`PhaseScheduler`], so an estimate equals the executed model by construction.  A
+//! real CUDA backend would interpret the same programs.
 
 use crate::params::{
     DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather,
@@ -242,17 +243,26 @@ impl ApproachProgram {
         phase
     }
 
+    /// The assembly ops of a subdomain of shape `s`, each carrying the temporary device
+    /// memory its kernel holds: the dense right-hand side `n·nl·8` bytes, a densified
+    /// factor `n·n·8`, a sparse TRSM the library's temporary workspace for the factor
+    /// order of its solve (forward or backward).
     fn assembly(&self, s: &SubdomainShape, ops: &mut Vec<PricedOp>) {
         use DualOperatorApproach as A;
         let (generation, p) = (self.generation, &self.params);
         let price = |op: DeviceOp| op.priced(&self.spec);
-        let upload_factor = DeviceOp::Transfer { bytes: s.fnnz * 12 };
-        let upload_gluing = DeviceOp::Transfer { bytes: s.b_bytes };
-        let densify_rhs = DeviceOp::SparseToDense { nnz: s.nnz_b, rows: s.n, cols: s.nl };
-        let densify_factor = DeviceOp::SparseToDense { nnz: s.fnnz, rows: s.n, cols: s.n };
+        let holding = |temporary_bytes, op: DeviceOp| PricedOp { temporary_bytes, ..price(op) };
+        let upload_factor = price(DeviceOp::Transfer { bytes: s.fnnz * 12 });
+        let upload_gluing = price(DeviceOp::Transfer { bytes: s.b_bytes });
+        let densify_rhs = holding(
+            s.n * s.nl * 8,
+            DeviceOp::SparseToDense { nnz: s.nnz_b, rows: s.n, cols: s.nl },
+        );
+        let densify_factor =
+            holding(s.n * s.n * 8, DeviceOp::SparseToDense { nnz: s.fnnz, rows: s.n, cols: s.n });
         match self.approach {
             A::ImplicitCholmod | A::ExplicitCholmod => {}
-            A::ImplicitGpuLegacy | A::ImplicitGpuModern => ops.push(price(upload_factor)),
+            A::ImplicitGpuLegacy | A::ImplicitGpuModern => ops.push(upload_factor),
             A::ExplicitHybrid => {
                 ops.push(price(DeviceOp::Transfer { bytes: self.persistent(s).f }));
             }
@@ -264,29 +274,38 @@ impl ApproachProgram {
                 let (n, nrhs, boundary_rows) = (s.n, s.nl, s.nb);
                 let solve = DeviceOp::SparseRhsTrsm { generation, n, nrhs, boundary_rows };
                 let syrk = DeviceOp::BoundarySyrk { generation, n: s.nl, k: s.n, boundary_rows };
-                let sequence =
-                    [upload_factor, upload_gluing, densify_rhs, densify_factor, solve, syrk];
-                ops.extend(sequence.map(price));
+                ops.extend([upload_factor, upload_gluing, densify_rhs, densify_factor]);
+                ops.extend([solve, syrk].map(price));
             }
             A::ExplicitGpuLegacy | A::ExplicitGpuModern => {
-                ops.extend([upload_factor, upload_gluing, densify_rhs].map(price));
-                let solve = |storage: FactorStorage, ops: &mut Vec<PricedOp>| match storage {
+                ops.extend([upload_factor, upload_gluing, densify_rhs]);
+                let solve = |storage, order, ops: &mut Vec<PricedOp>| match storage {
                     FactorStorage::Dense => {
-                        let trsm = DeviceOp::DenseTrsm { n: s.n, nrhs: s.nl };
-                        ops.extend([densify_factor, trsm].map(price));
+                        let trsm = price(DeviceOp::DenseTrsm { n: s.n, nrhs: s.nl });
+                        ops.extend([densify_factor, trsm]);
                     }
-                    FactorStorage::Sparse => ops.push(price(DeviceOp::SparseTrsm {
-                        generation,
-                        nnz: s.fnnz,
-                        n: s.n,
-                        nrhs: s.nl,
-                    })),
+                    FactorStorage::Sparse => {
+                        // The library is handed `L` in CSC or CSR: `16·nnz + 8·(n + 1)` bytes.
+                        let factor_bytes = 16 * s.fnnz + 8 * (s.n + 1);
+                        let workspace = sparse_trsm_workspace_from_shape(
+                            generation,
+                            factor_bytes,
+                            s.n,
+                            order,
+                            s.n,
+                            s.nl,
+                            p.rhs_order,
+                        );
+                        let trsm =
+                            DeviceOp::SparseTrsm { generation, nnz: s.fnnz, n: s.n, nrhs: s.nl };
+                        ops.push(holding(workspace.temporary_bytes, trsm));
+                    }
                 };
-                solve(p.forward_factor_storage, ops);
+                solve(p.forward_factor_storage, p.forward_factor_order, ops);
                 match p.path {
                     Path::Syrk => ops.push(price(DeviceOp::Syrk { n: s.nl, k: s.n })),
                     Path::Trsm => {
-                        solve(p.backward_factor_storage, ops);
+                        solve(p.backward_factor_storage, p.backward_factor_order, ops);
                         ops.push(price(DeviceOp::Spmm { nnz: s.nnz_b, nrows: s.nl, nrhs: s.nl }));
                     }
                 }

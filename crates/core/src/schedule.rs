@@ -163,6 +163,7 @@ mod tests {
         PricedOp {
             op: feti_gpu::DeviceOp::ScatterGather { n: 0 },
             cost: feti_gpu::GpuCost { seconds, bytes_moved: 0.0, flops: 0.0 },
+            temporary_bytes: 0,
         }
     }
 

@@ -2,11 +2,11 @@
 //!
 //! A [`DeviceOp`] names one submission to the device together with the shape that
 //! prices it.  The dual-operator approaches describe what they submit as ordered lists
-//! of these ops; the executor walks a list (requests each op's device memory, charges
-//! its cost, and produces its result on the host through the `feti-sparse` kernels
-//! that give the same bits), the planner folds the same list through the phase
-//! scheduler, and the trace layer labels every modelled lane with [`DeviceOp::name`].
-//! A real CUDA backend would interpret the same lists.
+//! of [`PricedOp`]s; the executor walks a list (requests the temporary device memory
+//! each op's kernel holds and charges its cost, while the host computes the result),
+//! the planner folds the same list through the phase scheduler, and the trace layer
+//! labels every modelled lane with [`DeviceOp::name`].  A real CUDA backend would
+//! interpret the same lists.
 
 use crate::cost::{self, GpuCost, GpuSpec};
 use crate::CudaGeneration;
@@ -144,21 +144,24 @@ impl DeviceOp {
         }
     }
 
-    /// This operation with its cost on `spec` attached.
+    /// This operation with its cost on `spec` attached, holding no temporary memory.
     #[must_use]
     pub fn priced(self, spec: &GpuSpec) -> PricedOp {
-        PricedOp { op: self, cost: self.cost(spec) }
+        PricedOp { op: self, cost: self.cost(spec), temporary_bytes: 0 }
     }
 }
 
-/// A [`DeviceOp`] together with its cost on one concrete device — what a program
-/// stores so that neither execution nor estimation re-derives costs per submission.
+/// A [`DeviceOp`] together with its cost on one concrete device and the temporary
+/// device memory its kernel holds — what a program stores so that neither execution
+/// nor estimation re-derives either per submission.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PricedOp {
     /// The operation.
     pub op: DeviceOp,
     /// Its modelled cost.
     pub cost: GpuCost,
+    /// Bytes of the temporary pool (§IV-A) the kernel holds.
+    pub temporary_bytes: usize,
 }
 
 #[cfg(test)]
@@ -199,7 +202,7 @@ mod tests {
         let mut names = std::collections::HashSet::new();
         for (op, expected) in ops {
             assert_eq!(op.cost(&s), expected, "{op:?}");
-            assert_eq!(op.priced(&s), PricedOp { op, cost: expected });
+            assert_eq!(op.priced(&s), PricedOp { op, cost: expected, temporary_bytes: 0 });
             assert!(names.insert(op.name()), "duplicate name {}", op.name());
         }
     }

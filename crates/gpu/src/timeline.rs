@@ -212,7 +212,8 @@ mod tests {
     #[test]
     fn submit_traced_exports_per_op_records_only_when_enabled() {
         use crate::DeviceOp;
-        let priced = |op: DeviceOp, seconds: f64| PricedOp { op, cost: cost(seconds) };
+        let priced =
+            |op: DeviceOp, seconds: f64| PricedOp { op, cost: cost(seconds), temporary_bytes: 0 };
         let mut d = DeviceTimeline::new(2);
         feti_trace::clear();
         // Disabled: identical completion times, no exported records.

@@ -3,11 +3,12 @@
 //!
 //! Production walks a subdomain's device program for its allocations and prices and
 //! computes `F̃ᵢ` through the one host assembly body; this interpreter instead executes
-//! every op with the host twin of the kernel the op names, on operands stored as the
-//! Table-I parameters say: `B̃ᵢ` is permuted, transposed and densified, the factor is
-//! densified or converted to CSR, the forward solve is a dense, sparse or sparse-RHS
-//! TRSM.  That the two agree to the bit is the cross-kernel contract of the
-//! substitution rule (DESIGN.md): the cheap host body buys the program's bits.
+//! every op of a SYRK-path program with the host twin of the kernel the op names, on
+//! operands stored as the Table-I parameters say: `B̃ᵢ` is permuted, transposed and
+//! densified, the factor is densified or converted to CSR, the forward solve is a
+//! dense, sparse or sparse-RHS TRSM.  That the two agree to the bit is the cross-kernel
+//! contract of the substitution rule (DESIGN.md): the cheap host body buys the
+//! program's bits.
 
 use feti_core::program::{ApproachProgram, SubdomainShape};
 use feti_core::{DualOperatorApproach, ExplicitAssemblyParams};
@@ -54,9 +55,9 @@ pub fn literal_local_operators(
 }
 
 /// Executes one subdomain's program op by op.  The ops carry their own roles: the
-/// first densification produces the right-hand side `P B̃ᵀ`, any later one the factor
-/// of the solve that follows it; the first triangular solve is the forward one, a
-/// second the backward one.
+/// first densification produces the right-hand side `P B̃ᵀ`, a later one the factor of
+/// the forward solve that follows it.  Production runs no backward solve and no SpMM
+/// (the TRSM path assembles `expl cholmod`'s operator), so neither is interpreted.
 fn interpret(
     program: &[PricedOp],
     params: &ExplicitAssemblyParams,
@@ -64,18 +65,15 @@ fn interpret(
     l_csc: &CscMatrix,
     perm: &Permutation,
 ) -> DenseMatrix {
-    let (lower, upper, nonunit) = (Triangle::Lower, Triangle::Upper, DiagKind::NonUnit);
+    let (lower, upper, no, nonunit) =
+        (Triangle::Lower, Triangle::Upper, Transpose::No, DiagKind::NonUnit);
+    let factor_order = params.forward_factor_order;
     let bp = perm.permute_cols(b);
     let l_csr = l_csc.to_csr();
     let mut x = DenseMatrix::zeros(0, 0, params.rhs_order);
-    let mut l_dense = DenseMatrix::zeros(0, 0, params.forward_factor_order);
-    let mut solves = 0;
+    let mut l_dense = DenseMatrix::zeros(0, 0, factor_order);
     let mut f = DenseMatrix::zeros(b.nrows(), b.nrows(), MemoryOrder::RowMajor);
     for step in program {
-        let (trans, factor_order) = match solves {
-            0 => (Transpose::No, params.forward_factor_order),
-            _ => (Transpose::Yes, params.backward_factor_order),
-        };
         match step.op {
             DeviceOp::Transfer { .. } => {}
             DeviceOp::SparseToDense { .. } if x.is_empty() => {
@@ -83,24 +81,15 @@ fn interpret(
             }
             DeviceOp::SparseToDense { .. } => l_dense = l_csr.to_dense(factor_order),
             DeviceOp::DenseTrsm { .. } => {
-                solves += 1;
-                blas::trsm(lower, trans, nonunit, 1.0, &l_dense, &mut x).unwrap();
+                blas::trsm(lower, no, nonunit, 1.0, &l_dense, &mut x).unwrap();
             }
-            DeviceOp::SparseTrsm { .. } => {
-                solves += 1;
-                match factor_order {
-                    MemoryOrder::RowMajor => {
-                        ops::sptrsm_csr(lower, trans, nonunit, 1.0, &l_csr, &mut x)
-                    }
-                    MemoryOrder::ColMajor => {
-                        ops::sptrsm_csc(lower, trans, nonunit, 1.0, l_csc, &mut x)
-                    }
-                }
-                .unwrap();
+            DeviceOp::SparseTrsm { .. } => match factor_order {
+                MemoryOrder::RowMajor => ops::sptrsm_csr(lower, no, nonunit, 1.0, &l_csr, &mut x),
+                MemoryOrder::ColMajor => ops::sptrsm_csc(lower, no, nonunit, 1.0, l_csc, &mut x),
             }
+            .unwrap(),
             DeviceOp::SparseRhsTrsm { .. } => {
-                solves += 1;
-                blas::sparse_rhs_trsm(lower, trans, nonunit, 1.0, &l_dense, &mut x).unwrap();
+                blas::sparse_rhs_trsm(lower, no, nonunit, 1.0, &l_dense, &mut x).unwrap();
             }
             DeviceOp::Syrk { .. } => {
                 blas::syrk(upper, Transpose::Yes, 1.0, &x, 0.0, &mut f);
@@ -110,10 +99,7 @@ fn interpret(
                 blas::boundary_syrk(upper, Transpose::Yes, 1.0, &x, 0.0, &mut f);
                 f.symmetrize_from(upper);
             }
-            DeviceOp::Spmm { .. } => {
-                ops::spmm_csr_dense(1.0, &bp, Transpose::No, &x, 0.0, &mut f);
-            }
-            op => unreachable!("{} is not an assembly op", op.name()),
+            op => unreachable!("{} is not a SYRK-path assembly op", op.name()),
         }
     }
     f

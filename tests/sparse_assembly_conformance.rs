@@ -12,9 +12,9 @@
 //! Both families compute their `F̃ᵢ` through the one host assembly body while their
 //! device programs are walked for memory and prices, so the suite also holds that body
 //! to the programs: the `F̃ᵢ` of all four device-assembled approaches are pinned, under
-//! every Table-I combination, to hashes recorded while the programs were still
-//! executed kernel by kernel, and compared with the literal execution kept in
-//! `common::device_reference`.
+//! every Table-I combination, to `expl cholmod`'s hashes recorded while the programs
+//! were still executed kernel by kernel, and the SYRK-path programs are compared with
+//! the literal execution kept in `common::device_reference`.
 //! CI runs this suite under both `FETI_THREADS=1` and `FETI_THREADS=4`.
 
 mod common;
@@ -231,59 +231,38 @@ fn fnv1a(operators: &[Vec<u64>]) -> u64 {
     hash
 }
 
-/// FNV-1a hashes of the `F̃ᵢ` of [`common::pinned_families`], recorded on the commit
-/// before the device-assembled approaches moved onto the host assembly body (when
-/// `run_assembly` still executed every kernel of the program literally): the SYRK
-/// path (which is also `expl cholmod`'s), the TRSM path, and the TRSM path whose
-/// backward factor is sparse and row-major (CSR) — the one backward kernel that
-/// orders its subtractions differently.
-const PINNED_HASHES: [[u64; 3]; 3] = [
-    [0x4cc2_532f_d321_8448, 0x7b29_8dc4_28c3_b55b, 0xc13c_b255_36d2_6524],
-    [0x43c4_617b_6365_d6b9, 0x167d_93ca_fe53_767c, 0xf64e_e1ff_950c_64ef],
-    [0xc162_fa12_80c6_8f0a, 0x506f_21f7_5616_ebb0, 0x16e9_74a7_2652_1a9a],
-];
+/// FNV-1a hashes of `expl cholmod`'s `F̃ᵢ` on [`common::pinned_families`], recorded on
+/// the commit before the device-assembled approaches moved onto the host assembly body
+/// (when `run_assembly` still executed every kernel of the program literally), where
+/// they were also the SYRK path's.
+const PINNED_HASHES: [u64; 3] =
+    [0x4cc2_532f_d321_8448, 0x43c4_617b_6365_d6b9, 0xc162_fa12_80c6_8f0a];
 
-/// Whatever kernels a device program names, the bits of `F̃ᵢ` are the ones the parent
-/// of the shared host body produced: under every Table-I combination the SYRK path of
-/// every device-assembled approach — and every combination of the sparse family,
-/// which pins that path — is bit for bit `expl cholmod`'s operator, and the TRSM path
-/// falls into the parent's two classes, split by the backward factor's storage × order
-/// (48 + 16 of the 128 combinations; the sweep runs the 64 with device-side
-/// scatter/gather, an application parameter no assembly program reads).
+/// Whatever kernels a device program names, its `F̃ᵢ` is `expl cholmod`'s: under every
+/// Table-I combination with device-side scatter/gather (64 of the 128; the other
+/// parameter is read by no assembly program), every device-assembled approach — the
+/// TRSM path of `expl legacy/modern` included — assembles, bit for bit, the operator
+/// whose hash is pinned.
 #[test]
 fn device_assembled_local_operators_are_pinned_to_the_bit() {
-    use DualOperatorApproach as A;
-    let check = |name: &str,
-                 spec: &DecompositionSpec,
-                 [syrk, trsm, trsm_csr_backward]: [u64; 3]| {
+    let check = |name: &str, spec: &DecompositionSpec, hash: u64| {
         let problem = DecomposedProblem::build(spec);
-        let cholmod = local_operators(A::ExplicitCholmod, &problem, Default::default());
-        assert_eq!(fnv1a(&cholmod), syrk, "{name} expl cholmod");
+        let cholmod =
+            local_operators(DualOperatorApproach::ExplicitCholmod, &problem, Default::default());
+        assert_eq!(fnv1a(&cholmod), hash, "{name} expl cholmod");
         for approach in DEVICE_ASSEMBLED {
-            let honours_path = matches!(approach, A::ExplicitGpuLegacy | A::ExplicitGpuModern);
-            let mut class_sizes = [0, 0];
             for params in ExplicitAssemblyParams::all_combinations() {
-                if params.scatter_gather == ScatterGather::Cpu {
-                    continue;
-                }
-                let got = local_operators(approach, &problem, params);
-                if params.path == Path::Syrk || !honours_path {
+                if params.scatter_gather == ScatterGather::Gpu {
+                    let got = local_operators(approach, &problem, params);
                     assert!(got == cholmod, "{name} {approach:?} {params:?}: not expl cholmod's");
-                    continue;
                 }
-                let csr_backward = params.backward_factor_storage == FactorStorage::Sparse
-                    && params.backward_factor_order == MemoryOrder::RowMajor;
-                let want = if csr_backward { trsm_csr_backward } else { trsm };
-                assert_eq!(fnv1a(&got), want, "{name} {approach:?} {params:?}");
-                class_sizes[usize::from(csr_backward)] += 1;
             }
-            assert_eq!(class_sizes, if honours_path { [24, 8] } else { [0, 0] }, "{approach:?}");
         }
     };
     // One thread per family: the sweep is 3 × 4 × 64 preprocessings.
     std::thread::scope(|scope| {
-        for ((name, spec), hashes) in common::pinned_families().into_iter().zip(PINNED_HASHES) {
-            scope.spawn(move || check(name, &spec, hashes));
+        for ((name, spec), hash) in common::pinned_families().into_iter().zip(PINNED_HASHES) {
+            scope.spawn(move || check(name, &spec, hash));
         }
     });
 }
@@ -291,27 +270,39 @@ fn device_assembled_local_operators_are_pinned_to_the_bit() {
 /// The cross-kernel contract: what production computes through the one host body is,
 /// bit for bit, what the literal op-by-op execution of the same program computes with
 /// the kernels the ops name ([`common::device_reference`]) — on the Table-II
-/// auto-configuration of the four device-assembled approaches plus one sparse-CSR and
-/// one dense TRSM-path combination.
+/// auto-configuration of the four device-assembled approaches and on every distinct
+/// SYRK-path program of `expl legacy/modern` (forward storage × forward order × RHS
+/// order), so every forward kernel a program can name is checked.
 #[test]
 fn device_assembled_local_operators_equal_the_literal_execution_of_their_program() {
-    let trsm_path = |storage, order| ExplicitAssemblyParams {
-        path: Path::Trsm,
-        forward_factor_storage: storage,
-        backward_factor_storage: storage,
-        forward_factor_order: order,
-        backward_factor_order: order,
-        ..Default::default()
-    };
+    use DualOperatorApproach as A;
+    let syrk_path =
+        |forward_factor_storage, forward_factor_order, rhs_order| ExplicitAssemblyParams {
+            path: Path::Syrk,
+            forward_factor_storage,
+            forward_factor_order,
+            rhs_order,
+            ..Default::default()
+        };
+    let (storages, orders) = (
+        [FactorStorage::Sparse, FactorStorage::Dense],
+        [MemoryOrder::RowMajor, MemoryOrder::ColMajor],
+    );
     for (name, spec) in common::pinned_families() {
         let problem = DecomposedProblem::build(&spec);
         let mut cases: Vec<_> = DEVICE_ASSEMBLED
             .into_iter()
             .map(|approach| (approach, auto_params(approach, &problem)))
             .collect();
-        let legacy = DualOperatorApproach::ExplicitGpuLegacy;
-        cases.push((legacy, trsm_path(FactorStorage::Sparse, MemoryOrder::RowMajor)));
-        cases.push((legacy, trsm_path(FactorStorage::Dense, MemoryOrder::ColMajor)));
+        for approach in [A::ExplicitGpuLegacy, A::ExplicitGpuModern] {
+            for storage in storages {
+                for factor_order in orders {
+                    for rhs_order in orders {
+                        cases.push((approach, syrk_path(storage, factor_order, rhs_order)));
+                    }
+                }
+            }
+        }
         for (approach, params) in cases {
             let production = local_operators(approach, &problem, params);
             let literal = literal_local_operators(approach, &problem, params);

@@ -142,27 +142,25 @@ fn host_assembly_spans_nest_inside_their_factorize_spans() {
 }
 
 /// The assembly says where it went: inside every `assemble[sd=i]` span — the host body
-/// of `expl cholmod` and `expl hybrid` and the walk of the device program
-/// of the four device-assembled approaches, on either path — lie one `forward[sd=i]`
-/// span and, unless the TRSM path contracts through its backward solve and SpMM, one
-/// `gram[sd=i]` span, one level deeper on the same thread.
+/// of `expl cholmod` and `expl hybrid` and the walk of the device program of the four
+/// device-assembled approaches, on either path, all of which assemble through that one
+/// body — lie one `forward[sd=i]` span and one `gram[sd=i]` span, one level deeper on
+/// the same thread.
 #[test]
 fn forward_and_gram_spans_nest_inside_their_assemble_spans() {
     use DualOperatorApproach as A;
     let _gate = trace_gate();
     let problem = DecomposedProblem::build(&common::heat_3d());
     let on = |path| Some(ExplicitAssemblyParams { path, ..Default::default() });
-    // (approach, parameters, forward spans, gram spans) per subdomain.
     let cases = [
-        (A::ExplicitHybrid, None, 1, 1),
-        (A::ExplicitCholmod, None, 1, 1),
-        (A::ExplicitGpuLegacy, on(Path::Syrk), 1, 1),
-        (A::ExplicitGpuModern, on(Path::Trsm), 1, 0),
-        // The sparse family runs the SYRK path whatever the parameters say.
-        (A::ExplicitSparseGpuLegacy, on(Path::Syrk), 1, 1),
-        (A::ExplicitSparseGpuModern, on(Path::Trsm), 1, 1),
+        (A::ExplicitHybrid, None),
+        (A::ExplicitCholmod, None),
+        (A::ExplicitGpuLegacy, on(Path::Syrk)),
+        (A::ExplicitGpuModern, on(Path::Trsm)),
+        (A::ExplicitSparseGpuLegacy, on(Path::Syrk)),
+        (A::ExplicitSparseGpuModern, on(Path::Trsm)),
     ];
-    for (approach, params, forwards, grams) in cases {
+    for (approach, params) in cases {
         let mut op = build_dual_operator(approach, &problem, params).unwrap();
         feti_trace::set_enabled(true);
         op.preprocess().unwrap();
@@ -173,9 +171,9 @@ fn forward_and_gram_spans_nest_inside_their_assemble_spans() {
             let assemble: Vec<_> = named(format!("assemble[sd={i}]")).collect();
             assert_eq!(assemble.len(), 1, "{approach:?}: assemble[sd={i}] spans");
             let outer = assemble[0];
-            for (child, expected) in [("forward", forwards), ("gram", grams)] {
+            for child in ["forward", "gram"] {
                 let spans: Vec<_> = named(format!("{child}[sd={i}]")).collect();
-                assert_eq!(spans.len(), expected, "{approach:?}: {child}[sd={i}] spans");
+                assert_eq!(spans.len(), 1, "{approach:?}: {child}[sd={i}] spans");
                 for inner in spans {
                     assert_eq!(inner.thread, outer.thread, "{approach:?}: {child}[sd={i}]");
                     assert_eq!(inner.depth, outer.depth + 1, "{approach:?}: {child}[sd={i}]");
