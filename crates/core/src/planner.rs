@@ -453,8 +453,8 @@ impl<'a> Planner<'a> {
             .unzip();
         // One modelled worker and one stream per host thread, matching what the
         // executed phases use; the device half is the program the operator executes.
-        let mut pre = PhaseScheduler::new(self.host.threads, self.host.threads);
-        let mut app = PhaseScheduler::new(self.host.threads, self.host.threads);
+        let mut pre = PhaseScheduler::new(self.host.threads);
+        let mut app = PhaseScheduler::new(self.host.threads);
         program.preprocess().record(&mut pre, |i| host_pre[i]);
         program.apply(1).record(&mut app, |i| host_app[i]);
         let persistent_device_bytes = program.persistent_bytes();

@@ -54,9 +54,8 @@ impl TimeBreakdown {
 /// enqueues GPU operations on its worker's stream.
 ///
 /// Subdomain `i` is handled by modelled worker `i % num_threads`, and each worker owns
-/// stream `worker % num_streams` — one CUDA stream per host thread, as in the paper
-/// (which uses 16 threads and 16 streams).  The phase ends with one device
-/// synchronization.
+/// its own stream — one CUDA stream per host thread, as in the paper (which uses 16
+/// threads and 16 streams).  The phase ends with one device synchronization.
 #[derive(Debug)]
 pub struct PhaseScheduler {
     thread_cpu: Vec<f64>,
@@ -71,13 +70,14 @@ pub struct PhaseScheduler {
 }
 
 impl PhaseScheduler {
-    /// Creates a scheduler with the given host-thread and device-stream counts.
+    /// Creates a scheduler with `num_threads` host workers, each submitting to its own
+    /// device stream.
     #[must_use]
-    pub fn new(num_threads: usize, num_streams: usize) -> Self {
+    pub fn new(num_threads: usize) -> Self {
         assert!(num_threads > 0);
         Self {
             thread_cpu: vec![0.0; num_threads],
-            timeline: DeviceTimeline::new(num_streams.max(1)),
+            timeline: DeviceTimeline::new(num_threads),
             total_gpu_busy: 0.0,
             trace_epoch_us: None,
         }
@@ -91,8 +91,7 @@ impl PhaseScheduler {
     /// recording point, with the phase's virtual time running forward from there).
     #[must_use]
     pub fn for_host() -> Self {
-        let threads = crate::host_threads();
-        let mut scheduler = Self::new(threads, threads);
+        let mut scheduler = Self::new(crate::host_threads());
         if feti_trace::enabled() {
             scheduler.trace_epoch_us = Some(feti_trace::now_us());
         }
@@ -108,11 +107,10 @@ impl PhaseScheduler {
         let worker = subdomain % self.thread_cpu.len();
         self.thread_cpu[worker] += cpu_seconds;
         let ready = self.thread_cpu[worker];
-        let stream = worker % self.timeline.num_streams();
         for op in gpu_ops {
             match self.trace_epoch_us {
-                Some(epoch_us) => self.timeline.submit_traced(stream, ready, op, epoch_us),
-                None => self.timeline.submit(stream, ready, &op.cost),
+                Some(epoch_us) => self.timeline.submit_traced(worker, ready, op, epoch_us),
+                None => self.timeline.submit(worker, ready, &op.cost),
             };
             self.total_gpu_busy += op.cost.seconds;
         }
@@ -169,7 +167,7 @@ mod tests {
 
     #[test]
     fn cpu_only_phase_reports_the_parallel_makespan() {
-        let mut s = PhaseScheduler::new(2, 2);
+        let mut s = PhaseScheduler::new(2);
         s.record_subdomain(0, 1.0, &[]);
         s.record_subdomain(1, 2.0, &[]);
         let t = s.finish();
@@ -179,7 +177,7 @@ mod tests {
 
     #[test]
     fn measured_wall_overrides_the_modelled_makespan() {
-        let mut s = PhaseScheduler::new(2, 2);
+        let mut s = PhaseScheduler::new(2);
         s.record_subdomain(0, 1.0, &[]);
         s.record_subdomain(1, 1.0, &[]);
         // The region really took 1.6 s of wall time (imperfect speedup).
@@ -193,7 +191,7 @@ mod tests {
         // The modelled `i % threads` packing puts 1.0 + 2.0 on one worker (makespan
         // 3.0), but the real pool balanced the region into 1.8 s of wall time.  A
         // CPU-only phase must report what was measured, never more.
-        let mut s = PhaseScheduler::new(1, 1);
+        let mut s = PhaseScheduler::new(1);
         s.record_subdomain(0, 1.0, &[]);
         s.record_subdomain(1, 2.0, &[]);
         let t = s.finish_measured(1.8);
@@ -203,7 +201,7 @@ mod tests {
 
     #[test]
     fn device_drain_extends_past_the_measured_wall() {
-        let mut s = PhaseScheduler::new(1, 1);
+        let mut s = PhaseScheduler::new(1);
         s.record_subdomain(0, 1.0, &[gpu(2.0)]);
         let t = s.finish_measured(1.2);
         // GPU work becomes ready at the modelled 1.0, runs 2.0 → drains at 3.0.
@@ -215,7 +213,7 @@ mod tests {
     fn gpu_work_overlaps_with_later_cpu_work() {
         // One thread, one stream: subdomain 0's GPU work runs while subdomain 1's CPU
         // work proceeds, exactly the overlap described in §IV-B.
-        let mut s = PhaseScheduler::new(1, 1);
+        let mut s = PhaseScheduler::new(1);
         s.record_subdomain(0, 1.0, &[gpu(0.8)]);
         s.record_subdomain(1, 1.0, &[gpu(0.8)]);
         let t = s.finish();
@@ -226,8 +224,9 @@ mod tests {
 
     #[test]
     fn multiple_streams_increase_concurrency() {
-        let mut serial = PhaseScheduler::new(4, 1);
-        let mut parallel = PhaseScheduler::new(4, 4);
+        // One worker owns one stream; four workers own four, one per subdomain.
+        let mut serial = PhaseScheduler::new(1);
+        let mut parallel = PhaseScheduler::new(4);
         for i in 0..4 {
             serial.record_subdomain(i, 0.0, &[gpu(1.0)]);
             parallel.record_subdomain(i, 0.0, &[gpu(1.0)]);
@@ -239,7 +238,7 @@ mod tests {
     fn streams_are_keyed_by_worker() {
         // 2 workers, 2 streams, 4 subdomains: subdomains 0 and 2 share worker 0 and
         // therefore stream 0; their GPU ops serialize, while worker 1's overlap.
-        let mut s = PhaseScheduler::new(2, 2);
+        let mut s = PhaseScheduler::new(2);
         for i in 0..4 {
             s.record_subdomain(i, 0.0, &[gpu(1.0)]);
         }
@@ -255,7 +254,7 @@ mod tests {
         // backends rely on after joining their region.
         let data = [(0usize, 0.5, 1.0), (1, 0.25, 2.0), (2, 0.75, 0.5), (3, 0.1, 0.9)];
         let run = || {
-            let mut s = PhaseScheduler::new(2, 2);
+            let mut s = PhaseScheduler::new(2);
             for (i, cpu, g) in data {
                 s.record_subdomain(i, cpu, &[gpu(g)]);
             }

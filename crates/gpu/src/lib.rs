@@ -7,9 +7,10 @@
 //!
 //! * a [`DeviceOp`] names one kernel submission by its shape, and its [`GpuCost`] comes
 //!   from an A100-calibrated [`GpuSpec`] (kernel-launch latency, HBM bandwidth, FP64
-//!   throughput, PCIe transfers), which the benchmark harness uses as the device time.
-//!   The results those kernels would produce are computed on the host by the callers,
-//!   through the kernels of `feti-sparse`;
+//!   throughput, PCIe transfers), which the benchmark harness uses as the device time;
+//!   a [`PricedOp`] carries that cost and the temporary memory the kernel holds.  The
+//!   results are computed on the host by the callers, through the host factor of
+//!   `feti-solver` and the kernels of `feti-sparse`;
 //! * the two cuSPARSE API generations the paper compares ("legacy" CUDA 11.7 vs
 //!   "modern" CUDA 12.4) are modelled as two parameterizations of the sparse
 //!   triangular solve's cost and of its workspace query ([`sparse`]), reproducing the
@@ -18,8 +19,9 @@
 //!   that live for the whole solver lifetime plus a temporary pool allocator that
 //!   blocks the submitting thread when the pool is exhausted, and a [`DeviceBudget`]
 //!   shared by the jobs of one device;
-//! * [`StreamTimeline`]s model the per-stream asynchronous execution and the
-//!   copy/compute overlap the paper relies on.
+//! * a [`DeviceTimeline`] of [`StreamTimeline`]s, one stream per host worker, models
+//!   the asynchronous execution and the copy/compute overlap the paper relies on: the
+//!   phase makespan is when the last stream drains.
 
 #![warn(missing_docs)]
 
@@ -68,12 +70,6 @@ impl GpuDevice {
         Self { spec, memory }
     }
 
-    /// Creates a device with A100-40GB-like characteristics.
-    #[must_use]
-    pub fn a100_like() -> Self {
-        Self::new(GpuSpec::a100_40gb())
-    }
-
     /// The hardware characteristics of this device.
     #[must_use]
     pub fn spec(&self) -> &GpuSpec {
@@ -113,12 +109,6 @@ impl GpuDevice {
     pub fn memory_stats(&self) -> memory::MemoryStats {
         self.memory.lock().stats()
     }
-
-    /// Cost of transferring `bytes` between host and device (one direction).
-    #[must_use]
-    pub fn transfer_cost(&self, bytes: usize) -> GpuCost {
-        cost::transfer(&self.spec, bytes)
-    }
 }
 
 #[cfg(test)]
@@ -127,22 +117,13 @@ mod tests {
 
     #[test]
     fn device_exposes_spec_and_memory() {
-        let dev = GpuDevice::a100_like();
+        let dev = GpuDevice::new(GpuSpec::a100_40gb());
         assert!(dev.spec().memory_capacity_bytes > 30 * 1024 * 1024 * 1024);
         dev.alloc_persistent(1024).unwrap();
         let stats = dev.memory_stats();
         assert_eq!(stats.persistent_bytes, 1024);
         dev.free_persistent(1024);
         assert_eq!(dev.memory_stats().persistent_bytes, 0);
-    }
-
-    #[test]
-    fn transfer_cost_scales_with_size() {
-        let dev = GpuDevice::a100_like();
-        let small = dev.transfer_cost(8 * 1024);
-        let large = dev.transfer_cost(8 * 1024 * 1024);
-        assert!(large.seconds > small.seconds);
-        assert!(small.seconds > 0.0);
     }
 
     #[test]

@@ -8,12 +8,9 @@
 //! device synchronization at host time `t` completes at `max(t, max_s stream_end[s])`.
 //!
 //! Under the real multithreaded host runtime, streams are keyed by the *worker* that
-//! submits (one stream per host thread, as in the paper).  Determinism today comes
-//! from the scheduler recording subdomains in index order into a single timeline
-//! after the parallel region joins; [`DeviceTimeline::merge`] additionally offers a
-//! commutative, associative reduction of independently built per-worker (or
-//! per-device) timelines, for callers — such as future multi-device sharding — that
-//! cannot funnel submissions through one recorder.
+//! submits (one stream per host thread, as in the paper).  Determinism comes from the
+//! phase scheduler recording subdomains in index order into a single timeline after
+//! the parallel region joins.
 
 use crate::cost::GpuCost;
 use crate::op::PricedOp;
@@ -22,7 +19,6 @@ use crate::op::PricedOp;
 #[derive(Debug, Clone, Default)]
 pub struct StreamTimeline {
     end: f64,
-    busy: f64,
 }
 
 impl StreamTimeline {
@@ -37,7 +33,6 @@ impl StreamTimeline {
     pub fn submit(&mut self, ready_at: f64, cost: &GpuCost) -> f64 {
         let start = self.end.max(ready_at);
         self.end = start + cost.seconds;
-        self.busy += cost.seconds;
         self.end
     }
 
@@ -45,12 +40,6 @@ impl StreamTimeline {
     #[must_use]
     pub fn end_time(&self) -> f64 {
         self.end
-    }
-
-    /// Total busy time of this stream.
-    #[must_use]
-    pub fn busy_time(&self) -> f64 {
-        self.busy
     }
 }
 
@@ -69,12 +58,6 @@ impl DeviceTimeline {
         Self { streams: vec![StreamTimeline::new(); num_streams] }
     }
 
-    /// Number of streams.
-    #[must_use]
-    pub fn num_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Submits an operation to stream `stream % num_streams` with host ready time
     /// `ready_at`; returns the virtual completion time.
     pub fn submit(&mut self, stream: usize, ready_at: f64, cost: &GpuCost) -> f64 {
@@ -85,7 +68,7 @@ impl DeviceTimeline {
     /// Like [`Self::submit`], additionally exporting the operation to the trace
     /// layer as a virtual-device-lane record when tracing is enabled.
     ///
-    /// The timeline itself retains only per-stream aggregates, so this is the
+    /// The timeline itself retains only per-stream end times, so this is the
     /// export hook: the per-op start is recovered from the returned completion
     /// time (`start = completion − cost.seconds`), shifted by `epoch_us` (the
     /// wall-clock microsecond timestamp of the phase that owns this timeline) so
@@ -116,36 +99,6 @@ impl DeviceTimeline {
     pub fn synchronize(&self, host_time: f64) -> f64 {
         self.streams.iter().map(StreamTimeline::end_time).fold(host_time, f64::max)
     }
-
-    /// Sum of busy times across streams (useful to compute achieved concurrency).
-    #[must_use]
-    pub fn total_busy(&self) -> f64 {
-        self.streams.iter().map(StreamTimeline::busy_time).sum()
-    }
-
-    /// Reduces another device view into this one, stream by stream: each stream's end
-    /// time becomes the max of the two and its busy times add.
-    ///
-    /// The reduction is commutative and associative, so folding any number of
-    /// independently built timelines yields the same makespan regardless of the
-    /// order in which their owners complete.  The phase scheduler does not need this
-    /// (it records into one timeline in subdomain-index order after the parallel
-    /// region joins); it exists for callers that cannot funnel submissions through a
-    /// single recorder, e.g. per-device timelines in a future sharding layer.
-    ///
-    /// # Panics
-    /// Panics if the stream counts differ.
-    pub fn merge(&mut self, other: &DeviceTimeline) {
-        assert_eq!(
-            self.streams.len(),
-            other.streams.len(),
-            "merged timelines must agree on the stream count"
-        );
-        for (s, o) in self.streams.iter_mut().zip(&other.streams) {
-            s.end = s.end.max(o.end);
-            s.busy += o.busy;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -164,7 +117,6 @@ mod tests {
         assert_eq!(s.submit(0.5, &cost(1.0)), 2.0);
         // Submitted after an idle gap: starts at the ready time.
         assert_eq!(s.submit(5.0, &cost(0.5)), 5.5);
-        assert!((s.busy_time() - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -174,7 +126,6 @@ mod tests {
         d.submit(1, 0.0, &cost(1.0));
         // Two streams run concurrently: the device drains at t = 1, not t = 2.
         assert!((d.synchronize(0.0) - 1.0).abs() < 1e-12);
-        assert!((d.total_busy() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -182,31 +133,6 @@ mod tests {
         let mut d = DeviceTimeline::new(4);
         d.submit(2, 0.0, &cost(0.25));
         assert!((d.synchronize(3.0) - 3.0).abs() < 1e-12);
-        assert_eq!(d.num_streams(), 4);
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let mut a = DeviceTimeline::new(2);
-        a.submit(0, 0.0, &cost(1.0));
-        a.submit(1, 0.5, &cost(2.0));
-        let mut b = DeviceTimeline::new(2);
-        b.submit(0, 1.0, &cost(3.0));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.synchronize(0.0).to_bits(), ba.synchronize(0.0).to_bits());
-        assert_eq!(ab.total_busy().to_bits(), ba.total_busy().to_bits());
-        assert!((ab.synchronize(0.0) - 4.0).abs() < 1e-12);
-        assert!((ab.total_busy() - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "stream count")]
-    fn merge_rejects_mismatched_stream_counts() {
-        let mut a = DeviceTimeline::new(2);
-        a.merge(&DeviceTimeline::new(3));
     }
 
     #[test]

@@ -198,44 +198,6 @@ pub fn supernode_rows(
     (ptr, rows)
 }
 
-/// Returns a post-ordering of the elimination forest (children before parents).
-#[must_use]
-pub fn postorder(parent: &[usize]) -> Vec<usize> {
-    let n = parent.len();
-    // Build child lists.
-    let mut head = vec![NO_PARENT; n];
-    let mut next = vec![NO_PARENT; n];
-    for v in (0..n).rev() {
-        let p = parent[v];
-        if p != NO_PARENT {
-            next[v] = head[p];
-            head[p] = v;
-        }
-    }
-    let mut order = Vec::with_capacity(n);
-    let mut stack = Vec::new();
-    for root in 0..n {
-        if parent[root] != NO_PARENT {
-            continue;
-        }
-        // Iterative DFS emitting children before the parent.
-        stack.push((root, false));
-        while let Some((v, expanded)) = stack.pop() {
-            if expanded {
-                order.push(v);
-                continue;
-            }
-            stack.push((v, true));
-            let mut c = head[v];
-            while c != NO_PARENT {
-                stack.push((c, false));
-                c = next[c];
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,26 +263,6 @@ mod tests {
         let parent = elimination_tree(&a);
         let counts = column_counts(&a, &parent);
         assert_eq!(counts, vec![2, 2, 2, 2, 1]);
-    }
-
-    #[test]
-    fn postorder_children_before_parents() {
-        let a = arrowhead(6);
-        let parent = elimination_tree(&a);
-        let post = postorder(&parent);
-        assert_eq!(post.len(), 6);
-        let pos: Vec<usize> = {
-            let mut p = vec![0; 6];
-            for (idx, &v) in post.iter().enumerate() {
-                p[v] = idx;
-            }
-            p
-        };
-        for v in 0..6 {
-            if parent[v] != NO_PARENT {
-                assert!(pos[v] < pos[parent[v]], "child {v} must precede its parent");
-            }
-        }
     }
 
     #[test]
