@@ -18,7 +18,7 @@ pub mod gluing;
 pub mod kernel;
 
 use feti_mesh::{
-    assemble_subdomain, generate::generate, AssembledSubdomain, Dim, ElementOrder, Physics,
+    assemble_subdomains, generate::generate, AssembledSubdomain, Dim, ElementOrder, Physics,
     StructuredMesh, SubdomainSpec,
 };
 use feti_sparse::{CsrMatrix, DenseMatrix};
@@ -169,8 +169,7 @@ impl DecomposedProblem {
             });
             meshes.push(mesh);
         }
-        let assembled: Vec<AssembledSubdomain> =
-            meshes.iter().map(|m| assemble_subdomain(m, spec.physics)).collect();
+        let assembled: Vec<AssembledSubdomain> = assemble_subdomains(&meshes, spec.physics);
 
         // 2. Build the gluing structure (interface + Dirichlet multipliers) and the
         //    global DOF numbering.

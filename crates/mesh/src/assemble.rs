@@ -8,7 +8,7 @@
 use crate::generate::StructuredMesh;
 use crate::shape::{nodes_per_element, quadrature, shape_gradients, shape_values};
 use crate::{Dim, Physics};
-use feti_sparse::{CooMatrix, CsrMatrix};
+use feti_sparse::{CooMatrix, CsrAssembly, CsrMatrix};
 
 /// Young's modulus used for elasticity assembly.
 pub const YOUNG_MODULUS: f64 = 1.0;
@@ -38,29 +38,88 @@ impl AssembledSubdomain {
 }
 
 /// Assembles the stiffness matrix and load vector of one subdomain mesh for the given
-/// physics.
+/// physics: the one-mesh case of [`assemble_subdomains`].
 #[must_use]
 pub fn assemble_subdomain(mesh: &StructuredMesh, physics: Physics) -> AssembledSubdomain {
+    let mut assembled = assemble_subdomains(std::slice::from_ref(mesh), physics);
+    assembled.pop().expect("one mesh assembles into one subdomain")
+}
+
+/// Assembles every mesh of `meshes` for the given physics, in order.
+///
+/// Each subdomain's element triplets go to CSR through a [`CsrAssembly`]; a map is
+/// built once per distinct sequence of surviving triplet indices and replayed on every
+/// later mesh whose sequence equals it, so each result is bit for bit what
+/// `CooMatrix::to_csr` of its own triplets gives.
+#[must_use]
+pub fn assemble_subdomains(meshes: &[StructuredMesh], physics: Physics) -> Vec<AssembledSubdomain> {
+    let mut maps: Vec<CsrAssembly> = Vec::new();
+    meshes
+        .iter()
+        .map(|mesh| {
+            let (triplets, load) = element_triplets(mesh, physics);
+            let known = maps.iter().position(|m| m.matches(&triplets));
+            let map = known.unwrap_or_else(|| {
+                maps.push(CsrAssembly::new(&triplets));
+                maps.len() - 1
+            });
+            AssembledSubdomain {
+                stiffness: maps[map].apply(&triplets),
+                load,
+                dofs_per_node: physics.dofs_per_node(mesh.dim),
+                num_nodes: mesh.num_nodes(),
+            }
+        })
+        .collect()
+}
+
+/// The reference shape gradients (`node * dim + axis`) and values at one quadrature
+/// point.
+struct Tabulated {
+    weight: f64,
+    grads: Vec<f64>,
+    values: Vec<f64>,
+}
+
+/// Integrates every element of `mesh` and returns its stiffness triplets (the entries
+/// that are not exactly `0.0`, element by element) and the assembled load vector.
+fn element_triplets(mesh: &StructuredMesh, physics: Physics) -> (CooMatrix, Vec<f64>) {
     let dim = mesh.dim.as_usize();
     let dofs_per_node = physics.dofs_per_node(mesh.dim);
     let n_dofs = mesh.num_nodes() * dofs_per_node;
     let npe = nodes_per_element(mesh.dim, mesh.order);
     let edofs = npe * dofs_per_node;
 
-    let quad = quadrature(mesh.dim);
+    let points: Vec<Tabulated> = quadrature(mesh.dim)
+        .iter()
+        .map(|qp| Tabulated {
+            weight: qp.weight,
+            grads: shape_gradients(mesh.dim, mesh.order, qp.xi),
+            values: shape_values(mesh.dim, mesh.order, qp.xi),
+        })
+        .collect();
     let mut coo = CooMatrix::with_capacity(n_dofs, n_dofs, mesh.num_elements() * edofs * edofs);
     let mut load = vec![0.0f64; n_dofs];
 
     let d_matrix = elasticity_d(mesh.dim);
+    let nstrain = if dim == 2 { 3 } else { 6 };
     let mut ke = vec![0.0f64; edofs * edofs];
     let mut fe = vec![0.0f64; edofs];
+    let mut grads = vec![0.0f64; npe * dim];
+    // Elasticity's strain-displacement matrix B (nstrain x edofs): every point writes
+    // the same entries, the others stay 0, and `b_cols[t]` lists row t's written ones.
+    let mut bmat = vec![0.0f64; nstrain * edofs];
+    let mut b_cols = vec![Vec::new(); nstrain];
+    for &(t, comp, _) in strain_entries(mesh.dim) {
+        b_cols[t].extend((0..npe).map(|k| k * dim + comp));
+    }
 
     for conn in &mesh.elements {
         ke.iter_mut().for_each(|v| *v = 0.0);
         fe.iter_mut().for_each(|v| *v = 0.0);
-        for qp in &quad {
-            let grads_ref = shape_gradients(mesh.dim, mesh.order, qp.xi);
-            let values = shape_values(mesh.dim, mesh.order, qp.xi);
+        for point in &points {
+            let grads_ref = &point.grads;
+            let values = &point.values;
             // Jacobian J[r][c] = sum_k coords[conn[k]][r] * dN_k/dxi_c
             let mut jac = [[0.0f64; 3]; 3];
             for (k, &node) in conn.iter().enumerate() {
@@ -72,9 +131,8 @@ pub fn assemble_subdomain(mesh: &StructuredMesh, physics: Physics) -> AssembledS
                 }
             }
             let (jinv, detj) = invert_jacobian(&jac, dim);
-            let w = qp.weight * detj.abs();
+            let w = point.weight * detj.abs();
             // Physical gradients: dN_k/dx_r = sum_c dN_k/dxi_c * Jinv[c][r]
-            let mut grads = vec![0.0f64; npe * dim];
             for k in 0..npe {
                 for r in 0..dim {
                     let mut acc = 0.0;
@@ -98,31 +156,15 @@ pub fn assemble_subdomain(mesh: &StructuredMesh, physics: Physics) -> AssembledS
                     }
                 }
                 Physics::LinearElasticity => {
-                    let nstrain = if dim == 2 { 3 } else { 6 };
-                    // Strain-displacement matrix B (nstrain x edofs).
-                    let mut bmat = vec![0.0f64; nstrain * edofs];
-                    for k in 0..npe {
-                        let gx = grads[k * dim];
-                        let gy = grads[k * dim + 1];
-                        if dim == 2 {
-                            bmat[edofs + k * 2 + 1] = gy; // eps_yy
-                            bmat[k * 2] = gx; // eps_xx
-                            bmat[2 * edofs + k * 2] = gy; // gamma_xy
-                            bmat[2 * edofs + k * 2 + 1] = gx;
-                        } else {
-                            let gz = grads[k * dim + 2];
-                            bmat[k * 3] = gx; // eps_xx
-                            bmat[edofs + k * 3 + 1] = gy; // eps_yy
-                            bmat[2 * edofs + k * 3 + 2] = gz; // eps_zz
-                            bmat[3 * edofs + k * 3] = gy; // gamma_xy
-                            bmat[3 * edofs + k * 3 + 1] = gx;
-                            bmat[4 * edofs + k * 3 + 1] = gz; // gamma_yz
-                            bmat[4 * edofs + k * 3 + 2] = gy;
-                            bmat[5 * edofs + k * 3] = gz; // gamma_zx
-                            bmat[5 * edofs + k * 3 + 2] = gx;
+                    for &(t, comp, axis) in strain_entries(mesh.dim) {
+                        for k in 0..npe {
+                            bmat[t * edofs + k * dim + comp] = grads[k * dim + axis];
                         }
                     }
-                    // Ke += w * B^T D B
+                    // Ke += w * B^T D B over B's written entries only.  A zero factor
+                    // adds ±0.0, which changes no bit: `ke` starts at +0.0 and a
+                    // round-to-nearest sum never turns +0.0 into −0.0, so every zero
+                    // term (of B or of D) is skipped.
                     for a in 0..edofs {
                         for s in 0..nstrain {
                             if bmat[s * edofs + a] == 0.0 {
@@ -135,7 +177,7 @@ pub fn assemble_subdomain(mesh: &StructuredMesh, physics: Physics) -> AssembledS
                                     continue;
                                 }
                                 let coeff = w * ba * dst;
-                                for b in 0..edofs {
+                                for &b in &b_cols[t] {
                                     ke[a * edofs + b] += coeff * bmat[t * edofs + b];
                                 }
                             }
@@ -170,7 +212,29 @@ pub fn assemble_subdomain(mesh: &StructuredMesh, physics: Physics) -> AssembledS
         }
     }
 
-    AssembledSubdomain { stiffness: coo.to_csr(), load, dofs_per_node, num_nodes: mesh.num_nodes() }
+    (coo, load)
+}
+
+/// The entries of the strain-displacement matrix `B` that a node writes: strain row,
+/// displacement component (the column within the node's block) and the axis of the
+/// shape gradient stored there.
+fn strain_entries(dim: Dim) -> &'static [(usize, usize, usize)] {
+    match dim {
+        // eps_xx, eps_yy, gamma_xy
+        Dim::Two => &[(0, 0, 0), (1, 1, 1), (2, 0, 1), (2, 1, 0)],
+        // eps_xx, eps_yy, eps_zz, gamma_xy, gamma_yz, gamma_zx
+        Dim::Three => &[
+            (0, 0, 0),
+            (1, 1, 1),
+            (2, 2, 2),
+            (3, 0, 1),
+            (3, 1, 0),
+            (4, 1, 2),
+            (4, 2, 1),
+            (5, 0, 2),
+            (5, 2, 0),
+        ],
+    }
 }
 
 /// Isotropic elasticity constitutive matrix, stored as a padded 6x6 row-major array
@@ -345,7 +409,7 @@ mod tests {
         // stores and the other does not is such residue.  The pattern must become
         // structural (every element entry pushed) before "values change, the structure
         // stays" can be promised; that changes the heat 3D graphs and with them every
-        // pinned heat 3D bit (ROADMAP item 3a).
+        // pinned heat 3D bit (ROADMAP item 1(b)).
         let subdomain = |origin: usize| {
             let mesh = generate(&SubdomainSpec {
                 dim: Dim::Three,
@@ -366,6 +430,69 @@ mod tests {
             values.len()
         };
         assert!(surplus(&first, &last) + surplus(&last, &first) > 0);
+    }
+
+    /// The meshes of a `side`-per-axis decomposition of the unit square or cube into
+    /// subdomains of `nel` elements per side, as `feti-decompose` generates them.
+    fn grid(dim: Dim, order: ElementOrder, side: usize, nel: usize) -> Vec<StructuredMesh> {
+        let axes = dim.as_usize();
+        (0..side.pow(axes as u32))
+            .map(|idx| {
+                let mut origin = [0; 3];
+                for (axis, o) in origin.iter_mut().enumerate().take(axes) {
+                    *o = idx / side.pow(axis as u32) % side * nel;
+                }
+                generate(&SubdomainSpec {
+                    dim,
+                    order,
+                    elements_per_side: nel,
+                    origin_elements: origin,
+                    cell_size: 1.0 / (side * nel) as f64,
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn several_meshes_assemble_as_each_does_alone() {
+        let heat_3d_pair: Vec<StructuredMesh> = [0, 6]
+            .into_iter()
+            .map(|origin| {
+                generate(&SubdomainSpec {
+                    dim: Dim::Three,
+                    order: ElementOrder::Quadratic,
+                    elements_per_side: 6,
+                    origin_elements: [origin; 3],
+                    cell_size: 1.0 / 12.0,
+                })
+            })
+            .collect();
+        let cases = [
+            (heat_3d_pair, Physics::HeatTransfer, false),
+            (grid(Dim::Two, ElementOrder::Linear, 3, 4), Physics::LinearElasticity, true),
+            (grid(Dim::Two, ElementOrder::Linear, 2, 5), Physics::HeatTransfer, true),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (meshes, physics, one_pattern) in cases {
+            let together = assemble_subdomains(&meshes, physics);
+            assert_eq!(together.len(), meshes.len());
+            for (mesh, sub) in meshes.iter().zip(&together) {
+                let alone = assemble_subdomain(mesh, physics);
+                assert_eq!(sub.stiffness.row_ptr(), alone.stiffness.row_ptr());
+                assert_eq!(sub.stiffness.col_idx(), alone.stiffness.col_idx());
+                assert_eq!(bits(sub.stiffness.values()), bits(alone.stiffness.values()));
+                assert_eq!(bits(&sub.load), bits(&alone.load));
+                assert_eq!(
+                    (sub.dofs_per_node, sub.num_nodes),
+                    (alone.dofs_per_node, alone.num_nodes)
+                );
+            }
+            // The lists exercise both paths: a map replayed on every mesh of one
+            // pattern, and a second map built when the pattern changes.
+            let shared =
+                together.iter().all(|s| s.stiffness.col_idx() == together[0].stiffness.col_idx());
+            assert_eq!(shared, one_pattern, "{physics:?}");
+        }
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! of meshes per subdomain and assembles the subdomain stiffness matrices `Kᵢ` and load
 //! vectors `fᵢ`.
 //!
+//! [`assemble_subdomains`] assembles a decomposition's meshes in one call: each mesh's
+//! element triplets go to CSR through a `feti_sparse::CsrAssembly`, which is built
+//! once per distinct sequence of surviving triplet indices (one for all the subdomains
+//! of a 2D or linear decomposition) and gives every matrix bit for bit what
+//! `CooMatrix::to_csr` of its own triplets would.  The element kernel tabulates the
+//! reference shape functions once per quadrature point per mesh.
+//!
 //! Nodes live on an integer lattice shared by all subdomains of a decomposition
 //! (twice-refined for quadratic elements), which makes interface matching in
 //! `feti-decompose` a matter of comparing lattice coordinates.
@@ -16,7 +23,7 @@ pub mod assemble;
 pub mod generate;
 pub mod shape;
 
-pub use assemble::{assemble_subdomain, AssembledSubdomain};
+pub use assemble::{assemble_subdomain, assemble_subdomains, AssembledSubdomain};
 pub use generate::{StructuredMesh, SubdomainSpec};
 
 /// Spatial dimensionality of a mesh.

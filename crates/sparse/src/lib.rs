@@ -26,7 +26,7 @@ pub mod dense;
 pub mod ops;
 pub mod perm;
 
-pub use coo::CooMatrix;
+pub use coo::{CooMatrix, CsrAssembly};
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;

@@ -1,6 +1,8 @@
 //! Property-based tests of the core sparse/dense data structures and kernels.
 
-use feti_sparse::{blas, ops, CooMatrix, CsrMatrix, DenseMatrix, MemoryOrder, Transpose};
+use feti_sparse::{
+    blas, ops, CooMatrix, CsrAssembly, CsrMatrix, DenseMatrix, MemoryOrder, Transpose,
+};
 use proptest::prelude::*;
 
 /// Strategy producing a random sparse matrix as (nrows, ncols, triplets).
@@ -11,15 +13,103 @@ fn sparse_matrix() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize, f6
     })
 }
 
-fn build(r: usize, c: usize, t: &[(usize, usize, f64)]) -> CsrMatrix {
+fn build_coo(r: usize, c: usize, t: &[(usize, usize, f64)]) -> CooMatrix {
     let mut coo = CooMatrix::new(r, c);
     for &(i, j, v) in t {
         coo.push(i, j, v);
     }
-    coo.to_csr()
+    coo
+}
+
+fn build(r: usize, c: usize, t: &[(usize, usize, f64)]) -> CsrMatrix {
+    build_coo(r, c, t).to_csr()
+}
+
+/// Strategy producing long rows full of duplicates: 1–2 rows, 2–7 columns and 60–159
+/// triplets, so rows run past 20 entries (where `sort_unstable` stops being an
+/// insertion sort) with several duplicates per column.  The values span many
+/// magnitudes, so the order a slot's terms are summed in shows in the bits.
+fn duplicate_heavy() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize, f64)>)> {
+    (1usize..3, 2usize..8).prop_flat_map(|(r, c)| {
+        let value = (-1.0f64..1.0, 0usize..40).prop_map(|(m, e)| m * 2f64.powi(e as i32 - 20));
+        (Just(r), Just(c), proptest::collection::vec((0..r, 0..c, value), 60..160))
+    })
+}
+
+/// `to_csr` as it was written before [`CsrAssembly`]: every row's `(col, value)` pairs
+/// sorted by `sort_unstable_by_key` and summed in that order.
+fn sort_and_sum(coo_rows: usize, coo_cols: usize, t: &[(usize, usize, f64)]) -> CsrMatrix {
+    let mut buckets: Vec<Vec<(usize, f64)>> = vec![Vec::new(); coo_rows];
+    for &(i, j, v) in t {
+        buckets[i].push((j, v));
+    }
+    let mut row_ptr = vec![0usize];
+    let (mut col_idx, mut values) = (Vec::new(), Vec::<f64>::new());
+    for mut entries in buckets {
+        entries.sort_unstable_by_key(|&(c, _)| c);
+        let mut last_col = usize::MAX;
+        for (c, v) in entries {
+            if c == last_col {
+                *values.last_mut().unwrap() += v;
+            } else {
+                col_idx.push(c);
+                values.push(v);
+                last_col = c;
+            }
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_raw_parts(coo_rows, coo_cols, row_ptr, col_idx, values)
+}
+
+fn assert_bit_identical(a: &CsrMatrix, b: &CsrMatrix) {
+    assert_eq!(a.row_ptr(), b.row_ptr());
+    assert_eq!(a.col_idx(), b.col_idx());
+    let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(a), bits(b));
 }
 
 proptest! {
+    #[test]
+    fn an_assembly_map_replays_the_sort_and_sum_bit_for_bit(
+        (r, c, t) in duplicate_heavy(),
+        second in proptest::collection::vec(-1.0f64..1.0, 160..161),
+    ) {
+        let first = build_coo(r, c, &t);
+        let map = CsrAssembly::new(&first);
+        assert_bit_identical(&map.apply(&first), &sort_and_sum(r, c, &t));
+        assert_bit_identical(&first.to_csr(), &sort_and_sum(r, c, &t));
+        // New values on the same indices: the map built from the first set still sums
+        // them exactly as sorting them afresh would.
+        let t2: Vec<_> = t.iter().zip(&second).map(|(&(i, j, _), &v)| (i, j, v * 1e6)).collect();
+        let other = build_coo(r, c, &t2);
+        prop_assert!(map.matches(&other));
+        assert_bit_identical(&map.apply(&other), &sort_and_sum(r, c, &t2));
+        assert_bit_identical(&map.apply(&other), &other.to_csr());
+    }
+
+    #[test]
+    fn an_assembly_map_rejects_a_sequence_that_differs_in_one_index(
+        (r, c, t) in duplicate_heavy(),
+        at in 0usize..1000,
+        shift in 1usize..8,
+    ) {
+        let map = CsrAssembly::new(&build_coo(r, c, &t));
+        let k = at % t.len();
+        let mut moved = t.clone();
+        let (i, j, v) = moved[k];
+        // Move one triplet to another column, or to another row when there is one.
+        moved[k] = if r > 1 && shift % 2 == 0 { ((i + 1) % r, j, v) } else { (i, (j + shift) % c, v) };
+        if moved[k] == t[k] {
+            moved[k].1 = (j + 1) % c;
+        }
+        prop_assert!(!map.matches(&build_coo(r, c, &moved)));
+        let mut longer = build_coo(r, c, &t);
+        longer.push(i, j, v);
+        prop_assert!(!map.matches(&longer));
+        prop_assert!(!map.matches(&build_coo(r + 1, c, &t)));
+    }
+
     #[test]
     fn csr_dense_roundtrip((r, c, t) in sparse_matrix()) {
         let a = build(r, c, &t);
