@@ -5,11 +5,13 @@
 //! The device is a cost model.  What a GPU approach submits — and what it allocates,
 //! persistently and per kernel — is the [`crate::program::ApproachProgram`] of its
 //! approach, the same program the planner folds; `feti-gpu` prices each op and books
-//! its memory, and per-stream timelines model the asynchronous submission and CPU/GPU
-//! overlap of §IV-B.  The numbers are the host's, computed through the one factor each
-//! subdomain keeps: `impl legacy/modern` apply through it exactly as `impl cholmod`
-//! does, every explicit device approach assembles its `F̃ᵢ` through the host body of
-//! `expl cholmod` ([`cpu`]) and applies it through the host SYMV.
+//! its memory — the persistent footprint when the device is made, a subdomain's kernel
+//! temporaries in one pool request — and per-stream timelines model the asynchronous
+//! submission and CPU/GPU overlap of §IV-B.  The numbers are the host's, computed
+//! through the one factor each subdomain keeps: `impl legacy/modern` apply through it
+//! exactly as `impl cholmod` does, every explicit device approach assembles its `F̃ᵢ`
+//! through the host body of `expl cholmod` ([`cpu`]) and applies it through the host
+//! SYMV.
 
 use super::{cpu, SubdomainBlock};
 use feti_gpu::{GpuDevice, PricedOp};
@@ -19,14 +21,15 @@ use feti_sparse::DenseMatrix;
 /// dense local dual operator `F̃ᵢ`.
 ///
 /// The program lists the temporary device memory each kernel of §IV-B/IV-C (or of the
-/// sequel's boundary-restricted variant) holds; the walk requests every nonzero one in
-/// program order and holds the guards until `F̃ᵢ` exists, so workers race them against
-/// the shared pool exactly as §IV-A describes — a request that does not fit blocks
-/// until another worker's guards drop, one larger than the pool is an error.  The
-/// ops' prices are charged by the phase scheduler.  Under the guards the host computes
-/// `F̃ᵢ` through [`cpu::Factor::assemble`], the body of `expl cholmod`, whatever
-/// kernels the program names: a real device would round them its own way, and their
-/// host twins would only reproduce rounding no GPU matches bit for bit.
+/// sequel's boundary-restricted variant) holds; the walk reserves their sum from the
+/// shared pool in one request and holds it until `F̃ᵢ` exists, so workers race their
+/// subdomains against the pool as §IV-A describes — a request that does not fit waits
+/// its turn until other workers release theirs, one larger than the pool is an error —
+/// and no worker ever waits while it holds pool memory.  The ops' prices are charged
+/// by the phase scheduler.  Under the reservation the host computes `F̃ᵢ` through
+/// [`cpu::Factor::assemble`], the body of `expl cholmod`, whatever kernels the program
+/// names: a real device would round them its own way, and their host twins would only
+/// reproduce rounding no GPU matches bit for bit.
 pub(crate) fn run_assembly(
     device: &GpuDevice,
     program: &[PricedOp],
@@ -34,11 +37,7 @@ pub(crate) fn run_assembly(
     block: &SubdomainBlock,
     factor: &cpu::Factor,
 ) -> crate::Result<DenseMatrix> {
-    let _guards = program
-        .iter()
-        .filter(|step| step.temporary_bytes > 0)
-        .map(|step| device.alloc_temporary(step.temporary_bytes))
-        .collect::<Result<Vec<_>, _>>()?;
+    let _temporaries = device.pool().reserve(program.iter().map(|op| op.temporary_bytes).sum())?;
     Ok(factor.assemble(i, block))
 }
 
@@ -277,10 +276,14 @@ mod tests {
                 let blocks = SubdomainBlock::from_problem(&problem);
                 let mut op = operator(approach, blocks, problem.num_lambdas, params);
                 let t = one_thread.install(|| op.preprocess()).unwrap();
-                let stats = op.device_side().device.memory_stats();
-                assert_eq!(stats.temporary_in_use_bytes, 0, "{spec:?} {approach:?} {params:?}");
+                let device = &op.device_side().device;
+                assert_eq!(device.pool().in_use_bytes(), 0, "{spec:?} {approach:?} {params:?}");
                 assert_eq!(
-                    (stats.persistent_bytes, stats.temporary_peak_bytes, t.gpu_seconds.to_bits()),
+                    (
+                        device.persistent_bytes(),
+                        device.pool().peak_bytes(),
+                        t.gpu_seconds.to_bits()
+                    ),
                     recorded,
                     "{spec:?} {approach:?} {params:?}"
                 );
@@ -288,13 +291,13 @@ mod tests {
         }
     }
 
-    /// A temporary request larger than the whole pool is a typed error, never a hang:
-    /// on a device with room for the persistent allocations and one byte less than the
-    /// largest densified factor, every preprocessing of `expl legacy` over a dense
-    /// forward factor fails with `FetiError::DeviceMemory` and leaves no temporary
-    /// memory booked, so a second attempt fails the same way.
-    #[test]
-    fn temporary_pool_exhaustion_is_a_typed_error() {
+    /// `expl legacy` over a dense forward factor on `small_heat_2d`: the nonzero
+    /// kernel temporaries each subdomain's assembly program lists, and the operator
+    /// on a device whose pool holds `pool(temporaries)` bytes beside the persistent
+    /// allocations.
+    fn dense_forward_legacy(
+        pool: impl FnOnce(&[Vec<usize>]) -> usize,
+    ) -> (Vec<Vec<usize>>, ApproachOperator) {
         use crate::program::{ApproachProgram, SubdomainShape};
         let (blocks, nl) = blocks();
         let approach = DualOperatorApproach::ExplicitGpuLegacy;
@@ -310,21 +313,101 @@ mod tests {
             .map(|(block, symbolic)| SubdomainShape::new(&block.b, symbolic.factor_nnz()))
             .collect();
         let a100 = feti_gpu::GpuSpec::a100_40gb();
-        let persistent =
-            ApproachProgram::new(&a100, approach, params, nl, shapes).persistent_bytes();
-        let n_max = blocks.iter().map(SubdomainBlock::num_dofs).max().unwrap();
-        let spec =
-            feti_gpu::GpuSpec { memory_capacity_bytes: persistent + n_max * n_max * 8 - 1, ..a100 };
+        let program = ApproachProgram::new(&a100, approach, params, nl, shapes);
+        let preprocess = program.preprocess();
+        let temporaries: Vec<Vec<usize>> = (0..blocks.len())
+            .map(|i| {
+                let ops = preprocess.subdomain(i).iter().map(|op| op.temporary_bytes);
+                ops.filter(|&bytes| bytes > 0).collect()
+            })
+            .collect();
+        let capacity = program.persistent_bytes() + pool(&temporaries);
+        let spec = feti_gpu::GpuSpec { memory_capacity_bytes: capacity, ..a100 };
         let opts = SolverOptions::default();
-        let mut op =
+        let op =
             ApproachOperator::with_analyses(approach, blocks, nl, params, opts, symbolic, &spec)
                 .unwrap();
-        for attempt in 0..2 {
-            let err = op.preprocess().unwrap_err();
-            assert!(matches!(err, crate::FetiError::DeviceMemory(_)), "attempt {attempt}: {err}");
-            let stats = op.device_side().device.memory_stats();
-            assert_eq!(stats.temporary_in_use_bytes, 0, "attempt {attempt}");
+        (temporaries, op)
+    }
+
+    /// Runs `work` on a thread of its own and fails, instead of hanging the suite, if
+    /// it has not finished within a minute; a panic in `work` is re-raised here.
+    fn within_watchdog(work: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            work();
+            let _ = done_tx.send(());
+        });
+        let finished = done_rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(finished != Err(std::sync::mpsc::RecvTimeoutError::Timeout), "preprocess hung");
+        if let Err(panic) = worker.join() {
+            std::panic::resume_unwind(panic);
         }
+    }
+
+    /// A subdomain's temporaries that do not fit the pool together are a typed error,
+    /// never a hang: with a pool one byte short of the largest densified factor `n²·8`
+    /// (no kernel fits), and with a pool of exactly `n²·8` (every kernel fits, no
+    /// subdomain's sum does), every preprocessing of `expl legacy` over a dense
+    /// forward factor fails with `FetiError::DeviceMemory` and leaves nothing booked,
+    /// so a second attempt fails the same way.
+    #[test]
+    fn temporary_pool_exhaustion_is_a_typed_error() {
+        let n_max = blocks().0.iter().map(SubdomainBlock::num_dofs).max().unwrap();
+        for pool in [n_max * n_max * 8 - 1, n_max * n_max * 8] {
+            let (temporaries, mut op) = dense_forward_legacy(|_| pool);
+            let largest_kernel = temporaries.iter().flatten().max().unwrap();
+            let smallest_sum = temporaries.iter().map(|t| t.iter().sum::<usize>()).min().unwrap();
+            assert!(pool < smallest_sum, "pool {pool}: some subdomain would fit");
+            assert_eq!(*largest_kernel <= pool, pool == n_max * n_max * 8, "pool {pool}");
+            let ledger = std::sync::Arc::clone(op.device_side().device.pool());
+            within_watchdog(move || {
+                for attempt in 0..2 {
+                    let err = op.preprocess().unwrap_err();
+                    let msg = format!("pool {pool}, attempt {attempt}: {err}");
+                    assert!(matches!(err, crate::FetiError::DeviceMemory(_)), "{msg}");
+                    assert_eq!(ledger.in_use_bytes(), 0, "{msg}");
+                }
+            });
+        }
+    }
+
+    /// Two workers share a pool one byte larger than the largest subdomain's
+    /// temporaries: each subdomain books its temporaries in one request, so no worker
+    /// waits while it holds pool memory, and preprocessings in a row all finish with
+    /// the `F̃ᵢ` an A100 assembles and never more than the pool booked.  Were each
+    /// kernel's buffer booked on its own while the earlier ones are held, two workers
+    /// that each hold a right-hand-side buffer would wait for each other forever; that
+    /// needs one worker's first request to land between two back-to-back requests of
+    /// the other, so the run is long enough (3000 preprocessings, about 2 s in a
+    /// debug build) to hit that window.
+    #[test]
+    fn two_workers_on_a_pool_one_byte_above_the_largest_subdomain_finish() {
+        let pool = |temporaries: &[Vec<usize>]| {
+            temporaries.iter().map(|t| t.iter().sum::<usize>()).max().unwrap() + 1
+        };
+        let (temporaries, mut op) = dense_forward_legacy(pool);
+        assert!(temporaries.iter().all(|t| t.len() > 1), "every subdomain books several kernels");
+        let local_bits = |op: &ApproachOperator| -> Vec<Vec<u64>> {
+            let f = (0..).map_while(|i| op.local_operator(i));
+            f.map(|f| f.as_slice().iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        let (blocks, nl) = blocks();
+        let subdomains = blocks.len();
+        let mut a100 = operator(DualOperatorApproach::ExplicitGpuLegacy, blocks, nl, *op.params());
+        a100.preprocess().unwrap();
+        let expected = local_bits(&a100);
+        assert_eq!(expected.len(), subdomains);
+        let ledger = std::sync::Arc::clone(op.device_side().device.pool());
+        within_watchdog(move || {
+            let two_workers = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+            for run in 0..3000 {
+                two_workers.install(|| op.preprocess()).unwrap();
+                assert_eq!(local_bits(&op), expected, "run {run}");
+            }
+        });
+        assert_eq!(ledger.in_use_bytes(), 0);
+        assert!(ledger.peak_bytes() <= ledger.capacity_bytes());
     }
 
     #[test]

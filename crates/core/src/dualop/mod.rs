@@ -326,11 +326,7 @@ impl ApproachOperator {
         let program = ApproachProgram::new(spec, approach, params, num_lambdas, shapes);
         let (preprocess_program, apply_program) = (program.preprocess(), program.apply(1));
         let device = if approach.uses_gpu() {
-            let device = GpuDevice::new(*spec);
-            for s in program.shapes() {
-                device.alloc_persistent(program.persistent(s).total())?;
-            }
-            device.reserve_temporary_pool();
+            let device = GpuDevice::new(*spec, program.persistent_bytes())?;
             Some(DeviceSide { device, program })
         } else {
             None

@@ -139,7 +139,7 @@ mod tests {
         assert!(e.to_string().contains("10"));
         let e: FetiError = feti_solver::SolverError::SymbolicMissing.into();
         assert!(matches!(e, FetiError::Factorization(_)));
-        let e: FetiError = feti_gpu::MemoryError::OutOfMemory { requested: 1, available: 0 }.into();
+        let e: FetiError = feti_gpu::MemoryError::OutOfMemory { requested: 1, capacity: 0 }.into();
         assert!(matches!(e, FetiError::DeviceMemory(_)));
     }
 }

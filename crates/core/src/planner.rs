@@ -805,7 +805,7 @@ mod tests {
             for approach in GPU_APPROACHES {
                 let params = auto_params(approach, &problem);
                 let op = ApproachOperator::new(approach, blocks.clone(), nl, params, opts).unwrap();
-                let built = op.device_side().device.memory_stats().persistent_bytes;
+                let built = op.device_side().device.persistent_bytes();
                 let planned =
                     planner.persistent_device_bytes(approach, approach.generation().unwrap());
                 assert_eq!(planned, built, "{spec:?} {approach:?}");

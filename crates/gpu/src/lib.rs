@@ -15,30 +15,27 @@
 //!   "modern" CUDA 12.4) are modelled as two parameterizations of the sparse
 //!   triangular solve's cost and of its workspace query ([`sparse`]), reproducing the
 //!   qualitative findings of §V-A;
-//! * device memory is managed exactly as described in §IV-A: persistent allocations
-//!   that live for the whole solver lifetime plus a temporary pool allocator that
-//!   blocks the submitting thread when the pool is exhausted, and a [`DeviceBudget`]
-//!   shared by the jobs of one device;
+//! * device memory is split as §IV-A describes: a [`GpuDevice`] books its persistent
+//!   bytes when it is made, and the rest of the device is a temporary pool, a
+//!   [`MemoryLedger`] that blocks a request FIFO-fairly until it fits; the same type
+//!   is the device budget the jobs of one service share;
 //! * a [`DeviceTimeline`] of [`StreamTimeline`]s, one stream per host worker, models
 //!   the asynchronous execution and the copy/compute overlap the paper relies on: the
 //!   phase makespan is when the last stream drains.
 
 #![warn(missing_docs)]
 
-pub mod budget;
 pub mod cost;
 pub mod memory;
 pub mod op;
 pub mod sparse;
 pub mod timeline;
 
-pub use budget::{BudgetError, BudgetReservation, DeviceBudget};
 pub use cost::{GpuCost, GpuSpec};
-pub use memory::{MemoryError, MemoryManager, TempAlloc};
+pub use memory::{MemoryError, MemoryLedger, Reservation};
 pub use op::{DeviceOp, PricedOp};
 pub use timeline::{DeviceTimeline, StreamTimeline};
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Which cuSPARSE API generation the sparse kernels emulate.
@@ -59,15 +56,23 @@ pub enum CudaGeneration {
 #[derive(Debug, Clone)]
 pub struct GpuDevice {
     spec: GpuSpec,
-    memory: Arc<Mutex<MemoryManager>>,
+    persistent_bytes: usize,
+    pool: Arc<MemoryLedger>,
 }
 
 impl GpuDevice {
-    /// Creates a device with the given hardware characteristics.
-    #[must_use]
-    pub fn new(spec: GpuSpec) -> Self {
-        let memory = Arc::new(Mutex::new(MemoryManager::new(spec.memory_capacity_bytes)));
-        Self { spec, memory }
+    /// A device with the given hardware characteristics whose persistent allocations
+    /// take `persistent_bytes`; the rest of its memory is the temporary pool.
+    ///
+    /// # Errors
+    /// Returns [`MemoryError::OutOfMemory`] when the persistent bytes exceed the
+    /// device capacity.
+    pub fn new(spec: GpuSpec, persistent_bytes: usize) -> Result<Self, MemoryError> {
+        let capacity = spec.memory_capacity_bytes;
+        if persistent_bytes > capacity {
+            return Err(MemoryError::OutOfMemory { requested: persistent_bytes, capacity });
+        }
+        Ok(Self { spec, persistent_bytes, pool: MemoryLedger::new(capacity - persistent_bytes) })
     }
 
     /// The hardware characteristics of this device.
@@ -76,38 +81,16 @@ impl GpuDevice {
         &self.spec
     }
 
-    /// Allocates persistent device memory (lives until [`GpuDevice::free_persistent`]).
-    ///
-    /// # Errors
-    /// Returns [`MemoryError::OutOfMemory`] when the capacity would be exceeded.
-    pub fn alloc_persistent(&self, bytes: usize) -> Result<(), MemoryError> {
-        self.memory.lock().alloc_persistent(bytes)
-    }
-
-    /// Releases persistent device memory.
-    pub fn free_persistent(&self, bytes: usize) {
-        self.memory.lock().free_persistent(bytes);
-    }
-
-    /// Reserves the remaining free memory for the temporary pool allocator
-    /// (the paper does this once at the end of the preparation phase).
-    pub fn reserve_temporary_pool(&self) {
-        self.memory.lock().reserve_temporary_pool();
-    }
-
-    /// Allocates from the temporary pool, blocking until space is available.
-    ///
-    /// # Errors
-    /// Returns [`MemoryError::LargerThanPool`] if the request can never be satisfied.
-    pub fn alloc_temporary(&self, bytes: usize) -> Result<TempAlloc, MemoryError> {
-        MemoryManager::alloc_temporary(&self.memory, bytes)
-    }
-
-    /// Current memory statistics (persistent bytes, temporary pool bytes in use,
-    /// capacity).
+    /// The bytes the persistent allocations hold.
     #[must_use]
-    pub fn memory_stats(&self) -> memory::MemoryStats {
-        self.memory.lock().stats()
+    pub fn persistent_bytes(&self) -> usize {
+        self.persistent_bytes
+    }
+
+    /// The temporary pool: every byte the persistent allocations leave.
+    #[must_use]
+    pub fn pool(&self) -> &Arc<MemoryLedger> {
+        &self.pool
     }
 }
 
@@ -117,13 +100,11 @@ mod tests {
 
     #[test]
     fn device_exposes_spec_and_memory() {
-        let dev = GpuDevice::new(GpuSpec::a100_40gb());
+        let dev = GpuDevice::new(GpuSpec::a100_40gb(), 1024).unwrap();
         assert!(dev.spec().memory_capacity_bytes > 30 * 1024 * 1024 * 1024);
-        dev.alloc_persistent(1024).unwrap();
-        let stats = dev.memory_stats();
-        assert_eq!(stats.persistent_bytes, 1024);
-        dev.free_persistent(1024);
-        assert_eq!(dev.memory_stats().persistent_bytes, 0);
+        assert_eq!(dev.persistent_bytes(), 1024);
+        assert_eq!(dev.pool().capacity_bytes(), dev.spec().memory_capacity_bytes - 1024);
+        assert_eq!(dev.pool().in_use_bytes(), 0);
     }
 
     #[test]

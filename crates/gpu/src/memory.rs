@@ -1,481 +1,346 @@
-//! Device memory management: persistent allocations plus a blocking temporary pool.
+//! Device memory as one FIFO byte ledger.
 //!
 //! §IV-A of the paper splits GPU memory into a *persistent* part (factors, `B̃ᵢ`,
 //! `F̃ᵢ`, dual vectors, library workspaces — allocated once in the preparation phase)
-//! and a *temporary* part handled by a pool allocator: buffers needed only for the
-//! duration of one kernel are served from the pool, and a thread that cannot be served
-//! blocks until other threads release enough memory.  This module reproduces that
-//! allocator (sizes are tracked logically; no real device memory exists).
+//! and a *temporary* part handled by a pool allocator: a thread that cannot be served
+//! blocks until other threads release enough memory.  A [`MemoryLedger`] is that
+//! pool (sizes are tracked logically; no real device memory exists), and the same
+//! type is the device budget a solve service admits jobs against.
 //!
-//! With the real multithreaded host runtime the pool is contended by several worker
-//! threads at once, so blocking is **FIFO-fair**: requests that cannot be served
-//! immediately join a ticket queue and are granted strictly in arrival order.  A small
-//! request arriving behind a large blocked one waits its turn instead of barging past
-//! it, which bounds every waiter's delay and prevents starvation of large requests.
-//! Requests larger than the whole pool fail fast with an error — they could never be
-//! served and must not deadlock the queue.
+//! Waiting is **FIFO-fair**: every request takes a ticket and is granted strictly in
+//! arrival order, so a small request arriving behind a large blocked one waits its
+//! turn, which bounds every waiter's delay.  There is no exception to that order, so
+//! a caller must never wait while it holds a [`Reservation`] of the same ledger: it
+//! books everything it needs in one request.  A request larger than the whole ledger
+//! fails fast — it could never be served and must not block the queue — and
+//! [`MemoryLedger::close`] wakes every waiter with a typed error.
 
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::thread::ThreadId;
 
-/// Errors reported by the memory manager.
+/// Errors of device memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MemoryError {
-    /// A persistent allocation would exceed the device capacity.
+    /// The persistent allocations exceed the device capacity.
     OutOfMemory {
+        /// Persistent bytes requested.
+        requested: usize,
+        /// Device capacity.
+        capacity: usize,
+    },
+    /// A request is larger than the whole ledger and can never be served.
+    LargerThanLedger {
         /// Bytes requested.
         requested: usize,
-        /// Bytes still available.
-        available: usize,
+        /// Capacity of the ledger.
+        capacity: usize,
     },
-    /// A temporary allocation is larger than the whole pool and can never succeed.
-    LargerThanPool {
-        /// Bytes requested.
-        requested: usize,
-        /// Total pool size.
-        pool: usize,
-    },
+    /// The ledger was closed while the request waited.
+    Closed,
 }
 
 impl std::fmt::Display for MemoryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MemoryError::OutOfMemory { requested, available } => {
-                write!(
-                    f,
-                    "device out of memory: requested {requested} bytes, {available} available"
-                )
+            MemoryError::OutOfMemory { requested, capacity } => write!(
+                f,
+                "device out of memory: {requested} persistent bytes on a device of {capacity}"
+            ),
+            MemoryError::LargerThanLedger { requested, capacity } => {
+                write!(f, "request of {requested} bytes exceeds the ledger of {capacity} bytes")
             }
-            MemoryError::LargerThanPool { requested, pool } => {
-                write!(f, "temporary request of {requested} bytes exceeds the pool of {pool} bytes")
-            }
+            MemoryError::Closed => write!(f, "device memory ledger is closed"),
         }
     }
 }
 
 impl std::error::Error for MemoryError {}
 
-/// Snapshot of the device memory state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoryStats {
-    /// Total device capacity in bytes.
-    pub capacity_bytes: usize,
-    /// Bytes held by persistent allocations.
-    pub persistent_bytes: usize,
-    /// Size of the temporary pool (0 until [`MemoryManager::reserve_temporary_pool`]).
-    pub temporary_pool_bytes: usize,
-    /// Bytes of the temporary pool currently in use.
-    pub temporary_in_use_bytes: usize,
-    /// High-water mark of temporary pool usage.
-    pub temporary_peak_bytes: usize,
+#[derive(Debug, Default)]
+struct LedgerState {
+    in_use: usize,
+    peak: usize,
+    closed: bool,
+    /// Tickets are handed out in arrival order; only `head` may be granted.
+    next_ticket: u64,
+    head: u64,
 }
 
-/// Logical device memory manager.
+/// A fixed number of device bytes reserved FIFO-fairly, blocking while they are in
+/// use; every grant is a [`Reservation`] that returns its bytes when dropped.
 #[derive(Debug)]
-pub struct MemoryManager {
+pub struct MemoryLedger {
     capacity: usize,
-    persistent: usize,
-    pool_size: usize,
-    pool_state: Arc<PoolState>,
-}
-
-#[derive(Debug)]
-struct PoolState {
-    inner: Mutex<PoolInner>,
+    state: Mutex<LedgerState>,
     freed: Condvar,
 }
 
-#[derive(Debug)]
-struct PoolInner {
-    in_use: usize,
-    peak: usize,
-    pool_size: usize,
-    /// Tickets of requests waiting for memory, in arrival (grant) order.
-    waiters: VecDeque<u64>,
-    /// Next ticket to hand out.
-    next_ticket: u64,
-    /// Live allocations per thread.  A thread that already holds an allocation may
-    /// bypass the FIFO queue when its next request fits: queueing it behind a waiter
-    /// that can only be served after *this thread* releases would be a circular wait
-    /// (the hold-and-wait pattern of the assembly kernels' nested rhs + workspace
-    /// allocations).
-    holders: HashMap<ThreadId, usize>,
-}
-
-impl MemoryManager {
-    /// Creates a manager for a device with `capacity` bytes.
+impl MemoryLedger {
+    /// A ledger of `capacity_bytes`.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            persistent: 0,
-            pool_size: 0,
-            pool_state: Arc::new(PoolState {
-                inner: Mutex::new(PoolInner {
-                    in_use: 0,
-                    peak: 0,
-                    pool_size: 0,
-                    waiters: VecDeque::new(),
-                    next_ticket: 0,
-                    holders: HashMap::new(),
-                }),
-                freed: Condvar::new(),
-            }),
-        }
+    pub fn new(capacity_bytes: usize) -> Arc<Self> {
+        Arc::new(Self {
+            capacity: capacity_bytes,
+            state: Mutex::new(LedgerState::default()),
+            freed: Condvar::new(),
+        })
     }
 
-    /// Allocates persistent memory.
+    /// The capacity in bytes.
+    #[must_use]
+    pub fn capacity_bytes(&self) -> usize {
+        self.capacity
+    }
+
+    /// Bytes currently reserved.
+    #[must_use]
+    pub fn in_use_bytes(&self) -> usize {
+        self.state.lock().in_use
+    }
+
+    /// High-water mark of the reserved bytes.
+    #[must_use]
+    pub fn peak_bytes(&self) -> usize {
+        self.state.lock().peak
+    }
+
+    /// Reserves `bytes`, blocking until every earlier request is served and `bytes`
+    /// fit beside what is reserved.
     ///
     /// # Errors
-    /// Returns [`MemoryError::OutOfMemory`] when the request exceeds the remaining
-    /// capacity (capacity minus persistent allocations minus the reserved pool).
-    pub fn alloc_persistent(&mut self, bytes: usize) -> Result<(), MemoryError> {
-        let available = self.capacity - self.persistent - self.pool_size;
-        if bytes > available {
-            return Err(MemoryError::OutOfMemory { requested: bytes, available });
+    /// [`MemoryError::LargerThanLedger`] if the request exceeds the capacity,
+    /// [`MemoryError::Closed`] if the ledger is closed before it is served.
+    pub fn reserve(self: &Arc<Self>, bytes: usize) -> Result<Reservation, MemoryError> {
+        if bytes > self.capacity {
+            return Err(MemoryError::LargerThanLedger {
+                requested: bytes,
+                capacity: self.capacity,
+            });
         }
-        self.persistent += bytes;
-        Ok(())
+        let mut s = self.state.lock();
+        let ticket = s.next_ticket;
+        s.next_ticket += 1;
+        while !s.closed && (s.head != ticket || s.in_use + bytes > self.capacity) {
+            self.freed.wait(&mut s);
+        }
+        // Pass the head on whether served or closed: the next request may fit too.
+        s.head += 1;
+        self.freed.notify_all();
+        if s.closed {
+            return Err(MemoryError::Closed);
+        }
+        s.in_use += bytes;
+        s.peak = s.peak.max(s.in_use);
+        Ok(Reservation { ledger: Arc::clone(self), bytes })
     }
 
-    /// Frees persistent memory.
-    pub fn free_persistent(&mut self, bytes: usize) {
-        self.persistent = self.persistent.saturating_sub(bytes);
-    }
-
-    /// Dedicates all remaining memory to the temporary pool.
-    pub fn reserve_temporary_pool(&mut self) {
-        self.pool_size = self.capacity - self.persistent;
-        self.pool_state.inner.lock().pool_size = self.pool_size;
-    }
-
-    /// Allocates `bytes` from the temporary pool, blocking while the pool is full.
-    ///
-    /// Blocked requests are served **FIFO**: a request that cannot be granted
-    /// immediately takes a ticket and is woken only when it is at the head of the
-    /// queue *and* enough memory is free, so later (even smaller) requests cannot
-    /// starve it.  A first request arriving while others wait queues behind them,
-    /// with one deliberate exception: a thread that **already holds** an allocation
-    /// bypasses the queue when its next request fits.  Queueing such a nested
-    /// request behind a waiter that can only be served once *this thread* releases
-    /// would be a circular wait — the assembly kernels allocate a right-hand-side
-    /// buffer and then a solver workspace while still holding the first guard.
-    ///
-    /// # Errors
-    /// Returns [`MemoryError::LargerThanPool`] if the request exceeds the pool size —
-    /// such a request could never be served, so it fails fast instead of deadlocking
-    /// itself and every request queued behind it.
-    pub fn alloc_temporary(
-        manager: &Mutex<MemoryManager>,
-        bytes: usize,
-    ) -> Result<TempAlloc, MemoryError> {
-        let pool_state = {
-            let m = manager.lock();
-            Arc::clone(&m.pool_state)
-        };
-        let me = std::thread::current().id();
-        let mut inner = pool_state.inner.lock();
-        if bytes > inner.pool_size {
-            return Err(MemoryError::LargerThanPool { requested: bytes, pool: inner.pool_size });
-        }
-        let may_barge = inner.waiters.is_empty() || inner.holders.contains_key(&me);
-        if may_barge && inner.in_use + bytes <= inner.pool_size {
-            // Fast path: the request fits and either nobody is waiting or this
-            // thread already holds memory (deadlock-avoidance barging, see above).
-            return Ok(Self::grant(&pool_state, inner, me, bytes));
-        }
-        let ticket = inner.next_ticket;
-        inner.next_ticket += 1;
-        inner.waiters.push_back(ticket);
-        while inner.waiters.front() != Some(&ticket) || inner.in_use + bytes > inner.pool_size {
-            pool_state.freed.wait(&mut inner);
-        }
-        let head = inner.waiters.pop_front();
-        debug_assert_eq!(head, Some(ticket));
-        let alloc = Self::grant(&pool_state, inner, me, bytes);
-        // The next queued request may also fit in what is still free.
-        pool_state.freed.notify_all();
-        Ok(alloc)
-    }
-
-    /// Books `bytes` to the calling thread and builds the RAII guard.
-    fn grant(
-        pool_state: &Arc<PoolState>,
-        mut inner: parking_lot::MutexGuard<'_, PoolInner>,
-        me: ThreadId,
-        bytes: usize,
-    ) -> TempAlloc {
-        inner.in_use += bytes;
-        inner.peak = inner.peak.max(inner.in_use);
-        *inner.holders.entry(me).or_insert(0) += 1;
-        drop(inner);
-        TempAlloc { bytes, holder: me, pool: Arc::clone(pool_state) }
-    }
-
-    /// Current statistics.
-    #[must_use]
-    pub fn stats(&self) -> MemoryStats {
-        let inner = self.pool_state.inner.lock();
-        MemoryStats {
-            capacity_bytes: self.capacity,
-            persistent_bytes: self.persistent,
-            temporary_pool_bytes: self.pool_size,
-            temporary_in_use_bytes: inner.in_use,
-            temporary_peak_bytes: inner.peak,
-        }
+    /// Closes the ledger: every current and future request gets
+    /// [`MemoryError::Closed`].  Reservations already granted stay valid until dropped.
+    pub fn close(&self) {
+        self.state.lock().closed = true;
+        self.freed.notify_all();
     }
 }
 
-/// RAII guard of a temporary-pool allocation: dropping it returns the memory to the
-/// pool and wakes blocked allocators.
+/// RAII guard of one grant: dropping it returns the bytes and wakes waiters.
 #[derive(Debug)]
-pub struct TempAlloc {
+pub struct Reservation {
+    ledger: Arc<MemoryLedger>,
     bytes: usize,
-    holder: ThreadId,
-    pool: Arc<PoolState>,
 }
 
-impl TempAlloc {
-    /// Size of this allocation in bytes.
-    #[must_use]
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-impl Drop for TempAlloc {
+impl Drop for Reservation {
     fn drop(&mut self) {
-        let mut inner = self.pool.inner.lock();
-        inner.in_use = inner.in_use.saturating_sub(self.bytes);
-        if let Some(count) = inner.holders.get_mut(&self.holder) {
-            *count -= 1;
-            if *count == 0 {
-                inner.holders.remove(&self.holder);
-            }
-        }
-        drop(inner);
-        self.pool.freed.notify_all();
+        self.ledger.state.lock().in_use -= self.bytes;
+        self.ledger.freed.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GpuDevice, GpuSpec};
     use std::time::Duration;
+
+    /// Requests `bytes` on a thread of its own, which hands the grant to `granted`, and
+    /// returns once the request holds its ticket: a request takes its ticket and, if
+    /// it must wait, parks in one hold of the lock, so it is then either served or
+    /// parked in the queue.
+    fn queued<T: Send + 'static>(
+        ledger: &Arc<MemoryLedger>,
+        bytes: usize,
+        granted: impl FnOnce(Reservation) -> T + Send + 'static,
+    ) -> std::thread::JoinHandle<Result<T, MemoryError>> {
+        let ticket = ledger.state.lock().next_ticket;
+        let requester = Arc::clone(ledger);
+        let handle = std::thread::spawn(move || requester.reserve(bytes).map(granted));
+        while ledger.state.lock().next_ticket == ticket {
+            std::thread::yield_now();
+        }
+        handle
+    }
+
+    fn device_of(capacity: usize, persistent: usize) -> Result<GpuDevice, MemoryError> {
+        GpuDevice::new(
+            GpuSpec { memory_capacity_bytes: capacity, ..GpuSpec::a100_40gb() },
+            persistent,
+        )
+    }
 
     #[test]
     fn persistent_allocation_respects_capacity() {
-        let mut m = MemoryManager::new(1000);
-        m.alloc_persistent(600).unwrap();
-        let err = m.alloc_persistent(500).unwrap_err();
-        assert!(matches!(err, MemoryError::OutOfMemory { available: 400, .. }));
-        m.free_persistent(600);
-        m.alloc_persistent(900).unwrap();
+        let err = device_of(1000, 1001).unwrap_err();
+        assert_eq!(err, MemoryError::OutOfMemory { requested: 1001, capacity: 1000 });
+        let full = device_of(1000, 1000).unwrap();
+        assert_eq!(full.pool().capacity_bytes(), 0);
     }
 
     #[test]
     fn pool_reserves_remaining_memory() {
-        let mut m = MemoryManager::new(1000);
-        m.alloc_persistent(300).unwrap();
-        m.reserve_temporary_pool();
-        let s = m.stats();
-        assert_eq!(s.temporary_pool_bytes, 700);
-        // Further persistent allocations now fail: everything is in the pool.
-        assert!(m.alloc_persistent(1).is_err());
-    }
-
-    #[test]
-    fn temporary_allocations_are_raii() {
-        let mut m = MemoryManager::new(1000);
-        m.reserve_temporary_pool();
-        let m = Mutex::new(m);
-        let a = MemoryManager::alloc_temporary(&m, 400).unwrap();
-        let b = MemoryManager::alloc_temporary(&m, 400).unwrap();
-        assert_eq!(m.lock().stats().temporary_in_use_bytes, 800);
-        drop(a);
-        assert_eq!(m.lock().stats().temporary_in_use_bytes, 400);
-        drop(b);
-        let s = m.lock().stats();
-        assert_eq!(s.temporary_in_use_bytes, 0);
-        assert_eq!(s.temporary_peak_bytes, 800);
+        let device = device_of(1000, 300).unwrap();
+        assert_eq!((device.persistent_bytes(), device.pool().capacity_bytes()), (300, 700));
+        assert!(device.pool().reserve(701).is_err());
+        let _all = device.pool().reserve(700).unwrap();
     }
 
     #[test]
     fn oversized_temporary_request_is_rejected() {
-        let mut m = MemoryManager::new(100);
-        m.reserve_temporary_pool();
-        let m = Mutex::new(m);
-        let err = MemoryManager::alloc_temporary(&m, 200).unwrap_err();
-        assert!(matches!(err, MemoryError::LargerThanPool { .. }));
+        let ledger = MemoryLedger::new(100);
+        let err = ledger.reserve(200).unwrap_err();
+        assert_eq!(err, MemoryError::LargerThanLedger { requested: 200, capacity: 100 });
+        assert_eq!((ledger.in_use_bytes(), ledger.peak_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn temporary_allocations_are_raii() {
+        let ledger = MemoryLedger::new(1000);
+        let a = ledger.reserve(400).unwrap();
+        let b = ledger.reserve(400).unwrap();
+        assert_eq!(ledger.in_use_bytes(), 800);
+        drop(a);
+        assert_eq!(ledger.in_use_bytes(), 400);
+        drop(b);
+        assert_eq!(ledger.in_use_bytes(), 0);
+        assert_eq!(ledger.peak_bytes(), 800);
+        let _all = ledger.reserve(1000).unwrap();
     }
 
     #[test]
     fn blocked_allocation_resumes_when_memory_is_freed() {
-        let mut m = MemoryManager::new(1000);
-        m.reserve_temporary_pool();
-        let m = std::sync::Arc::new(Mutex::new(m));
-        let first = MemoryManager::alloc_temporary(&m, 800).unwrap();
-        let m2 = std::sync::Arc::clone(&m);
-        let handle = std::thread::spawn(move || {
-            // This blocks until `first` is dropped.
-            let _second = MemoryManager::alloc_temporary(&m2, 600).unwrap();
-            true
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(!handle.is_finished(), "allocation should be blocked while the pool is full");
+        let ledger = MemoryLedger::new(1000);
+        let first = ledger.reserve(800).unwrap();
+        // This waits until `first` is dropped.
+        let handle = queued(&ledger, 600, drop);
+        assert!(!handle.is_finished(), "the request must wait while the ledger is full");
         drop(first);
-        assert!(handle.join().unwrap());
+        assert_eq!(handle.join().unwrap(), Ok(()));
     }
 
-    /// N threads race allocations against a pool that can hold only N/2 of them at
-    /// once: the run must make progress (watchdog), every allocation must eventually
-    /// be served, and accounting must return to zero.
+    /// N threads race reservations against a ledger that can hold only N/2 of them
+    /// at once: the run must make progress (watchdog), every reservation must be
+    /// served, and the accounting must return to zero.
     #[test]
     fn stress_n_threads_against_half_sized_pool() {
         const N: usize = 8;
         const ROUNDS: usize = 25;
         const BYTES: usize = 100;
-        let mut m = MemoryManager::new((N / 2) * BYTES);
-        m.reserve_temporary_pool();
-        let m = std::sync::Arc::new(Mutex::new(m));
+        let ledger = MemoryLedger::new((N / 2) * BYTES);
         let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let m_stress = std::sync::Arc::clone(&m);
+        let stressed = Arc::clone(&ledger);
         let driver = std::thread::spawn(move || {
-            let served = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-            let mut handles = Vec::new();
-            for t in 0..N {
-                let m = std::sync::Arc::clone(&m_stress);
-                let served = std::sync::Arc::clone(&served);
-                handles.push(std::thread::spawn(move || {
-                    for r in 0..ROUNDS {
-                        let a = MemoryManager::alloc_temporary(&m, BYTES).unwrap();
-                        assert_eq!(a.bytes(), BYTES);
-                        // Hold briefly so the pool really saturates.
-                        if (t + r) % 3 == 0 {
-                            std::thread::yield_now();
+            let served = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let handles: Vec<_> = (0..N)
+                .map(|t| {
+                    let (ledger, served) = (Arc::clone(&stressed), Arc::clone(&served));
+                    std::thread::spawn(move || {
+                        for r in 0..ROUNDS {
+                            let _held = ledger.reserve(BYTES).unwrap();
+                            assert!(ledger.in_use_bytes() <= (N / 2) * BYTES);
+                            // Hold briefly so the ledger really saturates.
+                            if (t + r) % 3 == 0 {
+                                std::thread::yield_now();
+                            }
+                            served.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         }
-                        served.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                }));
-            }
+                    })
+                })
+                .collect();
             for h in handles {
                 h.join().unwrap();
             }
             served.load(std::sync::atomic::Ordering::Relaxed)
         });
-        // Watchdog: a deadlocked pool must fail the test, not hang the suite.
+        // Watchdog: a deadlocked ledger must fail the test, not hang the suite.
         std::thread::spawn(move || {
             let _ = done_tx.send(driver.join());
         });
         let served = done_rx
             .recv_timeout(Duration::from_secs(30))
-            .expect("temporary pool deadlocked: no progress within the watchdog timeout")
+            .expect("ledger deadlocked: no progress within the watchdog timeout")
             .expect("a stress worker panicked");
-        assert_eq!(served, N * ROUNDS, "every allocation must be served exactly once");
-        let s = m.lock().stats();
-        assert_eq!(s.temporary_in_use_bytes, 0, "all allocations returned to the pool");
-        assert!(s.temporary_peak_bytes <= (N / 2) * BYTES, "pool capacity never exceeded");
+        assert_eq!(served, N * ROUNDS, "every reservation must be served exactly once");
+        assert_eq!(ledger.in_use_bytes(), 0, "every reservation returned");
+        assert!(ledger.peak_bytes() <= (N / 2) * BYTES, "capacity never exceeded");
     }
 
     /// A release must wake blocked requests, and grants must follow FIFO order: a
-    /// small request that arrives while a larger one is queued may not barge past it.
+    /// small request that arrives while a larger one is queued may not pass it.
     #[test]
     fn release_wakes_blocked_in_fifo_order() {
-        let mut m = MemoryManager::new(100);
-        m.reserve_temporary_pool();
-        let m = std::sync::Arc::new(Mutex::new(m));
-        let order = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let first = MemoryManager::alloc_temporary(&m, 80).unwrap();
-        // B: blocked large request (60 > 20 free), queued first.
-        let (m_b, order_b) = (std::sync::Arc::clone(&m), std::sync::Arc::clone(&order));
-        let b = std::thread::spawn(move || {
-            let a = MemoryManager::alloc_temporary(&m_b, 60).unwrap();
-            order_b.lock().push("large");
-            a
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        // C: small request that *would* fit right now (80 + 10 ≤ 100) but must queue
-        // behind the blocked large request.
-        let (m_c, order_c) = (std::sync::Arc::clone(&m), std::sync::Arc::clone(&order));
-        let c = std::thread::spawn(move || {
-            let a = MemoryManager::alloc_temporary(&m_c, 10).unwrap();
-            order_c.lock().push("small");
-            a
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(order.lock().is_empty(), "both requests must be blocked while 80 is held");
+        let ledger = MemoryLedger::new(100);
+        let first = ledger.reserve(80).unwrap();
+        // A large request (60 > 20 free) queues first; a small one that would fit
+        // right now (80 + 10 ≤ 100) must queue behind it.  A request is granted in
+        // the hold of the lock that gives it its ticket, so had the small one
+        // passed, it would already be booked.
+        let large = queued(&ledger, 60, |r| r);
+        let small = queued(&ledger, 10, |r| r);
+        assert_eq!(ledger.in_use_bytes(), 80, "both requests must wait while 80 is held");
+        assert!(!large.is_finished() && !small.is_finished());
         drop(first);
-        let b_alloc = b.join().unwrap();
-        let c_alloc = c.join().unwrap();
-        assert_eq!(*order.lock(), vec!["large", "small"], "grants must follow arrival order");
-        drop(b_alloc);
-        drop(c_alloc);
-        assert_eq!(m.lock().stats().temporary_in_use_bytes, 0);
+        let (large, small) = (large.join().unwrap().unwrap(), small.join().unwrap().unwrap());
+        assert_eq!(ledger.in_use_bytes(), 70);
+        drop((large, small));
+        assert_eq!(ledger.in_use_bytes(), 0);
     }
 
-    /// Regression test for the nested-allocation deadlock: a thread already holding
-    /// memory must be allowed to barge past the FIFO queue when its second request
-    /// fits.  With strict FIFO, A (holding 40, requesting 10 more) would queue behind
-    /// B (waiting for 40 that only A's release can free) — a circular wait.
-    #[test]
-    fn holder_may_barge_past_the_queue_instead_of_deadlocking() {
-        let mut m = MemoryManager::new(100);
-        m.reserve_temporary_pool();
-        let m = std::sync::Arc::new(Mutex::new(m));
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let m2 = std::sync::Arc::clone(&m);
-        std::thread::spawn(move || {
-            let a_first = MemoryManager::alloc_temporary(&m2, 40).unwrap();
-            // B holds 40 and requests 40 more: blocked (80 + 40 > 100), queued.
-            let m3 = std::sync::Arc::clone(&m2);
-            let b = std::thread::spawn(move || {
-                let b_first = MemoryManager::alloc_temporary(&m3, 40).unwrap();
-                let b_second = MemoryManager::alloc_temporary(&m3, 40).unwrap();
-                drop(b_first);
-                drop(b_second);
-            });
-            std::thread::sleep(Duration::from_millis(50));
-            // A's nested request fits (80 + 10 ≤ 100) and A is a holder: it must be
-            // granted despite B's queued ticket, then A's releases unblock B.
-            let a_second = MemoryManager::alloc_temporary(&m2, 10).unwrap();
-            drop(a_second);
-            drop(a_first);
-            b.join().unwrap();
-            done_tx.send(()).unwrap();
-        });
-        done_rx
-            .recv_timeout(Duration::from_secs(20))
-            .expect("nested allocations deadlocked: holders must barge past the FIFO queue");
-        assert_eq!(m.lock().stats().temporary_in_use_bytes, 0);
-    }
-
-    /// An oversized request fails fast with an error even while the pool is contended
-    /// and other requests are queued — it must never hang itself or the queue.
+    /// An oversized request fails fast with an error even while the ledger is
+    /// contended and other requests are queued — it must never hang itself or the
+    /// queue.
     #[test]
     fn oversized_request_errors_while_pool_is_contended() {
-        let mut m = MemoryManager::new(100);
-        m.reserve_temporary_pool();
-        let m = std::sync::Arc::new(Mutex::new(m));
-        let held = MemoryManager::alloc_temporary(&m, 90).unwrap();
-        let m2 = std::sync::Arc::clone(&m);
-        let blocked = std::thread::spawn(move || MemoryManager::alloc_temporary(&m2, 50).unwrap());
-        std::thread::sleep(Duration::from_millis(30));
-        // The queue is non-empty and the pool nearly full: the oversized request must
-        // still return an error immediately rather than queueing forever.
-        let err = MemoryManager::alloc_temporary(&m, 101).unwrap_err();
-        assert!(matches!(err, MemoryError::LargerThanPool { requested: 101, pool: 100 }));
+        let ledger = MemoryLedger::new(100);
+        let held = ledger.reserve(90).unwrap();
+        let blocked = queued(&ledger, 50, drop);
+        let err = ledger.reserve(101).unwrap_err();
+        assert_eq!(err, MemoryError::LargerThanLedger { requested: 101, capacity: 100 });
         drop(held);
-        let late = blocked.join().unwrap();
-        assert_eq!(late.bytes(), 50);
+        assert_eq!(blocked.join().unwrap(), Ok(()));
+    }
+
+    /// Closing wakes every waiter with [`MemoryError::Closed`], refuses later
+    /// requests, and leaves granted reservations valid until they drop.
+    #[test]
+    fn close_wakes_waiters_with_a_typed_error() {
+        let ledger = MemoryLedger::new(100);
+        let hold = ledger.reserve(100).unwrap();
+        let waiters = [queued(&ledger, 50, drop), queued(&ledger, 10, drop)];
+        ledger.close();
+        for waiter in waiters {
+            assert_eq!(waiter.join().unwrap(), Err(MemoryError::Closed));
+        }
+        assert_eq!(ledger.in_use_bytes(), 100);
+        drop(hold);
+        assert_eq!(ledger.reserve(1).unwrap_err(), MemoryError::Closed);
+        assert_eq!(ledger.in_use_bytes(), 0);
     }
 
     #[test]
     fn error_messages_mention_sizes() {
-        let e = MemoryError::OutOfMemory { requested: 10, available: 5 };
-        assert!(e.to_string().contains("10"));
-        let e = MemoryError::LargerThanPool { requested: 10, pool: 5 };
-        assert!(e.to_string().contains("pool"));
+        let e = MemoryError::OutOfMemory { requested: 10, capacity: 5 };
+        assert!(e.to_string().contains("10") && e.to_string().contains('5'));
+        let e = MemoryError::LargerThanLedger { requested: 12, capacity: 7 };
+        assert!(e.to_string().contains("12") && e.to_string().contains('7'));
+        assert!(MemoryError::Closed.to_string().contains("closed"));
     }
 }

@@ -17,8 +17,9 @@
 //!   operator intact) and skips preprocessing entirely,
 //! - **admission control**: each job's persistent device footprint is estimated by
 //!   the [`Planner`] *before* anything is constructed, reserved FIFO-fairly against
-//!   a [`DeviceBudget`], and jobs that could never fit are rejected with a typed
-//!   error instead of crashing a worker mid-solve,
+//!   a device budget (a [`MemoryLedger`], the type of the device's temporary pool),
+//!   and jobs that could never fit are rejected with a typed error instead of
+//!   crashing a worker mid-solve,
 //! - **typed errors everywhere**: queue-full, shutdown, admission and solve failures
 //!   all surface as [`ServiceError`] values; a panicking job is caught and reported
 //!   without taking down its worker thread.
@@ -29,7 +30,7 @@ use feti_core::{
     TotalFetiSolver,
 };
 use feti_decompose::DecomposedProblem;
-use feti_gpu::{BudgetError, DeviceBudget, GpuSpec};
+use feti_gpu::{GpuSpec, MemoryError, MemoryLedger};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -168,7 +169,7 @@ pub enum ServiceError {
     ShuttingDown,
     /// Admission control rejected or could not serve the job's modelled device
     /// footprint.
-    Admission(BudgetError),
+    Admission(MemoryError),
     /// The solve itself failed.
     Solve(FetiError),
     /// The job panicked on its worker; the worker survived and the panic payload
@@ -202,8 +203,8 @@ impl From<FetiError> for ServiceError {
     }
 }
 
-impl From<BudgetError> for ServiceError {
-    fn from(e: BudgetError) -> Self {
+impl From<MemoryError> for ServiceError {
+    fn from(e: MemoryError) -> Self {
         ServiceError::Admission(e)
     }
 }
@@ -369,7 +370,7 @@ struct ServiceShared {
     queue: Mutex<JobQueue>,
     queue_cv: Condvar,
     cache: Mutex<SolverCache>,
-    budget: Arc<DeviceBudget>,
+    budget: Arc<MemoryLedger>,
     stats: Mutex<StatsInner>,
     /// Resolved plans by (structure fingerprint, requested configuration): repeated
     /// geometries skip the planner's symbolic analysis on the submit path too.
@@ -463,7 +464,7 @@ impl FetiService {
     /// Starts the worker pool.
     #[must_use]
     pub fn start(config: ServiceConfig) -> Self {
-        let budget = DeviceBudget::new(config.device_budget_bytes);
+        let budget = MemoryLedger::new(config.device_budget_bytes);
         // `solver_threads` pins the worker count of each job's internal parallel
         // regions (subdomain loops on the shimmed rayon pool).  Each service worker
         // owns one persistent pool for its whole lifetime: the pool's parked
@@ -512,10 +513,11 @@ impl FetiService {
     pub fn submit(&self, spec: JobSpec) -> Result<JobTicket, ServiceError> {
         let _span = feti_trace::span(|| "admit");
         let resolved = self.resolve(&spec);
-        if !self.shared.budget.admissible(resolved.persistent_bytes) {
-            return Err(ServiceError::Admission(BudgetError::ExceedsBudget {
+        let capacity = self.shared.budget.capacity_bytes();
+        if resolved.persistent_bytes > capacity {
+            return Err(ServiceError::Admission(MemoryError::LargerThanLedger {
                 requested: resolved.persistent_bytes,
-                budget: self.shared.budget.capacity_bytes(),
+                capacity,
             }));
         }
         let key = PlanCacheKey::new(&spec.problem, resolved.approach, resolved.params);
@@ -1044,7 +1046,7 @@ mod tests {
                 JobSpec::new("t", problem()).with_approach(DualOperatorApproach::ExplicitGpuLegacy),
             )
             .unwrap_err();
-        assert!(matches!(err, ServiceError::Admission(BudgetError::ExceedsBudget { .. })));
+        assert!(matches!(err, ServiceError::Admission(MemoryError::LargerThanLedger { .. })));
         // CPU-only jobs reserve nothing and sail through even a 1-byte budget.
         let ticket = service
             .submit(
