@@ -12,9 +12,10 @@ use std::sync::Arc;
 
 /// The symbolic analysis under `ordering` of every matrix of `k_regs`, made once per
 /// distinct sparsity pattern ([`feti_solver::group_by_pattern`]) under an
-/// `analyze[<ordering>]` span and shared by the matrices that have it: the one place a
-/// dual operator or a planner analyses anything.  An analysis reads index arrays only,
-/// so which matrix of a group stood for it cannot be told from the result.
+/// `analyze[<ordering>]` span and shared by the matrices that have it: the one place
+/// `feti-core` analyses anything, called by the [`Planner`](crate::planner::Planner)
+/// alone.  An analysis reads index arrays only, so which matrix of a group stood for it
+/// cannot be told from the result.
 pub(crate) fn analyze_by_pattern<'a>(
     k_regs: impl IntoIterator<Item = &'a CsrMatrix>,
     ordering: OrderingKind,
@@ -69,7 +70,7 @@ impl Factor {
     /// SpMV, all on the host — for the implicit device approaches too, whose program
     /// prices the same four kernels.
     pub(crate) fn apply(&self, block: &SubdomainBlock, p_local: &[f64], q_local: &mut [f64]) {
-        let mut t = vec![0.0; block.num_dofs()];
+        let mut t = vec![0.0; block.k_reg.nrows()];
         ops::spmv_csr(1.0, &block.b, Transpose::Yes, p_local, 0.0, &mut t);
         ops::spmv_csr(1.0, &block.b, Transpose::No, &self.solve(&t), 0.0, q_local);
     }
@@ -86,45 +87,46 @@ pub(crate) fn symv(f: &DenseMatrix, p_local: &[f64], q_local: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dualop::{ApproachOperator, DualOperator, SubdomainBlock};
+    use crate::dualop::{pinned_operator, ApproachOperator, DualOperator};
     use crate::params::DualOperatorApproach;
     use feti_decompose::{DecomposedProblem, DecompositionSpec};
     use feti_sparse::{ops, DenseMatrix, MemoryOrder, Transpose};
 
-    fn operator(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        nl: usize,
-    ) -> ApproachOperator {
-        ApproachOperator::new(approach, blocks, nl, Default::default(), SolverOptions::default())
-            .unwrap()
+    fn operator(approach: DualOperatorApproach, problem: &DecomposedProblem) -> ApproachOperator {
+        let (params, opts) = (Some(Default::default()), SolverOptions::default());
+        pinned_operator(approach, problem, params, opts).unwrap()
     }
 
-    fn blocks() -> (Vec<SubdomainBlock>, usize) {
+    fn problem() -> (DecomposedProblem, usize) {
         let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
-        (SubdomainBlock::from_problem(&problem), problem.num_lambdas)
+        let nl = problem.num_lambdas;
+        (problem, nl)
     }
 
-    fn reference_apply(blocks: &[SubdomainBlock], p: &[f64]) -> Vec<f64> {
+    fn reference_apply(problem: &DecomposedProblem, p: &[f64]) -> Vec<f64> {
         // Straightforward dense reference: q = sum_i B_i Kreg_i^{-1} B_i^T p_i.
         let mut q = vec![0.0; p.len()];
-        for block in blocks {
+        for sd in &problem.subdomains {
             let factor =
-                feti_solver::CholeskyFactor::new(&block.k_reg, &SolverOptions::default()).unwrap();
-            let p_local = block.scatter(p);
-            let mut t = vec![0.0; block.num_dofs()];
-            ops::spmv_csr(1.0, &block.b, Transpose::Yes, &p_local, 0.0, &mut t);
+                feti_solver::CholeskyFactor::new(&sd.k_reg, &SolverOptions::default()).unwrap();
+            let p_local: Vec<f64> = sd.lambda_map.iter().map(|&g| p[g]).collect();
+            let mut t = vec![0.0; sd.num_dofs()];
+            ops::spmv_csr(1.0, &sd.gluing, Transpose::Yes, &p_local, 0.0, &mut t);
             let x = factor.solve(&t);
-            let mut q_local = vec![0.0; block.num_local_lambdas()];
-            ops::spmv_csr(1.0, &block.b, Transpose::No, &x, 0.0, &mut q_local);
-            block.gather(&q_local, &mut q);
+            let mut q_local = vec![0.0; p_local.len()];
+            ops::spmv_csr(1.0, &sd.gluing, Transpose::No, &x, 0.0, &mut q_local);
+            for (&g, v) in sd.lambda_map.iter().zip(q_local) {
+                q[g] += v;
+            }
         }
         q
     }
 
     #[test]
     fn shared_analyses_are_the_per_subdomain_ones_and_one_object_per_pattern() {
-        // Elasticity 2D 3×3 × 10 and heat 2D 3×3 × 12 have one `k_reg` pattern each;
+        // The analyses a pinned plan hands its operator are one object per pattern,
+        // each equal to a per-subdomain one.  Elasticity 2D 3×3 × 10 and heat 2D
+        // 3×3 × 12 have one `k_reg` pattern each;
         // heat 3D quadratic 2×2×2 × 3 is the mixed case, four patterns among eight
         // subdomains (`assemble_subdomain` drops the entries that round to exactly 0).
         use feti_mesh::{Dim, ElementOrder, Physics};
@@ -141,14 +143,16 @@ mod tests {
             (spec(Dim::Two, Physics::HeatTransfer, ElementOrder::Linear, 3, 12), 1),
             (spec(Dim::Three, Physics::HeatTransfer, ElementOrder::Quadratic, 2, 3), 4),
         ];
-        let orderings = [OrderingKind::MinimumDegree, OrderingKind::NestedDissection];
-        for ((spec, patterns), ordering) in
-            cases.into_iter().flat_map(|c| orderings.map(|o| (c, o)))
+        let approaches =
+            [DualOperatorApproach::ImplicitCholmod, DualOperatorApproach::ExplicitCholmod];
+        for ((spec, patterns), approach) in
+            cases.into_iter().flat_map(|c| approaches.map(|a| (c, a)))
         {
+            let ordering = approach.ordering();
             let opts = SolverOptions { ordering, ..SolverOptions::default() };
             let problem = DecomposedProblem::build(&spec);
             let k_regs: Vec<&CsrMatrix> = problem.subdomains.iter().map(|sd| &sd.k_reg).collect();
-            let shared = analyze_by_pattern(k_regs.iter().copied(), ordering);
+            let shared = pinned_operator(approach, &problem, None, opts).unwrap().symbolic;
             assert_eq!(shared.len(), k_regs.len());
             for (i, (k_reg, shared)) in k_regs.iter().zip(&shared).enumerate() {
                 let own = SymbolicCholesky::analyze(k_reg, &opts);
@@ -176,10 +180,10 @@ mod tests {
 
     #[test]
     fn implicit_cpu_matches_reference() {
-        let (blocks, nl) = blocks();
+        let (problem, nl) = problem();
         let p: Vec<f64> = (0..nl).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
-        let reference = reference_apply(&blocks, &p);
-        let mut op = operator(DualOperatorApproach::ImplicitCholmod, blocks, nl);
+        let reference = reference_apply(&problem, &p);
+        let mut op = operator(DualOperatorApproach::ImplicitCholmod, &problem);
         let t = op.preprocess().unwrap();
         assert!(t.total_seconds > 0.0);
         let mut q = vec![0.0; nl];
@@ -193,10 +197,10 @@ mod tests {
 
     #[test]
     fn explicit_cpu_matches_reference() {
-        let (blocks, nl) = blocks();
+        let (problem, nl) = problem();
         let p: Vec<f64> = (0..nl).map(|i| (i as f64 * 0.31).sin()).collect();
-        let reference = reference_apply(&blocks, &p);
-        let mut op = operator(DualOperatorApproach::ExplicitCholmod, blocks, nl);
+        let reference = reference_apply(&problem, &p);
+        let mut op = operator(DualOperatorApproach::ExplicitCholmod, &problem);
         op.preprocess().unwrap();
         let mut q = vec![0.0; nl];
         op.apply(&p, &mut q);
@@ -207,7 +211,7 @@ mod tests {
 
     #[test]
     fn apply_many_is_bit_for_bit_columnwise_apply() {
-        let (blocks, nl) = blocks();
+        let (problem, nl) = problem();
         let k = 3;
         let mut p = DenseMatrix::zeros(nl, k, MemoryOrder::ColMajor);
         for j in 0..k {
@@ -237,8 +241,8 @@ mod tests {
         for approach in
             [DualOperatorApproach::ExplicitCholmod, DualOperatorApproach::ImplicitCholmod]
         {
-            let mut a = operator(approach, blocks.clone(), nl);
-            let mut b = operator(approach, blocks.clone(), nl);
+            let mut a = operator(approach, &problem);
+            let mut b = operator(approach, &problem);
             check(&mut a, &mut b);
         }
     }
@@ -246,9 +250,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "preprocess must be called")]
     fn apply_before_preprocess_panics() {
-        let (blocks, nl) = blocks();
-        let rhs = vec![0.0; blocks[0].num_dofs()];
-        let mut op = operator(DualOperatorApproach::ImplicitCholmod, blocks, nl);
+        let (problem, nl) = problem();
+        let rhs = vec![0.0; problem.subdomains[0].num_dofs()];
+        let mut op = operator(DualOperatorApproach::ImplicitCholmod, &problem);
         // `solve_local` refuses a cold operator with the same message; its panic is
         // caught and checked, the one of `apply` is what the test as a whole declares.
         let early = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

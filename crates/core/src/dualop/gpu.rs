@@ -44,37 +44,34 @@ pub(crate) fn run_assembly(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dualop::{ApproachOperator, DualOperator};
+    use crate::dualop::{pinned_operator, ApproachOperator, DualOperator};
     use crate::params::{
         DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather,
     };
+    use crate::planner::Planner;
     use feti_decompose::{DecomposedProblem, DecompositionSpec};
     use feti_solver::SolverOptions;
     use feti_sparse::MemoryOrder;
 
     fn operator(
         approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        nl: usize,
+        problem: &DecomposedProblem,
         params: ExplicitAssemblyParams,
     ) -> ApproachOperator {
-        ApproachOperator::new(approach, blocks, nl, params, SolverOptions::default()).unwrap()
+        pinned_operator(approach, problem, Some(params), SolverOptions::default()).unwrap()
     }
 
-    fn blocks() -> (Vec<SubdomainBlock>, usize) {
+    fn problem() -> (DecomposedProblem, usize) {
         let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
-        (SubdomainBlock::from_problem(&problem), problem.num_lambdas)
+        let nl = problem.num_lambdas;
+        (problem, nl)
     }
 
-    fn reference(blocks: &[SubdomainBlock], nl: usize, p: &[f64]) -> Vec<f64> {
-        let mut op = operator(
-            DualOperatorApproach::ImplicitCholmod,
-            blocks.to_vec(),
-            nl,
-            ExplicitAssemblyParams::default(),
-        );
+    fn reference(problem: &DecomposedProblem, p: &[f64]) -> Vec<f64> {
+        let approach = DualOperatorApproach::ImplicitCholmod;
+        let mut op = operator(approach, problem, ExplicitAssemblyParams::default());
         op.preprocess().unwrap();
-        let mut q = vec![0.0; nl];
+        let mut q = vec![0.0; p.len()];
         op.apply(p, &mut q);
         q
     }
@@ -83,14 +80,14 @@ mod tests {
     fn implicit_gpu_matches_cpu_reference() {
         // The device approaches solve through the very factor `impl cholmod` applies:
         // the same bits, only the price differs.
-        let (blocks, nl) = blocks();
+        let (problem, nl) = problem();
         let p: Vec<f64> = (0..nl).map(|i| (i as f64 * 0.7).cos()).collect();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let q_ref = reference(&blocks, nl, &p);
+        let q_ref = reference(&problem, &p);
         for approach in
             [DualOperatorApproach::ImplicitGpuLegacy, DualOperatorApproach::ImplicitGpuModern]
         {
-            let mut op = operator(approach, blocks.clone(), nl, ExplicitAssemblyParams::default());
+            let mut op = operator(approach, &problem, ExplicitAssemblyParams::default());
             let t = op.preprocess().unwrap();
             assert!(t.gpu_seconds > 0.0, "factor transfer must be accounted");
             let mut q = vec![0.0; nl];
@@ -102,9 +99,9 @@ mod tests {
 
     #[test]
     fn explicit_gpu_matches_cpu_reference_for_all_paths_and_storages() {
-        let (blocks, nl) = blocks();
+        let (problem, nl) = problem();
         let p: Vec<f64> = (0..nl).map(|i| ((i % 5) as f64) - 2.0).collect();
-        let q_ref = reference(&blocks, nl, &p);
+        let q_ref = reference(&problem, &p);
         for path in [Path::Syrk, Path::Trsm] {
             for storage in [FactorStorage::Sparse, FactorStorage::Dense] {
                 for rhs_order in [MemoryOrder::RowMajor, MemoryOrder::ColMajor] {
@@ -117,12 +114,8 @@ mod tests {
                         rhs_order,
                         scatter_gather: ScatterGather::Gpu,
                     };
-                    let mut op = operator(
-                        DualOperatorApproach::ExplicitGpuLegacy,
-                        blocks.clone(),
-                        nl,
-                        params,
-                    );
+                    let mut op =
+                        operator(DualOperatorApproach::ExplicitGpuLegacy, &problem, params);
                     op.preprocess().unwrap();
                     let mut q = vec![0.0; nl];
                     op.apply(&p, &mut q);
@@ -144,7 +137,7 @@ mod tests {
     /// in `tests/sparse_assembly_conformance.rs`.
     #[test]
     fn sparse_explicit_gpu_is_bit_identical_to_dense_explicit() {
-        let (blocks, nl) = blocks();
+        let (problem, nl) = problem();
         // Pin the op sequence both families submit: SYRK path over a dense factor.
         let params = ExplicitAssemblyParams {
             path: Path::Syrk,
@@ -161,11 +154,11 @@ mod tests {
                 DualOperatorApproach::ExplicitGpuModern,
             ),
         ] {
-            let mut dense = operator(dense_approach, blocks.clone(), nl, params);
-            let mut sparse = operator(sparse_approach, blocks.clone(), nl, params);
+            let mut dense = operator(dense_approach, &problem, params);
+            let mut sparse = operator(sparse_approach, &problem, params);
             let td = dense.preprocess().unwrap();
             let ts = sparse.preprocess().unwrap();
-            for i in 0..blocks.len() {
+            for i in 0..problem.subdomains.len() {
                 let fd = dense.local_operator(i).unwrap();
                 let fs = sparse.local_operator(i).unwrap();
                 for r in 0..fd.nrows() {
@@ -273,8 +266,7 @@ mod tests {
                 (A::ExplicitGpuLegacy, trsm_path(FactorStorage::Dense, MemoryOrder::ColMajor)),
             ];
             for ((approach, params), recorded) in cases.into_iter().zip(recorded) {
-                let blocks = SubdomainBlock::from_problem(&problem);
-                let mut op = operator(approach, blocks, problem.num_lambdas, params);
+                let mut op = operator(approach, &problem, params);
                 let t = one_thread.install(|| op.preprocess()).unwrap();
                 let device = &op.device_side().device;
                 assert_eq!(device.pool().in_use_bytes(), 0, "{spec:?} {approach:?} {params:?}");
@@ -298,24 +290,16 @@ mod tests {
     fn dense_forward_legacy(
         pool: impl FnOnce(&[Vec<usize>]) -> usize,
     ) -> (Vec<Vec<usize>>, ApproachOperator) {
-        use crate::program::{ApproachProgram, SubdomainShape};
-        let (blocks, nl) = blocks();
+        let (problem, _) = problem();
         let approach = DualOperatorApproach::ExplicitGpuLegacy;
         let params = ExplicitAssemblyParams {
             forward_factor_storage: FactorStorage::Dense,
             ..Default::default()
         };
-        let symbolic =
-            cpu::analyze_by_pattern(blocks.iter().map(|b| &b.k_reg), approach.ordering());
-        let shapes = blocks
-            .iter()
-            .zip(&symbolic)
-            .map(|(block, symbolic)| SubdomainShape::new(&block.b, symbolic.factor_nnz()))
-            .collect();
         let a100 = feti_gpu::GpuSpec::a100_40gb();
-        let program = ApproachProgram::new(&a100, approach, params, nl, shapes);
+        let program = Planner::new(&problem, a100).program(approach, params);
         let preprocess = program.preprocess();
-        let temporaries: Vec<Vec<usize>> = (0..blocks.len())
+        let temporaries: Vec<Vec<usize>> = (0..problem.subdomains.len())
             .map(|i| {
                 let ops = preprocess.subdomain(i).iter().map(|op| op.temporary_bytes);
                 ops.filter(|&bytes| bytes > 0).collect()
@@ -323,10 +307,8 @@ mod tests {
             .collect();
         let capacity = program.persistent_bytes() + pool(&temporaries);
         let spec = feti_gpu::GpuSpec { memory_capacity_bytes: capacity, ..a100 };
-        let opts = SolverOptions::default();
-        let op =
-            ApproachOperator::with_analyses(approach, blocks, nl, params, opts, symbolic, &spec)
-                .unwrap();
+        let plan = Planner::new(&problem, spec).plan_pinned(approach);
+        let op = plan.build(&problem, approach, params, SolverOptions::default()).unwrap();
         (temporaries, op)
     }
 
@@ -353,7 +335,7 @@ mod tests {
     /// so a second attempt fails the same way.
     #[test]
     fn temporary_pool_exhaustion_is_a_typed_error() {
-        let n_max = blocks().0.iter().map(SubdomainBlock::num_dofs).max().unwrap();
+        let n_max = problem().0.subdomains.iter().map(|sd| sd.num_dofs()).max().unwrap();
         for pool in [n_max * n_max * 8 - 1, n_max * n_max * 8] {
             let (temporaries, mut op) = dense_forward_legacy(|_| pool);
             let largest_kernel = temporaries.iter().flatten().max().unwrap();
@@ -392,9 +374,9 @@ mod tests {
             let f = (0..).map_while(|i| op.local_operator(i));
             f.map(|f| f.as_slice().iter().map(|x| x.to_bits()).collect()).collect()
         };
-        let (blocks, nl) = blocks();
-        let subdomains = blocks.len();
-        let mut a100 = operator(DualOperatorApproach::ExplicitGpuLegacy, blocks, nl, *op.params());
+        let (problem, _) = problem();
+        let subdomains = problem.subdomains.len();
+        let mut a100 = operator(DualOperatorApproach::ExplicitGpuLegacy, &problem, *op.params());
         a100.preprocess().unwrap();
         let expected = local_bits(&a100);
         assert_eq!(expected.len(), subdomains);
@@ -412,13 +394,12 @@ mod tests {
 
     #[test]
     fn hybrid_matches_cpu_reference() {
-        let (blocks, nl) = blocks();
+        let (problem, nl) = problem();
         let p: Vec<f64> = (0..nl).map(|i| (i as f64 * 0.11).sin()).collect();
-        let q_ref = reference(&blocks, nl, &p);
+        let q_ref = reference(&problem, &p);
         let mut op = operator(
             DualOperatorApproach::ExplicitHybrid,
-            blocks,
-            nl,
+            &problem,
             ExplicitAssemblyParams::default(),
         );
         let t = op.preprocess().unwrap();
@@ -432,7 +413,7 @@ mod tests {
 
     #[test]
     fn batched_apply_matches_columnwise_and_never_costs_more() {
-        let (blocks, nl) = blocks();
+        let (problem, nl) = problem();
         let k = 4;
         let mut p = DenseMatrix::zeros(nl, k, MemoryOrder::ColMajor);
         for j in 0..k {
@@ -444,42 +425,36 @@ mod tests {
             (
                 Box::new(operator(
                     DualOperatorApproach::ImplicitGpuLegacy,
-                    blocks.clone(),
-                    nl,
+                    &problem,
                     ExplicitAssemblyParams::default(),
                 )),
                 Box::new(operator(
                     DualOperatorApproach::ImplicitGpuLegacy,
-                    blocks.clone(),
-                    nl,
+                    &problem,
                     ExplicitAssemblyParams::default(),
                 )),
             ),
             (
                 Box::new(operator(
                     DualOperatorApproach::ExplicitGpuModern,
-                    blocks.clone(),
-                    nl,
+                    &problem,
                     ExplicitAssemblyParams::default(),
                 )),
                 Box::new(operator(
                     DualOperatorApproach::ExplicitGpuModern,
-                    blocks.clone(),
-                    nl,
+                    &problem,
                     ExplicitAssemblyParams::default(),
                 )),
             ),
             (
                 Box::new(operator(
                     DualOperatorApproach::ExplicitHybrid,
-                    blocks.clone(),
-                    nl,
+                    &problem,
                     ExplicitAssemblyParams::default(),
                 )),
                 Box::new(operator(
                     DualOperatorApproach::ExplicitHybrid,
-                    blocks.clone(),
-                    nl,
+                    &problem,
                     ExplicitAssemblyParams::default(),
                 )),
             ),
@@ -515,13 +490,12 @@ mod tests {
 
     #[test]
     fn scatter_gather_variants_produce_identical_results() {
-        let (blocks, nl) = blocks();
+        let (problem, nl) = problem();
         let p: Vec<f64> = (0..nl).map(|i| 1.0 / (i as f64 + 1.0)).collect();
         let mut results = Vec::new();
         for sg in [ScatterGather::Cpu, ScatterGather::Gpu] {
             let params = ExplicitAssemblyParams { scatter_gather: sg, ..Default::default() };
-            let mut op =
-                operator(DualOperatorApproach::ExplicitGpuModern, blocks.clone(), nl, params);
+            let mut op = operator(DualOperatorApproach::ExplicitGpuModern, &problem, params);
             op.preprocess().unwrap();
             let mut q = vec![0.0; nl];
             op.apply(&p, &mut q);

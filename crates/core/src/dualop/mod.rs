@@ -25,6 +25,7 @@ pub mod cpu;
 pub mod gpu;
 
 use crate::params::{DualOperatorApproach, ExplicitAssemblyParams};
+use crate::planner::Planner;
 use crate::program::{auto_params, ApproachProgram, PhaseProgram, SubdomainShape};
 use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
@@ -170,57 +171,15 @@ pub trait DualOperator: Send {
     fn stats(&self) -> DualOperatorStats;
 }
 
-/// Per-subdomain data shared by every implementation: the regularized stiffness
-/// matrix, the local gluing block and the local-to-global multiplier map.
-#[derive(Debug, Clone)]
-pub struct SubdomainBlock {
+/// Per-subdomain data an operator keeps, copied from its problem: the regularized
+/// stiffness matrix, the local gluing block and the local-to-global multiplier map.
+pub(crate) struct SubdomainBlock {
     /// Regularized (SPD) subdomain stiffness matrix.
-    pub k_reg: CsrMatrix,
+    pub(crate) k_reg: CsrMatrix,
     /// Local gluing matrix `B̃ᵢ` (`local_lambdas x ndofs`).
-    pub b: CsrMatrix,
+    pub(crate) b: CsrMatrix,
     /// Local-to-global multiplier map.
-    pub lambda_map: Vec<usize>,
-}
-
-impl SubdomainBlock {
-    /// Extracts the blocks needed by the dual operators from a decomposed problem.
-    #[must_use]
-    pub fn from_problem(problem: &DecomposedProblem) -> Vec<SubdomainBlock> {
-        problem
-            .subdomains
-            .iter()
-            .map(|sd| SubdomainBlock {
-                k_reg: sd.k_reg.clone(),
-                b: sd.gluing.clone(),
-                lambda_map: sd.lambda_map.clone(),
-            })
-            .collect()
-    }
-
-    /// Number of DOFs of this subdomain.
-    #[must_use]
-    pub fn num_dofs(&self) -> usize {
-        self.k_reg.nrows()
-    }
-
-    /// Number of Lagrange multipliers connected to this subdomain.
-    #[must_use]
-    pub fn num_local_lambdas(&self) -> usize {
-        self.lambda_map.len()
-    }
-
-    /// Scatters the global dual vector into this subdomain's local dual vector.
-    #[must_use]
-    pub fn scatter(&self, global: &[f64]) -> Vec<f64> {
-        self.lambda_map.iter().map(|&g| global[g]).collect()
-    }
-
-    /// Gathers (adds) this subdomain's local dual vector into the global dual vector.
-    pub fn gather(&self, local: &[f64], global: &mut [f64]) {
-        for (l, &g) in self.lambda_map.iter().enumerate() {
-            global[g] += local[l];
-        }
-    }
+    pub(crate) lambda_map: Vec<usize>,
 }
 
 /// The device half of a GPU approach: the simulated device it allocates from and the
@@ -270,60 +229,41 @@ pub struct ApproachOperator {
 }
 
 impl ApproachOperator {
-    /// Preparation: one symbolic analysis per distinct `k_reg` sparsity pattern under
-    /// the approach's own [ordering](DualOperatorApproach::ordering), shared by the
-    /// subdomains that have it, and, for GPU approaches, the persistent allocations
-    /// its program lists (factors, `B̃ᵢ`, `F̃ᵢ`, dual vectors, persistent library
-    /// workspaces) and the temporary pool, on an A100-like device
-    /// ([`GpuSpec::a100_40gb`]).  Of `opts` the factorization reads
-    /// the kernel and the pivot tolerance, never the ordering.  `params` configures the
-    /// explicit GPU assembly and the placement of scatter/gather; the other approaches
-    /// ignore it.
+    /// Preparation over analyses a [`Plan`](crate::planner::Plan) made under the
+    /// approach's own [ordering](DualOperatorApproach::ordering), one per subdomain (one
+    /// object per distinct `k_reg` pattern), on the device described by `spec` — the
+    /// one the plan priced: nothing is analysed here.  A GPU approach allocates the
+    /// persistent structures its program lists (factors, `B̃ᵢ`, `F̃ᵢ`, dual vectors,
+    /// persistent library workspaces) and the temporary pool.  Of `opts` the
+    /// factorization reads the kernel and the pivot tolerance, never the ordering.
+    /// `params` configures the explicit GPU assembly and the placement of
+    /// scatter/gather; the other approaches ignore it.
     ///
     /// # Errors
-    /// Returns an error if the device cannot hold the persistent structures.
-    pub fn new(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        params: ExplicitAssemblyParams,
-        opts: SolverOptions,
-    ) -> crate::Result<Self> {
-        let k_regs = blocks.iter().map(|block| &block.k_reg);
-        let symbolic = cpu::analyze_by_pattern(k_regs, approach.ordering());
-        let spec = GpuSpec::a100_40gb();
-        Self::with_analyses(approach, blocks, num_lambdas, params, opts, symbolic, &spec)
-    }
-
-    /// [`Self::new`] over analyses made before under the approach's ordering, on a
-    /// device described by `spec` (a [`Plan`](crate::planner::Plan) keeps the analyses
-    /// and the device it priced): nothing is analysed here.
-    ///
-    /// # Errors
-    /// Returns an error if `symbolic` is not one analysis of the right size per block,
-    /// or if the device cannot hold the persistent structures.
+    /// Returns an error if `symbolic` is not one analysis of the right size per
+    /// subdomain, or if the device cannot hold the persistent structures.
     pub(crate) fn with_analyses(
         approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
+        problem: &DecomposedProblem,
         params: ExplicitAssemblyParams,
         opts: SolverOptions,
         symbolic: Vec<Arc<SymbolicCholesky>>,
         spec: &GpuSpec,
     ) -> crate::Result<Self> {
-        let fit = symbolic.len() == blocks.len()
-            && symbolic.iter().zip(&blocks).all(|(s, block)| s.dim() == block.num_dofs());
+        let subdomains = &problem.subdomains;
+        let fit = symbolic.len() == subdomains.len()
+            && symbolic.iter().zip(subdomains).all(|(s, sd)| s.dim() == sd.num_dofs());
         if !fit {
             return Err(crate::FetiError::Factorization(
                 "the symbolic analyses were made for another problem".into(),
             ));
         }
-        let shapes = blocks
+        let shapes = subdomains
             .iter()
             .zip(&symbolic)
-            .map(|(block, symbolic)| SubdomainShape::new(&block.b, symbolic.factor_nnz()))
+            .map(|(sd, symbolic)| SubdomainShape::new(&sd.gluing, symbolic.factor_nnz()))
             .collect();
-        let program = ApproachProgram::new(spec, approach, params, num_lambdas, shapes);
+        let program = ApproachProgram::new(spec, approach, params, problem.num_lambdas, shapes);
         let (preprocess_program, apply_program) = (program.preprocess(), program.apply(1));
         let device = if approach.uses_gpu() {
             let device = GpuDevice::new(*spec, program.persistent_bytes())?;
@@ -331,11 +271,19 @@ impl ApproachOperator {
         } else {
             None
         };
+        let blocks = subdomains
+            .iter()
+            .map(|sd| SubdomainBlock {
+                k_reg: sd.k_reg.clone(),
+                b: sd.gluing.clone(),
+                lambda_map: sd.lambda_map.clone(),
+            })
+            .collect();
         Ok(Self {
             approach,
             params,
             blocks,
-            num_lambdas,
+            num_lambdas: problem.num_lambdas,
             opts,
             symbolic,
             state: Vec::new(),
@@ -344,19 +292,6 @@ impl ApproachOperator {
             apply_program,
             stats: SharedStats::default(),
         })
-    }
-
-    /// The operator of `approach` for a decomposed problem; `params: None` selects the
-    /// Table-II auto-configuration.
-    pub(crate) fn for_problem(
-        approach: DualOperatorApproach,
-        problem: &DecomposedProblem,
-        params: Option<ExplicitAssemblyParams>,
-        opts: SolverOptions,
-    ) -> crate::Result<Self> {
-        let blocks = SubdomainBlock::from_problem(problem);
-        let params = params.unwrap_or_else(|| auto_params(approach, problem));
-        Self::new(approach, blocks, problem.num_lambdas, params, opts)
     }
 
     /// The explicit-assembly parameters in use.
@@ -549,7 +484,24 @@ impl DualOperator for ApproachOperator {
     }
 }
 
-/// Builds the dual operator implementing `approach` for a decomposed problem.
+/// The operator a pinned door builds: a [pinned plan](Planner::plan_pinned) of
+/// `approach` on an A100-like device ([`GpuSpec::a100_40gb`]) — one analysis per
+/// distinct `k_reg` pattern under the approach's ordering, nothing priced, no trace
+/// record — built with `params` (`None`: the Table-II auto-configuration).
+pub(crate) fn pinned_operator(
+    approach: DualOperatorApproach,
+    problem: &DecomposedProblem,
+    params: Option<ExplicitAssemblyParams>,
+    opts: SolverOptions,
+) -> crate::Result<ApproachOperator> {
+    let plan = Planner::new(problem, GpuSpec::a100_40gb()).plan_pinned(approach);
+    let params = params.unwrap_or_else(|| auto_params(approach, problem));
+    plan.build(problem, approach, params, opts)
+}
+
+/// Builds the dual operator implementing `approach` for a decomposed problem, on an
+/// A100-like device: a plan for the one approach, then its build
+/// ([`Plan::build`](crate::planner::Plan::build) builds on any device).
 ///
 /// `params` configures the explicit GPU assembly; when `None`, the Table-II
 /// auto-configuration for the problem's dimensionality and subdomain size is used.
@@ -579,7 +531,7 @@ pub fn build_dual_operator_with_options(
     params: Option<ExplicitAssemblyParams>,
     solver_options: SolverOptions,
 ) -> crate::Result<Box<dyn DualOperator>> {
-    Ok(Box::new(ApproachOperator::for_problem(approach, problem, params, solver_options)?))
+    Ok(Box::new(pinned_operator(approach, problem, params, solver_options)?))
 }
 
 #[cfg(test)]
@@ -590,31 +542,12 @@ mod tests {
     #[test]
     fn blocks_extracted_from_problem() {
         let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
-        let blocks = SubdomainBlock::from_problem(&problem);
-        assert_eq!(blocks.len(), 4);
-        for b in &blocks {
-            assert_eq!(b.b.ncols(), b.num_dofs());
-            assert_eq!(b.b.nrows(), b.num_local_lambdas());
-        }
-    }
-
-    #[test]
-    fn scatter_gather_roundtrip() {
-        let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
-        let blocks = SubdomainBlock::from_problem(&problem);
-        let global: Vec<f64> = (0..problem.num_lambdas).map(|i| i as f64).collect();
-        let mut accumulated = vec![0.0; problem.num_lambdas];
-        let mut counts = vec![0.0; problem.num_lambdas];
-        for b in &blocks {
-            let local = b.scatter(&global);
-            assert_eq!(local.len(), b.num_local_lambdas());
-            b.gather(&local, &mut accumulated);
-            for &g in &b.lambda_map {
-                counts[g] += 1.0;
-            }
-        }
-        for i in 0..problem.num_lambdas {
-            assert!((accumulated[i] - global[i] * counts[i]).abs() < 1e-12);
+        let approach = DualOperatorApproach::ImplicitCholmod;
+        let op = pinned_operator(approach, &problem, None, SolverOptions::default()).unwrap();
+        assert_eq!(op.blocks.len(), 4);
+        for b in &op.blocks {
+            assert_eq!(b.b.ncols(), b.k_reg.nrows());
+            assert_eq!(b.b.nrows(), b.lambda_map.len());
         }
     }
 
@@ -665,8 +598,7 @@ mod tests {
                 for factorization in [FactorizationKind::Simplicial, FactorizationKind::Supernodal]
                 {
                     let opts = SolverOptions { factorization, ..SolverOptions::default() };
-                    let mut op =
-                        ApproachOperator::for_problem(approach, &problem, None, opts).unwrap();
+                    let mut op = pinned_operator(approach, &problem, None, opts).unwrap();
                     op.preprocess_keeping(true).unwrap();
                     for (i, (load, want)) in loads.clone().zip(&expected).enumerate() {
                         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -684,10 +616,9 @@ mod tests {
     #[test]
     fn each_approach_factorizes_over_analyses_under_its_own_ordering() {
         // Every implicit approach's analyses carry the approximate-minimum-degree
-        // permutation and every explicit one's the nested-dissection one — whether the
-        // operator analysed for itself or a plan ranking the approach first handed its
-        // analyses over — each that of a stand-alone analysis under that ordering.
-        use crate::planner::{PlanCandidate, Planner};
+        // permutation and every explicit one's the nested-dissection one — whether a
+        // pinned door built the operator or a plan of every approach did — each that of
+        // a stand-alone analysis under that ordering.
         use feti_solver::OrderingKind;
         let problem = DecomposedProblem::build(&DecompositionSpec {
             elements_per_subdomain_side: 6,
@@ -709,13 +640,10 @@ mod tests {
         for approach in DualOperatorApproach::all() {
             let expected = if approach.is_explicit() { &nd } else { &amd };
             let opts = SolverOptions::default();
-            let built = ApproachOperator::for_problem(approach, &problem, None, opts).unwrap();
+            let built = pinned_operator(approach, &problem, None, opts).unwrap();
             assert_eq!(&carried(&built), expected, "{approach:?} built");
-            let mut ranked = plan.clone();
-            let at = ranked.candidates.iter().position(|c| c.approach == approach).unwrap();
-            let first = PlanCandidate { fits_device_memory: true, ..ranked.candidates.remove(at) };
-            ranked.candidates.insert(0, first);
-            let planned = ranked.operator(&problem).unwrap();
+            let params = auto_params(approach, &problem);
+            let planned = plan.build(&problem, approach, params, opts).unwrap();
             assert_eq!(planned.approach, approach);
             assert_eq!(&carried(&planned), expected, "{approach:?} planned");
         }
@@ -748,7 +676,7 @@ mod tests {
         for approach in DualOperatorApproach::all() {
             for factorization in [FactorizationKind::Simplicial, FactorizationKind::Supernodal] {
                 let opts = SolverOptions { factorization, ..SolverOptions::default() };
-                let build = || ApproachOperator::for_problem(approach, &problem, None, opts);
+                let build = || pinned_operator(approach, &problem, None, opts);
                 let mut op = build().unwrap();
                 let analysed = op.blocks[1].k_reg.clone();
                 op.blocks[1].k_reg = with_an_extra_pair(&analysed);

@@ -2,8 +2,9 @@
 //! preconditioned conjugate projected gradient method (Algorithm 1 of the paper),
 //! plus solution recovery.
 
-use crate::dualop::{par_subdomains, ApproachOperator, DualOperator};
+use crate::dualop::{par_subdomains, pinned_operator, ApproachOperator, DualOperator};
 use crate::params::{DualOperatorApproach, ExplicitAssemblyParams};
+use crate::planner::Plan;
 use crate::schedule::TimeBreakdown;
 use crate::{FetiError, Result};
 use feti_decompose::DecomposedProblem;
@@ -62,9 +63,10 @@ pub struct FetiSolution {
 /// The solver *owns* its problem (shared through an [`Arc`]), so a fully constructed
 /// — and, after the first solve, fully preprocessed — solver is `'static + Send` and
 /// can be cached and handed between worker threads by a solve service.
-/// Construction builds the coarse problem and analyses each distinct `Kᵢ` sparsity
-/// pattern once — or nothing, [from a plan](Self::from_plan), which hands over the
-/// analyses it priced; FETI preprocessing (the dual operator's factorization/assembly)
+/// Construction builds the coarse problem and an operator from a plan's analyses —
+/// [a plan handed over](Self::from_plan), or one a pinned door ([`Self::new`]) makes
+/// of its approach, analysing each distinct `Kᵢ` pattern once; FETI preprocessing
+/// (the dual operator's factorization/assembly)
 /// runs once per solver instance, and subsequent solves on the same instance reuse it
 /// and report a zero preprocessing time.  The solver holds no factor of `Kᵢ` of its
 /// own: `d = B K⁺ f − c` and the primal recovery solve through the one factor per
@@ -82,10 +84,10 @@ pub struct TotalFetiSolver {
     options: PcpgOptions,
     /// The recorded dual-operator preprocessing breakdown, once it has run.
     preprocessed: Option<TimeBreakdown>,
-    /// `(plan record id, chosen rank)` of the planning decision that built this
-    /// solver, when tracing was enabled at plan time.  The solver stamps measured
-    /// preprocessing and per-application seconds onto that record so the trace
-    /// report shows predicted-vs-measured accuracy.
+    /// `(plan record id, rank)` of the candidate this solver was built as, when
+    /// tracing was enabled at plan time and the plan ranks it.  The solver stamps
+    /// measured preprocessing and per-application seconds onto that record so the
+    /// trace report shows predicted-vs-measured accuracy.
     plan_trace: Option<(u64, usize)>,
 }
 
@@ -145,7 +147,8 @@ impl BoundaryBlock {
 }
 
 impl TotalFetiSolver {
-    /// Creates a solver for `problem` using the given dual-operator approach.
+    /// Creates a solver for `problem` using the given dual-operator approach, on an
+    /// A100-like device: a plan of the one approach, then a build from it.
     ///
     /// # Errors
     /// Returns an error if the simulated device cannot hold the operator's persistent
@@ -177,33 +180,32 @@ impl TotalFetiSolver {
         options: PcpgOptions,
     ) -> Result<Self> {
         let problem = problem.into();
-        let dual_op = ApproachOperator::for_problem(approach, &problem, params, solver_options)?;
+        let dual_op = pinned_operator(approach, &problem, params, solver_options)?;
         Self::from_parts(problem, dual_op, options)
     }
 
-    /// Creates a solver from an already-computed [`Plan`](crate::planner::Plan)
-    /// (see [`Planner::plan`](crate::planner::Planner::plan)): the plan's winning
-    /// candidate supplies the operator and the plan its symbolic analyses, so nothing
-    /// is analysed here.  Callers that want to inspect or report the
-    /// ranking build the plan themselves and hand it over here; when tracing was
-    /// enabled during planning, this solver stamps its measured preprocessing and
-    /// per-application seconds onto that same plan trace record.
+    /// Creates a solver running `approach` with `params` — usually [`Plan::best`] —
+    /// from an already-computed [`Plan`], over its analyses and on its device
+    /// ([`Plan::build`]): nothing is analysed here.  When tracing was enabled during
+    /// planning and the plan ranks that candidate, this solver stamps its measured
+    /// preprocessing and per-application seconds onto it in the plan's trace record.
     ///
     /// # Errors
-    /// As for [`TotalFetiSolver::new`]: the planned operator cannot be constructed
-    /// on the device or the coarse problem is singular; subdomain factorization
-    /// failures surface at preprocessing.  A plan made for a problem with other
-    /// subdomain sizes is refused here, one whose `Kᵢ` patterns differ at preprocessing
-    /// (both [`FetiError::Factorization`]).
+    /// As for [`TotalFetiSolver::new`], and those of [`Plan::build`]: a plan without
+    /// analyses under the approach's ordering, or made for other subdomain sizes.
     pub fn from_plan(
         problem: impl Into<Arc<DecomposedProblem>>,
-        plan: &crate::planner::Plan,
+        plan: &Plan,
+        approach: DualOperatorApproach,
+        params: ExplicitAssemblyParams,
         options: PcpgOptions,
     ) -> Result<Self> {
         let problem = problem.into();
-        let dual_op = plan.operator(&problem)?;
+        let dual_op = plan.build(&problem, approach, params, SolverOptions::default())?;
         let mut solver = Self::from_parts(problem, dual_op, options)?;
-        solver.plan_trace = plan.trace_id.map(|id| (id, plan.chosen_rank()));
+        let rank =
+            plan.candidates.iter().position(|c| (c.approach, c.params) == (approach, params));
+        solver.plan_trace = plan.trace_id.zip(rank);
         Ok(solver)
     }
 
@@ -888,8 +890,11 @@ mod tests {
         let spec = DecompositionSpec::small_heat_2d();
         let problem = DecomposedProblem::build(&spec);
         let plan = Planner::new(&problem, GpuSpec::a100_40gb()).plan(100);
+        let best = plan.best();
+        let (approach, params, options) = (best.approach, best.params, PcpgOptions::default());
         let mut solver =
-            TotalFetiSolver::from_plan(Arc::new(problem), &plan, PcpgOptions::default()).unwrap();
+            TotalFetiSolver::from_plan(Arc::new(problem), &plan, approach, params, options)
+                .unwrap();
         let sol = solver.solve().unwrap();
         assert!(sol.final_residual < 1e-8);
         let (reference, _) = solve_with(&spec, DualOperatorApproach::ImplicitCholmod);

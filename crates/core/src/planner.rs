@@ -11,21 +11,23 @@
 //!
 //! The estimates are built from structure alone: subdomain sizes, gluing-matrix
 //! sparsity and the *symbolic* factor sizes (one analysis per distinct sparsity pattern
-//! and per ordering an approach uses, which inspects index arrays only — no numeric
-//! factorization runs — and which a [`Plan`] hands on to the operator it builds).  The
+//! and per ordering an approach uses, made the first time pricing or a plan needs it,
+//! which inspects index arrays only — no numeric factorization runs).  A [`Plan`] keeps
+//! those analyses and the device, and is the one builder of an operator: it builds any
+//! approach whose ordering it analysed, over them, on that device.  The
 //! GPU side of an estimate folds the very [`ApproachProgram`] the operator executes
 //! through the same [`PhaseScheduler`], so it equals the modelled device time of an
 //! actual run by construction; the CPU side is priced by a calibrated [`HostSpec`]
 //! roofline since real host time can only be measured.
 
-use crate::dualop::{cpu, ApproachOperator, DualOperator, SubdomainBlock};
+use crate::dualop::{cpu, ApproachOperator};
 use crate::params::{DualOperatorApproach, ExplicitAssemblyParams, ScatterGather};
 use crate::program::{auto_params, ApproachProgram, SubdomainShape};
 use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
 use feti_gpu::{cost, CudaGeneration, GpuSpec};
 use feti_solver::{FactorizationKind, OrderingKind, SolverOptions, SymbolicCholesky};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Roofline description of the host: effective per-thread FP64 throughput and memory
 /// bandwidth, plus a per-subdomain-task overhead (dispatch, allocation).
@@ -135,11 +137,21 @@ struct OrderedAnalyses {
 }
 
 impl OrderedAnalyses {
-    /// The entry of `analyses` made under `approach`'s ordering.
-    fn of(analyses: &[Self], approach: DualOperatorApproach) -> &Self {
-        let ordering = approach.ordering();
-        let found = analyses.iter().find(|a| a.ordering == ordering);
-        found.expect("every approach's ordering is analysed")
+    /// Analyses every subdomain of `problem` under `ordering`, once per distinct
+    /// pattern, and reads the facts the estimates need off the analyses.
+    fn new(problem: &DecomposedProblem, ordering: OrderingKind) -> Self {
+        let k_regs = problem.subdomains.iter().map(|sd| &sd.k_reg);
+        let symbolic = cpu::analyze_by_pattern(k_regs, ordering);
+        let facts = problem
+            .subdomains
+            .iter()
+            .zip(&symbolic)
+            .map(|(sd, symbolic)| SubdomainFacts {
+                shape: SubdomainShape::new(&sd.gluing, symbolic.factor_nnz()),
+                nsuper: symbolic.num_supernodes(),
+            })
+            .collect();
+        Self { ordering, symbolic, facts }
     }
 }
 
@@ -177,23 +189,25 @@ impl PlanCandidate {
     }
 }
 
-/// The result of a planning pass: every estimated candidate, cheapest first.
+/// The result of a planning pass: every estimated candidate, cheapest first, and the
+/// preparation they were priced from — the one builder of an operator.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// The iteration count the amortization assumed.
     pub expected_iterations: usize,
-    /// All candidates, sorted by amortized total with memory-infeasible ones last.
+    /// All candidates, sorted by amortized total with memory-infeasible ones last;
+    /// empty in a [pinned plan](Planner::plan_pinned).
     pub candidates: Vec<PlanCandidate>,
     /// Identifier of the [`feti_trace`] plan record this pass emitted, if tracing
     /// was enabled when it ran.  A solver built from this plan stamps measured
-    /// preprocessing and per-application seconds onto the chosen candidate under
+    /// preprocessing and per-application seconds onto the candidate it built under
     /// this id, producing the predicted-vs-measured accuracy report.
     pub trace_id: Option<u64>,
-    /// The symbolic analyses the candidates were priced from, one set per ordering an
-    /// approach uses, one analysis per subdomain in each: the operator built from this
-    /// plan factorizes over the set of its approach's ordering and analyses nothing.
+    /// The symbolic analyses the planner made, one set per ordering, one analysis per
+    /// subdomain in each: an operator built from this plan factorizes over the set of
+    /// its approach's ordering and analyses nothing.
     analyses: Vec<OrderedAnalyses>,
-    /// The device the candidates were priced on, the one the operator is built on.
+    /// The device the candidates were priced on, the one every operator is built on.
     gpu: GpuSpec,
 }
 
@@ -202,10 +216,11 @@ impl Plan {
     /// device (falling back to the overall cheapest if none fits).
     ///
     /// # Panics
-    /// Panics if the plan is empty (a [`Planner`] never produces an empty plan).
+    /// Panics if the plan is empty: a [pinned plan](Planner::plan_pinned) ranks
+    /// nothing.
     #[must_use]
     pub fn best(&self) -> &PlanCandidate {
-        self.candidates.iter().find(|c| c.fits_device_memory).unwrap_or_else(|| &self.candidates[0])
+        &self.candidates[self.chosen_rank()]
     }
 
     /// The rank of the candidate [`Plan::best`] selects.
@@ -214,31 +229,29 @@ impl Plan {
         self.candidates.iter().position(|c| c.fits_device_memory).unwrap_or(0)
     }
 
-    /// Builds the dual operator the plan selected, for the problem it was planned for
-    /// (or one of the same structure): the operator factorizes over the plan's
-    /// symbolic analyses, and a GPU approach runs on the device the plan priced.
+    /// Builds the dual operator of `approach` with `params` for the problem the plan
+    /// was made for (or one of the same structure), over the plan's analyses under the
+    /// approach's [ordering](DualOperatorApproach::ordering) and on the plan's device,
+    /// with the kernel and pivot tolerance of `opts`: nothing is analysed here.
     ///
     /// # Errors
-    /// Returns an error if the operator cannot be constructed (e.g. the simulated
-    /// device rejects the persistent allocations, or `problem` has other subdomain
-    /// sizes than the planned one).
-    pub fn build(&self, problem: &DecomposedProblem) -> crate::Result<Box<dyn DualOperator>> {
-        Ok(Box::new(self.operator(problem)?))
-    }
-
-    /// The operator [`Plan::build`] boxes, over the plan's own analyses under the
-    /// winning approach's ordering, on the plan's device.
-    pub(crate) fn operator(&self, problem: &DecomposedProblem) -> crate::Result<ApproachOperator> {
-        let best = self.best();
-        ApproachOperator::with_analyses(
-            best.approach,
-            SubdomainBlock::from_problem(problem),
-            problem.num_lambdas,
-            best.params,
-            SolverOptions::default(),
-            OrderedAnalyses::of(&self.analyses, best.approach).symbolic.clone(),
-            &self.gpu,
-        )
+    /// [`FetiError::Factorization`](crate::FetiError::Factorization) if the plan made no
+    /// analyses under that ordering or `problem` has other subdomain sizes; a
+    /// device-memory error if the device cannot hold the persistent allocations.
+    pub fn build(
+        &self,
+        problem: &DecomposedProblem,
+        approach: DualOperatorApproach,
+        params: ExplicitAssemblyParams,
+        opts: SolverOptions,
+    ) -> crate::Result<ApproachOperator> {
+        let ordering = approach.ordering();
+        let Some(analyses) = self.analyses.iter().find(|a| a.ordering == ordering) else {
+            let missing = format!("the plan made no {ordering:?} analyses");
+            return Err(crate::FetiError::Factorization(missing));
+        };
+        let symbolic = analyses.symbolic.clone();
+        ApproachOperator::with_analyses(approach, problem, params, opts, symbolic, &self.gpu)
     }
 }
 
@@ -249,49 +262,55 @@ pub struct Planner<'a> {
     problem: &'a DecomposedProblem,
     gpu: GpuSpec,
     host: HostSpec,
-    /// One entry per ordering some approach uses.
-    analyses: Vec<OrderedAnalyses>,
+    /// One cell per ordering some approach uses, analysed the first time pricing or a
+    /// plan needs it.
+    analyses: Vec<(OrderingKind, OnceLock<OrderedAnalyses>)>,
 }
 
 impl<'a> Planner<'a> {
-    /// Creates a planner for `problem` on a device described by `gpu`.
-    ///
-    /// Runs one symbolic analysis per distinct `k_reg` sparsity pattern and per
-    /// ordering some approach uses ([`DualOperatorApproach::ordering`]; sparsity only —
-    /// no numeric work) to learn the factor sizes the estimates need; each approach is
-    /// priced on its own ordering's analyses, and the plans made here carry them to the
-    /// operator they build.
+    /// Creates a planner for `problem` on a device described by `gpu`.  Nothing is
+    /// analysed yet: the first estimate or plan that needs an ordering
+    /// ([`DualOperatorApproach::ordering`]) runs one symbolic analysis per distinct
+    /// `k_reg` sparsity pattern under it (sparsity only — no numeric work) to learn the
+    /// factor sizes, and every plan made here carries the analyses to the operators it
+    /// builds.
     #[must_use]
     pub fn new(problem: &'a DecomposedProblem, gpu: GpuSpec) -> Self {
-        let mut orderings = Vec::new();
+        let mut analyses = Vec::new();
         for ordering in DualOperatorApproach::all().map(DualOperatorApproach::ordering) {
-            if !orderings.contains(&ordering) {
-                orderings.push(ordering);
+            if analyses.iter().all(|(o, _)| *o != ordering) {
+                analyses.push((ordering, OnceLock::new()));
             }
         }
-        let analyses = orderings
-            .into_iter()
-            .map(|ordering| {
-                let k_regs = problem.subdomains.iter().map(|sd| &sd.k_reg);
-                let symbolic = cpu::analyze_by_pattern(k_regs, ordering);
-                let facts = problem
-                    .subdomains
-                    .iter()
-                    .zip(&symbolic)
-                    .map(|(sd, symbolic)| SubdomainFacts {
-                        shape: SubdomainShape::new(&sd.gluing, symbolic.factor_nnz()),
-                        nsuper: symbolic.num_supernodes(),
-                    })
-                    .collect();
-                OrderedAnalyses { ordering, symbolic, facts }
-            })
-            .collect();
         Self { problem, gpu, host: HostSpec::calibrated(), analyses }
+    }
+
+    /// The analyses under `approach`'s ordering, made here on first use.
+    fn analyses_for(&self, approach: DualOperatorApproach) -> &OrderedAnalyses {
+        let ordering = approach.ordering();
+        let (_, cell) = self.analyses.iter().find(|(o, _)| *o == ordering).expect("every ordering");
+        cell.get_or_init(|| OrderedAnalyses::new(self.problem, ordering))
     }
 
     /// What the planner learnt about each subdomain under `approach`'s ordering.
     fn facts(&self, approach: DualOperatorApproach) -> &[SubdomainFacts] {
-        &OrderedAnalyses::of(&self.analyses, approach).facts
+        &self.analyses_for(approach).facts
+    }
+
+    /// A plan of `candidates` over every analysis made so far.
+    fn plan_of(&self, expected_iterations: usize, candidates: Vec<PlanCandidate>) -> Plan {
+        let analyses = self.analyses.iter().filter_map(|(_, cell)| cell.get().cloned()).collect();
+        Plan { expected_iterations, candidates, trace_id: None, analyses, gpu: self.gpu }
+    }
+
+    /// The plan of one pinned approach: it prices and ranks nothing and records no
+    /// trace plan, holds the analyses of `approach`'s ordering (made here unless an
+    /// estimate made them first) and any this planner made before, and builds
+    /// `approach` with any parameters ([`Plan::build`]).
+    #[must_use]
+    pub fn plan_pinned(&self, approach: DualOperatorApproach) -> Plan {
+        self.analyses_for(approach);
+        self.plan_of(0, Vec::new())
     }
 
     /// Replaces the host calibration.
@@ -330,8 +349,7 @@ impl<'a> Planner<'a> {
                 .partial_cmp(&(!b.fits_device_memory, b.total_seconds(expected_iterations)))
                 .expect("estimated costs are finite")
         });
-        let (analyses, gpu) = (self.analyses.clone(), self.gpu);
-        let mut plan = Plan { expected_iterations, candidates, trace_id: None, analyses, gpu };
+        let mut plan = self.plan_of(expected_iterations, candidates);
         if feti_trace::enabled() {
             // One record per approach, not per parameter variant: a full-sweep plan
             // enumerates hundreds of parameter combinations whose estimates differ
@@ -471,7 +489,7 @@ impl<'a> Planner<'a> {
 
     /// The program `approach` executes with `params` on this problem, over the
     /// symbolic factor sizes under its ordering.
-    fn program(
+    pub(crate) fn program(
         &self,
         approach: DualOperatorApproach,
         params: ExplicitAssemblyParams,
@@ -546,13 +564,16 @@ impl<'a> Planner<'a> {
 
 /// A key identifying the symbolic structure of a solve configuration: two jobs with
 /// equal keys share the decomposition shape, every subdomain's sparsity structure,
-/// the dual-operator approach and its parameters — so symbolic analysis, numeric
-/// factors and assembled explicit operators computed for one are bit-for-bit valid
-/// for the other (only the numeric values of loads differ between such jobs, and
-/// those enter PCPG, not preprocessing).
+/// the dual-operator approach and its parameters — so the symbolic analyses computed
+/// for one are valid for the other.
 ///
-/// This is what a solve service uses to cache warm solvers across a stream of
-/// repeated-geometry jobs.
+/// The key hashes index arrays only, never values.  A solve service that caches warm
+/// solvers under it — numeric factors and assembled `F̃ᵢ` included — therefore
+/// *assumes* that equal structure comes with equal `k_reg`, `stiffness`, `gluing` and
+/// `kernel` values, so that only the loads differ between jobs (they enter PCPG, not
+/// preprocessing).  Nothing checks it: a problem with a cached structure and other
+/// values would take the other problem's factors.  A value fingerprint that tells a
+/// symbolic hit from a numeric one is ROADMAP item 3(d).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanCacheKey {
     /// Fingerprint of the per-subdomain symbolic structure (dimensions and the
@@ -617,15 +638,8 @@ impl PlanCacheKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dualop::{build_dual_operator, ApproachOperator, SubdomainBlock};
+    use crate::dualop::{build_dual_operator, DualOperator};
     use feti_decompose::DecompositionSpec;
-
-    fn shapes_match_blocks(planner: &Planner<'_>, blocks: &[SubdomainBlock]) -> bool {
-        planner.analyses.iter().all(|analyses| {
-            let mut facts = analyses.facts.iter().zip(blocks);
-            facts.all(|(f, b)| f.shape.n == b.num_dofs() && f.shape.nl == b.num_local_lambdas())
-        })
-    }
 
     fn planner_for(problem: &DecomposedProblem) -> Planner<'_> {
         Planner::new(problem, GpuSpec::a100_40gb())
@@ -635,8 +649,11 @@ mod tests {
     fn shapes_reflect_the_problem() {
         let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
         let planner = planner_for(&problem);
-        let blocks = SubdomainBlock::from_problem(&problem);
-        assert!(shapes_match_blocks(&planner, &blocks));
+        for approach in DualOperatorApproach::all() {
+            let mut facts = planner.facts(approach).iter().zip(&problem.subdomains);
+            assert!(facts
+                .all(|(f, sd)| (f.shape.n, f.shape.nl) == (sd.num_dofs(), sd.lambda_map.len())));
+        }
     }
 
     #[test]
@@ -648,10 +665,10 @@ mod tests {
         specs.extend(other_problems());
         for spec in specs {
             let problem = DecomposedProblem::build(&spec);
-            let planner = planner_for(&problem);
-            let orderings: Vec<_> = planner.analyses.iter().map(|a| a.ordering).collect();
+            let plan = planner_for(&problem).plan_auto(100);
+            let orderings: Vec<_> = plan.analyses.iter().map(|a| a.ordering).collect();
             assert_eq!(orderings, [OrderingKind::MinimumDegree, OrderingKind::NestedDissection]);
-            for OrderedAnalyses { ordering, facts, .. } in &planner.analyses {
+            for OrderedAnalyses { ordering, facts, .. } in &plan.analyses {
                 let opts = SolverOptions { ordering: *ordering, ..SolverOptions::default() };
                 for (sd, facts) in problem.subdomains.iter().zip(facts) {
                     let own = feti_solver::CholmodLike::analyze(&sd.k_reg, opts);
@@ -664,12 +681,24 @@ mod tests {
 
     #[test]
     fn a_plan_refuses_a_problem_it_was_not_made_for() {
+        // And a pinned plan refuses an approach whose ordering it did not analyse.
         let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
         let plan = planner_for(&problem).plan_auto(100);
-        assert!(plan.build(&problem).is_ok());
+        let (best, opts) = (plan.best(), SolverOptions::default());
+        assert!(plan.build(&problem, best.approach, best.params, opts).is_ok());
         let [_, elasticity_2d] = other_problems();
         let other = DecomposedProblem::build(&elasticity_2d);
-        let refused = plan.build(&other).err().expect("subdomain sizes differ");
+        let refused = plan.build(&other, best.approach, best.params, opts).err();
+        let refused = refused.expect("subdomain sizes differ");
+        assert!(matches!(refused, crate::FetiError::Factorization(_)), "{refused:?}");
+        let implicit = DualOperatorApproach::ImplicitCholmod;
+        let pinned = planner_for(&problem).plan_pinned(implicit);
+        assert!(pinned.candidates.is_empty());
+        let params = ExplicitAssemblyParams::default();
+        assert!(pinned.build(&problem, implicit, params, opts).is_ok());
+        let explicit = DualOperatorApproach::ExplicitCholmod;
+        let refused = pinned.build(&problem, explicit, params, opts).err();
+        let refused = refused.expect("a pinned plan holds one ordering");
         assert!(matches!(refused, crate::FetiError::Factorization(_)), "{refused:?}");
     }
 
@@ -730,7 +759,7 @@ mod tests {
         // same order) and the symbolic factor size equals the numeric one, so the
         // modelled GPU seconds of an estimate are bit-identical to an actual run:
         // every Table-I combination on heat 2D, auto parameters on the other problems,
-        // and, on a device with half the bandwidths, every approach a plan builds.
+        // and, on a device with half the bandwidths, every candidate a plan builds.
         let agree = |problem: &DecomposedProblem,
                      estimate: PlanCandidate,
                      mut op: Box<dyn DualOperator>| {
@@ -779,13 +808,11 @@ mod tests {
         let plan = Planner::new(&heat_2d, slower).plan_auto(100);
         let on_a100 = planner_for(&heat_2d);
         for approach in GPU_APPROACHES {
-            let mut ranked = plan.clone();
-            let at = ranked.candidates.iter().position(|c| c.approach == approach).unwrap();
-            let first = PlanCandidate { fits_device_memory: true, ..ranked.candidates.remove(at) };
-            ranked.candidates.insert(0, first);
-            let a100_apply = on_a100.estimate(approach, first.params).apply.gpu_seconds;
-            assert_ne!(first.apply.gpu_seconds, a100_apply, "{approach:?}");
-            agree(&heat_2d, first, ranked.build(&heat_2d).unwrap());
+            let candidate = *plan.candidates.iter().find(|c| c.approach == approach).unwrap();
+            let a100_apply = on_a100.estimate(approach, candidate.params).apply.gpu_seconds;
+            assert_ne!(candidate.apply.gpu_seconds, a100_apply, "{approach:?}");
+            let op = plan.build(&heat_2d, approach, candidate.params, SolverOptions::default());
+            agree(&heat_2d, candidate, Box::new(op.unwrap()));
         }
     }
 
@@ -799,12 +826,11 @@ mod tests {
         for spec in specs {
             let problem = DecomposedProblem::build(&spec);
             let planner = planner_for(&problem);
-            let blocks = SubdomainBlock::from_problem(&problem);
-            let nl = problem.num_lambdas;
             let opts = SolverOptions::default();
             for approach in GPU_APPROACHES {
                 let params = auto_params(approach, &problem);
-                let op = ApproachOperator::new(approach, blocks.clone(), nl, params, opts).unwrap();
+                let op = planner.plan_pinned(approach).build(&problem, approach, params, opts);
+                let op = op.unwrap();
                 let built = op.device_side().device.persistent_bytes();
                 let planned =
                     planner.persistent_device_bytes(approach, approach.generation().unwrap());
@@ -853,8 +879,9 @@ mod tests {
                 assert!(w[0].total_seconds(100) <= w[1].total_seconds(100));
             }
         }
-        let op = plan.build(&problem).unwrap();
-        assert_eq!(op.approach(), plan.best().approach);
+        let best = plan.best();
+        let op = plan.build(&problem, best.approach, best.params, SolverOptions::default());
+        assert_eq!(op.unwrap().approach(), best.approach);
     }
 
     #[test]

@@ -16,10 +16,12 @@
 //!   checks out a *warm* solver (factors, coarse problem and assembled dual
 //!   operator intact) and skips preprocessing entirely,
 //! - **admission control**: each job's persistent device footprint is estimated by
-//!   the [`Planner`] *before* anything is constructed, reserved FIFO-fairly against
-//!   a device budget (a [`MemoryLedger`], the type of the device's temporary pool),
-//!   and jobs that could never fit are rejected with a typed error instead of
-//!   crashing a worker mid-solve,
+//!   the [`Planner`] on [`ServiceConfig::gpu`] *before* anything is constructed,
+//!   reserved FIFO-fairly against a device budget (a [`MemoryLedger`], the type of the
+//!   device's temporary pool), and jobs that could never fit are rejected with a typed
+//!   error instead of crashing a worker mid-solve; a cold job is then built from the
+//!   very [`Plan`] it was admitted on — over the plan's analyses, on that device —
+//!   so it analyses nothing and runs on the device it was priced for,
 //! - **typed errors everywhere**: queue-full, shutdown, admission and solve failures
 //!   all surface as [`ServiceError`] values; a panicking job is caught and reported
 //!   without taking down its worker thread.
@@ -56,7 +58,8 @@ pub struct ServiceConfig {
     /// Maximum number of queued (not yet running) jobs before submissions are
     /// rejected with [`ServiceError::QueueFull`].
     pub queue_capacity: usize,
-    /// Device description used for planning and admission estimates.
+    /// Device description used for planning and admission estimates, and the device
+    /// every job's operator is built on.
     pub gpu: GpuSpec,
     /// Amortization horizon handed to the planner when a job does not specify one.
     pub default_expected_iterations: usize,
@@ -263,10 +266,7 @@ impl JobTicket {
 /// A job after admission: the resolved configuration plus the reply channel.
 struct QueuedJob {
     spec: JobSpec,
-    key: PlanCacheKey,
-    approach: DualOperatorApproach,
-    params: ExplicitAssemblyParams,
-    persistent_bytes: usize,
+    resolved: ResolvedPlan,
     /// Trace timestamp of the moment the job entered the queue; the worker that
     /// pops it closes a `queue_wait` span from here.
     enqueued_us: f64,
@@ -384,7 +384,8 @@ struct ServiceShared {
 }
 
 /// Bound on the submit-path plan memoization: enough for hundreds of distinct
-/// geometry/request shapes in flight, small next to one solver's footprint.
+/// geometry/request shapes in flight.  Each entry holds its plan's symbolic analyses
+/// (one per pattern and analysed ordering), shared with the solvers built from it.
 const PLAN_CACHE_CAPACITY: usize = 512;
 
 /// The bounded plan memo: resolved plans by request, oldest entries evicted once
@@ -404,7 +405,7 @@ impl PlanCache {
     }
 
     fn get(&self, request: &PlanRequest) -> Option<ResolvedPlan> {
-        self.map.get(request).copied()
+        self.map.get(request).cloned()
     }
 
     fn insert(&mut self, request: PlanRequest, resolved: ResolvedPlan) {
@@ -439,8 +440,14 @@ struct PlanRequest {
     expected_iterations: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// What a request resolved to: the plan it was priced on, which every cold build of
+/// the job runs from, and the configuration the plan builds.
+#[derive(Clone)]
 struct ResolvedPlan {
+    /// Its analyses and [`ServiceConfig::gpu`], the device the job is admitted on.
+    plan: Arc<Plan>,
+    /// The warm-solver cache key, hashed once per plan.
+    key: PlanCacheKey,
     approach: DualOperatorApproach,
     params: ExplicitAssemblyParams,
     persistent_bytes: usize,
@@ -520,17 +527,8 @@ impl FetiService {
                 capacity,
             }));
         }
-        let key = PlanCacheKey::new(&spec.problem, resolved.approach, resolved.params);
         let (tx, rx) = mpsc::channel();
-        let job = QueuedJob {
-            spec,
-            key,
-            approach: resolved.approach,
-            params: resolved.params,
-            persistent_bytes: resolved.persistent_bytes,
-            enqueued_us: feti_trace::now_us(),
-            reply: tx,
-        };
+        let job = QueuedJob { spec, resolved, enqueued_us: feti_trace::now_us(), reply: tx };
         {
             let mut q = lock(&self.shared.queue);
             if q.closed {
@@ -548,8 +546,10 @@ impl FetiService {
         Ok(JobTicket { rx })
     }
 
-    /// Resolves a job's approach, parameters and modelled footprint — through the
-    /// plan cache when this geometry and request were seen before.
+    /// Resolves a job's plan, approach, parameters and modelled footprint — through
+    /// the plan cache when this geometry and request were seen before.  A miss plans
+    /// on [`ServiceConfig::gpu`]: every approach for an unpinned job, the pinned
+    /// approach's ordering alone for a pinned one.
     fn resolve(&self, spec: &JobSpec) -> ResolvedPlan {
         let expected = if spec.expected_iterations == 0 {
             self.shared.config.default_expected_iterations
@@ -566,10 +566,10 @@ impl FetiService {
             return hit;
         }
         let planner = Planner::new(&spec.problem, self.shared.config.gpu);
-        let resolved = match spec.approach {
+        let (plan, approach, params, persistent_bytes) = match spec.approach {
             None => {
-                let plan: Plan = planner.plan_auto(expected);
-                let best = plan.best();
+                let plan = planner.plan_auto(expected);
+                let best = *plan.best();
                 let params = spec.params.unwrap_or(best.params);
                 // A job-level params override changes what gets built, so the
                 // admission footprint is re-estimated for the overridden configuration
@@ -579,17 +579,20 @@ impl FetiService {
                 } else {
                     best.persistent_device_bytes
                 };
-                ResolvedPlan { approach: best.approach, params, persistent_bytes }
+                (plan, best.approach, params, persistent_bytes)
             }
             Some(approach) => {
                 let params = spec
                     .params
                     .unwrap_or_else(|| feti_core::program::auto_params(approach, &spec.problem));
                 let persistent_bytes = planner.estimate(approach, params).persistent_device_bytes;
-                ResolvedPlan { approach, params, persistent_bytes }
+                (planner.plan_pinned(approach), approach, params, persistent_bytes)
             }
         };
-        lock(&self.shared.plans).insert(request, resolved);
+        let key = PlanCacheKey::new(&spec.problem, approach, params);
+        let resolved =
+            ResolvedPlan { plan: Arc::new(plan), key, approach, params, persistent_bytes };
+        lock(&self.shared.plans).insert(request, resolved.clone());
         resolved
     }
 
@@ -707,10 +710,11 @@ fn run_job(shared: &Arc<ServiceShared>, job: QueuedJob) -> Result<JobReport, Ser
     let _span = feti_trace::span(|| "run_job");
     // FIFO-fair budget reservation: the job blocks here while other tenants' running
     // jobs hold the modelled device memory, and errors out typed if the ledger closes.
-    let reservation = shared.budget.reserve(job.persistent_bytes)?;
+    let resolved = &job.resolved;
+    let reservation = shared.budget.reserve(resolved.persistent_bytes)?;
 
     let prep_start = Instant::now();
-    let (mut solver, cache) = match lock(&shared.cache).claim(&job.key) {
+    let (mut solver, cache) = match lock(&shared.cache).claim(&resolved.key) {
         Some(mut warm) => {
             // The cache key covers symbolic structure, approach and parameters —
             // not PCPG options.  Retarget the warm solver to this
@@ -719,10 +723,12 @@ fn run_job(shared: &Arc<ServiceShared>, job: QueuedJob) -> Result<JobReport, Ser
             (warm, CacheOutcome::Hit)
         }
         None => {
-            let solver = TotalFetiSolver::new(
+            // Built from the plan the job was admitted on: its analyses, its device.
+            let solver = TotalFetiSolver::from_plan(
                 Arc::clone(&job.spec.problem),
-                job.approach,
-                Some(job.params),
+                &resolved.plan,
+                resolved.approach,
+                resolved.params,
                 job.spec.options,
             )?;
             (solver, CacheOutcome::Miss)
@@ -757,7 +763,7 @@ fn run_job(shared: &Arc<ServiceShared>, job: QueuedJob) -> Result<JobReport, Ser
     match solved {
         Ok(solutions) => {
             // Return the warm solver for the next job with this geometry.
-            let evicted = lock(&shared.cache).release(job.key, solver);
+            let evicted = lock(&shared.cache).release(resolved.key, solver);
             if evicted > 0 {
                 lock(&shared.stats).cache_evictions += evicted;
             }
@@ -765,11 +771,11 @@ fn run_job(shared: &Arc<ServiceShared>, job: QueuedJob) -> Result<JobReport, Ser
             Ok(JobReport {
                 tenant: job.spec.tenant,
                 solutions,
-                key: job.key,
+                key: resolved.key,
                 cache,
                 preprocess_seconds,
                 solve_seconds,
-                reserved_device_bytes: job.persistent_bytes,
+                reserved_device_bytes: resolved.persistent_bytes,
             })
         }
         Err(e) => {
@@ -789,24 +795,30 @@ mod tests {
         Arc::new(DecomposedProblem::build(&DecompositionSpec::small_heat_2d()))
     }
 
+    /// `impl cholmod` on `p` with default parameters, from a pinned plan.
+    fn resolved(p: &DecomposedProblem) -> ResolvedPlan {
+        let (approach, params) =
+            (DualOperatorApproach::ImplicitCholmod, ExplicitAssemblyParams::default());
+        ResolvedPlan {
+            plan: Arc::new(Planner::new(p, GpuSpec::a100_40gb()).plan_pinned(approach)),
+            key: PlanCacheKey::new(p, approach, params),
+            approach,
+            params,
+            persistent_bytes: 0,
+        }
+    }
+
     #[test]
     fn queue_rotates_across_tenants() {
         let mut q = JobQueue::default();
         let p = problem();
         let (tx, _rx) = mpsc::channel();
-        let key = PlanCacheKey::new(
-            &p,
-            DualOperatorApproach::ImplicitCholmod,
-            ExplicitAssemblyParams::default(),
-        );
+        let resolved = resolved(&p);
         for (tenant, n) in [("a", 3), ("b", 1), ("c", 2)] {
             for _ in 0..n {
                 q.push(QueuedJob {
                     spec: JobSpec::new(tenant, Arc::clone(&p)),
-                    key,
-                    approach: DualOperatorApproach::ImplicitCholmod,
-                    params: ExplicitAssemblyParams::default(),
-                    persistent_bytes: 0,
+                    resolved: resolved.clone(),
                     enqueued_us: 0.0,
                     reply: tx.clone(),
                 });
@@ -850,15 +862,11 @@ mod tests {
             params: None,
             expected_iterations: 10,
         };
-        let plan = ResolvedPlan {
-            approach: DualOperatorApproach::ImplicitCholmod,
-            params: ExplicitAssemblyParams::default(),
-            persistent_bytes: 0,
-        };
-        cache.insert(req(1), plan);
-        cache.insert(req(2), plan);
+        let plan = resolved(&problem());
+        cache.insert(req(1), plan.clone());
+        cache.insert(req(2), plan.clone());
         assert!(cache.get(&req(1)).is_some());
-        cache.insert(req(3), plan);
+        cache.insert(req(3), plan.clone());
         assert!(cache.get(&req(1)).is_none(), "oldest request is evicted at capacity");
         assert!(cache.get(&req(2)).is_some());
         assert!(cache.get(&req(3)).is_some());
@@ -963,11 +971,7 @@ mod tests {
         let service = FetiService::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
         let p = problem();
         let (tx, _rx) = mpsc::channel();
-        let key = PlanCacheKey::new(
-            &p,
-            DualOperatorApproach::ImplicitCholmod,
-            ExplicitAssemblyParams::default(),
-        );
+        let resolved = resolved(&p);
         {
             // Hold the queue lock while pushing so the worker cannot drain
             // between the pushes and the snapshot below is taken before release.
@@ -975,10 +979,7 @@ mod tests {
             for tenant in ["a", "a", "b"] {
                 q.push(QueuedJob {
                     spec: JobSpec::new(tenant, Arc::clone(&p)),
-                    key,
-                    approach: DualOperatorApproach::ImplicitCholmod,
-                    params: ExplicitAssemblyParams::default(),
-                    persistent_bytes: 0,
+                    resolved: resolved.clone(),
                     enqueued_us: 0.0,
                     reply: tx.clone(),
                 });

@@ -12,12 +12,11 @@
 //! `chrome://tracing` / <https://ui.perfetto.dev>.
 
 use feti_core::planner::Planner;
-use feti_core::{
-    build_dual_operator, DualOperatorApproach, LoadCase, PcpgOptions, TotalFetiSolver,
-};
+use feti_core::{DualOperator, LoadCase, PcpgOptions, TotalFetiSolver};
 use feti_decompose::{DecomposedProblem, DecompositionSpec};
 use feti_gpu::GpuSpec;
 use feti_mesh::{Dim, ElementOrder, Physics};
+use feti_solver::SolverOptions;
 
 fn main() {
     // 0. Observability: FETI_TRACE=<path> turns on the trace layer (off by
@@ -79,11 +78,18 @@ fn main() {
         })
         .collect();
 
-    // The solver is built from the plan printed above, so its measured
-    // preprocessing and apply times are stamped onto the same trace record the
-    // ranking came from.
-    let mut solver = TotalFetiSolver::from_plan(&problem, &plan, PcpgOptions::default())
-        .expect("solver construction");
+    // The solver is built from the plan printed above — its winner, over the plan's
+    // analyses — so its measured preprocessing and apply times are stamped onto the
+    // same trace record the ranking came from.
+    let best = plan.best();
+    let mut solver = TotalFetiSolver::from_plan(
+        &problem,
+        &plan,
+        best.approach,
+        best.params,
+        PcpgOptions::default(),
+    )
+    .expect("solver construction");
     let solutions = solver.solve_many(&[baseline, doubled, tilted]).expect("batched solve");
 
     println!("\nsolved {} load cases in one batched run:", solutions.len());
@@ -116,12 +122,10 @@ fn main() {
             if c.rank == record.chosen_rank {
                 continue; // carries the real solve's measurements
             }
-            let Some(&approach) =
-                DualOperatorApproach::all().iter().find(|a| a.label() == c.approach)
-            else {
-                continue;
-            };
-            let Ok(mut op) = build_dual_operator(approach, &problem, None) else { continue };
+            let candidate = &plan.candidates[c.rank];
+            let (approach, params) = (candidate.approach, candidate.params);
+            let built = plan.build(&problem, approach, params, SolverOptions::default());
+            let Ok(mut op) = built else { continue };
             let Ok(pre) = op.preprocess() else { continue };
             let apply = op.apply(&p, &mut q);
             feti_trace::stamp_plan(id, c.rank, Some(pre.total_seconds), Some(apply.total_seconds));

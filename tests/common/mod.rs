@@ -7,8 +7,12 @@
 #[allow(dead_code)]
 pub mod device_reference;
 
+use feti_core::dualop::ApproachOperator;
+use feti_core::{DualOperatorApproach, ExplicitAssemblyParams, Planner};
 use feti_decompose::{DecomposedProblem, DecompositionSpec};
+use feti_gpu::GpuSpec;
 use feti_mesh::{Dim, ElementOrder, Physics};
+use feti_solver::SolverOptions;
 
 /// The small 2D heat-transfer conformance problem.
 pub fn heat_2d() -> DecompositionSpec {
@@ -82,4 +86,17 @@ pub fn with_non_spd_subdomains(problem: &DecomposedProblem, broken: &[usize]) ->
 #[allow(dead_code)]
 pub fn problems() -> Vec<(&'static str, DecompositionSpec)> {
     vec![("heat/2D", heat_2d()), ("heat/3D", heat_3d()), ("elasticity/2D", elasticity_2d())]
+}
+
+/// The operator of `approach` with `params` on `problem`, built as the pinned doors
+/// build it — from a plan of the one approach on an A100-like device — but kept as the
+/// concrete [`ApproachOperator`], whose assembled `F̃ᵢ` the suites read.
+#[allow(dead_code)]
+pub fn planned_operator(
+    approach: DualOperatorApproach,
+    problem: &DecomposedProblem,
+    params: ExplicitAssemblyParams,
+) -> ApproachOperator {
+    let plan = Planner::new(problem, GpuSpec::a100_40gb()).plan_pinned(approach);
+    plan.build(problem, approach, params, SolverOptions::default()).unwrap()
 }

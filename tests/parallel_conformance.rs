@@ -18,8 +18,7 @@
 
 mod common;
 
-use common::problems;
-use feti_core::dualop::{ApproachOperator, SubdomainBlock};
+use common::{planned_operator, problems};
 use feti_core::{
     build_dual_operator, build_dual_operator_with_options, DualOperator, DualOperatorApproach,
     FetiError, PcpgOptions, TimeBreakdown, TotalFetiSolver,
@@ -263,45 +262,39 @@ fn sparse_rhs_assembly_is_bit_identical_across_thread_counts() {
 #[test]
 fn host_assembled_local_operators_agree_across_thread_counts() {
     use DualOperatorApproach as A;
-    let assembled = |approach, blocks: &[SubdomainBlock], nl, threads| -> Vec<DenseMatrix> {
+    let assembled = |approach, problem: &DecomposedProblem, threads| -> Vec<DenseMatrix> {
         with_threads(threads, || {
-            let opts = SolverOptions::default();
-            let mut op =
-                ApproachOperator::new(approach, blocks.to_vec(), nl, Default::default(), opts)
-                    .unwrap();
+            let mut op = planned_operator(approach, problem, Default::default());
             op.preprocess().unwrap();
             let local = |i| op.local_operator(i).expect("explicit approaches assemble F̃ᵢ");
-            (0..blocks.len()).map(|i| local(i).clone()).collect()
+            (0..problem.subdomains.len()).map(|i| local(i).clone()).collect()
         })
     };
-    let across_threads = |name: &str, approach, what: &str, blocks: &[SubdomainBlock], nl| {
-        let [one, four] = [1, 4].map(|threads| assembled(approach, blocks, nl, threads));
+    let across_threads = |name: &str, approach, what: &str, problem: &DecomposedProblem| {
+        let [one, four] = [1, 4].map(|threads| assembled(approach, problem, threads));
         for (i, (fa, fb)) in one.iter().zip(&four).enumerate() {
             assert_bits_eq(name, approach, &format!("{what} F̃_{i}"), fa.as_slice(), fb.as_slice());
         }
     };
     for (name, spec) in problems() {
         let problem = DecomposedProblem::build(&spec);
-        let (blocks, nl) = (SubdomainBlock::from_problem(&problem), problem.num_lambdas);
         for approach in A::all().into_iter().filter(|a| a.is_explicit()) {
-            across_threads(name, approach, "1 vs 4 threads", &blocks, nl);
+            across_threads(name, approach, "1 vs 4 threads", &problem);
         }
 
         // Every row of `B̃` gains a second DOF, the next one, with half the weight.
-        let glued_twice: Vec<SubdomainBlock> = blocks
-            .iter()
-            .map(|block| {
-                let (b, n) = (&block.b, block.num_dofs());
-                let mut coo = feti_sparse::CooMatrix::new(b.nrows(), n);
-                for (r, j, v) in b.iter() {
-                    coo.push(r, j, v);
-                    coo.push(r, (j + 1) % n, -0.5 * v);
-                }
-                SubdomainBlock { b: coo.to_csr(), ..block.clone() }
-            })
-            .collect();
+        let mut glued_twice = problem.clone();
+        for sd in &mut glued_twice.subdomains {
+            let (b, n) = (&sd.gluing, sd.num_dofs());
+            let mut coo = feti_sparse::CooMatrix::new(b.nrows(), n);
+            for (r, j, v) in b.iter() {
+                coo.push(r, j, v);
+                coo.push(r, (j + 1) % n, -0.5 * v);
+            }
+            sd.gluing = coo.to_csr();
+        }
         for approach in [A::ExplicitCholmod, A::ExplicitGpuLegacy] {
-            across_threads(name, approach, "two-entry rows: 1 vs 4 threads", &glued_twice, nl);
+            across_threads(name, approach, "two-entry rows: 1 vs 4 threads", &glued_twice);
         }
     }
 }

@@ -20,15 +20,14 @@
 mod common;
 
 use common::device_reference::literal_local_operators;
-use common::problems;
-use feti_core::dualop::{ApproachOperator, SubdomainBlock};
+use common::{planned_operator, problems};
+use feti_core::dualop::ApproachOperator;
 use feti_core::program::auto_params;
 use feti_core::{
     DualOperator, DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, PcpgOptions,
     ScatterGather, TotalFetiSolver,
 };
 use feti_decompose::{DecomposedProblem, DecompositionSpec};
-use feti_solver::SolverOptions;
 use feti_sparse::MemoryOrder;
 
 /// The assembly configuration the sparse family always executes (its boundary
@@ -66,14 +65,7 @@ fn assert_bits_eq(
 }
 
 fn built_operator(approach: DualOperatorApproach, problem: &DecomposedProblem) -> ApproachOperator {
-    let mut op = ApproachOperator::new(
-        approach,
-        SubdomainBlock::from_problem(problem),
-        problem.num_lambdas,
-        pinned_params(),
-        SolverOptions::default(),
-    )
-    .unwrap();
+    let mut op = planned_operator(approach, problem, pinned_params());
     op.preprocess().unwrap();
     op
 }
@@ -174,14 +166,7 @@ fn sparse_assembly_never_costs_more_gpu_seconds() {
         let problem = DecomposedProblem::build(&spec);
         for pair in PAIRS {
             let gpu_seconds = |approach| {
-                let mut op = ApproachOperator::new(
-                    approach,
-                    SubdomainBlock::from_problem(&problem),
-                    problem.num_lambdas,
-                    pinned_params(),
-                    SolverOptions::default(),
-                )
-                .unwrap();
+                let mut op = planned_operator(approach, &problem, pinned_params());
                 op.preprocess().unwrap().gpu_seconds
             };
             let s = gpu_seconds(pair.0);
@@ -208,10 +193,7 @@ fn local_operators(
     problem: &DecomposedProblem,
     params: ExplicitAssemblyParams,
 ) -> Vec<Vec<u64>> {
-    let blocks = SubdomainBlock::from_problem(problem);
-    let opts = SolverOptions::default();
-    let mut op =
-        ApproachOperator::new(approach, blocks, problem.num_lambdas, params, opts).unwrap();
+    let mut op = planned_operator(approach, problem, params);
     op.preprocess().unwrap();
     (0..problem.subdomains.len())
         .map(|i| {

@@ -240,17 +240,19 @@ fn symbolic_analyses_are_counted_per_pattern_and_a_plan_hands_its_own_over() {
         let both = (2 * analyses, 2 * subdomains, analyses, analyses);
         assert_eq!(planned, both, "{spec:?} planner");
         let plan = plan.expect("the closure ran");
+        let best = plan.best();
         let mut solver = None;
         let from_plan = counted(&mut || {
-            let options = PcpgOptions::default();
-            solver =
-                Some(TotalFetiSolver::from_plan(Arc::clone(&problem), &plan, options).unwrap());
-            drop(plan.build(&problem).unwrap());
+            let (approach, params, options) = (best.approach, best.params, PcpgOptions::default());
+            let built =
+                TotalFetiSolver::from_plan(Arc::clone(&problem), &plan, approach, params, options);
+            solver = Some(built.unwrap());
+            let opts = feti_solver::SolverOptions::default();
+            drop(plan.build(&problem, approach, params, opts).unwrap());
         });
         assert_eq!(from_plan, (0, 0, 0, 0), "{spec:?}: a planned construction analysed again");
         // And the handed-over analyses are the right ones: the planned solver's bits
         // are those of a solver that analysed for itself.
-        let best = plan.best();
         let opts = feti_solver::SolverOptions {
             factorization: best.factorization,
             ..feti_solver::SolverOptions::default()
@@ -319,8 +321,15 @@ fn chrome_export_of_a_real_solve_round_trips() {
     let spec = common::heat_3d();
     let problem = Arc::new(DecomposedProblem::build(&spec));
     let plan = feti_core::planner::Planner::new(&problem, feti_gpu::GpuSpec::a100_40gb()).plan(100);
-    let mut solver =
-        TotalFetiSolver::from_plan(Arc::clone(&problem), &plan, PcpgOptions::default()).unwrap();
+    let (best, options) = (plan.best(), PcpgOptions::default());
+    let solver = TotalFetiSolver::from_plan(
+        Arc::clone(&problem),
+        &plan,
+        best.approach,
+        best.params,
+        options,
+    );
+    let mut solver = solver.unwrap();
     solver.solve().unwrap();
     // A GPU approach guarantees modelled device ops in the report even if the
     // planner picked a CPU family above.
