@@ -7,7 +7,7 @@
 use super::{par_subdomains, SubdomainBlock};
 use feti_solver::cholmod::{CholmodFactor, CholmodLike};
 use feti_solver::{OrderingKind, SolverOptions, SymbolicCholesky};
-use feti_sparse::{blas, ops, CsrMatrix, DenseMatrix, Transpose, Triangle};
+use feti_sparse::{blas, ops, CsrMatrix, PackedUpper, Transpose};
 use std::sync::Arc;
 
 /// The symbolic analysis under `ordering` of every matrix of `k_regs`, made once per
@@ -52,12 +52,12 @@ impl Factor {
         self.0.solve(rhs)
     }
 
-    /// Assembles the dense `F̃ᵢ` of subdomain `i` on the CPU, both triangles filled —
-    /// the body of every explicit assembly, on the host or the device.  `Y = L⁻¹PB̃ᵀ`
-    /// is one forward solve against the factor's own storage, kept as panels pruned to
-    /// the reach of `B̃`'s entries (`forward[sd=i]` span), and `F̃ᵢ = YᵀY` their
-    /// panel-pair Gram (`gram[sd=i]` span).
-    pub(crate) fn assemble(&self, i: usize, block: &SubdomainBlock) -> DenseMatrix {
+    /// Assembles the dense `F̃ᵢ` of subdomain `i` on the CPU as its packed upper
+    /// triangle, the one [`symv`] reads — the body of every explicit assembly, on the
+    /// host or the device.  `Y = L⁻¹PB̃ᵀ` is one forward solve against the factor's own
+    /// storage, kept as panels pruned to the reach of `B̃`'s entries (`forward[sd=i]`
+    /// span), and `F̃ᵢ = YᵀY` their panel-pair Gram (`gram[sd=i]` span).
+    pub(crate) fn assemble(&self, i: usize, block: &SubdomainBlock) -> PackedUpper {
         let y = {
             let _span = feti_trace::span(|| format!("forward[sd={i}]"));
             self.0.forward_solve_sparse_rhs(&block.b)
@@ -76,12 +76,12 @@ impl Factor {
     }
 }
 
-/// The explicit application `q̃ᵢ = F̃ᵢ p̃ᵢ` through SYMV, of every explicit approach,
-/// on the host or the device.  In a batch the dense `F̃ᵢ` stays hot across the
-/// columns, the exact column-by-column product the device's SYMM-shaped kernel
-/// computes; only its modelled time is batched.
-pub(crate) fn symv(f: &DenseMatrix, p_local: &[f64], q_local: &mut [f64]) {
-    blas::symv(Triangle::Upper, 1.0, f, p_local, 0.0, q_local);
+/// The explicit application `q̃ᵢ = F̃ᵢ p̃ᵢ` through SYMV over the packed upper
+/// triangle, of every explicit approach, on the host or the device.  In a batch the
+/// `F̃ᵢ` stays hot across the columns, the exact column-by-column product the device's
+/// SYMM-shaped kernel computes; only its modelled time is batched.
+pub(crate) fn symv(f: &PackedUpper, p_local: &[f64], q_local: &mut [f64]) {
+    blas::symv_packed(1.0, f, p_local, 0.0, q_local);
 }
 
 #[cfg(test)]

@@ -15,10 +15,10 @@
 
 use super::{cpu, SubdomainBlock};
 use feti_gpu::{GpuDevice, PricedOp};
-use feti_sparse::DenseMatrix;
+use feti_sparse::PackedUpper;
 
 /// Books one subdomain's assembly program on the simulated device and returns the
-/// dense local dual operator `F̃ᵢ`.
+/// dense local dual operator `F̃ᵢ`, held as its packed upper triangle.
 ///
 /// The program lists the temporary device memory each kernel of §IV-B/IV-C (or of the
 /// sequel's boundary-restricted variant) holds; the walk reserves their sum from the
@@ -36,14 +36,13 @@ pub(crate) fn run_assembly(
     i: usize,
     block: &SubdomainBlock,
     factor: &cpu::Factor,
-) -> crate::Result<DenseMatrix> {
+) -> crate::Result<PackedUpper> {
     let _temporaries = device.pool().reserve(program.iter().map(|op| op.temporary_bytes).sum())?;
     Ok(factor.assemble(i, block))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::dualop::{pinned_operator, ApproachOperator, DualOperator};
     use crate::params::{
         DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather,
@@ -51,7 +50,7 @@ mod tests {
     use crate::planner::Planner;
     use feti_decompose::{DecomposedProblem, DecompositionSpec};
     use feti_solver::SolverOptions;
-    use feti_sparse::MemoryOrder;
+    use feti_sparse::{DenseMatrix, MemoryOrder};
 
     fn operator(
         approach: DualOperatorApproach,

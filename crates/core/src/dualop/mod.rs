@@ -31,7 +31,7 @@ use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
 use feti_gpu::{GpuDevice, GpuSpec};
 use feti_solver::{SolverOptions, SymbolicCholesky};
-use feti_sparse::{CsrMatrix, DenseMatrix};
+use feti_sparse::{CsrMatrix, DenseMatrix, PackedUpper};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -195,8 +195,9 @@ pub(crate) struct DeviceSide {
 enum LocalState {
     /// The numeric factor (every implicit approach, on the host or the device).
     HostFactor(cpu::Factor),
-    /// The assembled dense `F̃ᵢ` (every explicit approach).
-    Dense(DenseMatrix, Option<cpu::Factor>),
+    /// The assembled dense `F̃ᵢ` (every explicit approach), held as the packed upper
+    /// triangle its SYMV reads.
+    Dense(PackedUpper, Option<cpu::Factor>),
 }
 
 impl LocalState {
@@ -300,13 +301,14 @@ impl ApproachOperator {
         &self.params
     }
 
-    /// The assembled dense local dual operator `F̃ᵢ` of subdomain `i`; `None` before
+    /// The assembled dense local dual operator `F̃ᵢ` of subdomain `i`, spelt out from
+    /// the held triangle into a row-major copy with both triangles; `None` before
     /// `preprocess` has run and for implicit approaches.  Exposed so the conformance
     /// tier can compare the sparse-RHS and dense assembly paths entry by entry.
     #[must_use]
-    pub fn local_operator(&self, i: usize) -> Option<&DenseMatrix> {
+    pub fn local_operator(&self, i: usize) -> Option<DenseMatrix> {
         match self.state.get(i) {
-            Some(LocalState::Dense(f, _)) => Some(f),
+            Some(LocalState::Dense(f, _)) => Some(f.to_dense()),
             _ => None,
         }
     }
@@ -608,6 +610,36 @@ mod tests {
                     op.preprocess().unwrap();
                     let applies_through_it = !approach.is_explicit();
                     assert!(op.state.iter().all(|s| s.factor().is_some() == applies_through_it));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_explicit_approach_holds_one_packed_triangle_per_subdomain() {
+        // The resident `F̃ᵢ` is the `nlᵢ(nlᵢ + 1)/2` values of its upper triangle, the
+        // ones its SYMV reads, and `local_operator` spells out their exact mirror: a
+        // second triangle may not creep back into what preprocessing keeps.
+        let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
+        for approach in DualOperatorApproach::all().into_iter().filter(|a| a.is_explicit()) {
+            let opts = SolverOptions::default();
+            let mut op = pinned_operator(approach, &problem, None, opts).unwrap();
+            op.preprocess().unwrap();
+            assert_eq!(op.state.len(), problem.subdomains.len());
+            for (i, sd) in problem.subdomains.iter().enumerate() {
+                let nl = sd.lambda_map.len();
+                let LocalState::Dense(f, _) = &op.state[i] else {
+                    panic!("{approach:?} subdomain {i}: no assembled F̃ᵢ");
+                };
+                assert_eq!(f.len(), nl * (nl + 1) / 2, "{approach:?} subdomain {i}");
+                let dense = op.local_operator(i).unwrap();
+                assert_eq!((dense.nrows(), dense.ncols()), (nl, nl));
+                for r in 0..nl {
+                    for (k, v) in f.line(r).iter().enumerate() {
+                        let (upper, lower) = (dense.get(r, r + k), dense.get(r + k, r));
+                        assert_eq!(upper.to_bits(), v.to_bits(), "{approach:?} F̃_{i}[{r}]");
+                        assert_eq!(lower.to_bits(), v.to_bits(), "{approach:?} F̃_{i}[{r}]");
+                    }
                 }
             }
         }

@@ -531,9 +531,10 @@ impl<'a> Planner<'a> {
         self.host.seconds(bytes, flops)
     }
 
-    /// Host cost of one dense symmetric matrix-vector product.  The host SYMV walks
-    /// full rows with a per-row triangle branch; the measured Fig. 5 sweeps put its
-    /// effective traffic at ~13 bytes per matrix entry (≈1.6× the dense payload).
+    /// Host cost of one dense symmetric matrix-vector product.  The host SYMV streams
+    /// the packed upper triangle of `F̃ᵢ` once, four rows per sweep from their diagonals
+    /// (`blas::symv_packed`); the constant is still the one the measured Fig. 5 sweeps
+    /// gave the full-row walk before it, ~13 bytes per entry of the full matrix.
     /// Dense regular access — priced by the cache-aware [`HostSpec::dense_seconds`]
     /// roofline, so tiny cache-resident `F̃ᵢ` are not charged streaming bandwidth.
     fn host_symv(&self, nl: usize) -> f64 {

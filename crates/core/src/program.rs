@@ -82,7 +82,8 @@ pub struct PersistentAllocations {
     pub factor: usize,
     /// The gluing matrix `B̃ᵢ`.
     pub gluing: usize,
-    /// The dense `F̃ᵢ`: one triangle (the paper packs two operators per allocation).
+    /// The dense `F̃ᵢ`: one triangle (the paper packs two operators per allocation) —
+    /// the same single triangle the host holds (`feti_sparse::PackedUpper`).
     pub f: usize,
     /// Primal or dual work vectors.
     pub vectors: usize,

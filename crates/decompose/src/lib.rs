@@ -177,15 +177,17 @@ impl DecomposedProblem {
 
         // 3. Kernel bases, fixing DOFs and regularization per subdomain.
         let mut subdomains = Vec::with_capacity(n_sub);
-        for (idx, (mesh, asm)) in meshes.into_iter().zip(assembled).enumerate() {
+        let glue_blocks = glue.global_dofs.into_iter().zip(glue.local_b).zip(glue.lambda_maps);
+        let parts = meshes.into_iter().zip(assembled).zip(glue_blocks);
+        for (idx, ((mesh, asm), ((global_dofs, gluing), lambda_map))) in parts.enumerate() {
             let kernel = kernel::kernel_basis(&mesh, spec.physics);
             let fixing = kernel::fixing_dofs(&mesh, spec.physics);
             let k_reg = kernel::regularize(&asm.stiffness, &fixing);
             subdomains.push(Subdomain {
                 index: idx,
-                global_dofs: glue.global_dofs[idx].clone(),
-                gluing: glue.local_b[idx].clone(),
-                lambda_map: glue.lambda_maps[idx].clone(),
+                global_dofs,
+                gluing,
+                lambda_map,
                 mesh,
                 assembled: asm,
                 k_reg,

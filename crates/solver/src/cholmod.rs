@@ -110,8 +110,9 @@ impl CholmodFactor {
     /// `Y = L⁻¹ P Bᵀ` for a sparse `m x n` matrix `B` (a gluing block): every row of
     /// `B`, permuted, forward-substituted through the factor — the operand whose Gram
     /// matrix [`ForwardPanels::gram`] `= YᵀY = B A⁻¹ Bᵀ` is the paper's SYRK assembly
-    /// path (Fig. 2); [`ForwardPanels::to_dense`] spells `Y` out (`n x m`, rows in the
-    /// permuted ordering).
+    /// path (Fig. 2), returned as the packed upper triangle its SYMV reads;
+    /// [`ForwardPanels::to_dense`] spells `Y` out (`n x m`, rows in the permuted
+    /// ordering).
     ///
     /// The rows of `B` are solved 32 at a time against the factor's own storage
     /// (nothing is extracted or densified), only the columns of `L` in the
@@ -251,7 +252,7 @@ mod tests {
         let a = spd_matrix(n);
         let b = gluing(m, n);
         let f = CholmodLike::analyze(&a, SolverOptions::default()).factorize(&a).unwrap();
-        let s = f.forward_solve_sparse_rhs(&b).gram();
+        let s = f.forward_solve_sparse_rhs(&b).gram().to_dense();
 
         // Reference: S = B * A^{-1} * B^T computed densely via solve_matrix.
         let bt_dense = b.transposed().to_dense(MemoryOrder::ColMajor);
@@ -268,7 +269,7 @@ mod tests {
         let a = spd_matrix(n);
         let b = gluing(m, n);
         let f = CholmodLike::analyze(&a, SolverOptions::default()).factorize(&a).unwrap();
-        let s = f.forward_solve_sparse_rhs(&b).gram();
+        let s = f.forward_solve_sparse_rhs(&b).gram().to_dense();
         for i in 0..m {
             for j in 0..m {
                 assert!((s.get(i, j) - s.get(j, i)).abs() < 1e-12);

@@ -19,12 +19,12 @@
 //! The solved panels are kept as they are ([`ForwardPanels`]): each holds its
 //! multipliers, the ascending list of its active rows and those rows' values — every
 //! other entry of `Y` is an exact `+0.0`.  [`ForwardPanels::gram`] contracts, for
-//! every pair of panels, only the rows both lists hold; a skipped term multiplies an
-//! exact zero and every accumulator starts at `+0.0`, so the result is the one of a
-//! SYRK over the dense `Y` to the bit.
+//! every pair of panels, only the rows both lists hold, into the packed upper
+//! triangle of `YᵀY`; a skipped term multiplies an exact zero and every accumulator
+//! starts at `+0.0`, so the result is the one of a SYRK over the dense `Y` to the bit.
 
 use crate::CholeskyFactor;
-use feti_sparse::{CsrMatrix, DenseMatrix, MemoryOrder};
+use feti_sparse::{CsrMatrix, DenseMatrix, MemoryOrder, PackedUpper};
 use std::cmp::Ordering;
 
 /// Right-hand sides solved together.  A constant, not an option: the forward solves
@@ -129,18 +129,17 @@ fn forward_solve_panels(factor: &CholeskyFactor, b: &CsrMatrix, order: &[usize])
 }
 
 impl ForwardPanels {
-    /// `F̃ = YᵀY` (`nl x nl`, row-major, both triangles filled): for every pair of
-    /// panels only the rows both reached are contracted, in a
-    /// `TILE_ROWS x TILE_COLS` register tile whose every output is one accumulator
-    /// starting at `+0.0` and taking its terms in ascending row order.  Each skipped
-    /// term multiplies an exact zero of `Y`, so the result is, to the bit,
+    /// `F̃ = YᵀY` (`nl x nl`) as its packed upper triangle, the one the SYMV that
+    /// applies it reads: for every pair of panels only the rows both reached are
+    /// contracted, in a `TILE_ROWS x TILE_COLS` register tile whose every output is one
+    /// accumulator starting at `+0.0` and taking its terms in ascending row order, and
+    /// written once, at `(min(a, b), max(a, b))`.  Each skipped term multiplies an exact
+    /// zero of `Y`, so the result's [`PackedUpper::to_dense`] is, to the bit,
     /// `boundary_syrk(Upper, Yes, 1, Y, 0)` mirrored into the lower triangle — and
     /// therefore `syrk`'s.
     #[must_use]
-    pub fn gram(&self) -> DenseMatrix {
-        let nl = self.nl;
-        let mut f = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
-        let out = f.as_mut_slice();
+    pub fn gram(&self) -> PackedUpper {
+        let mut f = PackedUpper::zeros(self.nl);
         let (mut xs, mut ys) = (Vec::new(), Vec::new());
         let mut block = [[0.0f64; PANEL_WIDTH]; PANEL_WIDTH];
         for (a, p) in self.panels.iter().enumerate() {
@@ -156,8 +155,7 @@ impl ForwardPanels {
                 for (c, &mc) in p.multipliers.iter().enumerate() {
                     let first = if diagonal { c } else { 0 };
                     for (d, &md) in q.multipliers.iter().enumerate().skip(first) {
-                        out[mc * nl + md] = block[c][d];
-                        out[md * nl + mc] = block[c][d];
+                        f.set(mc, md, block[c][d]);
                     }
                 }
             }
@@ -330,7 +328,7 @@ mod tests {
                 let mut want = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
                 blas::boundary_syrk(Triangle::Upper, Transpose::Yes, 1.0, &y, 0.0, &mut want);
                 want.symmetrize_from(Triangle::Upper);
-                let got = panels.gram();
+                let got = panels.gram().to_dense();
                 assert_eq!(got.order(), MemoryOrder::RowMajor);
                 assert_eq!(bits(&got), bits(&want), "{ordering:?}, {nl} multipliers");
             }

@@ -61,7 +61,7 @@ fn outcomes(
 
 /// The explicit host assembly of `F̃ = B A⁻¹ Bᵀ`: the panel forward solve and its Gram.
 fn assemble(factor: &CholmodFactor, b: &CsrMatrix) -> DenseMatrix {
-    factor.forward_solve_sparse_rhs(b).gram()
+    factor.forward_solve_sparse_rhs(b).gram().to_dense()
 }
 
 /// The oracle of the panel Gram: `boundary_syrk` over the spelt-out `Y`, mirrored.
@@ -227,7 +227,7 @@ proptest! {
         }
         let b = coo.to_csr();
         let f = CholmodLike::analyze(&a, SolverOptions::default()).factorize(&a).unwrap();
-        let s = f.forward_solve_sparse_rhs(&b).gram();
+        let s = f.forward_solve_sparse_rhs(&b).gram().to_dense();
         for i in 0..rows {
             prop_assert!(s.get(i, i) >= -1e-10);
             for j in 0..rows {
@@ -326,7 +326,7 @@ proptest! {
         for ordering in ORDERINGS {
             let solver = CholmodLike::analyze(&a, SolverOptions { ordering, ..Default::default() });
             let panels = solver.factorize(&a).unwrap().forward_solve_sparse_rhs(&b);
-            let (got, want) = (panels.gram(), syrk_of_dense(&panels.to_dense()));
+            let (got, want) = (panels.gram().to_dense(), syrk_of_dense(&panels.to_dense()));
             let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&got), bits(&want), "{:?}, {} multipliers", ordering, nl);
         }

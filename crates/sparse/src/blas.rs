@@ -7,9 +7,10 @@
 //!
 //! # Blocked kernels and the bit-for-bit contract
 //!
-//! The hot kernels — [`symv`], [`symm`], [`syrk`] and [`trsm`] — are cache-blocked and
-//! register-tiled, but they are constructed to be **bit-for-bit identical** to the
-//! scalar reference loops retained in [`mod@reference`]: every output element is produced
+//! The hot kernels — [`symv`] (and [`symv_packed`], its walk over a packed triangle),
+//! [`symm`], [`syrk`] and [`trsm`] — are cache-blocked and register-tiled, but they
+//! are constructed to be **bit-for-bit identical** to the scalar reference loops
+//! retained in [`mod@reference`]: every output element is produced
 //! by a single accumulator whose contraction index runs in the same (ascending) order
 //! as the reference, so no floating-point operation is reassociated.  The speed comes
 //! from streaming the stored triangle once, replacing per-element layout branches with
@@ -35,6 +36,7 @@
 //! kernels the benchmark's `sparse.syrk_s` / `sparse.boundary_syrk_s` rows probe.
 
 use crate::dense::DenseMatrix;
+use crate::packed::PackedUpper;
 use crate::{DiagKind, MemoryOrder, Result, Side, SparseError, Transpose, Triangle};
 
 #[inline]
@@ -162,13 +164,9 @@ pub fn gemv(alpha: f64, a: &DenseMatrix, trans: Transpose, x: &[f64], beta: f64,
 /// triangle is read contiguously; that leaves two walks, because line `i` of a
 /// row-major `Upper` and of a column-major `Lower` triangle is the same slice (from
 /// the diagonal to the end of the line), and likewise row-major `Lower` and
-/// column-major `Upper` (from the start of the line to the diagonal).
-///
-/// With `W > 1` the `W` accumulators of a line are independent dependency chains.
-/// With `W == 1` — every application of an explicit `F̃ᵢ`, which is stored row-major
-/// `Upper` — a line is one chain `acc += v * x[j]`, bound by the latency of the
-/// addition, so that walk takes four lines per sweep ([`symv_four_lines`]).  The
-/// other walk has no caller at one right-hand side outside the tests and stays scalar.
+/// column-major `Upper` (from the start of the line to the diagonal).  The first
+/// pair runs [`symv_from_diagonal`], the walk [`symv_packed`] runs too; the second
+/// has no caller at one right-hand side outside the tests and stays scalar.
 fn symv_panel<const W: usize>(uplo: Triangle, a: &DenseMatrix, x: [&[f64]; W], tmp: &mut [f64]) {
     let n = a.nrows();
     let data = a.as_slice();
@@ -192,32 +190,49 @@ fn symv_panel<const W: usize>(uplo: Triangle, a: &DenseMatrix, x: [&[f64]; W], t
             }
         }
         (MemoryOrder::RowMajor, Triangle::Upper) | (MemoryOrder::ColMajor, Triangle::Lower) => {
-            let first = if W == 1 { symv_four_lines(data, x[0], tmp) } else { 0 };
-            for i in first..n {
-                let line = &data[i * n + i..(i + 1) * n];
-                let d = line[0];
-                let mut acc = [0.0f64; W];
-                for c in 0..W {
-                    acc[c] = tmp[c * n + i] + d * x[c][i];
-                }
-                for j in (i + 1)..n {
-                    let v = line[j - i];
-                    for c in 0..W {
-                        acc[c] += v * x[c][j];
-                        tmp[c * n + j] += v * x[c][i];
-                    }
-                }
-                for c in 0..W {
-                    tmp[c * n + i] = acc[c];
-                }
-            }
+            symv_from_diagonal(|i| &data[i * n + i..(i + 1) * n], x, tmp);
         }
     }
 }
 
-/// The diagonal-to-end walk of [`symv_panel`] at one right-hand side, four lines
-/// `i..i + 4` per sweep; returns the first line it left for the scalar walk
-/// (`n - n % 4`).
+/// The diagonal-to-end walk of [`symv_panel`] over any storage that hands out line `i`
+/// of the symmetric matrix from its diagonal to its end (`line(i) = A(i, i..n)`): the
+/// row-major `Upper` (column-major `Lower`) triangle of a [`DenseMatrix`] and a
+/// [`PackedUpper`] alike.
+///
+/// With `W > 1` the `W` accumulators of a line are independent dependency chains.
+/// With `W == 1` — every application of an explicit `F̃ᵢ` — a line is one chain
+/// `acc += v * x[j]`, bound by the latency of the addition, so the walk takes four
+/// lines per sweep ([`symv_four_lines`]).
+fn symv_from_diagonal<'a, const W: usize>(
+    line: impl Fn(usize) -> &'a [f64],
+    x: [&[f64]; W],
+    tmp: &mut [f64],
+) {
+    let n = tmp.len() / W;
+    let first = if W == 1 { symv_four_lines(&line, x[0], tmp) } else { 0 };
+    for i in first..n {
+        let line = line(i);
+        let d = line[0];
+        let mut acc = [0.0f64; W];
+        for c in 0..W {
+            acc[c] = tmp[c * n + i] + d * x[c][i];
+        }
+        for j in (i + 1)..n {
+            let v = line[j - i];
+            for c in 0..W {
+                acc[c] += v * x[c][j];
+                tmp[c * n + j] += v * x[c][i];
+            }
+        }
+        for c in 0..W {
+            tmp[c * n + i] = acc[c];
+        }
+    }
+}
+
+/// [`symv_from_diagonal`] at one right-hand side, four lines `i..i + 4` per sweep;
+/// returns the first line it left for the scalar walk (`n - n % 4`).
 ///
 /// Output `i + r` first takes what the 4×4 diagonal block contributes, scalar and in
 /// reference order: the entries lines `i..i + r` hold in column `i + r`, then its own
@@ -226,13 +241,12 @@ fn symv_panel<const W: usize>(uplo: Triangle, a: &DenseMatrix, x: [&[f64]; W], t
 /// expression in ascending line order — so every output still receives its terms in
 /// ascending contraction index, one rounding each, and equals the scalar walk to the
 /// bit.
-fn symv_four_lines(data: &[f64], x: &[f64], tmp: &mut [f64]) -> usize {
+fn symv_four_lines<'a>(line: &impl Fn(usize) -> &'a [f64], x: &[f64], tmp: &mut [f64]) -> usize {
     let n = x.len();
     let mut i = 0;
     while i + 4 <= n {
         // lines[r][k] = A(i + r, i + r + k).
-        let lines: [&[f64]; 4] =
-            std::array::from_fn(|r| &data[(i + r) * n + i + r..(i + r + 1) * n]);
+        let lines: [&[f64]; 4] = std::array::from_fn(|r| line(i + r));
         let xi = [x[i], x[i + 1], x[i + 2], x[i + 3]];
         let mut acc = [0.0f64; 4];
         for r in 0..4 {
@@ -262,6 +276,13 @@ fn symv_four_lines(data: &[f64], x: &[f64], tmp: &mut [f64]) -> usize {
     i
 }
 
+/// `y = alpha * tmp + beta * y`, the epilogue of both SYMV doors.
+fn symv_epilogue(alpha: f64, tmp: &[f64], beta: f64, y: &mut [f64]) {
+    for (y, &t) in y.iter_mut().zip(tmp) {
+        *y = alpha * t + beta * *y;
+    }
+}
+
 /// Symmetric matrix-vector multiplication: `y = alpha * A * x + beta * y`, where only
 /// the `uplo` triangle of `A` is referenced.
 ///
@@ -277,9 +298,23 @@ pub fn symv(uplo: Triangle, alpha: f64, a: &DenseMatrix, x: &[f64], beta: f64, y
     assert_eq!(y.len(), n, "symv: y has wrong length");
     let mut tmp = vec![0.0; n];
     symv_panel::<1>(uplo, a, [x], &mut tmp);
-    for i in 0..n {
-        y[i] = alpha * tmp[i] + beta * y[i];
-    }
+    symv_epilogue(alpha, &tmp, beta, y);
+}
+
+/// [`symv`] over a symmetric matrix held as its packed upper triangle: the same walk
+/// as `symv(Triangle::Upper, …)` on a row-major matrix with that upper triangle,
+/// reading the same values in the same order, so the two — and [`reference::symv`] on
+/// the mirrored matrix — agree to the bit.
+///
+/// # Panics
+/// Panics on dimension mismatch.
+pub fn symv_packed(alpha: f64, a: &PackedUpper, x: &[f64], beta: f64, y: &mut [f64]) {
+    let n = a.dim();
+    assert_eq!(x.len(), n, "symv: x has wrong length");
+    assert_eq!(y.len(), n, "symv: y has wrong length");
+    let mut tmp = vec![0.0; n];
+    symv_from_diagonal(|i| a.line(i), [x], &mut tmp);
+    symv_epilogue(alpha, &tmp, beta, y);
 }
 
 /// Symmetric matrix-matrix multiplication:

@@ -3,8 +3,9 @@
 //!
 //! The crate intentionally mirrors the split found in vendor math libraries:
 //!
-//! * [`DenseMatrix`] plus the BLAS-like kernels in [`blas`] play the role of a host
-//!   BLAS (and of cuBLAS once wrapped by the simulated device in `feti-gpu`),
+//! * [`DenseMatrix`] (and [`PackedUpper`], a symmetric matrix held as its upper
+//!   triangle) plus the BLAS-like kernels in [`blas`] play the role of a host BLAS
+//!   (and of cuBLAS once wrapped by the simulated device in `feti-gpu`),
 //! * [`CsrMatrix`] / [`CscMatrix`] / [`CooMatrix`] plus the kernels in [`ops`] play the
 //!   role of a sparse BLAS (and of cuSPARSE once wrapped by the simulated device).
 //!
@@ -24,12 +25,14 @@ pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod ops;
+pub mod packed;
 pub mod perm;
 
 pub use coo::{CooMatrix, CsrAssembly};
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
+pub use packed::PackedUpper;
 pub use perm::Permutation;
 
 /// Memory layout of a dense matrix.

@@ -9,7 +9,9 @@
 //! element, one-below/at/one-above the configured block size — and all
 //! uplo/side/transpose/diag variants.
 
-use feti_sparse::{blas, DenseMatrix, DiagKind, MemoryOrder, Side, Transpose, Triangle};
+use feti_sparse::{
+    blas, DenseMatrix, DiagKind, MemoryOrder, PackedUpper, Side, Transpose, Triangle,
+};
 use proptest::prelude::*;
 
 /// Distance in units-in-the-last-place, treating equal bit patterns as 0 and any
@@ -83,6 +85,73 @@ fn symv_matches_reference_on_edge_sizes_and_variants() {
                         &format!("symv n={n} {order:?} {uplo:?} i={i}"),
                     );
                 }
+            }
+        }
+    }
+}
+
+/// `len` values over sixty-one binades (`2⁻³⁰` to `2³⁰`), either sign, about a tenth
+/// of them `+0.0` or `−0.0`.
+fn spread(len: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let bits = state >> 11;
+            let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+            if bits % 10 == 3 {
+                return sign * 0.0;
+            }
+            let mantissa = 1.0 + (bits >> 12) as f64 / (1u64 << 41) as f64;
+            sign * mantissa * 2f64.powi(((bits >> 1) % 61) as i32 - 30)
+        })
+        .collect()
+}
+
+#[test]
+fn packed_symv_is_the_dense_upper_symv_and_the_reference_to_the_bit() {
+    // Every remainder of the four-line sweep from `n = 0`, then sizes around and past
+    // two 32-wide panels; `alpha` and `beta` with both zeros, one, and values far apart
+    // in magnitude — the epilogue `alpha·tmp + beta·y` decides the sign of a zero.
+    let alphas = [0.0, -0.0, 1.0, -1.0, 0.75, -3.5e-200, 2f64.powi(90), 5e-324];
+    let betas = [0.0, -0.0, 1.0, -1.0, 0.3, -1e150];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (seed, n) in (0..=13).chain([31, 32, 33, 64, 70]).enumerate() {
+        let seed = seed as u64;
+        // The lower triangle of `a` is noise neither SYMV may read.
+        let a = DenseMatrix::from_row_slice(n, n, &spread(n * n, seed), MemoryOrder::RowMajor);
+        let mut packed = PackedUpper::zeros(n);
+        for i in 0..n {
+            for j in i..n {
+                packed.set(i, j, a.get(i, j));
+            }
+        }
+        assert_eq!(packed.len(), n * (n + 1) / 2, "n={n}");
+        assert_eq!(packed.dim(), n);
+        let mirrored = packed.to_dense();
+        assert_eq!(mirrored.order(), MemoryOrder::RowMajor);
+        for i in 0..n {
+            for j in 0..n {
+                let stored = a.get(i.min(j), i.max(j));
+                assert_eq!(mirrored.get(i, j).to_bits(), stored.to_bits(), "n={n} ({i}, {j})");
+            }
+        }
+        let x = spread(n, seed ^ 0xa5);
+        let y0 = spread(n, seed ^ 0x5a);
+        for alpha in alphas {
+            for beta in betas {
+                let run = |symv: &dyn Fn(&mut [f64])| {
+                    let mut y = y0.clone();
+                    symv(&mut y);
+                    bits(&y)
+                };
+                let got = run(&|y| blas::symv_packed(alpha, &packed, &x, beta, y));
+                let dense = run(&|y| blas::symv(Triangle::Upper, alpha, &a, &x, beta, y));
+                let reference =
+                    run(&|y| blas::reference::symv(Triangle::Upper, alpha, &mirrored, &x, beta, y));
+                let at = format!("n={n} alpha={alpha:e} beta={beta:e}");
+                assert_eq!(got, dense, "packed vs dense upper, {at}");
+                assert_eq!(got, reference, "packed vs reference, {at}");
             }
         }
     }
