@@ -8,8 +8,9 @@
 //!   spans (`preprocess`, `factorize[sd=i]`, `apply`, `pcpg_iter[k]`, service
 //!   phases) as complete (`ph: "X"`) events;
 //! - **process 2, "device (modelled)"**: one lane per virtual CUDA stream,
-//!   carrying the cost-model `kernel` / `transfer` operations of the simulated
-//!   [`DeviceTimeline`](feti_gpu::DeviceTimeline) on the same microsecond axis.
+//!   carrying each modelled op, labelled with its kernel name, where the
+//!   [`PhaseScheduler`](feti_core::PhaseScheduler)'s per-worker streams put it,
+//!   on the same microsecond axis.
 //!
 //! The exporter reuses this crate's dependency-free [`crate::json`] writer; the
 //! metrics registry and the planner's predicted-vs-measured records ride along

@@ -17,9 +17,10 @@
 //! parallel region computes purely
 //! per-subdomain results which are collected in subdomain-index order, and every
 //! cross-subdomain reduction (the gather into the global dual vector, the scheduler
-//! recording, the statistics) happens sequentially in that order after the region
-//! joins — so the numerics and the modelled device times are bit-for-bit independent
-//! of the thread count and of scheduling.
+//! recording) happens sequentially in that order after the region joins — so the
+//! numerics and the modelled device times are bit-for-bit independent of the thread
+//! count and of scheduling.  The statistics are a plain [`DualOperatorStats`] field,
+//! recorded once per phase through `&mut self` after the region joins.
 
 pub mod cpu;
 pub mod gpu;
@@ -33,8 +34,7 @@ use feti_gpu::{GpuDevice, GpuSpec};
 use feti_solver::{SolverOptions, SymbolicCholesky};
 use feti_sparse::{CsrMatrix, DenseMatrix, PackedUpper};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Accumulated statistics of a dual operator over a run.
@@ -56,59 +56,24 @@ pub struct DualOperatorStats {
     pub apply_count: usize,
 }
 
-/// Thread-safe statistics accumulator shared by every operator implementation.
-///
-/// The subdomain loops now really run on several host threads, so the counters are
-/// recorded through `&self` with atomics (counts) and mutexes (time breakdowns)
-/// instead of `&mut` fields threaded through the parallel loop: concurrent recordings
-/// from any number of workers merge exactly, never losing an increment.
-#[derive(Debug, Default)]
-pub struct SharedStats {
-    preprocessing: Mutex<TimeBreakdown>,
-    repreprocessing: Mutex<TimeBreakdown>,
-    preprocess_count: AtomicUsize,
-    total_apply: Mutex<TimeBreakdown>,
-    apply_count: AtomicUsize,
-}
-
-impl SharedStats {
-    /// Poison-tolerant lock: the guarded values are plain `Copy` bookkeeping, so a
-    /// panicked recorder cannot leave them in a torn state.
-    fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
+impl DualOperatorStats {
     /// Records one preprocessing phase: the first call sets the cold
-    /// [`DualOperatorStats::preprocessing`] breakdown, every later call (numeric
-    /// re-factorization of a warm operator) accumulates into
-    /// [`DualOperatorStats::repreprocessing`] instead of overwriting the cold cost.
-    pub fn record_preprocessing(&self, t: TimeBreakdown) {
-        if self.preprocess_count.fetch_add(1, Ordering::Relaxed) == 0 {
-            *Self::locked(&self.preprocessing) = t;
+    /// [`Self::preprocessing`] breakdown, every later call (numeric re-factorization
+    /// of a warm operator) accumulates into [`Self::repreprocessing`] instead of
+    /// overwriting the cold cost.
+    pub(crate) fn record_preprocessing(&mut self, t: TimeBreakdown) {
+        if self.preprocess_count == 0 {
+            self.preprocessing = t;
         } else {
-            let mut re = Self::locked(&self.repreprocessing);
-            *re = re.then(t);
+            self.repreprocessing = self.repreprocessing.then(t);
         }
+        self.preprocess_count += 1;
     }
 
     /// Accumulates one application phase covering `columns` right-hand sides.
-    pub fn record_apply(&self, t: TimeBreakdown, columns: usize) {
-        let mut total = Self::locked(&self.total_apply);
-        *total = total.then(t);
-        drop(total);
-        self.apply_count.fetch_add(columns, Ordering::Relaxed);
-    }
-
-    /// A consistent copy of the counters.
-    #[must_use]
-    pub fn snapshot(&self) -> DualOperatorStats {
-        DualOperatorStats {
-            preprocessing: *Self::locked(&self.preprocessing),
-            repreprocessing: *Self::locked(&self.repreprocessing),
-            preprocess_count: self.preprocess_count.load(Ordering::Relaxed),
-            total_apply: *Self::locked(&self.total_apply),
-            apply_count: self.apply_count.load(Ordering::Relaxed),
-        }
+    pub(crate) fn record_apply(&mut self, t: TimeBreakdown, columns: usize) {
+        self.total_apply = self.total_apply.then(t);
+        self.apply_count += columns;
     }
 }
 
@@ -226,7 +191,7 @@ pub struct ApproachOperator {
     /// a single column); for CPU-only approaches they hold no ops.
     preprocess_program: PhaseProgram,
     apply_program: PhaseProgram,
-    stats: SharedStats,
+    stats: DualOperatorStats,
 }
 
 impl ApproachOperator {
@@ -291,7 +256,7 @@ impl ApproachOperator {
             device,
             preprocess_program,
             apply_program,
-            stats: SharedStats::default(),
+            stats: DualOperatorStats::default(),
         })
     }
 
@@ -400,7 +365,7 @@ impl ApproachOperator {
     /// their host share is zero and the time is the modelled schedule of the
     /// application program — one batched program for `k` columns, never `k` programs.
     fn apply_columns(
-        &self,
+        &mut self,
         k: usize,
         p: impl Fn(usize, usize) -> f64 + Sync,
         mut q: impl FnMut(usize, usize, f64),
@@ -482,7 +447,7 @@ impl DualOperator for ApproachOperator {
     }
 
     fn stats(&self) -> DualOperatorStats {
-        self.stats.snapshot()
+        self.stats
     }
 }
 
@@ -754,37 +719,20 @@ mod tests {
     }
 
     #[test]
-    fn shared_stats_counts_are_exact_under_four_threads() {
-        use rayon::prelude::*;
-        let stats = SharedStats::default();
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let recordings: Vec<usize> = (0..1000).collect();
-        let t = TimeBreakdown { cpu_seconds: 0.5, gpu_seconds: 0.25, total_seconds: 0.5 };
-        pool.install(|| {
-            recordings.par_iter().for_each(|_| stats.record_apply(t, 3));
-        });
-        let snap = stats.snapshot();
-        assert_eq!(snap.apply_count, 3000, "no increment may be lost under contention");
-        assert!((snap.total_apply.cpu_seconds - 500.0).abs() < 1e-9);
-        assert!((snap.total_apply.gpu_seconds - 250.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn repeated_preprocessing_accumulates_separately_from_the_cold_cost() {
         // Regression test for the old "last call wins" overwrite: the cold
         // breakdown must survive re-preprocessing, which accumulates on its own.
-        let stats = SharedStats::default();
+        let mut stats = DualOperatorStats::default();
         let cold = TimeBreakdown { cpu_seconds: 2.0, gpu_seconds: 1.0, total_seconds: 2.5 };
         let warm = TimeBreakdown { cpu_seconds: 0.5, gpu_seconds: 0.25, total_seconds: 0.5 };
         stats.record_preprocessing(cold);
         stats.record_preprocessing(warm);
         stats.record_preprocessing(warm);
-        let snap = stats.snapshot();
-        assert_eq!(snap.preprocess_count, 3);
-        assert!((snap.preprocessing.cpu_seconds - 2.0).abs() < 1e-12, "cold cost preserved");
-        assert!((snap.preprocessing.total_seconds - 2.5).abs() < 1e-12);
-        assert!((snap.repreprocessing.cpu_seconds - 1.0).abs() < 1e-12, "re-preprocess summed");
-        assert!((snap.repreprocessing.total_seconds - 1.0).abs() < 1e-12);
+        assert_eq!(stats.preprocess_count, 3);
+        assert!((stats.preprocessing.cpu_seconds - 2.0).abs() < 1e-12, "cold cost preserved");
+        assert!((stats.preprocessing.total_seconds - 2.5).abs() < 1e-12);
+        assert!((stats.repreprocessing.cpu_seconds - 1.0).abs() < 1e-12, "re-preprocess summed");
+        assert!((stats.repreprocessing.total_seconds - 1.0).abs() < 1e-12);
     }
 
     #[test]

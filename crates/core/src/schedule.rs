@@ -2,15 +2,20 @@
 //! paper's execution model (parallel subdomain loop, one CUDA stream per host thread,
 //! asynchronous submission, a single synchronization at the end of the phase).
 //!
+//! Each modelled worker keeps two virtual clocks: its host clock and the end of its
+//! stream.  An op submitted when the host reaches `ready` starts at
+//! `max(stream end, ready)`, and the phase's synchronization completes when the host
+//! reaches it and every stream has drained.
+//!
 //! Determinism under the real multithreaded runtime: subdomains are *recorded* in
 //! subdomain-index order after the parallel region joins, and subdomain `i` is always
 //! attributed to modelled worker `i % num_threads` (whose stream is keyed by that
-//! worker), so the modelled device timeline — and with it `gpu_seconds` and the
+//! worker), so the modelled device schedule — and with it `gpu_seconds` and the
 //! overlapped `total_seconds` — is a pure function of the per-subdomain inputs,
 //! independent of which OS thread actually executed which subdomain or in what order
 //! they completed.
 
-use feti_gpu::{DeviceTimeline, PricedOp};
+use feti_gpu::PricedOp;
 
 /// Wall-clock budget of one phase split into its CPU and GPU parts.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -58,8 +63,10 @@ impl TimeBreakdown {
 /// threads and 16 streams).  The phase ends with one device synchronization.
 #[derive(Debug)]
 pub struct PhaseScheduler {
+    /// Per modelled worker: the host time its recorded CPU work reaches.
     thread_cpu: Vec<f64>,
-    timeline: DeviceTimeline,
+    /// Per modelled worker: the virtual time its stream drains.
+    stream_end: Vec<f64>,
     total_gpu_busy: f64,
     /// When set, every submitted device op is exported to the trace layer as a
     /// virtual-device-lane record anchored at this wall-clock microsecond
@@ -77,7 +84,7 @@ impl PhaseScheduler {
         assert!(num_threads > 0);
         Self {
             thread_cpu: vec![0.0; num_threads],
-            timeline: DeviceTimeline::new(num_threads),
+            stream_end: vec![0.0; num_threads],
             total_gpu_busy: 0.0,
             trace_epoch_us: None,
         }
@@ -99,20 +106,26 @@ impl PhaseScheduler {
     }
 
     /// Records the work of one subdomain: `cpu_seconds` of host work followed by the
-    /// asynchronous submission of `gpu_ops` to the worker's stream.
+    /// asynchronous submission of `gpu_ops` to the worker's stream: each op starts
+    /// when both the host work and the stream's previous op are done.  A traced
+    /// [`Self::for_host`] scheduler exports each op, labelled with its own kernel name
+    /// ([`feti_gpu::DeviceOp::name`]), on the worker's lane.
     ///
     /// Callers under the parallel runtime must invoke this in subdomain-index order
-    /// (after the parallel region joins) so the modelled timeline stays deterministic.
+    /// (after the parallel region joins) so the modelled schedule stays deterministic.
     pub fn record_subdomain(&mut self, subdomain: usize, cpu_seconds: f64, gpu_ops: &[PricedOp]) {
         let worker = subdomain % self.thread_cpu.len();
         self.thread_cpu[worker] += cpu_seconds;
         let ready = self.thread_cpu[worker];
+        let stream_end = &mut self.stream_end[worker];
         for op in gpu_ops {
-            match self.trace_epoch_us {
-                Some(epoch_us) => self.timeline.submit_traced(worker, ready, op, epoch_us),
-                None => self.timeline.submit(worker, ready, &op.cost),
-            };
+            let start = stream_end.max(ready);
+            *stream_end = start + op.cost.seconds;
             self.total_gpu_busy += op.cost.seconds;
+            if let Some(epoch_us) = self.trace_epoch_us {
+                let (start_us, dur_us) = (epoch_us + start * 1e6, op.cost.seconds * 1e6);
+                feti_trace::device_op(worker, op.op.name(), start_us, dur_us);
+            }
         }
     }
 
@@ -144,7 +157,7 @@ impl PhaseScheduler {
     }
 
     fn finish_with_host_wall(&self, host_wall: f64) -> TimeBreakdown {
-        let total = self.timeline.synchronize(host_wall);
+        let total = self.stream_end.iter().copied().fold(host_wall, f64::max);
         TimeBreakdown {
             cpu_seconds: host_wall,
             gpu_seconds: self.total_gpu_busy,
@@ -207,6 +220,47 @@ mod tests {
         // GPU work becomes ready at the modelled 1.0, runs 2.0 → drains at 3.0.
         assert!((t.total_seconds - 3.0).abs() < 1e-12, "got {}", t.total_seconds);
         assert!((t.cpu_seconds - 1.2).abs() < 1e-12);
+        // A device that drains before the host reaches the synchronization point
+        // leaves the phase at the host's wall.
+        let mut s = PhaseScheduler::new(4);
+        s.record_subdomain(2, 0.0, &[gpu(0.25)]);
+        assert!((s.finish_measured(3.0).total_seconds - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_traced_host_scheduler_exports_each_op_on_its_worker_lane() {
+        use feti_gpu::DeviceOp;
+        // Durations no other op in this test binary has pick this test's records
+        // out of the process-wide trace, which concurrent tests may write to.
+        let priced = |op, seconds| PricedOp {
+            op,
+            cost: feti_gpu::GpuCost { seconds, bytes_moved: 0.0, flops: 0.0 },
+            temporary_bytes: 0,
+        };
+        let ops = [
+            priced(DeviceOp::Transfer { bytes: 8 }, 0.375),
+            priced(DeviceOp::ScatterGather { n: 4 }, 0.125),
+        ];
+        feti_trace::set_enabled(true);
+        let mut traced = PhaseScheduler::for_host();
+        let mut estimate = PhaseScheduler::new(2);
+        estimate.record_subdomain(0, 0.0, &ops);
+        traced.record_subdomain(0, 1.0, &ops);
+        traced.record_subdomain(1, 0.0, &ops[1..]);
+        feti_trace::set_enabled(false);
+        let report = feti_trace::take_report();
+        let exported: Vec<_> =
+            report.device_ops.iter().filter(|op| [0.375e6, 0.125e6].contains(&op.dur_us)).collect();
+        // One record per op of the host scheduler; the estimate exports none.
+        assert_eq!(exported.len(), 3);
+        let names: Vec<&str> = exported.iter().map(|op| op.name.as_str()).collect();
+        // A zero-flop kernel is labelled by its own name, never guessed from its cost.
+        assert_eq!(names, ["transfer", "scatter_gather", "scatter_gather"]);
+        let streams: Vec<usize> = exported.iter().map(|op| op.stream).collect();
+        assert_eq!(streams, [0, 0, 1 % crate::host_threads()]);
+        // The worker's two ops run back to back on its stream, the duration is the cost.
+        assert!((exported[1].start_us - exported[0].start_us - 0.375e6).abs() < 1e-3);
+        assert_eq!((exported[0].dur_us, exported[1].dur_us), (0.375e6, 0.125e6));
     }
 
     #[test]

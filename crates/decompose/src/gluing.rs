@@ -125,7 +125,6 @@ pub fn build_gluing(spec: &DecompositionSpec, meshes: &[StructuredMesh]) -> Glui
         ent.sort_unstable_by_key(|&(lambda, dof, _)| (lambda, dof));
         let mut map: Vec<usize> = Vec::new();
         let n_dofs = mesh.num_nodes() * dpn;
-        let coo = CooMatrix::with_capacity(ent.len(), n_dofs, ent.len());
         // First pass to know the number of local rows (distinct lambdas).
         let mut last = usize::MAX;
         for &(lambda, _, _) in &ent {
@@ -144,8 +143,6 @@ pub fn build_gluing(spec: &DecompositionSpec, meshes: &[StructuredMesh]) -> Glui
             }
             coo_rows.push(row, dof, v);
         }
-        // `coo` was only used for capacity estimation; ignore it.
-        drop(coo);
         local_b.push(coo_rows.to_csr());
         lambda_maps.push(map);
     }

@@ -18,10 +18,11 @@
 //! * device memory is split as §IV-A describes: a [`GpuDevice`] books its persistent
 //!   bytes when it is made, and the rest of the device is a temporary pool, a
 //!   [`MemoryLedger`] that blocks a request FIFO-fairly until it fits; the same type
-//!   is the device budget the jobs of one service share;
-//! * a [`DeviceTimeline`] of [`StreamTimeline`]s, one stream per host worker, models
-//!   the asynchronous execution and the copy/compute overlap the paper relies on: the
-//!   phase makespan is when the last stream drains.
+//!   is the device budget the jobs of one service share.
+//!
+//! The asynchronous execution the paper relies on — one stream per host worker, a
+//! phase that ends when the last stream drains — is scheduled by the caller's phase
+//! scheduler (`feti_core::schedule`) from the ops' prices.
 
 #![warn(missing_docs)]
 
@@ -29,12 +30,10 @@ pub mod cost;
 pub mod memory;
 pub mod op;
 pub mod sparse;
-pub mod timeline;
 
 pub use cost::{GpuCost, GpuSpec};
 pub use memory::{MemoryError, MemoryLedger, Reservation};
 pub use op::{DeviceOp, PricedOp};
-pub use timeline::{DeviceTimeline, StreamTimeline};
 
 use std::sync::Arc;
 

@@ -12,7 +12,7 @@
 //! * **Metrics registry** ([`counter_add`], [`histogram_record`]): named counters
 //!   and fixed-bucket log-scale histograms (cache hit-rate, queue depth, admission
 //!   wait, PCPG iterations, per-approach apply seconds).
-//! * **Device-op records** ([`device_op`]): the modelled `DeviceTimeline` streams
+//! * **Device-op records** ([`device_op`]): the phase scheduler's modelled streams
 //!   report each submitted kernel/transfer so the exporter can render virtual
 //!   device lanes next to the measured host lanes.
 //! * **Planner decision records** ([`record_plan`], [`stamp_plan`]): every plan
@@ -120,7 +120,7 @@ pub struct SpanRecord {
 pub struct DeviceOpRecord {
     /// Stream index within the modelled device.
     pub stream: usize,
-    /// Operation label (`kernel` or `transfer`).
+    /// Operation label: the kernel name of the submitted op (`transfer`, `trsm`, …).
     pub name: String,
     /// Modelled start in microseconds (offset to the host clock by the caller).
     pub start_us: f64,
