@@ -220,6 +220,10 @@ mod tests {
         // GPU work becomes ready at the modelled 1.0, runs 2.0 → drains at 3.0.
         assert!((t.total_seconds - 3.0).abs() < 1e-12, "got {}", t.total_seconds);
         assert!((t.cpu_seconds - 1.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn device_drained_before_the_host_sync_leaves_the_host_wall() {
         // A device that drains before the host reaches the synchronization point
         // leaves the phase at the host's wall.
         let mut s = PhaseScheduler::new(4);
