@@ -29,62 +29,56 @@ use feti_gpu::{cost, CudaGeneration, GpuSpec};
 use feti_solver::{FactorizationKind, OrderingKind, SolverOptions, SymbolicCholesky};
 use std::sync::{Arc, OnceLock};
 
+/// Effective per-thread FP64 throughput for indexed sparse kernels (FLOP/second).
+const SPARSE_FLOPS_FP64: f64 = 2.5e9;
+/// Effective per-thread memory bandwidth for indexed sparse access (bytes/second).
+const MEMORY_BANDWIDTH: f64 = 4.5e9;
+/// Effective per-thread FP64 throughput for dense blocked kernels (FLOP/second).
+/// The blocked SYMV/SYRK/TRSM kernels sustain well above the scalar indexed rate.
+const DENSE_FLOPS_FP64: f64 = 6.0e9;
+/// Effective bandwidth for dense regular-stride access when the working set is cache
+/// resident (bytes/second).  Tiny subdomains' dense `F̃ᵢ` live entirely in cache
+/// across PCPG iterations, so pricing them at streaming bandwidth overprices the host
+/// apply by ~6× and makes the planner mispick a device-side approach.
+const CACHE_BANDWIDTH: f64 = 2.8e10;
+/// Working-set size under which dense traffic is served at [`CACHE_BANDWIDTH`]
+/// (bytes).  Only the excess over this is charged at streaming [`MEMORY_BANDWIDTH`],
+/// so the dense roofline is continuous and monotone in the task size.
+const CACHE_BYTES: f64 = 256.0 * 1024.0;
+/// Fixed overhead charged per subdomain task (seconds).
+const TASK_OVERHEAD_SECONDS: f64 = 1.0e-6;
+
 /// Roofline description of the host: effective per-thread FP64 throughput and memory
-/// bandwidth, plus a per-subdomain-task overhead (dispatch, allocation).
+/// bandwidth, plus a per-subdomain-task overhead (dispatch, allocation), over a
+/// number of worker threads.
 ///
 /// Host work in this repository is *measured*, not modelled; the planner still needs a
-/// price for it before anything has run.  The defaults are calibrated against the
-/// measured host kernels of this repository (Fig. 5 sweeps): indexed sparse access
+/// price for it before anything has run.  The rates are constants calibrated against
+/// the measured host kernels of this repository (Fig. 5 sweeps): indexed sparse access
 /// runs far below STREAM bandwidth, so the effective numbers are per-core kernel
-/// throughputs, not hardware peaks.
+/// throughputs, not hardware peaks.  Recalibrating means editing those constants; only
+/// the thread count is chosen per planner.
 #[derive(Debug, Clone, Copy)]
 pub struct HostSpec {
-    /// Effective per-thread FP64 throughput for indexed sparse kernels (FLOP/second).
-    pub flops_fp64: f64,
-    /// Effective per-thread memory bandwidth for indexed sparse access (bytes/second).
-    pub memory_bandwidth: f64,
-    /// Effective per-thread FP64 throughput for dense blocked kernels (FLOP/second).
-    /// The blocked SYMV/SYRK/TRSM kernels sustain well above the scalar indexed rate.
-    pub dense_flops_fp64: f64,
-    /// Effective bandwidth for dense regular-stride access when the working set is
-    /// cache resident (bytes/second).  Tiny subdomains' dense `F̃ᵢ` live entirely in
-    /// cache across PCPG iterations, so pricing them at streaming bandwidth overprices
-    /// the host apply by ~6× and makes the planner mispick a device-side approach.
-    pub cache_bandwidth: f64,
-    /// Working-set size under which dense traffic is served at `cache_bandwidth`
-    /// (bytes).  Only the excess over this is charged at streaming `memory_bandwidth`,
-    /// so the dense roofline is continuous and monotone in the task size.
-    pub cache_bytes: f64,
-    /// Fixed overhead charged per subdomain task (seconds).
-    pub task_overhead_seconds: f64,
     /// Host worker threads the parallel subdomain loop will use (one modelled CUDA
     /// stream per thread).  Estimated host phases schedule their per-subdomain tasks
     /// across this many workers and report the makespan, matching the measured
     /// wall-clock `cpu_seconds` of an actual parallel run.
-    pub threads: usize,
+    threads: usize,
 }
 
 impl HostSpec {
-    /// The default calibration: this crate's sparse kernels on the live thread
-    /// configuration ([`crate::host_threads`], i.e. `FETI_THREADS` or the machine's
-    /// available parallelism).
+    /// The calibration on the live thread configuration ([`crate::host_threads`], i.e.
+    /// `FETI_THREADS` or the machine's available parallelism).
     #[must_use]
     pub fn calibrated() -> Self {
-        Self {
-            flops_fp64: 2.5e9,
-            memory_bandwidth: 4.5e9,
-            dense_flops_fp64: 6.0e9,
-            cache_bandwidth: 2.8e10,
-            cache_bytes: 256.0 * 1024.0,
-            task_overhead_seconds: 1.0e-6,
-            threads: crate::host_threads(),
-        }
+        Self { threads: crate::host_threads() }
     }
 
     /// The same calibration for an explicit thread count.
     #[must_use]
     pub fn calibrated_for_threads(threads: usize) -> Self {
-        Self { threads: threads.max(1), ..Self::calibrated() }
+        Self { threads: threads.max(1) }
     }
 
     /// Roofline time of one host task with indexed (sparse) access touching `bytes`
@@ -94,21 +88,21 @@ impl HostSpec {
     /// working sets).
     #[must_use]
     pub fn seconds(&self, bytes: f64, flops: f64) -> f64 {
-        self.task_overhead_seconds + (bytes / self.memory_bandwidth).max(flops / self.flops_fp64)
+        TASK_OVERHEAD_SECONDS + (bytes / MEMORY_BANDWIDTH).max(flops / SPARSE_FLOPS_FP64)
     }
 
     /// Roofline time of one host task with dense regular-stride access.  Two-level:
-    /// traffic up to [`Self::cache_bytes`] is served at [`Self::cache_bandwidth`],
-    /// only the excess streams from memory.  This is what fixes the heat-3D 125-dof
-    /// mispick: an 86×86 dense `F̃ᵢ` (~96 KB of effective SYMV traffic) runs ~6×
-    /// faster than the streaming roofline predicts, and the planner must know that
-    /// to prefer the host apply over shuttling tiny vectors through the device.
+    /// traffic up to 256 KiB is served at the cache bandwidth, only the excess streams
+    /// from memory.  This is what fixes the heat-3D 125-dof mispick: an 86×86 dense
+    /// `F̃ᵢ` (~96 KB of effective SYMV traffic) runs ~6× faster than the streaming
+    /// roofline predicts, and the planner must know that to prefer the host apply over
+    /// shuttling tiny vectors through the device.
     #[must_use]
     pub fn dense_seconds(&self, bytes: f64, flops: f64) -> f64 {
-        let compute = flops / self.dense_flops_fp64;
-        let cache = bytes / self.cache_bandwidth;
-        let stream = (bytes - self.cache_bytes).max(0.0) / self.memory_bandwidth;
-        self.task_overhead_seconds + compute.max(cache).max(stream)
+        let compute = flops / DENSE_FLOPS_FP64;
+        let cache = bytes / CACHE_BANDWIDTH;
+        let stream = (bytes - CACHE_BYTES).max(0.0) / MEMORY_BANDWIDTH;
+        TASK_OVERHEAD_SECONDS + compute.max(cache).max(stream)
     }
 }
 
@@ -313,7 +307,7 @@ impl<'a> Planner<'a> {
         self.plan_of(0, Vec::new())
     }
 
-    /// Replaces the host calibration.
+    /// Prices host phases over `host`'s thread count instead of the live one.
     #[must_use]
     pub fn with_host_spec(mut self, host: HostSpec) -> Self {
         self.host = host;

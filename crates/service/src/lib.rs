@@ -12,21 +12,25 @@
 //! - **tenant fairness**: the queue is drained round-robin across tenants, so one
 //!   tenant's burst cannot starve the others,
 //! - a **plan + factor cache** keyed by [`PlanCacheKey`] — the symbolic structure of
-//!   the decomposition plus the resolved approach and parameters.  A cache hit
-//!   checks out a *warm* solver (factors, coarse problem and assembled dual
-//!   operator intact) and skips preprocessing entirely,
+//!   the decomposition plus the resolved approach and parameters (the plan's winner
+//!   over [`EXPECTED_ITERATIONS`] for an unpinned job, a pinned approach's Table-II
+//!   parameters otherwise).  A cache hit checks out a *warm* solver (factors,
+//!   coarse problem and assembled dual operator intact) and skips preprocessing
+//!   entirely,
 //! - **admission control**: each job's persistent device footprint is estimated by
 //!   the [`Planner`] on [`ServiceConfig::gpu`] *before* anything is constructed,
-//!   reserved FIFO-fairly against a device budget (a [`MemoryLedger`], the type of the
-//!   device's temporary pool), and jobs that could never fit are rejected with a typed
-//!   error instead of crashing a worker mid-solve; a cold job is then built from the
-//!   very [`Plan`] it was admitted on — over the plan's analyses, on that device —
-//!   so it analyses nothing and runs on the device it was priced for,
+//!   reserved FIFO-fairly against that device's memory capacity (a [`MemoryLedger`],
+//!   the type of the device's temporary pool), and jobs that could never fit are
+//!   rejected with a typed error instead of crashing a worker mid-solve; a cold job
+//!   is then built from the very [`Plan`] it was admitted on — over the plan's
+//!   analyses, on that device — so it analyses nothing and runs on the device it
+//!   was priced for,
 //! - **typed errors everywhere**: queue-full, shutdown, admission and solve failures
 //!   all surface as [`ServiceError`] values; a panicking job is caught and reported
 //!   without taking down its worker thread.
 
 use feti_core::planner::{Plan, PlanCacheKey, Planner};
+use feti_core::program::auto_params;
 use feti_core::{
     DualOperatorApproach, ExplicitAssemblyParams, FetiError, FetiSolution, LoadCase, PcpgOptions,
     TotalFetiSolver,
@@ -38,7 +42,15 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+/// The PCPG iteration count every unpinned job's plan amortizes preprocessing over.
+/// The benchmark's `PLANNER_ITERATIONS` mirrors it, so its direct passes over the
+/// service's geometries resolve to the configurations the service runs.
+pub const EXPECTED_ITERATIONS: usize = 200;
+
 /// Configuration of a [`FetiService`].
+///
+/// Jobs are planned over [`EXPECTED_ITERATIONS`], and admitted against the memory
+/// capacity of [`ServiceConfig::gpu`], the device they are priced and built on.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads executing jobs (each drives the solver's parallel subdomain
@@ -53,34 +65,30 @@ pub struct ServiceConfig {
     /// Maximum number of idle warm solvers kept in the cache (least recently used
     /// keys are evicted beyond this).
     pub cache_capacity: usize,
-    /// Modelled device-memory budget shared by all running jobs, in bytes.
-    pub device_budget_bytes: usize,
     /// Maximum number of queued (not yet running) jobs before submissions are
     /// rejected with [`ServiceError::QueueFull`].
     pub queue_capacity: usize,
     /// Device description used for planning and admission estimates, and the device
-    /// every job's operator is built on.
+    /// every job's operator is built on.  Its `memory_capacity_bytes` is the
+    /// modelled device-memory budget shared by all running jobs.
     pub gpu: GpuSpec,
-    /// Amortization horizon handed to the planner when a job does not specify one.
-    pub default_expected_iterations: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let gpu = GpuSpec::a100_40gb();
         Self {
             workers: 2,
             solver_threads: None,
             cache_capacity: 8,
-            device_budget_bytes: gpu.memory_capacity_bytes,
             queue_capacity: 64,
-            gpu,
-            default_expected_iterations: 200,
+            gpu: GpuSpec::a100_40gb(),
         }
     }
 }
 
-/// One solve request.
+/// One solve request.  Its dual operator is the planner's winner over
+/// [`EXPECTED_ITERATIONS`], or a pinned approach with its Table-II parameters
+/// ([`auto_params`]).
 #[derive(Clone)]
 pub struct JobSpec {
     /// Tenant this job belongs to (fairness and accounting unit).
@@ -89,15 +97,10 @@ pub struct JobSpec {
     pub problem: Arc<DecomposedProblem>,
     /// Dual-operator approach; `None` lets the planner choose.
     pub approach: Option<DualOperatorApproach>,
-    /// Explicit-assembly parameters; `None` uses the planned/auto-configured ones.
-    pub params: Option<ExplicitAssemblyParams>,
     /// Load cases to solve; empty means the problem's assembled baseline loads.
     pub loads: Vec<LoadCase>,
     /// PCPG options.
     pub options: PcpgOptions,
-    /// Expected PCPG iteration count for amortized planning; 0 uses the service
-    /// default.
-    pub expected_iterations: usize,
 }
 
 impl JobSpec {
@@ -109,10 +112,8 @@ impl JobSpec {
             tenant: tenant.into(),
             problem,
             approach: None,
-            params: None,
             loads: Vec::new(),
             options: PcpgOptions::default(),
-            expected_iterations: 0,
         }
     }
 
@@ -372,7 +373,7 @@ struct ServiceShared {
     cache: Mutex<SolverCache>,
     budget: Arc<MemoryLedger>,
     stats: Mutex<StatsInner>,
-    /// Resolved plans by (structure fingerprint, requested configuration): repeated
+    /// Resolved plans by (structure fingerprint, pinned approach): repeated
     /// geometries skip the planner's symbolic analysis on the submit path too.
     plans: Mutex<PlanCache>,
     /// One persistent solver pool per worker (index = worker index), built once at
@@ -432,12 +433,12 @@ struct StatsInner {
     per_tenant_jobs: HashMap<String, usize>,
 }
 
+/// What a job asks the planner: its geometry's structure and its pinned approach, if
+/// any.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanRequest {
     structure: u64,
     approach: Option<DualOperatorApproach>,
-    params: Option<ExplicitAssemblyParams>,
-    expected_iterations: usize,
 }
 
 /// What a request resolved to: the plan it was priced on, which every cold build of
@@ -471,7 +472,7 @@ impl FetiService {
     /// Starts the worker pool.
     #[must_use]
     pub fn start(config: ServiceConfig) -> Self {
-        let budget = MemoryLedger::new(config.device_budget_bytes);
+        let budget = MemoryLedger::new(config.gpu.memory_capacity_bytes);
         // `solver_threads` pins the worker count of each job's internal parallel
         // regions (subdomain loops on the shimmed rayon pool).  Each service worker
         // owns one persistent pool for its whole lifetime: the pool's parked
@@ -510,15 +511,17 @@ impl FetiService {
     }
 
     /// Submits a job.  Admission control runs here, before the job is queued:
+    /// a closed service or a full queue refuses it before anything is planned; then
     /// the approach is resolved (planned if unspecified), its persistent device
-    /// footprint is estimated, and a job that could never fit the budget — or does
-    /// not find queue space — is rejected with a typed error.
+    /// footprint is estimated, and a job that could never fit the device is rejected
+    /// with a typed error.
     ///
     /// # Errors
     /// [`ServiceError::ShuttingDown`], [`ServiceError::QueueFull`] or
     /// [`ServiceError::Admission`].
     pub fn submit(&self, spec: JobSpec) -> Result<JobTicket, ServiceError> {
         let _span = feti_trace::span(|| "admit");
+        self.check_open(&lock(&self.shared.queue))?;
         let resolved = self.resolve(&spec);
         let capacity = self.shared.budget.capacity_bytes();
         if resolved.persistent_bytes > capacity {
@@ -530,15 +533,9 @@ impl FetiService {
         let (tx, rx) = mpsc::channel();
         let job = QueuedJob { spec, resolved, enqueued_us: feti_trace::now_us(), reply: tx };
         {
+            // Checked again: the queue may have closed or filled while this job planned.
             let mut q = lock(&self.shared.queue);
-            if q.closed {
-                return Err(ServiceError::ShuttingDown);
-            }
-            if q.len >= self.shared.config.queue_capacity {
-                return Err(ServiceError::QueueFull {
-                    capacity: self.shared.config.queue_capacity,
-                });
-            }
+            self.check_open(&q)?;
             q.push(job);
             feti_trace::histogram_record("service.queue_depth", q.len as f64);
         }
@@ -546,52 +543,52 @@ impl FetiService {
         Ok(JobTicket { rx })
     }
 
-    /// Resolves a job's plan, approach, parameters and modelled footprint — through
-    /// the plan cache when this geometry and request were seen before.  A miss plans
-    /// on [`ServiceConfig::gpu`]: every approach for an unpinned job, the pinned
-    /// approach's ordering alone for a pinned one.
-    fn resolve(&self, spec: &JobSpec) -> ResolvedPlan {
-        let expected = if spec.expected_iterations == 0 {
-            self.shared.config.default_expected_iterations
+    /// Whether the queue takes one more job.
+    fn check_open(&self, q: &JobQueue) -> Result<(), ServiceError> {
+        let capacity = self.shared.config.queue_capacity;
+        if q.closed {
+            Err(ServiceError::ShuttingDown)
+        } else if q.len >= capacity {
+            Err(ServiceError::QueueFull { capacity })
         } else {
-            spec.expected_iterations
-        };
+            Ok(())
+        }
+    }
+
+    /// Resolves a job's plan, approach, parameters and modelled footprint — through
+    /// the plan cache when this geometry and pinned approach were seen before.  A miss
+    /// plans on [`ServiceConfig::gpu`]: an unpinned job runs the winner of every
+    /// approach amortized over [`EXPECTED_ITERATIONS`], a pinned one its approach with
+    /// the Table-II parameters ([`auto_params`]), analysing that approach's ordering
+    /// alone.
+    fn resolve(&self, spec: &JobSpec) -> ResolvedPlan {
         let request = PlanRequest {
             structure: PlanCacheKey::structure_fingerprint(&spec.problem),
             approach: spec.approach,
-            params: spec.params,
-            expected_iterations: expected,
         };
         if let Some(hit) = lock(&self.shared.plans).get(&request) {
             return hit;
         }
         let planner = Planner::new(&spec.problem, self.shared.config.gpu);
-        let (plan, approach, params, persistent_bytes) = match spec.approach {
+        let (plan, chosen) = match spec.approach {
             None => {
-                let plan = planner.plan_auto(expected);
+                let plan = planner.plan_auto(EXPECTED_ITERATIONS);
                 let best = *plan.best();
-                let params = spec.params.unwrap_or(best.params);
-                // A job-level params override changes what gets built, so the
-                // admission footprint is re-estimated for the overridden configuration
-                // instead of reusing the candidate planned with `best.params`.
-                let persistent_bytes = if spec.params.is_some() {
-                    planner.estimate(best.approach, params).persistent_device_bytes
-                } else {
-                    best.persistent_device_bytes
-                };
-                (plan, best.approach, params, persistent_bytes)
+                (plan, best)
             }
             Some(approach) => {
-                let params = spec
-                    .params
-                    .unwrap_or_else(|| feti_core::program::auto_params(approach, &spec.problem));
-                let persistent_bytes = planner.estimate(approach, params).persistent_device_bytes;
-                (planner.plan_pinned(approach), approach, params, persistent_bytes)
+                let chosen = planner.estimate(approach, auto_params(approach, &spec.problem));
+                (planner.plan_pinned(approach), chosen)
             }
         };
-        let key = PlanCacheKey::new(&spec.problem, approach, params);
-        let resolved =
-            ResolvedPlan { plan: Arc::new(plan), key, approach, params, persistent_bytes };
+        let (approach, params) = (chosen.approach, chosen.params);
+        let resolved = ResolvedPlan {
+            plan: Arc::new(plan),
+            key: PlanCacheKey::new(&spec.problem, approach, params),
+            approach,
+            params,
+            persistent_bytes: chosen.persistent_device_bytes,
+        };
         lock(&self.shared.plans).insert(request, resolved.clone());
         resolved
     }
@@ -626,15 +623,21 @@ impl FetiService {
     /// with [`ServiceError::ShuttingDown`], workers drain and exit, and the final
     /// counters are returned.  Never panics: a worker that died earlier (it caught
     /// its jobs' panics, so this means a harness-level kill) is reported, not
-    /// propagated.
+    /// propagated.  Dropping the service does the same, without the counters.
     ///
     /// # Errors
     /// [`ServiceError::WorkerLost`] if a worker thread could not be joined.
     pub fn shutdown(mut self) -> Result<ServiceStats, ServiceError> {
-        {
-            let mut q = lock(&self.shared.queue);
-            q.closed = true;
+        if self.stop() {
+            return Err(ServiceError::WorkerLost);
         }
+        Ok(self.stats())
+    }
+
+    /// Closes the queue, lets the workers drain it, joins them and closes the budget.
+    /// Returns whether a worker could not be joined.
+    fn stop(&mut self) -> bool {
+        lock(&self.shared.queue).closed = true;
         self.shared.queue_cv.notify_all();
         let mut lost = false;
         for handle in self.workers.drain(..) {
@@ -642,10 +645,13 @@ impl FetiService {
         }
         // Unblock any straggler waiting on budget (nothing should be, after join).
         self.shared.budget.close();
-        if lost {
-            return Err(ServiceError::WorkerLost);
-        }
-        Ok(self.stats())
+        lost
+    }
+}
+
+impl Drop for FetiService {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -714,28 +720,9 @@ fn run_job(shared: &Arc<ServiceShared>, job: QueuedJob) -> Result<JobReport, Ser
     let reservation = shared.budget.reserve(resolved.persistent_bytes)?;
 
     let prep_start = Instant::now();
-    let (mut solver, cache) = match lock(&shared.cache).claim(&resolved.key) {
-        Some(mut warm) => {
-            // The cache key covers symbolic structure, approach and parameters —
-            // not PCPG options.  Retarget the warm solver to this
-            // job's tolerance / iteration cap / preconditioner choice before solving.
-            warm.set_options(job.spec.options);
-            (warm, CacheOutcome::Hit)
-        }
-        None => {
-            // Built from the plan the job was admitted on: its analyses, its device.
-            let solver = TotalFetiSolver::from_plan(
-                Arc::clone(&job.spec.problem),
-                &resolved.plan,
-                resolved.approach,
-                resolved.params,
-                job.spec.options,
-            )?;
-            (solver, CacheOutcome::Miss)
-        }
-    };
-    solver.ensure_preprocessed()?;
-    let preprocess_seconds = prep_start.elapsed().as_secs_f64();
+    let warm = lock(&shared.cache).claim(&resolved.key);
+    // Counted before the cold build, which may fail: a failed build still missed.
+    let cache = if warm.is_some() { CacheOutcome::Hit } else { CacheOutcome::Miss };
     {
         let mut s = lock(&shared.stats);
         match cache {
@@ -747,6 +734,25 @@ fn run_job(shared: &Arc<ServiceShared>, job: QueuedJob) -> Result<JobReport, Ser
         CacheOutcome::Hit => feti_trace::counter_add("service.cache_hits", 1),
         CacheOutcome::Miss => feti_trace::counter_add("service.cache_misses", 1),
     }
+    let mut solver = match warm {
+        Some(mut warm) => {
+            // The cache key covers symbolic structure, approach and parameters —
+            // not PCPG options.  Retarget the warm solver to this
+            // job's tolerance / iteration cap / preconditioner choice before solving.
+            warm.set_options(job.spec.options);
+            warm
+        }
+        // Built from the plan the job was admitted on: its analyses, its device.
+        None => TotalFetiSolver::from_plan(
+            Arc::clone(&job.spec.problem),
+            &resolved.plan,
+            resolved.approach,
+            resolved.params,
+            job.spec.options,
+        )?,
+    };
+    solver.ensure_preprocessed()?;
+    let preprocess_seconds = prep_start.elapsed().as_secs_f64();
 
     let solve_start = Instant::now();
     let baseline: Vec<LoadCase>;
@@ -856,12 +862,7 @@ mod tests {
     #[test]
     fn plan_cache_is_bounded_and_evicts_oldest_first() {
         let mut cache = PlanCache::new(2);
-        let req = |structure| PlanRequest {
-            structure,
-            approach: None,
-            params: None,
-            expected_iterations: 10,
-        };
+        let req = |structure| PlanRequest { structure, approach: None };
         let plan = resolved(&problem());
         cache.insert(req(1), plan.clone());
         cache.insert(req(2), plan.clone());
@@ -1036,19 +1037,48 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_submission_plans_nothing() {
+        let full = FetiService::start(ServiceConfig { queue_capacity: 0, ..Default::default() });
+        let err = full.submit(JobSpec::new("t", problem())).unwrap_err();
+        assert!(matches!(err, ServiceError::QueueFull { capacity: 0 }));
+        assert!(lock(&full.shared.plans).map.is_empty(), "a full queue planned the job");
+
+        let service = FetiService::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        let shared = Arc::clone(&service.shared);
+        service.shutdown().unwrap();
+        let closed = FetiService { shared, workers: Vec::new() };
+        let err = closed.submit(JobSpec::new("t", problem())).unwrap_err();
+        assert!(matches!(err, ServiceError::ShuttingDown));
+        assert!(lock(&closed.shared.plans).map.is_empty(), "a closed service planned the job");
+    }
+
+    #[test]
+    fn a_dropped_service_joins_its_workers() {
+        let service = FetiService::start(ServiceConfig { workers: 2, ..ServiceConfig::default() });
+        let shared = Arc::downgrade(&service.shared);
+        service.submit(JobSpec::new("t", problem())).unwrap().wait().unwrap();
+        drop(service);
+        assert!(shared.upgrade().is_none(), "a worker still holds the service state");
+    }
+
+    #[test]
     fn oversized_jobs_are_rejected_at_admission() {
-        let service = FetiService::start(ServiceConfig {
-            workers: 1,
-            device_budget_bytes: 1,
-            ..ServiceConfig::default()
-        });
+        let gpu = GpuSpec { memory_capacity_bytes: 1, ..GpuSpec::a100_40gb() };
+        let service = FetiService::start(ServiceConfig { workers: 1, gpu, ..Default::default() });
         let err = service
             .submit(
                 JobSpec::new("t", problem()).with_approach(DualOperatorApproach::ExplicitGpuLegacy),
             )
             .unwrap_err();
-        assert!(matches!(err, ServiceError::Admission(MemoryError::LargerThanLedger { .. })));
-        // CPU-only jobs reserve nothing and sail through even a 1-byte budget.
+        assert!(
+            matches!(
+                err,
+                ServiceError::Admission(MemoryError::LargerThanLedger { capacity, .. })
+                    if capacity == gpu.memory_capacity_bytes
+            ),
+            "the ledger is the device's memory capacity: {err}"
+        );
+        // CPU-only jobs reserve nothing and sail through even a 1-byte device.
         let ticket = service
             .submit(
                 JobSpec::new("t", problem()).with_approach(DualOperatorApproach::ExplicitCholmod),

@@ -120,6 +120,7 @@ fn a_non_spd_job_reports_the_typed_error_and_the_next_job_completes() {
     service.submit(JobSpec::new("tenant", healthy)).unwrap().wait().expect("healthy job");
     let stats = service.shutdown().unwrap();
     assert_eq!((stats.jobs_failed, stats.jobs_completed, stats.cache_hits), (1, 1, 0));
+    assert_eq!(stats.cache_misses, 2, "the failed cold build missed the cache too");
 }
 
 #[test]
