@@ -106,12 +106,6 @@ impl HostSpec {
     }
 }
 
-impl Default for HostSpec {
-    fn default() -> Self {
-        Self::calibrated()
-    }
-}
-
 /// What the planner learns about one subdomain from structure alone.
 #[derive(Debug, Clone, Copy)]
 struct SubdomainFacts {
