@@ -353,6 +353,44 @@ mod tests {
         }
     }
 
+    /// A device one byte short of an approach's persistent allocations refuses the
+    /// operator by the bytes it asked for; one that holds them exactly builds it but
+    /// leaves no pool for the assembly kernels' temporaries, so its preprocessing is a
+    /// typed error, not a panic or a hang.  A CPU approach builds on either device.
+    #[test]
+    fn a_device_one_byte_short_of_the_persistent_allocations_refuses_the_operator() {
+        let (problem, _) = problem();
+        let (approach, cpu) =
+            (DualOperatorApproach::ExplicitGpuLegacy, DualOperatorApproach::ExplicitCholmod);
+        let a100 = feti_gpu::GpuSpec::a100_40gb();
+        let generation = approach.generation().unwrap();
+        let persistent = Planner::new(&problem, a100).persistent_device_bytes(approach, generation);
+        let auto = |approach| crate::program::auto_params(approach, &problem);
+        let opts = SolverOptions::default();
+        for capacity in [persistent - 1, persistent] {
+            let spec = feti_gpu::GpuSpec { memory_capacity_bytes: capacity, ..a100 };
+            let plan = Planner::new(&problem, spec).plan_pinned(approach);
+            assert!(plan.build(&problem, cpu, auto(cpu), opts).is_ok(), "capacity {capacity}");
+            match plan.build(&problem, approach, auto(approach), opts) {
+                Err(crate::FetiError::DeviceMemory(message)) => {
+                    assert_eq!(capacity, persistent - 1, "{message}");
+                    assert!(
+                        message.contains(&format!("{persistent} persistent bytes")),
+                        "{message}"
+                    );
+                }
+                Ok(mut op) => {
+                    assert_eq!(capacity, persistent, "built on a device too small");
+                    within_watchdog(move || {
+                        let err = op.preprocess().unwrap_err();
+                        assert!(matches!(err, crate::FetiError::DeviceMemory(_)), "{err}");
+                    });
+                }
+                Err(other) => panic!("capacity {capacity}: {other}"),
+            }
+        }
+    }
+
     /// Two workers share a pool one byte larger than the largest subdomain's
     /// temporaries: each subdomain books its temporaries in one request, so no worker
     /// waits while it holds pool memory, and preprocessings in a row all finish with

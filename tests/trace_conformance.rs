@@ -273,6 +273,37 @@ fn symbolic_analyses_are_counted_per_pattern_and_a_plan_hands_its_own_over() {
     }
 }
 
+/// A solver built from a traced plan stamps the candidate it runs with what it
+/// measured, to the bit: the cold preprocessing total, and the application seconds of
+/// its one load case per column applied — one per PCPG iteration, plus the `λ₀` apply
+/// and the final `α` apply.
+#[test]
+fn a_planned_solver_stamps_its_candidate_with_the_measured_seconds() {
+    let _gate = trace_gate();
+    feti_trace::set_enabled(true);
+    let problem = Arc::new(DecomposedProblem::build(&common::heat_2d()));
+    let plan =
+        feti_core::planner::Planner::new(&problem, feti_gpu::GpuSpec::a100_40gb()).plan_auto(100);
+    let (best, rank, options) = (*plan.best(), plan.chosen_rank(), PcpgOptions::default());
+    let solver = TotalFetiSolver::from_plan(
+        Arc::clone(&problem),
+        &plan,
+        best.approach,
+        best.params,
+        options,
+    );
+    let solution = solver.unwrap().solve().unwrap();
+    let records = feti_trace::plan_records();
+    feti_trace::set_enabled(false);
+    let record = records.iter().find(|r| Some(r.id) == plan.trace_id).expect("plan recorded");
+    let stamped = record.candidates.iter().find(|c| c.rank == rank).expect("best recorded");
+    let preprocessing = solution.preprocessing_time.total_seconds;
+    let per_apply = solution.dual_apply_time.total_seconds / (solution.iterations + 2) as f64;
+    let bits = |seconds: Option<f64>| seconds.map(f64::to_bits);
+    assert_eq!(bits(stamped.measured_preprocessing_s), bits(Some(preprocessing)));
+    assert_eq!(bits(stamped.measured_apply_s), bits(Some(per_apply)));
+}
+
 /// What an iteration spends outside the dual operator has a name: every `pcpg_iter[k]`
 /// that iterates holds exactly one `precondition` and two `project` spans, the last
 /// one — which only finds the case converged — holds none, and the only others are
