@@ -192,7 +192,6 @@ mod tests {
         for (a, b) in q.iter().zip(&reference) {
             assert!((a - b).abs() < 1e-8, "{a} vs {b}");
         }
-        assert_eq!(op.stats().apply_count, 1);
     }
 
     #[test]
@@ -236,7 +235,6 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(batched.stats().apply_count, k, "{approach:?} counts columns");
         };
         for approach in
             [DualOperatorApproach::ExplicitCholmod, DualOperatorApproach::ImplicitCholmod]

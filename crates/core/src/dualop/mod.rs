@@ -19,8 +19,9 @@
 //! cross-subdomain reduction (the gather into the global dual vector, the scheduler
 //! recording) happens sequentially in that order after the region joins — so the
 //! numerics and the modelled device times are bit-for-bit independent of the thread
-//! count and of scheduling.  The statistics are a plain [`DualOperatorStats`] field,
-//! recorded once per phase through `&mut self` after the region joins.
+//! count and of scheduling.  Each phase returns its breakdown and the operator keeps
+//! no tally of them: what a caller accounts — the solver's per-application seconds —
+//! it sums from the breakdowns it was handed.
 
 pub mod cpu;
 pub mod gpu;
@@ -30,52 +31,12 @@ use crate::planner::Planner;
 use crate::program::{auto_params, ApproachProgram, PhaseProgram, SubdomainShape};
 use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
-use feti_gpu::{GpuDevice, GpuSpec};
+use feti_gpu::{GpuSpec, MemoryLedger};
 use feti_solver::{SolverOptions, SymbolicCholesky};
 use feti_sparse::{CsrMatrix, DenseMatrix, PackedUpper};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Accumulated statistics of a dual operator over a run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DualOperatorStats {
-    /// Time spent in the **first** `preprocess` call (the cold preprocessing the
-    /// planner prices).
-    pub preprocessing: TimeBreakdown,
-    /// Accumulated time of every preprocessing call after the first (numeric
-    /// re-factorizations in multi-step runs).  Kept separate so the warm path
-    /// (`ensure_preprocessed`, cached service solvers) cannot silently overwrite
-    /// the cold cost.
-    pub repreprocessing: TimeBreakdown,
-    /// Number of `preprocess` calls recorded (cold + re-preprocessing).
-    pub preprocess_count: usize,
-    /// Sum of all `apply` calls since construction.
-    pub total_apply: TimeBreakdown,
-    /// Number of `apply` calls.
-    pub apply_count: usize,
-}
-
-impl DualOperatorStats {
-    /// Records one preprocessing phase: the first call sets the cold
-    /// [`Self::preprocessing`] breakdown, every later call (numeric re-factorization
-    /// of a warm operator) accumulates into [`Self::repreprocessing`] instead of
-    /// overwriting the cold cost.
-    pub(crate) fn record_preprocessing(&mut self, t: TimeBreakdown) {
-        if self.preprocess_count == 0 {
-            self.preprocessing = t;
-        } else {
-            self.repreprocessing = self.repreprocessing.then(t);
-        }
-        self.preprocess_count += 1;
-    }
-
-    /// Accumulates one application phase covering `columns` right-hand sides.
-    pub(crate) fn record_apply(&mut self, t: TimeBreakdown, columns: usize) {
-        self.total_apply = self.total_apply.then(t);
-        self.apply_count += columns;
-    }
-}
 
 /// Runs `work(i)` for every subdomain index on the host pool, one coarse task per
 /// subdomain, collecting in index order.
@@ -121,19 +82,13 @@ pub trait DualOperator: Send {
     /// The batch amortizes memory traffic: the explicit approaches stream their dense
     /// `F̃ᵢ` once per batch instead of once per column (a GEMM/SYMM-shaped kernel
     /// instead of repeated GEMV/SYMV), and the modelled device time for `k` columns
-    /// never exceeds `k` single applies.
-    ///
-    /// Statistics accounting: every column counts as one apply in
-    /// [`DualOperatorStats::apply_count`], so amortization bookkeeping stays comparable
-    /// between batched and unbatched runs.
+    /// never exceeds `k` single applies.  The breakdown covers the whole batch: a
+    /// caller that accounts per application divides it by the column count.
     ///
     /// # Panics
     /// Panics if `preprocess` has not been called, the row counts do not match the dual
     /// space, or `p` and `q` have different shapes.
     fn apply_many(&mut self, p: &DenseMatrix, q: &mut DenseMatrix) -> TimeBreakdown;
-
-    /// Statistics accumulated so far.
-    fn stats(&self) -> DualOperatorStats;
 }
 
 /// Per-subdomain data an operator keeps, copied from its problem: the regularized
@@ -145,13 +100,6 @@ pub(crate) struct SubdomainBlock {
     pub(crate) b: CsrMatrix,
     /// Local-to-global multiplier map.
     pub(crate) lambda_map: Vec<usize>,
-}
-
-/// The device half of a GPU approach: the simulated device it allocates from and the
-/// emitter of the programs it submits.
-pub(crate) struct DeviceSide {
-    pub(crate) device: GpuDevice,
-    pub(crate) program: ApproachProgram,
 }
 
 /// What preprocessing leaves behind for one subdomain: what the approach applies
@@ -176,22 +124,22 @@ impl LocalState {
 
 /// The dual operator of any of the nine approaches.
 pub struct ApproachOperator {
-    approach: DualOperatorApproach,
-    params: ExplicitAssemblyParams,
+    /// The approach, its parameters and the dual-space size, and the emitter of every
+    /// device op and persistent byte (a CPU-only approach's program emits none).
+    program: ApproachProgram,
     blocks: Vec<SubdomainBlock>,
-    num_lambdas: usize,
     opts: SolverOptions,
     /// One analysis per subdomain, one object per distinct `k_reg` pattern.
     symbolic: Vec<Arc<SymbolicCholesky>>,
     /// Empty until the first `preprocess`.
     state: Vec<LocalState>,
-    /// `None` for CPU-only approaches.
-    device: Option<DeviceSide>,
-    /// The device programs of the two phases, emitted once (the application one for
-    /// a single column); for CPU-only approaches they hold no ops.
+    /// The device's temporary pool, every byte the program's persistent allocations
+    /// leave; `None` for CPU-only approaches.
+    pub(crate) pool: Option<Arc<MemoryLedger>>,
+    /// The programs of the two phases, emitted once (the application one for a single
+    /// column).
     preprocess_program: PhaseProgram,
     apply_program: PhaseProgram,
-    stats: DualOperatorStats,
 }
 
 impl ApproachOperator {
@@ -231,12 +179,10 @@ impl ApproachOperator {
             .collect();
         let program = ApproachProgram::new(spec, approach, params, problem.num_lambdas, shapes);
         let (preprocess_program, apply_program) = (program.preprocess(), program.apply(1));
-        let device = if approach.uses_gpu() {
-            let device = GpuDevice::new(*spec, program.persistent_bytes())?;
-            Some(DeviceSide { device, program })
-        } else {
-            None
-        };
+        let pool = approach
+            .uses_gpu()
+            .then(|| MemoryLedger::temporary_pool(spec, program.persistent_bytes()))
+            .transpose()?;
         let blocks = subdomains
             .iter()
             .map(|sd| SubdomainBlock {
@@ -246,24 +192,21 @@ impl ApproachOperator {
             })
             .collect();
         Ok(Self {
-            approach,
-            params,
+            program,
             blocks,
-            num_lambdas: problem.num_lambdas,
             opts,
             symbolic,
             state: Vec::new(),
-            device,
+            pool,
             preprocess_program,
             apply_program,
-            stats: DualOperatorStats::default(),
         })
     }
 
     /// The explicit-assembly parameters in use.
     #[must_use]
     pub fn params(&self) -> &ExplicitAssemblyParams {
-        &self.params
+        &self.program.params
     }
 
     /// The assembled dense local dual operator `F̃ᵢ` of subdomain `i`, spelt out from
@@ -278,11 +221,6 @@ impl ApproachOperator {
         }
     }
 
-    /// The device half of a GPU approach.
-    pub(crate) fn device_side(&self) -> &DeviceSide {
-        self.device.as_ref().expect("GPU approaches are constructed with a device")
-    }
-
     /// Preprocesses subdomain `i`, returning its new state and the seconds of real
     /// host work (factorization, host assembly) it measured.  A device assembly's
     /// host computation only stands in for the device kernels its program prices, so
@@ -293,15 +231,17 @@ impl ApproachOperator {
             timed(|| cpu::Factor::new(&self.symbolic[i], self.opts, &block.k_reg));
         let factor =
             factor.map_err(|e| crate::FetiError::Factorization(format!("subdomain {i}: {e}")))?;
-        if !self.approach.is_explicit() {
+        let approach = self.program.approach;
+        if !approach.is_explicit() {
             return Ok((LocalState::HostFactor(factor), factorize_seconds));
         }
         let _span = feti_trace::span(|| format!("assemble[sd={i}]"));
-        let (f, host_seconds) = if self.approach.assembles_on_device() {
-            let (device, ops) = (&self.device_side().device, self.preprocess_program.subdomain(i));
-            (gpu::run_assembly(device, ops, i, block, &factor)?, 0.0)
-        } else {
-            timed(|| factor.assemble(i, block))
+        let (f, host_seconds) = match &self.pool {
+            Some(pool) if approach.assembles_on_device() => {
+                let ops = self.preprocess_program.subdomain(i);
+                (gpu::run_assembly(pool, ops, i, block, &factor)?, 0.0)
+            }
+            _ => timed(|| factor.assemble(i, block)),
         };
         Ok((LocalState::Dense(f, keep.then_some(factor)), factorize_seconds + host_seconds))
     }
@@ -329,12 +269,11 @@ impl ApproachOperator {
         // segments scheduled over the workers, not the measured region wall — the
         // region also computes on the host what the device kernels produce, which
         // is simulation, not host work.
-        let breakdown = if self.approach.assembles_on_device() {
+        let breakdown = if self.program.approach.assembles_on_device() {
             scheduler.finish()
         } else {
             scheduler.finish_measured(wall)
         };
-        self.stats.record_preprocessing(breakdown);
         self.state = state;
         Ok(breakdown)
     }
@@ -395,22 +334,20 @@ impl ApproachOperator {
             }
         }
         let batched;
-        let program = match &self.device {
-            Some(side) if k != 1 => {
-                batched = side.program.apply(k);
-                &batched
-            }
-            _ => &self.apply_program,
+        let program = if k == 1 {
+            &self.apply_program
+        } else {
+            batched = self.program.apply(k);
+            &batched
         };
-        let on_device = self.approach.uses_gpu();
+        let on_device = self.program.approach.uses_gpu();
         let mut scheduler = PhaseScheduler::for_host();
         program.record(&mut scheduler, |i| if on_device { 0.0 } else { locals[i].1 });
         let breakdown = scheduler.finish_measured(if on_device { 0.0 } else { wall });
-        self.stats.record_apply(breakdown, k);
         if feti_trace::enabled() {
             // Per-column application seconds, one histogram per approach.
             feti_trace::histogram_record(
-                &format!("apply_seconds.{}", self.approach.label()),
+                &format!("apply_seconds.{}", self.program.approach.label()),
                 breakdown.total_seconds / k.max(1) as f64,
             );
         }
@@ -420,11 +357,11 @@ impl ApproachOperator {
 
 impl DualOperator for ApproachOperator {
     fn approach(&self) -> DualOperatorApproach {
-        self.approach
+        self.program.approach
     }
 
     fn num_lambdas(&self) -> usize {
-        self.num_lambdas
+        self.program.num_lambdas
     }
 
     fn preprocess(&mut self) -> crate::Result<TimeBreakdown> {
@@ -432,22 +369,20 @@ impl DualOperator for ApproachOperator {
     }
 
     fn apply(&mut self, p: &[f64], q: &mut [f64]) -> TimeBreakdown {
-        assert_eq!(p.len(), self.num_lambdas, "input length must match dual space");
-        assert_eq!(q.len(), self.num_lambdas, "output length must match dual space");
+        let nl = self.program.num_lambdas;
+        assert_eq!(p.len(), nl, "input length must match dual space");
+        assert_eq!(q.len(), nl, "output length must match dual space");
         q.fill(0.0);
         self.apply_columns(1, |g, _| p[g], |g, _, v| q[g] += v)
     }
 
     fn apply_many(&mut self, p: &DenseMatrix, q: &mut DenseMatrix) -> TimeBreakdown {
-        assert_eq!(p.nrows(), self.num_lambdas, "batch row count must match dual space");
-        assert_eq!(q.nrows(), self.num_lambdas, "batch row count must match dual space");
+        let nl = self.program.num_lambdas;
+        assert_eq!(p.nrows(), nl, "batch row count must match dual space");
+        assert_eq!(q.nrows(), nl, "batch row count must match dual space");
         assert_eq!(p.ncols(), q.ncols(), "input and output batches must have equal width");
         q.fill(0.0);
         self.apply_columns(p.ncols(), |g, j| p.get(g, j), |g, j, v| q.add_assign_at(g, j, v))
-    }
-
-    fn stats(&self) -> DualOperatorStats {
-        self.stats
     }
 }
 
@@ -641,7 +576,7 @@ mod tests {
             assert_eq!(&carried(&built), expected, "{approach:?} built");
             let params = auto_params(approach, &problem);
             let planned = plan.build(&problem, approach, params, opts).unwrap();
-            assert_eq!(planned.approach, approach);
+            assert_eq!(planned.approach(), approach);
             assert_eq!(&carried(&planned), expected, "{approach:?} planned");
         }
     }
@@ -716,48 +651,5 @@ mod tests {
             last = Some(payload);
         }
         std::panic::resume_unwind(last.expect("nine approaches ran"));
-    }
-
-    #[test]
-    fn repeated_preprocessing_accumulates_separately_from_the_cold_cost() {
-        // Regression test for the old "last call wins" overwrite: the cold
-        // breakdown must survive re-preprocessing, which accumulates on its own.
-        let mut stats = DualOperatorStats::default();
-        let cold = TimeBreakdown { cpu_seconds: 2.0, gpu_seconds: 1.0, total_seconds: 2.5 };
-        let warm = TimeBreakdown { cpu_seconds: 0.5, gpu_seconds: 0.25, total_seconds: 0.5 };
-        stats.record_preprocessing(cold);
-        stats.record_preprocessing(warm);
-        stats.record_preprocessing(warm);
-        assert_eq!(stats.preprocess_count, 3);
-        assert!((stats.preprocessing.cpu_seconds - 2.0).abs() < 1e-12, "cold cost preserved");
-        assert!((stats.preprocessing.total_seconds - 2.5).abs() < 1e-12);
-        assert!((stats.repreprocessing.cpu_seconds - 1.0).abs() < 1e-12, "re-preprocess summed");
-        assert!((stats.repreprocessing.total_seconds - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn apply_many_counts_every_column_as_one_apply() {
-        // Regression test for the amortization accounting: a k-column batch must
-        // advance `apply_count` by k for every approach, batched or not, so that
-        // batched runs stay comparable to unbatched ones.
-        let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
-        let nl = problem.num_lambdas;
-        let k = 3;
-        let mut p = DenseMatrix::zeros(nl, k, feti_sparse::MemoryOrder::ColMajor);
-        for j in 0..k {
-            for i in 0..nl {
-                p.set(i, j, (i + j) as f64 * 0.1 - 0.5);
-            }
-        }
-        for approach in DualOperatorApproach::all() {
-            let mut op = build_dual_operator(approach, &problem, None).unwrap();
-            op.preprocess().unwrap();
-            let mut q = DenseMatrix::zeros(nl, k, feti_sparse::MemoryOrder::ColMajor);
-            op.apply_many(&p, &mut q);
-            assert_eq!(op.stats().apply_count, k, "{approach:?}");
-            let mut q1 = vec![0.0; nl];
-            op.apply(&p.col(0), &mut q1);
-            assert_eq!(op.stats().apply_count, k + 1, "{approach:?} after one more apply");
-        }
     }
 }

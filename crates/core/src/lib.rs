@@ -12,8 +12,10 @@
 //!   the Table-II auto-configuration ([`ExplicitAssemblyParams::auto_configure`]);
 //! * the preconditioned conjugate projected gradient solver (Algorithm 1), the natural
 //!   coarse-space projector and the lumped preconditioner;
-//! * the multi-step simulation driver of Algorithm 2 (symbolic preparation once,
-//!   numeric preprocessing + PCPG per step).
+//! * warm re-solves: a solver preprocesses once and every later solve of it —
+//!   several load cases batched through [`TotalFetiSolver::solve_many`] included —
+//!   reuses its factors and assembled operators.  Algorithm 2's time stepping, in which
+//!   the values of `Kᵢ` change and preprocessing repeats every step, is not here.
 //!
 //! Timing: CPU work is measured with wall-clock timers; GPU work is accounted by the
 //! simulated device's cost model (`feti-gpu`).  [`TimeBreakdown`] carries both and
@@ -28,9 +30,7 @@ pub mod planner;
 pub mod program;
 pub mod schedule;
 
-pub use dualop::{
-    build_dual_operator, build_dual_operator_with_options, DualOperator, DualOperatorStats,
-};
+pub use dualop::{build_dual_operator, build_dual_operator_with_options, DualOperator};
 pub use feti::{FetiSolution, LoadCase, PcpgOptions, TotalFetiSolver};
 pub use params::{
     DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather,

@@ -820,7 +820,8 @@ mod tests {
                 let params = auto_params(approach, &problem);
                 let op = planner.plan_pinned(approach).build(&problem, approach, params, opts);
                 let op = op.unwrap();
-                let built = op.device_side().device.persistent_bytes();
+                let pool = op.pool.as_ref().expect("a GPU approach has a pool");
+                let built = GpuSpec::a100_40gb().memory_capacity_bytes - pool.capacity_bytes();
                 let planned =
                     planner.persistent_device_bytes(approach, approach.generation().unwrap());
                 assert_eq!(planned, built, "{spec:?} {approach:?}");

@@ -142,10 +142,11 @@ impl PhaseProgram {
 #[derive(Debug, Clone)]
 pub struct ApproachProgram {
     spec: GpuSpec,
-    approach: DualOperatorApproach,
+    pub(crate) approach: DualOperatorApproach,
     generation: CudaGeneration,
-    params: ExplicitAssemblyParams,
-    num_lambdas: usize,
+    pub(crate) params: ExplicitAssemblyParams,
+    /// Global multipliers: the dimension of the dual space.
+    pub(crate) num_lambdas: usize,
     shapes: Vec<SubdomainShape>,
 }
 

@@ -124,22 +124,6 @@ pub fn syrk(spec: &GpuSpec, n: usize, k: usize) -> GpuCost {
     roofline(spec, bytes, flops)
 }
 
-/// Cost of a GEMM `m x k` times `k x n`.
-#[must_use]
-pub fn gemm(spec: &GpuSpec, m: usize, k: usize, n: usize) -> GpuCost {
-    let flops = 2.0 * m as f64 * k as f64 * n as f64;
-    let bytes = (m as f64 * k as f64 + k as f64 * n as f64 + m as f64 * n as f64) * 8.0;
-    roofline(spec, bytes, flops)
-}
-
-/// Cost of a dense matrix-vector product (`GEMV`) with an `m x n` matrix.
-#[must_use]
-pub fn gemv(spec: &GpuSpec, m: usize, n: usize) -> GpuCost {
-    let flops = 2.0 * m as f64 * n as f64;
-    let bytes = (m as f64 * n as f64 + m as f64 + n as f64) * 8.0;
-    roofline(spec, bytes, flops)
-}
-
 /// Cost of a symmetric matrix-vector product (`SYMV`) with an `n x n` matrix stored as
 /// one triangle (half the traffic of GEMV).
 #[must_use]
@@ -175,14 +159,6 @@ pub fn sparse_trsm_for(
     nrhs: usize,
 ) -> GpuCost {
     sparse_trsm(spec, nnz_factor, n, nrhs, spec.sparse_trsm_efficiency(generation))
-}
-
-/// Cost of a sparse matrix-vector product with `nnz` stored entries.
-#[must_use]
-pub fn spmv(spec: &GpuSpec, nnz: usize, nrows: usize) -> GpuCost {
-    let bytes = (nnz as f64 * 12.0 + nrows as f64 * 16.0) * 1.0;
-    let flops = 2.0 * nnz as f64;
-    roofline(spec, bytes, flops)
 }
 
 /// Cost of a sparse-times-dense multiplication (`SpMM`) with `nnz` entries and `nrhs`
@@ -347,7 +323,7 @@ mod tests {
     #[test]
     fn launch_overhead_dominates_tiny_kernels() {
         let s = spec();
-        let c = gemv(&s, 8, 8);
+        let c = symv(&s, 8);
         assert!(c.seconds < 2.0 * s.kernel_launch_seconds);
         assert!(c.seconds >= s.kernel_launch_seconds);
     }

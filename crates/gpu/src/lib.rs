@@ -15,10 +15,10 @@
 //!   "modern" CUDA 12.4) are modelled as two parameterizations of the sparse
 //!   triangular solve's cost and of its workspace query ([`sparse`]), reproducing the
 //!   qualitative findings of §V-A;
-//! * device memory is split as §IV-A describes: a [`GpuDevice`] books its persistent
-//!   bytes when it is made, and the rest of the device is a temporary pool, a
-//!   [`MemoryLedger`] that blocks a request FIFO-fairly until it fits; the same type
-//!   is the device budget the jobs of one service share.
+//! * device memory is split as §IV-A describes: the persistent bytes are booked when
+//!   the temporary pool is made ([`MemoryLedger::temporary_pool`]), and the pool is
+//!   every byte they leave, a [`MemoryLedger`] that blocks a request FIFO-fairly until
+//!   it fits; the same type is the device budget the jobs of one service share.
 //!
 //! The asynchronous execution the paper relies on — one stream per host worker, a
 //! phase that ends when the last stream drains — is scheduled by the caller's phase
@@ -35,8 +35,6 @@ pub use cost::{GpuCost, GpuSpec};
 pub use memory::{MemoryError, MemoryLedger, Reservation};
 pub use op::{DeviceOp, PricedOp};
 
-use std::sync::Arc;
-
 /// Which cuSPARSE API generation the sparse kernels emulate.
 ///
 /// `Legacy` corresponds to CUDA 11.7 (csrsm2-style block triangular solves, modest
@@ -51,60 +49,9 @@ pub enum CudaGeneration {
     Modern,
 }
 
-/// A handle to one simulated GPU (the paper maps one GPU to one cluster/process).
-#[derive(Debug, Clone)]
-pub struct GpuDevice {
-    spec: GpuSpec,
-    persistent_bytes: usize,
-    pool: Arc<MemoryLedger>,
-}
-
-impl GpuDevice {
-    /// A device with the given hardware characteristics whose persistent allocations
-    /// take `persistent_bytes`; the rest of its memory is the temporary pool.
-    ///
-    /// # Errors
-    /// Returns [`MemoryError::OutOfMemory`] when the persistent bytes exceed the
-    /// device capacity.
-    pub fn new(spec: GpuSpec, persistent_bytes: usize) -> Result<Self, MemoryError> {
-        let capacity = spec.memory_capacity_bytes;
-        if persistent_bytes > capacity {
-            return Err(MemoryError::OutOfMemory { requested: persistent_bytes, capacity });
-        }
-        Ok(Self { spec, persistent_bytes, pool: MemoryLedger::new(capacity - persistent_bytes) })
-    }
-
-    /// The hardware characteristics of this device.
-    #[must_use]
-    pub fn spec(&self) -> &GpuSpec {
-        &self.spec
-    }
-
-    /// The bytes the persistent allocations hold.
-    #[must_use]
-    pub fn persistent_bytes(&self) -> usize {
-        self.persistent_bytes
-    }
-
-    /// The temporary pool: every byte the persistent allocations leave.
-    #[must_use]
-    pub fn pool(&self) -> &Arc<MemoryLedger> {
-        &self.pool
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn device_exposes_spec_and_memory() {
-        let dev = GpuDevice::new(GpuSpec::a100_40gb(), 1024).unwrap();
-        assert!(dev.spec().memory_capacity_bytes > 30 * 1024 * 1024 * 1024);
-        assert_eq!(dev.persistent_bytes(), 1024);
-        assert_eq!(dev.pool().capacity_bytes(), dev.spec().memory_capacity_bytes - 1024);
-        assert_eq!(dev.pool().in_use_bytes(), 0);
-    }
 
     #[test]
     fn generation_is_comparable() {

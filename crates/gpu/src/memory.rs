@@ -15,6 +15,7 @@
 //! fails fast — it could never be served and must not block the queue — and
 //! [`MemoryLedger::close`] wakes every waiter with a typed error.
 
+use crate::GpuSpec;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 
@@ -84,6 +85,23 @@ impl MemoryLedger {
             state: Mutex::new(LedgerState::default()),
             freed: Condvar::new(),
         })
+    }
+
+    /// The temporary pool of a device described by `spec` whose persistent
+    /// allocations take `persistent_bytes`: every byte they leave.
+    ///
+    /// # Errors
+    /// Returns [`MemoryError::OutOfMemory`] when the persistent bytes exceed the
+    /// device capacity.
+    pub fn temporary_pool(
+        spec: &GpuSpec,
+        persistent_bytes: usize,
+    ) -> Result<Arc<Self>, MemoryError> {
+        let capacity = spec.memory_capacity_bytes;
+        if persistent_bytes > capacity {
+            return Err(MemoryError::OutOfMemory { requested: persistent_bytes, capacity });
+        }
+        Ok(Self::new(capacity - persistent_bytes))
     }
 
     /// The capacity in bytes.
@@ -159,7 +177,6 @@ impl Drop for Reservation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GpuDevice, GpuSpec};
     use std::time::Duration;
 
     /// Requests `bytes` on a thread of its own, which hands the grant to `granted`, and
@@ -180,27 +197,34 @@ mod tests {
         handle
     }
 
-    fn device_of(capacity: usize, persistent: usize) -> Result<GpuDevice, MemoryError> {
-        GpuDevice::new(
-            GpuSpec { memory_capacity_bytes: capacity, ..GpuSpec::a100_40gb() },
-            persistent,
-        )
+    fn pool_of(capacity: usize, persistent: usize) -> Result<Arc<MemoryLedger>, MemoryError> {
+        let spec = GpuSpec { memory_capacity_bytes: capacity, ..GpuSpec::a100_40gb() };
+        MemoryLedger::temporary_pool(&spec, persistent)
+    }
+
+    #[test]
+    fn temporary_pool_of_an_a100_is_all_but_the_persistent_bytes() {
+        let spec = GpuSpec::a100_40gb();
+        assert!(spec.memory_capacity_bytes > 30 * 1024 * 1024 * 1024);
+        let pool = MemoryLedger::temporary_pool(&spec, 1024).unwrap();
+        assert_eq!(pool.capacity_bytes(), spec.memory_capacity_bytes - 1024);
+        assert_eq!(pool.in_use_bytes(), 0);
     }
 
     #[test]
     fn persistent_allocation_respects_capacity() {
-        let err = device_of(1000, 1001).unwrap_err();
+        let err = pool_of(1000, 1001).unwrap_err();
         assert_eq!(err, MemoryError::OutOfMemory { requested: 1001, capacity: 1000 });
-        let full = device_of(1000, 1000).unwrap();
-        assert_eq!(full.pool().capacity_bytes(), 0);
+        let full = pool_of(1000, 1000).unwrap();
+        assert_eq!(full.capacity_bytes(), 0);
     }
 
     #[test]
     fn pool_reserves_remaining_memory() {
-        let device = device_of(1000, 300).unwrap();
-        assert_eq!((device.persistent_bytes(), device.pool().capacity_bytes()), (300, 700));
-        assert!(device.pool().reserve(701).is_err());
-        let _all = device.pool().reserve(700).unwrap();
+        let pool = pool_of(1000, 300).unwrap();
+        assert_eq!(pool.capacity_bytes(), 700);
+        assert!(pool.reserve(701).is_err());
+        let _all = pool.reserve(700).unwrap();
     }
 
     #[test]

@@ -193,7 +193,7 @@ mod tests {
                 DeviceOp::BoundarySyrk { generation: g, n: k, k: n, boundary_rows: 9 },
                 cost::boundary_syrk(&s, g, k, n, 9),
             ),
-            (DeviceOp::Spmm { nnz, nrows: k, nrhs: 1 }, cost::spmv(&s, nnz, k)),
+            (DeviceOp::Spmm { nnz, nrows: k, nrhs: 1 }, cost::spmm(&s, nnz, k, 1)),
             (DeviceOp::Spmm { nnz, nrows: k, nrhs: 3 }, cost::spmm(&s, nnz, k, 3)),
             (DeviceOp::Symm { n: k, nrhs: 1 }, cost::symv(&s, k)),
             (DeviceOp::Symm { n: k, nrhs: 3 }, cost::symm(&s, k, 3)),

@@ -29,7 +29,7 @@
 //!   all surface as [`ServiceError`] values; a panicking job is caught and reported
 //!   without taking down its worker thread.
 
-use feti_core::planner::{Plan, PlanCacheKey, Planner};
+use feti_core::planner::{HostSpec, Plan, PlanCacheKey, Planner};
 use feti_core::program::auto_params;
 use feti_core::{
     DualOperatorApproach, ExplicitAssemblyParams, FetiError, FetiSolution, LoadCase, PcpgOptions,
@@ -60,7 +60,8 @@ pub struct ServiceConfig {
     /// inherits the process-wide configuration (`FETI_THREADS`).  Each service
     /// worker builds **one persistent pool** of this size at startup and reuses its
     /// parked threads for every job it runs — jobs never pay pool construction or
-    /// thread spawn.
+    /// thread spawn.  Jobs are planned on this many threads too; under `None` a plan
+    /// prices the host phases on the pool of the thread that submits the job.
     pub solver_threads: Option<usize>,
     /// Maximum number of idle warm solvers kept in the cache (least recently used
     /// keys are evicted beyond this).
@@ -560,7 +561,8 @@ impl FetiService {
     /// plans on [`ServiceConfig::gpu`]: an unpinned job runs the winner of every
     /// approach amortized over [`EXPECTED_ITERATIONS`], a pinned one its approach with
     /// the Table-II parameters ([`auto_params`]), analysing that approach's ordering
-    /// alone.
+    /// alone.  The host phases are priced on [`ServiceConfig::solver_threads`], the pool
+    /// the job runs on, or, when that is `None`, on the submitting thread's pool.
     fn resolve(&self, spec: &JobSpec) -> ResolvedPlan {
         let request = PlanRequest {
             structure: PlanCacheKey::structure_fingerprint(&spec.problem),
@@ -569,7 +571,11 @@ impl FetiService {
         if let Some(hit) = lock(&self.shared.plans).get(&request) {
             return hit;
         }
-        let planner = Planner::new(&spec.problem, self.shared.config.gpu);
+        let config = &self.shared.config;
+        let mut planner = Planner::new(&spec.problem, config.gpu);
+        if let Some(threads) = config.solver_threads {
+            planner = planner.with_host_spec(HostSpec::calibrated_for_threads(threads));
+        }
         let (plan, chosen) = match spec.approach {
             None => {
                 let plan = planner.plan_auto(EXPECTED_ITERATIONS);
@@ -924,6 +930,32 @@ mod tests {
         for (a, b) in s1.global_solution.iter().zip(&s4.global_solution) {
             assert_eq!(a.to_bits(), b.to_bits(), "solution must not depend on solver_threads");
         }
+    }
+
+    #[test]
+    fn a_job_is_priced_on_the_pool_it_runs_on() {
+        // Submitted from a 4-thread pool to a service whose jobs run on one thread, the
+        // memoized plan prices every host phase on one thread, as the job runs it.
+        let p = problem();
+        let service = FetiService::start(ServiceConfig {
+            workers: 1,
+            solver_threads: Some(1),
+            ..ServiceConfig::default()
+        });
+        let four = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let ticket = four.install(|| service.submit(JobSpec::new("t", Arc::clone(&p))).unwrap());
+        ticket.wait().unwrap();
+        let structure = PlanCacheKey::structure_fingerprint(&p);
+        let request = PlanRequest { structure, approach: None };
+        let memoized = lock(&service.shared.plans).get(&request).expect("the plan is memoized");
+        let one_thread = HostSpec::calibrated_for_threads(1);
+        let planner = Planner::new(&p, service.shared.config.gpu).with_host_spec(one_thread);
+        let totals = |plan: &Plan| -> Vec<u64> {
+            let total = |c: &feti_core::PlanCandidate| c.total_seconds(EXPECTED_ITERATIONS);
+            plan.candidates.iter().map(|c| total(c).to_bits()).collect()
+        };
+        assert_eq!(totals(&memoized.plan), totals(&planner.plan_auto(EXPECTED_ITERATIONS)));
+        service.shutdown().unwrap();
     }
 
     #[test]

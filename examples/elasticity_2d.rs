@@ -2,7 +2,7 @@
 //! operator (CPU assembly through the Schur complement, GPU application) — the
 //! configuration the paper's earlier acceleration attempts used.
 //!
-//! Run with `cargo run --release --example elasticity_2d -p feti-bench`.
+//! Run with `cargo run --release --example elasticity_2d`.
 
 use feti_core::{DualOperatorApproach, PcpgOptions, TotalFetiSolver};
 use feti_decompose::{DecomposedProblem, DecompositionSpec};

@@ -2,7 +2,7 @@
 //! dual operator against the paper's explicit GPU-assembled operator and estimates the
 //! amortization point (the iteration count where the GPU approach starts to win).
 //!
-//! Run with `cargo run --release --example heat_transfer_3d -p feti-bench`.
+//! Run with `cargo run --release --example heat_transfer_3d`.
 
 use feti_core::{build_dual_operator, DualOperatorApproach, PcpgOptions, TotalFetiSolver};
 use feti_decompose::{DecomposedProblem, DecompositionSpec};

@@ -1,9 +1,11 @@
-//! Multi-step simulation (Algorithm 2 of the paper): the mesh structure — and hence
-//! every symbolic factorization and GPU persistent allocation — stays fixed across
-//! time steps, while the numeric values change; FETI preprocessing and PCPG are
-//! repeated each step on the prepared structures.
+//! Repeated solves of one unchanged problem — the loop of Algorithm 2 of the paper
+//! without its changing values: the solver is prepared once (symbolic analyses and
+//! persistent device structures at construction, numeric factorization and assembly
+//! on the first solve) and every later step reuses all of it, so only the first step
+//! reports preprocessing time.  A real time step would change the values of `Kᵢ` and
+//! repeat the numeric preprocessing; that is not implemented yet.
 //!
-//! Run with `cargo run --release --example multistep_simulation -p feti-bench`.
+//! Run with `cargo run --release --example multistep_simulation`.
 
 use feti_core::{DualOperatorApproach, PcpgOptions, TotalFetiSolver};
 use feti_decompose::{DecomposedProblem, DecompositionSpec};
@@ -34,8 +36,8 @@ fn main() {
     let mut total_prep = 0.0;
     let mut total_apply = 0.0;
     for step in 0..steps {
-        // Each step re-runs FETI preprocessing (numeric factorization + assembly of
-        // the explicit dual operators) and the PCPG iteration.
+        // The first step runs FETI preprocessing (numeric factorization + assembly of
+        // the explicit dual operators); every step runs the PCPG iteration.
         let solution = solver.solve().expect("step must converge");
         total_prep += solution.preprocessing_time.total_seconds;
         total_apply += solution.dual_apply_time.total_seconds;

@@ -100,10 +100,10 @@ fn main() {
             sol.iterations, sol.final_residual
         );
     }
-    let stats = solver.dual_operator().stats();
+    // Each case applied the operator once for λ₀, once per iteration and once for α.
+    let applications: usize = solutions.iter().map(|sol| sol.iterations + 2).sum();
     println!(
-        "\ndual operator: {} applications (columns) through approach {}",
-        stats.apply_count,
+        "\ndual operator: {applications} applications (columns) through approach {}",
         solver.dual_operator().approach().label()
     );
 

@@ -1,7 +1,7 @@
 //! Quickstart: decompose a small 2D heat-transfer problem, solve it with Total FETI
 //! using the GPU-assembled explicit dual operator, and print what happened.
 //!
-//! Run with `cargo run --release --example quickstart -p feti-bench`.
+//! Run with `cargo run --release --example quickstart`.
 
 use feti_core::{DualOperatorApproach, PcpgOptions, TotalFetiSolver};
 use feti_decompose::{DecomposedProblem, DecompositionSpec};
