@@ -19,9 +19,8 @@
 //! cross-subdomain reduction (the gather into the global dual vector, the scheduler
 //! recording) happens sequentially in that order after the region joins — so the
 //! numerics and the modelled device times are bit-for-bit independent of the thread
-//! count and of scheduling.  Each phase returns its breakdown and the operator keeps
-//! no tally of them: what a caller accounts — the solver's per-application seconds —
-//! it sums from the breakdowns it was handed.
+//! count and of scheduling.  Each phase returns its breakdown; a caller that accounts
+//! time, such as the solver's per-application seconds, sums the breakdowns it got.
 
 pub mod cpu;
 pub mod gpu;
