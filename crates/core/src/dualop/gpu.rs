@@ -5,9 +5,10 @@
 //! The device is a cost model.  What a GPU approach submits — and what it allocates,
 //! persistently and per kernel — is the [`crate::program::ApproachProgram`] of its
 //! approach, the same program the planner folds; `feti-gpu` prices each op and books
-//! its memory — the persistent footprint when the device is made, a subdomain's kernel
-//! temporaries in one pool request — and the phase scheduler's per-worker streams
-//! model the asynchronous submission and CPU/GPU overlap of §IV-B.  The numbers are the host's, computed
+//! its memory — the persistent footprint when the operator's pool is made, a
+//! subdomain's kernel temporaries in one pool request — and the phase scheduler's
+//! per-worker streams model the asynchronous submission and CPU/GPU overlap of §IV-B.
+//! The numbers are the host's, computed
 //! through the one factor each subdomain keeps: `impl legacy/modern` apply through it
 //! exactly as `impl cholmod` does, every explicit device approach assembles its `F̃ᵢ`
 //! through the host body of `expl cholmod` ([`cpu`]) and applies it through the host
