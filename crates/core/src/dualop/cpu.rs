@@ -1,13 +1,13 @@
 //! The host side of the dual operator: the symbolic analyses shared between
 //! subdomains of one sparsity pattern, the CHOLMOD-like numeric factor — the one factor
 //! every subdomain of every approach keeps — and the host kernels every approach
-//! computes through: the implicit application (of the device approaches too), the
-//! assembly of `expl cholmod` and `expl hybrid`, and the explicit SYMV.
+//! computes through: the implicit application (of the device approaches too) and the
+//! assembly of `expl cholmod` and `expl hybrid`.
 
 use super::{par_subdomains, SubdomainBlock};
 use feti_solver::cholmod::{CholmodFactor, CholmodLike};
 use feti_solver::{OrderingKind, SolverOptions, SymbolicCholesky};
-use feti_sparse::{blas, ops, CsrMatrix, PackedUpper, Transpose};
+use feti_sparse::{ops, CsrMatrix, PackedUpper, Transpose};
 use std::sync::Arc;
 
 /// The symbolic analysis under `ordering` of every matrix of `k_regs`, made once per
@@ -53,7 +53,7 @@ impl Factor {
     }
 
     /// Assembles the dense `F̃ᵢ` of subdomain `i` on the CPU as its packed upper
-    /// triangle, the one [`symv`] reads — the body of every explicit assembly, on the
+    /// triangle, the one the explicit application's SYMV reads — the body of every explicit assembly, on the
     /// host or the device.  `Y = L⁻¹PB̃ᵀ` is one forward solve against the factor's own
     /// storage, kept as panels pruned to the reach of `B̃`'s entries (`forward[sd=i]`
     /// span), and `F̃ᵢ = YᵀY` their panel-pair Gram (`gram[sd=i]` span).
@@ -74,14 +74,6 @@ impl Factor {
         ops::spmv_csr(1.0, &block.b, Transpose::Yes, p_local, 0.0, &mut t);
         ops::spmv_csr(1.0, &block.b, Transpose::No, &self.solve(&t), 0.0, q_local);
     }
-}
-
-/// The explicit application `q̃ᵢ = F̃ᵢ p̃ᵢ` through SYMV over the packed upper
-/// triangle, of every explicit approach, on the host or the device.  In a batch the
-/// `F̃ᵢ` stays hot across the columns, the exact column-by-column product the device's
-/// SYMM-shaped kernel computes; only its modelled time is batched.
-pub(crate) fn symv(f: &PackedUpper, p_local: &[f64], q_local: &mut [f64]) {
-    blas::symv_packed(1.0, f, p_local, 0.0, q_local);
 }
 
 #[cfg(test)]

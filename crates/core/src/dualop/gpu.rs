@@ -6,42 +6,14 @@
 //! persistently and per kernel — is the [`crate::program::ApproachProgram`] of its
 //! approach, the same program the planner folds; `feti-gpu` prices each op and books
 //! its memory — the persistent footprint when the operator's pool is made, a
-//! subdomain's kernel temporaries in one pool request — and the phase scheduler's
+//! subdomain's kernel temporaries in one pool request when the operator preprocesses
+//! it — and the phase scheduler's
 //! per-worker streams model the asynchronous submission and CPU/GPU overlap of §IV-B.
 //! The numbers are the host's, computed
 //! through the one factor each subdomain keeps: `impl legacy/modern` apply through it
 //! exactly as `impl cholmod` does, every explicit device approach assembles its `F̃ᵢ`
-//! through the host body of `expl cholmod` ([`cpu`]) and applies it through the host
-//! SYMV.
-
-use super::{cpu, SubdomainBlock};
-use feti_gpu::{MemoryLedger, PricedOp};
-use feti_sparse::PackedUpper;
-use std::sync::Arc;
-
-/// Books one subdomain's assembly program on the device's temporary `pool` and returns the
-/// dense local dual operator `F̃ᵢ`, held as its packed upper triangle.
-///
-/// The program lists the temporary device memory each kernel of §IV-B/IV-C (or of the
-/// sequel's boundary-restricted variant) holds; the walk reserves their sum from the
-/// shared pool in one request and holds it until `F̃ᵢ` exists, so workers race their
-/// subdomains against the pool as §IV-A describes — a request that does not fit waits
-/// its turn until other workers release theirs, one larger than the pool is an error —
-/// and no worker ever waits while it holds pool memory.  The ops' prices are charged
-/// by the phase scheduler.  Under the reservation the host computes `F̃ᵢ` through
-/// [`cpu::Factor::assemble`], the body of `expl cholmod`, whatever kernels the program
-/// names: a real device would round them its own way, and their host twins would only
-/// reproduce rounding no GPU matches bit for bit.
-pub(crate) fn run_assembly(
-    pool: &Arc<MemoryLedger>,
-    program: &[PricedOp],
-    i: usize,
-    block: &SubdomainBlock,
-    factor: &cpu::Factor,
-) -> crate::Result<PackedUpper> {
-    let _temporaries = pool.reserve(program.iter().map(|op| op.temporary_bytes).sum())?;
-    Ok(factor.assemble(i, block))
-}
+//! through the host body of `expl cholmod` ([`cpu`](super::cpu)) and applies it
+//! through the host SYMV.
 
 #[cfg(test)]
 mod tests {

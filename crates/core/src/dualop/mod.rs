@@ -32,7 +32,7 @@ use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
 use feti_gpu::{GpuSpec, MemoryLedger};
 use feti_solver::{SolverOptions, SymbolicCholesky};
-use feti_sparse::{CsrMatrix, DenseMatrix, PackedUpper};
+use feti_sparse::{blas, CsrMatrix, DenseMatrix, PackedUpper};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,6 +45,26 @@ pub(crate) fn par_subdomains<R: Send, C: FromParallelIterator<R>>(
 ) -> C {
     let indices: Vec<usize> = (0..n).collect();
     indices.par_iter().with_max_len(1).map(|&i| work(i)).collect()
+}
+
+/// `x̃ᵢ = x[lambda_mapᵢ]`: the local dual vector of one subdomain.
+pub(crate) fn scatter(lambda_map: &[usize], x: &[f64]) -> Vec<f64> {
+    lambda_map.iter().map(|&g| x[g]).collect()
+}
+
+/// `out[lambda_mapᵢ] += x̃ᵢ` for each `(lambda_mapᵢ, x̃ᵢ)` in the order given: the one
+/// cross-subdomain sum of the dual space.  Callers pass the subdomains in index order,
+/// after the region that computed the `x̃ᵢ` has joined, so every entry of `out` adds
+/// its terms in one order whatever the thread count.
+pub(crate) fn gather<'a>(
+    out: &mut [f64],
+    locals: impl IntoIterator<Item = (&'a Vec<usize>, &'a Vec<f64>)>,
+) {
+    for (lambda_map, x_local) in locals {
+        for (&g, &v) in lambda_map.iter().zip(x_local) {
+            out[g] += v;
+        }
+    }
 }
 
 /// Runs `f`, returning its value and the wall seconds it took.
@@ -78,11 +98,12 @@ pub trait DualOperator: Send {
     /// Applies the dual operator to a batch of right-hand sides: `Q = F P`, one global
     /// dual vector per column, bit-for-bit identical to repeated single applies.
     ///
-    /// The batch amortizes memory traffic: the explicit approaches stream their dense
-    /// `F̃ᵢ` once per batch instead of once per column (a GEMM/SYMM-shaped kernel
-    /// instead of repeated GEMV/SYMV), and the modelled device time for `k` columns
-    /// never exceeds `k` single applies.  The breakdown covers the whole batch: a
-    /// caller that accounts per application divides it by the column count.
+    /// On the host every column is computed as a single apply computes it (one SYMV
+    /// or one implicit local action per subdomain and column).  Only the modelled
+    /// device time is batched: the device program prices one SYMM-shaped kernel per
+    /// subdomain for the whole batch, never more than `k` single applies.  The
+    /// breakdown covers the whole batch: a caller that accounts per application
+    /// divides it by the column count.
     ///
     /// # Panics
     /// Panics if `preprocess` has not been called, the row counts do not match the dual
@@ -135,10 +156,10 @@ pub struct ApproachOperator {
     /// The device's temporary pool, every byte the program's persistent allocations
     /// leave; `None` for CPU-only approaches.
     pub(crate) pool: Option<Arc<MemoryLedger>>,
-    /// The programs of the two phases, emitted once (the application one for a single
-    /// column).
+    /// The preprocessing program, emitted once, and the application program with the
+    /// batch width it was emitted for, emitted again only when the width changes.
     preprocess_program: PhaseProgram,
-    apply_program: PhaseProgram,
+    apply_program: (usize, PhaseProgram),
 }
 
 impl ApproachOperator {
@@ -177,7 +198,7 @@ impl ApproachOperator {
             .map(|(sd, symbolic)| SubdomainShape::new(&sd.gluing, symbolic.factor_nnz()))
             .collect();
         let program = ApproachProgram::new(spec, approach, params, problem.num_lambdas, shapes);
-        let (preprocess_program, apply_program) = (program.preprocess(), program.apply(1));
+        let (preprocess_program, apply_program) = (program.preprocess(), (1, program.apply(1)));
         let pool = approach
             .uses_gpu()
             .then(|| MemoryLedger::temporary_pool(spec, program.persistent_bytes()))
@@ -236,9 +257,20 @@ impl ApproachOperator {
         }
         let _span = feti_trace::span(|| format!("assemble[sd={i}]"));
         let (f, host_seconds) = match &self.pool {
+            // The device assembly books its kernels' temporary device memory (§IV-B/IV-C,
+            // or the sequel's boundary-restricted variant) from the shared FIFO pool in
+            // one request per subdomain, held until `F̃ᵢ` exists: workers race their
+            // subdomains against the pool as §IV-A describes — a request that does not
+            // fit waits its turn until other workers release theirs, one larger than the
+            // pool is an error — and no worker ever waits while it holds pool memory.
+            // Under the reservation the host computes `F̃ᵢ` through the body of
+            // `expl cholmod`, whatever kernels the program names: a real device would
+            // round them its own way, and host twins would only reproduce rounding no
+            // GPU matches bit for bit.  The ops' prices are charged by the scheduler.
             Some(pool) if approach.assembles_on_device() => {
                 let ops = self.preprocess_program.subdomain(i);
-                (gpu::run_assembly(pool, ops, i, block, &factor)?, 0.0)
+                let _temporaries = pool.reserve(ops.iter().map(|op| op.temporary_bytes).sum())?;
+                (factor.assemble(i, block), 0.0)
             }
             _ => timed(|| factor.assemble(i, block)),
         };
@@ -284,39 +316,49 @@ impl ApproachOperator {
         factor.expect("preprocess must be called first, keeping the factors").solve(rhs)
     }
 
-    /// The local action `q̃ = F̃ᵢ p̃` of subdomain `i` (`q_local` arrives zeroed).
+    /// The local action `q̃ = F̃ᵢ p̃` of subdomain `i` (`q_local` arrives zeroed).  Every
+    /// explicit approach, on the host or the device, multiplies by the packed upper
+    /// triangle of `F̃ᵢ` through SYMV, one column at a time: the exact product the
+    /// device's SYMM-shaped kernel computes for a batch, whose modelled time alone is
+    /// batched.
     fn apply_local(&self, i: usize, p_local: &[f64], q_local: &mut [f64]) {
         match &self.state[i] {
             LocalState::HostFactor(factor) => factor.apply(&self.blocks[i], p_local, q_local),
-            LocalState::Dense(f, _) => cpu::symv(f, p_local, q_local),
+            LocalState::Dense(f, _) => blas::symv_packed(1.0, f, p_local, 0.0, q_local),
         }
     }
 
-    /// One application phase over `k` columns.  Per subdomain (parallel region) and
-    /// per column, the local dual vector is scattered from `p(global, column)`, the
-    /// local action is computed, and after the region joins the local results are
-    /// gathered through `q(global, column, value)` in subdomain-index order — so a
-    /// batch is bit-for-bit `k` single applications.
+    /// One application phase, `q[j] += F p[j]` for every column `j` (the `q[j]` arrive
+    /// zeroed).  Per subdomain (parallel region) and per column, the local dual vector
+    /// is scattered from `p[j]` and the local action computed; after the region joins
+    /// the local results are gathered into `q[j]` in subdomain-index order — so a batch
+    /// is bit-for-bit its columns' single applications.
     ///
     /// Timing: CPU approaches report their measured region; device-applied ones only
     /// *submit* from the host (the numerics above merely simulate the device), so
     /// their host share is zero and the time is the modelled schedule of the
-    /// application program — one batched program for `k` columns, never `k` programs.
-    fn apply_columns(
+    /// application program — one batched program for the batch's width, never one
+    /// program per column, emitted again only when the width changes.
+    pub(crate) fn apply_columns(
         &mut self,
-        k: usize,
-        p: impl Fn(usize, usize) -> f64 + Sync,
-        mut q: impl FnMut(usize, usize, f64),
+        p: &[impl AsRef<[f64]> + Sync],
+        q: &mut [impl AsMut<[f64]>],
     ) -> TimeBreakdown {
         assert_eq!(self.state.len(), self.blocks.len(), "preprocess must be called before apply");
+        let nl = self.program.num_lambdas;
+        assert_eq!(p.len(), q.len(), "input and output batches must have equal width");
+        for (p, q) in p.iter().zip(q.iter_mut()) {
+            assert_eq!(p.as_ref().len(), nl, "input length must match dual space");
+            assert_eq!(q.as_mut().len(), nl, "output length must match dual space");
+        }
         let _span = feti_trace::span(|| "apply");
         let (locals, wall) = timed(|| {
             par_subdomains::<_, Vec<(Vec<Vec<f64>>, f64)>>(self.blocks.len(), |i| {
                 let lambda_map = &self.blocks[i].lambda_map;
                 timed(|| {
-                    (0..k)
-                        .map(|j| {
-                            let p_local: Vec<f64> = lambda_map.iter().map(|&g| p(g, j)).collect();
+                    p.iter()
+                        .map(|p| {
+                            let p_local = scatter(lambda_map, p.as_ref());
                             let mut q_local = vec![0.0; p_local.len()];
                             self.apply_local(i, &p_local, &mut q_local);
                             q_local
@@ -325,23 +367,17 @@ impl ApproachOperator {
                 })
             })
         });
-        for (block, (columns, _)) in self.blocks.iter().zip(&locals) {
-            for (j, q_local) in columns.iter().enumerate() {
-                for (&g, &v) in block.lambda_map.iter().zip(q_local) {
-                    q(g, j, v);
-                }
-            }
+        for (j, q) in q.iter_mut().enumerate() {
+            let maps = self.blocks.iter().map(|block| &block.lambda_map);
+            gather(q.as_mut(), maps.zip(locals.iter().map(|(columns, _)| &columns[j])));
         }
-        let batched;
-        let program = if k == 1 {
-            &self.apply_program
-        } else {
-            batched = self.program.apply(k);
-            &batched
-        };
+        let k = p.len();
+        if self.apply_program.0 != k {
+            self.apply_program = (k, self.program.apply(k));
+        }
         let on_device = self.program.approach.uses_gpu();
         let mut scheduler = PhaseScheduler::for_host();
-        program.record(&mut scheduler, |i| if on_device { 0.0 } else { locals[i].1 });
+        self.apply_program.1.record(&mut scheduler, |i| if on_device { 0.0 } else { locals[i].1 });
         let breakdown = scheduler.finish_measured(if on_device { 0.0 } else { wall });
         if feti_trace::enabled() {
             // Per-column application seconds, one histogram per approach.
@@ -368,20 +404,23 @@ impl DualOperator for ApproachOperator {
     }
 
     fn apply(&mut self, p: &[f64], q: &mut [f64]) -> TimeBreakdown {
-        let nl = self.program.num_lambdas;
-        assert_eq!(p.len(), nl, "input length must match dual space");
-        assert_eq!(q.len(), nl, "output length must match dual space");
         q.fill(0.0);
-        self.apply_columns(1, |g, _| p[g], |g, _, v| q[g] += v)
+        self.apply_columns(&[p], &mut [q])
     }
 
     fn apply_many(&mut self, p: &DenseMatrix, q: &mut DenseMatrix) -> TimeBreakdown {
         let nl = self.program.num_lambdas;
-        assert_eq!(p.nrows(), nl, "batch row count must match dual space");
         assert_eq!(q.nrows(), nl, "batch row count must match dual space");
         assert_eq!(p.ncols(), q.ncols(), "input and output batches must have equal width");
-        q.fill(0.0);
-        self.apply_columns(p.ncols(), |g, j| p.get(g, j), |g, j, v| q.add_assign_at(g, j, v))
+        let columns: Vec<Vec<f64>> = (0..p.ncols()).map(|j| p.col(j)).collect();
+        let mut out = vec![vec![0.0; nl]; columns.len()];
+        let breakdown = self.apply_columns(&columns, &mut out);
+        for (j, column) in out.iter().enumerate() {
+            for (g, &v) in column.iter().enumerate() {
+                q.set(g, j, v);
+            }
+        }
+        breakdown
     }
 }
 

@@ -2,15 +2,16 @@
 //! preconditioned conjugate projected gradient method (Algorithm 1 of the paper),
 //! plus solution recovery.
 
-use crate::dualop::{par_subdomains, pinned_operator, ApproachOperator, DualOperator};
+use crate::dualop::{
+    gather, par_subdomains, pinned_operator, scatter, ApproachOperator, DualOperator,
+};
 use crate::params::{DualOperatorApproach, ExplicitAssemblyParams};
 use crate::planner::Plan;
 use crate::schedule::TimeBreakdown;
 use crate::{FetiError, Result};
 use feti_decompose::DecomposedProblem;
 use feti_solver::{CholeskyFactor, SolverOptions};
-use feti_sparse::{blas, ops, CooMatrix, CsrMatrix, DenseMatrix, MemoryOrder, Transpose};
-use rayon::prelude::*;
+use feti_sparse::{blas, ops, CooMatrix, CsrMatrix, Transpose};
 use std::sync::Arc;
 
 /// One load case for [`TotalFetiSolver::solve_many`]: one load vector per subdomain,
@@ -350,33 +351,20 @@ impl TotalFetiSolver {
             return w.to_vec();
         }
         let _span = feti_trace::span(|| "precondition");
-        // Per-subdomain halves run in parallel; the gather into the shared dual
-        // vector stays sequential in subdomain order so the floating-point sums are
-        // independent of the thread count.
-        let locals: Vec<Vec<f64>> = self
-            .problem
-            .subdomains
-            .par_iter()
-            .zip(self.lumped.par_iter())
-            .with_max_len(1)
-            .map(|(sd, block)| {
-                let w_local: Vec<f64> = sd.lambda_map.iter().map(|&g| w[g]).collect();
-                let nb = block.stiffness.nrows();
-                let mut t = vec![0.0; nb];
-                ops::spmv_csr(1.0, &block.gluing, Transpose::Yes, &w_local, 0.0, &mut t);
-                let mut kt = vec![0.0; nb];
-                ops::spmv_csr(1.0, &block.stiffness, Transpose::No, &t, 0.0, &mut kt);
-                let mut q_local = vec![0.0; w_local.len()];
-                ops::spmv_csr(1.0, &block.gluing, Transpose::No, &kt, 0.0, &mut q_local);
-                q_local
-            })
-            .collect();
+        let locals: Vec<Vec<f64>> = par_subdomains(self.lumped.len(), |i| {
+            let block = &self.lumped[i];
+            let w_local = scatter(&self.problem.subdomains[i].lambda_map, w);
+            let nb = block.stiffness.nrows();
+            let mut t = vec![0.0; nb];
+            ops::spmv_csr(1.0, &block.gluing, Transpose::Yes, &w_local, 0.0, &mut t);
+            let mut kt = vec![0.0; nb];
+            ops::spmv_csr(1.0, &block.stiffness, Transpose::No, &t, 0.0, &mut kt);
+            let mut q_local = vec![0.0; w_local.len()];
+            ops::spmv_csr(1.0, &block.gluing, Transpose::No, &kt, 0.0, &mut q_local);
+            q_local
+        });
         let mut out = vec![0.0; w.len()];
-        for (sd, q_local) in self.problem.subdomains.iter().zip(&locals) {
-            for (local, &g) in sd.lambda_map.iter().enumerate() {
-                out[g] += q_local[local];
-            }
-        }
+        gather(&mut out, self.problem.subdomains.iter().map(|sd| &sd.lambda_map).zip(&locals));
         out
     }
 
@@ -384,15 +372,15 @@ impl TotalFetiSolver {
     /// the preprocessed operator's factors.
     #[must_use]
     fn dual_rhs_for(&self, loads: &[Vec<f64>]) -> Vec<f64> {
+        let locals: Vec<Vec<f64>> = par_subdomains(loads.len(), |s| {
+            let gluing = &self.problem.subdomains[s].gluing;
+            let x = self.dual_op.solve_local(s, &loads[s]);
+            let mut q_local = vec![0.0; gluing.nrows()];
+            ops::spmv_csr(1.0, gluing, Transpose::No, &x, 0.0, &mut q_local);
+            q_local
+        });
         let mut d = vec![0.0; self.problem.num_lambdas];
-        for (s, (sd, f)) in self.problem.subdomains.iter().zip(loads).enumerate() {
-            let x = self.dual_op.solve_local(s, f);
-            let mut q_local = vec![0.0; sd.gluing.nrows()];
-            ops::spmv_csr(1.0, &sd.gluing, Transpose::No, &x, 0.0, &mut q_local);
-            for (local, &g) in sd.lambda_map.iter().enumerate() {
-                d[g] += q_local[local];
-            }
-        }
+        gather(&mut d, self.problem.subdomains.iter().map(|sd| &sd.lambda_map).zip(&locals));
         for (di, ci) in d.iter_mut().zip(&self.problem.constraint_rhs) {
             *di -= ci;
         }
@@ -412,28 +400,6 @@ impl TotalFetiSolver {
         e
     }
 
-    /// Applies the dual operator to a batch of dual vectors through
-    /// [`DualOperator::apply_many`] and returns the result columns.  `io` is the
-    /// column-major input/output pair, which the caller keeps across iterations; it
-    /// is reallocated only when the batch width changes.
-    fn apply_batch(
-        &mut self,
-        cols: &[&Vec<f64>],
-        io: &mut (DenseMatrix, DenseMatrix),
-    ) -> (Vec<Vec<f64>>, TimeBreakdown) {
-        let (nl, m) = (self.problem.num_lambdas, cols.len());
-        if io.0.ncols() != m {
-            let zeros = || DenseMatrix::zeros(nl, m, MemoryOrder::ColMajor);
-            *io = (zeros(), zeros());
-        }
-        let (p, q) = io;
-        for (j, col) in cols.iter().enumerate() {
-            p.as_mut_slice()[j * nl..(j + 1) * nl].copy_from_slice(col);
-        }
-        let t = self.dual_op.apply_many(p, q);
-        ((0..m).map(|j| q.as_slice()[j * nl..(j + 1) * nl].to_vec()).collect(), t)
-    }
-
     /// Recovers the per-subdomain primal solutions `uᵢ = K⁺(fᵢ - B̃ᵢᵀ λ̃ᵢ) + Rᵢ αᵢ`,
     /// one independent local solve per subdomain on the host pool.
     fn recover_subdomains(
@@ -445,7 +411,7 @@ impl TotalFetiSolver {
         let kernel_dim = self.kernel_dim;
         par_subdomains(loads.len(), |s| {
             let sd = &self.problem.subdomains[s];
-            let lambda_local: Vec<f64> = sd.lambda_map.iter().map(|&g| lambda[g]).collect();
+            let lambda_local = scatter(&sd.lambda_map, lambda);
             let mut rhs = loads[s].clone();
             ops::spmv_csr(-1.0, &sd.gluing, Transpose::Yes, &lambda_local, 1.0, &mut rhs);
             let mut u = self.dual_op.solve_local(s, &rhs);
@@ -474,9 +440,9 @@ impl TotalFetiSolver {
 
     /// Solves the problem for several load cases at once: FETI preprocessing runs
     /// once, and each PCPG iteration applies the dual operator to the whole block of
-    /// still-unconverged search directions through [`DualOperator::apply_many`] — the
-    /// dense GEMM-shaped batched path that amortizes the memory traffic of the
-    /// explicit operators over the batch.
+    /// still-unconverged search directions in one batched application, as
+    /// [`DualOperator::apply_many`] does: the host computes each column as a single
+    /// apply would, and the modelled device time is that of one batched program.
     ///
     /// Each load case iterates exactly as it would through [`TotalFetiSolver::solve`]
     /// (the batching changes the modelled time, not the numerics); cases leave the
@@ -537,10 +503,8 @@ impl TotalFetiSolver {
                 lambda
             })
             .collect();
-        let zeros = || DenseMatrix::zeros(nl, ncases, MemoryOrder::ColMajor);
-        let mut batch_io = (zeros(), zeros());
-        let (f_lambda0, t0) = self.apply_batch(&lambdas0.iter().collect::<Vec<_>>(), &mut batch_io);
-        apply_time = apply_time.then(t0);
+        let mut f_lambda0 = vec![vec![0.0; nl]; ncases];
+        apply_time = apply_time.then(self.dual_op.apply_columns(&lambdas0, &mut f_lambda0));
 
         let mut states: Vec<CaseState> = Vec::with_capacity(ncases);
         for ((case, lambda), f_lambda) in loads.iter().zip(lambdas0).zip(&f_lambda0) {
@@ -582,8 +546,8 @@ impl TotalFetiSolver {
                 break;
             }
             let p_cols: Vec<&Vec<f64>> = active.iter().map(|&j| &states[j].p).collect();
-            let (q_cols, t) = self.apply_batch(&p_cols, &mut batch_io);
-            apply_time = apply_time.then(t);
+            let mut q_cols = vec![vec![0.0; nl]; active.len()];
+            apply_time = apply_time.then(self.dual_op.apply_columns(&p_cols, &mut q_cols));
             for (q, &j) in q_cols.iter().zip(&active) {
                 let s = &mut states[j];
                 s.iterations = k + 1;
@@ -619,8 +583,8 @@ impl TotalFetiSolver {
 
         // α = (GᵀG)⁻¹ Gᵀ (F λ - d) per case, through one final batched application.
         let lambda_cols: Vec<&Vec<f64>> = states.iter().map(|s| &s.lambda).collect();
-        let (f_lambda_final, tf) = self.apply_batch(&lambda_cols, &mut batch_io);
-        apply_time = apply_time.then(tf);
+        let mut f_lambda_final = vec![vec![0.0; nl]; ncases];
+        apply_time = apply_time.then(self.dual_op.apply_columns(&lambda_cols, &mut f_lambda_final));
         let share = apply_time.scaled(1.0 / ncases as f64);
 
         if feti_trace::enabled() {
@@ -874,6 +838,47 @@ mod tests {
         }
         for (a, b) in batch[1].global_solution.iter().zip(&solo.global_solution) {
             assert!((a - 2.0 * b).abs() < 1e-8, "linearity: doubled load, doubled solution");
+        }
+    }
+
+    #[test]
+    fn a_shrinking_batch_iterates_each_case_as_its_own_solve() {
+        // Three loads pointing in different directions converge at different
+        // iterations, so the batch narrows from three columns to two to one; each case
+        // must still end, to the bit, where its own one-case solve ends.  The applied
+        // seconds are left out: a batch's share is priced on the batched program.
+        let problem = Arc::new(DecomposedProblem::build(&DecompositionSpec::small_heat_2d()));
+        let baseline: LoadCase =
+            problem.subdomains.iter().map(|sd| sd.assembled.load.clone()).collect();
+        let mut point: LoadCase = baseline.iter().map(|f| vec![0.0; f.len()]).collect();
+        point[2][0] = 1.0;
+        let mut wave = point.clone();
+        for (s, f) in wave.iter_mut().enumerate() {
+            for (j, v) in f.iter_mut().enumerate() {
+                *v = ((s * 25 + j) as f64 * 2.3).sin();
+            }
+        }
+        let cases = [point, baseline, wave];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for approach in
+            [DualOperatorApproach::ExplicitGpuLegacy, DualOperatorApproach::ImplicitCholmod]
+        {
+            let options = PcpgOptions::default();
+            let mut solver =
+                TotalFetiSolver::new(Arc::clone(&problem), approach, None, options).unwrap();
+            let batch = solver.solve_many(&cases).unwrap();
+            let mut iterations: Vec<usize> = batch.iter().map(|s| s.iterations).collect();
+            iterations.sort_unstable();
+            iterations.dedup();
+            assert_eq!(iterations.len(), 3, "{approach:?}: the cases must leave one at a time");
+            for (j, (case, got)) in cases.iter().zip(&batch).enumerate() {
+                let alone = solver.solve_many(std::slice::from_ref(case)).unwrap().remove(0);
+                assert_eq!(bits(&got.lambda), bits(&alone.lambda), "{approach:?} case {j}: λ");
+                assert_eq!(bits(&got.alpha), bits(&alone.alpha), "{approach:?} case {j}: α");
+                assert_eq!(got.iterations, alone.iterations, "{approach:?} case {j}");
+                let residuals = (got.final_residual.to_bits(), alone.final_residual.to_bits());
+                assert_eq!(residuals.0, residuals.1, "{approach:?} case {j}: residual");
+            }
         }
     }
 

@@ -342,22 +342,17 @@ impl<'a> Planner<'a> {
             // One record per approach, not per parameter variant: a full-sweep plan
             // enumerates hundreds of parameter combinations whose estimates differ
             // only marginally, and recording them all would drown the accuracy
-            // report in duplicates.  Kept per approach is its best-ranked candidate
-            // that fits device memory (the one `best()` could select), falling back
-            // to its best-ranked overall; ranks stay positions in the full ranking,
-            // so the plan's chosen rank always names a recorded candidate.
+            // report in duplicates.  Kept per approach is its first candidate in rank
+            // order — the ranking puts every candidate that fits device memory first,
+            // so that is its best-ranked one that fits (the one `best()` could
+            // select), else its best-ranked overall; ranks stay positions in the full
+            // ranking, so the plan's chosen rank always names a recorded candidate.
             let mut deduped: Vec<(usize, &PlanCandidate)> = Vec::new();
             for (rank, c) in plan.candidates.iter().enumerate() {
-                match deduped.iter_mut().find(|(_, kept)| kept.approach == c.approach) {
-                    None => deduped.push((rank, c)),
-                    Some(entry) => {
-                        if c.fits_device_memory && !entry.1.fits_device_memory {
-                            *entry = (rank, c);
-                        }
-                    }
+                if deduped.iter().all(|(_, kept)| kept.approach != c.approach) {
+                    deduped.push((rank, c));
                 }
             }
-            deduped.sort_by_key(|&(rank, _)| rank);
             let records = deduped
                 .into_iter()
                 .map(|(rank, c)| feti_trace::PlanCandidateRecord {
